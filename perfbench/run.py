@@ -57,7 +57,10 @@ SRC = ROOT / "src"
 #: Stores and trace files of the running benchmark (listed in .gitignore).
 WORK = ROOT / ".perfbench"
 READY = re.compile(r"listening on ([\d.]+):(\d+)")
-SETUP_SAMPLES = 3
+SETUP_SAMPLES = 5
+#: The service reader times the calibration kernel before every this many
+#: cached submits.
+KERNEL_EVERY = 10
 
 
 class BenchError(Exception):
@@ -67,11 +70,36 @@ class BenchError(Exception):
 # -- child processes -----------------------------------------------------------
 
 
+def cpu_jiffies() -> Tuple[int, int]:
+    """(steal, busy) jiffies of the whole machine, from ``/proc/stat``.
+
+    Busy counts every CPU state but idle and iowait. Steal is the part of
+    it the hypervisor gave to other guests: on a shared host it swings
+    from 0 to a fifth of busy time within minutes, and every process of
+    the program slows by that share.
+    """
+    with open("/proc/stat", encoding="ascii") as handle:
+        fields = [int(x) for x in handle.readline().split()[1:9]]
+    return fields[7], sum(fields) - fields[3] - fields[4]
+
+
+def unstolen_share(since: Tuple[int, int]) -> float:
+    """The share of the machine's busy time since ``since`` not stolen.
+
+    Times scaled by it read as on a host that steals nothing. It does not
+    depend on how busy the program keeps the machine, since steal only
+    accrues while a CPU has work.
+    """
+    steal, busy = cpu_jiffies()
+    return 1.0 - (steal - since[0]) / max(1, busy - since[1])
+
+
 class Child:
     """A child process in its own process group, read line by line."""
 
     def __init__(self, cmd: List[str]) -> None:
         env = dict(os.environ, PYTHONPATH=str(SRC))
+        self.jiffies = cpu_jiffies()
         self.started = time.perf_counter()
         self.proc = subprocess.Popen(
             cmd, cwd=ROOT, env=env, stdout=subprocess.PIPE, text=True,
@@ -102,6 +130,10 @@ class Child:
             match = pattern.search(line)
             if match:
                 return match
+
+    def elapsed(self) -> float:
+        """Seconds since the spawn, less the share the host stole."""
+        return (time.perf_counter() - self.started) * unstolen_share(self.jiffies)
 
     def finish(self, timeout: float) -> str:
         """Wait for a clean exit; returns the last stdout line."""
@@ -159,59 +191,35 @@ def worker_cmd(args: argparse.Namespace, workload: str, *extra: str) -> List[str
     ]
 
 
-def setup_probe(args: argparse.Namespace) -> Tuple[float, float]:
+def setup_probe(args: argparse.Namespace, workload: str) -> Tuple[float, float]:
     """Fresh interpreter: (spawn-to-ready seconds, its import seconds)."""
-    child = Child(worker_cmd(args, "join-greedy", "--setup-only"))
+    child = Child(worker_cmd(args, workload, "--setup-only"))
     try:
         match = child.expect(re.compile(r"^READY (\S+)$"), 120)
-        elapsed = time.perf_counter() - child.started
+        elapsed = child.elapsed()
         child.finish(30)
     finally:
         child.stop()
     return elapsed, float(match.group(1))
 
 
-def calibrated(kernel_s: List[float], setup_s: float, rss_mb: float,
-               op_s: float, work_per_s: float) -> Dict[str, float]:
-    """End-to-end metrics at the reference machine speed.
-
-    Times are scaled by ``REFERENCE_KERNEL_S / median(kernel_s)``: a run
-    on a machine momentarily 20% slower reads the same as one on the
-    reference machine (see :func:`workloads.calibration_kernel`).
-    """
-    speed = workloads.REFERENCE_KERNEL_S / statistics.median(kernel_s)
-    return {
-        "setup_s": setup_s * speed,
-        "peak_rss_mb": rss_mb,
-        "op_ms_p50": 1000.0 * op_s * speed,
-        "work_per_s": work_per_s / speed,
-    }
-
-
-def kernel_burst(seconds: float = 1.0) -> List[float]:
-    """Calibration kernel times over ``seconds`` of this process."""
-    times: List[float] = []
-    started = time.perf_counter()
-    while time.perf_counter() - started < seconds:
-        times.append(workloads.calibration_kernel())
-    return times
-
-
 def run_in_process(args: argparse.Namespace) -> Dict[str, Any]:
     child = Child(worker_cmd(args, args.workload))
     try:
         child.expect(re.compile(r"^READY "), 120)
-        setups = [time.perf_counter() - child.started]
+        setups = [child.elapsed()]
         summary = json.loads(child.finish(160))
     finally:
         child.stop()
     if args.trace:
         summary["layers"]["setup.daemon_ready_s"] = 0.0
         return summary
-    setups += [setup_probe(args)[0] for _ in range(SETUP_SAMPLES - 1)]
+    setups += [setup_probe(args, args.workload)[0] for _ in range(SETUP_SAMPLES - 1)]
     # Whole cycles of the seed pool only, so every run weighs the same inputs.
     pool = workloads.POOL_SIZE[args.size][args.workload]
-    whole = len(summary["op_seconds"]) // pool * pool or len(summary["op_seconds"])
+    whole = len(summary["op_seconds"]) // pool * pool
+    if whole < workloads.MIN_CYCLES * pool:
+        raise BenchError(f"only {whole} operations in whole cycles of {pool}")
     ops = summary["op_seconds"][:whole]
     rate = sum(summary["work"][:whole]) / sum(ops)
     named: Dict[str, Tuple[float, str]] = {
@@ -219,17 +227,22 @@ def run_in_process(args: argparse.Namespace) -> Dict[str, Any]:
         "simulate-large": {"sim_payments_per_s": (rate, "payments/s")},
         "attack-htlc": {"attack_events_per_s": (rate, "events/s")},
     }[args.workload]
-    kernel_s = summary["calibration_s"]
+    kernel_s = statistics.median(summary["calibration_s"])
     named.update(
         op_samples=(len(ops), "count"),
-        setup_s=(statistics.median(setups), "s"),
-        calibration_kernel_ms=(1000.0 * statistics.median(kernel_s), "ms"),
+        calibration_kernel_ms=(1000.0 * kernel_s, "ms"),
     )
     summary["named"] = named
-    summary["metrics"] = calibrated(
-        kernel_s, statistics.median(setups), summary["peak_rss_mb"],
-        statistics.median(ops), rate,
-    )
+    # Operation times at the reference machine speed: a run on a machine
+    # momentarily 20% slower reads the same as one on the reference
+    # machine (see workloads.calibration_kernel).
+    speed = workloads.REFERENCE_KERNEL_S / kernel_s
+    summary["metrics"] = {
+        "setup_s": statistics.median(setups),
+        "peak_rss_mb": summary["peak_rss_mb"],
+        "op_ms_p50": 1000.0 * statistics.median(ops) * speed,
+        "work_per_s": rate / speed,
+    }
     return summary
 
 
@@ -291,7 +304,7 @@ class Daemon:
         except BaseException:
             self.stop()
             raise
-        self.ready_s = time.perf_counter() - self.child.started
+        self.ready_s = self.child.elapsed()
 
     def command(self, cmd: str) -> Dict[str, Any]:
         conn = Connection(self.port)
@@ -332,6 +345,7 @@ class Mixed:
         self.cold_s: List[float] = []
         self.cold_results: List[bytes] = []
         self.response_bytes = 0
+        self.kernel_s: List[float] = []
 
     def _fail(self, why: str) -> None:
         print(f"service operation failed: {why}", file=sys.stderr)
@@ -379,6 +393,10 @@ class Mixed:
         try:
             index = 0
             while time.perf_counter() < deadline:
+                # The calibration kernel runs while the writer's job keeps
+                # the other CPU busy, as it is during a cached read.
+                if index % KERNEL_EVERY == 0:
+                    self.kernel_s.append(workloads.calibration_kernel())
                 doc = self.warm_docs[index % len(self.warm_docs)]
                 index += 1
                 done = self._submit(conn, doc, "cached")
@@ -408,10 +426,8 @@ class Mixed:
         finally:
             conn.close()
 
-    def run(self, seconds: float, fail_after_warm: bool = False) -> None:
+    def run(self, seconds: float) -> None:
         self.warm()
-        if fail_after_warm:
-            raise BenchError("failure injected after warm-up")
         deadline = time.perf_counter() + seconds
         errors: List[BaseException] = []
 
@@ -466,15 +482,12 @@ def run_service(args: argparse.Namespace) -> Dict[str, Any]:
     if args.trace:
         return run_service_traced(args)
     setups: List[float] = []
-    # The daemon is idle before and after the mix; the kernel runs then.
-    kernel_s = kernel_burst()
     daemon = Daemon(traced=False)
     try:
         setups.append(daemon.ready_s)
         mix = Mixed(daemon, args)
-        mix.run(args.seconds, fail_after_warm=args.inject_failure)
+        mix.run(args.seconds)
         rss = peak_rss_mb(daemon.child.proc.pid)
-        kernel_s += kernel_burst()
     finally:
         daemon.stop()
     for _ in range(SETUP_SAMPLES - 1):
@@ -486,9 +499,9 @@ def run_service(args: argparse.Namespace) -> Dict[str, Any]:
         "submit_cold_ms_p50": (1000.0 * statistics.median(mix.cold_s), "ms"),
         "cached_samples": (len(mix.cached_s), "count"),
         "cold_samples": (len(mix.cold_s), "count"),
-        "setup_s": (statistics.median(setups), "s"),
-        "calibration_kernel_ms": (1000.0 * statistics.median(kernel_s), "ms"),
+        "calibration_kernel_ms": (1000.0 * statistics.median(mix.kernel_s), "ms"),
     }
+    speed = workloads.REFERENCE_KERNEL_S / statistics.median(mix.kernel_s)
     tail = tail_percentile(len(mix.cached_s))
     if tail is not None:
         name = f"submit_cached_ms_p{tail:g}".replace(".", "_")
@@ -497,10 +510,12 @@ def run_service(args: argparse.Namespace) -> Dict[str, Any]:
         "attempted": mix.attempted,
         "failed": mix.failed,
         "named": named,
-        "metrics": calibrated(
-            kernel_s, statistics.median(setups), rss,
-            statistics.median(mix.cached_s), 1.0 / statistics.median(mix.cold_s),
-        ),
+        "metrics": {
+            "setup_s": statistics.median(setups),
+            "peak_rss_mb": rss,
+            "op_ms_p50": 1000.0 * statistics.median(mix.cached_s) * speed,
+            "work_per_s": 1.0 / (statistics.median(mix.cold_s) * speed),
+        },
     }
 
 
@@ -561,7 +576,8 @@ def run_service_traced(args: argparse.Namespace) -> Dict[str, Any]:
     completed = stats["cached"] + stats["done"]
     layers.update({
         "setup.daemon_ready_s": ready_s,
-        "setup.import_s": setup_probe(args)[1],
+        # Every workload pays the same import of repro.cli.
+        "setup.import_s": setup_probe(args, "join-greedy")[1],
         "service.response_bytes": traced.response_bytes / traced.attempted,
         "service.queue_wait_s_p50": wait_p50,
         "service.store_hit_ratio": stats["cached"] / completed if completed else 0.0,
@@ -649,8 +665,6 @@ def main() -> int:
                         help="input sizes; 'toy' is for the self-test")
     parser.add_argument("--pinned", type=Path, default=workloads.PINNED,
                         help="pinned outputs to check against")
-    parser.add_argument("--inject-failure", action="store_true",
-                        help="fail service-mixed after warm-up (self-test)")
     parser.add_argument("--pin", action="store_true", help="rewrite pinned.json")
     args = parser.parse_args()
 

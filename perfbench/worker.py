@@ -4,7 +4,8 @@ Started by ``run.py`` with the checkout's ``src`` on ``PYTHONPATH``. It
 imports ``repro.cli`` (what every CLI user pays), prepares the workload's
 Scenario documents, prints ``READY <import seconds>`` and then runs a
 closed loop of ``ScenarioRunner.run`` calls, one at a time, until the run
-length is spent. Every operation's output is checked against its pinned
+length is spent and at least ``workloads.MIN_CYCLES`` cycles of the seed
+pool are done. Every operation's output is checked against its pinned
 value. The last stdout line is a JSON summary for ``run.py``.
 
 With ``--trace 1`` the loop runs twice over the same operation seeds: once
@@ -89,16 +90,16 @@ class Loop:
         return {"seconds": elapsed, "ok": ok, "out": got}
 
     def until(self, runner_for: Any, docs: List[Dict[str, Any]], seconds: float,
-              count: int = 0, calibration: Optional[List[float]] = None,
+              at_least: int = 0, calibration: Optional[List[float]] = None,
               ) -> List[Dict[str, Any]]:
-        """Run ``docs`` cyclically for ``seconds`` (or exactly ``count``).
+        """Run ``docs`` cyclically for ``seconds`` and at least ``at_least`` times.
 
         With ``calibration``, the calibration kernel runs after every
         operation and its times are appended there.
         """
         done: List[Dict[str, Any]] = []
         started = time.perf_counter()
-        while (len(done) < count) if count else (time.perf_counter() - started < seconds):
+        while len(done) < at_least or time.perf_counter() - started < seconds:
             doc = docs[len(done) % len(docs)]
             done.append(dict(self.one(runner_for(len(done)), doc), seed=doc["seed"]))
             if calibration is not None:
@@ -119,7 +120,7 @@ def traced_phase(loop: Loop, docs: List[Dict[str, Any]], count: int,
 
     uninstall = shims.install_program_shims(rec)
     try:
-        ops = loop.until(runner_for, docs, 0.0, count=count)
+        ops = loop.until(runner_for, docs, 0.0, at_least=count)
     finally:
         uninstall()
     counters: Dict[str, float] = defaultdict(float)
@@ -206,6 +207,7 @@ def main() -> int:
     else:
         calibration: List[float] = []
         ops = loop.until(lambda _: plain_runner, docs, args.seconds,
+                         at_least=workloads.MIN_CYCLES * len(docs),
                          calibration=calibration)
         summary["calibration_s"] = calibration
         summary["op_seconds"] = [op["seconds"] for op in ops]

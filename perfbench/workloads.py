@@ -42,13 +42,15 @@ SIZES: Dict[str, Dict[str, Dict[str, Any]]] = {
 }
 
 #: Operation seeds with pinned outputs. A run cycles through its
-#: workload's pool in an order derived from ``--seed``. A pool no larger
-#: than the operations one run completes keeps the input mix the same
-#: across runs; attack scenarios differ most in work, so theirs is small.
+#: workload's fixed pool in an order derived from ``--seed`` and is
+#: measured over whole cycles only, so every run weighs the same inputs.
+#: A 20 s run completes three to five cycles; the worker runs on past
+#: the deadline until :data:`MIN_CYCLES` are complete.
 POOL_SIZE = {
-    "full": {"join-greedy": 40, "simulate-large": 40, "attack-htlc": 10},
+    "full": {"join-greedy": 12, "simulate-large": 12, "attack-htlc": 10},
     "toy": {"join-greedy": 4, "simulate-large": 4, "attack-htlc": 4},
 }
+MIN_CYCLES = 2
 
 _FEE = {"kind": "linear", "params": {"base": 0.01, "rate": 0.001}}
 _ZIPF = {"kind": "poisson", "params": {"zipf_s": 1.0}}
@@ -59,7 +61,6 @@ def scenario_doc(workload: str, size: str, seed: int) -> Dict[str, Any]:
     p = SIZES[size][workload]
     if workload == "join-greedy":
         return {
-            "name": "bench-join-greedy",
             "seed": seed,
             "topology": {"kind": "ba", "params": {"n": p["n"]}},
             "algorithm": {
@@ -71,7 +72,6 @@ def scenario_doc(workload: str, size: str, seed: int) -> Dict[str, Any]:
     topology = {"kind": "ba", "params": {"n": p["n"], "capacity_mu": 3.0}}
     if workload == "attack-htlc":
         return {
-            "name": "bench-attack-htlc",
             "seed": seed,
             "topology": topology,
             "workload": _ZIPF,
@@ -84,7 +84,6 @@ def scenario_doc(workload: str, size: str, seed: int) -> Dict[str, Any]:
             },
         }
     return {
-        "name": f"bench-{workload}",
         "seed": seed,
         "topology": topology,
         "workload": _ZIPF,
@@ -115,8 +114,8 @@ def calibration_kernel() -> float:
     """Seconds one fixed pure-Python loop takes right now.
 
     The machines this benchmark runs on change speed by a quarter over
-    minutes as neighbours come and go. A run times this loop beside its
-    operations, and its end-to-end times are scaled by
+    minutes as neighbours come and go. An in-process run times this loop
+    after every operation, and its operation times are scaled by
     ``REFERENCE_KERNEL_S / median(kernel)``, so runs minutes apart stay
     comparable. The loop is benchmark code: no program change moves it.
     """
