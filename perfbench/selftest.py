@@ -94,7 +94,7 @@ def check_tampered(workload: str) -> List[str]:
 
 
 def check_service_cleanup() -> List[str]:
-    # With no time to run, the mix completes no submit after warm-up and fails.
+    # With no time to run, the reader completes no submit and the mix fails.
     proc = bench("--workload", "service-mixed", seconds=0)
     problems = []
     if proc.returncode == 0:
