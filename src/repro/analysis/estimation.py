@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from ..errors import InvalidParameter
 from ..network.graph import ChannelGraph
@@ -56,6 +55,8 @@ def _poisson_rate_ci(
     count: int, horizon: float, confidence: float
 ) -> Tuple[float, float]:
     """Exact (Garwood) chi-square CI for a Poisson rate."""
+    from scipy import stats  # local: scipy.stats dominates `import repro.cli`
+
     alpha = 1.0 - confidence
     low = (
         stats.chi2.ppf(alpha / 2.0, 2 * count) / (2.0 * horizon)
@@ -192,5 +193,7 @@ def estimate_average_fee(
     if len(samples) == 1:
         return mean, mean, mean
     sem = float(samples.std(ddof=1)) / math.sqrt(len(samples))
+    from scipy import stats  # local: scipy.stats dominates `import repro.cli`
+
     z = stats.norm.ppf(0.5 + confidence / 2.0)
     return mean, mean - z * sem, mean + z * sem

@@ -9,7 +9,7 @@ the assumption and measure its effect (bench E12's ablations rely on this).
 from __future__ import annotations
 
 import abc
-from typing import Dict, Hashable, Mapping, Sequence
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,11 +20,38 @@ __all__ = [
     "TransactionDistribution",
     "UniformDistribution",
     "EmpiricalDistribution",
+    "choice_cdf",
 ]
+
+#: ``Generator.choice``'s tolerance on ``sum(p) == 1``.
+_SUM_TOLERANCE = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def choice_cdf(probs: np.ndarray) -> np.ndarray:
+    """The cumulative table ``Generator.choice(len(probs), p=probs)`` builds.
+
+    Applies ``choice``'s checks on ``probs`` (finite, non-negative, sums to
+    1) and its float operations, so ``cdf.searchsorted(rng.random(),
+    side="right")`` is the index ``choice`` would draw from the same stream.
+    """
+    # a NaN entry fails both comparisons, an infinite one makes the sum infinite
+    if not ((probs >= 0).all() and abs(probs.sum() - 1.0) <= _SUM_TOLERANCE):
+        raise InvalidParameter(
+            "probabilities must be finite, non-negative and sum to 1"
+        )
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 class TransactionDistribution(abc.ABC):
     """Probability that a given sender transacts with a given receiver."""
+
+    def __init__(self) -> None:
+        # sender -> (receivers, cdf) sampling table; None keeps no tables
+        self._tables: Optional[
+            Dict[Hashable, Tuple[List[Hashable], np.ndarray]]
+        ] = {}
 
     @abc.abstractmethod
     def probability(self, sender: Hashable, receiver: Hashable) -> float:
@@ -37,16 +64,34 @@ class TransactionDistribution(abc.ABC):
     def sample_receiver(
         self, sender: Hashable, rng: np.random.Generator
     ) -> Hashable:
-        """Draw one receiver for ``sender``."""
+        """Draw one receiver for ``sender``.
+
+        RNG contract: each call consumes exactly one ``rng.random()`` and
+        returns the receiver ``rng.choice(len(row), p=row)`` would return
+        from the same stream, ``row`` being :meth:`receivers`'s
+        distribution in its order. The sender's cumulative table is built
+        on its first draw and kept (a ``ModifiedZipf(cache=False)`` keeps
+        none), so later draws are one ``searchsorted``.
+        """
+        table = self._tables.get(sender) if self._tables is not None else None
+        if table is None:
+            table = self._sampling_table(sender)
+            if self._tables is not None:
+                self._tables[sender] = table
+        nodes, cdf = table
+        return nodes[cdf.searchsorted(rng.random(), side="right")]
+
+    def _sampling_table(
+        self, sender: Hashable
+    ) -> Tuple[List[Hashable], np.ndarray]:
         dist = self.receivers(sender)
         nodes = list(dist)
-        probs = np.fromiter((dist[n] for n in nodes), dtype=float, count=len(nodes))
+        probs = np.fromiter(dist.values(), dtype=float, count=len(nodes))
         total = probs.sum()
         if total <= 0:
             raise InvalidParameter(f"receiver distribution of {sender!r} is empty")
         probs /= total
-        index = rng.choice(len(nodes), p=probs)
-        return nodes[index]
+        return nodes, choice_cdf(probs)
 
 
 class UniformDistribution(TransactionDistribution):
@@ -55,6 +100,7 @@ class UniformDistribution(TransactionDistribution):
     def __init__(self, nodes: Sequence[Hashable]) -> None:
         if len(nodes) < 2:
             raise InvalidParameter("need at least two nodes")
+        super().__init__()
         self._nodes = list(nodes)
         self._node_set = set(nodes)
 
@@ -87,6 +133,7 @@ class EmpiricalDistribution(TransactionDistribution):
     def __init__(
         self, weights: Mapping[Hashable, Mapping[Hashable, float]]
     ) -> None:
+        super().__init__()
         self._table: Dict[Hashable, Dict[Hashable, float]] = {}
         for sender, row in weights.items():
             cleaned = {

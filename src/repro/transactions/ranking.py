@@ -19,6 +19,9 @@ between adjacent tie blocks and break normalisation).
 
 from __future__ import annotations
 
+import collections
+import functools
+import operator
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..errors import InvalidParameter, NodeNotFound
@@ -39,18 +42,31 @@ def degree_ranking(
     """
     if perspective is not None and perspective not in graph:
         raise NodeNotFound(perspective)
-    degrees: Dict[Hashable, int] = {}
-    for node in graph.nodes:
-        if node == perspective:
-            continue
-        degree = 0
-        for channel in graph.channels_of(node):
-            if perspective is not None and perspective in channel.endpoints:
-                continue
-            degree += 1
-        degrees[node] = degree
-    ranked = sorted(degrees.items(), key=lambda kv: (-kv[1], str(kv[0])))
-    return ranked
+    nodes = graph.nodes
+    degrees: Dict[Hashable, int] = dict(zip(nodes, map(graph.degree, nodes)))
+    if perspective is not None:
+        # G - u: drop u, and each of u's channels (parallel ones too) costs
+        # its other endpoint one degree.
+        del degrees[perspective]
+        for channel in graph.channels_of(perspective):
+            degrees[channel.other(perspective)] -= 1
+    # highest degree first, ties by str(node): a stable sort by degree
+    # (reverse keeps stability) over the nodes sorted by str
+    order = sorted(sorted(degrees, key=str), key=degrees.__getitem__, reverse=True)
+    return [(node, degrees[node]) for node in order]
+
+
+@functools.lru_cache(maxsize=8192, typed=True)
+def _tie_block_average(first_rank: int, block_size: int, s: float) -> float:
+    """Mean of ``1/r^s`` over ranks ``first_rank .. first_rank+block_size-1``.
+
+    Memoised: every sender's row of a graph repeats nearly the same tie
+    blocks, and a block of low-degree nodes can span most of the ranks.
+    """
+    block = [
+        1.0 / float(rank) ** s for rank in range(first_rank, first_rank + block_size)
+    ]
+    return sum(block) / len(block)
 
 
 def rank_factors_from_degrees(
@@ -67,20 +83,12 @@ def rank_factors_from_degrees(
     """
     if s < 0:
         raise InvalidParameter(f"Zipf parameter s must be >= 0, got {s}")
-    if any(d1 < d2 for d1, d2 in zip(degrees, degrees[1:])):
+    if any(map(operator.lt, degrees, degrees[1:])):
         raise InvalidParameter("degrees must be sorted in non-increasing order")
     factors: List[float] = []
-    i = 0
-    n = len(degrees)
-    while i < n:
-        j = i
-        while j < n and degrees[j] == degrees[i]:
-            j += 1
-        # tie block occupies ranks i+1 .. j (1-based)
-        block = [1.0 / float(rank) ** s for rank in range(i + 1, j + 1)]
-        avg = sum(block) / len(block)
-        factors.extend([avg] * (j - i))
-        i = j
+    # sorted, so each degree's count is the size of its tie block
+    for size in collections.Counter(degrees).values():
+        factors.extend([_tie_block_average(len(factors) + 1, size, s)] * size)
     return factors
 
 

@@ -17,7 +17,11 @@ import numpy as np
 
 from ..errors import InvalidParameter, ScenarioError
 from ..scenarios.registry import register_workload
-from .distributions import TransactionDistribution, UniformDistribution
+from .distributions import (
+    TransactionDistribution,
+    UniformDistribution,
+    choice_cdf,
+)
 from .sizes import (
     FixedSize,
     TransactionSizeDistribution,
@@ -180,7 +184,7 @@ class PoissonWorkload:
             (sender_rates[node] for node in self._senders), dtype=float
         )
         self.total_rate = float(rates.sum())
-        self._sender_probs = rates / self.total_rate
+        self._sender_cdf = choice_cdf(rates / self.total_rate)
         self.sizes = sizes if sizes is not None else FixedSize(1.0)
         self._rng = np.random.default_rng(seed)
 
@@ -221,7 +225,8 @@ class PoissonWorkload:
         return out
 
     def _draw(self, time: float) -> Transaction:
-        index = self._rng.choice(len(self._senders), p=self._sender_probs)
+        # one random() per sender, as rng.choice(p=...) would consume
+        index = self._sender_cdf.searchsorted(self._rng.random(), side="right")
         sender = self._senders[index]
         receiver = self.distribution.sample_receiver(sender, self._rng)
         amount = float(self.sizes.sample(self._rng, 1)[0])

@@ -30,20 +30,27 @@ class ModifiedZipf(TransactionDistribution):
     Args:
         graph: the PCN whose degrees define the ranking.
         s: Zipf scale parameter (>= 0).
-        cache: memoise per-sender rows. The cache must be dropped (create a
-            new instance, or call :meth:`invalidate`) whenever the graph's
-            topology changes, since ranks depend on degrees.
+        cache: memoise per-sender rows and the sampling tables
+            :meth:`sample_receiver` builds from them. The cache must be
+            dropped (create a new instance, or call :meth:`invalidate`)
+            whenever the graph's topology changes, since ranks depend on
+            degrees. With ``cache=False`` neither is kept.
     """
 
     def __init__(self, graph: ChannelGraph, s: float = 1.0, cache: bool = True) -> None:
+        super().__init__()
         self.graph = graph
         self.s = s
         self._cache_enabled = cache
         self._rows: Dict[Hashable, Dict[Hashable, float]] = {}
+        if not cache:
+            self._tables = None
 
     def invalidate(self) -> None:
-        """Drop memoised rows (call after mutating the graph)."""
+        """Drop memoised rows and sampling tables (call after mutating the graph)."""
         self._rows.clear()
+        if self._tables is not None:
+            self._tables.clear()
 
     def receivers(self, sender: Hashable) -> Dict[Hashable, float]:
         if sender not in self.graph:

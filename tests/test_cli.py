@@ -1,9 +1,13 @@
 """End-to-end tests of the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -16,6 +20,18 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """``scipy.stats`` costs more than the rest of ``import repro.cli``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    probe = "import sys, repro.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestGenerate:
