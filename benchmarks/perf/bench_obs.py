@@ -2,17 +2,14 @@
 """Observability overhead benchmark: obs-off vs obs-disabled throughput.
 
 Replays one pre-generated Poisson trace through the batched backend
-three times on identical graphs — instrumentation disabled (the
-default null session), enabled (what ``REPRO_OBS=1`` buys: metrics
-registry + phase timing), and enabled in *profile* mode (additionally
-per-edge conflict attribution, the costlier opt-in behind
-``repro profile``) — and reports the throughput ratios. The design
-contract of :mod:`repro.obs` is "zero overhead when disabled, a few
-percent when enabled"; ``throughput_ratio`` (on/off) is the gated
-budget, ``profile_ratio`` records what profile mode costs on top.
-Every row carries a parity proof (bit-identical metrics documents
-across all three runs), so the overhead numbers can never come from
-diverging results.
+twice on identical graphs — instrumentation disabled (the default null
+session) and enabled (what ``REPRO_OBS=1`` and ``repro profile`` buy:
+metrics registry + phase timing) — and reports the throughput ratio.
+The design contract of :mod:`repro.obs` is "zero overhead when
+disabled, a few percent when enabled"; ``throughput_ratio`` (on/off) is
+the gated budget. Every row carries a parity proof (bit-identical
+metrics documents across both runs), so the overhead numbers can never
+come from diverging results.
 
 Run:
     PYTHONPATH=src python benchmarks/perf/bench_obs.py
@@ -84,11 +81,10 @@ def bench_case(n: int, horizon: float) -> Dict[str, object]:
     # the shape every instrumented run actually pays. Repeats are
     # interleaved and the order rotates each round, so both slow drift
     # in machine load and position-in-round effects (allocator/GC debt
-    # left by the previous run) hit all three configurations evenly.
+    # left by the previous run) hit both configurations evenly.
     configs = (
         ("off", lambda: ObsSession(enabled=False)),
         ("on", lambda: ObsSession(enabled=True)),
-        ("profile", lambda: ObsSession(enabled=True, profile=True)),
     )
     best: Dict[str, tuple] = {}
     for round_index in range(REPEATS):
@@ -99,17 +95,11 @@ def bench_case(n: int, horizon: float) -> Dict[str, object]:
                 best[key] = sample
     off_seconds, off_metrics = best["off"]
     on_seconds, on_metrics = best["on"]
-    profile_seconds, profile_metrics = best["profile"]
 
-    off_doc = off_metrics.to_dict()
-    parity = (
-        off_doc == on_metrics.to_dict()
-        and off_doc == profile_metrics.to_dict()
-    )
+    parity = off_metrics.to_dict() == on_metrics.to_dict()
     payments = len(trace)
     off_pps = payments / off_seconds
     on_pps = payments / on_seconds
-    profile_pps = payments / profile_seconds
     return {
         "n": n,
         "horizon": horizon,
@@ -117,12 +107,9 @@ def bench_case(n: int, horizon: float) -> Dict[str, object]:
         "success_rate": off_metrics.success_rate,
         "seconds_off": off_seconds,
         "seconds_on": on_seconds,
-        "seconds_profile": profile_seconds,
         "payments_per_sec_off": off_pps,
         "payments_per_sec_on": on_pps,
-        "payments_per_sec_profile": profile_pps,
         "throughput_ratio": on_pps / off_pps,
-        "profile_ratio": profile_pps / off_pps,
         "overhead_pct": 100.0 * (on_seconds - off_seconds) / off_seconds,
         "parity_identical": parity,
     }
@@ -154,7 +141,6 @@ def main() -> None:
             f"n={row['n']:<5d} payments={row['payments']:>7d}  "
             f"off={row['payments_per_sec_off']:>7.0f}/s  "
             f"on={row['payments_per_sec_on']:>7.0f}/s  "
-            f"profile={row['payments_per_sec_profile']:>7.0f}/s  "
             f"ratio={row['throughput_ratio']:.3f}  "
             f"overhead={row['overhead_pct']:+.1f}%  "
             f"parity={row['parity_identical']}"

@@ -22,11 +22,9 @@ import argparse
 import json
 import platform
 import time
-from dataclasses import asdict
 from typing import Dict
 
 from repro import __version__
-from repro.obs import Histogram, ObsSession
 from repro.scenarios import (
     FeeSpec,
     Scenario,
@@ -46,9 +44,6 @@ SEED = 7
 #: Lognormal capacity location: well capitalised at first, but the long
 #: replays deplete it (the committed rows show 89.5% success at n=200,
 #: horizon 15, and 33.8% at n=1000, horizon 100).
-#: Depletion-heavy graphs (the generator default, capacity_mu=1.5)
-#: still run exactly but cache-invalidate more; the batched backend's
-#: edge there shrinks to ~3-4x.
 CAPACITY_MU = 3.0
 
 
@@ -112,39 +107,6 @@ def bench_case(n: int, horizon: float) -> Dict[str, object]:
         "speedup": event_seconds / batched_seconds,
         "counts_identical": counts_identical,
         "parity_max_abs_gap": revenue_gap,
-        "fastpath_stats": asdict(batched_engine.stats),
-        "obs": _profiled_stats(scenario, trace, fee),
-    }
-
-
-#: Per-edge conflict-count distribution bounds (conflicts per edge).
-_EDGE_CONFLICT_BOUNDS = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 500.0)
-
-
-def _profiled_stats(scenario: Scenario, trace, fee) -> Dict[str, object]:
-    """Untimed profiled replay: cache rates + edge-conflict distribution.
-
-    Runs outside the timed sections, so it costs the benchmark nothing
-    but records *where* the batched backend's cache pressure lives —
-    the conflict/tree-hit rates and the histogram of per-edge conflict
-    counts that explain the speedup numbers above.
-    """
-    obs = ObsSession(enabled=True, profile=True)
-    graph = build_topology(scenario.topology, seed=SEED)
-    engine = BatchedSimulationEngine(graph, fee=fee, seed=SEED, obs=obs)
-    engine.run_trace(trace)
-    telemetry = obs.build_telemetry(top_edges=10)
-    histogram = Histogram("edge_conflicts", bounds=_EDGE_CONFLICT_BOUNDS)
-    for count in obs.edge_conflicts.values():
-        histogram.observe(float(count))
-    return {
-        "conflict_rate": telemetry.cache.get("conflict_rate", 0.0),
-        "tree_hit_rate": telemetry.cache.get("tree_hit_rate", 0.0),
-        "top_conflicting_edges": [
-            [str(src), str(dst), count]
-            for src, dst, count in telemetry.top_conflicting_edges
-        ],
-        "edge_conflicts_histogram": histogram.to_dict(),
     }
 
 

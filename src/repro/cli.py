@@ -21,9 +21,9 @@ Subcommands:
   (topology + workload + fee + algorithm + simulation) end to end
   (``--profile`` additionally prints the hot-spot report);
 * ``profile`` — run a scenario fully instrumented (:mod:`repro.obs`)
-  and print the hot-spot report: top conflicting edges, per-phase wall
-  time, cache hit rates; ``--output`` writes the schema-versioned
-  ``RunTelemetry`` JSON, ``--trace-out`` the span/event JSONL trace;
+  and print the hot-spot report, wall time per phase; ``--output``
+  writes the schema-versioned ``RunTelemetry`` JSON, ``--trace-out``
+  the span/event JSONL trace;
 * ``sweep`` — evaluate a scenario JSON over a grid of dotted-path
   overrides (``--set topology.params.n=10,20,50``), serially or across
   worker processes (``--executor process``);
@@ -271,7 +271,7 @@ def _cmd_run_scenario(args: argparse.Namespace) -> int:
     if args.profile:
         from .obs import ObsSession
 
-        obs = ObsSession(profile=True)
+        obs = ObsSession(enabled=True)
     result = ScenarioRunner(obs=obs).run(scenario)
     print(result.summary())
     print(format_table([result.row], title=scenario.name))
@@ -291,7 +291,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     scenario = _apply_scenario_overrides(_load_scenario(args.scenario), args)
     tracer = TraceWriter(args.trace_out) if args.trace_out else None
-    obs = ObsSession(profile=True, tracer=tracer)
+    obs = ObsSession(enabled=True, tracer=tracer)
     try:
         result = ScenarioRunner(obs=obs).run(scenario)
     finally:
@@ -301,10 +301,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             print(f"wrote {records} trace records -> {args.trace_out}",
                   file=sys.stderr)
     telemetry = telemetry_of(result)
-    assert telemetry is not None  # profile=True forces an enabled session
+    assert telemetry is not None  # the session is enabled
     print(result.summary())
     print()
-    print(hotspot_table(telemetry, top=args.top))
+    print(hotspot_table(telemetry))
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(telemetry.to_json())
@@ -742,10 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument(
         "--backend", choices=["event", "batched"], default=None,
         help="override the scenario's simulation backend",
-    )
-    p_prof.add_argument(
-        "--top", type=int, default=10,
-        help="rows per hot-spot table section",
     )
     p_prof.add_argument(
         "--trace-out", default=None, metavar="SPANS_JSONL",

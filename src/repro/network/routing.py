@@ -66,14 +66,12 @@ def small_bfs_structure(
     adj: List[List[Tuple[int, int]]],
     n: int,
     source: int,
-    target: Optional[int] = None,
+    target: int,
 ) -> Tuple[List[int], List[float], List[List[int]]]:
     """Python BFS bookkeeping ``(dist, sigma, preds)`` for small graphs.
 
-    With ``target`` given the walk stops once the target pops (its level
-    is complete by then); with ``target=None`` the full structure is
-    built, which is what per-source caching wants — both variants agree
-    on every node at depth <= ``dist[target]``.
+    The search stops once ``target`` pops (its level is complete by
+    then), so every node at depth <= ``dist[target]`` is exact.
     """
     dist = [-1] * n
     sigma = [0.0] * n
@@ -83,7 +81,7 @@ def small_bfs_structure(
     queue = deque([source])
     while queue:
         v = queue.popleft()
-        if target is not None and v == target:
+        if v == target:
             break
         next_dist = dist[v] + 1
         for w, _entry in adj[v]:
@@ -141,22 +139,28 @@ def walk_csr(
     target: int,
     path_selection: str,
     rng,
+    keep: Optional[np.ndarray] = None,
 ) -> Optional[List[int]]:
     """Backward predecessor walk over a CSR :class:`BfsTree`.
 
-    The tree may be deeper than the target (a cached full-depth tree):
-    ``dist``/``sigma`` at depths <= ``dist[target]`` are identical to an
-    early-stopped tree, so the sampled path — and the RNG draws it
-    consumes — match exactly.
+    ``tree`` is :func:`bfs_shortest_path_tree` from ``source`` (stopped
+    at ``target`` or not: depths <= ``dist[target]`` agree), built with
+    the same ``keep`` entry mask. Predecessor rows are sorted by source
+    index, so masking them yields the predecessors in the order a view
+    of the masked subgraph would list them — identical RNG draws.
     """
     if tree.dist[target] < 0:
         return None
-    rev_indptr, rev_indices, _ = view.reverse_adjacency()
+    rev_indptr, rev_indices, rev_entries = view.reverse_adjacency()
     path = [target]
     current = target
     while current != source:
-        preds = rev_indices[rev_indptr[current]:rev_indptr[current + 1]]
-        preds = preds[tree.dist[preds] == tree.dist[current] - 1]
+        lo, hi = rev_indptr[current], rev_indptr[current + 1]
+        preds = rev_indices[lo:hi]
+        on_dag = tree.dist[preds] == tree.dist[current] - 1
+        if keep is not None:
+            on_dag &= keep[rev_entries[lo:hi]]
+        preds = preds[on_dag]
         if path_selection == "random" and preds.size > 1:
             sigma = tree.sigma[preds]
             chosen = int(rng.choice(preds, p=sigma / sigma.sum()))
@@ -251,8 +255,7 @@ class Router:
 
         Args:
             sender / receiver / amount: the payment intent.
-            view: a pre-built reduced view for ``amount`` (the batched
-                backend injects its masked snapshots here); defaults to
+            view: a pre-built reduced view for ``amount``; defaults to
                 ``graph.view(directed=True, reduced=amount)``.
             rng: tie-break RNG override (e.g. a per-payment
                 :class:`PaymentRouteRng`); defaults to the router's

@@ -533,14 +533,20 @@ class BfsTree:
 
 
 def bfs_shortest_path_tree(
-    view: GraphView, source: int, target: Optional[int] = None
+    view: GraphView,
+    source: int,
+    target: Optional[int] = None,
+    keep: Optional[np.ndarray] = None,
 ) -> BfsTree:
     """Single-source BFS with shortest-path counts and tree edges.
 
     With ``target`` given, stops once the target's BFS level is complete
     (its ``sigma`` and every ancestor's bookkeeping are final by then);
     deeper levels stay unexplored, which is what per-payment routing
-    wants.
+    wants. ``keep`` is an optional ``bool[m]`` entry mask: entries where
+    it is False are skipped, so the search runs over the masked subgraph
+    and computes the same ``dist``/``sigma`` as over a view of that
+    subgraph (tree-edge entries stay this view's positions).
     """
     n = view.num_nodes
     indptr, indices = view.indptr, view.indices
@@ -554,6 +560,9 @@ def bfs_shortest_path_tree(
     seen = np.zeros(n, dtype=bool)
     while frontier.size:
         srcs, entries, targets = expand_frontier(indptr, indices, frontier)
+        if keep is not None:
+            kept = keep[entries]
+            srcs, entries, targets = srcs[kept], entries[kept], targets[kept]
         if targets.size == 0:
             break
         fresh = targets[dist[targets] < 0]

@@ -12,16 +12,15 @@ contract (enforced by the parity suite in ``tests/obs/``):
   or results, so obs-on and obs-off runs are bit-identical.
 
 One :class:`ObsSession` is the per-run handle: a metrics registry, an
-optional :class:`~repro.obs.trace.TraceWriter`, a ``profile`` flag that
-turns on the (slightly costlier) per-edge conflict attribution, and the
-accumulators the :class:`~repro.obs.report.RunTelemetry` artifact is
-built from.
+optional :class:`~repro.obs.trace.TraceWriter`, and the per-phase wall
+times the :class:`~repro.obs.report.RunTelemetry` artifact is built
+from.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Dict, Iterable, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional
 
 from .clock import Clock, FakeClock, get_clock, monotonic, set_clock
 from .registry import (
@@ -78,36 +77,26 @@ class ObsSession:
     """One run's instrumentation handle.
 
     Args:
-        enabled: force on/off; ``None`` resolves to "on if a tracer or
-            ``profile`` was given, else the ``REPRO_OBS`` env flag".
+        enabled: force on/off; ``None`` resolves to "on if a tracer was
+            given, else the ``REPRO_OBS`` env flag".
         tracer: optional :class:`TraceWriter` receiving span/event
             records (implies enabled).
-        profile: also collect per-edge conflict attribution in the
-            batched backend (implies enabled; costs extra on
-            conflict-heavy runs — see ``profile_ratio`` in bench_obs).
     """
 
-    __slots__ = (
-        "enabled", "registry", "tracer", "profile",
-        "edge_conflicts", "phase_seconds",
-    )
+    __slots__ = ("enabled", "registry", "tracer", "phase_seconds")
 
     def __init__(
         self,
         enabled: Optional[bool] = None,
         tracer: Optional[TraceWriter] = None,
-        profile: bool = False,
     ) -> None:
         if enabled is None:
-            enabled = profile or tracer is not None or obs_enabled_from_env()
+            enabled = tracer is not None or obs_enabled_from_env()
         self.enabled = bool(enabled)
         self.registry: MetricsRegistry = (
             MetricsRegistry() if self.enabled else NULL_REGISTRY
         )
         self.tracer = tracer if self.enabled else None
-        self.profile = bool(profile) and self.enabled
-        #: directed edge (src, dst) -> cache-invalidating conflicts.
-        self.edge_conflicts: Dict[Tuple[Any, Any], int] = {}
         #: phase name -> accumulated wall seconds.
         self.phase_seconds: Dict[str, float] = {}
 
@@ -133,43 +122,14 @@ class ObsSession:
         if self.tracer is not None:
             self.tracer.event(name, **fields)
 
-    def add_edge_conflicts(
-        self, pairs: Iterable[Tuple[Tuple[Any, Any], int]]
-    ) -> None:
-        """Fold per-edge conflict counts into the session accumulator."""
-        table = self.edge_conflicts
-        for edge, count in pairs:
-            table[edge] = table.get(edge, 0) + int(count)
-
-    def build_telemetry(self, top_edges: int = 20) -> RunTelemetry:
+    def build_telemetry(self) -> RunTelemetry:
         """Freeze the session's measurements into a :class:`RunTelemetry`."""
         snapshot = self.registry.snapshot()
-        counters = snapshot.get("counters", {})
-        gauges = snapshot.get("gauges", {})
-        cache: Dict[str, float] = {}
-        payments = counters.get("fastpath.payments", 0.0)
-        conflicts = counters.get("fastpath.conflicts", 0.0)
-        tree_hits = counters.get("fastpath.tree_hits", 0.0)
-        tree_builds = counters.get("fastpath.tree_builds", 0.0)
-        if payments > 0:
-            cache["conflict_rate"] = conflicts / payments
-        if tree_hits + tree_builds > 0:
-            cache["tree_hit_rate"] = tree_hits / (tree_hits + tree_builds)
-        if "fastpath.mask_builds" in counters:
-            cache["mask_builds"] = counters["fastpath.mask_builds"]
-        ordered = sorted(
-            self.edge_conflicts.items(),
-            key=lambda kv: (-kv[1], str(kv[0])),
-        )
         return RunTelemetry(
-            counters=dict(counters),
-            gauges=dict(gauges),
+            counters=dict(snapshot.get("counters", {})),
+            gauges=dict(snapshot.get("gauges", {})),
             phase_seconds=dict(self.phase_seconds),
             histograms=dict(snapshot.get("histograms", {})),
-            top_conflicting_edges=tuple(
-                (src, dst, count) for (src, dst), count in ordered[:top_edges]
-            ),
-            cache=cache,
         )
 
 

@@ -1,9 +1,8 @@
 """The :class:`RunTelemetry` artifact and the hot-spot report built on it.
 
 ``RunTelemetry`` is the frozen, schema-versioned summary of one
-instrumented run: counters, per-phase wall time, histograms, the top
-conflicting edges of the batched backend, and derived cache rates. It
-rides *alongside* the result artifacts — :func:`attach_telemetry` pins
+instrumented run: counters, gauges, per-phase wall time and histograms.
+It rides *alongside* the result artifacts — :func:`attach_telemetry` pins
 it onto a ``SimulationMetrics`` / ``AttackReport`` / ``Trajectory``
 without entering their ``to_dict`` documents, so result hashing, the
 content-addressed store, and every existing round-trip contract are
@@ -14,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional
 
 __all__ = [
     "RunTelemetry",
@@ -25,7 +24,7 @@ __all__ = [
 ]
 
 #: Version stamp of the ``RunTelemetry.to_dict`` document layout.
-TELEMETRY_SCHEMA_VERSION = 1
+TELEMETRY_SCHEMA_VERSION = 2
 
 #: Side-channel attribute telemetry rides on (never serialised by the
 #: host artifact's ``to_dict``).
@@ -41,19 +40,12 @@ class RunTelemetry:
         phase_seconds: wall time per named phase (topology, workload,
             simulate, attack baseline/attacked, evolution phases, ...).
         histograms: name -> ``{"bounds", "counts", "count", "sum"}``.
-        top_conflicting_edges: ``(src, dst, conflicts)`` triples, worst
-            first — which directed edges invalidated the batched
-            backend's cached routing trees.
-        cache: derived rates (``conflict_rate``, ``tree_hit_rate``,
-            ``mask_builds``, ...) for the hot-spot report.
     """
 
     counters: Dict[str, float] = field(default_factory=dict)
     gauges: Dict[str, float] = field(default_factory=dict)
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     histograms: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    top_conflicting_edges: Tuple[Tuple[Any, Any, int], ...] = ()
-    cache: Dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -66,11 +58,6 @@ class RunTelemetry:
                               for name in sorted(self.phase_seconds)},
             "histograms": {name: dict(self.histograms[name])
                            for name in sorted(self.histograms)},
-            "top_conflicting_edges": [
-                [src, dst, count]
-                for src, dst, count in self.top_conflicting_edges
-            ],
-            "cache": {name: self.cache[name] for name in sorted(self.cache)},
         }
 
     @classmethod
@@ -88,7 +75,7 @@ class RunTelemetry:
             )
         known = {
             "schema_version", "counters", "gauges", "phase_seconds",
-            "histograms", "top_conflicting_edges", "cache",
+            "histograms",
         }
         unknown = set(document) - known
         if unknown:
@@ -101,13 +88,6 @@ class RunTelemetry:
                 name: dict(histogram)
                 for name, histogram in document.get("histograms", {}).items()
             },
-            top_conflicting_edges=tuple(
-                (src, dst, count)
-                for src, dst, count in document.get(
-                    "top_conflicting_edges", []
-                )
-            ),
-            cache=dict(document.get("cache", {})),
         )
 
     def to_json(self, indent: Optional[int] = 2) -> str:
@@ -134,39 +114,21 @@ def telemetry_of(artifact: Any) -> Optional[RunTelemetry]:
     return getattr(artifact, _TELEMETRY_ATTR, None)
 
 
-def hotspot_table(telemetry: RunTelemetry, top: int = 10) -> str:
-    """Human-readable hot-spot report: edges, phases, cache rates."""
+def hotspot_table(telemetry: RunTelemetry) -> str:
+    """Human-readable hot-spot report: wall time per phase."""
     from ..analysis import format_table
 
-    sections: List[str] = []
-    edges = telemetry.top_conflicting_edges[:top]
-    if edges:
-        rows = [
-            {"src": src, "dst": dst, "conflicts": count}
-            for src, dst, count in edges
-        ]
-        sections.append(
-            format_table(rows, title=f"top {len(rows)} conflicting edges")
-        )
-    if telemetry.phase_seconds:
-        total = sum(telemetry.phase_seconds.values())
-        rows = [
-            {
-                "phase": name,
-                "seconds": seconds,
-                "share": seconds / total if total > 0 else 0.0,
-            }
-            for name, seconds in sorted(
-                telemetry.phase_seconds.items(), key=lambda kv: -kv[1]
-            )
-        ]
-        sections.append(format_table(rows, title="per-phase wall time"))
-    if telemetry.cache:
-        rows = [
-            {"rate": name, "value": value}
-            for name, value in sorted(telemetry.cache.items())
-        ]
-        sections.append(format_table(rows, title="cache / conflict rates"))
-    if not sections:
+    if not telemetry.phase_seconds:
         return "no telemetry recorded (was the run instrumented?)"
-    return "\n\n".join(sections)
+    total = sum(telemetry.phase_seconds.values())
+    rows = [
+        {
+            "phase": name,
+            "seconds": seconds,
+            "share": seconds / total if total > 0 else 0.0,
+        }
+        for name, seconds in sorted(
+            telemetry.phase_seconds.items(), key=lambda kv: -kv[1]
+        )
+    ]
+    return format_table(rows, title="per-phase wall time")

@@ -17,7 +17,7 @@ from .events import (
     EventQueue,
     PaymentEvent,
 )
-from .fastpath import BatchedSimulationEngine, FastpathStats
+from .fastpath import BatchedSimulationEngine
 from .metrics import SimulationMetrics
 from .sharding import ShardedTraceRunner
 
@@ -27,7 +27,6 @@ __all__ = [
     "ChannelOpenEvent",
     "Event",
     "EventQueue",
-    "FastpathStats",
     "PaymentEvent",
     "ShardedTraceRunner",
     "SimulationEngine",

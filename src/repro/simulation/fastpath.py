@@ -1,29 +1,19 @@
-"""The batched simulation backend: vectorised epochs over view arrays.
+"""The batched simulation backend: vectorised routing over view arrays.
 
-The event engine pays two per-payment python costs that dominate large
+The event engine pays a per-payment python cost that dominates large
 runs: rebuilding the reduced :class:`~repro.network.views.GraphView`
-after every successful payment (an O(channels) python loop) and
-re-running BFS from scratch for every payment.
-:class:`BatchedSimulationEngine` removes both while producing *exactly*
+after every successful payment (an O(channels) python loop).
+:class:`BatchedSimulationEngine` removes it while producing *exactly*
 the same result:
 
 * the full directed view is frozen **once**; balances live in one
   mutable float array indexed by CSR entry, and the reduced subgraph for
   a payment of size ``x`` is the boolean mask ``balances >= x`` — no
   python per-channel loop, ever;
-* payments are processed in **epochs** — windows over which the reduced
-  mask per amount threshold and the BFS shortest-path structure per
-  (source, amount) pair are cached, so payments from the same sender
-  reuse each other's BFS work;
-* every balance update is logged, and cached state is only reused while
-  it is *provably* identical to what the event engine would compute.
-  A balance crossing an amount threshold (a **flip**) updates that
-  amount's mask incrementally; a cached tree survives a flip unless the
-  flipped edge interacts with its shortest-path DAG (an edge whose
-  removal was not a DAG edge, or whose addition cannot create or
-  shorten a shortest path, provably leaves ``dist``/``sigma``/the
-  predecessor sets unchanged). Only a payment whose tree is actually
-  invalidated — a **conflict** — pays for a fresh exact BFS;
+* every payment is routed from current state: one BFS from the sender
+  over the masked entries, stopped at the receiver's level, then a
+  backward walk — the same search and walk code the event engine's
+  :class:`~repro.network.routing.Router` runs on its reduced view;
 * routing decisions therefore match the event engine payment for
   payment, including the RNG draws of ``path_selection="random"``,
   which go through the same walk code in the same trace order;
@@ -32,8 +22,8 @@ the same result:
   balances are written back to the channels once, at the end.
 
 The backend runs over simple graphs (no parallel channels) in both
-payment modes. ``"instant"`` replays a pre-generated trace through
-vectorised epochs. ``"htlc"`` adds per-entry in-flight slot counters
+payment modes. ``"instant"`` replays a pre-generated trace in order.
+``"htlc"`` adds per-entry in-flight slot counters
 and an array-backed HTLC router (lock / settle-or-fail over escrowed
 array balances) plus the same event-queue API as the event engine
 (``schedule`` / ``register_handler`` / ``run``), so HTLC holds and
@@ -48,7 +38,6 @@ supports in :mod:`repro.scenarios.capabilities`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass
 from typing import (
     Callable,
     Dict,
@@ -73,12 +62,13 @@ from ..network.routing import (
     PaymentRouteRng,
     Router,
     small_bfs_structure,
+    walk_csr,
     walk_small,
 )
 from ..network.views import (
     SMALL_GRAPH_NODES,
     GraphView,
-    expand_frontier,
+    bfs_shortest_path_tree,
 )
 from ..obs import ObsSession, default_session
 from ..transactions.workload import (
@@ -98,82 +88,15 @@ from .events import (
 )
 from .metrics import SimulationMetrics
 
-__all__ = ["BatchedSimulationEngine", "FastpathStats"]
-
-#: Default payments per epoch (the cache-flush window). Epochs are
-#: purely an optimisation boundary — results are identical for any
-#: size; they bound the masked-state caches and the update log. The
-#: default is large because flushes are expensive (every cached BFS
-#: structure rebuilds) while the incremental log validation stays
-#: cheap; memory stays modest (~tens of MB at n=1000).
-DEFAULT_EPOCH_SIZE = 65536
-
-#: Masked snapshots cached at once; the least-recently-used amount's
-#: snapshot is evicted beyond this (a workload with continuously-
-#: distributed amounts would otherwise accumulate one per distinct
-#: amount).
-MAX_MASKED_STATES = 64
-
-
-@dataclass
-class FastpathStats:
-    """Counters describing how the batched backend earned its speedup."""
-
-    payments: int = 0
-    epochs: int = 0
-    #: Payments whose cached BFS structure was invalidated by a balance
-    #: flip interacting with its shortest-path DAG (the exact-fallback
-    #: path: a fresh BFS is built from current state).
-    conflicts: int = 0
-    tree_builds: int = 0
-    tree_hits: int = 0
-    mask_builds: int = 0
-
-
-class _MaskedState:
-    """The reduced subgraph for one amount threshold, kept current.
-
-    ``keep`` is the per-entry feasibility mask, updated incrementally as
-    the balance log is replayed; the flip buffers record every observed
-    mask change so cached trees can check exactly which flips happened
-    since they were built.
-    """
-
-    __slots__ = ("amount", "keep", "log_pos", "flip_entries",
-                 "flip_feasible", "flips_len", "trees")
-
-    def __init__(self, amount: float, keep: np.ndarray) -> None:
-        self.amount = amount
-        self.keep = keep
-        self.log_pos = 0
-        self.flip_entries = np.empty(256, dtype=np.int64)
-        self.flip_feasible = np.empty(256, dtype=bool)
-        self.flips_len = 0
-        #: source index -> (structure, flip-log position at build time)
-        self.trees: Dict[int, Tuple[object, int]] = {}
-
-    def record_flips(self, entries: np.ndarray, feasible: np.ndarray) -> None:
-        needed = self.flips_len + entries.shape[0]
-        if needed > self.flip_entries.shape[0]:
-            size = max(needed, 2 * self.flip_entries.shape[0])
-            self.flip_entries = np.concatenate(
-                [self.flip_entries, np.empty(size, dtype=np.int64)]
-            )
-            self.flip_feasible = np.concatenate(
-                [self.flip_feasible, np.empty(size, dtype=bool)]
-            )
-        self.flip_entries[self.flips_len:needed] = entries
-        self.flip_feasible[self.flips_len:needed] = feasible
-        self.flips_len = needed
+__all__ = ["BatchedSimulationEngine"]
 
 
 class BatchedSimulationEngine:
-    """Drives a pre-generated payment trace in vectorised epochs.
+    """Drives a payment trace over frozen view arrays.
 
     Constructor arguments mirror :class:`SimulationEngine` so the two
     backends are interchangeable behind
-    :class:`~repro.scenarios.specs.SimulationSpec`; ``epoch_size`` and
-    the ``stats`` attribute are fastpath-specific.
+    :class:`~repro.scenarios.specs.SimulationSpec`.
     """
 
     def __init__(
@@ -186,7 +109,6 @@ class BatchedSimulationEngine:
         payment_mode: str = "instant",
         htlc_hold_mean: float = 0.1,
         route_rng: str = "stream",
-        epoch_size: int = DEFAULT_EPOCH_SIZE,
         obs: Optional[ObsSession] = None,
     ) -> None:
         if payment_mode not in ("instant", "htlc"):
@@ -199,10 +121,6 @@ class BatchedSimulationEngine:
         if route_rng not in ("stream", "payment"):
             raise SimulationError(
                 f"route_rng must be 'stream' or 'payment', got {route_rng!r}"
-            )
-        if epoch_size < 1:
-            raise SimulationError(
-                f"epoch_size must be >= 1, got {epoch_size}"
             )
         self.graph = graph
         # Resolve the seed once (entropy drawn loudly when seed=None —
@@ -221,16 +139,13 @@ class BatchedSimulationEngine:
         self.payment_mode = payment_mode
         self.htlc_hold_mean = htlc_hold_mean
         self.route_rng = route_rng
-        self.epoch_size = epoch_size
         self._route_base = self.seed % (2 ** 63)
         self.metrics = SimulationMetrics(seed=self.seed)
-        self.stats = FastpathStats()
         # Instrumentation handle: the shared no-op session unless the
         # caller passed one or REPRO_OBS opted the process in. Timing
         # and counters never touch the RNG or results above — obs-on
         # and obs-off runs are bit-identical (tests/obs/test_parity.py).
         self._obs = obs if obs is not None else default_session()
-        self._obs_published: Dict[str, int] = {}
         # Event-queue machinery, mirroring the event engine field for
         # field so attack extensions drive either backend unchanged. The
         # hold RNG derives from seed + 1 exactly like the event engine's,
@@ -470,7 +385,7 @@ class BatchedSimulationEngine:
             metrics.failed += 1
             metrics.failure_reasons["unknown-endpoint"] += 1
             return
-        path = state.route_event(s, r, float(event.amount), rng)
+        path = state.route(s, r, float(event.amount), rng)
         if path is None:
             metrics.failed += 1
             metrics.failure_reasons["no-capacity-path"] += 1
@@ -562,7 +477,7 @@ class BatchedSimulationEngine:
             metrics.failure_reasons["unknown-endpoint"] += 1
             return
         amount = float(event.amount)
-        path = state.route_event(s, r, amount, rng)
+        path = state.route(s, r, amount, rng)
         if path is None:
             metrics.failed += 1
             metrics.failure_reasons["no-capacity-path"] += 1
@@ -614,39 +529,19 @@ class BatchedSimulationEngine:
             metrics.upfront_revenue[node] += fee
 
     def _publish_obs(self, state: "_ArrayState") -> None:
-        """Fold :class:`FastpathStats` and the per-edge conflict counts
-        into the obs session (no-op when disabled).
+        """Publish the route searches since the last publish as the
+        ``fastpath.payments`` counter (no-op when disabled).
 
-        Counters publish the *delta* since the last publish, so repeated
-        ``run()`` calls — and multiple engines sharing one session, like
-        an attack's baseline/attacked pair — accumulate instead of
-        overwriting each other. The ``stats`` attribute itself stays the
-        compat surface it always was.
+        Publishing the delta lets repeated ``run()`` calls — and
+        multiple engines sharing one session, like an attack's
+        baseline/attacked pair — accumulate instead of overwriting each
+        other.
         """
-        obs = self._obs
-        if not obs.enabled:
-            return
-        registry = obs.registry
-        current = asdict(self.stats)
-        for name, value in current.items():
-            delta = value - self._obs_published.get(name, 0)
-            if delta:
-                registry.counter(f"fastpath.{name}").inc(delta)
-        self._obs_published = current
-        if state.conflict_counts is not None:
-            hot = np.nonzero(state.conflict_counts)[0]
-            if hot.size:
-                nodes = state.view.nodes
-                rows = state.entry_rows
-                cols = state.view.indices
-                obs.add_edge_conflicts(
-                    (
-                        (nodes[int(rows[entry])], nodes[int(cols[entry])]),
-                        int(state.conflict_counts[entry]),
-                    )
-                    for entry in hot
-                )
-                state.conflict_counts[hot] = 0
+        if self._obs.enabled and state.route_searches:
+            self._obs.registry.counter("fastpath.payments").inc(
+                state.route_searches
+            )
+        state.route_searches = 0
 
     # -- helpers --------------------------------------------------------------
 
@@ -669,103 +564,13 @@ class BatchedSimulationEngine:
         return PaymentRouteRng(self._route_base, index)
 
 
-#: "No invalidating flip yet" sentinel for :attr:`_PartialTree.valid_depth`.
-_DEPTH_INTACT = 1 << 62
-
-
-class _PartialTree:
-    """A target-early-stopped, resumable masked BFS.
-
-    ``dist``/``sigma`` are exact for every node at depth <= ``level``
-    (the last *completed* BFS level); ``frontier`` holds the
-    yet-unexpanded nodes of that level, so a later payment needing a
-    deeper target just continues the BFS instead of starting over.
-    ``complete`` marks an exhausted search (unreached nodes are then
-    genuinely unreachable).
-
-    ``valid_depth`` is the invalidation watermark: mask flips since the
-    build that interact with the shortest-path DAG shrink it to the flip
-    edge's source depth, leaving all shallower levels provably exact —
-    a payment whose target sits at depth <= ``valid_depth`` still walks
-    this tree bit-for-bit identically to a fresh build.
-    """
-
-    __slots__ = (
-        "dist", "sigma", "frontier", "level", "complete", "valid_depth",
-    )
-
-    def __init__(self, n: int, source: int) -> None:
-        self.dist = np.full(n, -1, dtype=np.int64)
-        self.sigma = np.zeros(n, dtype=np.float64)
-        self.dist[source] = 0
-        self.sigma[source] = 1.0
-        self.frontier = np.array([source], dtype=np.int64)
-        self.level = 0
-        self.complete = False
-        self.valid_depth = _DEPTH_INTACT
-
-    def expand(
-        self,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        keep: np.ndarray,
-        target: int,
-    ) -> None:
-        """Run BFS levels until ``target`` is reached (or exhaustion).
-
-        Mirrors :func:`~repro.network.views.bfs_shortest_path_tree` on
-        the materialised reduced view — the ``keep`` filter sees edges
-        in the same order the reduced CSR would, so the per-level
-        bincounts accumulate ``sigma`` identically.
-        """
-        if self.complete or self.dist[target] >= 0:
-            return
-        dist = self.dist
-        sigma = self.sigma
-        n = dist.shape[0]
-        frontier = self.frontier
-        level = self.level
-        seen = np.zeros(n, dtype=bool)
-        while frontier.size:
-            srcs, entries, targets = expand_frontier(indptr, indices, frontier)
-            if targets.size:
-                kept = keep[entries]
-                srcs = srcs[kept]
-                targets = targets[kept]
-            if targets.size == 0:
-                break
-            fresh = targets[dist[targets] < 0]
-            if fresh.size:
-                dist[fresh] = level + 1
-            tree = dist[targets] == level + 1
-            if not tree.any():
-                break
-            sigma += np.bincount(
-                targets[tree], weights=sigma[srcs[tree]], minlength=n
-            )
-            if fresh.size:
-                seen[:] = False
-                seen[fresh] = True
-                frontier = np.nonzero(seen)[0]
-            else:
-                frontier = fresh
-            level += 1
-            if dist[target] == level:
-                self.frontier = frontier
-                self.level = level
-                return
-        self.frontier = np.zeros(0, dtype=np.int64)
-        self.level = level
-        self.complete = True
-
-
 class _ArrayState:
-    """Frozen-view array state: balances, slots, caches, accumulators.
+    """Frozen-view array state: balances, slots, accumulators.
 
     One instance backs one ``run_trace`` call in ``"instant"`` mode, or
     the whole engine lifetime in event mode (frozen at the first
-    ``run()`` call). The routing caches and the balance array are shared
-    by both paths; HTLC slot counters and the escrow discipline live in
+    ``run()`` call). Routing and the balance array are shared by both
+    paths; HTLC slot counters and the escrow discipline live in
     :class:`_ArrayHtlcRouter` on top of this state.
     """
 
@@ -784,11 +589,6 @@ class _ArrayState:
         self.rev_entry = self._reverse_entries(view)
         if self.small:
             self.full_adj = view.adjacency_lists()
-        else:
-            rev_indptr, rev_indices, rev_order = view.reverse_adjacency()
-            self.rev_indptr = rev_indptr
-            self.rev_indices = rev_indices
-            self.rev_order = rev_order
         # Event-mode lookups: node name -> index, directed (src, dst)
         # index pair -> CSR entry.
         self.node_index: Dict[Hashable, int] = {
@@ -833,20 +633,8 @@ class _ArrayState:
         self.sent = np.zeros(self.n, dtype=np.int64)
         self.received = np.zeros(self.n, dtype=np.int64)
         self.edge_traffic = np.zeros(self.m, dtype=np.int64)
-        # Epoch state: the balance-update log and the masked snapshots
-        # validated against it.
-        self.log = np.empty(4096, dtype=np.int64)
-        self.log_len = 0
-        self.masks: Dict[float, _MaskedState] = {}
-        self.epoch_payments = 0
-        # Instrumentation (both None/off by default): per-entry counts
-        # of cache-invalidating flips under --profile, trace events for
-        # mask builds / tree hits / conflicts when a tracer is attached.
-        obs = engine._obs
-        self.tracer = obs.tracer
-        self.conflict_counts: Optional[np.ndarray] = (
-            np.zeros(self.m, dtype=np.int64) if obs.profile else None
-        )
+        #: Route searches since the engine last published them.
+        self.route_searches = 0
 
     @staticmethod
     def _reverse_entries(view: GraphView) -> np.ndarray:
@@ -860,240 +648,15 @@ class _ArrayState:
         rev_keys = view.indices * n + view.entry_rows()
         return np.searchsorted(keys, rev_keys).astype(np.int64)
 
-    # -- epoch / cache machinery ----------------------------------------------
-
-    def _flush_epoch(self) -> None:
-        self.masks.clear()
-        self.log_len = 0
-        self.epoch_payments = 0
-        self.engine.stats.epochs += 1
-        if self.tracer is not None:
-            self.tracer.event(
-                "fastpath.epoch_flush", epochs=self.engine.stats.epochs
-            )
-
-    def _log_update(self, entry: int) -> None:
-        if self.log_len == self.log.shape[0]:
-            self.log = np.concatenate(
-                [self.log, np.empty(self.log.shape[0], dtype=np.int64)]
-            )
-        self.log[self.log_len] = entry
-        self.log_len += 1
-
-    def _masked_state(self, amount: float) -> _MaskedState:
-        """The current reduced mask for ``amount`` (built or replayed).
-
-        Replaying the update log keeps ``keep`` equal to
-        ``balances >= amount`` and records every flip, so cached trees
-        know exactly which mask changes happened since they were built.
-        """
-        state = self.masks.get(amount)
-        if state is None:
-            if len(self.masks) >= MAX_MASKED_STATES:
-                # Evict only the least-recently-used amount's snapshot
-                # (hot senders' trees for other amounts stay cached);
-                # the shared log is bounded by the normal epoch flush.
-                self.masks.pop(next(iter(self.masks)))
-            state = _MaskedState(amount, self.balances >= amount)
-            state.log_pos = self.log_len
-            self.masks[amount] = state
-            self.engine.stats.mask_builds += 1
-            if self.tracer is not None:
-                self.tracer.event("fastpath.mask_build", amount=amount)
-            return state
-        # Re-insert on access: dict order doubles as the LRU order.
-        self.masks.pop(amount)
-        self.masks[amount] = state
-        if state.log_pos < self.log_len:
-            entries = self.log[state.log_pos:self.log_len]
-            feasible = self.balances[entries] >= amount
-            flipped = feasible != state.keep[entries]
-            if flipped.any():
-                flip_entries = entries[flipped]
-                state.keep[flip_entries] = feasible[flipped]
-                state.record_flips(flip_entries, feasible[flipped])
-            state.log_pos = self.log_len
-        return state
-
-    def _structure(self, state: _MaskedState, source: int, target: int):
-        """A BFS structure from ``source`` over ``state``'s mask, exact
-        for the *current* balances and deep enough to place ``target``.
-
-        A cached structure is reused while the walk's region is provably
-        identical to a fresh build: mask flips that interact with the
-        shortest-path DAG shrink the tree's ``valid_depth`` watermark to
-        the flip's source depth (shallower levels cannot be affected —
-        any path through the flipped edge is longer); a payment whose
-        target sits within the watermark walks the cached tree, deeper
-        or unreached targets trigger a resume (partial trees whose
-        frontier is intact) or an exact rebuild.
-        """
-        stats = self.engine.stats
-        tracer = self.tracer
-        cached = state.trees.get(source)
-        flips = state.flips_len
-        if cached is not None:
-            structure, built_at = cached
-            if self.small:
-                if built_at == flips or self._small_tree_valid(
-                    structure, state, built_at
-                ):
-                    state.trees[source] = (structure, flips)
-                    stats.tree_hits += 1
-                    if tracer is not None:
-                        tracer.event("fastpath.tree_hit", source=source)
-                    return structure
-            else:
-                if built_at < flips:
-                    self._shrink_valid_depth(structure, state, built_at)
-                    state.trees[source] = (structure, flips)
-                depth = int(structure.dist[target])
-                if 0 <= depth <= structure.valid_depth:
-                    stats.tree_hits += 1
-                    if tracer is not None:
-                        tracer.event("fastpath.tree_hit", source=source)
-                    return structure
-                if depth < 0 and structure.complete \
-                        and structure.valid_depth == _DEPTH_INTACT:
-                    # Unreachability is a whole-graph verdict: it only
-                    # survives if no flip touched the DAG at all.
-                    stats.tree_hits += 1
-                    if tracer is not None:
-                        tracer.event("fastpath.tree_hit", source=source)
-                    return structure
-                if (
-                    not structure.complete
-                    and depth < 0
-                    and structure.valid_depth >= structure.level
-                ):
-                    # The explored region and its frontier are intact:
-                    # resuming with the current mask yields exactly a
-                    # fresh build, and incorporates every deep flip.
-                    structure.expand(
-                        self.view.indptr, self.view.indices, state.keep,
-                        target,
-                    )
-                    structure.valid_depth = _DEPTH_INTACT
-                    state.trees[source] = (structure, flips)
-                    stats.tree_hits += 1
-                    if tracer is not None:
-                        tracer.event(
-                            "fastpath.tree_hit", source=source, resumed=True
-                        )
-                    return structure
-            stats.conflicts += 1
-            if tracer is not None:
-                tracer.event(
-                    "fastpath.tree_conflict", source=source, target=target
-                )
-        if self.small:
-            adj = [
-                [pair for pair in row if state.keep[pair[1]]]
-                for row in self.full_adj
-            ]
-            structure = small_bfs_structure(adj, self.n, source)
-        else:
-            structure = _PartialTree(self.n, source)
-            structure.expand(
-                self.view.indptr, self.view.indices, state.keep, target
-            )
-        state.trees[source] = (structure, flips)
-        stats.tree_builds += 1
-        if tracer is not None:
-            tracer.event("fastpath.tree_build", source=source)
-        return structure
-
-    def _small_tree_valid(
-        self, structure, state: _MaskedState, built_at: int
-    ) -> bool:
-        """Do the flips since ``built_at`` leave the full structure exact?
-
-        The python-branch twin of :meth:`_shrink_valid_depth`, boolean
-        because small-graph rebuilds are cheap: an added edge ``u -> v``
-        invalidates iff it creates or shortens a shortest path
-        (``dist[v] < 0`` or ``dist[v] >= dist[u] + 1``); a removed one
-        iff it was a DAG edge (``dist[v] == dist[u] + 1``). Edges out of
-        an unreachable ``u`` cannot matter until an invalidating flip
-        connects ``u`` first.
-        """
-        entries = state.flip_entries[built_at:state.flips_len]
-        feasible = state.flip_feasible[built_at:state.flips_len]
-        dist, _sigma, _preds = structure
-        rows = self.entry_rows
-        indices = self.view.indices
-        conflict_counts = self.conflict_counts
-        for entry, now_feasible in zip(entries, feasible):
-            du = dist[int(rows[entry])]
-            dv = dist[int(indices[entry])]
-            if du < 0:
-                continue
-            if now_feasible:
-                if dv < 0 or dv >= du + 1:
-                    if conflict_counts is not None:
-                        conflict_counts[entry] += 1
-                    return False
-            elif dv == du + 1:
-                if conflict_counts is not None:
-                    conflict_counts[entry] += 1
-                return False
-        return True
-
-    def _shrink_valid_depth(
-        self, structure: "_PartialTree", state: _MaskedState, built_at: int
-    ) -> None:
-        """Fold the flips since ``built_at`` into ``valid_depth``.
-
-        A flip on edge ``u -> v`` can only alter shortest paths of
-        length >= ``dist[u] + 1`` (every path through the edge enters
-        ``u`` first), so levels <= ``dist[u]`` stay exact — the
-        watermark drops to the minimum such ``dist[u]`` over the
-        DAG-interacting flips: additions that reach a new node or
-        satisfy ``dist[v] >= dist[u] + 1``, and removals of DAG edges
-        (``dist[v] == dist[u] + 1``). For partial trees, additions out
-        of the unexpanded frontier level are excluded — resumption
-        expands with the current mask anyway.
-        """
-        entries = state.flip_entries[built_at:state.flips_len]
-        feasible = state.flip_feasible[built_at:state.flips_len]
-        dist = structure.dist
-        du = dist[self.entry_rows[entries]]
-        dv = dist[self.view.indices[entries]]
-        explored = du >= 0
-        if structure.complete:
-            inner = explored
-        else:
-            inner = du < structure.level
-        invalid_add = feasible & explored & (
-            ((dv >= 0) & (dv >= du + 1)) | ((dv < 0) & inner)
-        )
-        invalid_remove = ~feasible & explored & (dv == du + 1)
-        invalid = invalid_add | invalid_remove
-        if invalid.any():
-            structure.valid_depth = min(
-                structure.valid_depth, int(du[invalid].min())
-            )
-            if self.conflict_counts is not None:
-                # Profiling: attribute the invalidation to the flipped
-                # edges (scatter-add; the same entry may flip repeatedly
-                # within one log window).
-                np.add.at(self.conflict_counts, entries[invalid], 1)
-
     # -- payment processing ---------------------------------------------------
 
     def execute(self, trace: TraceArrays) -> None:
-        engine = self.engine
-        metrics = engine.metrics
-        if len(trace):
-            engine.stats.epochs += 1
+        metrics = self.engine.metrics
         senders = trace.senders
         receivers = trace.receivers
         amounts = trace.amounts
         indices = trace.indices
         for pos in range(len(trace)):
-            if self.epoch_payments >= engine.epoch_size:
-                self._flush_epoch()
-            self.epoch_payments += 1
-            engine.stats.payments += 1
             metrics.attempted += 1
             s = int(senders[pos])
             r = int(receivers[pos])
@@ -1112,15 +675,7 @@ class _ArrayState:
     def _process(self, s: int, r: int, amount: float, index: int) -> None:
         engine = self.engine
         metrics = engine.metrics
-        state = self._masked_state(amount)
-        structure = self._structure(state, s, r)
-        rng = engine._payment_rng(index)
-        selection = engine.router.path_selection
-        if self.small:
-            dist, sigma, preds = structure
-            path = walk_small(dist, sigma, preds, s, r, selection, rng)
-        else:
-            path = self._walk_masked(state, structure, s, r, selection, rng)
+        path = self.route(s, r, amount, engine._payment_rng(index))
         if path is None:
             metrics.failed += 1
             metrics.failure_reasons["no-capacity-path"] += 1
@@ -1141,30 +696,31 @@ class _ArrayState:
                 return
         self._apply(s, r, amount, path, entries, hop_amounts)
 
-    def route_event(
+    def route(
         self, s: int, r: int, amount: float, rng
     ) -> Optional[List[int]]:
-        """Route one event-mode payment through the epoch caches.
+        """A shortest ``s -> r`` path over the entries that can carry
+        ``amount`` now, as node indices (``None`` when there is none).
 
-        The event-mode twin of the routing half of :meth:`_process`:
-        same masks, same trees, same walk (so the RNG draw order matches
-        the event engine's ``find_route``); the caller applies the
-        outcome (instant transfer or HTLC lock) itself. Epoch boundaries
-        stay a pure optimisation — flushing mid-stream never changes a
-        route.
+        The same BFS and walk the event engine's ``Router`` runs on its
+        reduced view — the mask ``balances >= amount`` keeps exactly the
+        entries that view would hold, in the same order — so the path
+        and the RNG draws it consumes match. Both trace mode and event
+        mode route here; the caller applies the outcome.
         """
-        engine = self.engine
-        if self.epoch_payments >= engine.epoch_size:
-            self._flush_epoch()
-        self.epoch_payments += 1
-        engine.stats.payments += 1
-        state = self._masked_state(amount)
-        structure = self._structure(state, s, r)
-        selection = engine.router.path_selection
+        self.route_searches += 1
+        keep = self.balances >= amount
+        selection = self.engine.router.path_selection
         if self.small:
-            dist, sigma, preds = structure
+            kept = keep.tolist()
+            adj = [
+                [pair for pair in row if kept[pair[1]]]
+                for row in self.full_adj
+            ]
+            dist, sigma, preds = small_bfs_structure(adj, self.n, s, r)
             return walk_small(dist, sigma, preds, s, r, selection, rng)
-        return self._walk_masked(state, structure, s, r, selection, rng)
+        tree = bfs_shortest_path_tree(self.view, s, target=r, keep=keep)
+        return walk_csr(self.view, tree, s, r, selection, rng, keep=keep)
 
     def apply_balances(
         self, entries: List[int], hop_amounts: List[float]
@@ -1176,44 +732,8 @@ class _ArrayState:
         """
         balances = self.balances
         for entry, hop_amount in zip(entries, hop_amounts):
-            rev = int(self.rev_entry[entry])
             balances[entry] -= hop_amount
-            balances[rev] += hop_amount
-            self._log_update(entry)
-            self._log_update(rev)
-
-    def _walk_masked(
-        self, state: _MaskedState, tree: "_PartialTree", source: int,
-        target: int, selection: str, rng,
-    ) -> Optional[List[int]]:
-        """Backward predecessor walk using the full-view reverse
-        adjacency filtered by the mask.
-
-        The full reverse rows are sorted by source index, so filtering by
-        ``keep`` yields the predecessors in exactly the order a reduced
-        view's reverse adjacency would — identical ``rng.choice`` inputs.
-        """
-        dist = tree.dist
-        if dist[target] < 0:
-            return None
-        keep = state.keep
-        sigma_all = tree.sigma
-        path = [target]
-        current = target
-        while current != source:
-            lo = self.rev_indptr[current]
-            hi = self.rev_indptr[current + 1]
-            preds = self.rev_indices[lo:hi]
-            kept = keep[self.rev_order[lo:hi]]
-            preds = preds[kept & (dist[preds] == dist[current] - 1)]
-            if selection == "random" and preds.size > 1:
-                sigma = sigma_all[preds]
-                chosen = int(rng.choice(preds, p=sigma / sigma.sum()))
-            else:
-                chosen = int(preds[0])
-            path.append(chosen)
-            current = chosen
-        return path[::-1]
+            balances[int(self.rev_entry[entry])] += hop_amount
 
     def _apply(
         self,
@@ -1228,12 +748,9 @@ class _ArrayState:
         metrics = engine.metrics
         balances = self.balances
         for entry, hop_amount in zip(entries, hop_amounts):
-            rev = int(self.rev_entry[entry])
             balances[entry] -= hop_amount
-            balances[rev] += hop_amount
+            balances[int(self.rev_entry[entry])] += hop_amount
             self.edge_traffic[entry] += 1
-            self._log_update(entry)
-            self._log_update(rev)
         metrics.succeeded += 1
         metrics.volume_delivered += amount
         self.sent[s] += 1
@@ -1439,11 +956,7 @@ class _ArrayHtlcRouter:
         hops = len(path) - 1
         hop_amounts = self._hop_amounts(hops, amount)
         payment = _ArrayHtlcPayment(next(self._ids), tuple(path), amount)
-        # Hot path under jamming: hoist every per-hop attribute chase and
-        # defer the update log to the lock's outcome — within one lock()
-        # call no mask is read, so logging placed hops at the end (or,
-        # on failure, only the reverted hops whose restored balance is
-        # not bit-identical) keeps the masks exactly as fresh.
+        # Hot path under jamming: hoist every per-hop attribute chase.
         pair_entry_get = state.name_pair_entry.get
         balances = state.balances
         slots_used = state.slots_used
@@ -1451,7 +964,6 @@ class _ArrayHtlcRouter:
         has_upfront = self.policy.has_upfront
         entries = payment._entries
         amounts = payment._amounts
-        old_balances: List[float] = []
         src = path[0]
         for dst, hop_amount in zip(path[1:], hop_amounts):
             entry = pair_entry_get((src, dst))
@@ -1462,21 +974,7 @@ class _ArrayHtlcRouter:
             else:
                 reason = ""
             if reason:
-                # Inline unwind (same float ops and order as _unwind):
-                # restore balances and slots, then log only the entries
-                # whose revert drifted — a bit-exact round trip needs no
-                # mask replay.
-                for prev, entry, hop_amount in zip(
-                    reversed(old_balances),
-                    reversed(entries),
-                    reversed(amounts),
-                ):
-                    balances[entry] += hop_amount
-                    slots_used[entry] -= 1
-                    if balances[entry] != prev:
-                        state._log_update(entry)
-                entries.clear()
-                amounts.clear()
+                self._unwind(payment)
                 payment.state = HtlcState.FAILED
                 payment.failure_reason = reason
                 return payment
@@ -1490,13 +988,9 @@ class _ArrayHtlcRouter:
                     payment.upfront_fees_per_node.get(dst, 0.0)
                     + self.policy.upfront(hop_amount)
                 )
-            old_balances.append(before)
             entries.append(entry)
             amounts.append(hop_amount)
             src = dst
-        log_update = state._log_update
-        for entry in entries:
-            log_update(entry)
         self._in_flight[payment.payment_id] = payment
         locked = payment.total_locked
         self._locked_totals[payment.payment_id] = locked
@@ -1509,9 +1003,7 @@ class _ArrayHtlcRouter:
         state = self._state
         balances = state.balances
         for entry, hop_amount in zip(payment._entries, payment._amounts):
-            rev = int(state.rev_entry[entry])
-            balances[rev] += hop_amount
-            state._log_update(rev)
+            balances[int(state.rev_entry[entry])] += hop_amount
             state.slots_used[entry] -= 1
         amounts = payment._amounts
         for node, inbound, outbound in zip(
@@ -1537,7 +1029,6 @@ class _ArrayHtlcRouter:
             reversed(payment._entries), reversed(payment._amounts)
         ):
             balances[entry] += hop_amount
-            state._log_update(entry)
             state.slots_used[entry] -= 1
         payment._entries.clear()
         payment._amounts.clear()

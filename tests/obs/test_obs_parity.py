@@ -2,7 +2,7 @@
 
 Every runner path — plain simulation on both backends, attacks, and
 evolution — is executed twice, once with the disabled null session and
-once with a fully enabled session (profile mode + trace writer), and
+once with a fully enabled session (registry + trace writer), and
 the *complete* result documents are compared. Instrumentation must
 never touch simulation RNG or results.
 """
@@ -25,7 +25,7 @@ from repro.scenarios import (
 
 
 def instrumented_session():
-    return ObsSession(profile=True, tracer=TraceWriter(io.StringIO()))
+    return ObsSession(enabled=True, tracer=TraceWriter(io.StringIO()))
 
 
 def simulation_scenario(seed, backend, payment_mode="instant"):

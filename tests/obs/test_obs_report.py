@@ -16,14 +16,12 @@ from repro.obs.report import (
 
 def sample_telemetry():
     return RunTelemetry(
-        counters={"fastpath.payments": 100.0, "fastpath.conflicts": 25.0},
+        counters={"fastpath.payments": 100.0, "htlc.locks": 25.0},
         gauges={"network.nodes": 40.0},
         phase_seconds={"simulate": 2.0, "topology": 0.5},
         histograms={
             "lat": {"bounds": [1.0], "counts": [3, 1], "count": 4, "sum": 2.5},
         },
-        top_conflicting_edges=(("a", "b", 9), ("b", "c", 4)),
-        cache={"conflict_rate": 0.25, "tree_hit_rate": 0.8},
     )
 
 
@@ -42,10 +40,6 @@ class TestRoundTrip:
         assert list(document["counters"]) == sorted(document["counters"])
         json.dumps(document)  # plain JSON types only
 
-    def test_edges_serialise_as_lists(self):
-        document = sample_telemetry().to_dict()
-        assert document["top_conflicting_edges"] == [["a", "b", 9], ["b", "c", 4]]
-
 
 class TestStrictness:
     def test_frozen(self):
@@ -56,6 +50,17 @@ class TestStrictness:
         document = sample_telemetry().to_dict()
         document["schema_version"] = 999
         with pytest.raises(ValueError, match="schema_version"):
+            RunTelemetry.from_dict(document)
+
+    def test_v1_document_refused(self):
+        # v1 carried the batched backend's tree-cache sections.
+        document = {
+            "schema_version": 1,
+            "counters": {"fastpath.payments": 10.0},
+            "top_conflicting_edges": [["a", "b", 3]],
+            "cache": {"conflict_rate": 0.3},
+        }
+        with pytest.raises(ValueError, match="schema_version 1"):
             RunTelemetry.from_dict(document)
 
     def test_unknown_fields_rejected(self):
@@ -104,17 +109,10 @@ class TestAttachment:
 
 
 class TestHotspotTable:
-    def test_renders_edges_phases_and_rates(self):
+    def test_renders_phase_table(self):
         table = hotspot_table(sample_telemetry())
-        assert "top 2 conflicting edges" in table
         assert "per-phase wall time" in table
-        assert "cache / conflict rates" in table
-        assert "conflict_rate" in table
-
-    def test_top_limits_edges(self):
-        table = hotspot_table(sample_telemetry(), top=1)
-        assert "top 1 conflicting edges" in table
-        assert "b" in table
+        assert table.index("simulate") < table.index("topology")
 
     def test_empty_telemetry_explains_itself(self):
         assert "no telemetry recorded" in hotspot_table(RunTelemetry())

@@ -35,17 +35,10 @@ class TestEnablement:
         assert session.enabled
         assert session.tracer is not None
 
-    def test_profile_implies_enabled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_OBS", raising=False)
-        assert ObsSession(profile=True).enabled
-
-    def test_explicit_disable_wins_over_profile_and_tracer(self):
-        session = ObsSession(
-            enabled=False, tracer=TraceWriter(io.StringIO()), profile=True
-        )
+    def test_explicit_disable_wins_over_tracer(self):
+        session = ObsSession(enabled=False, tracer=TraceWriter(io.StringIO()))
         assert not session.enabled
         assert session.tracer is None
-        assert not session.profile
 
     def test_null_session_is_disabled_and_shared(self):
         assert not NULL_SESSION.enabled
@@ -115,30 +108,7 @@ class TestPhases:
 
 
 class TestTelemetryAssembly:
-    def test_edge_conflicts_fold_and_rank(self):
-        session = ObsSession(enabled=True, profile=True)
-        session.add_edge_conflicts([(("a", "b"), 2), (("b", "c"), 5)])
-        session.add_edge_conflicts([(("a", "b"), 3)])
-        telemetry = session.build_telemetry(top_edges=1)
-        assert session.edge_conflicts == {("a", "b"): 5, ("b", "c"): 5}
-        # ties break on the stringified edge: ('a', 'b') sorts first
-        assert telemetry.top_conflicting_edges == (("a", "b", 5),)
-
-    def test_cache_rates_derived_from_fastpath_counters(self):
-        session = ObsSession(enabled=True)
-        registry = session.registry
-        registry.counter("fastpath.payments").inc(100)
-        registry.counter("fastpath.conflicts").inc(25)
-        registry.counter("fastpath.tree_hits").inc(60)
-        registry.counter("fastpath.tree_builds").inc(40)
-        registry.counter("fastpath.mask_builds").inc(7)
-        telemetry = session.build_telemetry()
-        assert telemetry.cache["conflict_rate"] == pytest.approx(0.25)
-        assert telemetry.cache["tree_hit_rate"] == pytest.approx(0.6)
-        assert telemetry.cache["mask_builds"] == 7.0
-
     def test_empty_session_builds_empty_telemetry(self):
         telemetry = ObsSession(enabled=True).build_telemetry()
         assert telemetry.counters == {}
-        assert telemetry.cache == {}
-        assert telemetry.top_conflicting_edges == ()
+        assert telemetry.phase_seconds == {}
