@@ -143,9 +143,8 @@ def walk_csr(
 ) -> Optional[List[int]]:
     """Backward predecessor walk over a CSR :class:`BfsTree`.
 
-    ``tree`` is :func:`bfs_shortest_path_tree` from ``source`` (stopped
-    at ``target`` or not: depths <= ``dist[target]`` agree), built with
-    the same ``keep`` entry mask. Predecessor rows are sorted by source
+    ``tree`` is :func:`bfs_shortest_path_tree` from ``source`` with the
+    same ``keep`` entry mask. Predecessor rows are sorted by source
     index, so masking them yields the predecessors in the order a view
     of the masked subgraph would list them — identical RNG draws.
     """

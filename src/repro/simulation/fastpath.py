@@ -23,9 +23,9 @@ the same result:
 
 The backend runs over simple graphs (no parallel channels) in both
 payment modes. ``"instant"`` replays a pre-generated trace in order.
-``"htlc"`` adds per-entry in-flight slot counters
-and an array-backed HTLC router (lock / settle-or-fail over escrowed
-array balances) plus the same event-queue API as the event engine
+``"htlc"`` adds per-entry in-flight slot counters and an array-backed
+HTLC router (lock / settle-or-fail over escrowed array balances) plus
+the same event-queue API as the event engine
 (``schedule`` / ``register_handler`` / ``run``), so HTLC holds and
 attack-strategy event injection replay **bit-identically** to the event
 backend — same failure sets (including ``no-htlc-slots``), same metrics,

@@ -11,7 +11,7 @@ traces and compare everything.
 import pytest
 
 from repro.errors import ScenarioError, SimulationError
-from repro.network.fees import ConstantFee, LinearFee
+from repro.network.fees import ConstantFee
 from repro.network.graph import ChannelGraph
 from repro.obs import ObsSession
 from repro.scenarios import (
@@ -399,10 +399,14 @@ class TestStats:
         # the oversized payment is searched and finds no path.
         assert self.routed(obs) == 3
 
-    def test_repeated_runs_accumulate(self):
+    def test_split_run_publishes_each_search_once(self):
         graph = ChannelGraph.from_edges([("a", "b"), ("b", "c")], balance=5.0)
         obs = ObsSession(enabled=True)
-        engine = BatchedSimulationEngine(graph, seed=0, obs=obs)
-        engine.run_trace(self.TRACE)
-        engine.run_trace(self.TRACE)
-        assert self.routed(obs) == 6
+        engine = BatchedSimulationEngine(
+            graph, seed=0, payment_mode="htlc", obs=obs
+        )
+        engine.schedule_transactions(self.TRACE)
+        engine.run(until=3.5)
+        assert self.routed(obs) == 1
+        engine.run()
+        assert self.routed(obs) == 3
