@@ -1,14 +1,14 @@
 #!/usr/bin/env python
-"""Old-vs-new graph-core benchmark: networkx paths against CSR views.
+"""Old-vs-new graph-core benchmark on BA snapshots.
 
-Times the two workloads the view redesign targets, on BA snapshots:
-
-* **pair_weighted_betweenness** — the single hottest loop in the codebase
-  (Eq. 2/Eq. 3): legacy dict-of-dict Brandes on an ``nx.DiGraph`` vs the
-  vectorised accumulation on a :class:`~repro.network.views.GraphView`.
-* **greedy_join** — Algorithm 1 end-to-end through
-  :class:`~repro.core.utility.JoiningUserModel`, ``backend="networkx"``
-  vs ``backend="views"`` (fixed-rate revenue mode, the Thm 4 regime).
+* **pair_weighted_betweenness** — Eq. 2/Eq. 3 accumulation: legacy
+  dict-of-dict Brandes on an ``nx.DiGraph`` vs the vectorised
+  accumulation on a :class:`~repro.network.views.GraphView`.
+* **greedy_join** — Algorithm 1 end-to-end (fixed-rate revenue mode, the
+  Thm 4 regime). "old" is :class:`ReferenceModel`, which builds the
+  augmented graph and runs the free functions on its view for every
+  evaluation; "new" is :class:`~repro.core.utility.JoiningUserModel`,
+  which scores strategies in closed form from base-graph tables.
 
 Every timing pair also records the maximum absolute result gap, so the
 speedup numbers are backed by a parity proof in the same JSON.
@@ -30,6 +30,8 @@ from typing import Callable, Dict, List
 
 from repro import __version__
 from repro.core.algorithms.greedy import greedy_fixed_funds
+from repro.core.fees_paid import expected_fees
+from repro.core.revenue import expected_revenue
 from repro.core.utility import JoiningUserModel
 from repro.network.betweenness import pair_weighted_betweenness
 from repro.params import ModelParameters
@@ -40,6 +42,31 @@ FULL_SIZES = (100, 500, 1000)
 # and the vectorised CSR branch (200) are regression-guarded in CI.
 SMOKE_SIZES = (100, 200)
 SEED = 7
+
+
+class ReferenceModel(JoiningUserModel):
+    """The per-evaluation reference objective: apply the strategy to a copy
+    of the graph, freeze its reduced view, and run the free functions."""
+
+    def _augmented(self, strategy):
+        return self.with_strategy(strategy).view(
+            directed=True, reduced=self.routing_amount
+        )
+
+    def expected_revenue(self, strategy):
+        if self.revenue_mode == "fixed-rate":
+            return super().expected_revenue(strategy)
+        return expected_revenue(
+            self._augmented(strategy), self.new_user,
+            self._pair_weight, self.params.fee_avg,
+        )
+
+    def expected_fees(self, strategy):
+        return expected_fees(
+            self._augmented(strategy), self.new_user, self.own_probs,
+            self.params.user_tx_rate, self.params.fee_out_avg,
+            hop_convention=self.hop_convention,
+        )
 
 
 def _time(fn: Callable[[], object], min_repeats: int, budget: float):
@@ -90,15 +117,16 @@ def bench_greedy(n: int, budget: float) -> Dict[str, object]:
         onchain_cost=0.5, total_tx_rate=10.0 * n, user_tx_rate=5.0
     )
 
-    def run(backend: str):
-        model = JoiningUserModel(
-            graph, "joiner", params,
-            revenue_mode="fixed-rate", backend=backend,
-        )
+    def run(model_class):
+        model = model_class(graph, "joiner", params, revenue_mode="fixed-rate")
         return greedy_fixed_funds(model, budget=3.0, lock=1.0)
 
-    old_seconds, old_reps, old_result = _time(lambda: run("networkx"), 1, budget)
-    new_seconds, new_reps, new_result = _time(lambda: run("views"), 1, budget)
+    old_seconds, old_reps, old_result = _time(
+        lambda: run(ReferenceModel), 1, budget
+    )
+    new_seconds, new_reps, new_result = _time(
+        lambda: run(JoiningUserModel), 1, budget
+    )
     return {
         "workload": "greedy_join",
         "n": n,

@@ -8,6 +8,9 @@ distribution, the expected revenue per unit time of node ``u`` is
                m_u(v1, v2) / m(v1, v2) * N_{v1} * p_trans(v1, v2)
 
 i.e. ``f_avg`` times the pair-weighted *intermediary* betweenness of ``u``.
+These functions run one Brandes pass over a given view. The joining-user
+model evaluates the same sum in closed form (:mod:`repro.core.utility`)
+and is tested against them.
 """
 
 from __future__ import annotations

@@ -17,7 +17,12 @@ from ..errors import BudgetExceeded, InvalidParameter
 from ..network.graph import ChannelGraph
 from ..params import ModelParameters
 
-__all__ = ["Action", "Strategy", "ActionSpace"]
+__all__ = ["Action", "Strategy", "ActionSpace", "BUDGET_SLACK"]
+
+#: Float slack of every budget comparison: a strategy whose cost exceeds
+#: the budget by less than this still fits, and the action-space bounds
+#: count the channels or lock units that fit by the same rule.
+BUDGET_SLACK = 1e-9
 
 
 @dataclass(frozen=True, order=True)
@@ -103,11 +108,11 @@ class Strategy:
     def check_budget(self, params: ModelParameters, budget: float) -> None:
         """Raise :class:`BudgetExceeded` when over budget."""
         cost = self.budget_cost(params)
-        if cost > budget + 1e-9:
+        if cost > budget + BUDGET_SLACK:
             raise BudgetExceeded(cost, budget)
 
     def fits_budget(self, params: ModelParameters, budget: float) -> bool:
-        return self.budget_cost(params) <= budget + 1e-9
+        return self.budget_cost(params) <= budget + BUDGET_SLACK
 
     # -- functional updates -------------------------------------------------------
 
@@ -151,13 +156,16 @@ class ActionSpace:
         """Ω for Algorithm 2: locks are multiples ``k*m`` affordable in budget.
 
         Includes ``k = 0`` (a channel with no extra locked funds) through
-        the largest multiple such that ``C + k*m <= budget``.
+        the largest multiple such that ``C + k*m <= budget`` (up to
+        :data:`BUDGET_SLACK`).
         """
         if granularity <= 0:
             raise InvalidParameter(f"granularity must be > 0, got {granularity}")
-        if budget < params.onchain_cost:
+        if budget + BUDGET_SLACK < params.onchain_cost:
             return []
-        max_units = int((budget - params.onchain_cost) / granularity)
+        max_units = int(
+            (budget - params.onchain_cost + BUDGET_SLACK) / granularity
+        )
         locks = [k * granularity for k in range(max_units + 1)]
         return [
             Action(peer, lock)
@@ -168,8 +176,9 @@ class ActionSpace:
 
     @staticmethod
     def max_channels(params: ModelParameters, budget: float, lock: float) -> int:
-        """``M = floor(B_u / (C + l1))`` — channel count bound of Thm 4."""
+        """``M = floor(B_u / (C + l1))`` — channel count bound of Thm 4,
+        with the :data:`BUDGET_SLACK` of :meth:`Strategy.fits_budget`."""
         per_channel = params.onchain_cost + lock
         if per_channel <= 0:
             raise InvalidParameter("per-channel cost must be positive")
-        return int(budget / per_channel)
+        return int((budget + BUDGET_SLACK) / per_channel)

@@ -13,18 +13,36 @@ pair probabilities are computed once on the base graph and held constant
 while strategies vary. The equilibrium module re-derives distributions per
 deviation instead (Section IV recomputes rank factors after each change).
 
-The model mutates one internal working copy of the graph between
-evaluations (cheap diffs), so a single instance is not thread-safe.
+Strategies are scored in closed form, without building the augmented
+graph. Every shortest path through ``u`` has the shape
+``s ⇝ p -> u -> q ⇝ r`` and both halves lie in the fixed base graph, so
+hop distances ``D`` and shortest-path counts ``Σ`` of the base graph,
+computed once, give
+
+    d(s, u) = 1 + min_{p in P_in} D[s, p]
+    σ(s, u) = sum of Σ[s, p] over the minimising p
+    d(u, r) = 1 + min_{q in P_out} D[q, r],  σ(u, r) likewise
+
+where ``P_in`` / ``P_out`` are the peers whose channels can carry
+``routing_amount`` towards / away from ``u``. With ``T = d(s, u) + d(u, r)``
+a pair routes through ``u`` when ``T <= D[s, r]``, and ``u`` carries the
+share ``σ(s,u)σ(u,r) / ([D[s,r] = T] Σ[s,r] + σ(s,u)σ(u,r))`` of its traffic
+(Eq. 2/Eq. 3); ``E_fees`` charges ``d(u, r)`` hops per own payment.
+:meth:`JoiningUserModel.with_strategy` still builds the augmented graph
+for callers that need it.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from typing import Dict, Hashable, Mapping, Optional, Union
+from typing import Dict, Hashable, List, Mapping, Optional, Tuple, Union
+
+import numpy as np
 
 from ..errors import InvalidParameter, NodeNotFound
 from ..network.graph import ChannelGraph
+from ..network.routing import small_bfs_structure
+from ..network.views import SMALL_GRAPH_NODES, GraphView, bfs_shortest_path_tree
 from ..params import DEFAULT_PARAMS, ModelParameters
 from ..transactions.distributions import (
     TransactionDistribution,
@@ -33,18 +51,46 @@ from ..transactions.distributions import (
 from ..transactions.ranking import rank_factors
 from ..transactions.zipf import ModifiedZipf
 from .costmodels import CostModel
-from .fees_paid import expected_fees
-from .revenue import expected_revenue
+from .fees_paid import HOP_CONVENTIONS
 from .strategy import Action, Strategy
 
 __all__ = ["JoiningUserModel"]
+
+#: Hop distances and shortest-path counts through ``u`` over all base
+#: nodes: ``(d, σ)`` as float arrays, ``inf`` / ``0`` where unreachable.
+_Side = Tuple[np.ndarray, np.ndarray]
+
+
+def _all_pairs_paths(view: GraphView) -> Tuple[np.ndarray, np.ndarray]:
+    """``(D, Σ)``: hop distances (``inf`` = unreachable) and shortest-path
+    counts between every ordered pair of ``view``'s nodes.
+
+    One BFS per source: the python pass on small graphs, the vectorised
+    CSR BFS from :data:`SMALL_GRAPH_NODES` on. Path counts are integers,
+    held exactly in float64.
+    """
+    n = view.num_nodes
+    dist = np.empty((n, n))
+    sigma = np.empty((n, n))
+    adj = view.adjacency_lists() if n < SMALL_GRAPH_NODES else None
+    for s in range(n):
+        if adj is None:
+            tree = bfs_shortest_path_tree(view, s)
+            dist[s], sigma[s] = tree.dist, tree.sigma
+        else:
+            # Target -1 never pops, so the search covers s's whole component.
+            dist[s], sigma[s], _ = small_bfs_structure(adj, n, s, -1)
+    dist[dist < 0] = np.inf
+    return dist, sigma
 
 
 class JoiningUserModel:
     """Utility of a new user joining a PCN with a given strategy.
 
     Args:
-        graph: the existing PCN; must *not* contain ``new_user``.
+        graph: the existing PCN; must *not* contain ``new_user``. Treat
+            it as read-only while the model is in use: the model freezes
+            its reduced directed view at construction.
         new_user: identifier of the joining node.
         params: model scalars (``C``, ``r``, ``f_avg``, ``f^T_avg``, ``N``,
             ``N_u``, ``s``).
@@ -62,11 +108,6 @@ class JoiningUserModel:
             (dual-funded channel).
         routing_amount: when > 0, evaluate on the reduced subgraph that can
             carry this amount (Section II-B); makes locked capital matter.
-        backend: ``"views"`` (default) evaluates revenue and fees on
-            immutable CSR :class:`~repro.network.views.GraphView` snapshots
-            (vectorised Brandes/BFS); ``"networkx"`` keeps the legacy
-            dict-of-dict path — retained for parity tests and the
-            old-vs-new perf benchmark.
         revenue_mode: how ``E_rev`` is computed.
 
             * ``"betweenness"`` (default) — exact pair-weighted intermediary
@@ -96,7 +137,6 @@ class JoiningUserModel:
         routing_amount: float = 0.0,
         revenue_mode: str = "betweenness",
         cost_model: Optional["CostModel"] = None,
-        backend: str = "views",
     ) -> None:
         if new_user in graph:
             raise InvalidParameter(
@@ -114,9 +154,10 @@ class JoiningUserModel:
                 "revenue_mode must be 'betweenness' or 'fixed-rate', "
                 f"got {revenue_mode!r}"
             )
-        if backend not in ("views", "networkx"):
+        if hop_convention not in HOP_CONVENTIONS:
             raise InvalidParameter(
-                f"backend must be 'views' or 'networkx', got {backend!r}"
+                f"hop_convention must be one of {HOP_CONVENTIONS}, "
+                f"got {hop_convention!r}"
             )
 
         self.base_graph = graph
@@ -127,8 +168,8 @@ class JoiningUserModel:
         self.routing_amount = routing_amount
         self.revenue_mode = revenue_mode
         self.cost_model = cost_model
-        self.backend = backend
         self._fixed_rates: Optional[Dict[Hashable, float]] = None
+        self._view = graph.view(directed=True, reduced=routing_amount)
 
         if distribution is None:
             distribution = ModifiedZipf(graph, s=params.zipf_s)
@@ -162,66 +203,35 @@ class JoiningUserModel:
         for receiver in self._own_probs:
             if receiver not in graph:
                 raise NodeNotFound(receiver)
+        # The fee loop's receivers and probabilities, in own_probs order.
+        fee_terms = [
+            (self._view.node_index[receiver], prob)
+            for receiver, prob in self._own_probs.items()
+            if prob > 0
+        ]
+        self._fee_receivers = np.asarray(
+            [index for index, _ in fee_terms], dtype=np.int64
+        )
+        self._fee_probs = [prob for _, prob in fee_terms]
 
         if sender_rates is None:
             per_node = params.total_tx_rate / len(graph)
             sender_rates = {v: per_node for v in graph.nodes}
         self._sender_rates = dict(sender_rates)
 
-        # Working copy for cheap strategy diffs.
-        self._work = graph.copy()
-        self._work.add_node(new_user)
-        self._applied: Dict[Action, list] = {}
-        self._applied_counter: Counter = Counter()
+        # Base-graph tables, built on first use.
+        self._paths: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._weights: Optional[np.ndarray] = None
+        # The u -> receivers side of the last strategy, keyed by P_out.
+        self._out_cache: Optional[Tuple[Tuple[int, ...], _Side]] = None
 
         # Evaluation accounting (Thm 4/5 cost claims).
-        self.stats = {"revenue_evals": 0, "fee_evals": 0, "graph_edits": 0}
-
-    # -- strategy application --------------------------------------------------
-
-    def _routing_view(self, graph: ChannelGraph):
-        """The reduced directed view in the configured backend's form."""
-        view = graph.view(directed=True, reduced=self.routing_amount)
-        if self.backend == "views":
-            return view
-        return view.to_networkx()
+        self.stats = {"revenue_evals": 0, "fee_evals": 0}
 
     def _deposit_for(self, action: Action) -> float:
         if self.peer_deposit == "match":
             return action.locked
         return float(self.peer_deposit)
-
-    def _apply(self, strategy: Strategy) -> None:
-        """Mutate the working graph to reflect exactly ``strategy``."""
-        target = Counter(strategy.actions)
-        # Remove surplus channels.
-        for action in list(self._applied_counter):
-            surplus = self._applied_counter[action] - target.get(action, 0)
-            for _ in range(surplus):
-                channel_id = self._applied[action].pop()
-                self._work.remove_channel(channel_id)
-                self._applied_counter[action] -= 1
-                self.stats["graph_edits"] += 1
-            if self._applied_counter[action] == 0:
-                del self._applied_counter[action]
-                self._applied.pop(action, None)
-        # Add missing channels.
-        for action, count in target.items():
-            missing = count - self._applied_counter.get(action, 0)
-            if missing <= 0:
-                continue
-            if action.peer not in self.base_graph:
-                raise NodeNotFound(action.peer)
-            for _ in range(missing):
-                channel = self._work.add_channel(
-                    self.new_user,
-                    action.peer,
-                    action.locked,
-                    self._deposit_for(action),
-                )
-                self._applied.setdefault(action, []).append(channel.channel_id)
-                self._applied_counter[action] += 1
-                self.stats["graph_edits"] += 1
 
     def with_strategy(self, strategy: Strategy) -> ChannelGraph:
         """A fresh, independent copy of the network with ``strategy`` applied."""
@@ -232,6 +242,79 @@ class JoiningUserModel:
                 self.new_user, action.peer, action.locked, self._deposit_for(action)
             )
         return graph
+
+    # -- closed-form pieces ---------------------------------------------------------
+
+    def _all_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(D, Σ)`` of the frozen base view (built once)."""
+        if self._paths is None:
+            self._paths = _all_pairs_paths(self._view)
+        return self._paths
+
+    def _pair_weights(self) -> np.ndarray:
+        """``W[s, r] = N_s * p_trans(s, r)``; zero rows for silent senders."""
+        if self._weights is None:
+            view = self._view
+            weights = np.zeros((view.num_nodes, view.num_nodes))
+            for s, sender in enumerate(view.nodes):
+                rate = self._sender_rates.get(sender, 0.0)
+                if rate <= 0.0:
+                    continue
+                for receiver, prob in self._pair_probs[sender].items():
+                    r = view.node_index.get(receiver)
+                    if r is not None and r != s:
+                        weights[s, r] = rate * prob
+            self._weights = weights
+        return self._weights
+
+    def _peer_sets(self, strategy: Strategy) -> Tuple[List[int], List[int]]:
+        """``(P_in, P_out)`` as sorted base-view indices.
+
+        Parallel actions to one peer aggregate the way the view aggregates
+        parallel channels; a direction counts when its summed balance can
+        carry ``routing_amount``.
+        """
+        locked: Dict[Hashable, float] = {}
+        deposit: Dict[Hashable, float] = {}
+        for action in strategy:
+            if action.peer not in self._view.node_index:
+                raise NodeNotFound(action.peer)
+            locked[action.peer] = locked.get(action.peer, 0.0) + action.locked
+            deposit[action.peer] = (
+                deposit.get(action.peer, 0.0) + self._deposit_for(action)
+            )
+        index = self._view.node_index
+        amount = self.routing_amount
+        p_in = sorted(index[p] for p, total in deposit.items() if total >= amount)
+        p_out = sorted(index[p] for p, total in locked.items() if total >= amount)
+        return p_in, p_out
+
+    def _through_user(self, peers: List[int], outgoing: bool) -> _Side:
+        """Distances and path counts between ``u`` and every base node,
+        over ``u``'s links to ``peers``: ``d(u, ·)`` when ``outgoing``,
+        else ``d(·, u)``."""
+        dist, sigma = self._all_pairs()
+        n = dist.shape[0]
+        if not peers:
+            return np.full(n, np.inf), np.zeros(n)
+        if outgoing:
+            block_dist, block_sigma = dist[peers], sigma[peers]
+        else:
+            block_dist, block_sigma = dist[:, peers].T, sigma[:, peers].T
+        best = block_dist.min(axis=0)
+        counts = np.where(block_dist == best, block_sigma, 0.0).sum(axis=0)
+        return best + 1.0, counts
+
+    def _outgoing(self, p_out: List[int]) -> _Side:
+        """``d(u, ·)``, ``σ(u, ·)``; reused while ``P_out`` is unchanged, so
+        the fee and revenue halves of one evaluation share it."""
+        key = tuple(p_out)
+        cached = self._out_cache
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        side = self._through_user(p_out, outgoing=True)
+        self._out_cache = (key, side)
+        return side
 
     # -- utility components --------------------------------------------------------
 
@@ -253,14 +336,14 @@ class JoiningUserModel:
         nominal = max(self.routing_amount, 1.0)
         for peer in self.base_graph.nodes:
             full.add_channel(self.new_user, peer, nominal, nominal)
-        digraph = self._routing_view(full)
+        view = full.view(directed=True, reduced=self.routing_amount)
         sources = [
             v for v in self.base_graph.nodes if self._sender_rates.get(v, 0) > 0
         ]
         from ..network.betweenness import pair_weighted_betweenness
 
         profile = pair_weighted_betweenness(
-            digraph, self._pair_weight, sources=sources
+            view, self._pair_weight, sources=sources
         )
         self._fixed_rates = {
             peer: profile.edge_value(self.new_user, peer)
@@ -282,30 +365,36 @@ class JoiningUserModel:
                     continue  # channel too thin to route the amount
                 peers.add(action.peer)
             return self.params.fee_avg * sum(rates.get(p, 0.0) for p in peers)
-        self._apply(strategy)
-        digraph = self._routing_view(self._work)
-        sources = [v for v in self.base_graph.nodes if self._sender_rates.get(v, 0) > 0]
-        return expected_revenue(
-            digraph,
-            self.new_user,
-            self._pair_weight,
-            self.params.fee_avg,
-            sources=sources,
+        p_in, p_out = self._peer_sets(strategy)
+        to_user, paths_in = self._through_user(p_in, outgoing=False)
+        from_user, paths_out = self._outgoing(p_out)
+        dist, sigma = self._all_pairs()
+        via_user = to_user[:, None] + from_user[None, :]
+        through = (via_user <= dist) & np.isfinite(via_user)
+        rows, cols = np.nonzero(through)
+        paths = paths_in[rows] * paths_out[cols]
+        tied = np.where(
+            dist[rows, cols] == via_user[rows, cols], sigma[rows, cols], 0.0
         )
+        shares = paths / (tied + paths)
+        traffic = float(np.dot(self._pair_weights()[rows, cols], shares))
+        return self.params.fee_avg * traffic
 
     def expected_fees(self, strategy: Strategy) -> float:
         """``E_fees(S)`` — fees paid for the user's own traffic."""
-        self._apply(strategy)
         self.stats["fee_evals"] += 1
-        digraph = self._routing_view(self._work)
-        return expected_fees(
-            digraph,
-            self.new_user,
-            self._own_probs,
-            self.params.user_tx_rate,
-            self.params.fee_out_avg,
-            hop_convention=self.hop_convention,
-        )
+        _, p_out = self._peer_sets(strategy)
+        from_user, _ = self._outgoing(p_out)
+        intermediaries = self.hop_convention == "intermediaries"
+        total = 0.0
+        hops_to = from_user[self._fee_receivers].tolist()
+        for hops, prob in zip(hops_to, self._fee_probs):
+            if hops == math.inf:
+                return math.inf
+            if intermediaries:
+                hops = max(hops - 1, 0)
+            total += hops * prob
+        return self.params.user_tx_rate * self.params.fee_out_avg * total
 
     def channel_costs(self, strategy: Strategy) -> float:
         """``Σ L_u(v, l)`` for the strategy.

@@ -27,8 +27,10 @@ Plain ``networkx`` betweenness weights every pair equally, so we implement:
 original dict-of-dict Brandes pass) or a :class:`~repro.network.views.GraphView`
 CSR snapshot, in which case the whole accumulation — BFS, sigma counting,
 and the backward dependency sweep — runs as vectorised numpy passes over
-the view's arrays (:func:`betweenness_arrays`). The CSR path is the
-hot-loop backend behind Eq. 2/Eq. 3 everywhere in the library.
+the view's arrays (:func:`betweenness_arrays`). The equilibrium analysis,
+the attacks, the rate estimates and the joining model's fixed-rate
+estimate run on it; the joining model's per-strategy revenue does not (it
+is a closed form over base-graph tables, see :mod:`repro.core.utility`).
 """
 
 from __future__ import annotations

@@ -135,3 +135,27 @@ class TestActionSpace:
         params = ModelParameters(onchain_cost=1.0)
         assert ActionSpace.max_channels(params, budget=10.0, lock=1.0) == 5
         assert ActionSpace.max_channels(params, budget=1.9, lock=1.0) == 0
+
+    @pytest.mark.parametrize(
+        "onchain_cost, lock, budget, expected",
+        [(0.2, 0.1, 0.6, 2), (0.1, 1.0, 3.3, 3)],
+    )
+    def test_max_channels_counts_what_fits_on_float_edges(
+        self, onchain_cost, lock, budget, expected
+    ):
+        # budget / (C + l1) rounds to just below the integer here.
+        params = ModelParameters(onchain_cost=onchain_cost)
+        count = ActionSpace.max_channels(params, budget=budget, lock=lock)
+        assert count == expected
+        assert Strategy([Action(i, lock) for i in range(count)]).fits_budget(
+            params, budget
+        )
+
+    def test_discrete_keeps_the_last_lock_that_fits(self, graph):
+        # (0.7 - 0.1) / 0.2 rounds to just below 3, but C + 3 * 0.2 fits.
+        params = ModelParameters(onchain_cost=0.1)
+        omega = ActionSpace.discrete(graph, "u", budget=0.7, granularity=0.2,
+                                     params=params)
+        top = max(action.locked for action in omega)
+        assert top == pytest.approx(0.6)
+        assert Strategy([Action("a", top)]).fits_budget(params, 0.7)

@@ -445,32 +445,47 @@ class TestScenarioResultView:
             result.view()
 
 
-class TestModelBackendParity:
-    def test_greedy_identical_across_backends(self):
-        from repro.core.utility import JoiningUserModel
+class TestModelOracleParity:
+    """Greedy on the closed-form model picks what greedy on the augmented
+    graph's view picks (free-function Brandes and BFS per evaluation)."""
+
+    def test_greedy_matches_free_function_oracle(self):
         from repro.core.algorithms.greedy import greedy_fixed_funds
+        from repro.core.fees_paid import expected_fees
+        from repro.core.revenue import expected_revenue
+        from repro.core.utility import JoiningUserModel
         from repro.params import ModelParameters
+
+        class Oracle(JoiningUserModel):
+            def _augmented(self, strategy):
+                return self.with_strategy(strategy).view(
+                    directed=True, reduced=self.routing_amount
+                )
+
+            def expected_revenue(self, strategy):
+                return expected_revenue(
+                    self._augmented(strategy), self.new_user,
+                    self._pair_weight, self.params.fee_avg,
+                )
+
+            def expected_fees(self, strategy):
+                return expected_fees(
+                    self._augmented(strategy), self.new_user, self.own_probs,
+                    self.params.user_tx_rate, self.params.fee_out_avg,
+                    hop_convention=self.hop_convention,
+                )
 
         graph = barabasi_albert_snapshot(20, seed=23)
         params = ModelParameters(total_tx_rate=50.0, user_tx_rate=2.0)
-        results = {}
-        for backend in ("views", "networkx"):
-            model = JoiningUserModel(graph, "joiner", params, backend=backend)
-            results[backend] = greedy_fixed_funds(model, budget=4.0, lock=1.0)
-        assert results["views"].objective_value == pytest.approx(
-            results["networkx"].objective_value, abs=TOL
+        results = [
+            greedy_fixed_funds(cls(graph, "joiner", params), budget=4.0, lock=1.0)
+            for cls in (JoiningUserModel, Oracle)
+        ]
+        model, oracle = results
+        assert model.objective_value == pytest.approx(
+            oracle.objective_value, rel=1e-12
         )
-        assert (
-            results["views"].strategy.actions
-            == results["networkx"].strategy.actions
+        assert model.details["prefix_values"] == pytest.approx(
+            oracle.details["prefix_values"], rel=1e-12
         )
-
-    def test_invalid_backend_rejected(self):
-        from repro.core.utility import JoiningUserModel
-        from repro.params import ModelParameters
-
-        graph = barabasi_albert_snapshot(5, seed=0)
-        with pytest.raises(InvalidParameter):
-            JoiningUserModel(
-                graph, "u", ModelParameters(), backend="pandas"
-            )
+        assert model.strategy.actions == oracle.strategy.actions
