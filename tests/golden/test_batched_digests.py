@@ -27,10 +27,12 @@ FEE = {"kind": "linear", "params": {"base": 0.01, "rate": 0.001}}
 ZIPF = {"kind": "poisson", "params": {"zipf_s": 1.0}}
 
 
-def scenario(n: int, horizon: float, attack=None, **simulation) -> Scenario:
+def scenario(
+    n: int, horizon: float, attack=None, capacity_mu: float = 3.0, **simulation
+) -> Scenario:
     document = {
         "seed": SEED,
-        "topology": {"kind": "ba", "params": {"n": n, "capacity_mu": 3.0}},
+        "topology": {"kind": "ba", "params": {"n": n, "capacity_mu": capacity_mu}},
         "workload": ZIPF,
         "fee": FEE,
         "simulation": {"horizon": horizon, "backend": "batched", **simulation},
@@ -79,6 +81,27 @@ INSTANT_BA200 = [
 def test_instant_ba200(route_rng, path_selection, expected):
     result = ScenarioRunner().run(
         scenario(200, 6.0, route_rng=route_rng, path_selection=path_selection)
+    )
+    assert result_digest(result) == expected
+
+
+#: Depleted BA-200 (capacity_mu=1.0): about 60% of payments fail, most
+#: with ``no-capacity-path``, so searches often end with no path or meet
+#: on a frontier the balance mask cuts.
+DEPLETED_BA200 = [
+    ("random", "08fdbed737bf77d5969c2c4f98206b4f9ee3538382403206fc7603be7780f3cb"),
+    ("first", "08e08b15240fd25f3b3f2974603df430cbc97709317203b3249074b4843c5c40"),
+]
+
+
+@pytest.mark.parametrize(
+    "path_selection, expected",
+    DEPLETED_BA200,
+    ids=[sel for sel, _ in DEPLETED_BA200],
+)
+def test_instant_ba200_depleted(path_selection, expected):
+    result = ScenarioRunner().run(
+        scenario(200, 6.0, capacity_mu=1.0, path_selection=path_selection)
     )
     assert result_digest(result) == expected
 
