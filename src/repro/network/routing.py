@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "PaymentRouteRng",
     "Route",
     "Router",
+    "bidirectional_route",
     "small_bfs_structure",
     "walk_csr",
     "walk_small",
@@ -67,24 +68,31 @@ def small_bfs_structure(
     n: int,
     source: int,
     target: int,
+    kept: Optional[List[bool]] = None,
 ) -> Tuple[List[int], List[float], List[List[int]]]:
     """Python BFS bookkeeping ``(dist, sigma, preds)`` for small graphs.
 
     The search stops once ``target`` pops (its level is complete by
-    then), so every node at depth <= ``dist[target]`` is exact.
+    then), so every node at depth <= ``dist[target]`` is exact. ``kept``
+    is an optional per-entry flag list: entries where it is False are
+    skipped, which gives the same result, in the same order, as a search
+    over adjacency lists with those entries removed.
     """
     dist = [-1] * n
     sigma = [0.0] * n
     preds: List[List[int]] = [[] for _ in range(n)]
     dist[source] = 0
     sigma[source] = 1.0
+    masked = kept is not None
     queue = deque([source])
     while queue:
         v = queue.popleft()
         if v == target:
             break
         next_dist = dist[v] + 1
-        for w, _entry in adj[v]:
+        for w, entry in adj[v]:
+            if masked and not kept[entry]:
+                continue
             if dist[w] < 0:
                 dist[w] = next_dist
                 queue.append(w)
@@ -139,27 +147,22 @@ def walk_csr(
     target: int,
     path_selection: str,
     rng,
-    keep: Optional[np.ndarray] = None,
 ) -> Optional[List[int]]:
     """Backward predecessor walk over a CSR :class:`BfsTree`.
 
-    ``tree`` is :func:`bfs_shortest_path_tree` from ``source`` with the
-    same ``keep`` entry mask. Predecessor rows are sorted by source
-    index, so masking them yields the predecessors in the order a view
-    of the masked subgraph would list them — identical RNG draws.
+    ``tree`` is :func:`bfs_shortest_path_tree` from ``source`` over
+    ``view``. Predecessor rows are sorted by source index, so ``"first"``
+    takes the smallest-index predecessor and ``"random"`` draws one
+    ``rng.choice`` weighted by ``sigma`` per multi-predecessor hop.
     """
     if tree.dist[target] < 0:
         return None
-    rev_indptr, rev_indices, rev_entries = view.reverse_adjacency()
+    rev_indptr, rev_indices, _ = view.reverse_adjacency()
     path = [target]
     current = target
     while current != source:
-        lo, hi = rev_indptr[current], rev_indptr[current + 1]
-        preds = rev_indices[lo:hi]
-        on_dag = tree.dist[preds] == tree.dist[current] - 1
-        if keep is not None:
-            on_dag &= keep[rev_entries[lo:hi]]
-        preds = preds[on_dag]
+        preds = rev_indices[rev_indptr[current]:rev_indptr[current + 1]]
+        preds = preds[tree.dist[preds] == tree.dist[current] - 1]
         if path_selection == "random" and preds.size > 1:
             sigma = tree.sigma[preds]
             chosen = int(rng.choice(preds, p=sigma / sigma.sum()))
@@ -167,6 +170,130 @@ def walk_csr(
             chosen = int(preds[0])
         path.append(chosen)
         current = chosen
+    return path[::-1]
+
+
+def bidirectional_route(
+    adj: List[List[Tuple[int, int]]],
+    radj: List[List[Tuple[int, int]]],
+    kept: List[bool],
+    source: int,
+    target: int,
+    path_selection: str,
+    rng,
+) -> Optional[List[int]]:
+    """A shortest ``source -> target`` path over the kept entries.
+
+    Returns the same path, drawing the same random numbers, as
+    :func:`bfs_shortest_path_tree` plus :func:`walk_csr` over a view
+    holding only the entries where ``kept`` is True; ``None`` when there
+    is no path. ``adj`` and ``radj`` are per-node ``[(successor, entry)]``
+    and ``[(predecessor, entry)]`` lists, both sorted by neighbour index
+    (:meth:`GraphView.adjacency_lists` and
+    :meth:`GraphView.reverse_adjacency_lists`).
+
+    Only the s-t shortest-path DAG is built. A level-synchronous BFS
+    grows from both ends, expanding the side whose frontier has the
+    smaller total degree, until a completed level meets the other side:
+    at forward level ``rf`` and backward level ``rb`` this fixes the
+    distance ``D = rf + rb``, and the DAG nodes at level ``rf`` are the
+    nodes with ``df == rf`` and ``db == rb``. Forward path counts
+    ``sigma`` are exact up to ``rf``; past it they flow along the
+    successor lists the backward search recorded, labelling only DAG
+    nodes with their distance from ``source``. Every shortest path from
+    ``source`` to a DAG node stays inside the DAG, so the counts — small
+    integers, exact in float64 — equal a full BFS's, and so do the walk's
+    draws.
+    """
+    n = len(adj)
+    # df: hop distance from the source; after the search, the DAG label.
+    df = [-1] * n
+    db = [-1] * n
+    sigma = [0.0] * n
+    df[source] = 0
+    sigma[source] = 1.0
+    db[target] = 0
+    # succ[y]: kept successors u of y with db[u] == db[y] - 1.
+    succ: Dict[int, List[int]] = {}
+    forward, backward = [source], [target]
+    forward_degree, backward_degree = len(adj[source]), len(radj[target])
+    rf = rb = 0
+    met = False
+    while not met:
+        fresh: List[int] = []
+        degree = 0
+        if forward_degree <= backward_degree:
+            rf += 1
+            for v in forward:
+                count = sigma[v]
+                for w, entry in adj[v]:
+                    if not kept[entry]:
+                        continue
+                    d = df[w]
+                    if d < 0:
+                        df[w] = rf
+                        sigma[w] = count
+                        fresh.append(w)
+                        degree += len(adj[w])
+                        if db[w] >= 0:
+                            met = True
+                    elif d == rf:
+                        sigma[w] += count
+            forward, forward_degree = fresh, degree
+        else:
+            rb += 1
+            for u in backward:
+                for y, entry in radj[u]:
+                    if not kept[entry]:
+                        continue
+                    d = db[y]
+                    if d < 0:
+                        db[y] = rb
+                        succ[y] = [u]
+                        fresh.append(y)
+                        degree += len(radj[y])
+                        if df[y] >= 0:
+                            met = True
+                    elif d == rb:
+                        succ[y].append(u)
+            backward, backward_degree = fresh, degree
+        if not fresh:
+            return None
+    # Whichever side grew last, the forward frontier holds level rf.
+    level = [w for w in forward if db[w] == rb]
+    for label in range(rf + 1, rf + rb + 1):
+        deeper: List[int] = []
+        for y in level:
+            count = sigma[y]
+            for u in succ[y]:
+                if df[u] < 0:
+                    df[u] = label
+                    deeper.append(u)
+                sigma[u] += count
+        level = deeper
+    path = [target]
+    current = target
+    while current != source:
+        want = df[current] - 1
+        if path_selection == "random":
+            preds = [
+                p for p, entry in radj[current]
+                if df[p] == want and kept[entry]
+            ]
+            if len(preds) > 1:
+                weights = np.array([sigma[p] for p in preds])
+                current = int(rng.choice(
+                    np.array(preds, dtype=np.int64),
+                    p=weights / weights.sum(),
+                ))
+            else:
+                current = preds[0]
+        else:
+            current = next(
+                p for p, entry in radj[current]
+                if df[p] == want and kept[entry]
+            )
+        path.append(current)
     return path[::-1]
 
 

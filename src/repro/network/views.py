@@ -250,6 +250,22 @@ class GraphView:
             self._reverse = (rev_indptr, rev_indices, order)
         return self._reverse
 
+    def reverse_adjacency_lists(self) -> List[List[Tuple[int, int]]]:
+        """Per-node ``[(predecessor, entry), ...]`` python lists.
+
+        The list form of :meth:`reverse_adjacency`: each row is sorted by
+        predecessor index, and ``entry`` is the forward CSR entry of the
+        ``predecessor -> node`` edge.
+        """
+        rev_indptr, rev_indices, rev_entries = (
+            array.tolist() for array in self.reverse_adjacency()
+        )
+        return [
+            list(zip(rev_indices[rev_indptr[i]:rev_indptr[i + 1]],
+                     rev_entries[rev_indptr[i]:rev_indptr[i + 1]]))
+            for i in range(self.num_nodes)
+        ]
+
     def channels_for_entry(self, entry: int) -> Tuple[str, ...]:
         """Channel ids that make up CSR entry ``entry``."""
         return self.pair_channels[int(self.edge_ids[entry])]
@@ -536,17 +552,13 @@ def bfs_shortest_path_tree(
     view: GraphView,
     source: int,
     target: Optional[int] = None,
-    keep: Optional[np.ndarray] = None,
 ) -> BfsTree:
     """Single-source BFS with shortest-path counts and tree edges.
 
     With ``target`` given, stops once the target's BFS level is complete
     (its ``sigma`` and every ancestor's bookkeeping are final by then);
     deeper levels stay unexplored, which is what per-payment routing
-    wants. ``keep`` is an optional ``bool[m]`` entry mask: entries where
-    it is False are skipped, so the search runs over the masked subgraph
-    and computes the same ``dist``/``sigma`` as over a view of that
-    subgraph (tree-edge entries stay this view's positions).
+    wants.
     """
     n = view.num_nodes
     indptr, indices = view.indptr, view.indices
@@ -560,9 +572,6 @@ def bfs_shortest_path_tree(
     seen = np.zeros(n, dtype=bool)
     while frontier.size:
         srcs, entries, targets = expand_frontier(indptr, indices, frontier)
-        if keep is not None:
-            kept = keep[entries]
-            srcs, entries, targets = srcs[kept], entries[kept], targets[kept]
         if targets.size == 0:
             break
         fresh = targets[dist[targets] < 0]

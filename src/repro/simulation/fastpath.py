@@ -10,13 +10,17 @@ the same result:
   mutable float array indexed by CSR entry, and the reduced subgraph for
   a payment of size ``x`` is the boolean mask ``balances >= x`` — no
   python per-channel loop, ever;
-* every payment is routed from current state: one BFS from the sender
-  over the masked entries, stopped at the receiver's level, then a
-  backward walk — the same search and walk code the event engine's
-  :class:`~repro.network.routing.Router` runs on its reduced view;
+* every payment is routed from current state over the masked entries.
+  Below :data:`~repro.network.views.SMALL_GRAPH_NODES` nodes this is the
+  python BFS and walk the event engine's
+  :class:`~repro.network.routing.Router` runs on its reduced view. On
+  larger graphs it is :func:`~repro.network.routing.bidirectional_route`,
+  a python search from both ends that builds only the sender-receiver
+  shortest-path DAG; it shares no code with the ``Router``'s numpy CSR
+  search, but returns the same path;
 * routing decisions therefore match the event engine payment for
   payment, including the RNG draws of ``path_selection="random"``,
-  which go through the same walk code in the same trace order;
+  which weight the same path counts in the same trace order;
 * per-node metrics accumulate into arrays (scatter-adds) and convert to
   the dict form of :class:`SimulationMetrics` once, at the end; final
   balances are written back to the channels once, at the end.
@@ -61,15 +65,11 @@ from ..network.htlc import HtlcState
 from ..network.routing import (
     PaymentRouteRng,
     Router,
+    bidirectional_route,
     small_bfs_structure,
-    walk_csr,
     walk_small,
 )
-from ..network.views import (
-    SMALL_GRAPH_NODES,
-    GraphView,
-    bfs_shortest_path_tree,
-)
+from ..network.views import SMALL_GRAPH_NODES, GraphView
 from ..obs import ObsSession, default_session
 from ..transactions.workload import (
     SELF_PAIR,
@@ -587,8 +587,10 @@ class _ArrayState:
         self.balances = view.balances.copy()
         self.entry_rows = view.entry_rows()
         self.rev_entry = self._reverse_entries(view)
-        if self.small:
-            self.full_adj = view.adjacency_lists()
+        # Python adjacency rows for the per-payment searches: successors
+        # (both branches) and predecessors sorted by index (CSR branch).
+        self.full_adj = view.adjacency_lists()
+        self.full_radj = view.reverse_adjacency_lists()
         # Event-mode lookups: node name -> index, directed (src, dst)
         # index pair -> CSR entry.
         self.node_index: Dict[Hashable, int] = {
@@ -683,8 +685,7 @@ class _ArrayState:
         hops = len(path) - 1
         hop_amounts = engine.router._hop_amounts(hops, amount)
         entries = [
-            self.view.entry_between(path[i], path[i + 1])
-            for i in range(hops)
+            self.pair_entry[(path[i], path[i + 1])] for i in range(hops)
         ]
         for entry, hop_amount in zip(entries, hop_amounts):
             if self.balances[entry] < hop_amount:
@@ -702,25 +703,25 @@ class _ArrayState:
         """A shortest ``s -> r`` path over the entries that can carry
         ``amount`` now, as node indices (``None`` when there is none).
 
-        The same BFS and walk the event engine's ``Router`` runs on its
-        reduced view — the mask ``balances >= amount`` keeps exactly the
-        entries that view would hold, in the same order — so the path
-        and the RNG draws it consumes match. Both trace mode and event
-        mode route here; the caller applies the outcome.
+        The flags ``balances >= amount`` keep exactly the entries the
+        event engine's ``Router`` finds in its reduced view. Small graphs
+        run the ``Router``'s own python BFS and walk, skipping dropped
+        entries inline; larger ones run :func:`bidirectional_route`,
+        which returns the path the ``Router``'s numpy search and walk
+        would, with the same RNG draws. Both trace mode and event mode
+        route here; the caller applies the outcome.
         """
         self.route_searches += 1
-        keep = self.balances >= amount
+        kept = (self.balances >= amount).tolist()
         selection = self.engine.router.path_selection
         if self.small:
-            kept = keep.tolist()
-            adj = [
-                [pair for pair in row if kept[pair[1]]]
-                for row in self.full_adj
-            ]
-            dist, sigma, preds = small_bfs_structure(adj, self.n, s, r)
+            dist, sigma, preds = small_bfs_structure(
+                self.full_adj, self.n, s, r, kept
+            )
             return walk_small(dist, sigma, preds, s, r, selection, rng)
-        tree = bfs_shortest_path_tree(self.view, s, target=r, keep=keep)
-        return walk_csr(self.view, tree, s, r, selection, rng, keep=keep)
+        return bidirectional_route(
+            self.full_adj, self.full_radj, kept, s, r, selection, rng
+        )
 
     def apply_balances(
         self, entries: List[int], hop_amounts: List[float]

@@ -2,9 +2,9 @@
 
 Each case runs one seeded scenario on the batched backend and hashes its
 result document with :func:`repro.service.hashing.content_hash`. The
-cases cover both routing branches of the backend: BA-200 takes the CSR
-branch (numpy BFS over the frozen view), BA-60 takes the small-graph
-python BFS. Instant mode replays a trace; HTLC mode and the attack go
+cases cover both routing branches of the backend: BA-200 takes the
+large-graph branch (bidirectional search over the frozen view), BA-60
+takes the small-graph python BFS. Instant mode replays a trace; HTLC mode and the attack go
 through the event queue. A change to any route choice, RNG draw, balance
 update or metric booking moves a digest.
 
