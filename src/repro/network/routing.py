@@ -201,7 +201,7 @@ def bidirectional_route(
     ``sigma`` are exact up to ``rf``; past it they flow along the
     successor lists the backward search recorded, labelling only DAG
     nodes with their distance from ``source``. Every shortest path from
-    ``source`` to a DAG node stays inside the DAG, so the counts — small
+    ``source`` to a DAG node stays inside the DAG, so the counts —
     integers, exact in float64 — equal a full BFS's, and so do the walk's
     draws.
     """
@@ -271,28 +271,22 @@ def bidirectional_route(
                     deeper.append(u)
                 sigma[u] += count
         level = deeper
+    # Any kept predecessor one level above a DAG node is on the DAG too,
+    # so forward labels of off-DAG nodes never match below.
     path = [target]
     current = target
     while current != source:
         want = df[current] - 1
-        if path_selection == "random":
-            preds = [
-                p for p, entry in radj[current]
-                if df[p] == want and kept[entry]
-            ]
-            if len(preds) > 1:
-                weights = np.array([sigma[p] for p in preds])
-                current = int(rng.choice(
-                    np.array(preds, dtype=np.int64),
-                    p=weights / weights.sum(),
-                ))
-            else:
-                current = preds[0]
+        preds = [
+            p for p, entry in radj[current] if df[p] == want and kept[entry]
+        ]
+        if path_selection == "random" and len(preds) > 1:
+            weights = np.array([sigma[p] for p in preds])
+            current = int(rng.choice(
+                np.array(preds, dtype=np.int64), p=weights / weights.sum()
+            ))
         else:
-            current = next(
-                p for p, entry in radj[current]
-                if df[p] == want and kept[entry]
-            )
+            current = preds[0]
         path.append(current)
     return path[::-1]
 
