@@ -68,15 +68,15 @@ def small_bfs_structure(
     n: int,
     source: int,
     target: int,
-    kept: Optional[List[bool]] = None,
+    kept: Optional[Sequence[int]] = None,
 ) -> Tuple[List[int], List[float], List[List[int]]]:
     """Python BFS bookkeeping ``(dist, sigma, preds)`` for small graphs.
 
     The search stops once ``target`` pops (its level is complete by
     then), so every node at depth <= ``dist[target]`` is exact. ``kept``
-    is an optional per-entry flag list: entries where it is False are
-    skipped, which gives the same result, in the same order, as a search
-    over adjacency lists with those entries removed.
+    holds optional per-entry flags: entries whose flag is 0 are skipped,
+    which gives the same result, in the same order, as a search over
+    adjacency lists with those entries removed.
     """
     dist = [-1] * n
     sigma = [0.0] * n
@@ -176,7 +176,7 @@ def walk_csr(
 def bidirectional_route(
     adj: List[List[Tuple[int, int]]],
     radj: List[List[Tuple[int, int]]],
-    kept: List[bool],
+    kept: Sequence[int],
     source: int,
     target: int,
     path_selection: str,
@@ -186,8 +186,8 @@ def bidirectional_route(
 
     Returns the same path, drawing the same random numbers, as
     :func:`bfs_shortest_path_tree` plus :func:`walk_csr` over a view
-    holding only the entries where ``kept`` is True; ``None`` when there
-    is no path. ``adj`` and ``radj`` are per-node ``[(successor, entry)]``
+    holding only the entries whose ``kept`` flag is nonzero; ``None``
+    when there is no path. ``adj`` and ``radj`` are per-node ``[(successor, entry)]``
     and ``[(predecessor, entry)]`` lists, both sorted by neighbour index
     (:meth:`GraphView.adjacency_lists` and
     :meth:`GraphView.reverse_adjacency_lists`).

@@ -712,7 +712,9 @@ class _ArrayState:
         route here; the caller applies the outcome.
         """
         self.route_searches += 1
-        kept = (self.balances >= amount).tolist()
+        # One byte per entry: a python list of bools costs ~10x as much
+        # to build, and most entries are never read.
+        kept = (self.balances >= amount).tobytes()
         selection = self.engine.router.path_selection
         if self.small:
             dist, sigma, preds = small_bfs_structure(

@@ -4,7 +4,7 @@ event engine's.
 The event engine's ``Router`` routes a payment of size ``x`` with
 :func:`bfs_shortest_path_tree` plus :func:`walk_csr` over
 ``graph.view(directed=True, reduced=x)``. The batched backend routes over
-the unreduced view with per-entry flags ``balances >= x`` instead:
+the unreduced view with per-entry flags ``(balances >= x).tobytes()``:
 :func:`bidirectional_route` from 150 nodes on, :func:`small_bfs_structure`
 with ``kept`` below that. Both must give the same path, the same ``None``
 verdict and the same RNG draws on any graph, so the functions are called
@@ -76,7 +76,7 @@ def oracle_route(graph, sender, receiver, amount, selection, rng):
 
 def batched_route(graph, sender, receiver, amount, selection, rng):
     full = graph.view(directed=True)
-    kept = (full.balances >= amount).tolist()
+    kept = (full.balances >= amount).tobytes()
     return bidirectional_route(
         full.adjacency_lists(), full.reverse_adjacency_lists(), kept,
         sender, receiver, selection, rng,
@@ -110,7 +110,7 @@ def test_bidirectional_route_matches_router_search(payment, selection, seed):
 def test_small_bfs_kept_matches_masked_lists(payment):
     graph, sender, receiver, amount = payment
     full = graph.view(directed=True)
-    kept = (full.balances >= amount).tolist()
+    kept = (full.balances >= amount).tobytes()
     adj = full.adjacency_lists()
     masked = [[(w, entry) for w, entry in row if kept[entry]] for row in adj]
     n = full.num_nodes
