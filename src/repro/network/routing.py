@@ -187,9 +187,9 @@ def bidirectional_route(
     Returns the same path, drawing the same random numbers, as
     :func:`bfs_shortest_path_tree` plus :func:`walk_csr` over a view
     holding only the entries whose ``kept`` flag is nonzero; ``None``
-    when there is no path. ``adj`` and ``radj`` are per-node ``[(successor, entry)]``
-    and ``[(predecessor, entry)]`` lists, both sorted by neighbour index
-    (:meth:`GraphView.adjacency_lists` and
+    when there is no path. ``adj`` and ``radj`` are per-node
+    ``[(successor, entry)]`` and ``[(predecessor, entry)]`` lists, both
+    sorted by neighbour index (:meth:`GraphView.adjacency_lists` and
     :meth:`GraphView.reverse_adjacency_lists`).
 
     Only the s-t shortest-path DAG is built. A level-synchronous BFS

@@ -223,14 +223,6 @@ class GraphView:
             ]
         return self._adj_lists
 
-    def entry_between(self, src: int, dst: int) -> int:
-        """CSR entry position of the ``src -> dst`` edge, or ``-1``."""
-        lo, hi = int(self.indptr[src]), int(self.indptr[src + 1])
-        pos = lo + int(np.searchsorted(self.indices[lo:hi], dst))
-        if pos < hi and int(self.indices[pos]) == dst:
-            return pos
-        return -1
-
     def reverse_adjacency(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CSC-style predecessors ``(rev_indptr, rev_indices, rev_entries)``.
 
