@@ -81,12 +81,16 @@ class TransactionDistribution(abc.ABC):
         nodes, cdf = table
         return nodes[cdf.searchsorted(rng.random(), side="right")]
 
+    def _row_arrays(self, sender: Hashable) -> Tuple[List[Hashable], np.ndarray]:
+        """:meth:`receivers`'s distribution as a node list and a float array."""
+        dist = self.receivers(sender)
+        nodes = list(dist)
+        return nodes, np.fromiter(dist.values(), dtype=float, count=len(nodes))
+
     def _sampling_table(
         self, sender: Hashable
     ) -> Tuple[List[Hashable], np.ndarray]:
-        dist = self.receivers(sender)
-        nodes = list(dist)
-        probs = np.fromiter(dist.values(), dtype=float, count=len(nodes))
+        nodes, probs = self._row_arrays(sender)
         total = probs.sum()
         if total <= 0:
             raise InvalidParameter(f"receiver distribution of {sender!r} is empty")

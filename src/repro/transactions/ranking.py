@@ -19,15 +19,109 @@ between adjacent tie blocks and break normalisation).
 
 from __future__ import annotations
 
+import bisect
 import collections
 import functools
 import operator
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import InvalidParameter, NodeNotFound
 from ..network.graph import ChannelGraph
 
-__all__ = ["degree_ranking", "rank_factors", "rank_factors_from_degrees"]
+__all__ = ["DegreeRanking", "degree_ranking", "rank_factors", "rank_factors_from_degrees"]
+
+
+def check_zipf_s(s: float) -> None:
+    """Reject a negative Zipf scale parameter."""
+    if s < 0:
+        raise InvalidParameter(f"Zipf parameter s must be >= 0, got {s}")
+
+
+class DegreeRanking:
+    """A graph's degree ranking, built once and re-ranked per perspective.
+
+    Reads every node's degree once and orders the nodes by ``(-degree,
+    str(node))``, ties beyond ``str`` in graph order. :meth:`row` derives
+    the ranking of ``G - u`` from this order without re-reading degrees or
+    re-sorting: ``u`` drops out, and only ``u``'s neighbours move, each
+    down by its number of channels to ``u``. The ranking describes the
+    graph as it was when built; build a new one after the topology changes.
+    """
+
+    def __init__(self, graph: ChannelGraph) -> None:
+        self.graph = graph
+        nodes = graph.nodes
+        self.degrees: Dict[Hashable, int] = dict(zip(nodes, map(graph.degree, nodes)))
+        # (-degree, str(node), graph position) is unique, so bisecting the
+        # sorted keys places a neighbour at its lower degree
+        self._keys = sorted(
+            zip(map(operator.neg, self.degrees.values()), map(str, nodes), range(len(nodes)))
+        )
+        self.order: List[Hashable] = [nodes[i] for _, _, i in self._keys]
+        self._rank = dict(zip(self.order, range(len(nodes))))
+        # nodes per degree
+        self._counts: Dict[int, int] = {}
+        for degree in self.degrees.values():
+            self._counts[degree] = self._counts.get(degree, 0) + 1
+
+    def row(
+        self, perspective: Optional[Hashable] = None
+    ) -> Tuple[List[Hashable], List[int], Dict[Hashable, int]]:
+        """The ranking of ``G - perspective`` (of ``G`` when ``None``).
+
+        Returns the nodes in rank order, the tie-block sizes highest degree
+        first, and the ``G - perspective`` degree of every neighbour of
+        ``perspective`` (each parallel channel costs one); every other
+        node keeps its degree in :attr:`degrees`.
+        """
+        counts = self._counts.copy()
+        if perspective is None:
+            return list(self.order), _block_sizes(counts), {}
+        degrees = self.degrees
+        if perspective not in degrees:
+            raise NodeNotFound(perspective)
+        counts[degrees[perspective]] -= 1
+        moved: Dict[Hashable, int] = {}
+        for channel in self.graph.channels_of(perspective):
+            node = channel.other(perspective)
+            degree = moved.get(node, degrees[node])
+            counts[degree] -= 1
+            counts[degree - 1] = counts.get(degree - 1, 0) + 1
+            moved[node] = degree - 1
+        # each neighbour's slot in the global order at its new degree
+        keys, rank = self._keys, self._rank
+        inserts = []
+        for node, degree in moved.items():
+            _, name, position = keys[rank[node]]
+            key = (-degree, name, position)
+            inserts.append((bisect.bisect_left(keys, key), key, node))
+        inserts.sort()
+        # copy the runs of the global order between dropped and moved nodes
+        drops = sorted([rank[node] for node in moved] + [rank[perspective]])
+        drops.append(len(keys))
+        order = self.order
+        nodes: List[Hashable] = []
+        start = i = 0
+        for slot, _, node in inserts:
+            while drops[i] < slot:
+                nodes += order[start:drops[i]]
+                start = drops[i] + 1
+                i += 1
+            nodes += order[start:slot]
+            nodes.append(node)
+            start = slot
+        for drop in drops[i:]:
+            nodes += order[start:drop]
+            start = drop + 1
+        return nodes, _block_sizes(counts), moved
+
+    def factors(
+        self, perspective: Optional[Hashable], s: float
+    ) -> Tuple[List[Hashable], List[float]]:
+        """Nodes in rank order from ``perspective``'s view, with their rank factors."""
+        nodes, sizes, _ = self.row(perspective)
+        check_zipf_s(s)
+        return nodes, _block_factors(sizes, s)
 
 
 def degree_ranking(
@@ -40,20 +134,10 @@ def degree_ranking(
     Ties are broken deterministically by node representation so results are
     stable across runs; the rank *factors* are tie-invariant anyway.
     """
-    if perspective is not None and perspective not in graph:
-        raise NodeNotFound(perspective)
-    nodes = graph.nodes
-    degrees: Dict[Hashable, int] = dict(zip(nodes, map(graph.degree, nodes)))
-    if perspective is not None:
-        # G - u: drop u, and each of u's channels (parallel ones too) costs
-        # its other endpoint one degree.
-        del degrees[perspective]
-        for channel in graph.channels_of(perspective):
-            degrees[channel.other(perspective)] -= 1
-    # highest degree first, ties by str(node): a stable sort by degree
-    # (reverse keeps stability) over the nodes sorted by str
-    order = sorted(sorted(degrees, key=str), key=degrees.__getitem__, reverse=True)
-    return [(node, degrees[node]) for node in order]
+    ranking = DegreeRanking(graph)
+    nodes, _, moved = ranking.row(perspective)
+    degrees = {**ranking.degrees, **moved}
+    return [(node, degrees[node]) for node in nodes]
 
 
 @functools.lru_cache(maxsize=8192, typed=True)
@@ -69,6 +153,19 @@ def _tie_block_average(first_rank: int, block_size: int, s: float) -> float:
     return sum(block) / len(block)
 
 
+def _block_sizes(counts: Dict[int, int]) -> List[int]:
+    """Non-empty tie-block sizes of ``degree -> count``, highest degree first."""
+    return [counts[degree] for degree in sorted(counts, reverse=True) if counts[degree]]
+
+
+def _block_factors(sizes: Iterable[int], s: float) -> List[float]:
+    """Rank factor per position for consecutive tie blocks of ``sizes``."""
+    factors: List[float] = []
+    for size in sizes:
+        factors.extend([_tie_block_average(len(factors) + 1, size, s)] * size)
+    return factors
+
+
 def rank_factors_from_degrees(
     degrees: Sequence[int], s: float
 ) -> List[float]:
@@ -81,15 +178,11 @@ def rank_factors_from_degrees(
     Returns:
         rank factor per position, same order as ``degrees``.
     """
-    if s < 0:
-        raise InvalidParameter(f"Zipf parameter s must be >= 0, got {s}")
+    check_zipf_s(s)
     if any(map(operator.lt, degrees, degrees[1:])):
         raise InvalidParameter("degrees must be sorted in non-increasing order")
-    factors: List[float] = []
     # sorted, so each degree's count is the size of its tie block
-    for size in collections.Counter(degrees).values():
-        factors.extend([_tie_block_average(len(factors) + 1, size, s)] * size)
-    return factors
+    return _block_factors(collections.Counter(degrees).values(), s)
 
 
 def rank_factors(
@@ -102,6 +195,4 @@ def rank_factors(
     The returned factors are *unnormalised*; divide by their sum to obtain
     transaction probabilities (see :class:`~repro.transactions.zipf.ModifiedZipf`).
     """
-    ranked = degree_ranking(graph, perspective)
-    factors = rank_factors_from_degrees([d for _, d in ranked], s)
-    return {node: factor for (node, _), factor in zip(ranked, factors)}
+    return dict(zip(*DegreeRanking(graph).factors(perspective, s)))

@@ -14,12 +14,14 @@ of prior work, large ``s`` concentrates all traffic on the top-degree node.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable
+from typing import Dict, Hashable, List, Optional, Tuple
+
+import numpy as np
 
 from ..errors import NodeNotFound
 from ..network.graph import ChannelGraph
 from .distributions import TransactionDistribution
-from .ranking import rank_factors
+from .ranking import DegreeRanking, check_zipf_s
 
 __all__ = ["ModifiedZipf"]
 
@@ -27,49 +29,70 @@ __all__ = ["ModifiedZipf"]
 class ModifiedZipf(TransactionDistribution):
     """Degree-ranked Zipf pairing with tie averaging.
 
+    The graph's degree ranking (:class:`~repro.transactions.ranking.DegreeRanking`)
+    is built on the first row and every sender's row is derived from it.
+
     Args:
         graph: the PCN whose degrees define the ranking.
         s: Zipf scale parameter (>= 0).
-        cache: memoise per-sender rows and the sampling tables
-            :meth:`sample_receiver` builds from them. The cache must be
-            dropped (create a new instance, or call :meth:`invalidate`)
+        cache: memoise the degree ranking, per-sender rows and the sampling
+            tables :meth:`sample_receiver` builds from them. The cache must
+            be dropped (create a new instance, or call :meth:`invalidate`)
             whenever the graph's topology changes, since ranks depend on
-            degrees. With ``cache=False`` neither is kept.
+            degrees; balance moves leave it valid. With ``cache=False``
+            none of them is kept.
     """
 
     def __init__(self, graph: ChannelGraph, s: float = 1.0, cache: bool = True) -> None:
+        check_zipf_s(s)
         super().__init__()
         self.graph = graph
         self.s = s
         self._cache_enabled = cache
+        self._ranking: Optional[DegreeRanking] = None
         self._rows: Dict[Hashable, Dict[Hashable, float]] = {}
         if not cache:
             self._tables = None
 
     def invalidate(self) -> None:
-        """Drop memoised rows and sampling tables (call after mutating the graph)."""
+        """Drop the degree ranking, memoised rows and sampling tables.
+
+        Call after mutating the graph's topology.
+        """
+        self._ranking = None
         self._rows.clear()
         if self._tables is not None:
             self._tables.clear()
 
-    def receivers(self, sender: Hashable) -> Dict[Hashable, float]:
+    def _factors(self, sender: Hashable) -> Tuple[List[Hashable], List[float]]:
+        """``sender``'s receivers in rank order, with their rank factors."""
         if sender not in self.graph:
             raise NodeNotFound(sender)
+        ranking = self._ranking
+        if ranking is None:
+            ranking = DegreeRanking(self.graph)
+            if self._cache_enabled:
+                self._ranking = ranking
+        return ranking.factors(sender, self.s)
+
+    def receivers(self, sender: Hashable) -> Dict[Hashable, float]:
         if self._cache_enabled and sender in self._rows:
             return dict(self._rows[sender])
-        factors = rank_factors(self.graph, perspective=sender, s=self.s)
-        total = sum(factors.values())
-        row = {node: factor / total for node, factor in factors.items()}
+        nodes, factors = self._factors(sender)
+        total = sum(factors)
+        row = {node: factor / total for node, factor in zip(nodes, factors)}
         if self._cache_enabled:
             self._rows[sender] = row
         return dict(row)
+
+    def _row_arrays(self, sender: Hashable) -> Tuple[List[Hashable], np.ndarray]:
+        # the row receivers() builds, without the dict
+        nodes, factors = self._factors(sender)
+        probs = np.fromiter(factors, dtype=float, count=len(factors))
+        probs /= sum(factors)
+        return nodes, probs
 
     def probability(self, sender: Hashable, receiver: Hashable) -> float:
         if sender == receiver:
             return 0.0
         return self.receivers(sender).get(receiver, 0.0)
-
-    def rank_factor(self, sender: Hashable, node: Hashable) -> float:
-        """Unnormalised ``rf(node)`` from ``sender``'s perspective."""
-        factors = rank_factors(self.graph, perspective=sender, s=self.s)
-        return factors.get(node, 0.0)

@@ -6,8 +6,12 @@ reference below is that ``choice`` call over the row :meth:`receivers`
 returns, so any drift in the table's float operations or RNG use fails.
 """
 
+import collections
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.network.graph import ChannelGraph
 from repro.snapshots.synthetic import barabasi_albert_snapshot
@@ -119,6 +123,79 @@ class TestDegreeRanking:
     def test_isolated_node_ranks_last_with_zero(self, multigraph):
         assert degree_ranking(multigraph)[-1] == ("lonely", 0)
         assert degree_ranking(multigraph, "lonely")[0] == ("c", 5)
+
+
+@st.composite
+def multigraphs(draw):
+    """Small multigraphs: parallel channels, isolated nodes, and node names
+    whose ``str`` forms sort apart from their values or collide (``1`` and
+    ``"1"``), so every tie-break of the ranking is exercised."""
+    pool = list(range(12)) + ["1", "10", "b"]
+    nodes = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=10, unique=True))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)).filter(
+                lambda pair: pair[0] != pair[1]
+            ),
+            max_size=25,
+        )
+    )
+    graph = ChannelGraph()
+    for node in nodes:
+        graph.add_node(node)
+    for u, v in pairs:
+        graph.add_channel(u, v, 1.0, 1.0)
+    return graph
+
+
+def brute_force_row(graph, sender, s):
+    """Section II-B by definition: rank ``G - sender`` by ``(-deg, str)``,
+    average ``1/r^s`` over each tie block, normalise by the sum."""
+    ranked = sorted(
+        brute_force_degrees(graph, sender).items(), key=lambda kv: (-kv[1], str(kv[0]))
+    )
+    factors = []
+    for degree, size in collections.Counter(d for _, d in ranked).items():
+        first = len(factors) + 1
+        block = [1.0 / float(rank) ** s for rank in range(first, first + size)]
+        factors.extend([sum(block) / len(block)] * size)
+    total = sum(factors)
+    return {node: factor / total for (node, _), factor in zip(ranked, factors)}
+
+
+class TestPerGraphRanking:
+    @given(graph=multigraphs(), s=st.sampled_from([0.0, 0.5, 1.0, 2.3]))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_brute_force(self, graph, s):
+        zipf = ModifiedZipf(graph, s=s)
+        for sender in graph.nodes:
+            row = zipf.receivers(sender)
+            expected = brute_force_row(graph, sender, s)
+            assert list(row.items()) == list(expected.items())
+
+    def test_degrees_read_once_per_node(self, monkeypatch):
+        graph = barabasi_albert_snapshot(60, seed=5)
+        calls = collections.Counter()
+        degree = ChannelGraph.degree
+
+        def counting_degree(graph, node):
+            calls[node] += 1
+            return degree(graph, node)
+
+        monkeypatch.setattr(ChannelGraph, "degree", counting_degree)
+        zipf = ModifiedZipf(graph, s=1.0)
+        rng = np.random.default_rng(0)
+        for sender in graph.nodes[:30]:
+            zipf.sample_receiver(sender, rng)
+        # a balance move bumps graph.version but leaves the ranking valid
+        channel = graph.channels[0]
+        payer = max(channel.endpoints, key=channel.balance)
+        channel.send(payer, channel.balance(payer) / 2)
+        for sender in graph.nodes:
+            zipf.receivers(sender)
+            zipf.sample_receiver(sender, rng)
+        assert set(calls) == set(graph.nodes)
+        assert max(calls.values()) == 1
 
 
 class TestInvalidation:

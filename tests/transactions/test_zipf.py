@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import NodeNotFound
+from repro.errors import InvalidParameter, NodeNotFound
 from repro.network.graph import ChannelGraph
 from repro.transactions.zipf import ModifiedZipf
 
@@ -52,6 +52,10 @@ class TestProbabilities:
 
     def test_unknown_receiver_zero(self, star5):
         assert ModifiedZipf(star5).probability("leaf0", "ghost") == 0.0
+
+    def test_negative_s_rejected_at_construction(self, star5):
+        with pytest.raises(InvalidParameter, match=r"Zipf parameter s must be >= 0, got -1"):
+            ModifiedZipf(star5, s=-1)
 
 
 class TestCaching:
