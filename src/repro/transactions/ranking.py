@@ -38,28 +38,23 @@ def check_zipf_s(s: float) -> None:
 
 
 class DegreeRanking:
-    """A graph's degree ranking, built once and re-ranked per perspective.
+    """A graph's nodes ranked by ``(-degree, str(node))``, ties beyond that
+    in graph order, built once; :meth:`row` derives each ``G - u`` ranking.
 
-    Reads every node's degree once and orders the nodes by ``(-degree,
-    str(node))``, ties beyond ``str`` in graph order. :meth:`row` derives
-    the ranking of ``G - u`` from this order without re-reading degrees or
-    re-sorting: ``u`` drops out, and only ``u``'s neighbours move, each
-    down by its number of channels to ``u``. The ranking describes the
-    graph as it was when built; build a new one after the topology changes.
+    Degrees are read at construction: build a new ranking after the
+    graph's topology changes.
     """
 
     def __init__(self, graph: ChannelGraph) -> None:
         self.graph = graph
         nodes = graph.nodes
-        self.degrees: Dict[Hashable, int] = dict(zip(nodes, map(graph.degree, nodes)))
-        # (-degree, str(node), graph position) is unique, so bisecting the
-        # sorted keys places a neighbour at its lower degree
+        self.degrees = dict(zip(nodes, map(graph.degree, nodes)))
+        # unique keys: a neighbour's key at its G - u degree bisects to its slot
         self._keys = sorted(
             zip(map(operator.neg, self.degrees.values()), map(str, nodes), range(len(nodes)))
         )
-        self.order: List[Hashable] = [nodes[i] for _, _, i in self._keys]
+        self.order = [nodes[i] for _, _, i in self._keys]
         self._rank = dict(zip(self.order, range(len(nodes))))
-        # nodes per degree
         self._counts: Dict[int, int] = {}
         for degree in self.degrees.values():
             self._counts[degree] = self._counts.get(degree, 0) + 1
@@ -67,53 +62,41 @@ class DegreeRanking:
     def row(
         self, perspective: Optional[Hashable] = None
     ) -> Tuple[List[Hashable], List[int], Dict[Hashable, int]]:
-        """The ranking of ``G - perspective`` (of ``G`` when ``None``).
+        """``G - perspective``'s nodes in rank order, its tie-block sizes
+        (highest degree first) and the new degree of each neighbour of
+        ``perspective``, one less per channel; other degrees are unchanged.
 
-        Returns the nodes in rank order, the tie-block sizes highest degree
-        first, and the ``G - perspective`` degree of every neighbour of
-        ``perspective`` (each parallel channel costs one); every other
-        node keeps its degree in :attr:`degrees`.
+        Only ``perspective`` and its neighbours move: no degree is re-read
+        and nothing is re-sorted.
         """
+        degrees, keys, rank = self.degrees, self._keys, self._rank
+        nodes = list(self.order)
         counts = self._counts.copy()
-        if perspective is None:
-            return list(self.order), _block_sizes(counts), {}
-        degrees = self.degrees
-        if perspective not in degrees:
-            raise NodeNotFound(perspective)
-        counts[degrees[perspective]] -= 1
         moved: Dict[Hashable, int] = {}
-        for channel in self.graph.channels_of(perspective):
-            node = channel.other(perspective)
-            degree = moved.get(node, degrees[node])
-            counts[degree] -= 1
-            counts[degree - 1] = counts.get(degree - 1, 0) + 1
-            moved[node] = degree - 1
-        # each neighbour's slot in the global order at its new degree
-        keys, rank = self._keys, self._rank
-        inserts = []
-        for node, degree in moved.items():
-            _, name, position = keys[rank[node]]
-            key = (-degree, name, position)
-            inserts.append((bisect.bisect_left(keys, key), key, node))
-        inserts.sort()
-        # copy the runs of the global order between dropped and moved nodes
-        drops = sorted([rank[node] for node in moved] + [rank[perspective]])
-        drops.append(len(keys))
-        order = self.order
-        nodes: List[Hashable] = []
-        start = i = 0
-        for slot, _, node in inserts:
-            while drops[i] < slot:
-                nodes += order[start:drops[i]]
-                start = drops[i] + 1
-                i += 1
-            nodes += order[start:slot]
-            nodes.append(node)
-            start = slot
-        for drop in drops[i:]:
-            nodes += order[start:drop]
-            start = drop + 1
-        return nodes, _block_sizes(counts), moved
+        if perspective is not None:
+            if perspective not in degrees:
+                raise NodeNotFound(perspective)
+            for channel in self.graph.channels_of(perspective):
+                node = channel.other(perspective)
+                moved[node] = moved.get(node, degrees[node]) - 1
+            counts[degrees[perspective]] -= 1
+            drops = [rank[perspective]]
+            inserts = []
+            for node, degree in moved.items():
+                counts[degrees[node]] -= 1
+                counts[degree] = counts.get(degree, 0) + 1
+                drops.append(rank[node])
+                key = (-degree,) + keys[rank[node]][1:]
+                inserts.append((bisect.bisect_left(keys, key), key, node))
+            drops.sort()
+            for position in reversed(drops):
+                del nodes[position]
+            # a slot counts positions in the full order: shift it past the
+            # drops ahead of it and the neighbours already inserted
+            for i, (slot, _, node) in enumerate(sorted(inserts)):
+                nodes.insert(slot - bisect.bisect_left(drops, slot) + i, node)
+        sizes = [counts[degree] for degree in sorted(counts, reverse=True) if counts[degree]]
+        return nodes, sizes, moved
 
     def factors(
         self, perspective: Optional[Hashable], s: float
@@ -136,8 +119,7 @@ def degree_ranking(
     """
     ranking = DegreeRanking(graph)
     nodes, _, moved = ranking.row(perspective)
-    degrees = {**ranking.degrees, **moved}
-    return [(node, degrees[node]) for node in nodes]
+    return [(node, moved.get(node, ranking.degrees[node])) for node in nodes]
 
 
 @functools.lru_cache(maxsize=8192, typed=True)
@@ -151,11 +133,6 @@ def _tie_block_average(first_rank: int, block_size: int, s: float) -> float:
         1.0 / float(rank) ** s for rank in range(first_rank, first_rank + block_size)
     ]
     return sum(block) / len(block)
-
-
-def _block_sizes(counts: Dict[int, int]) -> List[int]:
-    """Non-empty tie-block sizes of ``degree -> count``, highest degree first."""
-    return [counts[degree] for degree in sorted(counts, reverse=True) if counts[degree]]
 
 
 def _block_factors(sizes: Iterable[int], s: float) -> List[float]:

@@ -29,17 +29,16 @@ __all__ = ["ModifiedZipf"]
 class ModifiedZipf(TransactionDistribution):
     """Degree-ranked Zipf pairing with tie averaging.
 
-    The graph's degree ranking (:class:`~repro.transactions.ranking.DegreeRanking`)
-    is built on the first row and every sender's row is derived from it.
-
     Args:
         graph: the PCN whose degrees define the ranking.
         s: Zipf scale parameter (>= 0).
-        cache: memoise the degree ranking, per-sender rows and the sampling
-            tables :meth:`sample_receiver` builds from them. The cache must
-            be dropped (create a new instance, or call :meth:`invalidate`)
-            whenever the graph's topology changes, since ranks depend on
-            degrees; balance moves leave it valid. With ``cache=False``
+        cache: memoise the graph's :class:`~repro.transactions.ranking.DegreeRanking`,
+            which every sender's row is derived from, the per-sender rows and
+            the sampling tables :meth:`sample_receiver` builds. The cache must
+            be dropped whenever the graph's topology changes, since ranks
+            depend on degrees: create a new instance, or call
+            :meth:`invalidate`, which drops the ranking, rows and tables
+            together. Balance moves leave them valid. With ``cache=False``
             none of them is kept.
     """
 
@@ -55,24 +54,19 @@ class ModifiedZipf(TransactionDistribution):
             self._tables = None
 
     def invalidate(self) -> None:
-        """Drop the degree ranking, memoised rows and sampling tables.
-
-        Call after mutating the graph's topology.
-        """
+        """Drop the degree ranking, rows and sampling tables (call after
+        changing the graph's topology)."""
         self._ranking = None
         self._rows.clear()
         if self._tables is not None:
             self._tables.clear()
 
     def _factors(self, sender: Hashable) -> Tuple[List[Hashable], List[float]]:
-        """``sender``'s receivers in rank order, with their rank factors."""
         if sender not in self.graph:
             raise NodeNotFound(sender)
-        ranking = self._ranking
-        if ranking is None:
-            ranking = DegreeRanking(self.graph)
-            if self._cache_enabled:
-                self._ranking = ranking
+        ranking = self._ranking or DegreeRanking(self.graph)
+        if self._cache_enabled:
+            self._ranking = ranking
         return ranking.factors(sender, self.s)
 
     def receivers(self, sender: Hashable) -> Dict[Hashable, float]:
@@ -86,7 +80,7 @@ class ModifiedZipf(TransactionDistribution):
         return dict(row)
 
     def _row_arrays(self, sender: Hashable) -> Tuple[List[Hashable], np.ndarray]:
-        # the row receivers() builds, without the dict
+        # receivers()'s row without the dict: the same float division
         nodes, factors = self._factors(sender)
         probs = np.fromiter(factors, dtype=float, count=len(factors))
         probs /= sum(factors)
