@@ -55,9 +55,7 @@ class DegreeRanking:
         )
         self.order = [nodes[i] for _, _, i in self._keys]
         self._rank = dict(zip(self.order, range(len(nodes))))
-        self._counts: Dict[int, int] = {}
-        for degree in self.degrees.values():
-            self._counts[degree] = self._counts.get(degree, 0) + 1
+        self._counts = dict(collections.Counter(self.degrees.values()))
 
     def row(
         self, perspective: Optional[Hashable] = None

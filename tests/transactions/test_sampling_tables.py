@@ -155,7 +155,7 @@ def brute_force_row(graph, sender, s):
         brute_force_degrees(graph, sender).items(), key=lambda kv: (-kv[1], str(kv[0]))
     )
     factors = []
-    for degree, size in collections.Counter(d for _, d in ranked).items():
+    for size in collections.Counter(d for _, d in ranked).values():
         first = len(factors) + 1
         block = [1.0 / float(rank) ** s for rank in range(first, first + size)]
         factors.extend([sum(block) / len(block)] * size)
@@ -178,9 +178,9 @@ class TestPerGraphRanking:
         calls = collections.Counter()
         degree = ChannelGraph.degree
 
-        def counting_degree(graph, node):
+        def counting_degree(self, node):
             calls[node] += 1
-            return degree(graph, node)
+            return degree(self, node)
 
         monkeypatch.setattr(ChannelGraph, "degree", counting_degree)
         zipf = ModifiedZipf(graph, s=1.0)
