@@ -12,10 +12,11 @@ Run:
     python examples/serve_sweep.py
 
 The ``--smoke`` mode is the CI service smoke test: it connects to an
-*already running* daemon (``--port``), submits one tiny scenario, and
-asserts (1) the daemon's result row matches a direct in-process
-``ScenarioRunner.run()`` and (2) resubmitting the identical document is
-served from the store with a byte-identical payload.
+*already running* daemon (``--port``), submits one tiny scenario over a
+raw socket, and asserts (1) the daemon's result row matches a direct
+in-process ``ScenarioRunner.run()`` and (2) resubmitting the identical
+document is served from the store, its ``result`` member byte for byte
+the same as the first response's.
 
     python -m repro serve --port 8931 --store .ci-store --worker thread &
     python examples/serve_sweep.py --smoke --port 8931
@@ -24,6 +25,7 @@ served from the store with a byte-identical payload.
 import argparse
 import asyncio
 import json
+import socket
 import sys
 import tempfile
 import threading
@@ -111,13 +113,29 @@ def run_demo() -> int:
         return 0
 
 
+def raw_submit(host: str, port: int, scenario_doc: dict) -> bytes:
+    """``submit --wait`` over a raw socket; the response line as bytes."""
+    request = {"cmd": "submit", "scenario": scenario_doc, "wait": True}
+    with socket.create_connection((host, port), timeout=300.0) as conn:
+        conn.sendall(json.dumps(request).encode() + b"\n")
+        return conn.makefile("rb").readline().rstrip(b"\n")
+
+
+def result_member(line: bytes) -> bytes:
+    """The ``result`` member of a response: the rest of the line from
+    its key on (the daemon writes it last)."""
+    return line[line.index(b'"result": '):]
+
+
 def run_smoke(host: str, port: int) -> int:
     """CI smoke: parity with a direct run + cache hit on resubmit."""
     client = ServiceClient(host=host, port=port, timeout=300.0)
     assert client.ping(), "daemon not reachable"
 
     scenario = demo_scenario()
-    first = client.submit(scenario.to_dict(), wait=True)
+    first_line = raw_submit(host, port, scenario.to_dict())
+    first = json.loads(first_line)
+    assert first["ok"], f"submit failed: {first.get('error')}"
     direct = ScenarioRunner().run(scenario)
 
     remote_row = first["result"]["row"]
@@ -126,15 +144,20 @@ def run_smoke(host: str, port: int) -> int:
         f"daemon row diverged from direct run:\n{remote_row}\n{local_row}"
     )
 
-    second = client.submit(scenario.to_dict(), wait=True)
+    second_line = raw_submit(host, port, scenario.to_dict())
+    second = json.loads(second_line)
     assert second["state"] == "cached", (
         f"resubmission not served from store: state={second['state']}"
     )
     assert json.dumps(second["result"], sort_keys=True) == json.dumps(
         first["result"], sort_keys=True
     ), "cached payload not byte-identical to computed payload"
+    assert result_member(second_line) == result_member(first_line), (
+        "cached response bytes differ from the computed response's"
+    )
 
-    print("service smoke ok: parity with direct run, resubmit cached")
+    print("service smoke ok: parity with direct run, resubmit cached, "
+          "result bytes identical")
     return 0
 
 

@@ -29,9 +29,17 @@ Commands:
     ``events_seq`` for restart detection).
 ``{"cmd": "metrics"}``
     Prometheus text exposition of the queue's instruments — job-state
-    gauges, store hit rate, the queued->running latency histogram.
+    gauges, store hit rate, the queued->running latency histogram, and
+    one request-latency histogram per verb
+    (``repro_service_request_<verb>_seconds``; ``submit`` splits into
+    ``submit_cached`` and ``submit_executed``).
 ``{"cmd": "shutdown"}``
     stop serving after this response.
+
+Responses that carry a result (``submit`` with ``wait``, ``result``) end
+in ``"result": <text>}``, where ``<text>`` is the store's canonical
+payload text spliced in verbatim: it is never parsed or re-encoded, so
+cold and cached responses carry the same bytes.
 
 :class:`ServiceClient` is the synchronous counterpart used by the
 ``repro submit`` / ``repro status`` CLI: one TCP connection per request,
@@ -46,6 +54,7 @@ import socket
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..errors import ServiceError
+from ..obs.clock import monotonic
 from .queue import JobManager
 from .store import ResultStore
 
@@ -57,6 +66,13 @@ DEFAULT_PORT = 8923
 #: Cap on one request line (a scenario document is small; a line this
 #: long is a protocol violation, not a workload).
 MAX_LINE_BYTES = 8 * 1024 * 1024
+
+#: Request-latency histogram bounds (seconds): cache hits take well
+#: under a millisecond, executions up to minutes.
+REQUEST_BUCKETS = (
+    0.0001, 0.0002, 0.0005, 0.001, 0.002, 0.005, 0.01, 0.05, 0.1, 0.5,
+    1.0, 5.0, 30.0, 120.0,
+)
 
 
 class ServiceServer:
@@ -163,8 +179,12 @@ class ServiceServer:
     async def _reply(
         self, writer: asyncio.StreamWriter, response: Dict[str, Any]
     ) -> None:
-        response = {k: v for k, v in response.items() if not k.startswith("_")}
-        writer.write(json.dumps(response).encode("utf-8") + b"\n")
+        text = response.get("_result")
+        line = json.dumps({k: v for k, v in response.items() if not k.startswith("_")})
+        if text is not None:
+            # Splice the stored canonical text in as the last member.
+            line = f'{line[:-1]}, "result": {text}}}'
+        writer.write(line.encode("utf-8") + b"\n")
         await writer.drain()
 
     async def _dispatch(self, line: bytes) -> Dict[str, Any]:
@@ -178,12 +198,21 @@ class ServiceServer:
         handler = getattr(self, f"_cmd_{command}", None)
         if handler is None:
             return {"ok": False, "error": f"unknown command {command!r}"}
+        started = monotonic()
         try:
-            return await handler(request)
+            response = await handler(request)
         except ServiceError as exc:
-            return {"ok": False, "error": str(exc)}
+            response = {"ok": False, "error": str(exc)}
         except Exception as exc:  # defensive: a bug must not kill the loop
-            return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+            response = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+        if command == "submit":
+            cached = response.get("state") == "cached"
+            command = "submit_cached" if cached else "submit_executed"
+        assert self.manager is not None
+        self.manager.registry.histogram(
+            f"service.request_{command}_seconds", REQUEST_BUCKETS
+        ).observe(monotonic() - started)
+        return response
 
     # -- commands --------------------------------------------------------
 
@@ -196,15 +225,8 @@ class ServiceServer:
         if not isinstance(scenario, dict):
             return {"ok": False, "error": "submit needs a 'scenario' document"}
         job = self.manager.submit(scenario)
-        if request.get("wait"):
-            result = await job.result()
-            return {
-                "ok": True,
-                "hash": job.spec_hash,
-                "state": job.state,
-                "result": result,
-            }
-        return {"ok": True, "hash": job.spec_hash, "state": job.state}
+        text = await job.result_text() if request.get("wait") else None
+        return {"ok": True, "hash": job.spec_hash, "state": job.state, "_result": text}
 
     async def _cmd_status(self, request: Dict[str, Any]) -> Dict[str, Any]:
         assert self.manager is not None
@@ -227,10 +249,10 @@ class ServiceServer:
         job = self.manager.get(spec_hash)
         if job is not None and not job.finished:
             return {"ok": False, "error": f"job {spec_hash[:12]} still {job.state}"}
-        payload = self.manager.store.get(spec_hash)
-        if payload is None:
+        text = self.manager.store.get_text(spec_hash)
+        if text is None:
             return {"ok": False, "error": f"no result for {spec_hash[:12]}"}
-        return {"ok": True, "hash": spec_hash, "result": payload}
+        return {"ok": True, "hash": spec_hash, "_result": text}
 
     async def _cmd_sweep(self, request: Dict[str, Any]) -> Dict[str, Any]:
         assert self.manager is not None

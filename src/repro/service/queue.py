@@ -10,8 +10,13 @@ it through three tiers:
    running; the second submission attaches to the *same* job (one
    execution, any number of waiters);
 3. **execute** — the document runs on a bounded worker pool (process,
-   thread, or inline), and the result document is written back to the
-   store before the job completes.
+   thread, or inline), which also renders the result's canonical JSON
+   text; that text is written back to the store (fsync'd off the event
+   loop) before the job completes.
+
+A job's future holds the canonical payload *text*, never a parsed
+document: a cache hit is one verified :meth:`ResultStore.get_text`, and
+the daemon splices :meth:`Job.result_text` into its response verbatim.
 
 Workers that die mid-job (a crashed worker process) are retried on a
 rebuilt pool up to ``retries`` times before the job fails. Progress is
@@ -22,6 +27,7 @@ observable per job: every state transition appends an event document to
 from __future__ import annotations
 
 import asyncio
+import json
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, List, Mapping, Optional, Union
@@ -29,7 +35,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 from ..errors import ServiceError
 from ..obs.clock import monotonic
 from ..obs.registry import MetricsRegistry
-from .hashing import scenario_content_hash
+from .hashing import canonical_json, scenario_content_hash
 from .store import ResultStore
 
 __all__ = ["Job", "JobManager", "JOB_STATES"]
@@ -52,6 +58,18 @@ def _execute_scenario_document(document: Dict[str, Any]) -> Dict[str, Any]:
 
     result = ScenarioRunner().run(Scenario.from_dict(document))
     return result.to_dict()
+
+
+def _execute_to_text(
+    execute: Callable[[Dict[str, Any]], Dict[str, Any]],
+    document: Dict[str, Any],
+) -> str:
+    """``execute(document)`` rendered as canonical JSON, in the worker.
+
+    Top level (hence picklable); the worker ships the compact text back
+    instead of the whole result document.
+    """
+    return canonical_json(execute(document), allow_non_finite=True)
 
 
 class Job:
@@ -87,7 +105,8 @@ class Job:
         self.created_at_monotonic = monotonic()
         self.first_running_at: Optional[float] = None
         self._on_event = on_event
-        self.future: "asyncio.Future[Dict[str, Any]]" = (
+        #: Resolves to the canonical payload text of the result.
+        self.future: "asyncio.Future[str]" = (
             asyncio.get_running_loop().create_future()
         )
         self._event("queued")
@@ -117,6 +136,10 @@ class Job:
 
     async def result(self) -> Dict[str, Any]:
         """The result document (await; raises ServiceError on failure)."""
+        return json.loads(await self.result_text())
+
+    async def result_text(self) -> str:
+        """The result's canonical JSON text, as stored (see :meth:`result`)."""
         return await asyncio.shield(self.future)
 
 
@@ -235,7 +258,9 @@ class JobManager:
         # the listing; dict order keeps first-submission order.
         self._jobs[spec_hash] = job
 
-        cached = self.store.get(spec_hash)
+        # Read on the loop: a verified hit is one file read and one
+        # sha256, cheaper than a hop to a worker thread.
+        cached = self.store.get_text(spec_hash)
         if cached is not None:
             job._event("cached", "served from result store")
             job.future.set_result(cached)
@@ -253,10 +278,14 @@ class JobManager:
         try:
             async with self._slots:
                 job._event("running")
-                payload = await self._attempt(job)
-            stored = self.store.put(job.spec_hash, payload)
+                text = await self._attempt(job)
+            # The fsync'd write runs off the loop, so cached readers
+            # are not stalled behind a cold job's disk flush.
+            await asyncio.get_running_loop().run_in_executor(
+                None, self.store.put_text, job.spec_hash, text
+            )
             job._event("done")
-            job.future.set_result(stored)
+            job.future.set_result(text)
             self._counts["done"] += 1
         except asyncio.CancelledError:
             job._event("cancelled")
@@ -275,8 +304,8 @@ class JobManager:
                 )
             self._counts["failed"] += 1
 
-    async def _attempt(self, job: Job) -> Dict[str, Any]:
-        """Execute with retry-on-worker-crash semantics."""
+    async def _attempt(self, job: Job) -> str:
+        """Execute to canonical text with retry-on-worker-crash semantics."""
         loop = asyncio.get_running_loop()
         last: Optional[BaseException] = None
         for attempt in range(self.retries + 1):
@@ -285,10 +314,10 @@ class JobManager:
                 job._event("running", f"retry {attempt} after worker crash")
             try:
                 if self.worker == "inline":
-                    return self._execute(job.scenario_doc)
+                    return _execute_to_text(self._execute, job.scenario_doc)
                 pool = self._ensure_pool()
                 return await loop.run_in_executor(
-                    pool, self._execute, job.scenario_doc
+                    pool, _execute_to_text, self._execute, job.scenario_doc
                 )
             except BrokenProcessPool as exc:
                 # The worker died (OOM-kill, segfault, …), not the job

@@ -1,17 +1,20 @@
 """Content-addressed, crash-safe filesystem store for scenario results.
 
 The store maps a scenario content hash (see
-:mod:`repro.service.hashing`) to one JSON *envelope* holding the
-serialised result artifact — a
-:class:`~repro.scenarios.runner.ScenarioResult` document (which embeds
-any :class:`~repro.attacks.report.AttackReport` or
+:mod:`repro.service.hashing`) to the canonical JSON text of the result
+artifact — a :class:`~repro.scenarios.runner.ScenarioResult` document
+(which embeds any :class:`~repro.attacks.report.AttackReport` or
 :class:`~repro.evolution.trajectory.Trajectory`), or a bare sweep row.
 
 Layout (under ``~/.cache/repro``, the ``REPRO_STORE`` env var, or an
 explicit ``--store PATH``)::
 
-    <root>/objects/<hash[:2]>/<hash>.json    # one envelope per result
+    <root>/objects/<hash[:2]>/<hash>.json    # one entry per result
     <root>/quarantine/<basename>.<n>         # corrupted entries, kept
+
+An entry (layout v2) is one sorted-JSON header line (``checksum``,
+``kind``, ``schema_version``, ``spec_hash``), ``\n``, then the canonical
+payload text byte for byte; ``checksum`` is the sha256 of those bytes.
 
 Design invariants:
 
@@ -21,10 +24,12 @@ Design invariants:
   results are deterministic, so last-writer-wins is also
   content-identical). This file is the *only* module allowed to open
   store paths for writing — reprolint rule RPR008 enforces it.
-* **Verified reads** — envelopes carry a sha256 checksum over the
-  canonical payload JSON; a read that fails to parse or verify moves the
-  entry to ``quarantine/`` and returns ``None``, so a corrupted cache
-  degrades to a recompute, never a crash and never a wrong result.
+* **Verified reads** — :meth:`ResultStore.get_text` hashes exactly the
+  payload bytes it serves and never parses or re-encodes them; an entry
+  that fails the header or checksum check (v1 entries, one JSON object
+  with no header line, included) moves to ``quarantine/`` and reads as
+  ``None``, so a corrupted cache degrades to a recompute, never a crash
+  and never a wrong result.
 * **LRU eviction** — reads freshen the entry's mtime (best-effort);
   :meth:`ResultStore.gc` drops least-recently-used entries until the
   configured entry/byte bounds hold.
@@ -54,8 +59,9 @@ __all__ = [
 #: pytest suite points it at a per-test ``tmp_path``).
 DEFAULT_STORE_ENV = "REPRO_STORE"
 
-#: Layout version of the on-disk envelope; mismatched entries quarantine.
-STORE_SCHEMA_VERSION = 1
+#: Layout version of the on-disk entry; mismatched entries quarantine.
+#: v2: header line + verbatim canonical payload text (v1: one JSON object).
+STORE_SCHEMA_VERSION = 2
 
 _HEX_DIGITS = frozenset("0123456789abcdef")
 
@@ -121,7 +127,7 @@ class ResultStore:
     # -- paths ---------------------------------------------------------------
 
     def path_for(self, key: str) -> Path:
-        """Where the envelope for ``key`` lives (existing or not)."""
+        """Where the entry for ``key`` lives (existing or not)."""
         key = _check_key(key)
         return self._objects / key[:2] / f"{key}.json"
 
@@ -148,82 +154,77 @@ class ResultStore:
         what the caller keeps and what the store serves are structurally
         identical — the byte-identity the dedupe guarantee rests on.
         """
-        path = self.path_for(key)
         # Payloads are result documents, which may legitimately carry
         # non-finite floats (e.g. -inf greedy prefix objectives); only
         # the *hash* domain (specs, points) must be strictly finite.
-        canonical_payload = canonical_json(payload, allow_non_finite=True)
-        envelope = {
-            "schema_version": STORE_SCHEMA_VERSION,
-            "spec_hash": key,
-            "kind": kind,
-            "checksum": _payload_checksum(canonical_payload),
-            "payload": json.loads(canonical_payload),
-        }
+        text = canonical_json(payload, allow_non_finite=True)
+        self.put_text(key, text, kind)
+        return json.loads(text)
+
+    def put_text(
+        self, key: str, text: str, kind: str = "scenario-result"
+    ) -> None:
+        """Atomically store the canonical payload ``text`` under ``key``.
+
+        ``text`` must be :func:`canonical_json` output; it is written
+        verbatim and later served byte for byte by :meth:`get_text`.
+        """
+        path = self.path_for(key)
+        payload = text.encode("utf-8")
+        header = {"checksum": hashlib.sha256(payload).hexdigest(), "kind": kind,
+                  "schema_version": STORE_SCHEMA_VERSION, "spec_hash": key}
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / (
-            f".{key}.{os.getpid()}.{next(self._tmp_counter)}.tmp"
-        )
+        tmp = path.parent / f".{key}.{os.getpid()}.{next(self._tmp_counter)}.tmp"
         try:
-            with tmp.open("w", encoding="utf-8") as handle:
-                json.dump(envelope, handle, sort_keys=True)
+            with tmp.open("wb") as handle:
+                handle.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+                handle.write(payload)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, path)
         finally:
             if tmp.exists():  # pragma: no cover - only on write failure
                 tmp.unlink()
-        return envelope["payload"]
 
     # -- read path -----------------------------------------------------------
 
     def get(self, key: str) -> Optional[Any]:
-        """The stored payload for ``key``, or ``None``.
+        """The stored payload document for ``key``, or ``None``.
 
         ``None`` means "recompute": the entry is absent, or it failed
         verification and was quarantined.
         """
-        envelope = self.get_envelope(key)
-        return None if envelope is None else envelope["payload"]
+        text = self.get_text(key)
+        return None if text is None else json.loads(text)
 
-    def get_envelope(self, key: str) -> Optional[Dict[str, Any]]:
-        """Like :meth:`get` but returns the full verified envelope."""
+    def get_text(self, key: str) -> Optional[str]:
+        """The canonical payload text for ``key``, every byte of it
+        checked against the header's sha256; or ``None`` (see :meth:`get`)."""
         path = self.path_for(key)
         try:
-            raw = path.read_text(encoding="utf-8")
+            raw = path.read_bytes()
         except FileNotFoundError:
             return None
         except OSError:
             self._quarantine_entry(path, "unreadable")
             return None
+        header_line, _, payload = raw.partition(b"\n")
         try:
-            envelope = json.loads(raw)
-        except json.JSONDecodeError:
-            self._quarantine_entry(path, "invalid-json")
+            header = json.loads(header_line)
+        except ValueError:  # JSONDecodeError and UnicodeDecodeError
+            header = None
+        if not (
+            isinstance(header, dict)
+            and header.get("schema_version") == STORE_SCHEMA_VERSION
+            and header.get("spec_hash") == key
+        ):
+            self._quarantine_entry(path, "bad-header")
             return None
-        if not self._verify(key, envelope):
+        if header.get("checksum") != hashlib.sha256(payload).hexdigest():
             self._quarantine_entry(path, "checksum-mismatch")
             return None
         self._touch(path)
-        return envelope
-
-    @staticmethod
-    def _verify(key: str, envelope: Any) -> bool:
-        if not isinstance(envelope, dict):
-            return False
-        if envelope.get("schema_version") != STORE_SCHEMA_VERSION:
-            return False
-        if envelope.get("spec_hash") != key:
-            return False
-        if "payload" not in envelope or "checksum" not in envelope:
-            return False
-        try:
-            expected = _payload_checksum(
-                canonical_json(envelope["payload"], allow_non_finite=True)
-            )
-        except Exception:
-            return False
-        return envelope["checksum"] == expected
+        return payload.decode("utf-8")
 
     @staticmethod
     def _touch(path: Path) -> None:
@@ -316,7 +317,3 @@ class ResultStore:
             entries -= 1
             total -= size
         return evicted
-
-
-def _payload_checksum(canonical_payload: str) -> str:
-    return hashlib.sha256(canonical_payload.encode("utf-8")).hexdigest()

@@ -12,6 +12,8 @@ import threading
 
 import pytest
 
+import repro.service.queue as queue_module
+import repro.service.store as store_module
 from repro.errors import ServiceError
 from repro.scenarios.runner import ScenarioRunner
 from repro.scenarios.specs import Scenario, SimulationSpec, TopologySpec
@@ -154,6 +156,59 @@ class TestSubmitAndCache:
         assert "repro_service_jobs " in text
         assert "repro_service_store_entries" in text
         assert "repro_service_queue_latency_seconds_count" in text
+
+
+def _raw_request(client, document):
+    """One request over a raw socket; the response line as bytes."""
+    with socket.create_connection((client.host, client.port), timeout=120) as conn:
+        conn.sendall(json.dumps(document).encode() + b"\n")
+        return conn.makefile("rb").readline().rstrip(b"\n")
+
+
+def _result_member(line):
+    """``"result": ...}`` — the rest of the line from the result key on."""
+    return line[line.index(b'"result": '):]
+
+
+class TestResultBytes:
+    def test_cold_cached_and_result_verb_bytes_identical(
+        self, server, tmp_path, monkeypatch
+    ):
+        submit = {"cmd": "submit", "scenario": scenario().to_dict(), "wait": True}
+        cold = _raw_request(server, submit)
+        assert cold.startswith(b'{"ok": true, "hash": ')
+        spec_hash = json.loads(cold)["hash"]
+        assert json.loads(cold)["state"] == "done"
+
+        # From here on, serving must not re-canonicalise anything.
+        def refuse(*args, **kwargs):
+            raise AssertionError("cached path re-canonicalised a payload")
+
+        monkeypatch.setattr(store_module, "canonical_json", refuse)
+        monkeypatch.setattr(queue_module, "canonical_json", refuse)
+        cached = _raw_request(server, submit)
+        assert json.loads(cached)["state"] == "cached"
+        fetched = _raw_request(server, {"cmd": "result", "hash": spec_hash})
+        assert json.loads(fetched)["ok"] is True
+
+        assert _result_member(cached) == _result_member(cold)
+        assert _result_member(fetched) == _result_member(cold)
+        # ...and those bytes are the stored, checksummed payload text.
+        text = store_module.ResultStore(tmp_path / "store").get_text(spec_hash)
+        assert _result_member(cold) == b'"result": ' + text.encode() + b"}"
+
+    def test_cached_submit_lands_in_cached_histogram(self, server):
+        s = scenario()
+        server.submit(s.to_dict(), wait=True)
+        server.submit(s.to_dict(), wait=True)
+        server.submit(s.to_dict(), wait=False)
+        server.ping()
+        text = server.metrics()
+        assert "repro_service_request_submit_executed_seconds_count 1" in text
+        assert "repro_service_request_submit_cached_seconds_count 2" in text
+        assert "repro_service_request_ping_seconds_count 1" in text
+        # sub-millisecond buckets resolve cache hits
+        assert 'repro_service_request_submit_cached_seconds_bucket{le="0.0001"}' in text
 
 
 class TestSweep:

@@ -6,15 +6,20 @@ see a complete verified payload or ``None`` (recompute) — never an
 exception, never a partial entry.
 """
 
+import asyncio
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
+import repro.service.store as store_module
 from repro.errors import ServiceError
-from repro.service.hashing import content_hash
+from repro.service.hashing import canonical_json, content_hash
+from repro.service.queue import JobManager
 from repro.service.store import ResultStore, default_store_path
 
 KEY = "0" * 64
@@ -78,12 +83,46 @@ class TestRoundTrip:
             store.get("ABCD")
 
     def test_envelope_is_versioned_and_checksummed(self, store):
+        # Layout v2: one sorted-JSON header line, then the canonical
+        # payload text byte for byte, checksummed as bytes.
         store.put(KEY, {"x": 1}, kind="unit-test")
-        envelope = json.loads(store.path_for(KEY).read_text())
-        assert envelope["schema_version"] == 1
-        assert envelope["spec_hash"] == KEY
-        assert envelope["kind"] == "unit-test"
-        assert len(envelope["checksum"]) == 64
+        header_line, payload = store.path_for(KEY).read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        assert header["schema_version"] == 2
+        assert header["spec_hash"] == KEY
+        assert header["kind"] == "unit-test"
+        assert header["checksum"] == hashlib.sha256(payload).hexdigest()
+        assert header_line == json.dumps(header, sort_keys=True).encode()
+        assert payload == canonical_json({"x": 1}).encode()
+
+    def test_get_text_serves_the_stored_bytes(self, store):
+        payload = {"row": {"b": [1, 2.5], "a": float("-inf")}}
+        store.put(KEY, payload)
+        text = canonical_json(payload, allow_non_finite=True)
+        assert store.get_text(KEY) == text
+        assert store.get_text(OTHER) is None
+
+    def test_hit_never_recanonicalises_or_parses_the_payload(
+        self, store, monkeypatch
+    ):
+        store.put(KEY, {"row": {"a": 1, "blob": "z" * 1000}})
+        stored = store.path_for(KEY).read_bytes().split(b"\n", 1)[1]
+        parsed = []
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("cache hit re-canonicalised its payload")
+
+        def recording_loads(text, *args, **kwargs):
+            parsed.append(text)
+            return json.loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(store_module, "canonical_json", refuse)
+        monkeypatch.setattr(
+            store_module, "json", SimpleNamespace(loads=recording_loads)
+        )
+        assert store.get_text(KEY) == stored.decode()
+        # the header line is the only JSON the read parses
+        assert parsed and all(b"blob" not in text for text in parsed)
 
     def test_open_coerces(self, store, tmp_path):
         assert ResultStore.open(store) is store
@@ -110,10 +149,39 @@ class TestQuarantine:
     def test_tampered_payload_quarantined(self, store):
         store.put(KEY, {"x": 1})
         path = store.path_for(KEY)
-        envelope = json.loads(path.read_text())
-        envelope["payload"] = {"x": 999}
-        path.write_text(json.dumps(envelope))
+        header_line = path.read_bytes().split(b"\n", 1)[0]
+        path.write_bytes(header_line + b"\n" + canonical_json({"x": 999}).encode())
         assert store.get(KEY) is None
+        assert store.stats().quarantined == 1
+
+    def test_flipped_payload_byte_quarantined(self, store):
+        store.put(KEY, {"row": {"value": 12345}})
+        path = store.path_for(KEY)
+        raw = path.read_bytes()
+        at = raw.rindex(b"3")
+        path.write_bytes(raw[:at] + b"4" + raw[at + 1:])
+        assert store.get_text(KEY) is None
+        assert not path.exists()
+        assert store.stats().quarantined == 1
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda header: header.update(checksum="0" * 64),
+            lambda header: header.update(spec_hash=OTHER),
+            lambda header: header.pop("checksum"),
+            lambda header: header.pop("schema_version"),
+        ],
+        ids=["checksum", "spec-hash", "no-checksum", "no-version"],
+    )
+    def test_tampered_header_quarantined(self, store, tamper):
+        store.put(KEY, {"x": 1})
+        path = store.path_for(KEY)
+        header_line, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        tamper(header)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        assert store.get_text(KEY) is None
         assert store.stats().quarantined == 1
 
     def test_wrong_slot_quarantined(self, store):
@@ -126,10 +194,46 @@ class TestQuarantine:
     def test_wrong_schema_version_quarantined(self, store):
         store.put(KEY, {"x": 1})
         path = store.path_for(KEY)
-        envelope = json.loads(path.read_text())
-        envelope["schema_version"] = 999
-        path.write_text(json.dumps(envelope))
+        header_line, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        header["schema_version"] = 999
+        path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
         assert store.get(KEY) is None
+        assert store.stats().quarantined == 1
+
+    def test_v1_envelope_quarantined_then_recomputed(self, tmp_path):
+        # A layout-v1 entry: one JSON object holding the parsed payload.
+        store = ResultStore(tmp_path / "store")
+        document = {"name": "v1", "seed": 3}
+        calls = []
+
+        def execute(doc):
+            calls.append(doc["seed"])
+            return {"row": {"seed": doc["seed"]}}
+
+        async def main():
+            mgr = JobManager(store=store, worker="inline", execute=execute)
+            key = mgr.submit(document).spec_hash
+            await mgr.get(key).result()
+            payload = {"row": {"seed": 3}}
+            text = canonical_json(payload)
+            store.path_for(key).write_text(json.dumps({
+                "checksum": hashlib.sha256(text.encode()).hexdigest(),
+                "kind": "scenario-result",
+                "payload": payload,
+                "schema_version": 1,
+                "spec_hash": key,
+            }, sort_keys=True))
+            job = mgr.submit(document)
+            assert job.state != "cached"
+            assert await job.result() == payload
+            assert job.state == "done"
+            assert store.stats().quarantined == 1
+            assert store.get_text(key) == text
+            await mgr.close()
+
+        asyncio.run(main())
+        assert calls == [3, 3]
 
 
 class TestGc:
