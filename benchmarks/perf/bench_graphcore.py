@@ -1,9 +1,11 @@
 #!/usr/bin/env python
 """Old-vs-new graph-core benchmark on BA snapshots.
 
-* **pair_weighted_betweenness** — Eq. 2/Eq. 3 accumulation: legacy
-  dict-of-dict Brandes on an ``nx.DiGraph`` vs the vectorised
-  accumulation on a :class:`~repro.network.views.GraphView`.
+* **pair_weighted_betweenness** — Eq. 2/Eq. 3 accumulation: "old" is
+  :func:`dict_brandes`, the original dict-of-dict Brandes pass over an
+  ``nx.DiGraph`` (kept here as the reference, no longer in the library);
+  "new" is the vectorised accumulation on a
+  :class:`~repro.network.views.GraphView`.
 * **greedy_join** — Algorithm 1 end-to-end (fixed-rate revenue mode, the
   Thm 4 regime). "old" is :class:`ReferenceModel`, which builds the
   augmented graph and runs the free functions on its view for every
@@ -26,14 +28,19 @@ import argparse
 import json
 import platform
 import time
-from typing import Callable, Dict, List
+from collections import deque
+from typing import Callable, Dict, Hashable, List
 
 from repro import __version__
 from repro.core.algorithms.greedy import greedy_fixed_funds
 from repro.core.fees_paid import expected_fees
 from repro.core.revenue import expected_revenue
 from repro.core.utility import JoiningUserModel
-from repro.network.betweenness import pair_weighted_betweenness
+from repro.network.betweenness import (
+    BetweennessResult,
+    pair_weighted_betweenness,
+    uniform_pair_weight,
+)
 from repro.params import ModelParameters
 from repro.snapshots import barabasi_albert_snapshot
 
@@ -69,6 +76,63 @@ class ReferenceModel(JoiningUserModel):
         )
 
 
+def _bfs_shortest_paths(graph, source):
+    """Single-source BFS returning Brandes' bookkeeping.
+
+    Returns ``(order, predecessors, sigma, dist)`` where ``order`` lists
+    nodes in non-decreasing distance, ``sigma`` counts shortest paths.
+    """
+    sigma: Dict[Hashable, float] = {source: 1.0}
+    dist: Dict[Hashable, int] = {source: 0}
+    preds: Dict[Hashable, list] = {source: []}
+    order = [source]
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for w in graph.successors(v):
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                sigma[w] = 0.0
+                preds[w] = []
+                order.append(w)
+                queue.append(w)
+            if dist[w] == dist[v] + 1:
+                sigma[w] += sigma[v]
+                preds[w].append(v)
+    return order, preds, sigma, dist
+
+
+def dict_brandes(
+    graph, pair_weight=uniform_pair_weight, sources=None
+) -> BetweennessResult:
+    """The original dict-of-dict pair-weighted Brandes pass over an
+    ``nx.DiGraph``: the "old" side of the betweenness rows."""
+    node_acc: Dict[Hashable, float] = {v: 0.0 for v in graph.nodes}
+    edge_acc: Dict[tuple, float] = {}
+    if sources is None:
+        sources = list(graph.nodes)
+    for s in sources:
+        if s not in graph:
+            continue
+        order, preds, sigma, _dist = _bfs_shortest_paths(graph, s)
+        # Brandes' accumulation, with the classic "+1" per reached target
+        # replaced by "+w(s, target)".
+        delta: Dict[Hashable, float] = {v: 0.0 for v in order}
+        for w in reversed(order):
+            if w == s:
+                continue
+            coeff = (pair_weight(s, w) + delta[w]) / sigma[w]
+            for v in preds[w]:
+                contribution = sigma[v] * coeff
+                if contribution != 0.0:
+                    edge_acc[(v, w)] = edge_acc.get((v, w), 0.0) + contribution
+                    delta[v] += contribution
+        for v in order:
+            if v != s:
+                node_acc[v] += delta[v]
+    return BetweennessResult(node_acc, edge_acc)
+
+
 def _time(fn: Callable[[], object], min_repeats: int, budget: float):
     """Best-of timing: repeat until ``budget`` seconds or ``min_repeats``."""
     times: List[float] = []
@@ -87,7 +151,7 @@ def bench_betweenness(n: int, budget: float) -> Dict[str, object]:
     view = graph.view(directed=True)
     digraph = view.to_networkx()
     old_seconds, old_reps, old_result = _time(
-        lambda: pair_weighted_betweenness(digraph), 3, budget
+        lambda: dict_brandes(digraph), 3, budget
     )
     new_seconds, new_reps, new_result = _time(
         lambda: pair_weighted_betweenness(view), 3, budget

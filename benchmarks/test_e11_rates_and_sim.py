@@ -27,14 +27,14 @@ def test_e11_brandes_equals_enumeration(benchmark, emit_table):
     graph = barabasi_albert_snapshot(14, attachments=2, seed=30)
     distribution = ModifiedZipf(graph, s=1.0)
     rows = []
-    digraph = graph.view(directed=True).to_networkx()
+    view = graph.view(directed=True)
     weight = lambda s, r: distribution.probability(s, r)
 
     start = time.perf_counter()
-    fast = pair_weighted_betweenness(digraph, weight)
+    fast = pair_weighted_betweenness(view, weight)
     fast_time = time.perf_counter() - start
     start = time.perf_counter()
-    slow = pair_weighted_betweenness_exact(digraph, weight)
+    slow = pair_weighted_betweenness_exact(view, weight)
     slow_time = time.perf_counter() - start
 
     max_gap = max(
@@ -54,7 +54,7 @@ def test_e11_brandes_equals_enumeration(benchmark, emit_table):
     )
     assert max_gap < 1e-9
 
-    benchmark(lambda: pair_weighted_betweenness(digraph, weight))
+    benchmark(lambda: pair_weighted_betweenness(view, weight))
 
 
 def test_e11_brandes_scaling(benchmark, emit_table):
@@ -62,15 +62,15 @@ def test_e11_brandes_scaling(benchmark, emit_table):
     for n in (20, 40, 80, 120):
         graph = barabasi_albert_snapshot(n, attachments=2, seed=n)
         distribution = ModifiedZipf(graph, s=1.0)
-        digraph = graph.view(directed=True).to_networkx()
+        view = graph.view(directed=True)
         weight = lambda s, r: distribution.probability(s, r)
         # prime zipf caches so we time the betweenness pass itself
         for node in graph.nodes:
             distribution.receivers(node)
         start = time.perf_counter()
-        pair_weighted_betweenness(digraph, weight)
+        pair_weighted_betweenness(view, weight)
         elapsed = time.perf_counter() - start
-        rows.append({"n": n, "edges": digraph.number_of_edges(),
+        rows.append({"n": n, "edges": view.num_entries,
                      "seconds": elapsed})
     emit_table(format_table(rows, title="E11 — Brandes pass scaling"))
     # near-quadratic growth: 6x nodes should stay well under 100x time
@@ -78,10 +78,10 @@ def test_e11_brandes_scaling(benchmark, emit_table):
 
     graph = barabasi_albert_snapshot(40, attachments=2, seed=40)
     distribution = ModifiedZipf(graph, s=1.0)
-    digraph = graph.view(directed=True).to_networkx()
+    view = graph.view(directed=True)
     benchmark(
         lambda: pair_weighted_betweenness(
-            digraph, lambda s, r: distribution.probability(s, r)
+            view, lambda s, r: distribution.probability(s, r)
         )
     )
 

@@ -21,7 +21,6 @@ is how the model assigns utility ``-inf`` to disconnected strategies.
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import Dict, Hashable, Mapping
 
 from ..errors import InvalidParameter
@@ -32,36 +31,19 @@ __all__ = ["expected_fees", "single_source_hops", "HOP_CONVENTIONS"]
 HOP_CONVENTIONS = ("path-length", "intermediaries")
 
 
-def single_source_hops(digraph, source: Hashable) -> Dict[Hashable, int]:
+def single_source_hops(view: GraphView, source: Hashable) -> Dict[Hashable, int]:
     """Directed BFS hop distances from ``source`` (missing = unreachable).
 
-    ``digraph`` may be a :class:`~repro.network.views.GraphView` (one
-    vectorised BFS over the CSR arrays) or a legacy ``nx.DiGraph``.
+    One vectorised BFS over the view's CSR arrays.
     """
-    if isinstance(digraph, GraphView):
-        if source not in digraph:
-            return {}
-        levels = bfs_distances(digraph, digraph.index_of(source))
-        return {
-            digraph.nodes[i]: int(d)
-            for i, d in enumerate(levels)
-            if d >= 0
-        }
-    if source not in digraph:
+    if source not in view:
         return {}
-    dist: Dict[Hashable, int] = {source: 0}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for w in digraph.successors(v):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
+    levels = bfs_distances(view, view.index_of(source))
+    return {view.nodes[i]: int(d) for i, d in enumerate(levels) if d >= 0}
 
 
 def expected_fees(
-    digraph,
+    view: GraphView,
     user: Hashable,
     own_probs: Mapping[Hashable, float],
     user_tx_rate: float,
@@ -71,8 +53,8 @@ def expected_fees(
     """``E_fees(user)`` under the given receiver distribution.
 
     Args:
-        digraph: the (possibly reduced) directed network view — a
-            :class:`~repro.network.views.GraphView` or an ``nx.DiGraph``.
+        view: the (possibly reduced) directed
+            :class:`~repro.network.views.GraphView` of the network.
         user: the sender.
         own_probs: ``p_trans(user, v)`` per receiver ``v`` (should sum to 1
             over intended receivers).
@@ -88,7 +70,7 @@ def expected_fees(
         raise InvalidParameter(
             f"hop_convention must be one of {HOP_CONVENTIONS}, got {hop_convention!r}"
         )
-    dist = single_source_hops(digraph, user)
+    dist = single_source_hops(view, user)
     total = 0.0
     for receiver, prob in own_probs.items():
         if prob <= 0 or receiver == user:

@@ -18,36 +18,38 @@ from __future__ import annotations
 from typing import Callable, Dict, Hashable, Iterable, Optional
 
 from ..network.betweenness import pair_weighted_betweenness
+from ..network.views import GraphView
 
 __all__ = ["expected_revenue", "revenue_profile"]
 
 
 def revenue_profile(
-    digraph,
+    view: GraphView,
     pair_weight: Callable[[Hashable, Hashable], float],
     fee_avg: float,
     sources: Optional[Iterable[Hashable]] = None,
 ) -> Dict[Hashable, float]:
     """Expected revenue of *every* node under ``pair_weight`` traffic.
 
-    ``digraph`` may be a :class:`~repro.network.views.GraphView` (the fast
-    CSR path) or a legacy ``nx.DiGraph``. ``pair_weight(s, r)`` should
-    already fold in the sender rate, e.g. ``N_s * p_trans(s, r)``.
+    ``view`` is the (possibly reduced) directed
+    :class:`~repro.network.views.GraphView` the Brandes pass runs on.
+    ``pair_weight(s, r)`` should already fold in the sender rate, e.g.
+    ``N_s * p_trans(s, r)``.
     """
-    result = pair_weighted_betweenness(digraph, pair_weight, sources=sources)
+    result = pair_weighted_betweenness(view, pair_weight, sources=sources)
     return {node: fee_avg * value for node, value in result.node.items()}
 
 
 def expected_revenue(
-    digraph,
+    view: GraphView,
     user: Hashable,
     pair_weight: Callable[[Hashable, Hashable], float],
     fee_avg: float,
     sources: Optional[Iterable[Hashable]] = None,
 ) -> float:
     """``E_rev(user)``; see :func:`revenue_profile`."""
-    if user not in digraph:
+    if user not in view:
         return 0.0
-    return revenue_profile(digraph, pair_weight, fee_avg, sources=sources).get(
+    return revenue_profile(view, pair_weight, fee_avg, sources=sources).get(
         user, 0.0
     )

@@ -23,7 +23,6 @@ from .lifecycle import (
     LifecycleCosts,
     sample_close_mode,
 )
-from .mpp import MppResult, MppRouter
 from .rebalancing import (
     ChannelImbalance,
     auto_rebalance,
@@ -39,7 +38,7 @@ from .fees import (
     average_fee,
 )
 from .graph import ChannelGraph
-from .reduced import feasible_pairs, infeasible_edges, reduced_digraph, reduced_view
+from .reduced import feasible_pairs, infeasible_edges, reduced_view
 from .routing import PaymentOutcome, Route, Router
 
 __all__ = [
@@ -66,8 +65,6 @@ __all__ = [
     "HtlcRouter",
     "HtlcState",
     "LinearFee",
-    "MppResult",
-    "MppRouter",
     "PaymentOutcome",
     "PaymentRecord",
     "PiecewiseLinearFee",
@@ -82,6 +79,5 @@ __all__ = [
     "infeasible_edges",
     "pair_weighted_betweenness",
     "pair_weighted_betweenness_exact",
-    "reduced_digraph",
     "uniform_pair_weight",
 ]

@@ -12,7 +12,7 @@ revenue of a node ``u`` (Eq. 3 / Section IV assumption 1) has the same
 shape with node-through-traffic ``m_u(s, r)``, restricted to ``u`` being an
 *intermediary* (``u != s, r``).
 
-Plain ``networkx`` betweenness weights every pair equally, so we implement:
+Classic betweenness weights every pair equally, so we implement:
 
 * :func:`pair_weighted_betweenness` — a generalisation of Brandes'
   accumulation in which the dependency seeded at each target ``r`` is an
@@ -23,14 +23,17 @@ Plain ``networkx`` betweenness weights every pair equally, so we implement:
   shortest paths per pair. Exponentially slower; used as the ground-truth
   cross-check in tests and bench E11.
 
-``pair_weighted_betweenness`` accepts either a legacy ``nx.DiGraph`` (the
-original dict-of-dict Brandes pass) or a :class:`~repro.network.views.GraphView`
-CSR snapshot, in which case the whole accumulation — BFS, sigma counting,
-and the backward dependency sweep — runs as vectorised numpy passes over
-the view's arrays (:func:`betweenness_arrays`). The equilibrium analysis,
-the attacks, the rate estimates and the joining model's fixed-rate
-estimate run on it; the joining model's per-strategy revenue does not (it
-is a closed form over base-graph tables, see :mod:`repro.core.utility`).
+Both take a :class:`~repro.network.views.GraphView` CSR snapshot. The
+Brandes accumulation — BFS, sigma counting and the backward dependency
+sweep — runs as vectorised numpy passes over the view's arrays
+(:func:`betweenness_arrays`), or as a per-node python pass over its
+cached adjacency lists below ``SMALL_GRAPH_NODES`` nodes. Only the
+enumeration oracle needs networkx, and imports it when called.
+
+The equilibrium analysis, the attacks, the rate estimates and the joining
+model's fixed-rate estimate run on the Brandes pass; the joining model's
+per-strategy revenue does not (it is a closed form over base-graph
+tables, see :mod:`repro.core.utility`).
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from .views import SMALL_GRAPH_NODES, GraphView, bfs_shortest_path_tree
@@ -102,7 +104,7 @@ class BetweennessArrays:
         self.edge_values = edge_values
 
     def to_result(self) -> "BetweennessResult":
-        """Translate the arrays into the dict-keyed legacy result shape."""
+        """Translate the arrays into the label-keyed result shape."""
         nodes = self.view.nodes
         node = {label: float(v) for label, v in zip(nodes, self.node_values)}
         rows = self.view.entry_rows()
@@ -227,45 +229,17 @@ def betweenness_arrays(
     return BetweennessArrays(view, node_acc, edge_acc)
 
 
-def _bfs_shortest_paths(
-    graph: nx.DiGraph, source: Hashable
-) -> Tuple[list, Dict[Hashable, list], Dict[Hashable, float], Dict[Hashable, int]]:
-    """Single-source BFS returning Brandes' bookkeeping.
-
-    Returns ``(order, predecessors, sigma, dist)`` where ``order`` lists
-    nodes in non-decreasing distance, ``sigma`` counts shortest paths.
-    """
-    sigma: Dict[Hashable, float] = {source: 1.0}
-    dist: Dict[Hashable, int] = {source: 0}
-    preds: Dict[Hashable, list] = {source: []}
-    order = [source]
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for w in graph.successors(v):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                sigma[w] = 0.0
-                preds[w] = []
-                order.append(w)
-                queue.append(w)
-            if dist[w] == dist[v] + 1:
-                sigma[w] += sigma[v]
-                preds[w].append(v)
-    return order, preds, sigma, dist
-
-
 def pair_weighted_betweenness(
-    graph: nx.DiGraph,
+    view: GraphView,
     pair_weight: PairWeight = uniform_pair_weight,
     sources: Optional[Iterable[Hashable]] = None,
 ) -> BetweennessResult:
     """Brandes' algorithm with per-pair dependency weights.
 
     Args:
-        graph: a :class:`~repro.network.views.GraphView` CSR snapshot (the
-            fast vectorised path) or a legacy directed networkx graph;
-            shortest paths are hop counts either way.
+        view: the CSR snapshot to accumulate over (typically
+            ``graph.view(directed=True)`` or a reduced view); shortest
+            paths are hop counts.
         pair_weight: ``w(s, r)`` — the weight each ordered pair contributes
             (e.g. ``N_s * p_trans(s, r)`` for transaction rates).
         sources: restrict the outer loop to these sources (defaults to all
@@ -274,48 +248,26 @@ def pair_weighted_betweenness(
 
     Returns:
         :class:`BetweennessResult` with node (intermediary-only) and edge
-        accumulations.
+        accumulations: :func:`betweenness_arrays` keyed by node labels.
     """
-    if isinstance(graph, GraphView):
-        return betweenness_arrays(graph, pair_weight, sources=sources).to_result()
-    node_acc: Dict[Hashable, float] = {v: 0.0 for v in graph.nodes}
-    edge_acc: Dict[Edge, float] = {}
-    if sources is None:
-        sources = list(graph.nodes)
-    for s in sources:
-        if s not in graph:
-            continue
-        order, preds, sigma, _dist = _bfs_shortest_paths(graph, s)
-        # Brandes' accumulation, with the classic "+1" per reached target
-        # replaced by "+w(s, target)".
-        delta: Dict[Hashable, float] = {v: 0.0 for v in order}
-        for w in reversed(order):
-            if w == s:
-                continue
-            coeff = (pair_weight(s, w) + delta[w]) / sigma[w]
-            for v in preds[w]:
-                contribution = sigma[v] * coeff
-                if contribution != 0.0:
-                    edge_acc[(v, w)] = edge_acc.get((v, w), 0.0) + contribution
-                    delta[v] += contribution
-        for v in order:
-            if v != s:
-                node_acc[v] += delta[v]
-    return BetweennessResult(node_acc, edge_acc)
+    return betweenness_arrays(view, pair_weight, sources=sources).to_result()
 
 
 def pair_weighted_betweenness_exact(
-    graph: nx.DiGraph,
+    view: GraphView,
     pair_weight: PairWeight = uniform_pair_weight,
 ) -> BetweennessResult:
     """Ground-truth Eq. 2 by explicit shortest-path enumeration.
 
-    Enumerates every shortest path of every ordered pair and accumulates
-    fractional traffic. Exponential in the worst case; only for small
-    graphs (tests, cross-validation benches).
+    Enumerates every shortest path of every ordered pair with
+    ``networkx.all_shortest_paths`` on ``view.to_networkx()`` and
+    accumulates fractional traffic. Exponential in the worst case; only
+    for small graphs (tests, cross-validation benches). Imports networkx
+    when called.
     """
-    if isinstance(graph, GraphView):
-        graph = graph.to_networkx()
+    import networkx as nx
+
+    graph = view.to_networkx()
     node_acc: Dict[Hashable, float] = {v: 0.0 for v in graph.nodes}
     edge_acc: Dict[Edge, float] = {}
     for s in graph.nodes:

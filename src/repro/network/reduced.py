@@ -5,16 +5,14 @@ least ``x`` can forward it. All routing and rate estimation for size-``x``
 transactions therefore operates on the *reduced subgraph*: the directed
 view of the channel graph with under-capacitated edges removed.
 
-The canonical form of ``G'`` is now the immutable CSR snapshot
-:func:`reduced_view`; :func:`reduced_digraph` keeps returning the
-equivalent networkx graph for callers that still want dict-of-dict form.
+``G'`` is the immutable CSR snapshot :func:`reduced_view`; call
+``reduced_view(graph, amount).to_networkx()`` for a networkx copy.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, List, Tuple
 
-import networkx as nx
 import numpy as np
 
 from .graph import ChannelGraph
@@ -22,7 +20,6 @@ from .views import GraphView, bfs_distances
 
 __all__ = [
     "reduced_view",
-    "reduced_digraph",
     "feasible_pairs",
     "infeasible_edges",
 ]
@@ -35,16 +32,6 @@ def reduced_view(graph: ChannelGraph, amount: float) -> GraphView:
     point so call sites read like the paper.
     """
     return graph.view(directed=True, reduced=amount)
-
-
-def reduced_digraph(graph: ChannelGraph, amount: float) -> nx.DiGraph:
-    """``G'`` materialised as a networkx digraph (legacy dict form)."""
-    materialised = reduced_view(graph, amount).to_networkx()
-    if amount > 0.0:
-        # Historically a fresh graph per call that callers could mutate
-        # freely; don't hand out the view's shared cache.
-        return materialised.copy()
-    return materialised
 
 
 def infeasible_edges(

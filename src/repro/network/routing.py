@@ -336,10 +336,12 @@ class Router:
             Lightning onions accumulate fees toward the sender. If False,
             every hop forwards exactly ``amount`` (the paper's simplified
             accounting).
-        path_selection: ``"first"`` always takes networkx's first shortest
-            path; ``"random"`` samples uniformly among *all* shortest paths,
-            which realises exactly the equal-split ``m_e(s,r)/m(s,r)``
-            traffic shares of Eq. 2 (used by the simulator).
+        path_selection: ``"first"`` walks back from the receiver and
+            takes the first predecessor at each hop (deterministic, no RNG
+            draw); ``"random"`` samples uniformly among *all* shortest
+            paths, which realises exactly the equal-split
+            ``m_e(s,r)/m(s,r)`` traffic shares of Eq. 2 (used by the
+            simulator).
         seed: RNG seed for ``"random"`` selection.
     """
 

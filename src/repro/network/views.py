@@ -155,7 +155,6 @@ class GraphView:
         self.min_balance = min_balance
         self.version = version
         self._reverse: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        self._nx_cache: Optional["nx.Graph"] = None
         self._entry_rows: Optional[np.ndarray] = None
         self._adj_lists: Optional[List[List[Tuple[int, int]]]] = None
 
@@ -269,12 +268,10 @@ class GraphView:
 
         Matches the historical ``ChannelGraph.to_undirected()`` /
         ``to_directed()`` output: all nodes present, ``capacity`` edge
-        attribute on undirected views, ``balance`` on directed views. The
-        result is cached on the view (views are immutable); copy before
-        mutating it.
+        attribute on undirected views, ``balance`` on directed views. Each
+        call builds a fresh graph the caller owns; networkx is imported on
+        the first call.
         """
-        if self._nx_cache is not None:
-            return self._nx_cache
         import networkx as nx
 
         rows = self.entry_rows()
@@ -299,7 +296,6 @@ class GraphView:
                         self.nodes[dst],
                         capacity=float(self.capacities[pos]),
                     )
-        self._nx_cache = graph
         return graph
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

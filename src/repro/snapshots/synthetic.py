@@ -15,18 +15,25 @@ actually consumes:
 
 Real snapshots in lnd ``describegraph`` JSON format load through
 :mod:`repro.snapshots.io` into the same :class:`ChannelGraph`.
+
+networkx draws the structure graphs, so the seeded topologies stay those
+of its generators. Each generator imports it when called: the topology
+registry imports this module, and the CLI, the service client and the
+daemon must not pay for networkx until a topology is built.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import networkx as nx
 import numpy as np
 
 from ..errors import InvalidParameter
 from ..network.graph import ChannelGraph
 from ..scenarios.registry import register_topology
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import networkx as nx
 
 __all__ = [
     "barabasi_albert_snapshot",
@@ -36,7 +43,7 @@ __all__ = [
 
 
 def _fund_channels(
-    graph: nx.Graph,
+    graph: "nx.Graph",
     rng: np.random.Generator,
     capacity_mu: float,
     capacity_sigma: float,
@@ -78,6 +85,8 @@ def barabasi_albert_snapshot(
     """
     if n < attachments + 1:
         raise InvalidParameter("need n > attachments")
+    import networkx as nx
+
     rng = np.random.default_rng(seed)
     structure = nx.barabasi_albert_graph(
         n, attachments, seed=int(rng.integers(0, 2**31))
@@ -106,6 +115,8 @@ def core_periphery_snapshot(
         raise InvalidParameter("core_size must be >= 2")
     if periphery_links < 1 or periphery_links > core_size:
         raise InvalidParameter("periphery_links must be in [1, core_size]")
+    import networkx as nx
+
     rng = np.random.default_rng(seed)
     structure = nx.Graph()
     core = list(range(core_size))
@@ -142,6 +153,8 @@ def erdos_renyi_snapshot(
         raise InvalidParameter("n must be >= 2")
     if not 0 < p <= 1:
         raise InvalidParameter("p must be in (0, 1]")
+    import networkx as nx
+
     rng = np.random.default_rng(seed)
     for _ in range(1000):
         structure = nx.gnp_random_graph(n, p, seed=int(rng.integers(0, 2**31)))

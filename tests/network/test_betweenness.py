@@ -1,4 +1,11 @@
-"""Unit tests for pair-weighted betweenness (the Eq. 2 engine)."""
+"""Unit tests for pair-weighted betweenness (the Eq. 2 engine).
+
+Every case runs on a :class:`~repro.network.views.GraphView`. Structures
+are written as networkx digraphs, which also serve as the external
+reference (``nx.betweenness_centrality``); :func:`directed_view` turns
+each into a channel graph whose reduced directed view has exactly the
+same edges.
+"""
 
 import networkx as nx
 import pytest
@@ -8,6 +15,22 @@ from repro.network.betweenness import (
     pair_weighted_betweenness_exact,
     uniform_pair_weight,
 )
+from repro.network.graph import ChannelGraph
+from repro.network.views import GraphView
+
+
+def directed_view(structure: nx.DiGraph) -> GraphView:
+    """The view whose directed edges are exactly ``structure``'s.
+
+    Each directed edge ``u -> v`` is a channel funded on ``u``'s side
+    only; the view reduced at 0.5 drops the unfunded directions.
+    """
+    graph = ChannelGraph()
+    for node in structure.nodes:
+        graph.add_node(node)
+    for u, v in structure.edges:
+        graph.add_channel(u, v, 1.0, 0.0)
+    return graph.view(directed=True, reduced=0.5)
 
 
 def _line_digraph(n: int) -> nx.DiGraph:
@@ -32,7 +55,7 @@ class TestAgainstNetworkx:
     )
     def test_node_betweenness_matches(self, maker):
         graph = maker()
-        ours = pair_weighted_betweenness(graph, uniform_pair_weight)
+        ours = pair_weighted_betweenness(directed_view(graph), uniform_pair_weight)
         reference = nx.betweenness_centrality(graph, normalized=False)
         for node in graph.nodes:
             assert ours.node_value(node) == pytest.approx(
@@ -48,7 +71,7 @@ class TestAgainstNetworkx:
     )
     def test_edge_betweenness_matches(self, maker):
         graph = maker()
-        ours = pair_weighted_betweenness(graph, uniform_pair_weight)
+        ours = pair_weighted_betweenness(directed_view(graph), uniform_pair_weight)
         reference = nx.edge_betweenness_centrality(graph, normalized=False)
         for edge, value in reference.items():
             assert ours.edge_value(*edge) == pytest.approx(value, abs=1e-9)
@@ -64,8 +87,9 @@ class TestExactCrossCheck:
             if s != r
         }
         weight_fn = lambda s, r: weights[(s, r)]
-        fast = pair_weighted_betweenness(graph, weight_fn)
-        slow = pair_weighted_betweenness_exact(graph, weight_fn)
+        view = directed_view(graph)
+        fast = pair_weighted_betweenness(view, weight_fn)
+        slow = pair_weighted_betweenness_exact(view, weight_fn)
         for node in graph.nodes:
             assert fast.node_value(node) == pytest.approx(
                 slow.node_value(node), abs=1e-9
@@ -79,7 +103,7 @@ class TestExactCrossCheck:
         for u, v in [(0, 1), (0, 2), (1, 3), (2, 3)]:
             graph.add_edge(u, v)
             graph.add_edge(v, u)
-        result = pair_weighted_betweenness(graph, uniform_pair_weight)
+        result = pair_weighted_betweenness(directed_view(graph), uniform_pair_weight)
         # each middle node carries half of 0->3 and half of 3->0
         assert result.node_value(1) == pytest.approx(1.0)
         assert result.node_value(2) == pytest.approx(1.0)
@@ -87,30 +111,30 @@ class TestExactCrossCheck:
 
 class TestStructure:
     def test_endpoints_not_counted_as_intermediaries(self):
-        graph = _line_digraph(3)  # 0-1-2
-        result = pair_weighted_betweenness(graph, uniform_pair_weight)
+        view = directed_view(_line_digraph(3))  # 0-1-2
+        result = pair_weighted_betweenness(view, uniform_pair_weight)
         assert result.node_value(0) == 0.0
         assert result.node_value(2) == 0.0
         assert result.node_value(1) == pytest.approx(2.0)  # 0->2 and 2->0
 
     def test_edge_values_include_endpoint_hops(self):
-        graph = _line_digraph(2)  # single edge both ways
-        result = pair_weighted_betweenness(graph, uniform_pair_weight)
+        view = directed_view(_line_digraph(2))  # single edge both ways
+        result = pair_weighted_betweenness(view, uniform_pair_weight)
         assert result.edge_value(0, 1) == pytest.approx(1.0)
         assert result.edge_value(1, 0) == pytest.approx(1.0)
 
     def test_sources_restriction(self):
-        graph = _line_digraph(4)
+        view = directed_view(_line_digraph(4))
         only_zero = pair_weighted_betweenness(
-            graph, uniform_pair_weight, sources=[0]
+            view, uniform_pair_weight, sources=[0]
         )
         # only paths from 0: 0->2 passes 1; 0->3 passes 1,2
         assert only_zero.node_value(1) == pytest.approx(2.0)
         assert only_zero.node_value(2) == pytest.approx(1.0)
 
     def test_zero_weight_pairs_contribute_nothing(self):
-        graph = _line_digraph(4)
-        result = pair_weighted_betweenness(graph, lambda s, r: 0.0)
+        view = directed_view(_line_digraph(4))
+        result = pair_weighted_betweenness(view, lambda s, r: 0.0)
         assert all(v == 0.0 for v in result.node.values())
         assert all(v == 0.0 for v in result.edge.values())
 
@@ -119,12 +143,12 @@ class TestStructure:
         graph.add_edge(0, 1)
         graph.add_edge(1, 0)
         graph.add_node(2)
-        result = pair_weighted_betweenness(graph, uniform_pair_weight)
+        result = pair_weighted_betweenness(directed_view(graph), uniform_pair_weight)
         assert result.node_value(2) == 0.0
 
     def test_unknown_source_ignored(self):
-        graph = _line_digraph(3)
+        view = directed_view(_line_digraph(3))
         result = pair_weighted_betweenness(
-            graph, uniform_pair_weight, sources=["ghost", 0]
+            view, uniform_pair_weight, sources=["ghost", 0]
         )
         assert result.node_value(1) == pytest.approx(1.0)

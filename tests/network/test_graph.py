@@ -127,15 +127,29 @@ class TestViews:
         assert undirected.number_of_edges() == 4
 
     def test_undirected_view_cached(self, diamond):
-        first = diamond.view(directed=False).to_networkx()
-        assert first is diamond.view(directed=False).to_networkx()
+        assert diamond.view(directed=False) is diamond.view(directed=False)
 
     def test_undirected_cache_invalidated_on_mutation(self, diamond):
-        view1 = diamond.view(directed=False).to_networkx()
+        view1 = diamond.view(directed=False)
         diamond.add_channel("d", "e", 1.0)
-        view2 = diamond.view(directed=False).to_networkx()
+        view2 = diamond.view(directed=False)
         assert view1 is not view2
-        assert view2.has_edge("d", "e")
+        assert view2.to_networkx().has_edge("d", "e")
+        assert not view1.to_networkx().has_edge("d", "e")
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_to_networkx_returns_a_fresh_graph(self, diamond, directed):
+        """Mutating one materialisation leaves the next one intact, even
+        though the view itself is cached per graph version."""
+        view = diamond.view(directed=directed)
+        first = view.to_networkx()
+        edges = sorted(first.edges)
+        first.remove_edge("a", "b")
+        first.add_edge("a", "ghost")
+        second = diamond.view(directed=directed).to_networkx()
+        assert second is not first
+        assert sorted(second.edges) == edges
+        assert "ghost" not in second
 
     def test_undirected_merges_parallel_capacity(self):
         graph = ChannelGraph()

@@ -2,17 +2,18 @@
 
 Randomised graphs: everything the CSR snapshots compute — pair-weighted
 betweenness, shortest-path counts, hop distances, reduced-subgraph
-membership, routing — must match the legacy networkx implementations
-within 1e-9.
+membership, routing — must match networkx run on ``view.to_networkx()``,
+or the shortest-path enumeration oracle, within 1e-9.
 """
 
+import networkx as nx
 import pytest
 
 from repro.errors import InvalidParameter, ScenarioError
 from repro.network.betweenness import (
-    _bfs_shortest_paths,
     betweenness_arrays,
     pair_weighted_betweenness,
+    pair_weighted_betweenness_exact,
 )
 from repro.network.graph import ChannelGraph
 from repro.network.reduced import feasible_pairs, infeasible_edges, reduced_view
@@ -30,9 +31,18 @@ from repro.transactions.zipf import ModifiedZipf
 TOL = 1e-9
 
 
-def legacy_digraph(graph: ChannelGraph, min_balance: float = 0.0):
-    """The networkx materialisation without tripping the deprecation."""
+def reference_digraph(graph: ChannelGraph, min_balance: float = 0.0):
+    """The (reduced) directed view as a networkx graph, for references."""
     return graph.view(directed=True, reduced=min_balance).to_networkx()
+
+
+def assert_results_match(fast, reference):
+    for node in reference.node:
+        assert fast.node[node] == pytest.approx(reference.node[node], abs=TOL)
+    for edge in set(reference.edge) | set(fast.edge):
+        assert fast.edge.get(edge, 0.0) == pytest.approx(
+            reference.edge.get(edge, 0.0), abs=TOL
+        )
 
 
 def random_graphs():
@@ -50,7 +60,7 @@ class TestViewStructure:
     def test_nodes_and_entries_match_digraph(self):
         for graph in random_graphs():
             view = graph.view(directed=True)
-            digraph = legacy_digraph(graph)
+            digraph = reference_digraph(graph)
             assert set(view.nodes) == set(digraph.nodes)
             rows = view.entry_rows()
             edges = {
@@ -62,7 +72,7 @@ class TestViewStructure:
     def test_balances_match_digraph(self):
         graph = barabasi_albert_snapshot(40, seed=9)
         view = graph.view(directed=True)
-        digraph = legacy_digraph(graph)
+        digraph = reference_digraph(graph)
         rows = view.entry_rows()
         for k in range(view.num_entries):
             src = view.nodes[rows[k]]
@@ -121,17 +131,14 @@ class TestViewStructure:
 class TestBetweennessParity:
     def test_uniform_weights(self):
         for graph in random_graphs():
-            view = graph.view(directed=True)
-            legacy = pair_weighted_betweenness(legacy_digraph(graph))
-            fast = pair_weighted_betweenness(view)
-            for node in legacy.node:
-                assert fast.node[node] == pytest.approx(
-                    legacy.node[node], abs=TOL
-                )
-            for edge in set(legacy.edge) | set(fast.edge):
-                assert fast.edge.get(edge, 0.0) == pytest.approx(
-                    legacy.edge.get(edge, 0.0), abs=TOL
-                )
+            digraph = reference_digraph(graph)
+            fast = pair_weighted_betweenness(graph.view(directed=True))
+            nodes = nx.betweenness_centrality(digraph, normalized=False)
+            edges = nx.edge_betweenness_centrality(digraph, normalized=False)
+            for node, value in nodes.items():
+                assert fast.node[node] == pytest.approx(value, abs=TOL)
+            for edge, value in edges.items():
+                assert fast.edge_value(*edge) == pytest.approx(value, abs=TOL)
 
     def test_zipf_weights(self):
         for graph in random_graphs()[:4]:
@@ -140,38 +147,34 @@ class TestBetweennessParity:
             def weight(s, r):
                 return distribution.probability(s, r)
 
-            legacy = pair_weighted_betweenness(legacy_digraph(graph), weight)
-            fast = pair_weighted_betweenness(graph.view(directed=True), weight)
-            for node in legacy.node:
-                assert fast.node[node] == pytest.approx(
-                    legacy.node[node], abs=TOL
-                )
-            for edge in set(legacy.edge) | set(fast.edge):
-                assert fast.edge.get(edge, 0.0) == pytest.approx(
-                    legacy.edge.get(edge, 0.0), abs=TOL
-                )
+            view = graph.view(directed=True)
+            assert_results_match(
+                pair_weighted_betweenness(view, weight),
+                pair_weighted_betweenness_exact(view, weight),
+            )
 
     def test_restricted_sources(self):
         graph = barabasi_albert_snapshot(30, seed=5)
-        sources = list(graph.nodes)[:7]
-        legacy = pair_weighted_betweenness(
-            legacy_digraph(graph), sources=sources
+        view = graph.view(directed=True)
+        sources = set(list(graph.nodes)[:7])
+        assert_results_match(
+            pair_weighted_betweenness(view, sources=sources),
+            pair_weighted_betweenness_exact(
+                view, lambda s, _r: 1.0 if s in sources else 0.0
+            ),
         )
-        fast = pair_weighted_betweenness(
-            graph.view(directed=True), sources=sources
-        )
-        for node in legacy.node:
-            assert fast.node[node] == pytest.approx(legacy.node[node], abs=TOL)
 
     def test_reduced_subgraph_betweenness(self):
         graph = barabasi_albert_snapshot(30, seed=11)
         amount = 2.0
-        legacy = pair_weighted_betweenness(legacy_digraph(graph, amount))
+        reference = nx.betweenness_centrality(
+            reference_digraph(graph, amount), normalized=False
+        )
         fast = pair_weighted_betweenness(
             graph.view(directed=True, reduced=amount)
         )
-        for node in legacy.node:
-            assert fast.node[node] == pytest.approx(legacy.node[node], abs=TOL)
+        for node, value in reference.items():
+            assert fast.node[node] == pytest.approx(value, abs=TOL)
 
     def test_arrays_form(self):
         graph = barabasi_albert_snapshot(20, seed=2)
@@ -189,29 +192,25 @@ class TestShortestPathCounts:
     def test_sigma_matches_legacy_bfs(self):
         for graph in random_graphs():
             view = graph.view(directed=True)
-            digraph = legacy_digraph(graph)
+            digraph = reference_digraph(graph)
             for source in list(view.nodes)[:5]:
-                _, _, legacy_sigma, legacy_dist = _bfs_shortest_paths(
-                    digraph, source
-                )
+                dist = nx.single_source_shortest_path_length(digraph, source)
                 tree = bfs_shortest_path_tree(view, view.index_of(source))
                 for i, node in enumerate(view.nodes):
-                    if node in legacy_dist:
-                        assert tree.dist[i] == legacy_dist[node]
-                        assert tree.sigma[i] == pytest.approx(
-                            legacy_sigma[node], abs=TOL
-                        )
+                    if node in dist:
+                        assert tree.dist[i] == dist[node]
+                        paths = nx.all_shortest_paths(digraph, source, node)
+                        assert tree.sigma[i] == sum(1 for _ in paths)
                     else:
                         assert tree.dist[i] == -1
 
     def test_hop_distances_match(self):
         graph = barabasi_albert_snapshot(35, seed=13)
         view = graph.view(directed=True)
-        digraph = legacy_digraph(graph)
+        digraph = reference_digraph(graph)
         for source in list(view.nodes)[:5]:
-            legacy = single_source_hops(digraph, source)
-            fast = single_source_hops(view, source)
-            assert fast == legacy
+            expected = nx.single_source_shortest_path_length(digraph, source)
+            assert single_source_hops(view, source) == expected
 
     def test_blocked_nodes_excluded(self):
         graph = ChannelGraph.from_edges([("a", "b"), ("b", "c"), ("a", "c")])
@@ -225,9 +224,7 @@ class TestShortestPathCounts:
     def test_shortest_path_indices_roundtrip(self):
         graph = barabasi_albert_snapshot(25, seed=4)
         view = graph.view(directed=True)
-        digraph = legacy_digraph(graph)
-        import networkx as nx
-
+        digraph = reference_digraph(graph)
         for target in list(view.nodes)[1:6]:
             path = shortest_path_indices(
                 view, view.index_of(view.nodes[0]), view.index_of(target)
@@ -244,7 +241,7 @@ class TestReducedParity:
         for graph in random_graphs()[:4]:
             for amount in (0.5, 2.0, 8.0):
                 view = reduced_view(graph, amount)
-                digraph = legacy_digraph(graph, amount)
+                digraph = reference_digraph(graph, amount)
                 rows = view.entry_rows()
                 edges = {
                     (view.nodes[rows[k]], view.nodes[view.indices[k]])
@@ -253,11 +250,9 @@ class TestReducedParity:
                 assert edges == set(digraph.edges)
 
     def test_feasible_pairs_matches_descendants(self):
-        import networkx as nx
-
         graph = barabasi_albert_snapshot(25, seed=21)
         for amount in (1.0, 4.0):
-            digraph = legacy_digraph(graph, amount)
+            digraph = reference_digraph(graph, amount)
             expected = sum(
                 len(nx.descendants(digraph, s)) for s in digraph.nodes
             )
@@ -266,7 +261,7 @@ class TestReducedParity:
     def test_infeasible_edges_sorted_and_complete(self):
         graph = barabasi_albert_snapshot(20, seed=6)
         amount = 3.0
-        digraph = legacy_digraph(graph)
+        digraph = reference_digraph(graph)
         expected = sorted(
             (
                 (s, d, data["balance"])
@@ -283,11 +278,9 @@ class TestReducedParity:
 
 class TestRoutingOnViews:
     def test_first_route_is_shortest_and_feasible(self):
-        import networkx as nx
-
         graph = barabasi_albert_snapshot(30, seed=17, capacity_mu=3.0)
         router = Router(graph)
-        digraph = legacy_digraph(graph, 1.0)
+        digraph = reference_digraph(graph, 1.0)
         nodes = list(graph.nodes)
         for sender, receiver in zip(nodes[:6], nodes[6:12]):
             try:
@@ -302,11 +295,9 @@ class TestRoutingOnViews:
                 ) >= 1.0
 
     def test_random_routes_are_shortest(self):
-        import networkx as nx
-
         graph = barabasi_albert_snapshot(30, seed=19, capacity_mu=3.0)
         router = Router(graph, path_selection="random", seed=3)
-        digraph = legacy_digraph(graph, 1.0)
+        digraph = reference_digraph(graph, 1.0)
         nodes = list(graph.nodes)
         sender, receiver = nodes[0], nodes[-1]
         expected = nx.shortest_path_length(digraph, sender, receiver)
@@ -344,13 +335,12 @@ class TestRoutingOnViews:
 
     def test_csr_branch_matches_small_branch(self):
         """The two dispatch branches must agree on the same graph."""
-        import networkx as nx
         from repro.network import views as views_module
 
         graph = barabasi_albert_snapshot(
             views_module.SMALL_GRAPH_NODES + 20, seed=29, capacity_mu=3.0
         )
-        digraph = legacy_digraph(graph, 1.0)
+        digraph = reference_digraph(graph, 1.0)
         nodes = list(graph.nodes)
         csr_router = Router(graph)
         for sender, receiver in zip(nodes[:8], nodes[8:16]):

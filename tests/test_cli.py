@@ -22,16 +22,57 @@ class TestParser:
         assert exc.value.code == 0
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    """``scipy.stats`` costs more than the rest of ``import repro.cli``."""
+HEAVY_MODULES = ("networkx", "scipy.stats")
+
+#: Entry points that must not pay for networkx or scipy.stats at import.
+#: The ``serve`` probe starts a daemon on an ephemeral port and checks
+#: once it is listening.
+IMPORT_PROBES = {
+    "import repro": "import repro\nreport()",
+    "import repro.cli": "import repro.cli\nreport()",
+    "ServiceClient": "from repro.service import ServiceClient\nreport()",
+    "serve": (
+        "import os\n"
+        "from repro.service.daemon import run_server\n"
+        "def ready(host, port):\n"
+        "    report()\n"
+        "    os._exit(0)\n"
+        "run_server(port=0, workers=1, worker='thread', ready=ready)"
+    ),
+}
+
+
+def run_probe(code: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
-    probe = "import sys, repro.cli; print('scipy.stats' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", probe],
-        env=env, capture_output=True, text=True, check=True,
+    prelude = (
+        "import sys\n"
+        "def report():\n"
+        f"    print([m for m in {HEAVY_MODULES!r} if m in sys.modules], flush=True)\n"
     )
-    assert result.stdout.strip() == "False"
+    result = subprocess.run(
+        [sys.executable, "-c", prelude + code],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    return result.stdout.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("code", IMPORT_PROBES.values(), ids=IMPORT_PROBES.keys())
+def test_entry_point_leaves_heavy_modules_unloaded(code):
+    """networkx and ``scipy.stats`` are loaded only by the code that calls
+    into them: synthetic generators, ``to_networkx``, the exact
+    betweenness oracle and the estimation statistics."""
+    assert run_probe(code) == "[]"
+
+
+def test_networkx_loads_when_materialising_a_view():
+    code = (
+        "from repro.snapshots import barabasi_albert_snapshot\n"
+        "graph = barabasi_albert_snapshot(10, seed=1).view().to_networkx()\n"
+        "assert graph.number_of_nodes() == 10\n"
+        "report()"
+    )
+    assert run_probe(code) == "['networkx']"
 
 
 class TestGenerate:
