@@ -3,10 +3,14 @@
 Each case runs one seeded scenario on the batched backend and hashes its
 result document with :func:`repro.service.hashing.content_hash`. The
 cases cover both routing branches of the backend: BA-200 takes the
-large-graph branch (bidirectional search over the frozen view), BA-60
-takes the small-graph python BFS. Instant mode replays a trace; HTLC mode and the attack go
-through the event queue. A change to any route choice, RNG draw, balance
-update or metric booking moves a digest.
+large-graph branch (bidirectional search over the frozen view); BA-60
+and the 140-node circle take the small-graph branch (the guided search
+of the shortest-path DAG). Instant mode replays a trace; HTLC mode and
+the attacks go through the event queue. A change to any route choice,
+RNG draw, balance update or metric booking moves a digest. Cases added
+after the first ten also pin a readable digest next to the hash:
+attempted and succeeded payments and the failure-reason counts, so a
+failure shows what changed.
 
 Channel ids come from a process-wide counter, so the graph section is
 hashed without them; everything else in the result document is pinned
@@ -138,4 +142,99 @@ def test_slow_jamming_ba60():
     ).attack
     assert content_hash(report.to_dict()) == (
         "bc2932c0d4ad1e290f181711eab63ac415357882f0253c0b2f008dfedab2bde1"
+    )
+
+
+def readable(metrics):
+    """``(attempted, succeeded, failure reasons)`` of one run's metrics."""
+    return (
+        metrics.attempted,
+        metrics.succeeded,
+        dict(sorted(metrics.failure_reasons.items())),
+    )
+
+
+def test_instant_ba60_first():
+    result = ScenarioRunner().run(scenario(60, 10.0, path_selection="first"))
+    assert (readable(result.metrics), result_digest(result)) == (
+        (569, 554, {"no-capacity-path": 11, "split-balance": 4}),
+        "4592ece2d4b498898bcb1ff919da8b26791a25bfaaef81d689b481c21d950f64",
+    )
+
+
+#: Depleted BA-60 (capacity_mu=1.0): about 80% of payments fail, so many
+#: small-branch searches end with no path under the balance mask.
+DEPLETED_BA60 = [
+    (
+        "random",
+        (569, 120, {"no-capacity-path": 433, "split-balance": 16}),
+        "13185278c6ec92c533c2419383698e5158887dcab68252058a57cfcc6f7a2fd4",
+    ),
+    (
+        "first",
+        (569, 119, {"no-capacity-path": 439, "split-balance": 11}),
+        "0372e0fafc90298e8479bb3b4e970cda2409d4b06d6f479e5dabf8b24069d3fc",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "path_selection, counts, expected",
+    DEPLETED_BA60,
+    ids=[sel for sel, _, _ in DEPLETED_BA60],
+)
+def test_instant_ba60_depleted(path_selection, counts, expected):
+    result = ScenarioRunner().run(
+        scenario(60, 10.0, capacity_mu=1.0, path_selection=path_selection)
+    )
+    assert (readable(result.metrics), result_digest(result)) == (
+        counts, expected
+    )
+
+
+#: The two other circuit attacks on BA-60 in HTLC mode; the report is
+#: hashed as in the slow-jamming case, the readable digest is the
+#: attacked run's.
+ATTACKS_BA60 = [
+    (
+        "liquidity-depletion",
+        (297, 295, {"lock-contention": 2}),
+        "827a75182e1bd79c69245836468c0f574fba9e11384ca0948dd9d827f8fade1f",
+    ),
+    (
+        "fee-griefing",
+        (297, 296, {"lock-contention": 1}),
+        "0ae45abb5d8f6969879a7b1a9e81df23a3fdc089d80edb47717c63b70ad88a1a",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, counts, expected",
+    ATTACKS_BA60,
+    ids=[kind for kind, _, _ in ATTACKS_BA60],
+)
+def test_attack_ba60(kind, counts, expected):
+    attack = {"kind": kind, "params": {"budget": 200.0}}
+    result = ScenarioRunner().run(
+        scenario(60, 5.0, attack=attack, payment_mode="htlc")
+    )
+    digest = content_hash(result.attack.to_dict())
+    assert (readable(result.metrics), digest) == (counts, expected)
+
+
+def test_instant_circle140():
+    """A 140-node cycle: once a payment drains the short way round, later
+    routes go the long way, far past the unfiltered hop distance."""
+    document = {
+        "seed": SEED,
+        "topology": {"kind": "circle", "params": {"n": 140, "balance": 10.0}},
+        "workload": ZIPF,
+        "fee": FEE,
+        "simulation": {"horizon": 10.0, "backend": "batched"},
+    }
+    result = ScenarioRunner().run(Scenario.from_dict(document))
+    assert (readable(result.metrics), result_digest(result)) == (
+        (1401, 941, {"no-capacity-path": 336, "split-balance": 124}),
+        "618d4450f5dc0192e4c482e81599b8e1df8e3ed6654989aa41593e3e7a710ebf",
     )
