@@ -49,8 +49,10 @@ def select_victim(graph: ChannelGraph, victim: Optional[str] = None) -> Hashable
     An explicit ``victim`` must exist in the graph. Otherwise the node
     with the highest pair-weighted betweenness — the one earning the most
     routing revenue under uniform traffic, hence the one whose revenue an
-    attacker can destroy the most of — is chosen (ties break toward the
-    smallest node id, so selection is deterministic).
+    attacker can destroy the most of — is chosen. Ties break toward the
+    node whose ``str`` sorts first, so selection is deterministic. That
+    is string order, not numeric order: node 10 wins a tie against
+    node 9, and ``"n10"`` against ``"n9"``.
     """
     if victim is not None:
         if victim not in graph:

@@ -11,13 +11,27 @@ the same result:
   a payment of size ``x`` is the boolean mask ``balances >= x`` — no
   python per-channel loop, ever;
 * every payment is routed from current state over the masked entries.
-  Below :data:`~repro.network.views.SMALL_GRAPH_NODES` nodes this is the
-  python BFS and walk the event engine's
-  :class:`~repro.network.routing.Router` runs on its reduced view. On
-  larger graphs it is :func:`~repro.network.routing.bidirectional_route`,
-  a python search from both ends that builds only the sender-receiver
-  shortest-path DAG; it shares no code with the ``Router``'s numpy CSR
-  search, but returns the same path;
+  Below :data:`~repro.network.views.SMALL_GRAPH_NODES` nodes this is
+  :func:`~repro.network.routing.guided_bfs_structure` plus the walk the
+  event engine's :class:`~repro.network.routing.Router` runs on its
+  reduced view. The search is the ``Router``'s python BFS, cut down to
+  the sender-receiver shortest-path DAG: it admits a node at level
+  ``k`` only if ``k`` plus its hop distance to the receiver in the
+  unmasked view (one BFS per receiver, cached) stays within a bound.
+  Masking only removes entries, so that distance never overestimates
+  the masked one, and every node on a masked shortest path is admitted
+  at its true level through all its predecessors, in BFS pop order:
+  path counts, predecessor order and walk draws are unchanged. At most
+  two pruned passes run before the full BFS takes over. On
+  ``attack-htlc`` (BA-100) this cuts the ~50 µs whole-graph search per
+  payment to ~14 µs. On larger graphs the route is
+  :func:`~repro.network.routing.bidirectional_route`, a python search
+  from both ends that builds only the sender-receiver shortest-path
+  DAG; it shares no code with the ``Router``'s numpy CSR search, but
+  returns the same path. The split at 150 nodes stays: the guided
+  search there lost 6% ``work_per_s`` on ``simulate-large``, because a
+  BA-200 run needs ~150 receiver rows at ~50 µs each, and the
+  bidirectional search at 100 nodes gained only 9% on ``attack-htlc``;
 * routing decisions therefore match the event engine payment for
   payment, including the RNG draws of ``path_selection="random"``,
   which weight the same path counts in the same trace order;
@@ -66,7 +80,8 @@ from ..network.routing import (
     PaymentRouteRng,
     Router,
     bidirectional_route,
-    small_bfs_structure,
+    guided_bfs_structure,
+    hops_to_target,
     walk_small,
 )
 from ..network.views import SMALL_GRAPH_NODES, GraphView
@@ -588,9 +603,13 @@ class _ArrayState:
         self.entry_rows = view.entry_rows()
         self.rev_entry = self._reverse_entries(view)
         # Python adjacency rows for the per-payment searches: successors
-        # (both branches) and predecessors sorted by index (CSR branch).
+        # (both branches) and predecessors sorted by index (the CSR
+        # branch's search, the small branch's receiver rows).
         self.full_adj = view.adjacency_lists()
         self.full_radj = view.reverse_adjacency_lists()
+        #: Receiver -> hop distances to it over the frozen view (small
+        #: branch): the guide of :func:`guided_bfs_structure`.
+        self.hops_to: Dict[int, List[int]] = {}
         # Event-mode lookups: node name -> index, directed (src, dst)
         # index pair -> CSR entry.
         self.node_index: Dict[Hashable, int] = {
@@ -705,11 +724,17 @@ class _ArrayState:
 
         The flags ``balances >= amount`` keep exactly the entries the
         event engine's ``Router`` finds in its reduced view. Small graphs
-        run the ``Router``'s own python BFS and walk, skipping dropped
-        entries inline; larger ones run :func:`bidirectional_route`,
-        which returns the path the ``Router``'s numpy search and walk
-        would, with the same RNG draws. Both trace mode and event mode
-        route here; the caller applies the outcome.
+        run :func:`guided_bfs_structure`, the ``Router``'s python BFS
+        restricted to the sender-receiver shortest-path DAG by the hop
+        distances to ``r`` over the frozen view (built on first use per
+        receiver, kept in :attr:`hops_to`), then the ``Router``'s walk:
+        same path, same draws, at about a quarter of the whole-graph
+        search's cost on BA-100. Larger ones run
+        :func:`bidirectional_route`, which returns the path the
+        ``Router``'s numpy search and walk would, with the same RNG
+        draws; there the per-receiver rows would cost what the guided
+        search saves. Both trace mode and event mode route here; the
+        caller applies the outcome.
         """
         self.route_searches += 1
         # One byte per entry: a python list of bools costs ~10x as much
@@ -717,8 +742,11 @@ class _ArrayState:
         kept = (self.balances >= amount).tobytes()
         selection = self.engine.router.path_selection
         if self.small:
-            dist, sigma, preds = small_bfs_structure(
-                self.full_adj, self.n, s, r, kept
+            hops = self.hops_to.get(r)
+            if hops is None:
+                hops = self.hops_to[r] = hops_to_target(self.full_radj, r)
+            dist, sigma, preds = guided_bfs_structure(
+                self.full_adj, self.n, s, r, kept, hops
             )
             return walk_small(dist, sigma, preds, s, r, selection, rng)
         return bidirectional_route(

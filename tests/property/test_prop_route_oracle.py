@@ -3,12 +3,15 @@ event engine's.
 
 The event engine's ``Router`` routes a payment of size ``x`` with
 :func:`bfs_shortest_path_tree` plus :func:`walk_csr` over
-``graph.view(directed=True, reduced=x)``. The batched backend routes over
-the unreduced view with per-entry flags ``(balances >= x).tobytes()``:
-:func:`bidirectional_route` from 150 nodes on, :func:`small_bfs_structure`
-with ``kept`` below that. Both must give the same path, the same ``None``
-verdict and the same RNG draws on any graph, so the functions are called
-directly here, on small graphs too.
+``graph.view(directed=True, reduced=x)`` from 150 nodes on, and with
+:func:`small_bfs_structure` plus :func:`walk_small` below that. The
+batched backend routes over the unreduced view with per-entry flags
+``(balances >= x).tobytes()``: :func:`bidirectional_route` from 150
+nodes on, :func:`guided_bfs_structure` plus :func:`walk_small` below
+that, guided by :func:`hops_to_target` over the unreduced view. Each
+batched search must give the same path, the same ``None`` verdict and
+the same RNG draws as its event-engine counterpart on any graph, so the
+functions are called directly here, on small graphs too.
 """
 
 from __future__ import annotations
@@ -18,7 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network.graph import ChannelGraph
-from repro.network.routing import bidirectional_route, small_bfs_structure, walk_csr
+from repro.network.routing import (
+    bidirectional_route,
+    guided_bfs_structure,
+    hops_to_target,
+    small_bfs_structure,
+    walk_csr,
+    walk_small,
+)
 from repro.network.views import bfs_shortest_path_tree
 from repro.snapshots.synthetic import barabasi_albert_snapshot
 
@@ -117,6 +127,63 @@ def test_small_bfs_kept_matches_masked_lists(payment):
     assert small_bfs_structure(adj, n, sender, receiver, kept) == (
         small_bfs_structure(masked, n, sender, receiver)
     )
+
+
+@given(
+    payment=payments(),
+    selection=st.sampled_from(["random", "first"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=400, deadline=None)
+def test_guided_search_matches_small_bfs(payment, selection, seed):
+    graph, sender, receiver, amount = payment
+    full = graph.view(directed=True)
+    kept = (full.balances >= amount).tobytes()
+    adj = full.adjacency_lists()
+    n = full.num_nodes
+    hops = hops_to_target(full.reverse_adjacency_lists(), receiver)
+    expected_rng = np.random.default_rng(seed)
+    actual_rng = np.random.default_rng(seed)
+    expected = walk_small(
+        *small_bfs_structure(adj, n, sender, receiver, kept),
+        sender, receiver, selection, expected_rng,
+    )
+    actual = walk_small(
+        *guided_bfs_structure(adj, n, sender, receiver, kept, hops),
+        sender, receiver, selection, actual_rng,
+    )
+    assert actual == expected
+    assert actual_rng.random() == expected_rng.random()
+
+
+def test_guided_search_matches_small_bfs_on_ba60():
+    """Payments on a depleted BA-60 graph: many ties between shortest
+    paths, and every exit of the guided search."""
+    graph = barabasi_albert_snapshot(60, capacity_mu=1.0, seed=3)
+    full = graph.view(directed=True)
+    assert full.nodes[:3] == ("n0", "n1", "n2")
+    adj, radj, n = full.adjacency_lists(), full.reverse_adjacency_lists(), 60
+    rng = np.random.default_rng(5)
+    lengths = set()
+    for _ in range(300):
+        sender, receiver = (int(i) for i in rng.choice(n, 2, replace=False))
+        kept = (full.balances >= float(rng.choice([0.5, 2.0, 6.0]))).tobytes()
+        hops = hops_to_target(radj, receiver)
+        guided = guided_bfs_structure(adj, n, sender, receiver, kept, hops)
+        plain = small_bfs_structure(adj, n, sender, receiver, kept)
+        assert guided[0][receiver] == plain[0][receiver]
+        assert guided[1][receiver] == plain[1][receiver]
+        for selection in ("random", "first"):
+            seed = int(rng.integers(2**32))
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            path = walk_small(*guided, sender, receiver, selection, ours)
+            assert path == walk_small(*plain, sender, receiver, selection, theirs)
+            assert ours.random() == theirs.random()
+        if plain[0][receiver] >= 0:
+            lengths.add(plain[0][receiver] - hops[sender])
+    # Routes as short as the unmasked distance and longer ones: the
+    # first pass, and the second pass or the fallback.
+    assert 0 in lengths and len(lengths) > 1
 
 
 def test_bidirectional_route_matches_router_search_on_ba200():
