@@ -71,18 +71,21 @@ def small_bfs_structure(
     source: int,
     target: int,
     kept: Optional[Sequence[int]] = None,
-) -> Tuple[List[int], List[float], List[List[int]]]:
+) -> Tuple[List[int], List[float], List[Optional[List[int]]]]:
     """Python BFS bookkeeping ``(dist, sigma, preds)`` for small graphs.
 
     The search stops once ``target`` pops (its level is complete by
-    then), so every node at depth <= ``dist[target]`` is exact. ``kept``
+    then), so every node at depth <= ``dist[target]`` is exact. ``preds``
+    rows are ``None`` for the source and for nodes never reached. ``kept``
     holds optional per-entry flags: entries whose flag is 0 are skipped,
     which gives the same result, in the same order, as a search over
     adjacency lists with those entries removed.
     """
     dist = [-1] * n
     sigma = [0.0] * n
-    preds: List[List[int]] = [[] for _ in range(n)]
+    # Rows only for discovered nodes: n empty lists per search cost more
+    # than a short search itself, mostly in garbage collection.
+    preds: List[Optional[List[int]]] = [None] * n
     dist[source] = 0
     sigma[source] = 1.0
     masked = kept is not None
@@ -95,10 +98,13 @@ def small_bfs_structure(
         for w, entry in adj[v]:
             if masked and not kept[entry]:
                 continue
-            if dist[w] < 0:
+            d = dist[w]
+            if d < 0:
                 dist[w] = next_dist
+                sigma[w] = sigma[v]
+                preds[w] = [v]
                 queue.append(w)
-            if dist[w] == next_dist:
+            elif d == next_dist:
                 sigma[w] += sigma[v]
                 preds[w].append(v)
     return dist, sigma, preds
