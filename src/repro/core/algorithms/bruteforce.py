@@ -9,16 +9,19 @@ instances used in tests and the approximation-ratio benches (E4-E6).
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Optional, Sequence
 
 from ...errors import InvalidParameter
 from ..objective import ObjectiveEvaluator
-from ..strategy import Action, ActionSpace, Strategy
+from ..strategy import BUDGET_SLACK, Action, ActionSpace, Strategy
 from ..utility import JoiningUserModel
 from .common import OptimisationResult
 
 __all__ = ["brute_force"]
+
+#: Feasible subsets scored per batch; bounds memory on long enumerations.
+CHUNK = 1024
 
 
 def brute_force(
@@ -49,19 +52,28 @@ def brute_force(
     cheapest = min(
         (action.budget_cost(params) for action in omega), default=math.inf
     )
-    affordable = int(budget / cheapest) if cheapest > 0 and cheapest != math.inf else 0
+    affordable = (
+        int((budget + BUDGET_SLACK) / cheapest)
+        if cheapest > 0 and cheapest != math.inf
+        else 0
+    )
     limit = affordable if max_subset_size is None else min(affordable, max_subset_size)
     evaluator = ObjectiveEvaluator(model, kind=objective)
     best = Strategy()
     best_value = evaluator(best)
     explored = 0
-    for size in range(1, limit + 1):
-        for subset in combinations(omega, size):
-            strategy = Strategy(subset)
-            if not strategy.fits_budget(params, budget):
-                continue
-            explored += 1
-            value = evaluator(strategy)
+    feasible = (
+        strategy
+        for size in range(1, limit + 1)
+        for strategy in map(Strategy, combinations(omega, size))
+        if strategy.fits_budget(params, budget)
+    )
+    while True:
+        chunk = list(islice(feasible, CHUNK))
+        if not chunk:
+            break
+        explored += len(chunk)
+        for strategy, value in zip(chunk, evaluator.many(chunk)):
             if value > best_value:
                 best_value = value
                 best = strategy

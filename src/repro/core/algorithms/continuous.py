@@ -36,7 +36,7 @@ import numpy as np
 from ...errors import InvalidParameter
 from ..costs import benefit_positivity_condition
 from ..objective import ObjectiveEvaluator
-from ..strategy import Action, Strategy
+from ..strategy import BUDGET_SLACK, Action, Strategy
 from ..utility import JoiningUserModel
 from .common import OptimisationResult
 
@@ -65,9 +65,6 @@ def lock_grid(
         grid.add(float(value))
     return sorted(grid)
 
-
-def _feasible(strategy: Strategy, model: JoiningUserModel, budget: float) -> bool:
-    return strategy.fits_budget(model.params, budget)
 
 
 def continuous_local_search(
@@ -104,8 +101,11 @@ def continuous_local_search(
             Action(peer, lock)
             for peer in peers
             for lock in lock_values
-            if params.onchain_cost + lock <= budget + 1e-9
+            if params.onchain_cost + lock <= budget + BUDGET_SLACK
         ]
+
+    def feasible(strategies: List[Strategy]) -> List[Strategy]:
+        return [s for s in strategies if s.fits_budget(params, budget)]
 
     def local_search(start: Strategy, elements: List[Action]) -> Strategy:
         current = start
@@ -115,38 +115,37 @@ def continuous_local_search(
             threshold = max(threshold, 1e-12)
             best_move: Optional[Strategy] = None
             best_value = current_value
-            # adds
-            for element in elements:
-                if element in current:
-                    continue
-                candidate = current.with_action(element)
-                if not _feasible(candidate, model, budget):
-                    continue
-                value = evaluator(candidate)
-                if value > best_value + threshold:
-                    best_value = value
-                    best_move = candidate
-            # drops
-            for element in set(current.actions):
-                candidate = current.without_action(element)
-                value = evaluator(candidate)
+            adds = [
+                current.with_action(element)
+                for element in elements
+                if element not in current
+            ]
+            drops = [
+                current.without_action(element)
+                for element in set(current.actions)
+            ]
+            candidates = feasible(adds) + drops
+            for candidate, value in zip(candidates, evaluator.many(candidates)):
                 if value > best_value + threshold:
                     best_value = value
                     best_move = candidate
             # swaps (drop one, add one)
             if best_move is None:
+                swaps = []
                 for old in set(current.actions):
                     base = current.without_action(old)
-                    for new in elements:
-                        if new == old or new in base:
-                            continue
-                        candidate = base.with_action(new)
-                        if not _feasible(candidate, model, budget):
-                            continue
-                        value = evaluator(candidate)
-                        if value > best_value + threshold:
-                            best_value = value
-                            best_move = candidate
+                    swaps += [
+                        base.with_action(new)
+                        for new in elements
+                        if new != old and new not in base
+                    ]
+                candidates = feasible(swaps)
+                for candidate, value in zip(
+                    candidates, evaluator.many(candidates)
+                ):
+                    if value > best_value + threshold:
+                        best_value = value
+                        best_move = candidate
             if best_move is None:
                 break
             current = best_move
@@ -158,11 +157,8 @@ def continuous_local_search(
     # element to anchor the approximation factor).
     best_single = Strategy()
     best_single_value = evaluator(best_single)
-    for element in elements:
-        candidate = Strategy([element])
-        if not _feasible(candidate, model, budget):
-            continue
-        value = evaluator(candidate)
+    singles = feasible([Strategy([element]) for element in elements])
+    for candidate, value in zip(singles, evaluator.many(singles)):
         if value > best_single_value:
             best_single_value = value
             best_single = candidate

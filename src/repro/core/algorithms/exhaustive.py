@@ -23,7 +23,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ...errors import InvalidParameter
 from ..objective import ObjectiveEvaluator
-from ..strategy import Action, Strategy
+from ..strategy import BUDGET_SLACK, Action, Strategy
 from ..utility import JoiningUserModel
 from .common import OptimisationResult
 
@@ -114,17 +114,16 @@ def _greedy_with_lock_schedule(
     used_peers: set = set()
     for lock in locks:
         step_cost = params.onchain_cost + lock
-        if spent + step_cost > budget + 1e-9:
+        if spent + step_cost > budget + BUDGET_SLACK:
             continue
         best_action = None
         best_step_value = -math.inf
-        for peer in peers:
-            if peer in used_peers:
-                continue
-            value = evaluator(strategy.with_action(Action(peer, lock)))
+        actions = [Action(peer, lock) for peer in peers if peer not in used_peers]
+        values = evaluator.many([strategy.with_action(a) for a in actions])
+        for action, value in zip(actions, values):
             if value > best_step_value:
                 best_step_value = value
-                best_action = Action(peer, lock)
+                best_action = action
         if best_action is None:
             break
         strategy = strategy.with_action(best_action)
@@ -159,8 +158,8 @@ def exhaustive_discrete(
     if budget <= 0 or granularity <= 0:
         raise InvalidParameter("budget and granularity must be > 0")
     params = model.params
-    units = int(budget / granularity)
-    max_channels = int(budget / params.onchain_cost)
+    units = int((budget + BUDGET_SLACK) / granularity)
+    max_channels = int((budget + BUDGET_SLACK) / params.onchain_cost)
     if max_channels < 1:
         raise InvalidParameter("budget cannot afford a single channel")
     evaluator = ObjectiveEvaluator(model, kind=objective)

@@ -5,6 +5,11 @@ budget allows at most ``M = floor(B_u / (C + l1))`` channels. Greedily
 adding the channel with the largest marginal gain of the monotone
 submodular ``U' = E_rev - E_fees`` and returning the best prefix yields a
 ``(1 - 1/e)``-approximation (Thm 4) in ``O(M · n)`` objective evaluations.
+
+Those evaluations are scored in ``M`` batches: each step hands all of
+its candidates to :meth:`~repro.core.objective.ObjectiveEvaluator.many`
+(one pass of the model's batch kernel) and then walks the values in
+candidate order, so the first strict maximum still wins.
 """
 
 from __future__ import annotations
@@ -50,8 +55,10 @@ def greedy_over_actions(
     while len(strategy) < max_channels and available:
         best_action = None
         best_value = -math.inf
-        for action in available:
-            value = evaluator(strategy.with_action(action))
+        values = evaluator.many(
+            [strategy.with_action(action) for action in available]
+        )
+        for action, value in zip(available, values):
             if value > best_value:
                 best_value = value
                 best_action = action

@@ -9,7 +9,6 @@ is ``Σ_j (C + l_j) <= B_u``.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, List, Tuple
 
@@ -53,12 +52,13 @@ class Strategy:
     can key memoisation caches.
     """
 
-    __slots__ = ("_actions", "_counter")
+    __slots__ = ("_actions", "_hash")
 
     def __init__(self, actions: Iterable[Action] = ()) -> None:
         ordered = sorted(actions, key=lambda a: (str(a.peer), a.locked))
         self._actions: Tuple[Action, ...] = tuple(ordered)
-        self._counter = Counter(self._actions)
+        # Strategies key the evaluator's cache, so hash them once.
+        self._hash = hash(self._actions)
 
     # -- multiset protocol --------------------------------------------------
 
@@ -69,7 +69,7 @@ class Strategy:
         return len(self._actions)
 
     def __contains__(self, action: Action) -> bool:
-        return self._counter[action] > 0
+        return action in self._actions
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Strategy):
@@ -77,7 +77,7 @@ class Strategy:
         return self._actions == other._actions
 
     def __hash__(self) -> int:
-        return hash(self._actions)
+        return self._hash
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         inner = ", ".join(f"({a.peer!r}, {a.locked})" for a in self._actions)

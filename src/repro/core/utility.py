@@ -30,12 +30,36 @@ share ``σ(s,u)σ(u,r) / ([D[s,r] = T] Σ[s,r] + σ(s,u)σ(u,r))`` of its traffi
 (Eq. 2/Eq. 3); ``E_fees`` charges ``d(u, r)`` hops per own payment.
 :meth:`JoiningUserModel.with_strategy` still builds the augmented graph
 for callers that need it.
+
+One kernel, :meth:`JoiningUserModel.objectives`, scores a batch of ``k``
+strategies; every scalar method is a batch of one. It gathers each
+strategy's ``P_in`` columns and ``P_out`` rows of ``D`` and ``Σ`` into a
+``(k, p_max, n)`` block padded with a sentinel row of ``inf`` / ``0``,
+whose minimum and tie count give the four ``(k, n)`` sides. One
+``(k, n, n)`` pass then marks the pairs routing through ``u``, and
+shares are computed only at those entries. They come out per strategy
+in the row-major order a batch of one lists them in, and each strategy
+takes one ``np.dot`` over its own run of them. ``E_fees`` sums each
+strategy's receiver terms one after another, in ``own_probs`` order.
+A batch therefore returns, bit for bit, what ``k`` batches of one
+return. Batches are split so that ``k · n²`` stays under
+:data:`BATCH_CELLS`: past that the pass outgrows the cache and costs
+more per strategy, not less.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Dict,
+    Hashable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -54,11 +78,27 @@ from .costmodels import CostModel
 from .fees_paid import HOP_CONVENTIONS
 from .strategy import Action, Strategy
 
-__all__ = ["JoiningUserModel"]
+__all__ = ["JoiningUserModel", "OBJECTIVE_KINDS"]
 
-#: Hop distances and shortest-path counts through ``u`` over all base
-#: nodes: ``(d, σ)`` as float arrays, ``inf`` / ``0`` where unreachable.
+#: The objectives :meth:`JoiningUserModel.objectives` scores.
+OBJECTIVE_KINDS = ("simplified", "utility", "benefit")
+
+#: Upper bound on ``k · n²``, the cells of one batch's ``(k, n, n)``
+#: revenue pass; longer strategy lists are scored in chunks. On a 2-core
+#: VM the cost per strategy falls with the batch up to ~2-6e5 cells and
+#: rises past ~1e6, as the pass outgrows the cache (BA-200: 130 µs at
+#: 16 strategies, 200 µs at 128).
+BATCH_CELLS = 1 << 18
+
+#: Hop distances and shortest-path counts between ``u`` and every base
+#: node, one row per strategy: ``(d, σ)`` as ``(k, n)`` float arrays,
+#: ``inf`` / ``0`` where unreachable.
 _Side = Tuple[np.ndarray, np.ndarray]
+
+
+def _batch_size(n: int) -> int:
+    """Strategies per chunk on an ``n``-node base graph."""
+    return max(1, BATCH_CELLS // max(1, n * n))
 
 
 def _all_pairs_paths(view: GraphView) -> Tuple[np.ndarray, np.ndarray]:
@@ -169,6 +209,11 @@ class JoiningUserModel:
         self.revenue_mode = revenue_mode
         self.cost_model = cost_model
         self._fixed_rates: Optional[Dict[Hashable, float]] = None
+        # With nothing to route, any balance total (all are >= 0) carries
+        # it: every linked peer is in both P_in and P_out.
+        self._every_link_routes = routing_amount == 0 and (
+            peer_deposit == "match" or peer_deposit >= 0
+        )
         self._view = graph.view(directed=True, reduced=routing_amount)
 
         if distribution is None:
@@ -212,7 +257,7 @@ class JoiningUserModel:
         self._fee_receivers = np.asarray(
             [index for index, _ in fee_terms], dtype=np.int64
         )
-        self._fee_probs = [prob for _, prob in fee_terms]
+        self._fee_probs = np.asarray([prob for _, prob in fee_terms])
 
         if sender_rates is None:
             per_node = params.total_tx_rate / len(graph)
@@ -221,9 +266,9 @@ class JoiningUserModel:
 
         # Base-graph tables, built on first use.
         self._paths: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._row_tables: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+        self._reach_table: Optional[np.ndarray] = None
         self._weights: Optional[np.ndarray] = None
-        # The u -> receivers side of the last strategy, keyed by P_out.
-        self._out_cache: Optional[Tuple[Tuple[int, ...], _Side]] = None
 
         # Evaluation accounting (Thm 4/5 cost claims).
         self.stats = {"revenue_evals": 0, "fee_evals": 0}
@@ -251,6 +296,35 @@ class JoiningUserModel:
             self._paths = _all_pairs_paths(self._view)
         return self._paths
 
+    def _reach(self) -> np.ndarray:
+        """``D`` with ``inf`` lowered to the largest float. A finite route
+        length never exceeds it and ``inf`` always does, so ``T <= reach``
+        is ``T <= D`` for finite ``T`` and false for unreachable ones."""
+        if self._reach_table is None:
+            dist, _ = self._all_pairs()
+            self._reach_table = np.where(
+                np.isinf(dist), np.finfo(float).max, dist
+            )
+        return self._reach_table
+
+    def _gather_rows(self, outgoing: bool) -> Tuple[np.ndarray, np.ndarray]:
+        """Row tables of one side, each with a sentinel row ``n`` of
+        ``inf`` / ``0`` for padding: ``(D, Σ)`` rows for ``d(q, ·)`` when
+        ``outgoing``, else ``(Dᵀ, Σᵀ)`` rows for ``d(·, p)``."""
+        key = "out" if outgoing else "in"
+        tables = self._row_tables.get(key)
+        if tables is None:
+            dist, sigma = self._all_pairs()
+            if not outgoing:
+                dist, sigma = dist.T, sigma.T
+            n = dist.shape[0]
+            tables = (
+                np.vstack([dist, np.full((1, n), np.inf)]),
+                np.vstack([sigma, np.zeros((1, n))]),
+            )
+            self._row_tables[key] = tables
+        return tables
+
     def _pair_weights(self) -> np.ndarray:
         """``W[s, r] = N_s * p_trans(s, r)``; zero rows for silent senders."""
         if self._weights is None:
@@ -274,6 +348,13 @@ class JoiningUserModel:
         parallel channels; a direction counts when its summed balance can
         carry ``routing_amount``.
         """
+        if self._every_link_routes:
+            index = self._view.node_index
+            try:
+                peers = sorted({index[action.peer] for action in strategy})
+            except KeyError as error:
+                raise NodeNotFound(error.args[0]) from None
+            return peers, peers
         locked: Dict[Hashable, float] = {}
         deposit: Dict[Hashable, float] = {}
         for action in strategy:
@@ -289,32 +370,130 @@ class JoiningUserModel:
         p_out = sorted(index[p] for p, total in locked.items() if total >= amount)
         return p_in, p_out
 
-    def _through_user(self, peers: List[int], outgoing: bool) -> _Side:
-        """Distances and path counts between ``u`` and every base node,
-        over ``u``'s links to ``peers``: ``d(u, ·)`` when ``outgoing``,
-        else ``d(·, u)``."""
-        dist, sigma = self._all_pairs()
-        n = dist.shape[0]
-        if not peers:
-            return np.full(n, np.inf), np.zeros(n)
-        if outgoing:
-            block_dist, block_sigma = dist[peers], sigma[peers]
-        else:
-            block_dist, block_sigma = dist[:, peers].T, sigma[:, peers].T
-        best = block_dist.min(axis=0)
-        counts = np.where(block_dist == best, block_sigma, 0.0).sum(axis=0)
+    def _sides(self, peer_sets: Sequence[List[int]], outgoing: bool) -> _Side:
+        """``(k, n)`` distances and path counts between ``u`` and every
+        base node, one row per peer set: ``d(u, ·)`` over links to ``P_out``
+        when ``outgoing``, else ``d(·, u)`` over links to ``P_in``.
+
+        The peer rows are gathered into a ``(k, p_max, n)`` block padded
+        with the sentinel row; the minimum over the peers and the path
+        counts of the peers that attain it give the side.
+        """
+        dist_rows, sigma_rows = self._gather_rows(outgoing)
+        sentinel = dist_rows.shape[0] - 1
+        width = max(1, max(len(peers) for peers in peer_sets))
+        index = np.array(
+            [peers + [sentinel] * (width - len(peers)) for peers in peer_sets],
+            dtype=np.intp,
+        )
+        block = dist_rows[index]
+        best = block.min(axis=1)
+        counts = np.where(
+            block == best[:, None, :], sigma_rows[index], 0.0
+        ).sum(axis=1)
         return best + 1.0, counts
 
-    def _outgoing(self, p_out: List[int]) -> _Side:
-        """``d(u, ·)``, ``σ(u, ·)``; reused while ``P_out`` is unchanged, so
-        the fee and revenue halves of one evaluation share it."""
-        key = tuple(p_out)
-        cached = self._out_cache
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        side = self._through_user(p_out, outgoing=True)
-        self._out_cache = (key, side)
-        return side
+    def _fees_from(self, from_user: np.ndarray) -> List[float]:
+        """``E_fees`` for each row of ``d(u, ·)``; ``inf`` when a receiver
+        with positive probability is unreachable.
+
+        ``np.cumsum`` adds each row's terms one after another, in
+        ``own_probs`` order, as a python loop over the receivers would.
+        """
+        hops = from_user[:, self._fee_receivers]
+        if self.hop_convention == "intermediaries":
+            hops = np.maximum(hops - 1.0, 0.0)
+        totals = np.cumsum(hops * self._fee_probs, axis=1)[:, -1]
+        scale = self.params.user_tx_rate * self.params.fee_out_avg
+        return [
+            total if total == math.inf else scale * total
+            for total in totals.tolist()
+        ]
+
+    def _revenues_from(self, to_user: _Side, from_user: _Side) -> List[float]:
+        """``E_rev`` (betweenness mode) for each row pair of the sides.
+
+        One ``(k, n, n)`` pass finds the pairs routing through ``u``;
+        shares are computed only there. The through entries come out per
+        strategy in row-major order, so each strategy's ``np.dot`` runs
+        over the entries, in the order, of a batch of one.
+        """
+        _, sigma = self._all_pairs()
+        reach = self._reach()
+        to_dist, paths_in = to_user
+        from_dist, paths_out = from_user
+        k, n = to_dist.shape
+        cells = n * n
+        via = to_dist[:, :, None] + from_dist[:, None, :]
+        # Flat (strategy, s, r) indices of the pairs routing through u.
+        through = np.flatnonzero(via <= reach)
+        pair = through % cells
+        paths = (
+            paths_in.ravel()[through // n]
+            * paths_out.ravel()[through // cells * n + through % n]
+        )
+        tied = np.where(
+            reach.ravel()[pair] == via.ravel()[through],
+            sigma.ravel()[pair],
+            0.0,
+        )
+        shares = paths / (tied + paths)
+        weights = self._pair_weights().ravel()[pair]
+        bounds = np.searchsorted(through, np.arange(k + 1) * cells).tolist()
+        fee_avg = self.params.fee_avg
+        return [
+            fee_avg * float(np.dot(weights[lo:hi], shares[lo:hi]))
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+
+    def _fixed_rate_revenue(self, strategy: Strategy) -> float:
+        rates = self._estimate_fixed_rates()
+        peers = set()
+        for action in strategy:
+            if self.routing_amount > 0 and action.locked < self.routing_amount:
+                continue  # channel too thin to route the amount
+            peers.add(action.peer)
+        return self.params.fee_avg * sum(rates.get(p, 0.0) for p in peers)
+
+    def _score(
+        self,
+        strategies: Sequence[Strategy],
+        fees: bool = True,
+        revenue: bool = True,
+    ) -> Tuple[List[float], List[float]]:
+        """``(E_fees, E_rev)`` of one batch of at most :func:`_batch_size`
+        strategies.
+
+        With ``fees``, revenue is evaluated only for strategies whose fees
+        are finite (a disconnected strategy scores ``-inf`` on its fees
+        alone); the others hold ``-inf``. Counts ``stats``.
+        """
+        k = len(strategies)
+        peer_sets = [self._peer_sets(strategy) for strategy in strategies]
+        fee_values: List[float] = []
+        live = list(range(k))
+        betweenness = revenue and self.revenue_mode == "betweenness"
+        from_user: Optional[_Side] = None
+        if fees or betweenness:
+            from_user = self._sides([p_out for _, p_out in peer_sets], True)
+        if fees:
+            self.stats["fee_evals"] += k
+            fee_values = self._fees_from(from_user[0])
+            live = [i for i, value in enumerate(fee_values) if value != math.inf]
+        revenues = [-math.inf] * k
+        if revenue and live:
+            self.stats["revenue_evals"] += len(live)
+            if betweenness:
+                to_user = self._sides([peer_sets[i][0] for i in live], False)
+                out = from_user if len(live) == k else (
+                    from_user[0][live], from_user[1][live]
+                )
+                for i, value in zip(live, self._revenues_from(to_user, out)):
+                    revenues[i] = value
+            else:
+                for i in live:
+                    revenues[i] = self._fixed_rate_revenue(strategies[i])
+        return fee_values, revenues
 
     # -- utility components --------------------------------------------------------
 
@@ -356,45 +535,11 @@ class JoiningUserModel:
 
         See the class docstring for the two revenue modes.
         """
-        self.stats["revenue_evals"] += 1
-        if self.revenue_mode == "fixed-rate":
-            rates = self._estimate_fixed_rates()
-            peers = set()
-            for action in strategy:
-                if self.routing_amount > 0 and action.locked < self.routing_amount:
-                    continue  # channel too thin to route the amount
-                peers.add(action.peer)
-            return self.params.fee_avg * sum(rates.get(p, 0.0) for p in peers)
-        p_in, p_out = self._peer_sets(strategy)
-        to_user, paths_in = self._through_user(p_in, outgoing=False)
-        from_user, paths_out = self._outgoing(p_out)
-        dist, sigma = self._all_pairs()
-        via_user = to_user[:, None] + from_user[None, :]
-        through = (via_user <= dist) & np.isfinite(via_user)
-        rows, cols = np.nonzero(through)
-        paths = paths_in[rows] * paths_out[cols]
-        tied = np.where(
-            dist[rows, cols] == via_user[rows, cols], sigma[rows, cols], 0.0
-        )
-        shares = paths / (tied + paths)
-        traffic = float(np.dot(self._pair_weights()[rows, cols], shares))
-        return self.params.fee_avg * traffic
+        return self._score([strategy], fees=False)[1][0]
 
     def expected_fees(self, strategy: Strategy) -> float:
         """``E_fees(S)`` — fees paid for the user's own traffic."""
-        self.stats["fee_evals"] += 1
-        _, p_out = self._peer_sets(strategy)
-        from_user, _ = self._outgoing(p_out)
-        intermediaries = self.hop_convention == "intermediaries"
-        total = 0.0
-        hops_to = from_user[self._fee_receivers].tolist()
-        for hops, prob in zip(hops_to, self._fee_probs):
-            if hops == math.inf:
-                return math.inf
-            if intermediaries:
-                hops = max(hops - 1, 0)
-            total += hops * prob
-        return self.params.user_tx_rate * self.params.fee_out_avg * total
+        return self._score([strategy], revenue=False)[0][0]
 
     def channel_costs(self, strategy: Strategy) -> float:
         """``Σ L_u(v, l)`` for the strategy.
@@ -411,38 +556,57 @@ class JoiningUserModel:
 
     # -- objectives -----------------------------------------------------------------
 
-    def utility(self, strategy: Strategy) -> float:
-        """Full utility ``U(S)``; ``-inf`` when disconnected (Section II-C)."""
-        fees = self.expected_fees(strategy)
+    def objectives(
+        self, strategies: Sequence[Strategy], kind: str = "simplified"
+    ) -> List[float]:
+        """The ``kind`` objective of each strategy, in order: the batch
+        kernel behind every scalar method (see the module docstring)."""
+        if kind not in OBJECTIVE_KINDS:
+            raise InvalidParameter(
+                f"objective kind must be simplified/utility/benefit, got {kind!r}"
+            )
+        strategies = list(strategies)
+        step = _batch_size(self._view.num_nodes)
+        values: List[float] = []
+        for start in range(0, len(strategies), step):
+            chunk = strategies[start:start + step]
+            fees, revenues = self._score(chunk)
+            values.extend(
+                self._combine(kind, strategy, revenue, fee)
+                for strategy, revenue, fee in zip(chunk, revenues, fees)
+            )
+        return values
+
+    def _combine(
+        self, kind: str, strategy: Strategy, revenue: float, fees: float
+    ) -> float:
+        """The ``kind`` objective from one strategy's revenue and fees."""
         if math.isinf(fees):
             return -math.inf
-        return self.expected_revenue(strategy) - fees - self.channel_costs(strategy)
-
-    def simplified_utility(self, strategy: Strategy) -> float:
-        """``U'(S) = E_rev - E_fees`` — the monotone submodular objective."""
-        fees = self.expected_fees(strategy)
-        if math.isinf(fees):
-            return -math.inf
-        return self.expected_revenue(strategy) - fees
-
-    def benefit(self, strategy: Strategy) -> float:
-        """``U^b(S) = C_u + U(S)`` (Section III-D)."""
-        utility = self.utility(strategy)
+        if kind == "simplified":
+            return revenue - fees
+        utility = revenue - fees - self.channel_costs(strategy)
+        if kind == "utility":
+            return utility
         if math.isinf(utility):
             return -math.inf
         return self.params.onchain_alternative_cost() + utility
 
+    def utility(self, strategy: Strategy) -> float:
+        """Full utility ``U(S)``; ``-inf`` when disconnected (Section II-C)."""
+        return self.objectives([strategy], "utility")[0]
+
+    def simplified_utility(self, strategy: Strategy) -> float:
+        """``U'(S) = E_rev - E_fees`` — the monotone submodular objective."""
+        return self.objectives([strategy], "simplified")[0]
+
+    def benefit(self, strategy: Strategy) -> float:
+        """``U^b(S) = C_u + U(S)`` (Section III-D)."""
+        return self.objectives([strategy], "benefit")[0]
+
     def objective(self, strategy: Strategy, kind: str = "simplified") -> float:
         """Dispatch helper used by the optimisation algorithms."""
-        if kind == "simplified":
-            return self.simplified_utility(strategy)
-        if kind == "utility":
-            return self.utility(strategy)
-        if kind == "benefit":
-            return self.benefit(strategy)
-        raise InvalidParameter(
-            f"objective kind must be simplified/utility/benefit, got {kind!r}"
-        )
+        return self.objectives([strategy], kind)[0]
 
     # -- introspection ---------------------------------------------------------------
 

@@ -8,6 +8,7 @@ from repro.core.utility import JoiningUserModel
 from repro.errors import InvalidParameter
 from repro.network.graph import ChannelGraph
 from repro.params import ModelParameters
+from repro.snapshots import barabasi_albert_snapshot
 
 
 @pytest.fixture
@@ -61,3 +62,13 @@ class TestBruteForce:
     def test_explored_counter(self, model):
         result = brute_force(model, budget=10.0, lock=1.0)
         assert result.details["subsets_explored"] == 7  # 3 + 3 + 1
+
+
+def test_budget_on_a_float_floor_edge_affords_every_channel():
+    # 0.3 / 0.1 is 2.9999999999999996: three channels fit within the
+    # budget slack, so subsets of three are explored too.
+    graph = barabasi_albert_snapshot(8, capacity_mu=3.0, seed=1)
+    model = JoiningUserModel(graph, "joiner", ModelParameters(onchain_cost=0.1))
+    result = brute_force(model, budget=0.3, lock=0.0)
+    assert result.details["subsets_explored"] == 8 + 28 + 56
+    assert len(result.strategy) == 3

@@ -16,6 +16,7 @@ from repro.core.utility import JoiningUserModel
 from repro.errors import InvalidParameter
 from repro.network.graph import ChannelGraph
 from repro.params import ModelParameters
+from repro.snapshots import barabasi_albert_snapshot
 
 
 @pytest.fixture
@@ -128,3 +129,13 @@ class TestExhaustiveDiscrete:
         assert (
             coarse.details["divisions_tried"] < fine.details["divisions_tried"]
         )
+
+
+def test_budget_on_a_float_floor_edge_counts_every_unit():
+    # 0.3 / 0.1 is 2.9999999999999996: the budget holds three units of
+    # granularity and three channels within the budget slack.
+    graph = barabasi_albert_snapshot(8, capacity_mu=3.0, seed=1)
+    model = JoiningUserModel(graph, "joiner", ModelParameters(onchain_cost=0.1))
+    result = exhaustive_discrete(model, budget=0.3, granularity=0.1)
+    assert result.details["units"] == 3
+    assert result.details["max_channels"] == 3

@@ -6,6 +6,8 @@ membership, routing — must match networkx run on ``view.to_networkx()``,
 or the shortest-path enumeration oracle, within 1e-9.
 """
 
+import math
+
 import networkx as nx
 import pytest
 
@@ -448,10 +450,29 @@ class TestModelOracleParity:
         from repro.params import ModelParameters
 
         class Oracle(JoiningUserModel):
+            built = 0
+
             def _augmented(self, strategy):
                 return self.with_strategy(strategy).view(
                     directed=True, reduced=self.routing_amount
                 )
+
+            def with_strategy(self, strategy):
+                self.built += 1
+                return super().with_strategy(strategy)
+
+            def objectives(self, strategies, kind="simplified"):
+                # The optimisers score through the batch kernel; send
+                # every strategy through the scalar overrides instead.
+                values = []
+                for strategy in strategies:
+                    fees = self.expected_fees(strategy)
+                    revenue = (
+                        -math.inf if math.isinf(fees)
+                        else self.expected_revenue(strategy)
+                    )
+                    values.append(self._combine(kind, strategy, revenue, fees))
+                return values
 
             def expected_revenue(self, strategy):
                 return expected_revenue(
@@ -468,11 +489,16 @@ class TestModelOracleParity:
 
         graph = barabasi_albert_snapshot(20, seed=23)
         params = ModelParameters(total_tx_rate=50.0, user_tx_rate=2.0)
-        results = [
-            greedy_fixed_funds(cls(graph, "joiner", params), budget=4.0, lock=1.0)
-            for cls in (JoiningUserModel, Oracle)
+        oracle_model = Oracle(graph, "joiner", params)
+        model, oracle = [
+            greedy_fixed_funds(instance, budget=4.0, lock=1.0)
+            for instance in (JoiningUserModel(graph, "joiner", params), oracle_model)
         ]
-        model, oracle = results
+        # The oracle scored every strategy on augmented graphs: one for
+        # the empty strategy (infinite fees end it), two (fees, revenue)
+        # for each other evaluation and for the final utility.
+        assert oracle.evaluations > 1
+        assert oracle_model.built == 2 * oracle.evaluations + 1
         assert model.objective_value == pytest.approx(
             oracle.objective_value, rel=1e-12
         )
