@@ -66,7 +66,6 @@ def lock_grid(
     return sorted(grid)
 
 
-
 def continuous_local_search(
     model: JoiningUserModel,
     budget: float,

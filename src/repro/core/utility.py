@@ -605,7 +605,7 @@ class JoiningUserModel:
         return self.objectives([strategy], "benefit")[0]
 
     def objective(self, strategy: Strategy, kind: str = "simplified") -> float:
-        """Dispatch helper used by the optimisation algorithms."""
+        """The ``kind`` objective of one strategy (a batch of one)."""
         return self.objectives([strategy], kind)[0]
 
     # -- introspection ---------------------------------------------------------------

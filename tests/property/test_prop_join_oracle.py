@@ -109,6 +109,18 @@ def oracle_weight(model):
     return weight
 
 
+def fresh(model):
+    """A new model with ``model``'s settings: empty stats and tables."""
+    return JoiningUserModel(
+        model.base_graph,
+        model.new_user,
+        model.params,
+        hop_convention=model.hop_convention,
+        peer_deposit=model.peer_deposit,
+        routing_amount=model.routing_amount,
+    )
+
+
 def augmented_view(model, strategy):
     graph = model.with_strategy(strategy)
     return graph.view(directed=True, reduced=model.routing_amount)
@@ -145,30 +157,11 @@ def test_model_matches_free_function_oracle(instance):
 @settings(max_examples=50, deadline=None)
 def test_evaluation_order_does_not_matter(instance):
     model, strategy = instance
-    fresh = JoiningUserModel(
-        model.base_graph,
-        model.new_user,
-        model.params,
-        hop_convention=model.hop_convention,
-        peer_deposit=model.peer_deposit,
-        routing_amount=model.routing_amount,
-    )
+    unused = fresh(model)
     model.simplified_utility(Strategy())
     model.simplified_utility(Strategy([Action(0, 1.0)]))
-    assert model.expected_fees(strategy) == fresh.expected_fees(strategy)
-    assert model.expected_revenue(strategy) == fresh.expected_revenue(strategy)
-
-
-def fresh(model):
-    """A new model with ``model``'s settings: empty stats and tables."""
-    return JoiningUserModel(
-        model.base_graph,
-        model.new_user,
-        model.params,
-        hop_convention=model.hop_convention,
-        peer_deposit=model.peer_deposit,
-        routing_amount=model.routing_amount,
-    )
+    assert model.expected_fees(strategy) == unused.expected_fees(strategy)
+    assert model.expected_revenue(strategy) == unused.expected_revenue(strategy)
 
 
 @given(batch=batches(), kind=st.sampled_from(OBJECTIVE_KINDS))
