@@ -1,0 +1,118 @@
+"""Golden results pinned on both simulation backends.
+
+Each case runs one seeded BA-60 scenario on the event and on the batched
+backend and pins, per backend, the hash of the result document next to
+a readable digest: attempted and succeeded payments and the
+failure-reason counts. The readable digest is the same on both
+backends; the hashes differ because the scenario section names the
+backend and float sums may round differently in their last bits.
+
+The cases cover the settings no other golden case reaches: a two-sided
+:class:`~repro.network.fees.FeePolicy` (an upfront side in instant and in
+HTLC mode), ``fee_forwarding=False``, and an attack whose ``slot_cap``
+of 1 leaves every channel one HTLC slot. Regenerate a digest only for
+an intentional behaviour change, and record the change in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.scenarios.runner import ScenarioRunner
+from repro.scenarios.specs import Scenario
+from repro.service.hashing import content_hash
+
+SEED = 5
+FEE = {"kind": "linear", "params": {"base": 0.01, "rate": 0.001}}
+UPFRONT = dict(FEE, upfront_base=0.002, upfront_rate=0.0005)
+HTLC = {"payment_mode": "htlc", "htlc_hold_mean": 0.5}
+
+
+def result_digest(result) -> str:
+    """The result document's hash, without the per-process channel ids."""
+    document = result.to_dict()
+    for edge in document["graph"]["edges"]:
+        del edge["channel_id"]
+    return content_hash(document)
+
+
+def readable(metrics):
+    """``(attempted, succeeded, failure reasons)`` of one run's metrics."""
+    return (
+        metrics.attempted,
+        metrics.succeeded,
+        dict(sorted(metrics.failure_reasons.items())),
+    )
+
+
+def run(backend: str, fee, simulation, attack=None):
+    document = {
+        "seed": SEED,
+        "topology": {"kind": "ba", "params": {"n": 60, "capacity_mu": 3.0}},
+        "workload": {"kind": "poisson", "params": {"zipf_s": 1.0}},
+        "fee": fee,
+        "simulation": dict(simulation, backend=backend),
+    }
+    if attack is not None:
+        document["attack"] = attack
+    return ScenarioRunner().run(Scenario.from_dict(document))
+
+
+CASES = {
+    "upfront-instant": (UPFRONT, {"horizon": 10.0}),
+    "upfront-htlc": (UPFRONT, dict(HTLC, horizon=5.0)),
+    "no-forwarding": (FEE, {"horizon": 10.0, "fee_forwarding": False}),
+}
+
+#: ``case -> (readable digest, {backend: result hash})``.
+EXPECTED = {
+    "no-forwarding": (
+        (569, 559, {"no-capacity-path": 10}),
+        {
+            "event": "35357ac23683df259b3839ce60aead00be131dfe96696e975ab95bfe1ce70bae",
+            "batched": "0eaa01259b7e1b70de14e0131ba6af7e605aa413b3a51b5e5103174b7d11b551",
+        },
+    ),
+    "upfront-htlc": (
+        (297, 294, {"lock-contention": 3}),
+        {
+            "event": "e5265672aaa5a2ced6261960878870b8dfec5410779143997374e2345ef8b4eb",
+            "batched": "318f9ee8a2a51053f87595f4e9f907369cf105c694614c05491b3b2f3449ae46",
+        },
+    ),
+    "upfront-instant": (
+        (569, 556, {"no-capacity-path": 10, "split-balance": 3}),
+        {
+            "event": "f23da549f563f6a6d2f273d54abcd0f584543e0f8e8b9be7c599117889a7e8ea",
+            "batched": "2b62b9c5d8bd159acd9b7319ebc6ecc7ebf07d9b2fc0284fe3fe1f81104cb146",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("backend", ["event", "batched"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_backend_case(case, backend):
+    fee, simulation = CASES[case]
+    result = run(backend, fee, simulation)
+    counts, digests = EXPECTED[case]
+    assert (readable(result.metrics), result_digest(result)) == (
+        counts, digests[backend]
+    )
+
+
+#: The slow-jamming attack with one HTLC slot per channel, so honest
+#: payments fail with ``no-htlc-slots``. The report is hashed as in the
+#: other attack cases and carries no backend name, so both backends pin
+#: one hash; the readable digest is the attacked run's.
+SLOT_CAP_1 = {"kind": "slow-jamming", "params": {"budget": 200.0, "slot_cap": 1}}
+
+
+@pytest.mark.parametrize("backend", ["event", "batched"])
+def test_slot_cap_1(backend):
+    result = run(backend, FEE, dict(HTLC, horizon=5.0), attack=SLOT_CAP_1)
+    digest = content_hash(result.attack.to_dict())
+    assert (readable(result.metrics), digest) == (
+        (297, 149, {"no-htlc-slots": 148}),
+        "2be1ce60fef17aaf1d0feedee00ca550555c2abba46f788bbb9954d9c4fc0ed4",
+    )
