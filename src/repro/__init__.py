@@ -89,7 +89,6 @@ from .core import (
 from .equilibrium import NetworkGameModel, check_nash
 from .simulation import (
     BatchedSimulationEngine,
-    ShardedTraceRunner,
     SimulationEngine,
 )
 from .transactions import TraceArrays
@@ -158,7 +157,6 @@ __all__ = [
     "Scenario",
     "ScenarioResult",
     "ScenarioRunner",
-    "ShardedTraceRunner",
     "SimulationEngine",
     "SimulationError",
     "SimulationSpec",

@@ -56,10 +56,8 @@ class AttackContext:
 
     Args:
         graph: the attacked network (attacker channels are added to it).
-        engine: the engine driving the honest workload — any backend
-            declaring ``event_injection`` in its capabilities (see
-            :mod:`repro.scenarios.capabilities`); the attacker shares
-            its event queue and HTLC router.
+        engine: the engine driving the honest workload, on either
+            backend; the attacker shares its event queue and HTLC router.
         victim: the node whose revenue the attack targets.
         horizon: simulated end time — no attacker event is scheduled past it.
         budget: attacker capital endowment; every channel funding, pushed

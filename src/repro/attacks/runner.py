@@ -26,7 +26,6 @@ from ..errors import ScenarioError
 from ..network.betweenness import pair_weighted_betweenness
 from ..network.graph import ChannelGraph
 from ..obs import ObsSession, default_session
-from ..scenarios.capabilities import backend_capabilities
 from ..scenarios.factory import (
     build_simulation_engine,
     build_topology,
@@ -93,15 +92,6 @@ class AttackRunner:
         if spec is None or scenario.simulation is None:
             raise ScenarioError(
                 "AttackRunner needs a scenario with attack and simulation stages"
-            )
-        if not backend_capabilities(scenario.simulation.backend).event_injection:
-            # Scenario validation already rejects this combination; the
-            # guard keeps the invariant explicit for callers that build
-            # scenario-shaped objects by other means.
-            raise ScenarioError(
-                "attack strategies schedule events on the engine's shared "
-                f"queue; backend {scenario.simulation.backend!r} does not "
-                "declare event injection in its capabilities"
             )
         strategy = self._build_strategy(spec)
         horizon = scenario.simulation.horizon

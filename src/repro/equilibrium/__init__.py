@@ -24,7 +24,6 @@ from .diameter import (
 from .nash import (
     DynamicsMove,
     DynamicsOutcome,
-    DynamicsReport,
     NashReport,
     NodeBestResponse,
     best_response,
@@ -45,7 +44,6 @@ __all__ = [
     "Deviation",
     "DynamicsMove",
     "DynamicsOutcome",
-    "DynamicsReport",
     "HubPathAnalysis",
     "NashReport",
     "NetworkGameModel",

@@ -26,7 +26,6 @@ from .node_utility import NetworkGameModel
 __all__ = [
     "DynamicsMove",
     "DynamicsOutcome",
-    "DynamicsReport",
     "NodeBestResponse",
     "NashReport",
     "best_response",
@@ -189,10 +188,6 @@ class DynamicsOutcome:
 
     def __iter__(self) -> Iterator:
         return iter((self.graph, self.rounds, self.converged))
-
-
-#: Backwards-compatible alias for the pre-rename class name.
-DynamicsReport = DynamicsOutcome
 
 
 def best_response_dynamics(

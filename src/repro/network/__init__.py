@@ -15,20 +15,13 @@ from .views import (
     bfs_shortest_path_tree,
     shortest_path_indices,
 )
-from .channel import Channel, PaymentRecord
+from .channel import Channel
 from .htlc import Htlc, HtlcError, HtlcPayment, HtlcRouter, HtlcState
 from .lifecycle import (
     ChannelLifecycle,
     CloseMode,
     LifecycleCosts,
     sample_close_mode,
-)
-from .rebalancing import (
-    ChannelImbalance,
-    auto_rebalance,
-    channel_imbalances,
-    execute_rebalance,
-    find_rebalancing_cycle,
 )
 from .fees import (
     ConstantFee,
@@ -38,7 +31,6 @@ from .fees import (
     average_fee,
 )
 from .graph import ChannelGraph
-from .reduced import feasible_pairs, infeasible_edges, reduced_view
 from .routing import PaymentOutcome, Route, Router
 
 __all__ = [
@@ -49,10 +41,8 @@ __all__ = [
     "bfs_distances",
     "bfs_shortest_path_tree",
     "shortest_path_indices",
-    "reduced_view",
     "Channel",
     "ChannelGraph",
-    "ChannelImbalance",
     "ChannelLifecycle",
     "CloseMode",
     "ConstantFee",
@@ -66,17 +56,10 @@ __all__ = [
     "HtlcState",
     "LinearFee",
     "PaymentOutcome",
-    "PaymentRecord",
     "PiecewiseLinearFee",
     "Route",
     "Router",
-    "auto_rebalance",
     "average_fee",
-    "channel_imbalances",
-    "execute_rebalance",
-    "find_rebalancing_cycle",
-    "feasible_pairs",
-    "infeasible_edges",
     "pair_weighted_betweenness",
     "pair_weighted_betweenness_exact",
     "uniform_pair_weight",

@@ -11,12 +11,11 @@ can be sent in that direction. A successful payment of size ``x`` from
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Hashable, Iterator, List, Optional, Tuple
+from typing import Hashable, Iterator, Optional, Tuple
 
 from ..errors import HtlcError, InsufficientBalance, InvalidParameter
 
-__all__ = ["Channel", "PaymentRecord", "DEFAULT_MAX_ACCEPTED_HTLCS"]
+__all__ = ["Channel", "DEFAULT_MAX_ACCEPTED_HTLCS"]
 
 #: Lightning's BOLT-2 default for ``max_accepted_htlcs``: at most 483
 #: concurrent in-flight HTLCs per channel direction. This is the finite
@@ -28,23 +27,6 @@ _channel_counter = itertools.count()
 
 def _next_channel_id() -> str:
     return f"chan-{next(_channel_counter)}"
-
-
-@dataclass(frozen=True)
-class PaymentRecord:
-    """One balance update applied to a channel.
-
-    Attributes:
-        sender: endpoint that paid.
-        receiver: endpoint that was paid.
-        amount: coins moved.
-        timestamp: simulation time of the update (0.0 outside simulation).
-    """
-
-    sender: Hashable
-    receiver: Hashable
-    amount: float
-    timestamp: float = 0.0
 
 
 class Channel:
@@ -59,14 +41,13 @@ class Channel:
         balance_u: coins initially owned by ``u`` in the channel.
         balance_v: coins initially owned by ``v`` in the channel.
         channel_id: optional stable identifier; auto-generated when omitted.
-        record_history: keep a list of :class:`PaymentRecord` for auditing.
         max_accepted_htlcs: per-direction cap on concurrent in-flight HTLCs
             (:data:`DEFAULT_MAX_ACCEPTED_HTLCS`, Lightning's 483). ``None``
             disables the cap.
     """
 
     __slots__ = (
-        "u", "v", "_balances", "channel_id", "_history",
+        "u", "v", "_balances", "channel_id",
         "fee_base", "fee_rate", "upfront_base", "upfront_rate", "_on_mutate",
         "max_accepted_htlcs", "_htlc_slots",
     )
@@ -78,7 +59,6 @@ class Channel:
         balance_u: float,
         balance_v: float = 0.0,
         channel_id: Optional[str] = None,
-        record_history: bool = False,
         fee_base: float = 0.0,
         fee_rate: float = 0.0,
         upfront_base: float = 0.0,
@@ -107,7 +87,6 @@ class Channel:
         # In-flight HTLC count per direction, keyed by the sending endpoint.
         self._htlc_slots = {u: 0, v: 0}
         self.channel_id = channel_id if channel_id is not None else _next_channel_id()
-        self._history: Optional[List[PaymentRecord]] = [] if record_history else None
         #: Per-channel fee policy (Lightning base/proportional form);
         #: surfaced in GraphView's fee arrays. Zero = policy-free channel.
         self.fee_base = float(fee_base)
@@ -132,11 +111,6 @@ class Channel:
     def capacity(self) -> float:
         """Total coins locked in the channel (payment-invariant)."""
         return self._balances[self.u] + self._balances[self.v]
-
-    @property
-    def history(self) -> Tuple[PaymentRecord, ...]:
-        """Recorded payments (empty when history recording is off)."""
-        return tuple(self._history or ())
 
     def balance(self, node: Hashable) -> float:
         """Coins currently owned by ``node`` in this channel."""
@@ -186,7 +160,7 @@ class Channel:
         self._htlc_slots[sender] += 1
 
     def close_htlc(self, sender: Hashable) -> None:
-        """Release one HTLC slot (on settle, fail, or expiry)."""
+        """Release one HTLC slot (on settle or fail)."""
         self._check_endpoint(sender)
         if self._htlc_slots[sender] <= 0:
             raise HtlcError(
@@ -197,7 +171,7 @@ class Channel:
 
     # -- mutation ----------------------------------------------------------
 
-    def send(self, sender: Hashable, amount: float, timestamp: float = 0.0) -> None:
+    def send(self, sender: Hashable, amount: float) -> None:
         """Move ``amount`` from ``sender`` to the counterparty.
 
         Raises:
@@ -208,8 +182,6 @@ class Channel:
         receiver = self.other(sender)
         self._balances[sender] -= amount
         self._balances[receiver] += amount
-        if self._history is not None:
-            self._history.append(PaymentRecord(sender, receiver, amount, timestamp))
         self._notify()
 
     def set_balances(self, balance_u: float, balance_v: float) -> None:

@@ -70,7 +70,6 @@ class ChannelGraph:
         balance_u: float,
         balance_v: float = 0.0,
         channel_id: Optional[str] = None,
-        record_history: bool = False,
         fee_base: float = 0.0,
         fee_rate: float = 0.0,
         upfront_base: float = 0.0,
@@ -84,7 +83,6 @@ class ChannelGraph:
         """
         channel = Channel(
             u, v, balance_u, balance_v, channel_id=channel_id,
-            record_history=record_history,
             fee_base=fee_base, fee_rate=fee_rate,
             upfront_base=upfront_base, upfront_rate=upfront_rate,
             max_accepted_htlcs=max_accepted_htlcs,
@@ -100,7 +98,6 @@ class ChannelGraph:
             while channel.channel_id in self._channels:
                 channel = Channel(
                     u, v, balance_u, balance_v,
-                    record_history=record_history,
                     fee_base=fee_base, fee_rate=fee_rate,
                     upfront_base=upfront_base, upfront_rate=upfront_rate,
                     max_accepted_htlcs=max_accepted_htlcs,
@@ -136,9 +133,7 @@ class ChannelGraph:
         self._version += 1
 
     def copy(self) -> "ChannelGraph":
-        """Deep copy: balances and per-channel settings are copied, past
-        payment records are dropped (cloned channels start a fresh history
-        when recording was on)."""
+        """Deep copy: balances and per-channel settings are copied."""
         clone = ChannelGraph()
         for node in self._adjacency:
             clone.add_node(node)
@@ -149,7 +144,6 @@ class ChannelGraph:
                 channel.balance(channel.u),
                 channel.balance(channel.v),
                 channel_id=channel.channel_id,
-                record_history=channel._history is not None,
                 fee_base=channel.fee_base,
                 fee_rate=channel.fee_rate,
                 upfront_base=channel.upfront_base,

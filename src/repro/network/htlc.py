@@ -11,8 +11,8 @@ and resolution the reserved funds are unavailable to other payments —
 which is exactly the in-flight-capital effect that makes the opportunity
 cost of Section II-C real.
 
-Timeouts decrement per hop (like Lightning's CLTV deltas); an expired
-in-flight HTLC can be cancelled by anyone, restoring upstream balances.
+Each hop carries a timeout that decrements toward the receiver, like
+Lightning's CLTV deltas.
 """
 
 from __future__ import annotations
@@ -213,7 +213,7 @@ class HtlcRouter:
                 return payment
             # reserve: the hop amount leaves the sender's spendable balance
             # into escrow; settlement decides whether it lands on the other
-            # side (settle) or returns (fail/expire). The HTLC also occupies
+            # side (settle) or returns (fail). The HTLC also occupies
             # one of the direction's slots until resolution.
             channel.withdraw(src, hop_amount)
             channel.open_htlc(src)
@@ -266,25 +266,6 @@ class HtlcRouter:
         self._unwind(payment)
         payment.state = HtlcState.FAILED
         self._drop_in_flight(payment)
-
-    def expire(self, payment: HtlcPayment, height: int) -> bool:
-        """Cancel a pending payment whose first hop has timed out.
-
-        Returns True when the payment was expired (height past the first
-        hop's expiry), False when it is still live.
-        """
-        self._require_pending(payment)
-        if not payment.hops or height < payment.hops[0].expiry:
-            return False
-        self.fail(payment)
-        return True
-
-    def pay(self, path: Sequence[Hashable], amount: float) -> HtlcPayment:
-        """Lock and immediately settle (the happy path) or fail."""
-        payment = self.lock(path, amount)
-        if payment.state is HtlcState.PENDING:
-            self.settle(payment)
-        return payment
 
     # -- internals ---------------------------------------------------------------
 

@@ -43,8 +43,7 @@ class PaymentRouteRng:
     expensive) ``default_rng`` seeding only happens for payments that
     actually face a tie-break. Derivation from the pair rather than a
     shared stream makes each payment's draws independent of which other
-    payments ran before it — the property that lets sharded and batched
-    executions reproduce the event engine exactly.
+    payments ran before it.
     """
 
     __slots__ = ("_key", "_gen")
@@ -575,7 +574,6 @@ class Router:
         sender: Hashable,
         receiver: Hashable,
         amount: float,
-        timestamp: float = 0.0,
         rng=None,
     ) -> PaymentOutcome:
         """Find a route and apply it atomically.
@@ -604,7 +602,7 @@ class Router:
                 )
             plan.append((channel, src, hop_amount))
         for channel, src, hop_amount in plan:
-            channel.send(src, hop_amount, timestamp=timestamp)
+            channel.send(src, hop_amount)
         fees_per_node = {}
         for node, inbound, outbound in zip(
             route.intermediaries, hop_amounts, hop_amounts[1:]
@@ -629,12 +627,3 @@ class Router:
             if balance >= amount and (best is None or balance > best.balance(src)):
                 best = channel
         return best
-
-    # -- fee quoting --------------------------------------------------------------
-
-    def quote_fee(self, path: Sequence[Hashable], amount: float) -> float:
-        """Total sender fee for pushing ``amount`` along ``path``."""
-        hops = len(path) - 1
-        if hops < 1:
-            raise RoutingError("path needs at least one hop")
-        return self._hop_amounts(hops, amount)[0] - amount

@@ -34,7 +34,6 @@ from typing import (
     Hashable,
     List,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -454,31 +453,15 @@ def expand_frontier(
     return srcs, entries, indices[entries]
 
 
-def bfs_distances(
-    view: GraphView,
-    source: int,
-    blocked: Optional[Sequence[int]] = None,
-) -> np.ndarray:
-    """Hop distances from ``source`` (``-1`` = unreachable), vectorised.
-
-    ``blocked`` node indices are never entered (used e.g. by the
-    rebalancing cycle search, which must avoid the rebalancing node).
-    """
-    n = view.num_nodes
-    dist = np.full(n, -1, dtype=np.int64)
-    if blocked is not None:
-        blocked_mask = np.zeros(n, dtype=bool)
-        blocked_mask[np.asarray(list(blocked), dtype=np.int64)] = True
-    else:
-        blocked_mask = None
+def bfs_distances(view: GraphView, source: int) -> np.ndarray:
+    """Hop distances from ``source`` (``-1`` = unreachable), vectorised."""
+    dist = np.full(view.num_nodes, -1, dtype=np.int64)
     dist[source] = 0
     frontier = np.array([source], dtype=np.int64)
     level = 0
     while frontier.size:
         _, _, targets = expand_frontier(view.indptr, view.indices, frontier)
         fresh = targets[dist[targets] < 0]
-        if blocked_mask is not None and fresh.size:
-            fresh = fresh[~blocked_mask[fresh]]
         if fresh.size == 0:
             break
         frontier = np.unique(fresh)
@@ -488,18 +471,14 @@ def bfs_distances(
 
 
 def shortest_path_indices(
-    view: GraphView,
-    source: int,
-    target: int,
-    blocked: Optional[Sequence[int]] = None,
+    view: GraphView, source: int, target: int
 ) -> Optional[List[int]]:
     """A deterministic shortest path ``source -> target`` as node indices.
 
     Walks the predecessor DAG backward from ``target``, always taking the
-    smallest-index predecessor; ``blocked`` node indices are excluded from
-    the path. Returns ``None`` when no path exists.
+    smallest-index predecessor. Returns ``None`` when no path exists.
     """
-    dist = bfs_distances(view, source, blocked=blocked)
+    dist = bfs_distances(view, source)
     if dist[target] < 0:
         return None
     rev_indptr, rev_indices, _ = view.reverse_adjacency()

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Mapping, Optional
 
 from ..errors import ScenarioError
-from .capabilities import backend_capabilities
 
 __all__ = [
     "AlgorithmSpec",
@@ -441,15 +440,14 @@ class SimulationSpec:
     execution engine: ``"event"`` is the discrete-event loop;
     ``"batched"`` is the vectorised fast path
     (:class:`~repro.simulation.fastpath.BatchedSimulationEngine`), which
-    produces the same metrics for the same seed. What each backend
-    supports is declared in
-    :mod:`repro.scenarios.capabilities` and validated here rather than
-    hard-coded per name. ``route_rng`` picks how path-sampling
-    randomness is derived: ``"stream"`` draws from one sequential RNG
-    (the historical behaviour), ``"payment"`` derives an independent RNG
-    per payment from ``(seed, payment index)``, which makes results
-    invariant under trace sharding (see
-    :class:`~repro.simulation.sharding.ShardedTraceRunner`).
+    produces the same metrics for the same seed. Both backends run
+    ``payment_mode`` ``"instant"`` and ``"htlc"``. ``route_rng`` picks
+    how path-sampling randomness is derived: ``"stream"`` draws from one
+    sequential RNG (the historical behaviour), ``"payment"`` derives an
+    independent RNG per payment from ``(seed, payment index)``, so one
+    payment's route does not depend on which payments ran before it.
+    ``path_selection`` is ``"random"`` (equal-split tie-breaks) or
+    ``"first"``. Every field is checked here, when the spec is parsed.
     """
 
     horizon: float = 100.0
@@ -467,22 +465,27 @@ class SimulationSpec:
                 raise ScenarioError(
                     f"SimulationSpec.{name} must be a number, got {value!r}"
                 )
-        if self.horizon <= 0:
+            if value <= 0:
+                raise ScenarioError(
+                    f"SimulationSpec.{name} must be > 0, got {value}"
+                )
+        if not isinstance(self.fee_forwarding, bool):
             raise ScenarioError(
-                f"SimulationSpec.horizon must be > 0, got {self.horizon}"
+                "SimulationSpec.fee_forwarding must be true or false, "
+                f"got {self.fee_forwarding!r}"
             )
-        capabilities = backend_capabilities(self.backend)
-        if self.route_rng not in ("stream", "payment"):
-            raise ScenarioError(
-                f"SimulationSpec.route_rng must be 'stream' or 'payment', "
-                f"got {self.route_rng!r}"
-            )
-        if not capabilities.supports_payment_mode(self.payment_mode):
-            raise ScenarioError(
-                f"backend {self.backend!r} does not support "
-                f"payment_mode={self.payment_mode!r} "
-                f"(declared: {list(capabilities.payment_modes)})"
-            )
+        for name, choices in (
+            ("backend", ("event", "batched")),
+            ("payment_mode", ("instant", "htlc")),
+            ("path_selection", ("random", "first")),
+            ("route_rng", ("stream", "payment")),
+        ):
+            value = getattr(self, name)
+            if value not in choices:
+                raise ScenarioError(
+                    f"SimulationSpec.{name} must be one of "
+                    f"{list(choices)}, got {value!r}"
+                )
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -547,13 +550,6 @@ class Scenario:
                 raise ScenarioError(
                     "an attack stage requires a simulation stage (the "
                     "honest workload the attacker disrupts)"
-                )
-            if not backend_capabilities(self.simulation.backend).event_injection:
-                raise ScenarioError(
-                    f"attack stages need a backend with event injection "
-                    f"(strategies push events into the engine's queue); "
-                    f"backend {self.simulation.backend!r} does not "
-                    f"declare it"
                 )
             if self.algorithm is not None:
                 raise ScenarioError(

@@ -22,14 +22,7 @@ from ..network.htlc import HtlcRouter, HtlcState
 from ..network.routing import PaymentRouteRng, Router
 from ..obs import ObsSession, default_session
 from ..transactions.workload import PoissonWorkload, Transaction
-from .events import (
-    ChannelCloseEvent,
-    ChannelOpenEvent,
-    Event,
-    EventQueue,
-    HtlcResolveEvent,
-    PaymentEvent,
-)
+from .events import Event, EventQueue, HtlcResolveEvent, PaymentEvent
 from .metrics import SimulationMetrics
 
 __all__ = ["SimulationEngine"]
@@ -59,7 +52,8 @@ class SimulationEngine:
         route_rng: ``"stream"`` draws path tie-breaks from one sequential
             RNG (historical behaviour); ``"payment"`` derives an
             independent RNG per payment from ``(seed, payment index)``,
-            making each routing decision invariant under trace sharding.
+            so each routing decision is independent of the other
+            payments in the trace.
     """
 
     def __init__(
@@ -123,15 +117,6 @@ class SimulationEngine:
         balances."""
         return self._htlc_router
 
-    @classmethod
-    def capabilities(cls):
-        """This backend's :class:`EngineCapabilities` declaration."""
-        # Local import: the scenarios package pulls in the factory (and
-        # through it this module), so the leaf is resolved lazily.
-        from ..scenarios.capabilities import EVENT_CAPABILITIES
-
-        return EVENT_CAPABILITIES
-
     # -- scheduling -----------------------------------------------------------
 
     def schedule(self, event: Event) -> None:
@@ -147,10 +132,7 @@ class SimulationEngine:
         time order, interleaved with the honest workload. Builtin event
         types cannot be overridden.
         """
-        builtin = (
-            PaymentEvent, HtlcResolveEvent, ChannelOpenEvent, ChannelCloseEvent,
-        )
-        if issubclass(event_type, builtin):
+        if issubclass(event_type, (PaymentEvent, HtlcResolveEvent)):
             # _dispatch routes by isinstance first, so a handler for a
             # builtin subclass would silently never fire.
             raise SimulationError(
@@ -175,9 +157,9 @@ class SimulationEngine:
         """Schedule an explicit (pre-generated) transaction trace.
 
         Payments are stamped with consecutive trace indices (the
-        ``route_rng="payment"`` key); ``indices`` overrides them — trace
-        shards pass the payments' positions in the *full* trace so a
-        shard routes exactly like the unsharded run.
+        ``route_rng="payment"`` key); ``indices`` overrides them, so a
+        replayed :class:`~repro.transactions.workload.TraceArrays` keeps
+        its own positions.
         """
         count = 0
         index_iter = iter(indices) if indices is not None else None
@@ -228,12 +210,6 @@ class SimulationEngine:
                 self._handle_payment(event)
         elif isinstance(event, HtlcResolveEvent):
             self._handle_htlc_resolve(event)
-        elif isinstance(event, ChannelOpenEvent):
-            self.graph.add_channel(
-                event.u, event.v, event.balance_u, event.balance_v
-            )
-        elif isinstance(event, ChannelCloseEvent):
-            self.graph.remove_channel(event.channel_id)
         else:
             handler = self._handlers.get(type(event))
             if handler is None:
@@ -260,7 +236,7 @@ class SimulationEngine:
         metrics = self.metrics
         metrics.attempted += 1
         outcome = self.router.execute(
-            event.sender, event.receiver, event.amount, timestamp=event.time,
+            event.sender, event.receiver, event.amount,
             rng=self._payment_rng(event),
         )
         if not outcome.success:

@@ -1,9 +1,8 @@
 """Event types for the discrete-event PCN simulator.
 
 Payments execute instantaneously in the model, so the core loop is a
-time-ordered queue of arrival events; channel lifecycle events (open /
-close) are included so experiments can perturb topology mid-run (e.g.
-model a party unilaterally closing, Section II-C's cost discussion).
+time-ordered queue of arrival events; HTLC mode adds resolve events, and
+extensions such as :mod:`repro.attacks` inject their own event types.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ from ..errors import SimulationError
 __all__ = [
     "Event",
     "PaymentEvent",
-    "ChannelOpenEvent",
-    "ChannelCloseEvent",
     "HtlcResolveEvent",
     "EventQueue",
 ]
@@ -41,31 +38,13 @@ class PaymentEvent(Event):
     an ad-hoc event scheduled outside a trace. Under
     ``route_rng="payment"`` the engine derives the payment's
     path-sampling RNG from it, so routing decisions are independent of
-    which other payments share the run (the property trace sharding
-    relies on).
+    which other payments share the run.
     """
 
     sender: Hashable = None
     receiver: Hashable = None
     amount: float = 0.0
     index: int = -1
-
-
-@dataclass(frozen=True)
-class ChannelOpenEvent(Event):
-    """Open a channel between two nodes mid-simulation."""
-
-    u: Hashable = None
-    v: Hashable = None
-    balance_u: float = 0.0
-    balance_v: float = 0.0
-
-
-@dataclass(frozen=True)
-class ChannelCloseEvent(Event):
-    """Close (remove) a channel by id mid-simulation."""
-
-    channel_id: str = ""
 
 
 @dataclass(frozen=True)

@@ -47,10 +47,8 @@ the same event-queue API as the event engine
 (``schedule`` / ``register_handler`` / ``run``), so HTLC holds and
 attack-strategy event injection replay **bit-identically** to the event
 backend — same failure sets (including ``no-htlc-slots``), same metrics,
-same final balances. Mid-run channel open/close still needs the event
-backend: the array state freezes at the first ``run()`` call (after
-attack strategies opened their channels). Each backend declares what it
-supports in :mod:`repro.scenarios.capabilities`.
+same final balances. The array state freezes at the first ``run()``
+call, after attack strategies opened their channels.
 """
 
 from __future__ import annotations
@@ -93,14 +91,7 @@ from ..transactions.workload import (
     TraceArrays,
     Transaction,
 )
-from .events import (
-    ChannelCloseEvent,
-    ChannelOpenEvent,
-    Event,
-    EventQueue,
-    HtlcResolveEvent,
-    PaymentEvent,
-)
+from .events import Event, EventQueue, HtlcResolveEvent, PaymentEvent
 from .metrics import SimulationMetrics
 
 __all__ = ["BatchedSimulationEngine"]
@@ -235,15 +226,6 @@ class BatchedSimulationEngine:
         and balances, exactly as on the event backend."""
         return self._array_router
 
-    @classmethod
-    def capabilities(cls):
-        """This backend's :class:`EngineCapabilities` declaration."""
-        # Local import: the scenarios package pulls in the factory (and
-        # through it this module), so the leaf is resolved lazily.
-        from ..scenarios.capabilities import BATCHED_CAPABILITIES
-
-        return BATCHED_CAPABILITIES
-
     def schedule(self, event: Event) -> None:
         self._queue.push(event)
 
@@ -256,10 +238,7 @@ class BatchedSimulationEngine:
         with the honest workload in time order; builtin event types
         cannot be overridden.
         """
-        builtin = (
-            PaymentEvent, HtlcResolveEvent, ChannelOpenEvent, ChannelCloseEvent,
-        )
-        if issubclass(event_type, builtin):
+        if issubclass(event_type, (PaymentEvent, HtlcResolveEvent)):
             raise SimulationError(
                 f"cannot override builtin event type {event_type.__name__}"
             )
@@ -303,9 +282,8 @@ class BatchedSimulationEngine:
 
         The array state is frozen at the first call — graph mutations
         after that (other than balance moves made through this engine)
-        are not picked up; channel open/close events raise. Final
-        balances are written back to the channels at the end of every
-        call.
+        are not picked up. Final balances are written back to the
+        channels at the end of every call.
         """
         state = self._ensure_state()
         while self._queue:
@@ -336,16 +314,6 @@ class BatchedSimulationEngine:
                     f"parallel channels {channels} found (use the event "
                     "backend)"
                 )
-        for channel in self.graph.channels:
-            if channel._history is not None:
-                # The event engine appends a PaymentRecord per hop; the
-                # batched backend only writes final balances — refuse
-                # rather than silently return an empty audit trail.
-                raise SimulationError(
-                    "the batched backend does not record per-payment "
-                    f"channel history (channel {channel.channel_id!r} has "
-                    "record_history=True); use the event backend"
-                )
 
     def _dispatch(self, event: Event, state: "_ArrayState") -> None:
         if isinstance(event, PaymentEvent):
@@ -355,12 +323,6 @@ class BatchedSimulationEngine:
                 self._handle_payment_instant(event, state)
         elif isinstance(event, HtlcResolveEvent):
             self._handle_htlc_resolve(event)
-        elif isinstance(event, (ChannelOpenEvent, ChannelCloseEvent)):
-            raise SimulationError(
-                "the batched backend froze its array state at the first "
-                "run() call; mid-run channel open/close needs the event "
-                "backend (see repro.scenarios.capabilities)"
-            )
         else:
             handler = self._handlers.get(type(event))
             if handler is None:

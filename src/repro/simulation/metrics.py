@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Mapping, Optional, Tuple
 
 __all__ = ["SimulationMetrics"]
 
@@ -39,7 +39,7 @@ class SimulationMetrics:
             metrics (set by the engines at construction) — with
             ``seed=None`` runs the engine draws an entropy seed and
             records it here, so *every* run is replayable. ``None``
-            only for hand-built or heterogeneously merged metrics.
+            only for hand-built metrics.
     """
 
     attempted: int = 0
@@ -89,53 +89,6 @@ class SimulationMetrics:
         if self.horizon <= 0:
             return 0.0
         return self.edge_traffic.get((src, dst), 0) / self.horizon
-
-    @classmethod
-    def merged(cls, parts: Iterable["SimulationMetrics"]) -> "SimulationMetrics":
-        """Combine metrics of independent runs into one.
-
-        Counters and per-node/per-edge tallies add; ``horizon`` and
-        ``htlc_locked_peak`` take the maximum. When the runs partition
-        one trace into channel-disjoint shards (see
-        :class:`~repro.simulation.sharding.ShardedTraceRunner`), every
-        per-node value comes from exactly one shard, so the merge
-        reproduces the unsharded run's per-node accounting bit for bit;
-        only order-sensitive global float sums (``volume_delivered``)
-        can differ by rounding.
-        """
-        out = cls()
-        seeds = set()
-        for metrics in parts:
-            seeds.add(metrics.seed)
-            out.attempted += metrics.attempted
-            out.succeeded += metrics.succeeded
-            out.failed += metrics.failed
-            out.volume_delivered += metrics.volume_delivered
-            for node, value in metrics.revenue.items():
-                out.revenue[node] += value
-            for node, value in metrics.fees_paid.items():
-                out.fees_paid[node] += value
-            for node, value in metrics.upfront_revenue.items():
-                out.upfront_revenue[node] += value
-            for node, value in metrics.upfront_fees_paid.items():
-                out.upfront_fees_paid[node] += value
-            for node, count in metrics.sent.items():
-                out.sent[node] += count
-            for node, count in metrics.received.items():
-                out.received[node] += count
-            for edge, count in metrics.edge_traffic.items():
-                out.edge_traffic[edge] += count
-            for reason, count in metrics.failure_reasons.items():
-                out.failure_reasons[reason] += count
-            out.horizon = max(out.horizon, metrics.horizon)
-            out.htlc_locked_peak = max(
-                out.htlc_locked_peak, metrics.htlc_locked_peak
-            )
-        # Shards of one run share a seed; keep it so the merged metrics
-        # stay replay-addressable. Heterogeneous merges get None.
-        if len(seeds) == 1:
-            out.seed = seeds.pop()
-        return out
 
     def to_dict(self) -> Dict[str, Any]:
         """A plain-JSON document (see :meth:`from_dict` for the inverse).

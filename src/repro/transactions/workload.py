@@ -66,10 +66,8 @@ class TraceArrays:
             only need the marker, not the label.
         amounts: ``float64`` payment sizes.
         nodes: index -> node label (the graph's node order).
-        indices: each payment's position in the *full* trace it came
-            from. Subsetting (:meth:`select`) preserves them, so a shard
-            still derives the exact per-payment route RNG of the
-            unsharded run.
+        indices: each payment's position in the trace, the key of its
+            per-payment route RNG under ``route_rng="payment"``.
         irregular: ``(position, original transaction)`` pairs for marker
             rows, kept so :meth:`to_transactions` is lossless.
     """
@@ -138,23 +136,6 @@ class TraceArrays:
                 )
             )
         return out
-
-    def select(self, positions: np.ndarray) -> "TraceArrays":
-        """The sub-trace at ``positions`` (global ``indices`` preserved)."""
-        positions = np.asarray(positions, dtype=np.int64)
-        remap = {int(old): new for new, old in enumerate(positions)}
-        irregular = tuple(
-            (remap[pos], tx) for pos, tx in self.irregular if pos in remap
-        )
-        return TraceArrays(
-            times=self.times[positions],
-            senders=self.senders[positions],
-            receivers=self.receivers[positions],
-            amounts=self.amounts[positions],
-            nodes=self.nodes,
-            indices=self.indices[positions],
-            irregular=irregular,
-        )
 
 
 class PoissonWorkload:

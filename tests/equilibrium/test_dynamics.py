@@ -1,9 +1,9 @@
-"""best_response_dynamics: DynamicsReport semantics and convergence."""
+"""best_response_dynamics: DynamicsOutcome semantics and convergence."""
 
 import pytest
 
 from repro.equilibrium import (
-    DynamicsReport,
+    DynamicsOutcome,
     NetworkGameModel,
     best_response_dynamics,
     check_nash,
@@ -25,7 +25,7 @@ def edge_sets(graph):
 class TestReportShape:
     def test_returns_report_with_tuple_compat(self):
         report = best_response_dynamics(star(5), thm9_star_model(), seed=0)
-        assert isinstance(report, DynamicsReport)
+        assert isinstance(report, DynamicsOutcome)
         final, rounds, converged = report  # historical unpacking
         assert final is report.graph
         assert rounds == report.rounds

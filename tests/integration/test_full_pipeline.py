@@ -1,9 +1,8 @@
-"""End-to-end pipeline: generate -> estimate -> join -> simulate -> rebalance.
+"""End-to-end pipeline: generate -> estimate -> join -> simulate.
 
 The complete downstream-user story: start from a snapshot, estimate the
 model parameters from observed traffic, use them to choose a joining
-strategy, run the network under HTLC semantics, and keep the new node's
-channels balanced — every subsystem of the library in one flow.
+strategy, and run the network under HTLC semantics.
 """
 
 import pytest
@@ -12,7 +11,6 @@ from repro.analysis.estimation import estimate_total_rate, estimate_zipf_s
 from repro.core.algorithms.greedy import greedy_fixed_funds
 from repro.core.utility import JoiningUserModel
 from repro.network.fees import ConstantFee
-from repro.network.rebalancing import auto_rebalance, channel_imbalances
 from repro.params import ModelParameters
 from repro.simulation.engine import SimulationEngine
 from repro.snapshots.io import from_describegraph, to_describegraph
@@ -64,9 +62,6 @@ def pipeline_result():
     )
     engine.schedule_workload(workload, horizon=120.0)
     metrics = engine.run()
-
-    # 5. keep the newcomer balanced
-    cycles = auto_rebalance(joined, "newcomer", target_ratio=0.2, max_cycles=5)
     return {
         "true_s": true_s,
         "s_hat": s_hat,
@@ -74,7 +69,6 @@ def pipeline_result():
         "strategy": result.strategy,
         "metrics": metrics,
         "joined": joined,
-        "cycles": cycles,
     }
 
 
@@ -105,12 +99,3 @@ class TestFullPipeline:
             or metrics.received.get("newcomer", 0) > 0
         )
         assert newcomer_touched
-
-    def test_rebalancing_leaves_channels_usable(self, pipeline_result):
-        joined = pipeline_result["joined"]
-        imbalances = channel_imbalances(joined, "newcomer")
-        assert imbalances
-        # every channel still holds its full capacity
-        for imbalance in imbalances:
-            assert imbalance.capacity > 0
-            assert 0.0 <= imbalance.local_ratio <= 1.0

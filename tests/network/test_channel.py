@@ -82,22 +82,6 @@ class TestPaymentsFigure1:
 
 
 class TestHistoryAndViews:
-    def test_history_disabled_by_default(self):
-        channel = Channel("u", "v", 5.0, 5.0)
-        channel.send("u", 1.0)
-        assert channel.history == ()
-
-    def test_history_records_payments(self):
-        channel = Channel("u", "v", 5.0, 5.0, record_history=True)
-        channel.send("u", 1.0, timestamp=3.5)
-        channel.send("v", 2.0, timestamp=4.0)
-        assert len(channel.history) == 2
-        first = channel.history[0]
-        assert first.sender == "u"
-        assert first.receiver == "v"
-        assert first.amount == 1.0
-        assert first.timestamp == 3.5
-
     def test_directed_views(self):
         channel = Channel("u", "v", 10.0, 7.0)
         views = list(channel.directed_views())

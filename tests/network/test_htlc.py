@@ -22,6 +22,14 @@ def total_coins(graph: ChannelGraph) -> float:
     return graph.total_capacity()
 
 
+def pay(router: HtlcRouter, path, amount: float):
+    """Lock ``path`` and settle at once when every hop locked."""
+    payment = router.lock(path, amount)
+    if payment.state is HtlcState.PENDING:
+        router.settle(payment)
+    return payment
+
+
 class TestChannelWithdraw:
     def test_withdraw_reduces_balance(self):
         channel = Channel("u", "v", 5.0, 5.0)
@@ -47,14 +55,14 @@ class TestChannelWithdraw:
 class TestLockSettle:
     def test_happy_path_settles(self, line4):
         router = HtlcRouter(line4)
-        payment = router.pay(["a", "b", "c", "d"], 4.0)
+        payment = pay(router, ["a", "b", "c", "d"], 4.0)
         assert payment.state is HtlcState.SETTLED
         assert line4.channels_between("a", "b")[0].balance("a") == 6.0
         assert line4.channels_between("c", "d")[0].balance("d") == 14.0
 
     def test_coins_conserved_after_settle(self, line4):
         before = total_coins(line4)
-        HtlcRouter(line4).pay(["a", "b", "c", "d"], 3.0)
+        pay(HtlcRouter(line4), ["a", "b", "c", "d"], 3.0)
         assert total_coins(line4) == pytest.approx(before)
 
     def test_lock_reserves_funds(self, line4):
@@ -77,14 +85,14 @@ class TestLockSettle:
 
     def test_fees_accrue_to_intermediaries(self, line4):
         router = HtlcRouter(line4, fee=ConstantFee(0.5))
-        payment = router.pay(["a", "b", "c", "d"], 2.0)
+        payment = pay(router, ["a", "b", "c", "d"], 2.0)
         assert payment.fees_per_node == pytest.approx({"b": 0.5, "c": 0.5})
         # b's total coins rose by its fee
         assert line4.balance_of("b") == pytest.approx(20.5)
 
     def test_linear_fee_compounds(self, line4):
         router = HtlcRouter(line4, fee=LinearFee(0.0, 0.1))
-        payment = router.pay(["a", "b", "c", "d"], 1.0)
+        payment = pay(router, ["a", "b", "c", "d"], 1.0)
         assert payment.fees_per_node["c"] == pytest.approx(0.1)
         assert payment.fees_per_node["b"] == pytest.approx(0.11)
 
@@ -118,13 +126,13 @@ class TestFailureAtomicity:
 
     def test_double_settle_rejected(self, line4):
         router = HtlcRouter(line4)
-        payment = router.pay(["a", "b"], 1.0)
+        payment = pay(router, ["a", "b"], 1.0)
         with pytest.raises(HtlcError):
             router.settle(payment)
 
     def test_fail_after_settle_rejected(self, line4):
         router = HtlcRouter(line4)
-        payment = router.pay(["a", "b"], 1.0)
+        payment = pay(router, ["a", "b"], 1.0)
         with pytest.raises(HtlcError):
             router.fail(payment)
 
@@ -135,19 +143,6 @@ class TestExpiry:
         payment = router.lock(["a", "b", "c", "d"], 1.0)
         expiries = [h.expiry for h in payment.hops]
         assert expiries == [90, 50, 10]
-
-    def test_expire_before_timeout_is_noop(self, line4):
-        router = HtlcRouter(line4)
-        payment = router.lock(["a", "b", "c"], 1.0)
-        assert not router.expire(payment, height=0)
-        assert payment.state is HtlcState.PENDING
-
-    def test_expire_after_timeout_unwinds(self, line4):
-        router = HtlcRouter(line4, base_expiry=10, expiry_delta=40)
-        payment = router.lock(["a", "b", "c"], 1.0)
-        assert router.expire(payment, height=100)
-        assert payment.state is HtlcState.FAILED
-        assert line4.channels_between("a", "b")[0].balance("a") == 10.0
 
 
 class TestValidation:
@@ -173,12 +168,13 @@ class TestValidation:
         assert router.in_flight == ()
 
     def test_circular_self_payment_supported(self, line4):
-        """A circular payment (rebalancing primitive) settles cleanly."""
+        """A circular self-payment (as liquidity depletion sends) settles
+        cleanly."""
         graph = ChannelGraph()
         graph.add_channel("a", "b", 10.0, 0.0)
         graph.add_channel("b", "c", 10.0, 0.0)
         graph.add_channel("c", "a", 10.0, 0.0)
         router = HtlcRouter(graph)
-        payment = router.pay(["a", "b", "c", "a"], 4.0)
+        payment = pay(router, ["a", "b", "c", "a"], 4.0)
         assert payment.state is HtlcState.SETTLED
         assert graph.channels_between("c", "a")[0].balance("a") == 4.0

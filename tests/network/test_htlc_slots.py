@@ -134,8 +134,8 @@ class TestUpfrontCharges:
     """The per-attempt side of a two-sided FeePolicy at the lock layer.
 
     The unjamming countermeasure: every hop a lock actually places pays
-    ``policy.upfront(hop_amount)`` to its receiver — settle, fail, or
-    expire, the charge stands (and unwinding never refunds it). The
+    ``policy.upfront(hop_amount)`` to its receiver — settle or fail,
+    the charge stands (and unwinding never refunds it). The
     charge is ledger-only: channel balances, slots, and routing are
     identical with or without it.
     """
@@ -173,15 +173,15 @@ class TestUpfrontCharges:
         assert set(rejected.upfront_fees_per_node) == {"b"}
         assert rejected.upfront_total == pytest.approx(0.5 + 0.1 * 2.0)
 
-    def test_fail_and_expire_never_refund(self, line3):
+    def test_fail_never_refunds(self, line3):
         router = self.policy_router(line3, upfront_base=0.0)
         failed = router.lock(["a", "b", "c"], 3.0)
         charged = failed.upfront_total
         router.fail(failed)
         assert failed.upfront_total == charged
-        expired = router.lock(["a", "b", "c"], 3.0)
-        assert router.expire(expired, height=10**6)
-        assert expired.upfront_total == pytest.approx(charged)
+        again = router.lock(["a", "b", "c"], 3.0)
+        router.fail(again)
+        assert again.upfront_total == pytest.approx(charged)
 
     def test_charge_is_ledger_only(self, line3):
         # Identical locks with and without an upfront side must leave
@@ -211,10 +211,10 @@ class TestUpfrontCharges:
 
 
 class TestConcurrentUnwind:
-    """Timeout/cancel balance restoration with many concurrent payments."""
+    """Balance restoration when many concurrent payments fail."""
 
-    def test_concurrent_inflight_then_expire_restores_everything(self, line3):
-        router = HtlcRouter(line3, base_expiry=10, expiry_delta=40)
+    def test_concurrent_inflight_then_fail_restores_all(self, line3):
+        router = HtlcRouter(line3)
         ab = line3.channels_between("a", "b")[0]
         bc = line3.channels_between("b", "c")[0]
         balances = {
@@ -226,41 +226,30 @@ class TestConcurrentUnwind:
         assert ab.htlc_slots_used("a") == 10
         assert bc.htlc_slots_used("b") == 10
         assert ab.balance("a") == balances[(ab, "a")] - 30.0
-        # all ten share the same path length, hence the same first-hop
-        # expiry: every one expires at the same height
-        expiry = payments[0].hops[0].expiry
-        assert all(router.expire(p, height=expiry) for p in payments)
+        for payment in payments:
+            router.fail(payment)
         for (channel, node), value in balances.items():
             assert channel.balance(node) == pytest.approx(value)
         assert ab.htlc_slots_used("a") == 0
         assert bc.htlc_slots_used("b") == 0
         assert router.locked_capital() == 0.0
 
-    def test_interleaved_settle_fail_expire_conserves_coins(self, line3):
-        router = HtlcRouter(line3, base_expiry=5, expiry_delta=10)
+    def test_interleaved_settle_fail_conserves_coins(self, line3):
+        router = HtlcRouter(line3)
         total = line3.total_capacity()
         held = [router.lock(["a", "b", "c"], 2.0) for _ in range(9)]
-        # settle a third, fail a third, expire a third — in interleaved
-        # order, mimicking a mixed honest/adversarial resolution pattern.
+        # settle and fail in interleaved order, mimicking a mixed
+        # honest/adversarial resolution pattern.
         for i, payment in enumerate(held):
-            if i % 3 == 0:
+            if i % 2 == 0:
                 router.settle(payment)
-            elif i % 3 == 1:
-                router.fail(payment)
             else:
-                assert router.expire(payment, height=10**6)
+                router.fail(payment)
         assert line3.total_capacity() == pytest.approx(total)
         assert router.in_flight == ()
         for channel in line3.channels:
             for node in channel.endpoints:
                 assert channel.htlc_slots_used(node) == 0
-
-    def test_expire_before_timeout_keeps_payment_live(self, line3):
-        router = HtlcRouter(line3, base_expiry=10, expiry_delta=40)
-        payment = router.lock(["a", "b", "c"], 1.0)
-        assert not router.expire(payment, height=payment.hops[0].expiry - 1)
-        assert payment.state is HtlcState.PENDING
-        router.fail(payment)
 
     def test_partial_balance_contention_fails_cleanly(self, line3):
         # 100 coins per direction, 3.0 each: payment #34 must fail on

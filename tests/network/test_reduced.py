@@ -1,13 +1,13 @@
-"""Unit tests for the reduced subgraph ``G'`` (Section II-B)."""
+"""Unit tests for the reduced subgraph ``G'`` (Section II-B).
+
+For a payment of size ``x`` the reduced subgraph is
+``graph.view(directed=True, reduced=x)``: the directed view keeping only
+the directions whose balance can forward ``x``.
+"""
 
 import pytest
 
 from repro.network.graph import ChannelGraph
-from repro.network.reduced import (
-    feasible_pairs,
-    infeasible_edges,
-    reduced_view,
-)
 
 
 @pytest.fixture
@@ -16,6 +16,10 @@ def skewed() -> ChannelGraph:
     graph.add_channel("a", "b", 10.0, 1.0)
     graph.add_channel("b", "c", 4.0, 6.0)
     return graph
+
+
+def reduced(graph, amount):
+    return graph.view(directed=True, reduced=amount)
 
 
 def edges(view):
@@ -28,42 +32,19 @@ def edges(view):
 
 
 class TestReducedDigraph:
-    """``reduced_view`` keeps exactly the directions able to forward."""
+    """The reduced view keeps exactly the directions able to forward."""
 
     def test_amount_zero_keeps_everything(self, skewed):
-        assert reduced_view(skewed, 0.0).num_entries == 4
+        assert reduced(skewed, 0.0).num_entries == 4
 
     def test_moderate_amount_drops_thin_directions(self, skewed):
-        reduced = edges(reduced_view(skewed, 5.0))
-        assert ("a", "b") in reduced
-        assert ("b", "a") not in reduced  # 1 < 5
-        assert ("b", "c") not in reduced  # 4 < 5
-        assert ("c", "b") in reduced
+        kept = edges(reduced(skewed, 5.0))
+        assert ("a", "b") in kept
+        assert ("b", "a") not in kept  # 1 < 5
+        assert ("b", "c") not in kept  # 4 < 5
+        assert ("c", "b") in kept
 
     def test_huge_amount_drops_all(self, skewed):
-        reduced = reduced_view(skewed, 100.0)
-        assert reduced.num_entries == 0
-        assert reduced.num_nodes == 3  # nodes kept
-
-
-class TestInfeasibleEdges:
-    def test_lists_dropped_directions(self, skewed):
-        dropped = infeasible_edges(skewed, 5.0)
-        pairs = {(s, d) for s, d, _ in dropped}
-        assert pairs == {("b", "a"), ("b", "c")}
-
-    def test_empty_when_amount_zero(self, skewed):
-        assert infeasible_edges(skewed, 0.0) == []
-
-
-class TestFeasiblePairs:
-    def test_full_connectivity_small_amount(self, skewed):
-        # all 6 ordered pairs feasible at amount 1 except none
-        assert feasible_pairs(skewed, 1.0) == 6
-
-    def test_partial_connectivity(self, skewed):
-        # at 5.0 edges a->b and c->b survive: pairs (a,b), (c,b) only
-        assert feasible_pairs(skewed, 5.0) == 2
-
-    def test_no_connectivity(self, skewed):
-        assert feasible_pairs(skewed, 1000.0) == 0
+        view = reduced(skewed, 100.0)
+        assert view.num_entries == 0
+        assert view.num_nodes == 3  # nodes kept

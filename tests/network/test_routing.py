@@ -124,12 +124,15 @@ class TestExecute:
         assert small.balance("a") == pytest.approx(2.0)
 
 
-class TestQuoteFee:
-    def test_quote_matches_route_fee(self, line4):
+class TestRouteFee:
+    def test_sender_pays_amount_plus_route_fee(self, line4):
         router = Router(line4, fee=LinearFee(0.01, 0.02))
-        route = router.find_route("a", "d", 2.0)
-        assert router.quote_fee(route.nodes, 2.0) == pytest.approx(route.fee)
-
-    def test_quote_needs_a_hop(self, line4):
-        with pytest.raises(RoutingError):
-            Router(line4).quote_fee(("a",), 1.0)
+        outcome = router.execute("a", "d", 2.0)
+        assert outcome.success
+        first_hop = line4.channels_between("a", "b")[0]
+        assert 10.0 - first_hop.balance("a") == pytest.approx(
+            2.0 + outcome.route.fee
+        )
+        assert sum(outcome.fees_per_node.values()) == pytest.approx(
+            outcome.route.fee
+        )

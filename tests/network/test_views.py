@@ -18,7 +18,6 @@ from repro.network.betweenness import (
     pair_weighted_betweenness_exact,
 )
 from repro.network.graph import ChannelGraph
-from repro.network.reduced import feasible_pairs, infeasible_edges, reduced_view
 from repro.network.routing import Router
 from repro.network.views import (
     GraphView,
@@ -214,15 +213,6 @@ class TestShortestPathCounts:
             expected = nx.single_source_shortest_path_length(digraph, source)
             assert single_source_hops(view, source) == expected
 
-    def test_blocked_nodes_excluded(self):
-        graph = ChannelGraph.from_edges([("a", "b"), ("b", "c"), ("a", "c")])
-        view = graph.view(directed=True)
-        dist = bfs_distances(
-            view, view.index_of("a"), blocked=[view.index_of("b")]
-        )
-        assert dist[view.index_of("b")] == -1
-        assert dist[view.index_of("c")] == 1
-
     def test_shortest_path_indices_roundtrip(self):
         graph = barabasi_albert_snapshot(25, seed=4)
         view = graph.view(directed=True)
@@ -242,7 +232,7 @@ class TestReducedParity:
     def test_membership_matches_legacy(self):
         for graph in random_graphs()[:4]:
             for amount in (0.5, 2.0, 8.0):
-                view = reduced_view(graph, amount)
+                view = graph.view(directed=True, reduced=amount)
                 digraph = reference_digraph(graph, amount)
                 rows = view.entry_rows()
                 edges = {
@@ -251,31 +241,17 @@ class TestReducedParity:
                 }
                 assert edges == set(digraph.edges)
 
-    def test_feasible_pairs_matches_descendants(self):
+    def test_bfs_reach_matches_descendants(self):
         graph = barabasi_albert_snapshot(25, seed=21)
         for amount in (1.0, 4.0):
+            view = graph.view(directed=True, reduced=amount)
             digraph = reference_digraph(graph, amount)
-            expected = sum(
-                len(nx.descendants(digraph, s)) for s in digraph.nodes
-            )
-            assert feasible_pairs(graph, amount) == expected
-
-    def test_infeasible_edges_sorted_and_complete(self):
-        graph = barabasi_albert_snapshot(20, seed=6)
-        amount = 3.0
-        digraph = reference_digraph(graph)
-        expected = sorted(
-            (
-                (s, d, data["balance"])
-                for s, d, data in digraph.edges(data=True)
-                if data["balance"] < amount
-            ),
-            key=lambda t: (str(t[0]), str(t[1])),
-        )
-        got = infeasible_edges(graph, amount)
-        assert [(s, d) for s, d, _ in got] == [(s, d) for s, d, _ in expected]
-        for (_, _, b1), (_, _, b2) in zip(got, expected):
-            assert b1 == pytest.approx(b2, abs=TOL)
+            for s in range(view.num_nodes):
+                reached = {
+                    view.nodes[i]
+                    for i in (bfs_distances(view, s) > 0).nonzero()[0]
+                }
+                assert reached == nx.descendants(digraph, view.nodes[s])
 
 
 class TestRoutingOnViews:

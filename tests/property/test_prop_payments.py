@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from repro.network.fees import ConstantFee
 from repro.network.graph import ChannelGraph
 from repro.network.htlc import HtlcRouter, HtlcState
-from repro.network.rebalancing import execute_rebalance, find_rebalancing_cycle
 from repro.network.routing import Router
 from repro.errors import RoutingError
 
@@ -145,18 +144,18 @@ class TestHtlcAtomicity:
             assert channel.balance(channel.u) >= -1e-9
 
 
-class TestRebalancingInvariant:
+class TestCircularPayment:
     @given(balances=balances_strategy,
            amount=st.floats(0.1, 10.0, allow_nan=False))
     @settings(max_examples=80, deadline=None)
-    def test_rebalance_preserves_net_worth_of_everyone(self, balances, amount):
+    def test_preserves_net_worth_of_everyone(self, balances, amount):
+        """A fee-free self-payment around the ring only shifts liquidity."""
         graph = build_graph(balances)
         worth = {node: graph.balance_of(node) for node in NODES}
-        try:
-            cycle = find_rebalancing_cycle(graph, "a", amount)
-        except RoutingError:
-            return
-        if execute_rebalance(graph, cycle, amount):
+        router = HtlcRouter(graph)
+        payment = router.lock(["a", "b", "c", "d", "a"], amount)
+        if payment.state is HtlcState.PENDING:
+            router.settle(payment)
             for node in NODES:
                 assert graph.balance_of(node) == pytest.approx(
                     worth[node], abs=1e-6

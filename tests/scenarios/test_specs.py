@@ -142,6 +142,39 @@ class TestValidation:
             Scenario(topology=TopologySpec("ba"), seed="7")
 
 
+class TestSimulationSpecValidation:
+    """Every SimulationSpec field is checked when a document is parsed,
+    not later when the engine is built."""
+
+    def test_known_backends_accepted(self):
+        for backend in ("event", "batched"):
+            for mode in ("instant", "htlc"):
+                spec = SimulationSpec(backend=backend, payment_mode=mode)
+                assert (spec.backend, spec.payment_mode) == (backend, mode)
+
+    def test_unknown_payment_mode_rejected(self):
+        with pytest.raises(ScenarioError, match="payment_mode"):
+            SimulationSpec.from_dict({"payment_mode": "teleport"})
+
+    def test_string_fee_forwarding_rejected(self):
+        # "false" is truthy: accepted, it would run with forwarding on.
+        with pytest.raises(ScenarioError, match="fee_forwarding"):
+            SimulationSpec.from_dict({"fee_forwarding": "false"})
+
+    def test_unknown_path_selection_rejected(self):
+        with pytest.raises(ScenarioError, match="path_selection"):
+            SimulationSpec.from_dict({"path_selection": "bogus"})
+
+    @pytest.mark.parametrize("hold", [0.0, -1.0])
+    def test_non_positive_htlc_hold_mean_rejected(self, hold):
+        with pytest.raises(ScenarioError, match="htlc_hold_mean"):
+            SimulationSpec.from_dict({"htlc_hold_mean": hold})
+
+    def test_unknown_route_rng_rejected(self):
+        with pytest.raises(ScenarioError, match="route_rng"):
+            SimulationSpec.from_dict({"route_rng": "bogus"})
+
+
 class TestFeeSpecV2:
     """The two-sided fee schema: v1 documents migrate losslessly."""
 

@@ -5,11 +5,7 @@ import pytest
 from repro.network.fees import ConstantFee
 from repro.network.graph import ChannelGraph
 from repro.simulation.engine import SimulationEngine
-from repro.simulation.events import (
-    ChannelCloseEvent,
-    ChannelOpenEvent,
-    PaymentEvent,
-)
+from repro.simulation.events import PaymentEvent
 from repro.transactions.distributions import (
     EmpiricalDistribution,
     UniformDistribution,
@@ -85,31 +81,6 @@ class TestPaymentProcessing:
             )
         engine.run()
         assert line3_graph.total_capacity() == pytest.approx(total_before)
-
-
-class TestLifecycleEvents:
-    def test_channel_open_event(self, line3_graph):
-        engine = SimulationEngine(line3_graph)
-        engine.schedule(
-            ChannelOpenEvent(time=1.0, u="a", v="c", balance_u=5.0, balance_v=5.0)
-        )
-        engine.schedule(
-            PaymentEvent(time=2.0, sender="a", receiver="c", amount=4.0)
-        )
-        metrics = engine.run()
-        assert metrics.succeeded == 1
-        # direct channel means no intermediary traffic
-        assert metrics.edge_traffic.get(("a", "b"), 0) == 0
-
-    def test_channel_close_event(self, line3_graph):
-        channel = line3_graph.channels_between("a", "b")[0]
-        engine = SimulationEngine(line3_graph)
-        engine.schedule(ChannelCloseEvent(time=1.0, channel_id=channel.channel_id))
-        engine.schedule(
-            PaymentEvent(time=2.0, sender="a", receiver="c", amount=1.0)
-        )
-        metrics = engine.run()
-        assert metrics.failed == 1
 
 
 class TestWorkloadIntegration:

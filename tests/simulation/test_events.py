@@ -3,12 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulation.events import (
-    ChannelCloseEvent,
-    ChannelOpenEvent,
-    EventQueue,
-    PaymentEvent,
-)
+from repro.simulation.events import EventQueue, HtlcResolveEvent, PaymentEvent
 
 
 class TestEventQueue:
@@ -44,13 +39,13 @@ class TestEventQueue:
         queue = EventQueue()
         assert queue.peek_time() is None
         assert not queue
-        queue.push(ChannelOpenEvent(time=2.0, u="a", v="b", balance_u=1.0))
+        queue.push(HtlcResolveEvent(time=2.0, payment_id=0))
         assert queue.peek_time() == 2.0
         assert len(queue) == 1
 
     def test_mixed_event_types(self):
         queue = EventQueue()
-        queue.push(ChannelCloseEvent(time=2.0, channel_id="x"))
+        queue.push(HtlcResolveEvent(time=2.0, payment_id=0))
         queue.push(PaymentEvent(time=1.0, sender="a", receiver="b", amount=1.0))
         assert isinstance(queue.pop(), PaymentEvent)
-        assert isinstance(queue.pop(), ChannelCloseEvent)
+        assert isinstance(queue.pop(), HtlcResolveEvent)

@@ -259,31 +259,6 @@ class TestGuards:
         )
         assert scenario.simulation.backend == "batched"
 
-    def test_attack_runner_guard(self, monkeypatch):
-        """Defence in depth: the runner re-consults the capability table."""
-        from repro.attacks.runner import AttackRunner
-        from repro.scenarios import AttackSpec
-        from repro.scenarios import capabilities as caps
-
-        monkeypatch.setitem(
-            caps.BACKEND_CAPABILITIES,
-            "frozen",
-            caps.EngineCapabilities(
-                backend="frozen", payment_modes=("instant",),
-                event_injection=False,
-            ),
-        )
-        scenario = Scenario(
-            topology=TopologySpec("star", {"leaves": 4}),
-            simulation=SimulationSpec(horizon=5.0),
-            attack=AttackSpec("slow-jamming", {"budget": 10.0}),
-        )
-        object.__setattr__(
-            scenario, "simulation", SimulationSpec(backend="frozen")
-        )
-        with pytest.raises(ScenarioError, match="event injection"):
-            AttackRunner().run(scenario)
-
     def test_unsorted_trace_rejected(self):
         graph = ChannelGraph.from_edges([("a", "b")], balance=5.0)
         engine = BatchedSimulationEngine(graph)
@@ -305,17 +280,6 @@ class TestTraceArrays:
         trace = TraceArrays.from_transactions(txs, nodes)
         assert len(trace) == 3
         assert trace.to_transactions() == txs
-
-    def test_select_preserves_global_indices(self):
-        nodes = ("a", "b")
-        txs = [
-            Transaction(time=float(i), sender="a", receiver="b", amount=1.0)
-            for i in range(5)
-        ]
-        trace = TraceArrays.from_transactions(txs, nodes)
-        sub = trace.select([1, 3, 4])
-        assert list(sub.indices) == [1, 3, 4]
-        assert [tx.time for tx in sub.to_transactions()] == [1.0, 3.0, 4.0]
 
     def test_generate_trace_matches_generate(self):
         scenario = scenario_for(TopologySpec("ba", {"n": 20}), horizon=10.0)

@@ -15,7 +15,6 @@ from repro.determinism import resolve_seed
 from repro.network.graph import ChannelGraph
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.fastpath import BatchedSimulationEngine
-from repro.simulation.metrics import SimulationMetrics
 from repro.transactions.workload import Transaction
 
 
@@ -92,12 +91,3 @@ class TestEngineSeedSurfacing:
             SimulationEngine(_diamond_graph(), seed=3)
         assert caplog.text == ""
 
-
-class TestMergedSeed:
-    def test_unanimous_seed_survives_merge(self):
-        parts = [SimulationMetrics(seed=5), SimulationMetrics(seed=5)]
-        assert SimulationMetrics.merged(parts).seed == 5
-
-    def test_mixed_seeds_merge_to_none(self):
-        parts = [SimulationMetrics(seed=5), SimulationMetrics(seed=6)]
-        assert SimulationMetrics.merged(parts).seed is None
