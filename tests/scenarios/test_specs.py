@@ -152,6 +152,11 @@ class TestSimulationSpecValidation:
                 spec = SimulationSpec(backend=backend, payment_mode=mode)
                 assert (spec.backend, spec.payment_mode) == (backend, mode)
 
+    def test_unknown_backend_rejected(self):
+        # the message names the offending value, as for every other field
+        with pytest.raises(ScenarioError, match="teleport"):
+            SimulationSpec.from_dict({"backend": "teleport"})
+
     def test_unknown_payment_mode_rejected(self):
         with pytest.raises(ScenarioError, match="payment_mode"):
             SimulationSpec.from_dict({"payment_mode": "teleport"})
