@@ -37,7 +37,7 @@ from repro.scenarios import (
     TopologySpec,
     WorkloadSpec,
 )
-from repro.scenarios.runner import build_fee, build_topology, build_workload
+from repro.scenarios.factory import build_fee, build_topology, build_workload
 from repro.simulation.fastpath import BatchedSimulationEngine
 
 # Same shape as bench_simulation: the full n=1000 case replays ~100k

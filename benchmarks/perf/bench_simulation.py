@@ -32,7 +32,7 @@ from repro.scenarios import (
     TopologySpec,
     WorkloadSpec,
 )
-from repro.scenarios.runner import build_fee, build_topology, build_workload
+from repro.scenarios.factory import build_fee, build_topology, build_workload
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.fastpath import BatchedSimulationEngine
 

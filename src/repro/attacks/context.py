@@ -20,7 +20,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -33,7 +32,6 @@ from ..obs import NULL_SESSION, ObsSession
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from ..simulation.engine import SimulationEngine
-    from ..simulation.fastpath import BatchedSimulationEngine
 from ..simulation.events import Event
 
 __all__ = ["AttackContext", "AttackTickEvent", "AttackResolveEvent"]
@@ -71,7 +69,7 @@ class AttackContext:
     def __init__(
         self,
         graph: ChannelGraph,
-        engine: Union["SimulationEngine", "BatchedSimulationEngine"],
+        engine: "SimulationEngine",
         victim: Hashable,
         horizon: float,
         budget: float,

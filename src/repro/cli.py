@@ -695,8 +695,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--backend", choices=["event", "batched"], default="event",
         help="simulation backend: the discrete-event queue or the "
-        "vectorised batched fast path (identical metrics, large traces "
-        "run several times faster)",
+        "vectorised batched fast path (same counts, routes and per-node "
+        "values; large traces run several times faster)",
     )
     p_sim.add_argument(
         "--trace-out", default=None, metavar="SPANS_JSONL",

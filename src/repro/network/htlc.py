@@ -11,8 +11,9 @@ and resolution the reserved funds are unavailable to other payments —
 which is exactly the in-flight-capital effect that makes the opportunity
 cost of Section II-C real.
 
-Each hop carries a timeout that decrements toward the receiver, like
-Lightning's CLTV deltas.
+:class:`HtlcLedger` holds the per-payment bookkeeping; :class:`HtlcRouter`
+reserves hops on :class:`~repro.network.channel.Channel` objects, and the
+batched engine's array router on CSR entries.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from .channel import Channel
 from .fees import ConstantFee, FeeFunction, FeePolicy
 from .graph import ChannelGraph
 
-__all__ = ["HtlcError", "HtlcState", "Htlc", "HtlcPayment", "HtlcRouter"]
-
-_payment_ids = itertools.count()
+__all__ = [
+    "HtlcError", "HtlcLedger", "HtlcState", "Htlc", "HtlcPayment", "HtlcRouter",
+]
 
 
 class HtlcState(Enum):
@@ -47,7 +48,6 @@ class Htlc:
     channel: Channel
     sender: Hashable
     amount: float
-    expiry: int
 
 
 @dataclass
@@ -92,38 +92,25 @@ class HtlcPayment:
         return sum(self.upfront_fees_per_node.values())
 
 
-class HtlcRouter:
-    """Two-phase (lock / settle-or-fail) multi-hop payment execution.
+class HtlcLedger:
+    """The per-payment bookkeeping both HTLC routers share.
 
-    Unlike :class:`~repro.network.routing.Router` (which applies balance
-    updates instantaneously), the HTLC router separates locking from
-    settlement so concurrent payments contend for capacity realistically.
-
-    Args:
-        graph: the channel graph (balances are mutated by lock/settle).
-        fee: per-hop fee function.
-        base_expiry: timeout (abstract blocks) granted to the final hop;
-            each earlier hop adds ``expiry_delta``.
-        expiry_delta: per-hop timeout increment.
+    Owns the fee and its two-sided policy, the ``(hops, amount)``
+    hop-amount memo, the in-flight map with its running
+    ``locked_capital`` total, settle-time fee booking and ``fail``.
+    Subclasses reserve and release the hops themselves: ``lock`` places
+    the reservations and ends in :meth:`_track` or :meth:`_reject`,
+    :meth:`_release` moves settled reservations downstream and
+    :meth:`_unwind` hands them back upstream.
     """
 
-    def __init__(
-        self,
-        graph: ChannelGraph,
-        fee: Optional[FeeFunction] = None,
-        base_expiry: int = 10,
-        expiry_delta: int = 40,
-    ) -> None:
-        if base_expiry <= 0 or expiry_delta < 0:
-            raise HtlcError("expiry parameters must be positive")
-        self.graph = graph
+    def __init__(self, fee: Optional[FeeFunction] = None) -> None:
         self.fee = fee if fee is not None else ConstantFee(0.0)
         # The two-sided view of the fee: ``policy.upfront`` prices the
         # per-attempt side (zero for plain FeeFunctions, so success-only
         # fees behave exactly as before).
         self.policy = FeePolicy.of(self.fee)
-        self.base_expiry = base_expiry
-        self.expiry_delta = expiry_delta
+        self._ids = itertools.count()
         self._in_flight: Dict[int, HtlcPayment] = {}
         # (hops, amount) -> hop amounts. Attack strategies re-price the
         # same route shape with the same amount on every attempt, so the
@@ -132,12 +119,8 @@ class HtlcRouter:
         self._hop_amounts_cache: Dict[Tuple[int, float], Tuple[float, ...]] = {}
         # Running sum of in-flight locked amounts, maintained incrementally
         # so locked_capital() is O(1) under jamming-scale in-flight sets.
-        # The batched engine's router mirrors these updates operation for
-        # operation, keeping the two backends' metrics bit-identical.
         self._locked_totals: Dict[int, float] = {}
         self._locked_total = 0.0
-
-    # -- helpers -------------------------------------------------------------
 
     def hop_amounts(self, hops: int, amount: float) -> List[float]:
         """Per-hop amounts (sender side first) for delivering ``amount``.
@@ -159,6 +142,108 @@ class HtlcRouter:
         result = tuple(amounts)
         self._hop_amounts_cache[(hops, amount)] = result
         return result
+
+    def _check(self, path: Sequence[Hashable], amount: float) -> Tuple[float, ...]:
+        """Validate a lock request; returns its hop amounts."""
+        if len(path) < 2:
+            raise RoutingError("path needs at least one hop")
+        if amount <= 0:
+            raise HtlcError(f"amount must be > 0, got {amount}")
+        return self._hop_amounts(len(path) - 1, amount)
+
+    def _track(self, payment: "HtlcPayment") -> "HtlcPayment":
+        """Record a fully locked payment as in flight."""
+        self._in_flight[payment.payment_id] = payment
+        locked = payment.total_locked
+        self._locked_totals[payment.payment_id] = locked
+        self._locked_total += locked
+        return payment
+
+    def _reject(self, payment: "HtlcPayment", reason: str) -> "HtlcPayment":
+        """Unwind a partly locked payment and mark it failed."""
+        self._unwind(payment)
+        payment.state = HtlcState.FAILED
+        payment.failure_reason = reason
+        return payment
+
+    # -- the protocol -----------------------------------------------------------
+
+    def settle(self, payment: "HtlcPayment") -> None:
+        """Phase 2a: the receiver reveals the preimage; funds finalise.
+
+        Each hop's reserved amount moves to the downstream party; the
+        difference between a hop's inbound and outbound amounts stays with
+        the intermediary as its fee.
+        """
+        self._require_pending(payment)
+        amounts = self._release(payment)
+        fees = payment.fees_per_node
+        for node, inbound, outbound in zip(
+            payment.path[1:-1], amounts, amounts[1:]
+        ):
+            fees[node] = fees.get(node, 0.0) + inbound - outbound
+        payment.state = HtlcState.SETTLED
+        self._drop_in_flight(payment)
+
+    def fail(self, payment: "HtlcPayment") -> None:
+        """Phase 2b: unwind every reservation; balances fully restored."""
+        self._require_pending(payment)
+        self._unwind(payment)
+        payment.state = HtlcState.FAILED
+        self._drop_in_flight(payment)
+
+    def _release(self, payment: "HtlcPayment") -> Sequence[float]:
+        """Move every reservation downstream; returns the hop amounts."""
+        raise NotImplementedError
+
+    def _unwind(self, payment: "HtlcPayment") -> None:
+        """Hand every reservation back upstream, last hop first."""
+        raise NotImplementedError
+
+    # -- internals ---------------------------------------------------------------
+
+    def _require_pending(self, payment: "HtlcPayment") -> None:
+        if payment.state is not HtlcState.PENDING:
+            raise HtlcError(
+                f"payment {payment.payment_id} is {payment.state.value}, "
+                "not pending"
+            )
+
+    def _drop_in_flight(self, payment: "HtlcPayment") -> None:
+        if self._in_flight.pop(payment.payment_id, None) is None:
+            return
+        self._locked_total -= self._locked_totals.pop(payment.payment_id, 0.0)
+        if not self._in_flight:
+            # Re-anchor: with nothing in flight the total is exactly zero;
+            # shed any rounding the incremental +/- accumulated.
+            self._locked_total = 0.0
+
+    @property
+    def in_flight(self) -> Tuple["HtlcPayment", ...]:
+        return tuple(self._in_flight.values())
+
+    def locked_capital(self) -> float:
+        """Total coins currently reserved by pending payments."""
+        return self._locked_total
+
+
+class HtlcRouter(HtlcLedger):
+    """Two-phase (lock / settle-or-fail) multi-hop payment execution.
+
+    Unlike :class:`~repro.network.routing.Router` (which applies balance
+    updates instantaneously), the HTLC router separates locking from
+    settlement so concurrent payments contend for capacity realistically.
+
+    Args:
+        graph: the channel graph (balances are mutated by lock/settle).
+        fee: per-hop fee function.
+    """
+
+    def __init__(
+        self, graph: ChannelGraph, fee: Optional[FeeFunction] = None
+    ) -> None:
+        super().__init__(fee)
+        self.graph = graph
 
     def _pick_channel(
         self, src: Hashable, dst: Hashable, amount: float
@@ -183,8 +268,6 @@ class HtlcRouter:
             return best, ""
         return None, "no-slots" if funded else "no-balance"
 
-    # -- the protocol -----------------------------------------------------------
-
     def lock(self, path: Sequence[Hashable], amount: float) -> HtlcPayment:
         """Phase 1: reserve funds along ``path`` for ``amount``.
 
@@ -192,25 +275,14 @@ class HtlcRouter:
         lacks balance, all earlier reservations are unwound and the
         payment is returned in the FAILED state.
         """
-        if len(path) < 2:
-            raise RoutingError("path needs at least one hop")
-        if amount <= 0:
-            raise HtlcError(f"amount must be > 0, got {amount}")
-        hops = len(path) - 1
-        hop_amounts = self._hop_amounts(hops, amount)
+        hop_amounts = self._check(path, amount)
         payment = HtlcPayment(
-            payment_id=next(_payment_ids),
-            path=tuple(path),
-            amount=amount,
+            payment_id=next(self._ids), path=tuple(path), amount=amount,
         )
-        expiry = self.base_expiry + self.expiry_delta * (hops - 1)
         for (src, dst), hop_amount in zip(zip(path, path[1:]), hop_amounts):
             channel, reason = self._pick_channel(src, dst, hop_amount)
             if channel is None:
-                self._unwind(payment)
-                payment.state = HtlcState.FAILED
-                payment.failure_reason = reason
-                return payment
+                return self._reject(payment, reason)
             # reserve: the hop amount leaves the sender's spendable balance
             # into escrow; settlement decides whether it lands on the other
             # side (settle) or returns (fail). The HTLC also occupies
@@ -227,74 +299,18 @@ class HtlcRouter:
                     payment.upfront_fees_per_node.get(dst, 0.0)
                     + self.policy.upfront(hop_amount)
                 )
-            payment.hops.append(
-                Htlc(channel=channel, sender=src, amount=hop_amount,
-                     expiry=expiry)
-            )
-            expiry -= self.expiry_delta
-        self._in_flight[payment.payment_id] = payment
-        locked = payment.total_locked
-        self._locked_totals[payment.payment_id] = locked
-        self._locked_total += locked
-        return payment
+            payment.hops.append(Htlc(channel=channel, sender=src, amount=hop_amount))
+        return self._track(payment)
 
-    def settle(self, payment: HtlcPayment) -> None:
-        """Phase 2a: the receiver reveals the preimage; funds finalise.
-
-        Each hop's reserved amount moves to the downstream party; the
-        difference between a hop's inbound and outbound amounts stays with
-        the intermediary as its fee.
-        """
-        self._require_pending(payment)
+    def _release(self, payment: HtlcPayment) -> List[float]:
         for htlc in payment.hops:
             receiver = htlc.channel.other(htlc.sender)
             htlc.channel.deposit(receiver, htlc.amount)
             htlc.channel.close_htlc(htlc.sender)
-        amounts = [h.amount for h in payment.hops]
-        for node, inbound, outbound in zip(
-            payment.path[1:-1], amounts, amounts[1:]
-        ):
-            payment.fees_per_node[node] = (
-                payment.fees_per_node.get(node, 0.0) + inbound - outbound
-            )
-        payment.state = HtlcState.SETTLED
-        self._drop_in_flight(payment)
-
-    def fail(self, payment: HtlcPayment) -> None:
-        """Phase 2b: unwind every reservation; balances fully restored."""
-        self._require_pending(payment)
-        self._unwind(payment)
-        payment.state = HtlcState.FAILED
-        self._drop_in_flight(payment)
-
-    # -- internals ---------------------------------------------------------------
+        return [h.amount for h in payment.hops]
 
     def _unwind(self, payment: HtlcPayment) -> None:
         for htlc in reversed(payment.hops):
             htlc.channel.deposit(htlc.sender, htlc.amount)
             htlc.channel.close_htlc(htlc.sender)
         payment.hops.clear()
-
-    def _require_pending(self, payment: HtlcPayment) -> None:
-        if payment.state is not HtlcState.PENDING:
-            raise HtlcError(
-                f"payment {payment.payment_id} is {payment.state.value}, "
-                "not pending"
-            )
-
-    def _drop_in_flight(self, payment: HtlcPayment) -> None:
-        if self._in_flight.pop(payment.payment_id, None) is None:
-            return
-        self._locked_total -= self._locked_totals.pop(payment.payment_id, 0.0)
-        if not self._in_flight:
-            # Re-anchor: with nothing in flight the total is exactly zero;
-            # shed any rounding the incremental +/- accumulated.
-            self._locked_total = 0.0
-
-    @property
-    def in_flight(self) -> Tuple[HtlcPayment, ...]:
-        return tuple(self._in_flight.values())
-
-    def locked_capital(self) -> float:
-        """Total coins currently reserved by pending payments."""
-        return self._locked_total

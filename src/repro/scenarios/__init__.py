@@ -70,18 +70,8 @@ from .specs import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - lazy at runtime, eager for typing
-    from .runner import (
-        ScenarioResult,
-        ScenarioRunner,
-        build_batched_engine,
-        build_churn,
-        build_engine,
-        build_fee,
-        build_growth,
-        build_simulation_engine,
-        build_topology,
-        build_workload,
-    )
+    from .factory import build_churn, build_growth, build_topology
+    from .runner import ScenarioResult, ScenarioRunner
 
 __all__ = [
     "ALGORITHMS",
@@ -105,14 +95,9 @@ __all__ = [
     "TopologySpec",
     "WORKLOADS",
     "WorkloadSpec",
-    "build_batched_engine",
     "build_churn",
-    "build_engine",
-    "build_fee",
     "build_growth",
-    "build_simulation_engine",
     "build_topology",
-    "build_workload",
     "derive_seed",
     "evaluate_grid",
     "grid_points",
@@ -125,27 +110,22 @@ __all__ = [
     "register_workload",
 ]
 
-_LAZY_RUNNER_EXPORTS = (
-    "ScenarioResult",
-    "ScenarioRunner",
-    "build_batched_engine",
-    "build_churn",
-    "build_engine",
-    "build_fee",
-    "build_growth",
-    "build_simulation_engine",
-    "build_topology",
-    "build_workload",
-)
+_LAZY_EXPORTS = {
+    "ScenarioResult": "runner",
+    "ScenarioRunner": "runner",
+    "build_churn": "factory",
+    "build_growth": "factory",
+    "build_topology": "factory",
+}
 
 
 def __getattr__(name: str):
-    if name in _LAZY_RUNNER_EXPORTS:
-        from . import runner
+    if name in _LAZY_EXPORTS:
+        from importlib import import_module
 
-        return getattr(runner, name)
+        return getattr(import_module(f".{_LAZY_EXPORTS[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_LAZY_RUNNER_EXPORTS))
+    return sorted(set(globals()) | set(_LAZY_EXPORTS))

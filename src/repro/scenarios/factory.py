@@ -15,7 +15,7 @@ provider imports at module level — they load lazily on first build), so
 from __future__ import annotations
 
 import inspect
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional
 
 from ..errors import ScenarioError
 from ..network.graph import ChannelGraph
@@ -26,9 +26,7 @@ from .registry import CHURN, FEES, GROWTH, TOPOLOGIES, WORKLOADS
 from .specs import ChurnSpec, GrowthSpec, Scenario, TopologySpec, WorkloadSpec
 
 __all__ = [
-    "build_batched_engine",
     "build_churn",
-    "build_engine",
     "build_fee",
     "build_growth",
     "build_simulation_engine",
@@ -168,76 +166,31 @@ def build_churn(spec: ChurnSpec) -> Any:
         ) from exc
 
 
-def build_engine(
-    scenario: Scenario,
-    graph: ChannelGraph,
-    obs: Optional[ObsSession] = None,
-) -> SimulationEngine:
-    """The event-driven :class:`SimulationEngine` for the scenario.
-
-    ``obs`` is an execution-time concern, not part of the spec (it would
-    perturb content hashes): the caller's instrumentation session is
-    threaded through to the engine here.
-
-    Raises:
-        ScenarioError: when the scenario has no simulation section or
-            selects a different backend (callers that need the shared
-            event queue — e.g. the attack runner — use this to enforce
-            backend="event" explicitly).
-    """
-    sim = scenario.simulation
-    if sim is None:
-        raise ScenarioError("scenario has no simulation section")
-    if sim.backend != "event":
-        raise ScenarioError(
-            f"build_engine builds the event backend, but the scenario "
-            f"selects backend={sim.backend!r}; use "
-            "build_simulation_engine for backend dispatch"
-        )
-    return SimulationEngine(
-        graph,
-        fee=build_fee(scenario),
-        fee_forwarding=sim.fee_forwarding,
-        path_selection=sim.path_selection,
-        seed=scenario.seed,
-        payment_mode=sim.payment_mode,
-        htlc_hold_mean=sim.htlc_hold_mean,
-        route_rng=sim.route_rng,
-        obs=obs,
-    )
-
-
-def build_batched_engine(
-    scenario: Scenario,
-    graph: ChannelGraph,
-    obs: Optional[ObsSession] = None,
-) -> BatchedSimulationEngine:
-    """The batched :class:`BatchedSimulationEngine` for the scenario."""
-    sim = scenario.simulation
-    if sim is None:
-        raise ScenarioError("scenario has no simulation section")
-    return BatchedSimulationEngine(
-        graph,
-        fee=build_fee(scenario),
-        fee_forwarding=sim.fee_forwarding,
-        path_selection=sim.path_selection,
-        seed=scenario.seed,
-        payment_mode=sim.payment_mode,
-        htlc_hold_mean=sim.htlc_hold_mean,
-        route_rng=sim.route_rng,
-        obs=obs,
-    )
-
-
 def build_simulation_engine(
     scenario: Scenario,
     graph: ChannelGraph,
     obs: Optional[ObsSession] = None,
-) -> Union[SimulationEngine, BatchedSimulationEngine]:
-    """The engine the scenario's ``backend`` selects."""
+) -> SimulationEngine:
+    """The engine the scenario's ``backend`` selects, built from its spec.
+
+    ``obs`` is an execution-time concern, not part of the spec (it would
+    perturb content hashes): the caller's instrumentation session is
+    threaded through to the engine here.
+    """
     sim = scenario.simulation
     if sim is None:
         raise ScenarioError("scenario has no simulation section")
-    if sim.backend == "batched":
-        return build_batched_engine(scenario, graph, obs=obs)
-    return build_engine(scenario, graph, obs=obs)
+    engine_class = (
+        BatchedSimulationEngine if sim.backend == "batched" else SimulationEngine
+    )
+    return engine_class(
+        graph,
+        fee=build_fee(scenario),
+        fee_forwarding=sim.fee_forwarding,
+        path_selection=sim.path_selection,
+        seed=scenario.seed,
+        payment_mode=sim.payment_mode,
+        htlc_hold_mean=sim.htlc_hold_mean,
+        route_rng=sim.route_rng,
+        obs=obs,
+    )

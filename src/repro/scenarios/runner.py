@@ -54,16 +54,7 @@ from ..simulation.metrics import SimulationMetrics
 from ..snapshots import io as _snapshot_io  # noqa: F401  (topology: file)
 from ..snapshots import synthetic  # noqa: F401  (topologies: ba, ...)
 from ..transactions import workload as _workloads  # noqa: F401  (poisson)
-from .factory import (  # noqa: F401  (re-exported: the historical home)
-    build_batched_engine,
-    build_churn,
-    build_engine,
-    build_fee,
-    build_growth,
-    build_simulation_engine,
-    build_topology,
-    build_workload,
-)
+from .factory import build_simulation_engine, build_topology, build_workload
 from .grid import derive_seed, evaluate_grid
 from .registry import ALGORITHMS
 from .specs import Scenario, SimulationSpec
@@ -80,14 +71,6 @@ __all__ = [
     "ScenarioResult",
     "ScenarioRunner",
     "resolve_sweep_point",
-    "build_batched_engine",
-    "build_churn",
-    "build_engine",
-    "build_fee",
-    "build_growth",
-    "build_simulation_engine",
-    "build_topology",
-    "build_workload",
 ]
 
 
@@ -375,14 +358,9 @@ class ScenarioRunner:
         obs = self._obs
         with obs.phase("workload"):
             workload = build_workload(scenario, graph)
-        if sim.backend == "batched":
-            engine = build_batched_engine(scenario, graph, obs=obs)
-            with obs.phase("simulate"):
-                return engine.run_trace(list(workload.generate(sim.horizon)))
-        engine = build_engine(scenario, graph, obs=obs)
-        engine.schedule_workload(workload, horizon=sim.horizon)
+        engine = build_simulation_engine(scenario, graph, obs=obs)
         with obs.phase("simulate"):
-            return engine.run()
+            return engine.run_trace(list(workload.generate(sim.horizon)))
 
     def run_sweep(
         self,

@@ -440,14 +440,17 @@ class SimulationSpec:
     execution engine: ``"event"`` is the discrete-event loop;
     ``"batched"`` is the vectorised fast path
     (:class:`~repro.simulation.fastpath.BatchedSimulationEngine`), which
-    produces the same metrics for the same seed. Both backends run
+    gives the same counts, routes, per-node values and final balances
+    for the same seed. Both backends run
     ``payment_mode`` ``"instant"`` and ``"htlc"``. ``route_rng`` picks
     how path-sampling randomness is derived: ``"stream"`` draws from one
     sequential RNG (the historical behaviour), ``"payment"`` derives an
     independent RNG per payment from ``(seed, payment index)``, so one
     payment's route does not depend on which payments ran before it.
     ``path_selection`` is ``"random"`` (equal-split tie-breaks) or
-    ``"first"``. Every field is checked here, when the spec is parsed.
+    ``"first"``. ``fee_forwarding=False`` needs ``payment_mode``
+    ``"instant"``: the HTLC routers always forward fees. Every field is
+    checked here, when the spec is parsed.
     """
 
     horizon: float = 100.0
@@ -486,6 +489,11 @@ class SimulationSpec:
                     f"SimulationSpec.{name} must be one of "
                     f"{list(choices)}, got {value!r}"
                 )
+        if self.payment_mode == "htlc" and not self.fee_forwarding:
+            raise ScenarioError(
+                "SimulationSpec.fee_forwarding=false is not modelled in "
+                "payment_mode 'htlc': the HTLC routers always forward fees"
+            )
 
     def to_dict(self) -> Dict[str, Any]:
         return {

@@ -1,9 +1,12 @@
 """Payment simulation over channel graphs: event-driven and batched.
 
-Two interchangeable backends produce identical metrics for identical
-seeds: :class:`SimulationEngine` (the discrete-event queue) and
-:class:`BatchedSimulationEngine` (the vectorised fast path). Both run
-instant and HTLC payments and accept injected adversarial events.
+:class:`SimulationEngine` is the discrete-event queue;
+:class:`BatchedSimulationEngine` subclasses it and swaps in routing
+over frozen view arrays. For identical seeds both give the same
+counts, routes, per-node values and final balances; summed report
+fields (``total_revenue``) add per-node dicts in different insertion
+orders and may differ in their last bits. Both run instant and HTLC
+payments and accept injected adversarial events.
 """
 
 from .engine import SimulationEngine

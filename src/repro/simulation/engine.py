@@ -10,7 +10,16 @@ feasibility), which bench E11 compares against Eq. 2/Eq. 3 predictions.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional, Type
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Optional,
+    Sequence,
+    Type,
+    Union,
+)
 
 import numpy as np
 
@@ -18,10 +27,10 @@ from ..determinism import resolve_seed
 from ..errors import RoutingError, SimulationError
 from ..network.fees import FeeFunction
 from ..network.graph import ChannelGraph
-from ..network.htlc import HtlcRouter, HtlcState
+from ..network.htlc import HtlcLedger, HtlcPayment, HtlcRouter, HtlcState
 from ..network.routing import PaymentRouteRng, Router
 from ..obs import ObsSession, default_session
-from ..transactions.workload import PoissonWorkload, Transaction
+from ..transactions.workload import PoissonWorkload, TraceArrays, Transaction
 from .events import Event, EventQueue, HtlcResolveEvent, PaymentEvent
 from .metrics import SimulationMetrics
 
@@ -30,6 +39,15 @@ __all__ = ["SimulationEngine"]
 
 class SimulationEngine:
     """Runs payment workloads against a channel graph.
+
+    The event loop, scheduling, the per-payment route RNG, HTLC
+    lock-failure and settle booking and instant-payment booking live
+    here for both engines. A subclass supplies how a path is found
+    (:meth:`_find_path`), how an instant payment moves balances
+    (:meth:`_handle_payment`) and its HTLC router
+    (:meth:`_new_htlc_router`);
+    :class:`~repro.simulation.fastpath.BatchedSimulationEngine` is the
+    other engine.
 
     Args:
         graph: the network (mutated in place as balances move).
@@ -54,6 +72,11 @@ class SimulationEngine:
             independent RNG per payment from ``(seed, payment index)``,
             so each routing decision is independent of the other
             payments in the trace.
+
+    Raises:
+        SimulationError: on an unknown ``payment_mode`` or ``route_rng``,
+            ``htlc_hold_mean <= 0``, or ``fee_forwarding=False`` in
+            ``"htlc"`` mode, where both HTLC routers always forward fees.
     """
 
     def __init__(
@@ -78,6 +101,11 @@ class SimulationEngine:
             raise SimulationError(
                 f"route_rng must be 'stream' or 'payment', got {route_rng!r}"
             )
+        if payment_mode == "htlc" and not fee_forwarding:
+            raise SimulationError(
+                "fee_forwarding=False is not modelled in 'htlc' mode: "
+                "the HTLC routers always forward fees"
+            )
         self.graph = graph
         # Resolve the seed once: with seed=None an entropy seed is drawn
         # *here* (loudly — see repro.determinism) and every downstream
@@ -93,7 +121,7 @@ class SimulationEngine:
         self.htlc_hold_mean = htlc_hold_mean
         self.route_rng = route_rng
         self._route_base = self.seed % (2 ** 63)
-        self._htlc_router = HtlcRouter(graph, fee=fee)
+        self._htlc_router = self._new_htlc_router()
         self._pending_htlcs = {}
         self._hold_rng = np.random.default_rng(self.seed + 1)
         self.metrics = SimulationMetrics(seed=self.seed)
@@ -111,11 +139,14 @@ class SimulationEngine:
         return self._now
 
     @property
-    def htlc_router(self) -> HtlcRouter:
+    def htlc_router(self) -> HtlcLedger:
         """The engine's HTLC router — shared with adversarial extensions so
         attacker locks and honest locks contend for the same slots and
         balances."""
         return self._htlc_router
+
+    def _new_htlc_router(self) -> HtlcLedger:
+        return HtlcRouter(self.graph, fee=self.router.fee)
 
     # -- scheduling -----------------------------------------------------------
 
@@ -186,6 +217,23 @@ class SimulationEngine:
 
     # -- execution ----------------------------------------------------------------
 
+    def run_trace(
+        self, trace: Union[TraceArrays, Sequence[Transaction]]
+    ) -> SimulationMetrics:
+        """Schedule every payment of ``trace``, then :meth:`run` the queue.
+
+        A :class:`TraceArrays` keeps its own trace indices (the
+        ``route_rng="payment"`` key).
+        """
+        if isinstance(trace, TraceArrays):
+            self.schedule_transactions(
+                trace.to_transactions(),
+                indices=(int(i) for i in trace.indices),
+            )
+        else:
+            self.schedule_transactions(trace)
+        return self.run()
+
     def run(self, until: Optional[float] = None) -> SimulationMetrics:
         """Process events in time order until the queue drains (or ``until``).
 
@@ -218,44 +266,75 @@ class SimulationEngine:
                 )
             handler(event)
 
-    def _payment_rng(self, event: PaymentEvent) -> Optional[PaymentRouteRng]:
-        """The event's route RNG: ``None`` = the router's shared stream.
+    def _route_rng(self, index: int):
+        """The route RNG of the payment at trace position ``index``.
 
-        Ad-hoc events (``index == -1``) draw the next engine-local index,
-        so directly-scheduled payments stay deterministic too.
+        ``"stream"`` mode shares the router's sequential stream. Ad-hoc
+        events (``index == -1``) draw the next engine-local index, so
+        directly-scheduled payments stay deterministic too.
         """
         if self.route_rng != "payment":
-            return None
-        index = event.index
+            return self.router._rng
         if index < 0:
             index = self._payment_seq
             self._payment_seq += 1
         return PaymentRouteRng(self._route_base, index)
 
+    def _find_path(self, event: PaymentEvent) -> Union[Sequence[Hashable], str]:
+        """The event's route as node labels, or its failure reason."""
+        try:
+            route = self.router.find_route(
+                event.sender, event.receiver, event.amount,
+                rng=self._route_rng(event.index),
+            )
+        except RoutingError as exc:
+            return _classify_failure(str(exc))
+        return route.nodes
+
+    def _fail_payment(self, reason: str) -> None:
+        self.metrics.failed += 1
+        self.metrics.failure_reasons[reason] += 1
+
     def _handle_payment(self, event: PaymentEvent) -> None:
-        metrics = self.metrics
-        metrics.attempted += 1
+        """Route and apply a payment atomically on arrival."""
+        self.metrics.attempted += 1
         outcome = self.router.execute(
             event.sender, event.receiver, event.amount,
-            rng=self._payment_rng(event),
+            rng=self._route_rng(event.index),
         )
         if not outcome.success:
-            metrics.failed += 1
             reason = _classify_failure(outcome.failure_reason)
-            metrics.failure_reasons[reason] += 1
+            self._fail_payment(reason)
             obs = self._obs
             if obs.enabled:
                 obs.registry.counter(f"payments.failed.{reason}").inc()
             return
+        nodes = outcome.route.nodes
+        self._book_instant(
+            event, nodes, self.router._hop_amounts(len(nodes) - 1, event.amount)
+        )
+
+    def _book_instant(
+        self,
+        event: PaymentEvent,
+        path: Sequence[Hashable],
+        hop_amounts: Sequence[float],
+    ) -> None:
+        """Book one executed instant payment into the metrics."""
+        metrics = self.metrics
+        amount = event.amount
         metrics.succeeded += 1
-        metrics.volume_delivered += event.amount
+        metrics.volume_delivered += amount
         metrics.sent[event.sender] += 1
         metrics.received[event.receiver] += 1
-        route = outcome.route
-        metrics.fees_paid[event.sender] += route.fee
-        for node, fee in outcome.fees_per_node.items():
-            metrics.revenue[node] += fee
-        for src, dst in zip(route.nodes, route.nodes[1:]):
+        metrics.fees_paid[event.sender] += hop_amounts[0] - amount
+        fee_fn = self.router.fee if not self.router.fee_forwarding else None
+        for i in range(1, len(path) - 1):
+            fee = hop_amounts[i - 1] - hop_amounts[i]
+            if fee_fn is not None:
+                fee += fee_fn(amount)
+            metrics.revenue[path[i]] += fee
+        for src, dst in zip(path, path[1:]):
             metrics.edge_traffic[(src, dst)] += 1
         policy = self._htlc_router.policy
         if policy.has_upfront:
@@ -263,47 +342,37 @@ class SimulationEngine:
             # the two-sided policy is charged on the payments that
             # actually execute — one charge per hop, credited to the
             # hop's receiving node.
-            hop_amounts = self.router._hop_amounts(
-                len(route.nodes) - 1, event.amount
-            )
             total = 0.0
-            for i, node in enumerate(route.nodes[1:]):
+            for i, node in enumerate(path[1:]):
                 charge = policy.upfront(hop_amounts[i])
                 metrics.upfront_revenue[node] += charge
                 total += charge
             metrics.upfront_fees_paid[event.sender] += total
 
-
     def _handle_payment_htlc(self, event: PaymentEvent) -> None:
         """Lock now, settle after an exponential hold (HTLC semantics)."""
         metrics = self.metrics
         metrics.attempted += 1
-        try:
-            route = self.router.find_route(
-                event.sender, event.receiver, event.amount,
-                rng=self._payment_rng(event),
-            )
-        except RoutingError as exc:
-            metrics.failed += 1
-            metrics.failure_reasons[_classify_failure(str(exc))] += 1
+        path = self._find_path(event)
+        if isinstance(path, str):
+            self._fail_payment(path)
             return
-        payment = self._htlc_router.lock(route.nodes, event.amount)
+        payment = self._htlc_router.lock(path, event.amount)
         self._book_upfront_attempt(payment, event.sender)
         obs = self._obs
         if payment.state is not HtlcState.PENDING:
-            metrics.failed += 1
             reason = (
                 "no-htlc-slots" if payment.failure_reason == "no-slots"
                 else "lock-contention"
             )
-            metrics.failure_reasons[reason] += 1
+            self._fail_payment(reason)
             if obs.enabled:
                 obs.registry.counter(f"htlc.lock_failed.{reason}").inc()
                 if reason == "no-htlc-slots":
                     obs.registry.counter("htlc.slot_exhaustion").inc()
                 obs.event(
                     "htlc.fail", t=event.time, reason=reason,
-                    hops=len(route.nodes) - 1,
+                    hops=len(path) - 1,
                 )
             return
         metrics.htlc_locked_peak = max(
@@ -313,7 +382,7 @@ class SimulationEngine:
             obs.registry.counter("htlc.locks").inc()
             obs.event(
                 "htlc.lock", t=event.time,
-                payment_id=payment.payment_id, hops=len(route.nodes) - 1,
+                payment_id=payment.payment_id, hops=len(path) - 1,
             )
         self._pending_htlcs[payment.payment_id] = (payment, event)
         hold = float(self._hold_rng.exponential(self.htlc_hold_mean))
@@ -348,7 +417,9 @@ class SimulationEngine:
         for src, dst in zip(payment.path, payment.path[1:]):
             metrics.edge_traffic[(src, dst)] += 1
 
-    def _book_upfront_attempt(self, payment, sender) -> None:
+    def _book_upfront_attempt(
+        self, payment: HtlcPayment, sender: Hashable
+    ) -> None:
         """Book the unconditional per-attempt fees of one lock attempt.
 
         The hops actually offered pay their receiving nodes whether or

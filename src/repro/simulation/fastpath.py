@@ -3,8 +3,8 @@
 The event engine pays a per-payment python cost that dominates large
 runs: rebuilding the reduced :class:`~repro.network.views.GraphView`
 after every successful payment (an O(channels) python loop).
-:class:`BatchedSimulationEngine` removes it while producing *exactly*
-the same result:
+:class:`BatchedSimulationEngine` removes it while producing the same
+counts, routes, per-node values and final balances:
 
 * the full directed view is frozen **once**; balances live in one
   mutable float array indexed by CSR entry, and the reduced subgraph for
@@ -41,135 +41,66 @@ the same result:
 
 The backend runs over simple graphs (no parallel channels) in both
 payment modes. ``"instant"`` replays a pre-generated trace in order.
-``"htlc"`` adds per-entry in-flight slot counters and an array-backed
-HTLC router (lock / settle-or-fail over escrowed array balances) plus
-the same event-queue API as the event engine
-(``schedule`` / ``register_handler`` / ``run``), so HTLC holds and
-attack-strategy event injection replay **bit-identically** to the event
-backend — same failure sets (including ``no-htlc-slots``), same metrics,
-same final balances. The array state freezes at the first ``run()``
-call, after attack strategies opened their channels.
+It is a :class:`~repro.simulation.engine.SimulationEngine` subclass:
+the event queue, the HTLC handlers, upfront-fee booking and the route
+RNG are the base class's, and this module supplies the route search
+(:meth:`BatchedSimulationEngine._find_path`), the array balances and an
+array-backed HTLC router on the shared
+:class:`~repro.network.htlc.HtlcLedger`. So HTLC holds and
+attack-strategy event injection replay the event backend's failure
+sets (including ``no-htlc-slots``), per-node values and final
+balances. The array state freezes at the first ``run()`` call, after
+attack strategies opened their channels. Summed report fields such as
+``total_revenue`` add a dict in insertion order, which differs between
+the backends, so they may differ in their last bits.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import (
-    Callable,
-    Dict,
-    Hashable,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Type,
-    Union,
-)
+from dataclasses import dataclass, field
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..determinism import resolve_seed
-from ..errors import HtlcError, RoutingError, SimulationError
-from ..network.fees import ConstantFee, FeeFunction, FeePolicy
-from ..network.graph import ChannelGraph
-from ..network.htlc import HtlcState
+from ..errors import HtlcError, SimulationError
+from ..network.fees import FeeFunction
+from ..network.htlc import HtlcLedger, HtlcPayment
 from ..network.routing import (
-    PaymentRouteRng,
-    Router,
     bidirectional_route,
     guided_bfs_structure,
     hops_to_target,
     walk_small,
 )
 from ..network.views import SMALL_GRAPH_NODES, GraphView
-from ..obs import ObsSession, default_session
 from ..transactions.workload import (
     SELF_PAIR,
     UNKNOWN_ENDPOINT,
-    PoissonWorkload,
     TraceArrays,
     Transaction,
 )
-from .events import Event, EventQueue, HtlcResolveEvent, PaymentEvent
+from .engine import SimulationEngine
+from .events import PaymentEvent
 from .metrics import SimulationMetrics
 
 __all__ = ["BatchedSimulationEngine"]
 
 
-class BatchedSimulationEngine:
+class BatchedSimulationEngine(SimulationEngine):
     """Drives a payment trace over frozen view arrays.
 
-    Constructor arguments mirror :class:`SimulationEngine` so the two
-    backends are interchangeable behind
+    A :class:`SimulationEngine` whose routes come from the array state:
+    the event loop, scheduling, HTLC booking and the route RNG are
+    inherited, so the two backends are interchangeable behind
     :class:`~repro.scenarios.specs.SimulationSpec`.
     """
 
-    def __init__(
-        self,
-        graph: ChannelGraph,
-        fee: Optional[FeeFunction] = None,
-        fee_forwarding: bool = True,
-        path_selection: str = "random",
-        seed: Optional[int] = 0,
-        payment_mode: str = "instant",
-        htlc_hold_mean: float = 0.1,
-        route_rng: str = "stream",
-        obs: Optional[ObsSession] = None,
-    ) -> None:
-        if payment_mode not in ("instant", "htlc"):
-            raise SimulationError(
-                f"payment_mode must be 'instant' or 'htlc', "
-                f"got {payment_mode!r}"
-            )
-        if htlc_hold_mean <= 0:
-            raise SimulationError("htlc_hold_mean must be > 0")
-        if route_rng not in ("stream", "payment"):
-            raise SimulationError(
-                f"route_rng must be 'stream' or 'payment', got {route_rng!r}"
-            )
-        self.graph = graph
-        # Resolve the seed once (entropy drawn loudly when seed=None —
-        # see repro.determinism) so the router and the per-payment RNG
-        # base derive from one replayable value, mirroring the event
-        # engine exactly.
-        self.seed = resolve_seed(seed)
-        # One Router, configured exactly like the event engine's: it owns
-        # the fee schedule (_hop_amounts) and — in "stream" mode — the
-        # sequential tie-break RNG whose draw order the fastpath
-        # reproduces.
-        self.router = Router(
-            graph, fee=fee, fee_forwarding=fee_forwarding,
-            path_selection=path_selection, seed=self.seed,
-        )
-        self.payment_mode = payment_mode
-        self.htlc_hold_mean = htlc_hold_mean
-        self.route_rng = route_rng
-        self._route_base = self.seed % (2 ** 63)
-        self.metrics = SimulationMetrics(seed=self.seed)
-        # Instrumentation handle: the shared no-op session unless the
-        # caller passed one or REPRO_OBS opted the process in. Timing
-        # and counters never touch the RNG or results above — obs-on
-        # and obs-off runs are bit-identical (tests/obs/test_parity.py).
-        self._obs = obs if obs is not None else default_session()
-        # Event-queue machinery, mirroring the event engine field for
-        # field so attack extensions drive either backend unchanged. The
-        # hold RNG derives from seed + 1 exactly like the event engine's,
-        # so honest hold times match draw for draw.
-        self._queue = EventQueue()
-        self._now = 0.0
-        self._payment_seq = 0
-        self._handlers: Dict[Type[Event], Callable[[Event], None]] = {}
-        self._hold_rng = np.random.default_rng(self.seed + 1)
-        self._pending_htlcs: Dict[int, Tuple["_ArrayHtlcPayment", PaymentEvent]] = {}
-        # The array-backed HTLC router exists from construction (attack
-        # strategies price routes via hop_amounts before any run), but
-        # binds to frozen array state lazily at the first run() call —
-        # after strategies opened their channels.
-        self._array_router = _ArrayHtlcRouter(self.router.fee)
-        self._state: Optional[_ArrayState] = None
+    _state: Optional["_ArrayState"] = None
 
-    # -- public API -----------------------------------------------------------
+    def _new_htlc_router(self) -> "_ArrayHtlcRouter":
+        # Exists from construction (attack strategies price routes via
+        # hop_amounts before any run), but binds to the array state at
+        # the first run() call — after strategies opened their channels.
+        return _ArrayHtlcRouter(self.router.fee)
 
     def run_trace(
         self, trace: Union[TraceArrays, Sequence[Transaction]]
@@ -181,20 +112,11 @@ class BatchedSimulationEngine:
         ``"instant"`` mode, repeated calls accumulate into the same
         metrics, like scheduling more events on the event engine; each
         call re-freezes the graph, so mutations between calls are picked
-        up. In ``"htlc"`` mode the trace is scheduled on the event queue
-        and :meth:`run` drains it — exactly what the event backend does
-        for the same spec, resolve events past the last payment
-        included.
+        up. In ``"htlc"`` mode the trace goes through the event queue,
+        resolve events past the last payment included.
         """
         if self.payment_mode == "htlc":
-            if isinstance(trace, TraceArrays):
-                self.schedule_transactions(
-                    trace.to_transactions(),
-                    indices=(int(i) for i in trace.indices),
-                )
-            else:
-                self.schedule_transactions(list(trace))
-            return self.run()
+            return super().run_trace(trace)
         view = self.graph.view(directed=True)
         self._check_graph(view)
         trace = self._columnise(trace, view)
@@ -213,98 +135,23 @@ class BatchedSimulationEngine:
         self._publish_obs(run)
         return self.metrics
 
-    # -- event-queue API (htlc mode, attack injection) ------------------------
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    @property
-    def htlc_router(self) -> "_ArrayHtlcRouter":
-        """The engine's HTLC router — shared with adversarial extensions
-        so attacker locks and honest locks contend for the same slots
-        and balances, exactly as on the event backend."""
-        return self._array_router
-
-    def schedule(self, event: Event) -> None:
-        self._queue.push(event)
-
-    def register_handler(
-        self, event_type: Type[Event], handler: Callable[[Event], None]
-    ) -> None:
-        """Register a dispatcher for a custom :class:`Event` subclass.
-
-        Same contract as the event engine: extension events interleave
-        with the honest workload in time order; builtin event types
-        cannot be overridden.
-        """
-        if issubclass(event_type, (PaymentEvent, HtlcResolveEvent)):
-            raise SimulationError(
-                f"cannot override builtin event type {event_type.__name__}"
-            )
-        self._handlers[event_type] = handler
-
-    def schedule_workload(
-        self, workload: PoissonWorkload, horizon: float
-    ) -> int:
-        """Schedule all arrivals of ``workload`` within ``[0, horizon)``."""
-        return self.schedule_transactions(workload.generate(horizon))
-
-    def schedule_transactions(
-        self,
-        transactions: Iterable[Transaction],
-        indices: Optional[Iterable[int]] = None,
-    ) -> int:
-        """Schedule an explicit transaction trace (event-engine twin)."""
-        count = 0
-        index_iter = iter(indices) if indices is not None else None
-        for tx in transactions:
-            if index_iter is not None:
-                index = next(index_iter)
-                self._payment_seq = max(self._payment_seq, index + 1)
-            else:
-                index = self._payment_seq
-                self._payment_seq += 1
-            self.schedule(
-                PaymentEvent(
-                    time=tx.time,
-                    sender=tx.sender,
-                    receiver=tx.receiver,
-                    amount=tx.amount,
-                    index=index,
-                )
-            )
-            count += 1
-        return count
-
     def run(self, until: Optional[float] = None) -> SimulationMetrics:
-        """Process queued events in time order (event-engine twin).
+        """Process queued events in time order over the array state.
 
         The array state is frozen at the first call — graph mutations
         after that (other than balance moves made through this engine)
         are not picked up. Final balances are written back to the
         channels at the end of every call.
         """
-        state = self._ensure_state()
-        while self._queue:
-            next_time = self._queue.peek_time()
-            if until is not None and next_time is not None and next_time > until:
-                break
-            event = self._queue.pop()
-            self._now = event.time
-            self._dispatch(event, state)
-        self.metrics.horizon = until if until is not None else self._now
-        state.write_back()
-        self._publish_obs(state)
-        return self.metrics
-
-    def _ensure_state(self) -> "_ArrayState":
         if self._state is None:
             view = self.graph.view(directed=True)
             self._check_graph(view)
             self._state = _ArrayState(self, view)
-            self._array_router.bind(self._state)
-        return self._state
+            self._htlc_router.bind(self._state)
+        metrics = super().run(until)
+        self._state.write_back()
+        self._publish_obs(self._state)
+        return metrics
 
     def _check_graph(self, view: GraphView) -> None:
         for channels in view.pair_channels:
@@ -315,195 +162,47 @@ class BatchedSimulationEngine:
                     "backend)"
                 )
 
-    def _dispatch(self, event: Event, state: "_ArrayState") -> None:
-        if isinstance(event, PaymentEvent):
-            if self.payment_mode == "htlc":
-                self._handle_payment_htlc(event, state)
-            else:
-                self._handle_payment_instant(event, state)
-        elif isinstance(event, HtlcResolveEvent):
-            self._handle_htlc_resolve(event)
-        else:
-            handler = self._handlers.get(type(event))
-            if handler is None:
-                raise SimulationError(
-                    f"unknown event type {type(event).__name__}"
-                )
-            handler(event)
-
-    def _event_payment_rng(self, event: PaymentEvent):
-        """The event's route RNG (event-engine twin, sharing the
-        router's stream in ``"stream"`` mode so draw order matches)."""
-        if self.route_rng != "payment":
-            return self.router._rng
-        index = event.index
-        if index < 0:
-            index = self._payment_seq
-            self._payment_seq += 1
-        return PaymentRouteRng(self._route_base, index)
-
-    def _handle_payment_htlc(
-        self, event: PaymentEvent, state: "_ArrayState"
-    ) -> None:
-        """Lock now, settle after an exponential hold (event-engine twin)."""
-        metrics = self.metrics
-        metrics.attempted += 1
-        # The event engine resolves the RNG before routing (argument
-        # evaluation), consuming an index even for payments that fail
-        # validation — keep the sequence aligned.
-        rng = self._event_payment_rng(event)
+    def _find_path(self, event: PaymentEvent) -> Union[List[Hashable], str]:
+        # The RNG resolves before the endpoint checks, as in the event
+        # engine's find_route call, so an index is consumed even for
+        # payments that fail validation.
+        rng = self._route_rng(event.index)
         if event.sender == event.receiver:
-            metrics.failed += 1
-            metrics.failure_reasons["other"] += 1
-            return
+            return "other"
+        state = self._state
         s = state.node_index.get(event.sender)
         r = state.node_index.get(event.receiver)
         if s is None or r is None:
-            metrics.failed += 1
-            metrics.failure_reasons["unknown-endpoint"] += 1
-            return
+            return "unknown-endpoint"
         path = state.route(s, r, float(event.amount), rng)
         if path is None:
-            metrics.failed += 1
-            metrics.failure_reasons["no-capacity-path"] += 1
-            return
+            return "no-capacity-path"
         nodes = state.view.nodes
-        payment = self._array_router.lock(
-            [nodes[i] for i in path], event.amount
-        )
-        self._book_upfront_attempt(payment, event.sender)
-        obs = self._obs
-        if payment.state is not HtlcState.PENDING:
-            metrics.failed += 1
-            reason = (
-                "no-htlc-slots" if payment.failure_reason == "no-slots"
-                else "lock-contention"
-            )
-            metrics.failure_reasons[reason] += 1
-            if obs.enabled:
-                obs.registry.counter(f"htlc.lock_failed.{reason}").inc()
-                if reason == "no-htlc-slots":
-                    obs.registry.counter("htlc.slot_exhaustion").inc()
-                obs.event(
-                    "htlc.fail", t=event.time, reason=reason,
-                    hops=len(path) - 1,
-                )
-            return
-        metrics.htlc_locked_peak = max(
-            metrics.htlc_locked_peak, self._array_router.locked_capital()
-        )
-        if obs.enabled:
-            obs.registry.counter("htlc.locks").inc()
-            obs.event(
-                "htlc.lock", t=event.time,
-                payment_id=payment.payment_id, hops=len(path) - 1,
-            )
-        self._pending_htlcs[payment.payment_id] = (payment, event)
-        hold = float(self._hold_rng.exponential(self.htlc_hold_mean))
-        self.schedule(
-            HtlcResolveEvent(time=event.time + hold, payment_id=payment.payment_id)
-        )
+        return [nodes[i] for i in path]
 
-    def _handle_htlc_resolve(self, event: HtlcResolveEvent) -> None:
-        entry = self._pending_htlcs.pop(event.payment_id, None)
-        if entry is None:
-            raise SimulationError(
-                f"resolve for unknown HTLC payment {event.payment_id}"
-            )
-        payment, origin = entry
-        self._array_router.settle(payment)
-        obs = self._obs
-        if obs.enabled:
-            obs.registry.counter("htlc.settles").inc()
-            obs.event(
-                "htlc.settle", t=event.time, payment_id=event.payment_id
-            )
-        metrics = self.metrics
-        metrics.succeeded += 1
-        metrics.volume_delivered += origin.amount
-        metrics.sent[origin.sender] += 1
-        metrics.received[origin.receiver] += 1
-        metrics.fees_paid[origin.sender] += sum(
-            payment.fees_per_node.values()
-        )
-        for node, fee in payment.fees_per_node.items():
-            metrics.revenue[node] += fee
-        for src, dst in zip(payment.path, payment.path[1:]):
-            metrics.edge_traffic[(src, dst)] += 1
-
-    def _handle_payment_instant(
-        self, event: PaymentEvent, state: "_ArrayState"
-    ) -> None:
-        """Apply a queued payment atomically (event-engine twin).
+    def _handle_payment(self, event: PaymentEvent) -> None:
+        """Apply a queued payment atomically over the array balances.
 
         Metrics are booked straight into the dicts (not the trace-mode
         array accumulators), matching the event engine's accumulation
         order float for float.
         """
-        metrics = self.metrics
-        metrics.attempted += 1
-        rng = self._event_payment_rng(event)
-        if event.sender == event.receiver:
-            metrics.failed += 1
-            metrics.failure_reasons["other"] += 1
+        self.metrics.attempted += 1
+        path = self._find_path(event)
+        if isinstance(path, str):
+            self._fail_payment(path)
             return
-        s = state.node_index.get(event.sender)
-        r = state.node_index.get(event.receiver)
-        if s is None or r is None:
-            metrics.failed += 1
-            metrics.failure_reasons["unknown-endpoint"] += 1
-            return
-        amount = float(event.amount)
-        path = state.route(s, r, amount, rng)
-        if path is None:
-            metrics.failed += 1
-            metrics.failure_reasons["no-capacity-path"] += 1
-            return
-        hops = len(path) - 1
-        hop_amounts = self.router._hop_amounts(hops, amount)
-        entries = [
-            state.pair_entry[(path[i], path[i + 1])] for i in range(hops)
-        ]
+        state = self._state
+        hop_amounts = self.router._hop_amounts(
+            len(path) - 1, float(event.amount)
+        )
+        entries = [state.name_pair_entry[pair] for pair in zip(path, path[1:])]
         for entry, hop_amount in zip(entries, hop_amounts):
             if state.balances[entry] < hop_amount:
-                metrics.failed += 1
-                metrics.failure_reasons["split-balance"] += 1
+                self._fail_payment("split-balance")
                 return
         state.apply_balances(entries, hop_amounts)
-        nodes = state.view.nodes
-        names = [nodes[i] for i in path]
-        metrics.succeeded += 1
-        metrics.volume_delivered += amount
-        metrics.sent[event.sender] += 1
-        metrics.received[event.receiver] += 1
-        metrics.fees_paid[event.sender] += hop_amounts[0] - amount
-        fee_fn = self.router.fee if not self.router.fee_forwarding else None
-        for i in range(1, hops):
-            fee = hop_amounts[i - 1] - hop_amounts[i]
-            if fee_fn is not None:
-                fee += fee_fn(amount)
-            metrics.revenue[names[i]] += fee
-        for src, dst in zip(names, names[1:]):
-            metrics.edge_traffic[(src, dst)] += 1
-        policy = self._array_router.policy
-        if policy.has_upfront:
-            total = 0.0
-            for i in range(hops):
-                charge = policy.upfront(hop_amounts[i])
-                metrics.upfront_revenue[names[i + 1]] += charge
-                total += charge
-            metrics.upfront_fees_paid[event.sender] += total
-
-    def _book_upfront_attempt(
-        self, payment: "_ArrayHtlcPayment", sender: Hashable
-    ) -> None:
-        """Book the unconditional per-attempt fees of one lock attempt."""
-        if not payment.upfront_fees_per_node:
-            return
-        metrics = self.metrics
-        metrics.upfront_fees_paid[sender] += payment.upfront_total
-        for node, fee in payment.upfront_fees_per_node.items():
-            metrics.upfront_revenue[node] += fee
+        self._book_instant(event, path, hop_amounts)
 
     def _publish_obs(self, state: "_ArrayState") -> None:
         """Publish the route searches since the last publish as the
@@ -520,8 +219,6 @@ class BatchedSimulationEngine:
             )
         state.route_searches = 0
 
-    # -- helpers --------------------------------------------------------------
-
     def _columnise(
         self, trace: Union[TraceArrays, Sequence[Transaction]], view: GraphView
     ) -> TraceArrays:
@@ -534,11 +231,6 @@ class BatchedSimulationEngine:
         return TraceArrays.from_transactions(
             trace.to_transactions(), view.nodes
         )
-
-    def _payment_rng(self, index: int):
-        if self.route_rng != "payment":
-            return self.router._rng
-        return PaymentRouteRng(self._route_base, index)
 
 
 class _ArrayState:
@@ -658,7 +350,7 @@ class _ArrayState:
     def _process(self, s: int, r: int, amount: float, index: int) -> None:
         engine = self.engine
         metrics = engine.metrics
-        path = self.route(s, r, amount, engine._payment_rng(index))
+        path = self.route(s, r, amount, engine._route_rng(index))
         if path is None:
             metrics.failed += 1
             metrics.failure_reasons["no-capacity-path"] += 1
@@ -758,7 +450,7 @@ class _ArrayState:
                 fee += fee_fn(amount)
             self.revenue[node] += fee
             self.revenue_touched[node] = True
-        policy = engine._array_router.policy
+        policy = engine._htlc_router.policy
         if policy.has_upfront:
             # Instant mode has no lock phase, so the per-attempt side is
             # charged on the payments that actually execute — mirroring
@@ -827,127 +519,52 @@ class _ArrayState:
                 channel.set_balances(balance_v, balance_u)
 
 
-class _ArrayHtlcPayment:
-    """One in-flight multi-hop payment over array state.
+@dataclass
+class _ArrayHtlcPayment(HtlcPayment):
+    """An :class:`~repro.network.htlc.HtlcPayment` over array state: its
+    hops are CSR entries plus amounts rather than
+    :class:`~repro.network.htlc.Htlc` objects."""
 
-    The array twin of :class:`~repro.network.htlc.HtlcPayment`, exposing
-    the same read surface (``state`` / ``failure_reason`` /
-    ``fees_per_node`` / ``upfront_fees_per_node`` / ``total_locked`` /
-    endpoints) so attack strategies and the
-    :class:`~repro.attacks.context.AttackContext` handle payments from
-    either backend identically. Hops are CSR entries plus amounts rather
-    than :class:`~repro.network.htlc.Htlc` objects.
-    """
-
-    __slots__ = (
-        "payment_id", "path", "amount", "state", "failure_reason",
-        "fees_per_node", "upfront_fees_per_node", "_entries", "_amounts",
-    )
-
-    def __init__(
-        self, payment_id: int, path: Tuple[Hashable, ...], amount: float
-    ) -> None:
-        self.payment_id = payment_id
-        self.path = path
-        self.amount = amount
-        self.state = HtlcState.PENDING
-        self.failure_reason = ""
-        self.fees_per_node: Dict[Hashable, float] = {}
-        self.upfront_fees_per_node: Dict[Hashable, float] = {}
-        self._entries: List[int] = []
-        self._amounts: List[float] = []
-
-    @property
-    def sender(self) -> Hashable:
-        return self.path[0]
-
-    @property
-    def receiver(self) -> Hashable:
-        return self.path[-1]
+    entries: List[int] = field(default_factory=list)
+    amounts: List[float] = field(default_factory=list)
 
     @property
     def total_locked(self) -> float:
         # Kept after settle (like HtlcPayment.hops), cleared on unwind.
-        return sum(self._amounts)
-
-    @property
-    def upfront_total(self) -> float:
-        """All upfront fees the sender owes for this attempt."""
-        return sum(self.upfront_fees_per_node.values())
+        return sum(self.amounts)
 
 
-class _ArrayHtlcRouter:
+class _ArrayHtlcRouter(HtlcLedger):
     """Lock / settle-or-fail over :class:`_ArrayState` balances.
 
-    The array twin of :class:`~repro.network.htlc.HtlcRouter`: same
-    escrow discipline (the hop amount leaves the upstream balance at
-    lock; settlement decides which side it lands on), same per-direction
-    slot accounting, same failure reasons (``"no-balance"`` /
-    ``"no-slots"``) with the same precedence, and the same fee and
-    upfront-fee arithmetic — so a lock/settle/fail sequence produces
-    bit-identical balances and fees on either backend. Constructed with
-    the engine (fees price routes immediately) but bound to array state
-    lazily at the first ``run()`` call.
+    Reserves hops the way :class:`~repro.network.htlc.HtlcRouter` does:
+    the hop amount leaves the upstream balance at lock and settlement
+    decides which side it lands on, with the same per-direction slot
+    accounting and the same failure reasons (``"no-balance"`` /
+    ``"no-slots"``) in the same precedence. The ledger is shared, so a
+    lock/settle/fail sequence produces bit-identical balances and fees
+    on either backend. Constructed with the engine (fees price routes
+    immediately) but bound to array state at the first ``run()`` call.
     """
 
     def __init__(self, fee: Optional[FeeFunction]) -> None:
-        self.fee = fee if fee is not None else ConstantFee(0.0)
-        self.policy = FeePolicy.of(self.fee)
-        self._in_flight: Dict[int, _ArrayHtlcPayment] = {}
-        # Running locked-capital sum, updated with exactly the same float
-        # operations (and in the same event order) as the event router's
-        # — see HtlcRouter._drop_in_flight — so the O(1) locked_capital()
-        # stays bit-identical across backends.
-        self._locked_totals: Dict[int, float] = {}
-        self._locked_total = 0.0
-        self._hop_amounts_cache: Dict[Tuple[int, float], Tuple[float, ...]] = {}
-        self._ids = itertools.count()
+        super().__init__(fee)
         self._state: Optional[_ArrayState] = None
 
     def bind(self, state: _ArrayState) -> None:
         self._state = state
 
-    def hop_amounts(self, hops: int, amount: float) -> List[float]:
-        """Per-hop amounts (sender side first) for delivering ``amount``.
-
-        Identical arithmetic to :meth:`HtlcRouter.hop_amounts
-        <repro.network.htlc.HtlcRouter.hop_amounts>`, so attack
-        strategies price capital commitments the same on both backends.
-        """
-        return list(self._hop_amounts(hops, amount))
-
-    def _hop_amounts(self, hops: int, amount: float) -> Tuple[float, ...]:
-        # Memoised like HtlcRouter._hop_amounts (same bound, same
-        # arithmetic): jamming re-prices one (hops, amount) shape per
-        # attempt.
-        cached = self._hop_amounts_cache.get((hops, amount))
-        if cached is not None:
-            return cached
-        amounts = [amount]
-        for _ in range(hops - 1):
-            amounts.insert(0, amounts[0] + self.fee(amounts[0]))
-        if len(self._hop_amounts_cache) >= 4096:
-            self._hop_amounts_cache.clear()
-        result = tuple(amounts)
-        self._hop_amounts_cache[(hops, amount)] = result
-        return result
-
     def lock(
         self, path: Sequence[Hashable], amount: float
     ) -> _ArrayHtlcPayment:
         """Phase 1: reserve funds along ``path`` for ``amount``."""
-        if len(path) < 2:
-            raise RoutingError("path needs at least one hop")
-        if amount <= 0:
-            raise HtlcError(f"amount must be > 0, got {amount}")
+        hop_amounts = self._check(path, amount)
         state = self._state
         if state is None:
             raise HtlcError(
                 "the batched engine's HTLC router binds to array state at "
                 "the first run() call; lock() is only available inside a run"
             )
-        hops = len(path) - 1
-        hop_amounts = self._hop_amounts(hops, amount)
         payment = _ArrayHtlcPayment(next(self._ids), tuple(path), amount)
         # Hot path under jamming: hoist every per-hop attribute chase.
         pair_entry_get = state.name_pair_entry.get
@@ -955,8 +572,8 @@ class _ArrayHtlcRouter:
         slots_used = state.slots_used
         slot_cap = state.slot_cap
         has_upfront = self.policy.has_upfront
-        entries = payment._entries
-        amounts = payment._amounts
+        entries = payment.entries
+        amounts = payment.amounts
         src = path[0]
         for dst, hop_amount in zip(path[1:], hop_amounts):
             entry = pair_entry_get((src, dst))
@@ -967,10 +584,7 @@ class _ArrayHtlcRouter:
             else:
                 reason = ""
             if reason:
-                self._unwind(payment)
-                payment.state = HtlcState.FAILED
-                payment.failure_reason = reason
-                return payment
+                return self._reject(payment, reason)
             # reserve: the hop amount leaves the upstream spendable
             # balance into escrow and occupies one direction slot, just
             # like Channel.withdraw + open_htlc.
@@ -984,68 +598,23 @@ class _ArrayHtlcRouter:
             entries.append(entry)
             amounts.append(hop_amount)
             src = dst
-        self._in_flight[payment.payment_id] = payment
-        locked = payment.total_locked
-        self._locked_totals[payment.payment_id] = locked
-        self._locked_total += locked
-        return payment
+        return self._track(payment)
 
-    def settle(self, payment: _ArrayHtlcPayment) -> None:
-        """Phase 2a: funds finalise downstream; fee differences stick."""
-        self._require_pending(payment)
+    def _release(self, payment: _ArrayHtlcPayment) -> List[float]:
         state = self._state
         balances = state.balances
-        for entry, hop_amount in zip(payment._entries, payment._amounts):
+        for entry, hop_amount in zip(payment.entries, payment.amounts):
             balances[int(state.rev_entry[entry])] += hop_amount
             state.slots_used[entry] -= 1
-        amounts = payment._amounts
-        for node, inbound, outbound in zip(
-            payment.path[1:-1], amounts, amounts[1:]
-        ):
-            payment.fees_per_node[node] = (
-                payment.fees_per_node.get(node, 0.0) + inbound - outbound
-            )
-        payment.state = HtlcState.SETTLED
-        self._drop_in_flight(payment)
-
-    def fail(self, payment: _ArrayHtlcPayment) -> None:
-        """Phase 2b: unwind every reservation; balances fully restored."""
-        self._require_pending(payment)
-        self._unwind(payment)
-        payment.state = HtlcState.FAILED
-        self._drop_in_flight(payment)
+        return payment.amounts
 
     def _unwind(self, payment: _ArrayHtlcPayment) -> None:
         state = self._state
         balances = state.balances
         for entry, hop_amount in zip(
-            reversed(payment._entries), reversed(payment._amounts)
+            reversed(payment.entries), reversed(payment.amounts)
         ):
             balances[entry] += hop_amount
             state.slots_used[entry] -= 1
-        payment._entries.clear()
-        payment._amounts.clear()
-
-    def _require_pending(self, payment: _ArrayHtlcPayment) -> None:
-        if payment.state is not HtlcState.PENDING:
-            raise HtlcError(
-                f"payment {payment.payment_id} is {payment.state.value}, "
-                "not pending"
-            )
-
-    def _drop_in_flight(self, payment: _ArrayHtlcPayment) -> None:
-        if self._in_flight.pop(payment.payment_id, None) is None:
-            return
-        self._locked_total -= self._locked_totals.pop(payment.payment_id, 0.0)
-        if not self._in_flight:
-            # Re-anchor: with nothing in flight the total is exactly zero;
-            # shed any rounding the incremental +/- accumulated.
-            self._locked_total = 0.0
-
-    @property
-    def in_flight(self) -> Tuple[_ArrayHtlcPayment, ...]:
-        return tuple(self._in_flight.values())
-
-    def locked_capital(self) -> float:
-        """Total coins currently reserved by pending payments."""
-        return self._locked_total
+        payment.entries.clear()
+        payment.amounts.clear()

@@ -137,14 +137,6 @@ class TestFailureAtomicity:
             router.fail(payment)
 
 
-class TestExpiry:
-    def test_expiry_decrements_per_hop(self, line4):
-        router = HtlcRouter(line4, base_expiry=10, expiry_delta=40)
-        payment = router.lock(["a", "b", "c", "d"], 1.0)
-        expiries = [h.expiry for h in payment.hops]
-        assert expiries == [90, 50, 10]
-
-
 class TestValidation:
     def test_short_path_rejected(self, line4):
         with pytest.raises(RoutingError):
@@ -153,10 +145,6 @@ class TestValidation:
     def test_nonpositive_amount_rejected(self, line4):
         with pytest.raises(HtlcError):
             HtlcRouter(line4).lock(["a", "b"], 0.0)
-
-    def test_bad_expiry_params(self, line4):
-        with pytest.raises(HtlcError):
-            HtlcRouter(line4, base_expiry=0)
 
     def test_in_flight_listing(self, line4):
         router = HtlcRouter(line4)

@@ -166,6 +166,14 @@ class TestSimulationSpecValidation:
         with pytest.raises(ScenarioError, match="fee_forwarding"):
             SimulationSpec.from_dict({"fee_forwarding": "false"})
 
+    def test_htlc_without_fee_forwarding_rejected(self):
+        # The HTLC routers always forward fees: accepted, the flag would
+        # change nothing.
+        with pytest.raises(ScenarioError, match="fee_forwarding"):
+            SimulationSpec.from_dict(
+                {"payment_mode": "htlc", "fee_forwarding": False}
+            )
+
     def test_unknown_path_selection_rejected(self):
         with pytest.raises(ScenarioError, match="path_selection"):
             SimulationSpec.from_dict({"path_selection": "bogus"})

@@ -53,7 +53,7 @@ def balances_by_pair(graph):
 
 def run_both(scenario, engine_kwargs=None):
     """(event metrics, batched metrics, event graph, batched graph)."""
-    from repro.scenarios.runner import build_fee
+    from repro.scenarios.factory import build_fee
 
     kwargs = dict(engine_kwargs or {})
     seed = scenario.seed
