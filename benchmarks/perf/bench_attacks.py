@@ -7,10 +7,10 @@ report — for each builtin strategy on star topologies of growing size.
 The headline number is **attacker actions per wall-clock second**
 (lock attempts + resolutions processed by the engine), with the honest
 payment throughput of the same run alongside, so regressions in either
-the strategies or the slot-tracking substrate show up directly. Every
-case runs on both simulation backends — the event engine and the
-vectorised batched engine — and the bench asserts their AttackReports
-are identical before recording the batched rows' speedup.
+the strategies or the slot-tracking substrate show up directly. The
+reports themselves are pinned by the attack cases of
+``tests/golden/test_batched_digests.py``. Each row records the spec's
+``backend`` (always ``"batched"``), which ``gate.py`` matches on.
 
 Run:
     PYTHONPATH=src python benchmarks/perf/bench_attacks.py
@@ -33,7 +33,6 @@ from repro.attacks import AttackRunner
 from repro.scenarios import Scenario, TopologySpec
 
 STRATEGIES = ("slow-jamming", "liquidity-depletion", "fee-griefing")
-BACKENDS = ("event", "batched")
 FULL_CASES = ((16, 40.0), (64, 40.0))  # (leaves, horizon)
 # The smoke case repeats a full case exactly so gate.py can match its
 # rows against the committed BENCH_attacks.json baseline.
@@ -41,10 +40,8 @@ SMOKE_CASES = ((16, 40.0),)
 SEED = 7
 
 
-def attack_scenario(
-    strategy: str, leaves: int, horizon: float, backend: str
-) -> Scenario:
-    scenario = default_attack_scenario(
+def attack_scenario(strategy: str, leaves: int, horizon: float) -> Scenario:
+    return default_attack_scenario(
         TopologySpec("star", {"leaves": leaves, "balance": 10.0}),
         strategy,
         {"budget": 1000.0},
@@ -52,13 +49,10 @@ def attack_scenario(
         seed=SEED,
         name=f"bench-{strategy}",
     )
-    return scenario.with_overrides({"simulation.backend": backend})
 
 
-def bench_case(
-    strategy: str, leaves: int, horizon: float, backend: str
-) -> Dict[str, object]:
-    scenario = attack_scenario(strategy, leaves, horizon, backend)
+def bench_case(strategy: str, leaves: int, horizon: float) -> Dict[str, object]:
+    scenario = attack_scenario(strategy, leaves, horizon)
     start = time.perf_counter()
     outcome = AttackRunner().run(scenario)
     seconds = time.perf_counter() - start
@@ -70,7 +64,7 @@ def bench_case(
     return {
         "strategy": strategy,
         "leaves": leaves,
-        "backend": backend,
+        "backend": scenario.simulation.backend,
         "horizon": horizon,
         "wall_seconds": seconds,
         "attacker_events": attacker_events,
@@ -79,7 +73,6 @@ def bench_case(
         "honest_payments_per_sec": honest_events / seconds,
         "victim_revenue_delta": report.victim_revenue_delta,
         "locked_liquidity_integral": report.locked_liquidity_integral,
-        "report": report.to_dict(),
     }
 
 
@@ -104,36 +97,16 @@ def main() -> None:
     results = []
     for leaves, horizon in cases:
         for strategy in STRATEGIES:
-            rows = {
-                backend: bench_case(strategy, leaves, horizon, backend)
-                for backend in BACKENDS
-            }
-            # Parity first: the batched replay must be bit-identical
-            # before its speedup means anything.
-            reports = [row.pop("report") for row in rows.values()]
-            if reports[0] != reports[1]:
-                raise SystemExit(
-                    f"backend divergence on {strategy} leaves={leaves}: "
-                    "event and batched AttackReports differ"
-                )
-            rows["batched"]["speedup"] = (
-                rows["batched"]["attacker_events_per_sec"]
-                / rows["event"]["attacker_events_per_sec"]
+            row = bench_case(strategy, leaves, horizon)
+            results.append(row)
+            print(
+                f"{row['strategy']:20s} leaves={row['leaves']:<4d} "
+                f"attacker={row['attacker_events']:>7d} ev "
+                f"({row['attacker_events_per_sec']:>9.0f}/s)  "
+                f"honest={row['honest_payments']:>6d} pay "
+                f"({row['honest_payments_per_sec']:>7.0f}/s)  "
+                f"wall={row['wall_seconds']*1e3:8.1f}ms"
             )
-            for row in rows.values():
-                results.append(row)
-                speedup = (
-                    f"  {row['speedup']:.2f}x" if "speedup" in row else ""
-                )
-                print(
-                    f"{row['strategy']:20s} leaves={row['leaves']:<4d} "
-                    f"{row['backend']:8s} "
-                    f"attacker={row['attacker_events']:>7d} ev "
-                    f"({row['attacker_events_per_sec']:>9.0f}/s)  "
-                    f"honest={row['honest_payments']:>6d} pay "
-                    f"({row['honest_payments_per_sec']:>7.0f}/s)  "
-                    f"wall={row['wall_seconds']*1e3:8.1f}ms{speedup}"
-                )
 
     document = {
         "benchmark": "attacks",

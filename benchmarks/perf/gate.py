@@ -39,11 +39,7 @@ BENCHMARKS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[str, ...]]] 
         (),
         ("attacker_events_per_sec",),
     ),
-    "simulation": (
-        ("n",),
-        ("speedup",),
-        ("batched_payments_per_sec",),
-    ),
+    "simulation": (("n",), (), ("batched_payments_per_sec",)),
     "evolution": (("n",), (), ("epochs_per_sec",)),
     # throughput_ratio = obs-on / obs-off payments per second on the same
     # machine and run — relative by construction, so it gates tight; the

@@ -15,8 +15,8 @@ from repro.core.utility import JoiningUserModel
 from repro.network.fees import ConstantFee
 from repro.network.graph import ChannelGraph
 from repro.params import ModelParameters
-from repro.simulation.engine import SimulationEngine
 from repro.simulation.events import PaymentEvent
+from repro.simulation.fastpath import BatchedSimulationEngine
 from repro.transactions.distributions import EmpiricalDistribution
 
 
@@ -78,7 +78,7 @@ def test_e02_simulated_month_with_10_9_funding(emit_table, benchmark):
         sim_graph = model.with_strategy(
             Strategy([Action("A", 10.0), Action("D", 9.0)])
         )
-        engine = SimulationEngine(sim_graph, fee=ConstantFee(0.0))
+        engine = BatchedSimulationEngine(sim_graph, fee=ConstantFee(0.0))
         engine.schedule(
             PaymentEvent(time=0.5, sender="E", receiver="B", amount=1.0)
         )

@@ -16,7 +16,7 @@ from repro.network.betweenness import (
     pair_weighted_betweenness_exact,
 )
 from repro.network.fees import ConstantFee
-from repro.simulation.engine import SimulationEngine
+from repro.simulation.fastpath import BatchedSimulationEngine
 from repro.snapshots.synthetic import barabasi_albert_snapshot
 from repro.transactions.rates import intermediary_traffic
 from repro.transactions.workload import PoissonWorkload
@@ -99,7 +99,7 @@ def test_e11_analytic_vs_simulated_revenue(benchmark, emit_table):
     top_nodes = sorted(predicted, key=predicted.get, reverse=True)[:4]
 
     workload = PoissonWorkload(distribution, per_sender, seed=23)
-    engine = SimulationEngine(
+    engine = BatchedSimulationEngine(
         graph.copy(), fee=ConstantFee(fee), fee_forwarding=False
     )
     horizon = 400.0
@@ -129,7 +129,7 @@ def test_e11_analytic_vs_simulated_revenue(benchmark, emit_table):
     assert rows[0]["rel_err"] < 0.3
 
     def quick_sim():
-        quick = SimulationEngine(
+        quick = BatchedSimulationEngine(
             graph.copy(), fee=ConstantFee(fee), fee_forwarding=False
         )
         quick_load = PoissonWorkload(distribution, per_sender, seed=5)

@@ -20,7 +20,7 @@ from repro.core.algorithms.greedy import greedy_fixed_funds
 from repro.core.costmodels import DiscountedOpportunityCost
 from repro.core.utility import JoiningUserModel
 from repro.network.graph import ChannelGraph
-from repro.simulation.engine import SimulationEngine
+from repro.simulation.fastpath import BatchedSimulationEngine
 from repro.snapshots.synthetic import barabasi_albert_snapshot
 from repro.transactions.distributions import UniformDistribution
 from repro.transactions.workload import PoissonWorkload
@@ -128,7 +128,7 @@ def test_e13_htlc_hold_time_contention(benchmark, emit_table):
         )
         dist = UniformDistribution.from_graph(graph)
         workload = PoissonWorkload(dist, {n: 2.0 for n in graph.nodes}, seed=9)
-        engine = SimulationEngine(
+        engine = BatchedSimulationEngine(
             graph, payment_mode="htlc", seed=9, htlc_hold_mean=hold
         )
         engine.schedule_workload(workload, horizon=40.0)

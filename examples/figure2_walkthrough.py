@@ -19,7 +19,7 @@ from repro import JoiningUserModel, ModelParameters
 from repro.analysis import format_table
 from repro.core import Action, Strategy
 from repro.network import ChannelGraph, ConstantFee
-from repro.simulation import SimulationEngine
+from repro.simulation import BatchedSimulationEngine
 from repro.simulation.events import PaymentEvent
 from repro.transactions import EmpiricalDistribution
 
@@ -68,7 +68,7 @@ def main() -> None:
     # simulate the month with the paper's 10 / 9 funding
     chosen = Strategy([Action("A", 10.0), Action("D", 9.0)])
     sim_graph = model.with_strategy(chosen)
-    engine = SimulationEngine(sim_graph, fee=ConstantFee(0.0))
+    engine = BatchedSimulationEngine(sim_graph, fee=ConstantFee(0.0))
     engine.schedule(PaymentEvent(time=0.5, sender="E", receiver="B", amount=1.0))
     for i in range(9):
         engine.schedule(

@@ -42,10 +42,6 @@ def main() -> int:
         "--cache", default=None, metavar="PATH",
         help="content-addressed result store for the sweep",
     )
-    parser.add_argument(
-        "--backend", choices=["event", "batched"], default="batched",
-        help="simulation engine (reports are bit-identical either way)",
-    )
     args = parser.parse_args()
 
     size, horizon, budget = (5, 10.0, 200.0) if args.smoke else (9, 40.0, 1000.0)
@@ -58,7 +54,6 @@ def main() -> int:
         size=size,
         horizon=horizon,
         seed=7,
-        backend=args.backend,
         cache=args.cache,
     )
     print(format_table(

@@ -71,7 +71,6 @@ from .network import (
     Channel,
     ChannelGraph,
     GraphView,
-    Router,
     betweenness_arrays,
 )
 from .core import (
@@ -152,7 +151,6 @@ __all__ = [
     "ObjectiveEvaluator",
     "OptimisationResult",
     "ReproError",
-    "Router",
     "RoutingError",
     "Scenario",
     "ScenarioResult",

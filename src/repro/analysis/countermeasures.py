@@ -111,7 +111,6 @@ def countermeasure_table(
     fee_base: float = 0.01,
     fee_rate: float = 0.001,
     upfront_base: float = 0.0,
-    backend: str = "event",
     attack_params: Optional[Dict[str, Any]] = None,
     executor: str = "serial",
     max_workers: Optional[int] = None,
@@ -134,9 +133,6 @@ def countermeasure_table(
         zipf_s: receiver-skew of the honest workload.
         fee_base / fee_rate: the shared success-side linear fee.
         upfront_base: flat per-attempt charge of the upfront variants.
-        backend: simulation backend per run (``"event"`` or
-            ``"batched"`` — reports are bit-identical; batched is the
-            fast path for large sweeps).
         attack_params: extra ``AttackSpec`` params merged over the
             defaults (e.g. ``{"slot_cap": 30}``).
         executor: ``"serial"`` or ``"process"`` (forwarded to
@@ -163,7 +159,6 @@ def countermeasure_table(
         zipf_s=zipf_s,
         name=f"countermeasure-{strategy}",
     )
-    base = base.with_overrides({"simulation.backend": backend})
     grid = {
         "topology": equilibrium_topology_docs(size, balance=balance),
         "fee": fee_policy_docs(

@@ -3,7 +3,7 @@
 The :class:`AttackContext` is the strategy's only handle on the world: it
 schedules attacker events on the engine's shared queue, opens
 budget-accounted attacker channels, places and resolves HTLC locks through
-the engine's own :class:`~repro.network.htlc.HtlcRouter` (so attacker
+the engine's own :class:`~repro.network.htlc.HtlcLedger` (so attacker
 locks and honest locks contend for the same balances and slots), and
 accumulates the damage counters the :class:`~repro.attacks.report.AttackReport`
 is built from.
@@ -54,8 +54,8 @@ class AttackContext:
 
     Args:
         graph: the attacked network (attacker channels are added to it).
-        engine: the engine driving the honest workload, on either
-            backend; the attacker shares its event queue and HTLC router.
+        engine: the engine driving the honest workload; the attacker
+            shares its event queue and HTLC router.
         victim: the node whose revenue the attack targets.
         horizon: simulated end time — no attacker event is scheduled past it.
         budget: attacker capital endowment; every channel funding, pushed

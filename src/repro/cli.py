@@ -177,7 +177,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             },
         ),
         fee=FeeSpec("linear", {"base": 0.01, "rate": 0.001}),
-        simulation=SimulationSpec(horizon=args.horizon, backend=args.backend),
+        simulation=SimulationSpec(horizon=args.horizon),
         name="simulate",
         seed=args.seed,
     )
@@ -253,15 +253,9 @@ def _load_scenario(path: str) -> Scenario:
 def _apply_scenario_overrides(
     scenario: Scenario, args: argparse.Namespace
 ) -> Scenario:
-    """Apply the shared ``--seed`` / ``--backend`` override flags."""
+    """Apply the shared ``--seed`` override flag."""
     if args.seed is not None:
         scenario = scenario.with_overrides({"seed": args.seed})
-    if args.backend is not None:
-        if scenario.simulation is None:
-            raise ScenarioError(
-                "--backend needs a scenario with a simulation section"
-            )
-        scenario = scenario.with_overrides({"simulation.backend": args.backend})
     return scenario
 
 
@@ -408,7 +402,6 @@ def _cmd_attack(args: argparse.Namespace) -> int:
             seed=args.seed,
             zipf_s=args.zipf_s,
             upfront_base=args.upfront_base,
-            backend=args.backend,
             attack_params={
                 k: v for k, v in attack_params.items() if k != "budget"
             },
@@ -458,9 +451,6 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         horizon=args.horizon,
         seed=args.seed,
         zipf_s=args.zipf_s,
-    )
-    scenario = scenario.with_overrides(
-        {"simulation.backend": args.backend}
     )
     if args.fee_policy == "upfront":
         scenario = scenario.with_overrides({
@@ -693,12 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--tx-scale", type=float, default=0.5)
     p_sim.add_argument("--tx-max", type=float, default=5.0)
     p_sim.add_argument(
-        "--backend", choices=["event", "batched"], default="event",
-        help="simulation backend: the discrete-event queue or the "
-        "vectorised batched fast path (same counts, routes and per-node "
-        "values; large traces run several times faster)",
-    )
-    p_sim.add_argument(
         "--trace-out", default=None, metavar="SPANS_JSONL",
         help="stream the instrumentation trace (spans/events, one JSON "
         "record per line) to this file",
@@ -721,10 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=None, help="override the scenario's seed"
     )
     p_run.add_argument(
-        "--backend", choices=["event", "batched"], default=None,
-        help="override the scenario's simulation backend",
-    )
-    p_run.add_argument(
         "--profile", action="store_true",
         help="instrument the run and print the hot-spot report "
         "(results are bit-identical either way)",
@@ -738,10 +718,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("scenario", help="scenario JSON path")
     p_prof.add_argument(
         "--seed", type=int, default=None, help="override the scenario's seed"
-    )
-    p_prof.add_argument(
-        "--backend", choices=["event", "batched"], default=None,
-        help="override the scenario's simulation backend",
     )
     p_prof.add_argument(
         "--trace-out", default=None, metavar="SPANS_JSONL",
@@ -832,11 +808,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_atk.add_argument("--seed", type=int, default=7)
     p_atk.add_argument("--zipf-s", dest="zipf_s", type=float, default=1.0)
     p_atk.add_argument(
-        "--backend", choices=["event", "batched"], default="event",
-        help="simulation engine; both produce bit-identical reports, "
-        "batched is the fast path",
-    )
-    p_atk.add_argument(
         "--fee-policy", dest="fee_policy",
         choices=["success-only", "upfront"], default="success-only",
         help="two-sided fee policy: 'upfront' additionally charges "
@@ -922,8 +893,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ev.add_argument(
         "--horizon", type=float, default=20.0,
-        help="traffic-epoch length in simulated time units (batched "
-        "backend; 0 disables traffic)",
+        help="traffic-epoch length in simulated time units (0 disables "
+        "traffic)",
     )
     p_ev.add_argument(
         "--utility", choices=["analytic", "empirical"], default="analytic",

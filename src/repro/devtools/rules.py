@@ -1,7 +1,7 @@
 """The reprolint rule catalogue: RPR001–RPR009.
 
 Each rule encodes one structural invariant the reproduction's headline
-claims rest on (bit-identical backend parity, byte-identical CLI runs,
+claims rest on (bit-identical seeded simulation runs, byte-identical CLI runs,
 serial==process sweep equality, content-addressable runs):
 
 ========  ==============================================================

@@ -54,12 +54,7 @@ class RoutingError(ReproError):
 
 
 class HtlcError(ReproError):
-    """An HTLC operation violated the protocol state machine.
-
-    Also raised by :meth:`Channel.open_htlc
-    <repro.network.channel.Channel.open_htlc>` when a channel direction has
-    no free HTLC slot left (Lightning's ``max_accepted_htlcs`` cap).
-    """
+    """An HTLC operation violated the protocol state machine."""
 
 
 class BudgetExceeded(ReproError):

@@ -119,7 +119,7 @@ class ArrivalProcess:
         funded ``locked``/``locked``, the dual-funded convention of
         :class:`JoiningUserModel`'s default ``peer_deposit="match"``);
         parallel actions to the same peer merge into one channel so the
-        evolved graph stays simple — a batched-backend requirement.
+        evolved graph stays simple — a simulator requirement.
         Algorithms that accept a ``seed`` keyword (e.g.
         ``"random-attach"``) receive the per-arrival seed.
         """

@@ -1,4 +1,4 @@
-"""PCN substrate: channels, the channel graph, views, fees, routing,
+"""PCN substrate: channels, the channel graph, views, fees, HTLCs,
 betweenness."""
 
 from .betweenness import (
@@ -16,7 +16,7 @@ from .views import (
     shortest_path_indices,
 )
 from .channel import Channel
-from .htlc import Htlc, HtlcError, HtlcPayment, HtlcRouter, HtlcState
+from .htlc import HtlcError, HtlcPayment, HtlcState
 from .lifecycle import (
     ChannelLifecycle,
     CloseMode,
@@ -31,7 +31,6 @@ from .fees import (
     average_fee,
 )
 from .graph import ChannelGraph
-from .routing import PaymentOutcome, Route, Router
 
 __all__ = [
     "BetweennessArrays",
@@ -49,16 +48,11 @@ __all__ = [
     "LifecycleCosts",
     "sample_close_mode",
     "FeeFunction",
-    "Htlc",
     "HtlcError",
     "HtlcPayment",
-    "HtlcRouter",
     "HtlcState",
     "LinearFee",
-    "PaymentOutcome",
     "PiecewiseLinearFee",
-    "Route",
-    "Router",
     "average_fee",
     "pair_weighted_betweenness",
     "pair_weighted_betweenness_exact",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Hashable, Iterator, Optional, Tuple
 
-from ..errors import HtlcError, InsufficientBalance, InvalidParameter
+from ..errors import InsufficientBalance, InvalidParameter
 
 __all__ = ["Channel", "DEFAULT_MAX_ACCEPTED_HTLCS"]
 
@@ -49,7 +49,7 @@ class Channel:
     __slots__ = (
         "u", "v", "_balances", "channel_id",
         "fee_base", "fee_rate", "upfront_base", "upfront_rate", "_on_mutate",
-        "max_accepted_htlcs", "_htlc_slots",
+        "max_accepted_htlcs",
     )
 
     def __init__(
@@ -84,8 +84,6 @@ class Channel:
         self.v = v
         self._balances = {u: float(balance_u), v: float(balance_v)}
         self.max_accepted_htlcs = max_accepted_htlcs
-        # In-flight HTLC count per direction, keyed by the sending endpoint.
-        self._htlc_slots = {u: 0, v: 0}
         self.channel_id = channel_id if channel_id is not None else _next_channel_id()
         #: Per-channel fee policy (Lightning base/proportional form);
         #: surfaced in GraphView's fee arrays. Zero = policy-free channel.
@@ -129,46 +127,6 @@ class Channel:
             raise InvalidParameter(f"payment amount must be >= 0, got {amount}")
         return self._balances[sender] >= amount
 
-    # -- HTLC slot accounting ---------------------------------------------
-
-    def htlc_slots_used(self, sender: Hashable) -> int:
-        """In-flight HTLCs currently occupying the ``sender`` -> other
-        direction of this channel."""
-        self._check_endpoint(sender)
-        return self._htlc_slots[sender]
-
-    def has_free_htlc_slot(self, sender: Hashable) -> bool:
-        """Whether another HTLC can be added in the ``sender`` direction."""
-        self._check_endpoint(sender)
-        if self.max_accepted_htlcs is None:
-            return True
-        return self._htlc_slots[sender] < self.max_accepted_htlcs
-
-    def open_htlc(self, sender: Hashable) -> None:
-        """Occupy one HTLC slot in the ``sender`` direction.
-
-        Raises:
-            HtlcError: when every slot in that direction is already taken
-                (the channel direction is *jammed*).
-        """
-        if not self.has_free_htlc_slot(sender):
-            raise HtlcError(
-                f"channel {self.channel_id!r} has no free HTLC slot in "
-                f"direction {sender!r} -> {self.other(sender)!r} "
-                f"(cap {self.max_accepted_htlcs})"
-            )
-        self._htlc_slots[sender] += 1
-
-    def close_htlc(self, sender: Hashable) -> None:
-        """Release one HTLC slot (on settle or fail)."""
-        self._check_endpoint(sender)
-        if self._htlc_slots[sender] <= 0:
-            raise HtlcError(
-                f"channel {self.channel_id!r} has no open HTLC in "
-                f"direction {sender!r} -> {self.other(sender)!r} to close"
-            )
-        self._htlc_slots[sender] -= 1
-
     # -- mutation ----------------------------------------------------------
 
     def send(self, sender: Hashable, amount: float) -> None:
@@ -187,39 +145,14 @@ class Channel:
     def set_balances(self, balance_u: float, balance_v: float) -> None:
         """Overwrite both sides' balances in one step.
 
-        The batched simulation backend runs on array state and writes the
-        final split back here; unlike :meth:`send` this may change the
-        capacity, so callers are responsible for conservation.
+        The simulator runs on array state and writes the final split back
+        here; unlike :meth:`send` this may change the capacity, so callers
+        are responsible for conservation.
         """
         if balance_u < 0 or balance_v < 0:
             raise InvalidParameter("channel balances must be non-negative")
         self._balances[self.u] = float(balance_u)
         self._balances[self.v] = float(balance_v)
-        self._notify()
-
-    def deposit(self, node: Hashable, amount: float) -> None:
-        """Add ``amount`` fresh coins to ``node``'s side (a splice-in)."""
-        self._check_endpoint(node)
-        if amount < 0:
-            raise InvalidParameter(f"deposit must be >= 0, got {amount}")
-        self._balances[node] += amount
-        self._notify()
-
-    def withdraw(self, node: Hashable, amount: float) -> None:
-        """Remove ``amount`` from ``node``'s side (splice-out / escrow).
-
-        Used by the HTLC layer to reserve in-flight funds: the coins leave
-        the spendable balance until the payment settles or fails.
-
-        Raises:
-            InsufficientBalance: if ``node``'s balance is below ``amount``.
-        """
-        self._check_endpoint(node)
-        if amount < 0:
-            raise InvalidParameter(f"withdrawal must be >= 0, got {amount}")
-        if self._balances[node] < amount:
-            raise InsufficientBalance(self._balances[node], amount)
-        self._balances[node] -= amount
         self._notify()
 
     # -- helpers -----------------------------------------------------------

@@ -11,9 +11,9 @@ and resolution the reserved funds are unavailable to other payments —
 which is exactly the in-flight-capital effect that makes the opportunity
 cost of Section II-C real.
 
-:class:`HtlcLedger` holds the per-payment bookkeeping; :class:`HtlcRouter`
-reserves hops on :class:`~repro.network.channel.Channel` objects, and the
-batched engine's array router on CSR entries.
+:class:`HtlcLedger` reserves hops on the simulator's array state: one
+balance per directed CSR entry and one in-flight slot count per entry,
+capped by the channel's ``max_accepted_htlcs``.
 """
 
 from __future__ import annotations
@@ -21,16 +21,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..errors import HtlcError, RoutingError
-from .channel import Channel
 from .fees import ConstantFee, FeeFunction, FeePolicy
-from .graph import ChannelGraph
 
-__all__ = [
-    "HtlcError", "HtlcLedger", "HtlcState", "Htlc", "HtlcPayment", "HtlcRouter",
-]
+__all__ = ["HtlcError", "HtlcLedger", "HtlcState", "HtlcPayment"]
 
 
 class HtlcState(Enum):
@@ -42,20 +38,14 @@ class HtlcState(Enum):
 
 
 @dataclass
-class Htlc:
-    """One hop's conditional payment: ``amount`` reserved from ``sender``."""
-
-    channel: Channel
-    sender: Hashable
-    amount: float
-
-
-@dataclass
 class HtlcPayment:
     """A chain of per-hop HTLCs for one multi-hop payment.
 
-    ``failure_reason`` is set when a :meth:`HtlcRouter.lock` fails:
-    ``"no-balance"`` (no channel on some hop could fund the amount) or
+    ``entries`` and ``amounts`` are the CSR entries locked so far and the
+    hop amount reserved on each; they stay after settle and are cleared
+    by the unwind. ``failure_reason`` is set when a
+    :meth:`HtlcLedger.lock` fails: ``"no-balance"`` (the hop's channel
+    could not fund the amount, or there is no channel) or
     ``"no-slots"`` (a channel had the balance but every HTLC slot in the
     needed direction was occupied — the jammed case).
 
@@ -69,7 +59,8 @@ class HtlcPayment:
     path: Tuple[Hashable, ...]
     amount: float
     state: HtlcState = HtlcState.PENDING
-    hops: List[Htlc] = field(default_factory=list)
+    entries: List[int] = field(default_factory=list)
+    amounts: List[float] = field(default_factory=list)
     fees_per_node: Dict[Hashable, float] = field(default_factory=dict)
     failure_reason: str = ""
     upfront_fees_per_node: Dict[Hashable, float] = field(default_factory=dict)
@@ -84,7 +75,7 @@ class HtlcPayment:
 
     @property
     def total_locked(self) -> float:
-        return sum(h.amount for h in self.hops)
+        return sum(self.amounts)
 
     @property
     def upfront_total(self) -> float:
@@ -93,15 +84,16 @@ class HtlcPayment:
 
 
 class HtlcLedger:
-    """The per-payment bookkeeping both HTLC routers share.
+    """Two-phase (lock / settle-or-fail) multi-hop payments on array state.
 
     Owns the fee and its two-sided policy, the ``(hops, amount)``
     hop-amount memo, the in-flight map with its running
-    ``locked_capital`` total, settle-time fee booking and ``fail``.
-    Subclasses reserve and release the hops themselves: ``lock`` places
-    the reservations and ends in :meth:`_track` or :meth:`_reject`,
-    :meth:`_release` moves settled reservations downstream and
-    :meth:`_unwind` hands them back upstream.
+    ``locked_capital`` total and settle-time fee booking. ``lock``
+    reserves each hop on a CSR entry of the state it is bound to: the hop
+    amount leaves the upstream balance into escrow and occupies one slot
+    of that direction; settlement decides which side it lands on.
+    Constructed with the engine, so fees price routes at once, and bound
+    by :meth:`bind` when the engine freezes its array state.
     """
 
     def __init__(self, fee: Optional[FeeFunction] = None) -> None:
@@ -121,6 +113,17 @@ class HtlcLedger:
         # so locked_capital() is O(1) under jamming-scale in-flight sets.
         self._locked_totals: Dict[int, float] = {}
         self._locked_total = 0.0
+        self._state: Any = None
+
+    def bind(self, state: Any) -> None:
+        """Reserve hops on ``state`` from now on.
+
+        ``state`` carries ``balances`` and ``rev_entry`` per CSR entry,
+        the per-entry ``slots_used`` and ``slot_cap`` lists and
+        ``name_pair_entry``, the ``(src, dst)`` -> entry map (the
+        simulator's ``_ArrayState``).
+        """
+        self._state = state
 
     def hop_amounts(self, hops: int, amount: float) -> List[float]:
         """Per-hop amounts (sender side first) for delivering ``amount``.
@@ -131,6 +134,8 @@ class HtlcLedger:
         return list(self._hop_amounts(hops, amount))
 
     def _hop_amounts(self, hops: int, amount: float) -> Tuple[float, ...]:
+        """With fee forwarding, hop ``i`` carries the delivered amount plus
+        all fees owed to intermediaries downstream of it."""
         cached = self._hop_amounts_cache.get((hops, amount))
         if cached is not None:
             return cached
@@ -143,32 +148,74 @@ class HtlcLedger:
         self._hop_amounts_cache[(hops, amount)] = result
         return result
 
-    def _check(self, path: Sequence[Hashable], amount: float) -> Tuple[float, ...]:
-        """Validate a lock request; returns its hop amounts."""
+    # -- the protocol -----------------------------------------------------------
+
+    def lock(self, path: Sequence[Hashable], amount: float) -> HtlcPayment:
+        """Phase 1: reserve funds along ``path`` for ``amount``.
+
+        Walks sender -> receiver placing one HTLC per hop. If a hop lacks
+        balance (``"no-balance"``) or a free slot (``"no-slots"``, checked
+        second), every earlier reservation unwinds and the payment is
+        returned in the FAILED state.
+        """
         if len(path) < 2:
             raise RoutingError("path needs at least one hop")
         if amount <= 0:
             raise HtlcError(f"amount must be > 0, got {amount}")
-        return self._hop_amounts(len(path) - 1, amount)
-
-    def _track(self, payment: "HtlcPayment") -> "HtlcPayment":
-        """Record a fully locked payment as in flight."""
+        hop_amounts = self._hop_amounts(len(path) - 1, amount)
+        state = self._state
+        if state is None:
+            raise HtlcError(
+                "the engine's HTLC router binds to array state at the "
+                "first run() call; lock() is only available inside a run"
+            )
+        payment = HtlcPayment(next(self._ids), tuple(path), amount)
+        # Hot path under jamming: hoist every per-hop attribute chase.
+        pair_entry_get = state.name_pair_entry.get
+        balances = state.balances
+        slots_used = state.slots_used
+        slot_cap = state.slot_cap
+        has_upfront = self.policy.has_upfront
+        entries = payment.entries
+        amounts = payment.amounts
+        src = path[0]
+        for dst, hop_amount in zip(path[1:], hop_amounts):
+            entry = pair_entry_get((src, dst))
+            if entry is None or (before := balances[entry]) < hop_amount:
+                reason = "no-balance"
+            elif slots_used[entry] >= slot_cap[entry]:
+                reason = "no-slots"
+            else:
+                reason = ""
+            if reason:
+                self._unwind(payment)
+                payment.state = HtlcState.FAILED
+                payment.failure_reason = reason
+                return payment
+            # reserve: the hop amount leaves the upstream spendable
+            # balance into escrow and occupies one direction slot.
+            balances[entry] = before - hop_amount
+            slots_used[entry] += 1
+            if has_upfront:
+                # The upfront side is unconditional: a hop that was
+                # actually offered pays its receiver even if a later hop
+                # fails, and the unwind never refunds it. The charge is
+                # ledger-only (no balance moves), so liquidity and slot
+                # dynamics are independent of the upfront rate.
+                payment.upfront_fees_per_node[dst] = (
+                    payment.upfront_fees_per_node.get(dst, 0.0)
+                    + self.policy.upfront(hop_amount)
+                )
+            entries.append(entry)
+            amounts.append(hop_amount)
+            src = dst
         self._in_flight[payment.payment_id] = payment
         locked = payment.total_locked
         self._locked_totals[payment.payment_id] = locked
         self._locked_total += locked
         return payment
 
-    def _reject(self, payment: "HtlcPayment", reason: str) -> "HtlcPayment":
-        """Unwind a partly locked payment and mark it failed."""
-        self._unwind(payment)
-        payment.state = HtlcState.FAILED
-        payment.failure_reason = reason
-        return payment
-
-    # -- the protocol -----------------------------------------------------------
-
-    def settle(self, payment: "HtlcPayment") -> None:
+    def settle(self, payment: HtlcPayment) -> None:
         """Phase 2a: the receiver reveals the preimage; funds finalise.
 
         Each hop's reserved amount moves to the downstream party; the
@@ -176,7 +223,12 @@ class HtlcLedger:
         the intermediary as its fee.
         """
         self._require_pending(payment)
-        amounts = self._release(payment)
+        state = self._state
+        balances = state.balances
+        for entry, hop_amount in zip(payment.entries, payment.amounts):
+            balances[int(state.rev_entry[entry])] += hop_amount
+            state.slots_used[entry] -= 1
+        amounts = payment.amounts
         fees = payment.fees_per_node
         for node, inbound, outbound in zip(
             payment.path[1:-1], amounts, amounts[1:]
@@ -185,31 +237,35 @@ class HtlcLedger:
         payment.state = HtlcState.SETTLED
         self._drop_in_flight(payment)
 
-    def fail(self, payment: "HtlcPayment") -> None:
+    def fail(self, payment: HtlcPayment) -> None:
         """Phase 2b: unwind every reservation; balances fully restored."""
         self._require_pending(payment)
         self._unwind(payment)
         payment.state = HtlcState.FAILED
         self._drop_in_flight(payment)
 
-    def _release(self, payment: "HtlcPayment") -> Sequence[float]:
-        """Move every reservation downstream; returns the hop amounts."""
-        raise NotImplementedError
-
-    def _unwind(self, payment: "HtlcPayment") -> None:
-        """Hand every reservation back upstream, last hop first."""
-        raise NotImplementedError
-
     # -- internals ---------------------------------------------------------------
 
-    def _require_pending(self, payment: "HtlcPayment") -> None:
+    def _unwind(self, payment: HtlcPayment) -> None:
+        """Hand every reservation back upstream, last hop first."""
+        state = self._state
+        balances = state.balances
+        for entry, hop_amount in zip(
+            reversed(payment.entries), reversed(payment.amounts)
+        ):
+            balances[entry] += hop_amount
+            state.slots_used[entry] -= 1
+        payment.entries.clear()
+        payment.amounts.clear()
+
+    def _require_pending(self, payment: HtlcPayment) -> None:
         if payment.state is not HtlcState.PENDING:
             raise HtlcError(
                 f"payment {payment.payment_id} is {payment.state.value}, "
                 "not pending"
             )
 
-    def _drop_in_flight(self, payment: "HtlcPayment") -> None:
+    def _drop_in_flight(self, payment: HtlcPayment) -> None:
         if self._in_flight.pop(payment.payment_id, None) is None:
             return
         self._locked_total -= self._locked_totals.pop(payment.payment_id, 0.0)
@@ -219,98 +275,9 @@ class HtlcLedger:
             self._locked_total = 0.0
 
     @property
-    def in_flight(self) -> Tuple["HtlcPayment", ...]:
+    def in_flight(self) -> Tuple[HtlcPayment, ...]:
         return tuple(self._in_flight.values())
 
     def locked_capital(self) -> float:
         """Total coins currently reserved by pending payments."""
         return self._locked_total
-
-
-class HtlcRouter(HtlcLedger):
-    """Two-phase (lock / settle-or-fail) multi-hop payment execution.
-
-    Unlike :class:`~repro.network.routing.Router` (which applies balance
-    updates instantaneously), the HTLC router separates locking from
-    settlement so concurrent payments contend for capacity realistically.
-
-    Args:
-        graph: the channel graph (balances are mutated by lock/settle).
-        fee: per-hop fee function.
-    """
-
-    def __init__(
-        self, graph: ChannelGraph, fee: Optional[FeeFunction] = None
-    ) -> None:
-        super().__init__(fee)
-        self.graph = graph
-
-    def _pick_channel(
-        self, src: Hashable, dst: Hashable, amount: float
-    ) -> Tuple[Optional[Channel], str]:
-        """Best funded channel with a free slot, plus the failure reason.
-
-        Returns ``(channel, "")`` on success; ``(None, "no-balance")`` when
-        no channel can fund the hop; ``(None, "no-slots")`` when at least
-        one channel could fund it but its HTLC slots are exhausted.
-        """
-        best: Optional[Channel] = None
-        funded = False
-        for channel in self.graph.channels_between(src, dst):
-            if channel.balance(src) < amount:
-                continue
-            funded = True
-            if not channel.has_free_htlc_slot(src):
-                continue
-            if best is None or channel.balance(src) > best.balance(src):
-                best = channel
-        if best is not None:
-            return best, ""
-        return None, "no-slots" if funded else "no-balance"
-
-    def lock(self, path: Sequence[Hashable], amount: float) -> HtlcPayment:
-        """Phase 1: reserve funds along ``path`` for ``amount``.
-
-        Walks sender -> receiver placing one HTLC per hop. If any hop
-        lacks balance, all earlier reservations are unwound and the
-        payment is returned in the FAILED state.
-        """
-        hop_amounts = self._check(path, amount)
-        payment = HtlcPayment(
-            payment_id=next(self._ids), path=tuple(path), amount=amount,
-        )
-        for (src, dst), hop_amount in zip(zip(path, path[1:]), hop_amounts):
-            channel, reason = self._pick_channel(src, dst, hop_amount)
-            if channel is None:
-                return self._reject(payment, reason)
-            # reserve: the hop amount leaves the sender's spendable balance
-            # into escrow; settlement decides whether it lands on the other
-            # side (settle) or returns (fail). The HTLC also occupies
-            # one of the direction's slots until resolution.
-            channel.withdraw(src, hop_amount)
-            channel.open_htlc(src)
-            if self.policy.has_upfront:
-                # The upfront side is unconditional: a hop that was
-                # actually offered pays its receiver even if a later hop
-                # fails, and the unwind never refunds it. The charge is
-                # ledger-only (no channel balance moves), so liquidity
-                # and slot dynamics are independent of the upfront rate.
-                payment.upfront_fees_per_node[dst] = (
-                    payment.upfront_fees_per_node.get(dst, 0.0)
-                    + self.policy.upfront(hop_amount)
-                )
-            payment.hops.append(Htlc(channel=channel, sender=src, amount=hop_amount))
-        return self._track(payment)
-
-    def _release(self, payment: HtlcPayment) -> List[float]:
-        for htlc in payment.hops:
-            receiver = htlc.channel.other(htlc.sender)
-            htlc.channel.deposit(receiver, htlc.amount)
-            htlc.channel.close_htlc(htlc.sender)
-        return [h.amount for h in payment.hops]
-
-    def _unwind(self, payment: HtlcPayment) -> None:
-        for htlc in reversed(payment.hops):
-            htlc.channel.deposit(htlc.sender, htlc.amount)
-            htlc.channel.close_htlc(htlc.sender)
-        payment.hops.clear()

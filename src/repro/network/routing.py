@@ -1,32 +1,27 @@
-"""Capacity-aware shortest-path routing over a :class:`ChannelGraph`.
+"""Shortest-path payment routing over per-entry adjacency lists.
 
-Implements the multi-hop payment flow of Section II-A: a payment of size
-``x`` from ``s`` to ``r`` follows a shortest path in the reduced subgraph
-(every directed edge on the path must hold balance >= forwarded amount),
-intermediaries charge a per-hop fee, and on success every channel on the
-path updates its balances atomically (the HTLC all-or-nothing guarantee —
-footnote 1 of the paper).
+Implements the route search of Section II-A's multi-hop payment flow: a
+payment of size ``x`` from ``s`` to ``r`` follows a shortest path in the
+reduced subgraph, where every directed edge on the path holds balance
+>= ``x``. The searches take per-node ``[(neighbour, entry)]`` lists of a
+:class:`~repro.network.views.GraphView` and per-entry ``kept`` flags (the
+entries whose balance can carry ``x``), and the walks pick one shortest
+path: the first predecessor at each hop, or one drawn in proportion to
+the shortest-path counts (the equal-split shares of Eq. 2). The
+simulator (:mod:`repro.simulation.fastpath`) routes every payment here.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import RoutingError
-from .channel import Channel
-from .fees import ConstantFee, FeeFunction
-from .graph import ChannelGraph
-from .views import SMALL_GRAPH_NODES, BfsTree, GraphView, bfs_shortest_path_tree
+from .views import BfsTree, GraphView
 
 __all__ = [
-    "PaymentOutcome",
     "PaymentRouteRng",
-    "Route",
-    "Router",
     "bidirectional_route",
     "guided_bfs_structure",
     "hops_to_target",
@@ -259,10 +254,11 @@ def walk_csr(
 ) -> Optional[List[int]]:
     """Backward predecessor walk over a CSR :class:`BfsTree`.
 
-    ``tree`` is :func:`bfs_shortest_path_tree` from ``source`` over
-    ``view``. Predecessor rows are sorted by source index, so ``"first"``
-    takes the smallest-index predecessor and ``"random"`` draws one
-    ``rng.choice`` weighted by ``sigma`` per multi-predecessor hop.
+    ``tree`` is :func:`~repro.network.views.bfs_shortest_path_tree`
+    from ``source`` over ``view``. Predecessor rows are sorted by source
+    index, so ``"first"`` takes the smallest-index predecessor and
+    ``"random"`` draws one ``rng.choice`` weighted by ``sigma`` per
+    multi-predecessor hop.
     """
     if tree.dist[target] < 0:
         return None
@@ -294,11 +290,11 @@ def bidirectional_route(
     """A shortest ``source -> target`` path over the kept entries.
 
     Returns the same path, drawing the same random numbers, as
-    :func:`bfs_shortest_path_tree` plus :func:`walk_csr` over a view
-    holding only the entries whose ``kept`` flag is nonzero; ``None``
-    when there is no path. ``adj`` and ``radj`` are per-node
-    ``[(successor, entry)]`` and ``[(predecessor, entry)]`` lists, both
-    sorted by neighbour index (:meth:`GraphView.adjacency_lists` and
+    :func:`~repro.network.views.bfs_shortest_path_tree` plus
+    :func:`walk_csr` over a view holding only the entries whose ``kept``
+    flag is nonzero; ``None`` when there is no path. ``adj`` and ``radj``
+    are per-node ``[(successor, entry)]`` and ``[(predecessor, entry)]``
+    lists, both sorted by neighbour index (:meth:`GraphView.adjacency_lists` and
     :meth:`GraphView.reverse_adjacency_lists`).
 
     Only the s-t shortest-path DAG is built. A level-synchronous BFS
@@ -398,232 +394,3 @@ def bidirectional_route(
             current = preds[0]
         path.append(current)
     return path[::-1]
-
-
-@dataclass(frozen=True)
-class Route:
-    """A candidate payment path.
-
-    Attributes:
-        nodes: node sequence from sender to receiver inclusive.
-        amount: payment size delivered to the receiver.
-        fee: total routing fee paid by the sender to intermediaries.
-    """
-
-    nodes: Tuple[Hashable, ...]
-    amount: float
-    fee: float
-
-    @property
-    def hops(self) -> int:
-        return len(self.nodes) - 1
-
-    @property
-    def intermediaries(self) -> Tuple[Hashable, ...]:
-        return self.nodes[1:-1]
-
-
-@dataclass
-class PaymentOutcome:
-    """Result of attempting one payment."""
-
-    success: bool
-    route: Optional[Route] = None
-    failure_reason: str = ""
-    fees_per_node: dict = field(default_factory=dict)
-
-
-class Router:
-    """Finds and executes payments on a channel graph.
-
-    Args:
-        graph: the network to route over.
-        fee: global per-hop fee function ``F`` (defaults to zero fees,
-            which matches the pure-topology studies of Section IV).
-        fee_forwarding: if True (default), each intermediary must forward
-            the downstream amount plus downstream fees, mirroring how
-            Lightning onions accumulate fees toward the sender. If False,
-            every hop forwards exactly ``amount`` (the paper's simplified
-            accounting).
-        path_selection: ``"first"`` walks back from the receiver and
-            takes the first predecessor at each hop (deterministic, no RNG
-            draw); ``"random"`` samples uniformly among *all* shortest
-            paths, which realises exactly the equal-split
-            ``m_e(s,r)/m(s,r)`` traffic shares of Eq. 2 (used by the
-            simulator).
-        seed: RNG seed for ``"random"`` selection.
-    """
-
-    def __init__(
-        self,
-        graph: ChannelGraph,
-        fee: Optional[FeeFunction] = None,
-        fee_forwarding: bool = True,
-        path_selection: str = "first",
-        seed: Optional[int] = None,
-    ) -> None:
-        if path_selection not in ("first", "random"):
-            raise RoutingError(
-                f"path_selection must be 'first' or 'random', got {path_selection!r}"
-            )
-        self.graph = graph
-        self.fee = fee if fee is not None else ConstantFee(0.0)
-        self.fee_forwarding = fee_forwarding
-        self.path_selection = path_selection
-        self._rng = np.random.default_rng(seed)
-
-    # -- route discovery ------------------------------------------------------
-
-    def find_route(
-        self,
-        sender: Hashable,
-        receiver: Hashable,
-        amount: float,
-        view: Optional[GraphView] = None,
-        rng=None,
-    ) -> Route:
-        """Shortest feasible route for ``amount`` in the reduced subgraph.
-
-        Args:
-            sender / receiver / amount: the payment intent.
-            view: a pre-built reduced view for ``amount``; defaults to
-                ``graph.view(directed=True, reduced=amount)``.
-            rng: tie-break RNG override (e.g. a per-payment
-                :class:`PaymentRouteRng`); defaults to the router's
-                sequential stream.
-
-        Raises:
-            RoutingError: when sender/receiver are absent or no directed
-                path with sufficient balances exists.
-        """
-        if sender == receiver:
-            raise RoutingError("sender and receiver must differ")
-        reduced = (
-            view if view is not None
-            else self.graph.view(directed=True, reduced=amount)
-        )
-        if sender not in reduced or receiver not in reduced:
-            raise RoutingError(f"unknown endpoint in route {sender!r}->{receiver!r}")
-        nodes = self._select_path(reduced, sender, receiver, amount, rng=rng)
-        hop_amounts = self._hop_amounts(len(nodes) - 1, amount)
-        total_fee = hop_amounts[0] - amount
-        return Route(tuple(nodes), amount, total_fee)
-
-    def _select_path(
-        self,
-        reduced: GraphView,
-        sender: Hashable,
-        receiver: Hashable,
-        amount: float,
-        rng=None,
-    ) -> List[Hashable]:
-        """One shortest path in the reduced view, as node labels.
-
-        ``"first"`` walks the predecessor DAG deterministically (smallest
-        node index); ``"random"`` samples uniformly among *all* shortest
-        paths by walking backward from the receiver and picking each
-        predecessor with probability proportional to its shortest-path
-        count — exactly the equal-split ``m_e(s,r)/m(s,r)`` shares of
-        Eq. 2 without enumerating the (possibly exponential) path set.
-        """
-        if rng is None:
-            rng = self._rng
-        s_idx = reduced.index_of(sender)
-        r_idx = reduced.index_of(receiver)
-        if reduced.num_nodes < SMALL_GRAPH_NODES:
-            # Per-payment python BFS beats numpy call overhead on small
-            # graphs (the simulator routes thousands of payments).
-            dist, sigma, preds = small_bfs_structure(
-                reduced.adjacency_lists(), reduced.num_nodes, s_idx,
-                target=r_idx,
-            )
-            path_indices = walk_small(
-                dist, sigma, preds, s_idx, r_idx, self.path_selection, rng
-            )
-        else:
-            tree = bfs_shortest_path_tree(reduced, s_idx, target=r_idx)
-            path_indices = walk_csr(
-                reduced, tree, s_idx, r_idx, self.path_selection, rng
-            )
-        if path_indices is None:
-            raise RoutingError(
-                f"no path with capacity {amount} from {sender!r} to {receiver!r}"
-            )
-        return [reduced.nodes[i] for i in path_indices]
-
-    def _hop_amounts(self, hops: int, amount: float) -> List[float]:
-        """Amount entering each hop, sender-side first.
-
-        With fee forwarding, hop ``i`` carries the delivered amount plus
-        all fees owed to intermediaries downstream of hop ``i``.
-        """
-        if not self.fee_forwarding:
-            return [amount] * hops
-        amounts = [amount]
-        # walk backwards from the receiver; each earlier hop adds the fee
-        # of the intermediary that forwards it.
-        for _ in range(hops - 1):
-            inbound = amounts[0] + self.fee(amounts[0])
-            amounts.insert(0, inbound)
-        return amounts
-
-    # -- execution --------------------------------------------------------------
-
-    def execute(
-        self,
-        sender: Hashable,
-        receiver: Hashable,
-        amount: float,
-        rng=None,
-    ) -> PaymentOutcome:
-        """Find a route and apply it atomically.
-
-        On success, channel balances along the path are updated and the fee
-        earned by each intermediary is reported in ``fees_per_node``. On
-        failure nothing changes.
-        """
-        try:
-            route = self.find_route(sender, receiver, amount, rng=rng)
-        except RoutingError as exc:
-            return PaymentOutcome(success=False, failure_reason=str(exc))
-        hop_amounts = self._hop_amounts(route.hops, amount)
-        plan: List[Tuple[Channel, Hashable, float]] = []
-        for (src, dst), hop_amount in zip(
-            zip(route.nodes, route.nodes[1:]), hop_amounts
-        ):
-            channel = self._pick_channel(src, dst, hop_amount)
-            if channel is None:
-                return PaymentOutcome(
-                    success=False,
-                    failure_reason=(
-                        f"no single channel {src!r}->{dst!r} can carry "
-                        f"{hop_amount} (aggregate balance sufficed)"
-                    ),
-                )
-            plan.append((channel, src, hop_amount))
-        for channel, src, hop_amount in plan:
-            channel.send(src, hop_amount)
-        fees_per_node = {}
-        for node, inbound, outbound in zip(
-            route.intermediaries, hop_amounts, hop_amounts[1:]
-        ):
-            fees_per_node[node] = fees_per_node.get(node, 0.0) + (inbound - outbound)
-        if not self.fee_forwarding:
-            for node in route.intermediaries:
-                fees_per_node[node] = fees_per_node.get(node, 0.0) + self.fee(amount)
-        return PaymentOutcome(success=True, route=route, fees_per_node=fees_per_node)
-
-    def _pick_channel(
-        self, src: Hashable, dst: Hashable, amount: float
-    ) -> Optional[Channel]:
-        """Best single channel able to carry ``amount`` from src to dst.
-
-        Prefers the channel with the largest sender-side balance, which
-        keeps parallel channels evenly usable.
-        """
-        best: Optional[Channel] = None
-        for channel in self.graph.channels_between(src, dst):
-            balance = channel.balance(src)
-            if balance >= amount and (best is None or balance > best.balance(src)):
-                best = channel
-        return best

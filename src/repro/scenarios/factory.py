@@ -20,7 +20,6 @@ from typing import Any, Callable, Optional
 from ..errors import ScenarioError
 from ..network.graph import ChannelGraph
 from ..obs import ObsSession
-from ..simulation.engine import SimulationEngine
 from ..simulation.fastpath import BatchedSimulationEngine
 from .registry import CHURN, FEES, GROWTH, TOPOLOGIES, WORKLOADS
 from .specs import ChurnSpec, GrowthSpec, Scenario, TopologySpec, WorkloadSpec
@@ -170,8 +169,8 @@ def build_simulation_engine(
     scenario: Scenario,
     graph: ChannelGraph,
     obs: Optional[ObsSession] = None,
-) -> SimulationEngine:
-    """The engine the scenario's ``backend`` selects, built from its spec.
+) -> BatchedSimulationEngine:
+    """The scenario's simulation engine, built from its spec.
 
     ``obs`` is an execution-time concern, not part of the spec (it would
     perturb content hashes): the caller's instrumentation session is
@@ -180,10 +179,7 @@ def build_simulation_engine(
     sim = scenario.simulation
     if sim is None:
         raise ScenarioError("scenario has no simulation section")
-    engine_class = (
-        BatchedSimulationEngine if sim.backend == "batched" else SimulationEngine
-    )
-    return engine_class(
+    return BatchedSimulationEngine(
         graph,
         fee=build_fee(scenario),
         fee_forwarding=sim.fee_forwarding,

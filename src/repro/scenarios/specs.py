@@ -433,15 +433,13 @@ class AlgorithmSpec(_PluginSpec):
 
 @dataclass(frozen=True)
 class SimulationSpec:
-    """Simulator settings (no plugin key — two interchangeable backends).
+    """Simulator settings (no plugin key — there is one engine).
 
-    Attributes mirror :class:`~repro.simulation.engine.SimulationEngine`
-    and its ``schedule_workload`` horizon. ``backend`` selects the
-    execution engine: ``"event"`` is the discrete-event loop;
-    ``"batched"`` is the vectorised fast path
-    (:class:`~repro.simulation.fastpath.BatchedSimulationEngine`), which
-    gives the same counts, routes, per-node values and final balances
-    for the same seed. Both backends run
+    Attributes mirror
+    :class:`~repro.simulation.fastpath.BatchedSimulationEngine` and its
+    ``schedule_workload`` horizon. ``backend`` is always ``"batched"``:
+    documents keep the field, and one naming the ``"event"`` engine,
+    which is gone, loads as ``"batched"``. The engine runs
     ``payment_mode`` ``"instant"`` and ``"htlc"``. ``route_rng`` picks
     how path-sampling randomness is derived: ``"stream"`` draws from one
     sequential RNG (the historical behaviour), ``"payment"`` derives an
@@ -449,7 +447,7 @@ class SimulationSpec:
     payment's route does not depend on which payments ran before it.
     ``path_selection`` is ``"random"`` (equal-split tie-breaks) or
     ``"first"``. ``fee_forwarding=False`` needs ``payment_mode``
-    ``"instant"``: the HTLC routers always forward fees. Every field is
+    ``"instant"``: the HTLC router always forwards fees. Every field is
     checked here, when the spec is parsed.
     """
 
@@ -458,10 +456,12 @@ class SimulationSpec:
     htlc_hold_mean: float = 0.1
     fee_forwarding: bool = True
     path_selection: str = "random"
-    backend: str = "event"
+    backend: str = "batched"
     route_rng: str = "stream"
 
     def __post_init__(self) -> None:
+        if self.backend == "event":
+            object.__setattr__(self, "backend", "batched")
         for name in ("horizon", "htlc_hold_mean"):
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -478,7 +478,7 @@ class SimulationSpec:
                 f"got {self.fee_forwarding!r}"
             )
         for name, choices in (
-            ("backend", ("event", "batched")),
+            ("backend", ("batched",)),
             ("payment_mode", ("instant", "htlc")),
             ("path_selection", ("random", "first")),
             ("route_rng", ("stream", "payment")),
@@ -492,7 +492,7 @@ class SimulationSpec:
         if self.payment_mode == "htlc" and not self.fee_forwarding:
             raise ScenarioError(
                 "SimulationSpec.fee_forwarding=false is not modelled in "
-                "payment_mode 'htlc': the HTLC routers always forward fees"
+                "payment_mode 'htlc': the HTLC router always forwards fees"
             )
 
     def to_dict(self) -> Dict[str, Any]:

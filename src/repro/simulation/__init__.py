@@ -1,12 +1,9 @@
-"""Payment simulation over channel graphs: event-driven and batched.
+"""Payment simulation over channel graphs.
 
-:class:`SimulationEngine` is the discrete-event queue;
-:class:`BatchedSimulationEngine` subclasses it and swaps in routing
-over frozen view arrays. For identical seeds both give the same
-counts, routes, per-node values and final balances; summed report
-fields (``total_revenue``) add per-node dicts in different insertion
-orders and may differ in their last bits. Both run instant and HTLC
-payments and accept injected adversarial events.
+:class:`SimulationEngine` holds the discrete-event queue, scheduling and
+metric booking; :class:`BatchedSimulationEngine`, the engine to build,
+subclasses it and routes over frozen view arrays. It runs instant and
+HTLC payments and accepts injected adversarial events.
 """
 
 from .engine import SimulationEngine

@@ -1,4 +1,4 @@
-"""The discrete-event payment simulator.
+"""The discrete-event payment simulator's event loop and booking.
 
 Drives a :class:`~repro.network.graph.ChannelGraph` with a Poisson payment
 workload: each arrival routes along a capacity-feasible shortest path,
@@ -6,6 +6,11 @@ updates channel balances, and credits intermediaries their fees. This is
 the "simulation-only evaluation" substrate: it produces the empirical
 counterparts of the model's analytic quantities (``E_rev``, ``λ_e``,
 feasibility), which bench E11 compares against Eq. 2/Eq. 3 predictions.
+
+:class:`SimulationEngine` holds the event queue, scheduling, the route
+RNG and metric booking; the engine that runs is its subclass
+:class:`~repro.simulation.fastpath.BatchedSimulationEngine`, which
+routes and moves balances over array state.
 """
 
 from __future__ import annotations
@@ -24,11 +29,11 @@ from typing import (
 import numpy as np
 
 from ..determinism import resolve_seed
-from ..errors import RoutingError, SimulationError
-from ..network.fees import FeeFunction
+from ..errors import SimulationError
+from ..network.fees import ConstantFee, FeeFunction
 from ..network.graph import ChannelGraph
-from ..network.htlc import HtlcLedger, HtlcPayment, HtlcRouter, HtlcState
-from ..network.routing import PaymentRouteRng, Router
+from ..network.htlc import HtlcLedger, HtlcPayment, HtlcState
+from ..network.routing import PaymentRouteRng
 from ..obs import ObsSession, default_session
 from ..transactions.workload import PoissonWorkload, TraceArrays, Transaction
 from .events import Event, EventQueue, HtlcResolveEvent, PaymentEvent
@@ -42,20 +47,25 @@ class SimulationEngine:
 
     The event loop, scheduling, the per-payment route RNG, HTLC
     lock-failure and settle booking and instant-payment booking live
-    here for both engines. A subclass supplies how a path is found
-    (:meth:`_find_path`), how an instant payment moves balances
-    (:meth:`_handle_payment`) and its HTLC router
-    (:meth:`_new_htlc_router`);
-    :class:`~repro.simulation.fastpath.BatchedSimulationEngine` is the
-    other engine.
+    here. The subclass
+    :class:`~repro.simulation.fastpath.BatchedSimulationEngine` supplies
+    how a path is found (``_find_path``) and how an instant payment moves
+    balances (``_handle_payment``); construct that class, not this one.
 
     Args:
         graph: the network (mutated in place as balances move).
-        fee: global fee function for intermediaries.
-        fee_forwarding: see :class:`~repro.network.routing.Router`.
-        path_selection: shortest-path tie-breaking; defaults to
-            ``"random"`` so that long-run edge traffic realises the
-            equal-split shares of Eq. 2.
+        fee: global per-hop fee function ``F`` (defaults to zero fees,
+            which matches the pure-topology studies of Section IV).
+        fee_forwarding: if True (default), each intermediary forwards
+            the downstream amount plus downstream fees, mirroring how
+            Lightning onions accumulate fees toward the sender. If False,
+            every hop forwards exactly ``amount`` and each intermediary
+            earns ``fee(amount)`` (the paper's simplified accounting).
+        path_selection: shortest-path tie-breaking. ``"first"`` walks
+            back from the receiver and takes the first predecessor at
+            each hop (no RNG draw); ``"random"`` (the default) samples
+            uniformly among *all* shortest paths, so that long-run edge
+            traffic realises the equal-split shares of Eq. 2.
         seed: RNG seed for path tie-breaking and hold-time sampling.
             ``None`` draws one entropy seed via
             :func:`~repro.determinism.resolve_seed` (logged at WARNING)
@@ -74,9 +84,11 @@ class SimulationEngine:
             payments in the trace.
 
     Raises:
-        SimulationError: on an unknown ``payment_mode`` or ``route_rng``,
-            ``htlc_hold_mean <= 0``, or ``fee_forwarding=False`` in
-            ``"htlc"`` mode, where both HTLC routers always forward fees.
+        SimulationError: when constructed directly rather than through
+            a subclass; on an unknown ``payment_mode``,
+            ``path_selection`` or ``route_rng``, ``htlc_hold_mean <= 0``,
+            or ``fee_forwarding=False`` in ``"htlc"`` mode, where the
+            HTLC router always forwards fees.
     """
 
     def __init__(
@@ -91,12 +103,23 @@ class SimulationEngine:
         route_rng: str = "stream",
         obs: Optional[ObsSession] = None,
     ) -> None:
+        if type(self) is SimulationEngine:
+            raise SimulationError(
+                "SimulationEngine is the event loop's base class; "
+                "construct BatchedSimulationEngine "
+                "(repro.simulation.fastpath) instead"
+            )
         if payment_mode not in ("instant", "htlc"):
             raise SimulationError(
                 f"payment_mode must be 'instant' or 'htlc', got {payment_mode!r}"
             )
         if htlc_hold_mean <= 0:
             raise SimulationError("htlc_hold_mean must be > 0")
+        if path_selection not in ("first", "random"):
+            raise SimulationError(
+                "path_selection must be 'first' or 'random', "
+                f"got {path_selection!r}"
+            )
         if route_rng not in ("stream", "payment"):
             raise SimulationError(
                 f"route_rng must be 'stream' or 'payment', got {route_rng!r}"
@@ -104,24 +127,25 @@ class SimulationEngine:
         if payment_mode == "htlc" and not fee_forwarding:
             raise SimulationError(
                 "fee_forwarding=False is not modelled in 'htlc' mode: "
-                "the HTLC routers always forward fees"
+                "the HTLC router always forwards fees"
             )
         self.graph = graph
         # Resolve the seed once: with seed=None an entropy seed is drawn
         # *here* (loudly — see repro.determinism) and every downstream
-        # consumer (router tie-breaks, per-payment RNG bases, hold-time
+        # consumer (stream tie-breaks, per-payment RNG bases, hold-time
         # sampling) derives from the same value, so the run is replayable
         # from SimulationMetrics.seed alone.
         self.seed = resolve_seed(seed)
-        self.router = Router(
-            graph, fee=fee, fee_forwarding=fee_forwarding,
-            path_selection=path_selection, seed=self.seed,
-        )
+        self.fee = fee if fee is not None else ConstantFee(0.0)
+        self.fee_forwarding = fee_forwarding
+        self.path_selection = path_selection
         self.payment_mode = payment_mode
         self.htlc_hold_mean = htlc_hold_mean
         self.route_rng = route_rng
+        # The sequential tie-break stream of route_rng="stream".
+        self._rng = np.random.default_rng(self.seed)
         self._route_base = self.seed % (2 ** 63)
-        self._htlc_router = self._new_htlc_router()
+        self._htlc_router = HtlcLedger(self.fee)
         self._pending_htlcs = {}
         self._hold_rng = np.random.default_rng(self.seed + 1)
         self.metrics = SimulationMetrics(seed=self.seed)
@@ -144,9 +168,6 @@ class SimulationEngine:
         attacker locks and honest locks contend for the same slots and
         balances."""
         return self._htlc_router
-
-    def _new_htlc_router(self) -> HtlcLedger:
-        return HtlcRouter(self.graph, fee=self.router.fee)
 
     # -- scheduling -----------------------------------------------------------
 
@@ -269,50 +290,28 @@ class SimulationEngine:
     def _route_rng(self, index: int):
         """The route RNG of the payment at trace position ``index``.
 
-        ``"stream"`` mode shares the router's sequential stream. Ad-hoc
+        ``"stream"`` mode shares the engine's sequential stream. Ad-hoc
         events (``index == -1``) draw the next engine-local index, so
         directly-scheduled payments stay deterministic too.
         """
         if self.route_rng != "payment":
-            return self.router._rng
+            return self._rng
         if index < 0:
             index = self._payment_seq
             self._payment_seq += 1
         return PaymentRouteRng(self._route_base, index)
 
-    def _find_path(self, event: PaymentEvent) -> Union[Sequence[Hashable], str]:
-        """The event's route as node labels, or its failure reason."""
-        try:
-            route = self.router.find_route(
-                event.sender, event.receiver, event.amount,
-                rng=self._route_rng(event.index),
-            )
-        except RoutingError as exc:
-            return _classify_failure(str(exc))
-        return route.nodes
-
     def _fail_payment(self, reason: str) -> None:
         self.metrics.failed += 1
         self.metrics.failure_reasons[reason] += 1
 
-    def _handle_payment(self, event: PaymentEvent) -> None:
-        """Route and apply a payment atomically on arrival."""
-        self.metrics.attempted += 1
-        outcome = self.router.execute(
-            event.sender, event.receiver, event.amount,
-            rng=self._route_rng(event.index),
-        )
-        if not outcome.success:
-            reason = _classify_failure(outcome.failure_reason)
-            self._fail_payment(reason)
-            obs = self._obs
-            if obs.enabled:
-                obs.registry.counter(f"payments.failed.{reason}").inc()
-            return
-        nodes = outcome.route.nodes
-        self._book_instant(
-            event, nodes, self.router._hop_amounts(len(nodes) - 1, event.amount)
-        )
+    def _hop_amounts(self, hops: int, amount: float) -> Sequence[float]:
+        """Amount entering each hop, sender side first: the HTLC router's
+        fee recursion, or ``amount`` on every hop without fee
+        forwarding."""
+        if not self.fee_forwarding:
+            return [amount] * hops
+        return self._htlc_router._hop_amounts(hops, amount)
 
     def _book_instant(
         self,
@@ -328,7 +327,7 @@ class SimulationEngine:
         metrics.sent[event.sender] += 1
         metrics.received[event.receiver] += 1
         metrics.fees_paid[event.sender] += hop_amounts[0] - amount
-        fee_fn = self.router.fee if not self.router.fee_forwarding else None
+        fee_fn = self.fee if not self.fee_forwarding else None
         for i in range(1, len(path) - 1):
             fee = hop_amounts[i - 1] - hop_amounts[i]
             if fee_fn is not None:
@@ -433,14 +432,3 @@ class SimulationEngine:
         metrics.upfront_fees_paid[sender] += payment.upfront_total
         for node, fee in payment.upfront_fees_per_node.items():
             metrics.upfront_revenue[node] += fee
-
-
-def _classify_failure(reason: str) -> str:
-    """Collapse verbose failure strings into stable categories."""
-    if "no path" in reason:
-        return "no-capacity-path"
-    if "no single channel" in reason:
-        return "split-balance"
-    if "unknown endpoint" in reason:
-        return "unknown-endpoint"
-    return "other"

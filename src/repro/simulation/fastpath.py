@@ -1,10 +1,9 @@
-"""The batched simulation backend: vectorised routing over view arrays.
+"""The simulator's engine: routing and balances over frozen view arrays.
 
-The event engine pays a per-payment python cost that dominates large
-runs: rebuilding the reduced :class:`~repro.network.views.GraphView`
-after every successful payment (an O(channels) python loop).
-:class:`BatchedSimulationEngine` removes it while producing the same
-counts, routes, per-node values and final balances:
+:class:`BatchedSimulationEngine` avoids a per-payment python cost that
+dominates large runs, rebuilding the reduced
+:class:`~repro.network.views.GraphView` after every payment (an
+O(channels) python loop):
 
 * the full directed view is frozen **once**; balances live in one
   mutable float array indexed by CSR entry, and the reduced subgraph for
@@ -12,59 +11,54 @@ counts, routes, per-node values and final balances:
   python per-channel loop, ever;
 * every payment is routed from current state over the masked entries.
   Below :data:`~repro.network.views.SMALL_GRAPH_NODES` nodes this is
-  :func:`~repro.network.routing.guided_bfs_structure` plus the walk the
-  event engine's :class:`~repro.network.routing.Router` runs on its
-  reduced view. The search is the ``Router``'s python BFS, cut down to
-  the sender-receiver shortest-path DAG: it admits a node at level
-  ``k`` only if ``k`` plus its hop distance to the receiver in the
-  unmasked view (one BFS per receiver, cached) stays within a bound.
-  Masking only removes entries, so that distance never overestimates
-  the masked one, and every node on a masked shortest path is admitted
-  at its true level through all its predecessors, in BFS pop order:
-  path counts, predecessor order and walk draws are unchanged. At most
-  two pruned passes run before the full BFS takes over. On
+  :func:`~repro.network.routing.guided_bfs_structure` plus
+  :func:`~repro.network.routing.walk_small`. The search is
+  :func:`~repro.network.routing.small_bfs_structure` cut down to the
+  sender-receiver shortest-path DAG: it admits a node at level ``k``
+  only if ``k`` plus its hop distance to the receiver in the unmasked
+  view (one BFS per receiver, cached) stays within a bound. Masking
+  only removes entries, so that distance never overestimates the masked
+  one, and every node on a masked shortest path is admitted at its true
+  level through all its predecessors, in BFS pop order: path counts,
+  predecessor order and walk draws are those of the whole-graph search.
+  At most two pruned passes run before the full BFS takes over. On
   ``attack-htlc`` (BA-100) this cuts the ~50 µs whole-graph search per
   payment to ~14 µs. On larger graphs the route is
   :func:`~repro.network.routing.bidirectional_route`, a python search
-  from both ends that builds only the sender-receiver shortest-path
-  DAG; it shares no code with the ``Router``'s numpy CSR search, but
-  returns the same path. The split at 150 nodes stays: the guided
-  search there lost 6% ``work_per_s`` on ``simulate-large``, because a
-  BA-200 run needs ~150 receiver rows at ~50 µs each, and the
-  bidirectional search at 100 nodes gained only 9% on ``attack-htlc``;
-* routing decisions therefore match the event engine payment for
-  payment, including the RNG draws of ``path_selection="random"``,
-  which weight the same path counts in the same trace order;
-* per-node metrics accumulate into arrays (scatter-adds) and convert to
-  the dict form of :class:`SimulationMetrics` once, at the end; final
-  balances are written back to the channels once, at the end.
+  from both ends that builds only the sender-receiver shortest-path DAG
+  and returns the path a whole-graph
+  :func:`~repro.network.views.bfs_shortest_path_tree` plus
+  :func:`~repro.network.routing.walk_csr` would. The split at 150 nodes
+  stays: the guided search there lost 6% ``work_per_s`` on
+  ``simulate-large``, because a BA-200 run needs ~150 receiver rows at
+  ~50 µs each, and the bidirectional search at 100 nodes gained only 9%
+  on ``attack-htlc``;
+* ``path_selection="random"`` draws weight the shortest-path counts in
+  trace order, so a seed fixes every route;
+* in trace replay, per-node metrics accumulate into arrays
+  (scatter-adds) and convert to the dict form of
+  :class:`SimulationMetrics` once, at the end; final balances are
+  written back to the channels once, at the end.
 
-The backend runs over simple graphs (no parallel channels) in both
+The engine runs over simple graphs (no parallel channels) in both
 payment modes. ``"instant"`` replays a pre-generated trace in order.
 It is a :class:`~repro.simulation.engine.SimulationEngine` subclass:
 the event queue, the HTLC handlers, upfront-fee booking and the route
 RNG are the base class's, and this module supplies the route search
-(:meth:`BatchedSimulationEngine._find_path`), the array balances and an
-array-backed HTLC router on the shared
-:class:`~repro.network.htlc.HtlcLedger`. So HTLC holds and
-attack-strategy event injection replay the event backend's failure
-sets (including ``no-htlc-slots``), per-node values and final
-balances. The array state freezes at the first ``run()`` call, after
-attack strategies opened their channels. Summed report fields such as
-``total_revenue`` add a dict in insertion order, which differs between
-the backends, so they may differ in their last bits.
+(:meth:`BatchedSimulationEngine._find_path`) and the array balances the
+:class:`~repro.network.htlc.HtlcLedger` reserves hops on, so HTLC holds
+and attack-strategy event injection contend for one set of balances and
+slots. The array state freezes at the first ``run()`` call, after
+attack strategies opened their channels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..errors import HtlcError, SimulationError
-from ..network.fees import FeeFunction
-from ..network.htlc import HtlcLedger, HtlcPayment
+from ..errors import SimulationError
 from ..network.routing import (
     bidirectional_route,
     guided_bfs_structure,
@@ -90,17 +84,12 @@ class BatchedSimulationEngine(SimulationEngine):
 
     A :class:`SimulationEngine` whose routes come from the array state:
     the event loop, scheduling, HTLC booking and the route RNG are
-    inherited, so the two backends are interchangeable behind
-    :class:`~repro.scenarios.specs.SimulationSpec`.
+    inherited. Build it directly or from a
+    :class:`~repro.scenarios.specs.SimulationSpec` through
+    :func:`~repro.scenarios.factory.build_simulation_engine`.
     """
 
     _state: Optional["_ArrayState"] = None
-
-    def _new_htlc_router(self) -> "_ArrayHtlcRouter":
-        # Exists from construction (attack strategies price routes via
-        # hop_amounts before any run), but binds to the array state at
-        # the first run() call — after strategies opened their channels.
-        return _ArrayHtlcRouter(self.router.fee)
 
     def run_trace(
         self, trace: Union[TraceArrays, Sequence[Transaction]]
@@ -110,10 +99,10 @@ class BatchedSimulationEngine(SimulationEngine):
         Accepts either :class:`TraceArrays` or a transaction sequence
         (columnised internally against the graph's node order). In
         ``"instant"`` mode, repeated calls accumulate into the same
-        metrics, like scheduling more events on the event engine; each
-        call re-freezes the graph, so mutations between calls are picked
-        up. In ``"htlc"`` mode the trace goes through the event queue,
-        resolve events past the last payment included.
+        metrics, like scheduling more events and calling :meth:`run`;
+        each call re-freezes the graph, so mutations between calls are
+        picked up. In ``"htlc"`` mode the trace goes through the event
+        queue, resolve events past the last payment included.
         """
         if self.payment_mode == "htlc":
             return super().run_trace(trace)
@@ -121,11 +110,11 @@ class BatchedSimulationEngine(SimulationEngine):
         self._check_graph(view)
         trace = self._columnise(trace, view)
         if len(trace) > 1 and bool((np.diff(trace.times) < 0).any()):
-            # The event queue would reorder these; the batched loop will
+            # The event queue would reorder these; the replay loop will
             # not — refuse rather than silently diverge.
             raise SimulationError(
-                "batched traces must be time-ordered (the event engine "
-                "sorts its queue; the batched backend replays in order)"
+                "replayed traces must be time-ordered (the event queue "
+                "sorts payments; trace replay runs them in order)"
             )
         run = _ArrayState(self, view)
         run.execute(trace)
@@ -156,16 +145,16 @@ class BatchedSimulationEngine(SimulationEngine):
     def _check_graph(self, view: GraphView) -> None:
         for channels in view.pair_channels:
             if len(channels) > 1:
+                channel = self.graph.channel(channels[0])
                 raise SimulationError(
-                    "the batched backend requires a simple channel graph; "
-                    f"parallel channels {channels} found (use the event "
-                    "backend)"
+                    "the simulator requires a simple channel graph; "
+                    f"{channel.u!r} and {channel.v!r} share the parallel "
+                    f"channels {list(channels)}"
                 )
 
     def _find_path(self, event: PaymentEvent) -> Union[List[Hashable], str]:
-        # The RNG resolves before the endpoint checks, as in the event
-        # engine's find_route call, so an index is consumed even for
-        # payments that fail validation.
+        # The RNG resolves before the endpoint checks, so an index is
+        # consumed even for payments that fail validation.
         rng = self._route_rng(event.index)
         if event.sender == event.receiver:
             return "other"
@@ -183,9 +172,8 @@ class BatchedSimulationEngine(SimulationEngine):
     def _handle_payment(self, event: PaymentEvent) -> None:
         """Apply a queued payment atomically over the array balances.
 
-        Metrics are booked straight into the dicts (not the trace-mode
-        array accumulators), matching the event engine's accumulation
-        order float for float.
+        Metrics are booked straight into the dicts, not the trace-mode
+        array accumulators; both add the same floats in the same order.
         """
         self.metrics.attempted += 1
         path = self._find_path(event)
@@ -193,9 +181,7 @@ class BatchedSimulationEngine(SimulationEngine):
             self._fail_payment(path)
             return
         state = self._state
-        hop_amounts = self.router._hop_amounts(
-            len(path) - 1, float(event.amount)
-        )
+        hop_amounts = self._hop_amounts(len(path) - 1, float(event.amount))
         entries = [state.name_pair_entry[pair] for pair in zip(path, path[1:])]
         for entry, hop_amount in zip(entries, hop_amounts):
             if state.balances[entry] < hop_amount:
@@ -237,10 +223,10 @@ class _ArrayState:
     """Frozen-view array state: balances, slots, accumulators.
 
     One instance backs one ``run_trace`` call in ``"instant"`` mode, or
-    the whole engine lifetime in event mode (frozen at the first
+    the whole engine lifetime for queued events (frozen at the first
     ``run()`` call). Routing and the balance array are shared by both
-    paths; HTLC slot counters and the escrow discipline live in
-    :class:`_ArrayHtlcRouter` on top of this state.
+    paths; the engine's :class:`~repro.network.htlc.HtlcLedger` locks
+    hops on these balances and slot counters.
     """
 
     def __init__(
@@ -251,8 +237,7 @@ class _ArrayState:
         self.n = view.num_nodes
         self.m = view.num_entries
         self.small = self.n < SMALL_GRAPH_NODES
-        # Mutable balance state, updated with the same float ops (and in
-        # the same order) as the event engine's Channel.send calls.
+        # Mutable balance state, one float per directed entry.
         self.balances = view.balances.copy()
         self.entry_rows = view.entry_rows()
         self.rev_entry = self._reverse_entries(view)
@@ -264,7 +249,7 @@ class _ArrayState:
         #: Receiver -> hop distances to it over the frozen view (small
         #: branch): the guide of :func:`guided_bfs_structure`.
         self.hops_to: Dict[int, List[int]] = {}
-        # Event-mode lookups: node name -> index, directed (src, dst)
+        # Queued-event lookups: node name -> index, directed (src, dst)
         # index pair -> CSR entry.
         self.node_index: Dict[Hashable, int] = {
             node: i for i, node in enumerate(view.nodes)
@@ -282,10 +267,10 @@ class _ArrayState:
             (nodes[i], nodes[j]): e
             for (i, j), e in self.pair_entry.items()
         }
-        # Per-direction in-flight HTLC slot accounting, mirroring
-        # Channel._htlc_slots / max_accepted_htlcs entry for entry. Plain
-        # lists, not arrays: every access is element-wise on the lock hot
-        # path, where unboxed ints beat numpy scalars.
+        # Per-direction in-flight HTLC slot accounting, capped by each
+        # channel's max_accepted_htlcs. Plain lists, not arrays: every
+        # access is element-wise on the lock hot path, where unboxed ints
+        # beat numpy scalars.
         self.slots_used: List[int] = [0] * self.m
         no_cap = 2**63 - 1
         slot_cap: List[int] = []
@@ -294,9 +279,8 @@ class _ArrayState:
             cap = engine.graph.channel(channel_id).max_accepted_htlcs
             slot_cap.append(no_cap if cap is None else cap)
         self.slot_cap = slot_cap
-        # Per-node metric accumulators; *_touched tracks which nodes the
-        # event engine would have created dict entries for (it records
-        # zero-fee entries too).
+        # Per-node metric accumulators; *_touched tracks which nodes get a
+        # dict entry (zero-fee entries are recorded too).
         self.revenue = np.zeros(self.n, dtype=np.float64)
         self.revenue_touched = np.zeros(self.n, dtype=bool)
         self.fees_paid = np.zeros(self.n, dtype=np.float64)
@@ -336,8 +320,8 @@ class _ArrayState:
             s = int(senders[pos])
             r = int(receivers[pos])
             if s == SELF_PAIR or s == r:
-                # Event order: the sender==receiver check precedes the
-                # endpoint check, and classifies as "other".
+                # As in _find_path: the sender==receiver check precedes
+                # the endpoint check, and classifies as "other".
                 metrics.failed += 1
                 metrics.failure_reasons["other"] += 1
                 continue
@@ -356,15 +340,14 @@ class _ArrayState:
             metrics.failure_reasons["no-capacity-path"] += 1
             return
         hops = len(path) - 1
-        hop_amounts = engine.router._hop_amounts(hops, amount)
+        hop_amounts = engine._hop_amounts(hops, amount)
         entries = [
             self.pair_entry[(path[i], path[i + 1])] for i in range(hops)
         ]
         for entry, hop_amount in zip(entries, hop_amounts):
             if self.balances[entry] < hop_amount:
-                # The aggregate route was feasible at `amount` but a hop
-                # cannot carry amount+fees — the event engine's
-                # "no single channel" execute failure.
+                # The route was feasible at `amount` but a hop cannot
+                # carry amount+fees.
                 metrics.failed += 1
                 metrics.failure_reasons["split-balance"] += 1
                 return
@@ -376,25 +359,25 @@ class _ArrayState:
         """A shortest ``s -> r`` path over the entries that can carry
         ``amount`` now, as node indices (``None`` when there is none).
 
-        The flags ``balances >= amount`` keep exactly the entries the
-        event engine's ``Router`` finds in its reduced view. Small graphs
-        run :func:`guided_bfs_structure`, the ``Router``'s python BFS
-        restricted to the sender-receiver shortest-path DAG by the hop
-        distances to ``r`` over the frozen view (built on first use per
-        receiver, kept in :attr:`hops_to`), then the ``Router``'s walk:
-        same path, same draws, at about a quarter of the whole-graph
-        search's cost on BA-100. Larger ones run
-        :func:`bidirectional_route`, which returns the path the
-        ``Router``'s numpy search and walk would, with the same RNG
-        draws; there the per-receiver rows would cost what the guided
-        search saves. Both trace mode and event mode route here; the
-        caller applies the outcome.
+        The flags ``balances >= amount`` keep exactly the entries of the
+        reduced view for ``amount``. Small graphs run
+        :func:`guided_bfs_structure`, the python BFS restricted to the
+        sender-receiver shortest-path DAG by the hop distances to ``r``
+        over the frozen view (built on first use per receiver, kept in
+        :attr:`hops_to`), then :func:`walk_small`: the whole-graph
+        search's path and draws at about a quarter of its cost on
+        BA-100. Larger ones run :func:`bidirectional_route`, which
+        returns the path the CSR search and
+        :func:`~repro.network.routing.walk_csr` would, with
+        the same RNG draws; there the per-receiver rows would cost what
+        the guided search saves. Trace replay and queued events both
+        route here; the caller applies the outcome.
         """
         self.route_searches += 1
         # One byte per entry: a python list of bools costs ~10x as much
         # to build, and most entries are never read.
         kept = (self.balances >= amount).tobytes()
-        selection = self.engine.router.path_selection
+        selection = self.engine.path_selection
         if self.small:
             hops = self.hops_to.get(r)
             if hops is None:
@@ -442,7 +425,7 @@ class _ArrayState:
         self.received[r] += 1
         self.fees_paid[s] += hop_amounts[0] - amount
         self.fees_touched[s] = True
-        fee_fn = engine.router.fee if not engine.router.fee_forwarding else None
+        fee_fn = engine.fee if not engine.fee_forwarding else None
         for i in range(1, len(path) - 1):
             node = path[i]
             fee = hop_amounts[i - 1] - hop_amounts[i]
@@ -453,8 +436,8 @@ class _ArrayState:
         policy = engine._htlc_router.policy
         if policy.has_upfront:
             # Instant mode has no lock phase, so the per-attempt side is
-            # charged on the payments that actually execute — mirroring
-            # the event engine's instant handler hop for hop.
+            # charged on the payments that actually execute, hop for hop
+            # as in SimulationEngine._book_instant.
             total = 0.0
             for i in range(len(path) - 1):
                 node = path[i + 1]
@@ -493,12 +476,8 @@ class _ArrayState:
     def write_back(self) -> None:
         """Push the array balances into the channel objects.
 
-        The arrays applied the exact float operations the event engine's
-        ``Channel.send`` calls would have, in the same order, so the
-        written state is bit-identical to an event-backend run. Pending
-        HTLC escrow stays excluded from both sides (exactly like the
-        event engine's ``withdraw``-first discipline), so the channel
-        capacity is temporarily reduced by in-flight amounts.
+        Pending HTLC escrow stays excluded from both sides, so the
+        channel capacity is temporarily reduced by in-flight amounts.
         """
         view = self.view
         graph = self.engine.graph
@@ -517,104 +496,3 @@ class _ArrayState:
                 channel.set_balances(balance_u, balance_v)
             else:
                 channel.set_balances(balance_v, balance_u)
-
-
-@dataclass
-class _ArrayHtlcPayment(HtlcPayment):
-    """An :class:`~repro.network.htlc.HtlcPayment` over array state: its
-    hops are CSR entries plus amounts rather than
-    :class:`~repro.network.htlc.Htlc` objects."""
-
-    entries: List[int] = field(default_factory=list)
-    amounts: List[float] = field(default_factory=list)
-
-    @property
-    def total_locked(self) -> float:
-        # Kept after settle (like HtlcPayment.hops), cleared on unwind.
-        return sum(self.amounts)
-
-
-class _ArrayHtlcRouter(HtlcLedger):
-    """Lock / settle-or-fail over :class:`_ArrayState` balances.
-
-    Reserves hops the way :class:`~repro.network.htlc.HtlcRouter` does:
-    the hop amount leaves the upstream balance at lock and settlement
-    decides which side it lands on, with the same per-direction slot
-    accounting and the same failure reasons (``"no-balance"`` /
-    ``"no-slots"``) in the same precedence. The ledger is shared, so a
-    lock/settle/fail sequence produces bit-identical balances and fees
-    on either backend. Constructed with the engine (fees price routes
-    immediately) but bound to array state at the first ``run()`` call.
-    """
-
-    def __init__(self, fee: Optional[FeeFunction]) -> None:
-        super().__init__(fee)
-        self._state: Optional[_ArrayState] = None
-
-    def bind(self, state: _ArrayState) -> None:
-        self._state = state
-
-    def lock(
-        self, path: Sequence[Hashable], amount: float
-    ) -> _ArrayHtlcPayment:
-        """Phase 1: reserve funds along ``path`` for ``amount``."""
-        hop_amounts = self._check(path, amount)
-        state = self._state
-        if state is None:
-            raise HtlcError(
-                "the batched engine's HTLC router binds to array state at "
-                "the first run() call; lock() is only available inside a run"
-            )
-        payment = _ArrayHtlcPayment(next(self._ids), tuple(path), amount)
-        # Hot path under jamming: hoist every per-hop attribute chase.
-        pair_entry_get = state.name_pair_entry.get
-        balances = state.balances
-        slots_used = state.slots_used
-        slot_cap = state.slot_cap
-        has_upfront = self.policy.has_upfront
-        entries = payment.entries
-        amounts = payment.amounts
-        src = path[0]
-        for dst, hop_amount in zip(path[1:], hop_amounts):
-            entry = pair_entry_get((src, dst))
-            if entry is None or (before := balances[entry]) < hop_amount:
-                reason = "no-balance"
-            elif slots_used[entry] >= slot_cap[entry]:
-                reason = "no-slots"
-            else:
-                reason = ""
-            if reason:
-                return self._reject(payment, reason)
-            # reserve: the hop amount leaves the upstream spendable
-            # balance into escrow and occupies one direction slot, just
-            # like Channel.withdraw + open_htlc.
-            balances[entry] = before - hop_amount
-            slots_used[entry] += 1
-            if has_upfront:
-                payment.upfront_fees_per_node[dst] = (
-                    payment.upfront_fees_per_node.get(dst, 0.0)
-                    + self.policy.upfront(hop_amount)
-                )
-            entries.append(entry)
-            amounts.append(hop_amount)
-            src = dst
-        return self._track(payment)
-
-    def _release(self, payment: _ArrayHtlcPayment) -> List[float]:
-        state = self._state
-        balances = state.balances
-        for entry, hop_amount in zip(payment.entries, payment.amounts):
-            balances[int(state.rev_entry[entry])] += hop_amount
-            state.slots_used[entry] -= 1
-        return payment.amounts
-
-    def _unwind(self, payment: _ArrayHtlcPayment) -> None:
-        state = self._state
-        balances = state.balances
-        for entry, hop_amount in zip(
-            reversed(payment.entries), reversed(payment.amounts)
-        ):
-            balances[entry] += hop_amount
-            state.slots_used[entry] -= 1
-        payment.entries.clear()
-        payment.amounts.clear()

@@ -94,9 +94,3 @@ class TestCountermeasureTable:
         first = countermeasure_table(RATES, cache=store, **SWEEP_KWARGS)
         second = countermeasure_table(RATES, cache=store, **SWEEP_KWARGS)
         assert first == second
-
-    def test_batched_backend_matches_event(self, table):
-        batched = countermeasure_table(
-            RATES, backend="batched", **SWEEP_KWARGS
-        )
-        assert batched == table

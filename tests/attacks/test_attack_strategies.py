@@ -6,7 +6,7 @@ from repro.equilibrium.topologies import CENTER, star
 from repro.errors import ScenarioError
 from repro.network.htlc import HtlcState
 from repro.scenarios.registry import ATTACKS
-from repro.simulation.engine import SimulationEngine
+from repro.simulation.fastpath import BatchedSimulationEngine
 from repro.attacks import (
     AttackContext,
     AttackStrategy,
@@ -20,7 +20,7 @@ from repro.attacks.strategies import ATTACKER_DST, ATTACKER_SRC
 
 def make_ctx(budget=500.0, leaves=4, balance=10.0, horizon=50.0):
     graph = star(leaves, balance=balance)
-    engine = SimulationEngine(graph, seed=0, payment_mode="htlc")
+    engine = BatchedSimulationEngine(graph, seed=0, payment_mode="htlc")
     return AttackContext(
         graph=graph, engine=engine, victim=CENTER,
         horizon=horizon, budget=budget, seed=7,
@@ -80,6 +80,7 @@ class TestContext:
         ctx = make_ctx(budget=100.0)
         ctx.open_channel(ATTACKER_SRC, CENTER, funding=50.0)
         ctx.open_channel(ATTACKER_DST, "v000", funding=0.0, push=10.0)
+        ctx.engine.run()  # freezes the array state the router locks on
         payment = ctx.lock((ATTACKER_SRC, CENTER, "v000", ATTACKER_DST), 2.0)
         assert payment is not None and payment.state is HtlcState.PENDING
         assert ctx.attacks_held == 1
@@ -90,6 +91,7 @@ class TestContext:
         assert resolved is payment
         assert ctx.active_locks == 0
         assert ctx.locked_liquidity_integral == 0.0
+        ctx.engine.run()  # writes the balances back to the channels
         assert ctx.graph.channels_between(CENTER, "v000")[0].balance(CENTER) == 10.0
 
     def test_resolve_unknown_id_is_noop(self):
@@ -100,6 +102,7 @@ class TestContext:
         ctx = make_ctx(budget=100.0, horizon=50.0)
         ctx.open_channel(ATTACKER_SRC, CENTER, funding=50.0)
         ctx.open_channel(ATTACKER_DST, "v000", funding=0.0, push=10.0)
+        ctx.engine.run()  # freezes the array state the router locks on
         payment = ctx.lock((ATTACKER_SRC, CENTER, "v000", ATTACKER_DST), 2.0)
         ctx.finalize()
         # 3 hops x 2.0 each held from t=0 to horizon 50

@@ -6,6 +6,7 @@ import pytest
 
 from repro.network.graph import ChannelGraph
 from repro.params import ModelParameters
+from repro.simulation.fastpath import BatchedSimulationEngine
 
 
 @pytest.fixture(autouse=True)
@@ -56,3 +57,39 @@ def cheap_params() -> ModelParameters:
         user_tx_rate=5.0,
         zipf_s=1.0,
     )
+
+
+class BoundHtlcRouter:
+    """An HTLC-mode engine's router, bound to the engine's array state.
+
+    ``router`` is ``engine.htlc_router``, the object attack strategies
+    lock and resolve through. ``balance(src, dst)`` and ``slots(src,
+    dst)`` read the ``src -> dst`` direction of the array state;
+    ``write_back()`` pushes the balances into the graph's channels.
+    """
+
+    def __init__(self, graph: ChannelGraph, fee=None) -> None:
+        self.graph = graph
+        self.engine = BatchedSimulationEngine(graph, fee=fee, payment_mode="htlc")
+        self.engine.run()  # freezes the array state and binds the router
+        self.router = self.engine.htlc_router
+        self.state = self.engine._state
+
+    def _entry(self, src, dst) -> int:
+        return self.state.name_pair_entry[(src, dst)]
+
+    def balance(self, src, dst) -> float:
+        return float(self.state.balances[self._entry(src, dst)])
+
+    def slots(self, src, dst) -> int:
+        return self.state.slots_used[self._entry(src, dst)]
+
+    def write_back(self) -> ChannelGraph:
+        self.state.write_back()
+        return self.graph
+
+
+@pytest.fixture
+def bound_router():
+    """``bound_router(graph, fee=None)`` -> :class:`BoundHtlcRouter`."""
+    return BoundHtlcRouter

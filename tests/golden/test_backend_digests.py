@@ -1,11 +1,10 @@
-"""Golden results pinned on both simulation backends.
+"""Golden results pinned on the batched backend.
 
-Each case runs one seeded BA-60 scenario on the event and on the batched
-backend and pins, per backend, the hash of the result document next to
-a readable digest: attempted and succeeded payments and the
-failure-reason counts. The readable digest is the same on both
-backends; the hashes differ because the scenario section names the
-backend and float sums may round differently in their last bits.
+Each case runs one seeded BA-60 scenario and pins the hash of the result
+document next to a readable digest: attempted and succeeded payments and
+the failure-reason counts. The digests were computed on both the
+batched and the since-deleted event engine, which agreed on every
+readable digest; the batched hashes are the ones kept.
 
 The cases cover the settings no other golden case reaches: a two-sided
 :class:`~repro.network.fees.FeePolicy` (an upfront side in instant and in
@@ -69,28 +68,25 @@ EXPECTED = {
     "no-forwarding": (
         (569, 559, {"no-capacity-path": 10}),
         {
-            "event": "35357ac23683df259b3839ce60aead00be131dfe96696e975ab95bfe1ce70bae",
             "batched": "0eaa01259b7e1b70de14e0131ba6af7e605aa413b3a51b5e5103174b7d11b551",
         },
     ),
     "upfront-htlc": (
         (297, 294, {"lock-contention": 3}),
         {
-            "event": "e5265672aaa5a2ced6261960878870b8dfec5410779143997374e2345ef8b4eb",
             "batched": "318f9ee8a2a51053f87595f4e9f907369cf105c694614c05491b3b2f3449ae46",
         },
     ),
     "upfront-instant": (
         (569, 556, {"no-capacity-path": 10, "split-balance": 3}),
         {
-            "event": "f23da549f563f6a6d2f273d54abcd0f584543e0f8e8b9be7c599117889a7e8ea",
             "batched": "2b62b9c5d8bd159acd9b7319ebc6ecc7ebf07d9b2fc0284fe3fe1f81104cb146",
         },
     ),
 }
 
 
-@pytest.mark.parametrize("backend", ["event", "batched"])
+@pytest.mark.parametrize("backend", ["batched"])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_backend_case(case, backend):
     fee, simulation = CASES[case]
@@ -103,12 +99,12 @@ def test_backend_case(case, backend):
 
 #: The slow-jamming attack with one HTLC slot per channel, so honest
 #: payments fail with ``no-htlc-slots``. The report is hashed as in the
-#: other attack cases and carries no backend name, so both backends pin
-#: one hash; the readable digest is the attacked run's.
+#: other attack cases and carries no backend name; the readable digest
+#: is the attacked run's.
 SLOT_CAP_1 = {"kind": "slow-jamming", "params": {"budget": 200.0, "slot_cap": 1}}
 
 
-@pytest.mark.parametrize("backend", ["event", "batched"])
+@pytest.mark.parametrize("backend", ["batched"])
 def test_slot_cap_1(backend):
     result = run(backend, FEE, dict(HTLC, horizon=5.0), attack=SLOT_CAP_1)
     digest = content_hash(result.attack.to_dict())

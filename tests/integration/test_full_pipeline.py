@@ -12,7 +12,7 @@ from repro.core.algorithms.greedy import greedy_fixed_funds
 from repro.core.utility import JoiningUserModel
 from repro.network.fees import ConstantFee
 from repro.params import ModelParameters
-from repro.simulation.engine import SimulationEngine
+from repro.simulation.fastpath import BatchedSimulationEngine
 from repro.snapshots.io import from_describegraph, to_describegraph
 from repro.snapshots.synthetic import barabasi_albert_snapshot
 from repro.transactions.workload import PoissonWorkload
@@ -56,7 +56,7 @@ def pipeline_result():
         {v: 1.0 for v in joined.nodes},
         seed=14,
     )
-    engine = SimulationEngine(
+    engine = BatchedSimulationEngine(
         joined, fee=ConstantFee(params.fee_avg), payment_mode="htlc",
         seed=14, htlc_hold_mean=0.02,
     )

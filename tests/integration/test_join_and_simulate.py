@@ -13,7 +13,7 @@ from repro.core.strategy import Action, Strategy
 from repro.core.utility import JoiningUserModel
 from repro.network.fees import ConstantFee
 from repro.params import ModelParameters
-from repro.simulation.engine import SimulationEngine
+from repro.simulation.fastpath import BatchedSimulationEngine
 from repro.snapshots.synthetic import (
     barabasi_albert_snapshot,
     core_periphery_snapshot,
@@ -66,7 +66,7 @@ class TestAnalyticVsSimulated:
         workload = PoissonWorkload(
             distribution, {v: 1.0 for v in graph.nodes}, seed=17
         )
-        engine = SimulationEngine(graph.copy(), fee=ConstantFee(0.0))
+        engine = BatchedSimulationEngine(graph.copy(), fee=ConstantFee(0.0))
         horizon = 300.0
         engine.schedule_workload(workload, horizon)
         metrics = engine.run(until=horizon)
@@ -94,7 +94,7 @@ class TestAnalyticVsSimulated:
         assert predicted_revenue > 0
 
         workload = PoissonWorkload(distribution, per_sender, seed=23)
-        engine = SimulationEngine(
+        engine = BatchedSimulationEngine(
             graph.copy(), fee=ConstantFee(fee), fee_forwarding=False
         )
         horizon = 400.0
@@ -132,7 +132,7 @@ class TestAnalyticVsSimulated:
             {v: 1.0 for v in graph.nodes},
             seed=9,
         )
-        engine = SimulationEngine(
+        engine = BatchedSimulationEngine(
             sim_graph, fee=ConstantFee(params.fee_avg), fee_forwarding=False
         )
         horizon = 500.0

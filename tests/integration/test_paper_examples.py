@@ -20,8 +20,8 @@ from repro.network.channel import Channel
 from repro.network.fees import ConstantFee
 from repro.network.graph import ChannelGraph
 from repro.params import ModelParameters
-from repro.simulation.engine import SimulationEngine
 from repro.simulation.events import PaymentEvent
+from repro.simulation.fastpath import BatchedSimulationEngine
 from repro.transactions.distributions import EmpiricalDistribution
 
 
@@ -105,7 +105,7 @@ class TestFigure2:
         sim_graph = model.with_strategy(
             Strategy([Action("A", 10.0), Action("D", 9.0)])
         )
-        engine = SimulationEngine(sim_graph, fee=ConstantFee(0.0))
+        engine = BatchedSimulationEngine(sim_graph, fee=ConstantFee(0.0))
         # E's own payment to B, then A's 9 unit payments to D
         engine.schedule(PaymentEvent(time=0.5, sender="E", receiver="B", amount=1.0))
         for i in range(9):
@@ -125,7 +125,7 @@ class TestFigure2:
         )
         # D side matches E's lock (dual funding) but E's outbound capacity
         # toward D is only 5, and the alternative route B-C-D is capped too.
-        engine = SimulationEngine(sim_graph, fee=ConstantFee(0.0))
+        engine = BatchedSimulationEngine(sim_graph, fee=ConstantFee(0.0))
         for i in range(9):
             engine.schedule(
                 PaymentEvent(time=1.0 + i, sender="A", receiver="D", amount=3.0)

@@ -92,14 +92,3 @@ class TestHistoryAndViews:
         channel = Channel("u", "v", 1.0)
         assert channel.other("u") == "v"
         assert channel.other("v") == "u"
-
-    def test_deposit(self):
-        channel = Channel("u", "v", 1.0, 1.0)
-        channel.deposit("u", 4.0)
-        assert channel.balance("u") == 5.0
-        assert channel.capacity == 6.0
-
-    def test_deposit_rejects_negative(self):
-        channel = Channel("u", "v", 1.0, 1.0)
-        with pytest.raises(InvalidParameter):
-            channel.deposit("u", -1.0)

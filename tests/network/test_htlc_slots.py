@@ -1,10 +1,11 @@
 """HTLC slot caps (``max_accepted_htlcs``) and concurrent unwind paths.
 
-Covers the jamming substrate: per-direction slot exhaustion raises a clear
-:class:`HtlcError`, the router degrades it into a failed lock with a
-``"no-slots"`` reason, and timeout/cancel restores balances *and* slots
-exactly — including with many concurrent in-flight payments contending on
-the same channel (the unwind path a jamming attack exercises).
+Covers the jamming substrate: the HTLC router degrades per-direction slot
+exhaustion into a failed lock with a ``"no-slots"`` reason, and
+timeout/cancel restores balances *and* slots exactly — including with
+many concurrent in-flight payments contending on the same channel (the
+unwind path a jamming attack exercises). The router is an HTLC-mode
+engine's, bound to its array state (the ``bound_router`` fixture).
 """
 
 import pytest
@@ -14,7 +15,7 @@ from repro.errors import InvalidParameter
 from repro.network.channel import DEFAULT_MAX_ACCEPTED_HTLCS, Channel
 from repro.network.fees import ConstantFee, FeePolicy
 from repro.network.graph import ChannelGraph
-from repro.network.htlc import HtlcError, HtlcRouter, HtlcState
+from repro.network.htlc import HtlcError, HtlcState
 
 
 @pytest.fixture
@@ -32,37 +33,30 @@ class TestChannelSlots:
         assert channel.max_accepted_htlcs == 483
 
     def test_htlc_error_is_the_errors_module_class(self):
-        # HtlcError moved to repro.errors so Channel can raise it; the
-        # legacy import path must stay the same class.
+        # HtlcError lives in repro.errors; the repro.network.htlc import
+        # path must stay the same class.
         assert HtlcError is ErrorsHtlcError
 
-    def test_open_close_tracks_per_direction(self):
-        channel = Channel("u", "v", 5.0, 5.0, max_accepted_htlcs=2)
-        channel.open_htlc("u")
-        channel.open_htlc("u")
-        assert channel.htlc_slots_used("u") == 2
-        assert channel.htlc_slots_used("v") == 0
-        assert not channel.has_free_htlc_slot("u")
-        assert channel.has_free_htlc_slot("v")
-        channel.close_htlc("u")
-        assert channel.has_free_htlc_slot("u")
+    def test_open_close_tracks_per_direction(self, bound_router):
+        graph = ChannelGraph()
+        graph.add_channel("u", "v", 5.0, 5.0, max_accepted_htlcs=2)
+        bound = bound_router(graph)
+        router = bound.router
+        held = [router.lock(["u", "v"], 1.0) for _ in range(2)]
+        assert (bound.slots("u", "v"), bound.slots("v", "u")) == (2, 0)
+        assert router.lock(["u", "v"], 1.0).failure_reason == "no-slots"
+        assert router.lock(["v", "u"], 1.0).state is HtlcState.PENDING
+        router.settle(held[0])
+        assert bound.slots("u", "v") == 1
+        assert router.lock(["u", "v"], 1.0).state is HtlcState.PENDING
 
-    def test_exhaustion_raises_clear_htlc_error(self):
-        channel = Channel("u", "v", 5.0, 5.0, max_accepted_htlcs=1)
-        channel.open_htlc("u")
-        with pytest.raises(HtlcError, match="no free HTLC slot"):
-            channel.open_htlc("u")
-
-    def test_close_without_open_raises(self):
-        channel = Channel("u", "v", 5.0, 5.0)
-        with pytest.raises(HtlcError, match="no open HTLC"):
-            channel.close_htlc("u")
-
-    def test_unlimited_cap(self):
-        channel = Channel("u", "v", 5.0, 5.0, max_accepted_htlcs=None)
-        for _ in range(1000):
-            channel.open_htlc("u")
-        assert channel.has_free_htlc_slot("u")
+    def test_unlimited_cap(self, bound_router):
+        graph = ChannelGraph()
+        graph.add_channel("u", "v", 5000.0, 5.0, max_accepted_htlcs=None)
+        bound = bound_router(graph)
+        payments = [bound.router.lock(["u", "v"], 1.0) for _ in range(1000)]
+        assert all(p.state is HtlcState.PENDING for p in payments)
+        assert bound.slots("u", "v") == 1000
 
     def test_invalid_cap_rejected(self):
         with pytest.raises(InvalidParameter):
@@ -86,26 +80,26 @@ class TestChannelSlots:
 
 
 class TestRouterSlotExhaustion:
-    def test_lock_fails_with_no_slots_reason(self, line3):
+    def test_lock_fails_with_no_slots_reason(self, line3, bound_router):
         for channel in line3.channels:
             channel.max_accepted_htlcs = 2
-        router = HtlcRouter(line3)
+        router = bound_router(line3).router
         held = [router.lock(["a", "b", "c"], 1.0) for _ in range(2)]
         assert all(p.state is HtlcState.PENDING for p in held)
         rejected = router.lock(["a", "b", "c"], 1.0)
         assert rejected.state is HtlcState.FAILED
         assert rejected.failure_reason == "no-slots"
 
-    def test_no_balance_reason_distinct(self, line3):
-        router = HtlcRouter(line3)
+    def test_no_balance_reason_distinct(self, line3, bound_router):
+        router = bound_router(line3).router
         rejected = router.lock(["a", "b", "c"], 1000.0)
         assert rejected.state is HtlcState.FAILED
         assert rejected.failure_reason == "no-balance"
 
-    def test_slots_free_again_after_settle_and_fail(self, line3):
+    def test_slots_free_again_after_settle_and_fail(self, line3, bound_router):
         for channel in line3.channels:
             channel.max_accepted_htlcs = 1
-        router = HtlcRouter(line3)
+        router = bound_router(line3).router
         p1 = router.lock(["a", "b", "c"], 1.0)
         assert router.lock(["a", "b", "c"], 1.0).state is HtlcState.FAILED
         router.settle(p1)
@@ -114,20 +108,21 @@ class TestRouterSlotExhaustion:
         router.fail(p2)
         assert router.lock(["a", "b", "c"], 1.0).state is HtlcState.PENDING
 
-    def test_mid_path_slot_failure_releases_earlier_hops(self, line3):
+    def test_mid_path_slot_failure_releases_earlier_hops(
+        self, line3, bound_router
+    ):
         # Jam only the second hop: the first hop's reservation (balance
         # AND slot) must unwind when the lock aborts mid-path.
-        bc = line3.channels_between("b", "c")[0]
-        bc.max_accepted_htlcs = 1
-        bc.open_htlc("b")
-        ab = line3.channels_between("a", "b")[0]
-        router = HtlcRouter(line3)
-        before = ab.balance("a")
+        line3.channels_between("b", "c")[0].max_accepted_htlcs = 1
+        bound = bound_router(line3)
+        router = bound.router
+        assert router.lock(["b", "c"], 1.0).state is HtlcState.PENDING
+        before = bound.balance("a", "b")
         rejected = router.lock(["a", "b", "c"], 2.0)
         assert rejected.state is HtlcState.FAILED
         assert rejected.failure_reason == "no-slots"
-        assert ab.balance("a") == before
-        assert ab.htlc_slots_used("a") == 0
+        assert bound.balance("a", "b") == before
+        assert bound.slots("a", "b") == 0
 
 
 class TestUpfrontCharges:
@@ -140,15 +135,16 @@ class TestUpfrontCharges:
     identical with or without it.
     """
 
-    def policy_router(self, graph, upfront_rate=0.1, upfront_base=0.5):
-        return HtlcRouter(graph, fee=FeePolicy(
+    @staticmethod
+    def policy(upfront_rate=0.1, upfront_base=0.5):
+        return FeePolicy(
             success=ConstantFee(0.0),
             upfront_base=upfront_base,
             upfront_rate=upfront_rate,
-        ))
+        )
 
-    def test_pending_lock_charges_every_placed_hop(self, line3):
-        router = self.policy_router(line3)
+    def test_pending_lock_charges_every_placed_hop(self, line3, bound_router):
+        router = bound_router(line3, fee=self.policy()).router
         payment = router.lock(["a", "b", "c"], 2.0)
         assert payment.state is HtlcState.PENDING
         # one charge per hop receiver: b (for a->b) and c (for b->c)
@@ -160,21 +156,22 @@ class TestUpfrontCharges:
             sum(payment.upfront_fees_per_node.values())
         )
 
-    def test_mid_path_failure_still_charges_placed_hops(self, line3):
+    def test_mid_path_failure_still_charges_placed_hops(
+        self, line3, bound_router
+    ):
         # Jam the second hop's slots: the a->b hop is placed (and pays),
         # the b->c hop never places (and doesn't).
-        bc = line3.channels_between("b", "c")[0]
-        bc.max_accepted_htlcs = 1
-        bc.open_htlc("b")
-        router = self.policy_router(line3)
+        line3.channels_between("b", "c")[0].max_accepted_htlcs = 1
+        router = bound_router(line3, fee=self.policy()).router
+        router.lock(["b", "c"], 1.0)
         rejected = router.lock(["a", "b", "c"], 2.0)
         assert rejected.state is HtlcState.FAILED
         assert rejected.failure_reason == "no-slots"
         assert set(rejected.upfront_fees_per_node) == {"b"}
         assert rejected.upfront_total == pytest.approx(0.5 + 0.1 * 2.0)
 
-    def test_fail_never_refunds(self, line3):
-        router = self.policy_router(line3, upfront_base=0.0)
+    def test_fail_never_refunds(self, line3, bound_router):
+        router = bound_router(line3, fee=self.policy(upfront_base=0.0)).router
         failed = router.lock(["a", "b", "c"], 3.0)
         charged = failed.upfront_total
         router.fail(failed)
@@ -183,28 +180,20 @@ class TestUpfrontCharges:
         router.fail(again)
         assert again.upfront_total == pytest.approx(charged)
 
-    def test_charge_is_ledger_only(self, line3):
+    def test_charge_is_ledger_only(self, line3, bound_router):
         # Identical locks with and without an upfront side must leave
         # identical balances and slots: the charge never moves coins.
-        plain = HtlcRouter(line3)
-        p1 = plain.lock(["a", "b", "c"], 2.0)
-        plain.fail(p1)
-        before = {
-            (c.u, c.v, n): c.balance(n)
-            for c in line3.channels for n in c.endpoints
-        }
-        upfront = self.policy_router(line3)
-        p2 = upfront.lock(["a", "b", "c"], 2.0)
-        upfront.fail(p2)
-        after = {
-            (c.u, c.v, n): c.balance(n)
-            for c in line3.channels for n in c.endpoints
-        }
-        assert before == after
-        assert p2.upfront_total > 0
+        plain = bound_router(line3.copy())
+        upfront = bound_router(line3.copy(), fee=self.policy())
+        for bound in (plain, upfront):
+            held = bound.router.lock(["a", "b", "c"], 2.0)
+            assert bound.slots("a", "b") == 1
+        assert (plain.state.balances == upfront.state.balances).all()
+        assert plain.state.slots_used == upfront.state.slots_used
+        assert held.upfront_total > 0
 
-    def test_success_only_fee_charges_nothing(self, line3):
-        router = HtlcRouter(line3, fee=ConstantFee(0.1))
+    def test_success_only_fee_charges_nothing(self, line3, bound_router):
+        router = bound_router(line3, fee=ConstantFee(0.1)).router
         payment = router.lock(["a", "b", "c"], 2.0)
         assert payment.upfront_fees_per_node == {}
         assert payment.upfront_total == 0.0
@@ -213,29 +202,27 @@ class TestUpfrontCharges:
 class TestConcurrentUnwind:
     """Balance restoration when many concurrent payments fail."""
 
-    def test_concurrent_inflight_then_fail_restores_all(self, line3):
-        router = HtlcRouter(line3)
-        ab = line3.channels_between("a", "b")[0]
-        bc = line3.channels_between("b", "c")[0]
-        balances = {
-            (c, node): c.balance(node)
-            for c in line3.channels for node in c.endpoints
-        }
+    def test_concurrent_inflight_then_fail_restores_all(
+        self, line3, bound_router
+    ):
+        bound = bound_router(line3)
+        router = bound.router
+        balances = bound.state.balances.copy()
         payments = [router.lock(["a", "b", "c"], 3.0) for _ in range(10)]
         assert all(p.state is HtlcState.PENDING for p in payments)
-        assert ab.htlc_slots_used("a") == 10
-        assert bc.htlc_slots_used("b") == 10
-        assert ab.balance("a") == balances[(ab, "a")] - 30.0
+        assert bound.slots("a", "b") == 10
+        assert bound.slots("b", "c") == 10
+        assert bound.balance("a", "b") == 100.0 - 30.0
         for payment in payments:
             router.fail(payment)
-        for (channel, node), value in balances.items():
-            assert channel.balance(node) == pytest.approx(value)
-        assert ab.htlc_slots_used("a") == 0
-        assert bc.htlc_slots_used("b") == 0
+        assert bound.state.balances == pytest.approx(balances)
+        assert bound.slots("a", "b") == 0
+        assert bound.slots("b", "c") == 0
         assert router.locked_capital() == 0.0
 
-    def test_interleaved_settle_fail_conserves_coins(self, line3):
-        router = HtlcRouter(line3)
+    def test_interleaved_settle_fail_conserves_coins(self, line3, bound_router):
+        bound = bound_router(line3)
+        router = bound.router
         total = line3.total_capacity()
         held = [router.lock(["a", "b", "c"], 2.0) for _ in range(9)]
         # settle and fail in interleaved order, mimicking a mixed
@@ -245,16 +232,17 @@ class TestConcurrentUnwind:
                 router.settle(payment)
             else:
                 router.fail(payment)
-        assert line3.total_capacity() == pytest.approx(total)
+        assert bound.write_back().total_capacity() == pytest.approx(total)
         assert router.in_flight == ()
-        for channel in line3.channels:
-            for node in channel.endpoints:
-                assert channel.htlc_slots_used(node) == 0
+        assert bound.state.slots_used == [0] * len(bound.state.slots_used)
 
-    def test_partial_balance_contention_fails_cleanly(self, line3):
+    def test_partial_balance_contention_fails_cleanly(
+        self, line3, bound_router
+    ):
         # 100 coins per direction, 3.0 each: payment #34 must fail on
         # balance while 33 remain pending; its partial reservations unwind.
-        router = HtlcRouter(line3)
+        bound = bound_router(line3)
+        router = bound.router
         pending = []
         for _ in range(33):
             payment = router.lock(["a", "b", "c"], 3.0)
@@ -265,5 +253,4 @@ class TestConcurrentUnwind:
         assert overflow.failure_reason == "no-balance"
         for payment in pending:
             router.fail(payment)
-        ab = line3.channels_between("a", "b")[0]
-        assert ab.balance("a") == pytest.approx(100.0)
+        assert bound.balance("a", "b") == pytest.approx(100.0)

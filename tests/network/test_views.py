@@ -18,7 +18,6 @@ from repro.network.betweenness import (
     pair_weighted_betweenness_exact,
 )
 from repro.network.graph import ChannelGraph
-from repro.network.routing import Router
 from repro.network.views import (
     GraphView,
     bfs_distances,
@@ -26,6 +25,8 @@ from repro.network.views import (
     shortest_path_indices,
 )
 from repro.core.fees_paid import single_source_hops
+from repro.simulation.events import PaymentEvent
+from repro.simulation.fastpath import BatchedSimulationEngine
 from repro.snapshots import barabasi_albert_snapshot, erdos_renyi_snapshot
 from repro.transactions.zipf import ModifiedZipf
 
@@ -254,65 +255,77 @@ class TestReducedParity:
                 assert reached == nx.descendants(digraph, view.nodes[s])
 
 
+def route_finder(graph, **engine_kwargs):
+    """``route(sender, receiver, amount)``: the simulation engine's path
+    for one payment (node labels), or its failure reason."""
+    engine = BatchedSimulationEngine(graph, **engine_kwargs)
+    engine.run()  # freezes the array state routes are searched on
+
+    def route(sender, receiver, amount):
+        return engine._find_path(PaymentEvent(
+            time=0.0, sender=sender, receiver=receiver, amount=amount
+        ))
+
+    return route
+
+
 class TestRoutingOnViews:
     def test_first_route_is_shortest_and_feasible(self):
         graph = barabasi_albert_snapshot(30, seed=17, capacity_mu=3.0)
-        router = Router(graph)
         digraph = reference_digraph(graph, 1.0)
         nodes = list(graph.nodes)
+        route = route_finder(graph, path_selection="first")
         for sender, receiver in zip(nodes[:6], nodes[6:12]):
             try:
                 expected = nx.shortest_path_length(digraph, sender, receiver)
             except nx.NetworkXNoPath:
                 continue
-            route = router.find_route(sender, receiver, 1.0)
-            assert route.hops == expected
-            for src, dst in zip(route.nodes, route.nodes[1:]):
+            path = route(sender, receiver, 1.0)
+            assert len(path) - 1 == expected
+            for src, dst in zip(path, path[1:]):
                 assert sum(
                     c.balance(src) for c in graph.channels_between(src, dst)
                 ) >= 1.0
 
     def test_random_routes_are_shortest(self):
         graph = barabasi_albert_snapshot(30, seed=19, capacity_mu=3.0)
-        router = Router(graph, path_selection="random", seed=3)
         digraph = reference_digraph(graph, 1.0)
         nodes = list(graph.nodes)
         sender, receiver = nodes[0], nodes[-1]
         expected = nx.shortest_path_length(digraph, sender, receiver)
+        route = route_finder(graph, seed=3)
         for _ in range(20):
-            assert router.find_route(sender, receiver, 1.0).hops == expected
+            assert len(route(sender, receiver, 1.0)) - 1 == expected
 
     def test_random_selection_covers_all_shortest_paths(self):
         # diamond: two equal shortest paths a->b->d / a->c->d
         graph = ChannelGraph.from_edges(
             [("a", "b"), ("b", "d"), ("a", "c"), ("c", "d")], balance=10.0
         )
-        router = Router(graph, path_selection="random", seed=0)
-        seen = set()
-        for _ in range(60):
-            seen.add(router.find_route("a", "d", 1.0).nodes)
+        route = route_finder(graph, seed=0)
+        seen = {tuple(route("a", "d", 1.0)) for _ in range(60)}
         assert seen == {("a", "b", "d"), ("a", "c", "d")}
 
     def test_csr_branch_routes_large_path_graph(self):
-        """>= SMALL_GRAPH_NODES nodes takes the vectorised CSR branch;
-        the route must still run sender -> receiver."""
+        """>= SMALL_GRAPH_NODES nodes takes the bidirectional search; the
+        route must still run sender -> receiver."""
         from repro.network.views import SMALL_GRAPH_NODES
 
         n = SMALL_GRAPH_NODES + 10
         edges = [(f"v{i}", f"v{i+1}") for i in range(n - 1)]
         graph = ChannelGraph.from_edges(edges, balance=10.0)
         for selection in ("first", "random"):
-            router = Router(graph, path_selection=selection, seed=1)
-            route = router.find_route("v0", "v5", 1.0)
-            assert route.nodes == tuple(f"v{i}" for i in range(6))
-        outcome = Router(graph).execute("v0", "v5", 2.0)
-        assert outcome.success
+            route = route_finder(graph, path_selection=selection, seed=1)
+            assert route("v0", "v5", 1.0) == [f"v{i}" for i in range(6)]
+        engine = BatchedSimulationEngine(graph)
+        engine.schedule(PaymentEvent(time=1.0, sender="v0", receiver="v5", amount=2.0))
+        assert engine.run().succeeded == 1
         first_hop = graph.channels_between("v0", "v1")[0]
         assert first_hop.balance("v0") == pytest.approx(8.0)
         assert first_hop.balance("v1") == pytest.approx(12.0)
 
     def test_csr_branch_matches_small_branch(self):
-        """The two dispatch branches must agree on the same graph."""
+        """The large-graph search finds shortest feasible routes too."""
         from repro.network import views as views_module
 
         graph = barabasi_albert_snapshot(
@@ -320,16 +333,16 @@ class TestRoutingOnViews:
         )
         digraph = reference_digraph(graph, 1.0)
         nodes = list(graph.nodes)
-        csr_router = Router(graph)
+        route = route_finder(graph)
         for sender, receiver in zip(nodes[:8], nodes[8:16]):
             try:
                 expected = nx.shortest_path_length(digraph, sender, receiver)
             except nx.NetworkXNoPath:
                 continue
-            route = csr_router.find_route(sender, receiver, 1.0)
-            assert route.nodes[0] == sender
-            assert route.nodes[-1] == receiver
-            assert route.hops == expected
+            path = route(sender, receiver, 1.0)
+            assert path[0] == sender
+            assert path[-1] == receiver
+            assert len(path) - 1 == expected
 
 
 class TestViewCaching:
@@ -361,14 +374,10 @@ class TestViewCaching:
 
     def test_balance_mutation_refreshes_router(self):
         graph = ChannelGraph()
-        graph.add_channel("a", "b", 5.0, 0.0)
-        router = Router(graph)
-        assert router.find_route("a", "b", 4.0).nodes == ("a", "b")
-        router.execute("a", "b", 3.0)
-        from repro.errors import RoutingError
-
-        with pytest.raises(RoutingError):
-            router.find_route("a", "b", 4.0)
+        channel = graph.add_channel("a", "b", 5.0, 0.0)
+        assert route_finder(graph)("a", "b", 4.0) == ["a", "b"]
+        channel.send("a", 3.0)
+        assert route_finder(graph)("a", "b", 4.0) == "no-capacity-path"
 
     def test_removed_channel_stops_invalidation(self):
         graph = ChannelGraph()

@@ -1,6 +1,6 @@
 """The obs determinism contract: instrumented runs are bit-identical.
 
-Every runner path — plain simulation on both backends, attacks, and
+Every runner path — plain simulation in both payment modes, attacks, and
 evolution — is executed twice, once with the disabled null session and
 once with a fully enabled session (registry + trace writer), and
 the *complete* result documents are compared. Instrumentation must
@@ -28,7 +28,7 @@ def instrumented_session():
     return ObsSession(enabled=True, tracer=TraceWriter(io.StringIO()))
 
 
-def simulation_scenario(seed, backend, payment_mode="instant"):
+def simulation_scenario(seed, backend="batched", payment_mode="instant"):
     extra = {"htlc_hold_mean": 0.2} if payment_mode == "htlc" else {}
     return Scenario(
         topology=TopologySpec("ba", {"n": 30, "capacity_mu": 2.0}),
@@ -89,13 +89,13 @@ def run_both(scenario):
 
 
 class TestSimulationParity:
-    @pytest.mark.parametrize("backend", ["event", "batched"])
+    @pytest.mark.parametrize("backend", ["batched"])
     @pytest.mark.parametrize("seed", [7, 11, 23])
     def test_instant_mode_bit_identical(self, backend, seed):
         off_doc, on_doc, _ = run_both(simulation_scenario(seed, backend))
         assert on_doc == off_doc
 
-    @pytest.mark.parametrize("backend", ["event", "batched"])
+    @pytest.mark.parametrize("backend", ["batched"])
     def test_htlc_mode_bit_identical(self, backend):
         off_doc, on_doc, _ = run_both(
             simulation_scenario(7, backend, payment_mode="htlc")
@@ -103,7 +103,7 @@ class TestSimulationParity:
         assert on_doc == off_doc
 
     def test_telemetry_rides_outside_the_document(self):
-        scenario = simulation_scenario(7, "batched")
+        scenario = simulation_scenario(7)
         off_doc, on_doc, on = run_both(scenario)
         assert on_doc == off_doc
         telemetry = telemetry_of(on.metrics)
@@ -113,9 +113,7 @@ class TestSimulationParity:
         assert telemetry_of(on) is telemetry
 
     def test_obs_off_attaches_nothing(self):
-        result = ScenarioRunner(obs=NULL_SESSION).run(
-            simulation_scenario(7, "batched")
-        )
+        result = ScenarioRunner(obs=NULL_SESSION).run(simulation_scenario(7))
         assert telemetry_of(result) is None
         assert telemetry_of(result.metrics) is None
 

@@ -2,7 +2,9 @@
 
 Failure injection: random payment sequences with arbitrary amounts (many
 infeasible) must never corrupt conservation laws — total coins, per-node
-net worth (modulo fees paid/earned), and HTLC atomicity.
+net worth (modulo fees paid/earned), and HTLC atomicity. Instant payments
+run through the simulation engine's event queue; HTLC locks go through an
+HTLC-mode engine's router, bound to the engine's array state.
 """
 
 
@@ -12,9 +14,9 @@ from hypothesis import strategies as st
 
 from repro.network.fees import ConstantFee
 from repro.network.graph import ChannelGraph
-from repro.network.htlc import HtlcRouter, HtlcState
-from repro.network.routing import Router
-from repro.errors import RoutingError
+from repro.network.htlc import HtlcState
+from repro.simulation.events import PaymentEvent
+from repro.simulation.fastpath import BatchedSimulationEngine
 
 NODES = ["a", "b", "c", "d"]
 
@@ -25,6 +27,31 @@ def build_graph(balances) -> ChannelGraph:
     for (u, v), (bu, bv) in zip(edges, balances):
         graph.add_channel(u, v, bu, bv)
     return graph
+
+
+def instant_engine(graph, payments, fee=None) -> BatchedSimulationEngine:
+    """An instant-mode engine with ``payments`` queued at t = 1, 2, ..."""
+    engine = BatchedSimulationEngine(graph, fee=fee)
+    for i, (sender, receiver, amount) in enumerate(payments):
+        engine.schedule(PaymentEvent(
+            time=float(i + 1), sender=sender, receiver=receiver, amount=amount
+        ))
+    return engine
+
+
+def htlc_engine(graph) -> BatchedSimulationEngine:
+    """An HTLC-mode engine whose router is bound to its array state."""
+    engine = BatchedSimulationEngine(graph, payment_mode="htlc")
+    engine.run()
+    return engine
+
+
+def route(engine, sender, receiver, amount):
+    """The engine's path over its current balances, or ``None``."""
+    path = engine._find_path(PaymentEvent(
+        time=0.0, sender=sender, receiver=receiver, amount=amount
+    ))
+    return None if isinstance(path, str) else path
 
 
 balances_strategy = st.lists(
@@ -51,37 +78,26 @@ class TestInstantRouting:
     def test_total_coins_conserved_zero_fee(self, balances, payments):
         graph = build_graph(balances)
         total = graph.total_capacity()
-        router = Router(graph)
-        for sender, receiver, amount in payments:
-            if sender == receiver:
-                continue
-            router.execute(sender, receiver, amount)
+        instant_engine(graph, payments).run()
         assert graph.total_capacity() == pytest.approx(total)
 
     @given(balances=balances_strategy, payments=payments_strategy)
     @settings(max_examples=60, deadline=None)
     def test_fee_accounting_consistent(self, balances, payments):
-        """Sender pays exactly what intermediaries collectively earn."""
+        """Senders pay exactly what intermediaries collectively earn."""
         graph = build_graph(balances)
-        router = Router(graph, fee=ConstantFee(0.05))
-        for sender, receiver, amount in payments:
-            if sender == receiver:
-                continue
-            outcome = router.execute(sender, receiver, amount)
-            if outcome.success:
-                assert sum(outcome.fees_per_node.values()) == pytest.approx(
-                    outcome.route.fee, abs=1e-9
-                )
+        metrics = instant_engine(graph, payments, fee=ConstantFee(0.05)).run()
+        assert sum(metrics.fees_paid.values()) == pytest.approx(
+            sum(metrics.revenue.values()), abs=1e-9
+        )
 
     @given(balances=balances_strategy, payments=payments_strategy)
     @settings(max_examples=60, deadline=None)
     def test_no_negative_balances_ever(self, balances, payments):
         graph = build_graph(balances)
-        router = Router(graph, fee=ConstantFee(0.1))
-        for sender, receiver, amount in payments:
-            if sender == receiver:
-                continue
-            router.execute(sender, receiver, amount)
+        engine = instant_engine(graph, payments, fee=ConstantFee(0.1))
+        for i in range(len(payments)):
+            engine.run(until=float(i + 1))  # writes the balances back
             for channel in graph.channels:
                 assert channel.balance(channel.u) >= -1e-9
                 assert channel.balance(channel.v) >= -1e-9
@@ -91,27 +107,16 @@ class TestHtlcAtomicity:
     @given(balances=balances_strategy, payments=payments_strategy)
     @settings(max_examples=60, deadline=None)
     def test_failed_locks_never_change_balances(self, balances, payments):
-        graph = build_graph(balances)
-        router = HtlcRouter(graph)
-        routing = Router(graph)
+        engine = htlc_engine(build_graph(balances))
+        router, balances_now = engine.htlc_router, engine._state.balances
         for sender, receiver, amount in payments:
-            if sender == receiver:
+            path = route(engine, sender, receiver, amount)
+            if path is None:
                 continue
-            snapshot = {
-                c.channel_id: (c.balance(c.u), c.balance(c.v))
-                for c in graph.channels
-            }
-            try:
-                route = routing.find_route(sender, receiver, amount)
-            except RoutingError:
-                continue
-            payment = router.lock(route.nodes, amount)
+            snapshot = balances_now.copy()
+            payment = router.lock(path, amount)
             if payment.state is HtlcState.FAILED:
-                after = {
-                    c.channel_id: (c.balance(c.u), c.balance(c.v))
-                    for c in graph.channels
-                }
-                assert snapshot == after
+                assert (balances_now == snapshot).all()
             else:
                 router.settle(payment)
 
@@ -122,23 +127,21 @@ class TestHtlcAtomicity:
         """Any payment that is locked and then failed leaves no trace."""
         graph = build_graph(balances)
         total = graph.total_capacity()
-        router = HtlcRouter(graph)
-        routing = Router(graph)
+        engine = htlc_engine(graph)
+        router = engine.htlc_router
         mask = list(fail_mask) + [True] * len(payments)
         for (sender, receiver, amount), should_fail in zip(payments, mask):
-            if sender == receiver:
+            path = route(engine, sender, receiver, amount)
+            if path is None:
                 continue
-            try:
-                route = routing.find_route(sender, receiver, amount)
-            except RoutingError:
-                continue
-            payment = router.lock(route.nodes, amount)
+            payment = router.lock(path, amount)
             if payment.state is not HtlcState.PENDING:
                 continue
             if should_fail:
                 router.fail(payment)
             else:
                 router.settle(payment)
+        engine.run()  # writes the balances back
         assert graph.total_capacity() == pytest.approx(total)
         for channel in graph.channels:
             assert channel.balance(channel.u) >= -1e-9
@@ -152,10 +155,12 @@ class TestCircularPayment:
         """A fee-free self-payment around the ring only shifts liquidity."""
         graph = build_graph(balances)
         worth = {node: graph.balance_of(node) for node in NODES}
-        router = HtlcRouter(graph)
+        engine = htlc_engine(graph)
+        router = engine.htlc_router
         payment = router.lock(["a", "b", "c", "d", "a"], amount)
         if payment.state is HtlcState.PENDING:
             router.settle(payment)
+            engine.run()  # writes the balances back
             for node in NODES:
                 assert graph.balance_of(node) == pytest.approx(
                     worth[node], abs=1e-6

@@ -26,7 +26,6 @@ from repro.scenarios.factory import (
     build_topology,
     build_workload,
 )
-from repro.simulation.engine import SimulationEngine
 from repro.simulation.fastpath import BatchedSimulationEngine
 
 
@@ -94,39 +93,35 @@ class TestOneFactory:
         )
         graph = build_topology(scenario.topology, seed=scenario.seed)
         engine = build_simulation_engine(scenario, graph)
-        assert type(engine) is SimulationEngine
+        assert type(engine) is BatchedSimulationEngine
         assert engine.payment_mode == "htlc"
         assert engine.htlc_hold_mean == 0.25
-        assert engine.router.path_selection == "first"
+        assert engine.path_selection == "first"
         assert engine.route_rng == "payment"
         instant = dataclasses.replace(
             scenario, simulation=SimulationSpec(fee_forwarding=False)
         )
         engine = build_simulation_engine(instant, graph)
-        assert engine.router.fee_forwarding is False
+        assert engine.fee_forwarding is False
 
-    @pytest.mark.parametrize(
-        "engine_class", [SimulationEngine, BatchedSimulationEngine]
-    )
-    def test_engine_rejects_htlc_without_fee_forwarding(self, engine_class):
-        """Both HTLC routers always forward fees, so the combination
-        would silently run with forwarding on."""
+    def test_engine_rejects_htlc_without_fee_forwarding(self):
+        """The HTLC router always forwards fees, so the combination would
+        silently run with forwarding on."""
         graph = build_topology(base_scenario().topology, seed=7)
         with pytest.raises(SimulationError, match="fee_forwarding"):
-            engine_class(graph, payment_mode="htlc", fee_forwarding=False)
+            BatchedSimulationEngine(
+                graph, payment_mode="htlc", fee_forwarding=False
+            )
 
-    def test_build_simulation_engine_dispatches_backend(self):
-        scenario = base_scenario()
+    def test_build_simulation_engine_ignores_event_backend(self):
+        """A document naming the deleted event engine still builds the
+        one engine."""
+        scenario = Scenario.from_dict(
+            dict(base_scenario().to_dict(), simulation={"backend": "event"})
+        )
         graph = build_topology(scenario.topology, seed=7)
-        assert (
-            type(build_simulation_engine(scenario, graph)) is SimulationEngine
-        )
-        batched = dataclasses.replace(
-            scenario, simulation=SimulationSpec(backend="batched")
-        )
-        assert isinstance(
-            build_simulation_engine(batched, graph), BatchedSimulationEngine
-        )
+        engine = build_simulation_engine(scenario, graph)
+        assert type(engine) is BatchedSimulationEngine
 
     def test_attacks_import_factory_at_module_level(self):
         """The lazy-import workaround is gone (no cycle remains)."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ScenarioError, UnknownPluginError
+from repro.errors import ScenarioError, SimulationError, UnknownPluginError
 from repro.scenarios import (
     AlgorithmSpec,
     FeeSpec,
@@ -93,6 +93,26 @@ class TestRun:
         )
         assert loaded.row["nodes"] == 9
         assert loaded.row["channels"] == graph.num_channels()
+
+    def test_parallel_channels_refused_by_pair(self, tmp_path):
+        # The simulator routes over one channel per node pair; a snapshot
+        # with two channels between alice and bob is refused, naming them.
+        import json
+
+        edges = [("alice", "bob"), ("alice", "bob"), ("bob", "carol")]
+        path = tmp_path / "parallel.json"
+        path.write_text(json.dumps({
+            "nodes": [{"pub_key": n} for n in ("alice", "bob", "carol")],
+            "edges": [
+                {"node1_pub": u, "node2_pub": v, "capacity": "10.0"}
+                for u, v in edges
+            ],
+        }))
+        scenario = sim_scenario(topology=TopologySpec("file", {"path": str(path)}))
+        with pytest.raises(
+            (SimulationError, ScenarioError), match="'alice' and 'bob'"
+        ):
+            ScenarioRunner().run(scenario)
 
     def test_unknown_topology_kind_raises(self):
         with pytest.raises(UnknownPluginError):

@@ -147,10 +147,16 @@ class TestSimulationSpecValidation:
     not later when the engine is built."""
 
     def test_known_backends_accepted(self):
+        # "event" names the deleted event engine: old documents load as
+        # the one engine, and serialise as "batched".
         for backend in ("event", "batched"):
             for mode in ("instant", "htlc"):
-                spec = SimulationSpec(backend=backend, payment_mode=mode)
-                assert (spec.backend, spec.payment_mode) == (backend, mode)
+                spec = SimulationSpec.from_dict(
+                    {"backend": backend, "payment_mode": mode}
+                )
+                assert (spec.backend, spec.payment_mode) == ("batched", mode)
+                assert spec.to_dict()["backend"] == "batched"
+        assert SimulationSpec().backend == "batched"
 
     def test_unknown_backend_rejected(self):
         # the message names the offending value, as for every other field

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.network.fees import ConstantFee
 from repro.network.graph import ChannelGraph
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.events import PaymentEvent
+from repro.simulation.fastpath import BatchedSimulationEngine
 from repro.transactions.distributions import (
     EmpiricalDistribution,
     UniformDistribution,
@@ -18,9 +20,19 @@ def line3_graph() -> ChannelGraph:
     return ChannelGraph.from_edges([("a", "b"), ("b", "c")], balance=100.0)
 
 
+class TestConstruction:
+    def test_base_class_cannot_be_constructed(self, line3_graph):
+        with pytest.raises(SimulationError, match="BatchedSimulationEngine"):
+            SimulationEngine(line3_graph)
+
+    def test_unknown_path_selection_rejected(self, line3_graph):
+        with pytest.raises(SimulationError, match="path_selection"):
+            BatchedSimulationEngine(line3_graph, path_selection="widest")
+
+
 class TestPaymentProcessing:
     def test_single_payment(self, line3_graph):
-        engine = SimulationEngine(line3_graph)
+        engine = BatchedSimulationEngine(line3_graph)
         engine.schedule(
             PaymentEvent(time=1.0, sender="a", receiver="c", amount=5.0)
         )
@@ -32,7 +44,7 @@ class TestPaymentProcessing:
         assert metrics.received["c"] == 1
 
     def test_intermediary_earns_fee(self, line3_graph):
-        engine = SimulationEngine(line3_graph, fee=ConstantFee(0.5))
+        engine = BatchedSimulationEngine(line3_graph, fee=ConstantFee(0.5))
         engine.schedule(
             PaymentEvent(time=1.0, sender="a", receiver="c", amount=1.0)
         )
@@ -42,7 +54,7 @@ class TestPaymentProcessing:
 
     def test_failure_counted_and_classified(self):
         graph = ChannelGraph.from_edges([("a", "b")], balance=1.0)
-        engine = SimulationEngine(graph)
+        engine = BatchedSimulationEngine(graph)
         engine.schedule(
             PaymentEvent(time=1.0, sender="a", receiver="b", amount=100.0)
         )
@@ -51,7 +63,7 @@ class TestPaymentProcessing:
         assert metrics.failure_reasons["no-capacity-path"] == 1
 
     def test_edge_traffic_recorded(self, line3_graph):
-        engine = SimulationEngine(line3_graph)
+        engine = BatchedSimulationEngine(line3_graph)
         engine.schedule(
             PaymentEvent(time=1.0, sender="a", receiver="c", amount=1.0)
         )
@@ -60,7 +72,7 @@ class TestPaymentProcessing:
         assert metrics.edge_traffic[("b", "c")] == 1
 
     def test_run_until_leaves_later_events_queued(self, line3_graph):
-        engine = SimulationEngine(line3_graph)
+        engine = BatchedSimulationEngine(line3_graph)
         engine.schedule(PaymentEvent(time=1.0, sender="a", receiver="b", amount=1.0))
         engine.schedule(PaymentEvent(time=9.0, sender="a", receiver="b", amount=1.0))
         metrics = engine.run(until=5.0)
@@ -69,7 +81,7 @@ class TestPaymentProcessing:
 
     def test_balance_conservation(self, line3_graph):
         total_before = line3_graph.total_capacity()
-        engine = SimulationEngine(line3_graph, fee=ConstantFee(0.1))
+        engine = BatchedSimulationEngine(line3_graph, fee=ConstantFee(0.1))
         for i in range(20):
             engine.schedule(
                 PaymentEvent(
@@ -89,7 +101,7 @@ class TestWorkloadIntegration:
         workload = PoissonWorkload(
             dist, {n: 1.0 for n in line3_graph.nodes}, seed=0
         )
-        engine = SimulationEngine(line3_graph)
+        engine = BatchedSimulationEngine(line3_graph)
         scheduled = engine.schedule_workload(workload, horizon=50.0)
         metrics = engine.run()
         assert metrics.attempted == scheduled
@@ -102,13 +114,13 @@ class TestWorkloadIntegration:
             Transaction(time=1.0, sender="a", receiver="c", amount=1.0),
             Transaction(time=2.0, sender="c", receiver="a", amount=1.0),
         ]
-        engine = SimulationEngine(line3_graph)
+        engine = BatchedSimulationEngine(line3_graph)
         assert engine.schedule_transactions(trace) == 2
         metrics = engine.run()
         assert metrics.succeeded == 2
 
     def test_revenue_rate_definition(self, line3_graph):
-        engine = SimulationEngine(line3_graph, fee=ConstantFee(1.0))
+        engine = BatchedSimulationEngine(line3_graph, fee=ConstantFee(1.0))
         engine.schedule(
             PaymentEvent(time=1.0, sender="a", receiver="c", amount=1.0)
         )
@@ -123,7 +135,7 @@ class TestWorkloadIntegration:
             {"a": {"c": 1.0}, "c": {"a": 1.0}}
         )
         workload = PoissonWorkload(dist, {"a": 1.0, "c": 1.0}, seed=42)
-        engine = SimulationEngine(graph, fee=ConstantFee(1.0))
+        engine = BatchedSimulationEngine(graph, fee=ConstantFee(1.0))
         engine.schedule_workload(workload, horizon=500.0)
         metrics = engine.run(until=500.0)
         # all traffic crosses b at total rate 2: revenue rate ≈ 2 * fee

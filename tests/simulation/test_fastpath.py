@@ -1,11 +1,12 @@
-"""Batched-backend parity: identical metrics to the event engine.
+"""The engine's two instant-mode paths agree exactly.
 
-The batched backend's contract is *exactness*, not approximation: for
-the same graph, trace, and seed it must reproduce the event engine's
-metrics — including the RNG-sampled path choices of
-``path_selection="random"`` — and leave the graph in the same final
-state. These tests drive both backends over the same pre-generated
-traces and compare everything.
+:meth:`BatchedSimulationEngine.run_trace` replays a trace with array
+accumulators; queued events (``schedule_transactions`` + ``run``) book
+each payment into the metric dicts as it is dispatched. For the same
+graph, trace and seed both must give the same metrics — including the
+RNG-sampled path choices of ``path_selection="random"`` — and leave the
+graph in the same final state. These tests drive both paths over the
+same pre-generated traces and compare everything.
 """
 
 import pytest
@@ -23,7 +24,6 @@ from repro.scenarios import (
     WorkloadSpec,
 )
 from repro.scenarios.runner import build_topology, build_workload
-from repro.simulation.engine import SimulationEngine
 from repro.simulation.fastpath import BatchedSimulationEngine
 from repro.transactions.workload import TraceArrays, Transaction
 
@@ -52,27 +52,25 @@ def balances_by_pair(graph):
 
 
 def run_both(scenario, engine_kwargs=None):
-    """(event metrics, batched metrics, event graph, batched graph)."""
+    """(queued metrics, replay metrics, queued graph, replay graph)."""
     from repro.scenarios.factory import build_fee
 
     kwargs = dict(engine_kwargs or {})
     seed = scenario.seed
-    event_graph = build_topology(scenario.topology, seed=seed)
+    queued_graph = build_topology(scenario.topology, seed=seed)
     trace = list(
-        build_workload(scenario, event_graph).generate(
+        build_workload(scenario, queued_graph).generate(
             scenario.simulation.horizon
         )
     )
     fee = build_fee(scenario)
-    event = SimulationEngine(event_graph, fee=fee, seed=seed, **kwargs)
-    event.schedule_transactions(trace)
-    event_metrics = event.run()
-    batched_graph = build_topology(scenario.topology, seed=seed)
-    batched = BatchedSimulationEngine(
-        batched_graph, fee=fee, seed=seed, **kwargs
-    )
-    batched_metrics = batched.run_trace(trace)
-    return event_metrics, batched_metrics, event_graph, batched_graph
+    queued = BatchedSimulationEngine(queued_graph, fee=fee, seed=seed, **kwargs)
+    queued.schedule_transactions(trace)
+    queued_metrics = queued.run()
+    replay_graph = build_topology(scenario.topology, seed=seed)
+    replay = BatchedSimulationEngine(replay_graph, fee=fee, seed=seed, **kwargs)
+    replay_metrics = replay.run_trace(trace)
+    return queued_metrics, replay_metrics, queued_graph, replay_graph
 
 
 def scenario_for(topology, horizon=12.0, seed=7, workload_params=None):
@@ -92,18 +90,18 @@ class TestMetricsParity:
         scenario = scenario_for(
             TopologySpec("ba", {"n": 40}), horizon=25.0, seed=seed
         )
-        event, batched, g1, g2 = run_both(scenario)
-        assert metric_fields(event) == metric_fields(batched)
+        queued, replay, g1, g2 = run_both(scenario)
+        assert metric_fields(queued) == metric_fields(replay)
         assert balances_by_pair(g1) == balances_by_pair(g2)
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_csr_graph_parity(self, seed):
-        """n >= 150 exercises the vectorised masked-BFS branch."""
+        """n >= 150 exercises the bidirectional search."""
         scenario = scenario_for(
             TopologySpec("ba", {"n": 200}), horizon=6.0, seed=seed
         )
-        event, batched, g1, g2 = run_both(scenario)
-        assert metric_fields(event) == metric_fields(batched)
+        queued, replay, g1, g2 = run_both(scenario)
+        assert metric_fields(queued) == metric_fields(replay)
         assert balances_by_pair(g1) == balances_by_pair(g2)
 
     def test_variable_amounts_parity(self):
@@ -119,8 +117,8 @@ class TestMetricsParity:
                 },
             },
         )
-        event, batched, g1, g2 = run_both(scenario)
-        assert metric_fields(event) == metric_fields(batched)
+        queued, replay, g1, g2 = run_both(scenario)
+        assert metric_fields(queued) == metric_fields(replay)
         assert balances_by_pair(g1) == balances_by_pair(g2)
 
     @pytest.mark.parametrize("kind,params", [
@@ -130,41 +128,37 @@ class TestMetricsParity:
     ])
     def test_section_iv_topologies(self, kind, params):
         scenario = scenario_for(TopologySpec(kind, params), horizon=20.0)
-        event, batched, g1, g2 = run_both(scenario)
-        assert metric_fields(event) == metric_fields(batched)
+        queued, replay, g1, g2 = run_both(scenario)
+        assert metric_fields(queued) == metric_fields(replay)
         assert balances_by_pair(g1) == balances_by_pair(g2)
 
     def test_path_selection_first(self):
         scenario = scenario_for(TopologySpec("ba", {"n": 170}), horizon=5.0)
-        event, batched, *_ = run_both(
+        queued, replay, *_ = run_both(
             scenario, engine_kwargs={"path_selection": "first"}
         )
-        assert metric_fields(event) == metric_fields(batched)
+        assert metric_fields(queued) == metric_fields(replay)
 
     def test_payment_route_rng(self):
         scenario = scenario_for(TopologySpec("ba", {"n": 170}), horizon=5.0)
-        event, batched, *_ = run_both(
+        queued, replay, *_ = run_both(
             scenario, engine_kwargs={"route_rng": "payment"}
         )
-        assert metric_fields(event) == metric_fields(batched)
+        assert metric_fields(queued) == metric_fields(replay)
 
     def test_no_fee_forwarding(self):
         scenario = scenario_for(TopologySpec("ba", {"n": 40}), horizon=10.0)
-        event, batched, *_ = run_both(
+        queued, replay, *_ = run_both(
             scenario, engine_kwargs={"fee_forwarding": False}
         )
-        assert metric_fields(event) == metric_fields(batched)
+        assert metric_fields(queued) == metric_fields(replay)
 
     def test_backend_via_scenario_runner(self):
-        base = scenario_for(TopologySpec("ba", {"n": 60}), horizon=10.0)
-        event_result = ScenarioRunner().run(base)
-        batched_result = ScenarioRunner().run(
-            base.with_overrides({"simulation.backend": "batched"})
-        )
-        assert metric_fields(event_result.metrics) == metric_fields(
-            batched_result.metrics
-        )
-        assert event_result.row["succeeded"] == batched_result.row["succeeded"]
+        scenario = scenario_for(TopologySpec("ba", {"n": 60}), horizon=10.0)
+        result = ScenarioRunner().run(scenario)
+        queued, *_ = run_both(scenario)
+        assert metric_fields(result.metrics) == metric_fields(queued)
+        assert result.row["succeeded"] == queued.succeeded
 
 
 class TestFailureParity:
@@ -176,17 +170,16 @@ class TestFailureParity:
             Transaction(time=3.0, sender="nope", receiver="nope", amount=1.0),
             Transaction(time=4.0, sender="a", receiver="c", amount=1.0),
         ]
-        event = SimulationEngine(
+        queued = BatchedSimulationEngine(
             ChannelGraph.from_edges([("a", "b"), ("b", "c")], balance=5.0),
             seed=0,
         )
-        event.schedule_transactions(trace)
-        event_metrics = event.run()
-        batched = BatchedSimulationEngine(graph, seed=0)
-        batched_metrics = batched.run_trace(trace)
-        assert metric_fields(event_metrics) == metric_fields(batched_metrics)
-        assert batched_metrics.failure_reasons["unknown-endpoint"] == 1
-        assert batched_metrics.failure_reasons["other"] == 2
+        queued.schedule_transactions(trace)
+        queued_metrics = queued.run()
+        replay_metrics = BatchedSimulationEngine(graph, seed=0).run_trace(trace)
+        assert metric_fields(queued_metrics) == metric_fields(replay_metrics)
+        assert replay_metrics.failure_reasons["unknown-endpoint"] == 1
+        assert replay_metrics.failure_reasons["other"] == 2
 
     def test_split_balance_failure(self):
         """Feasible at `amount` but not at amount+fees on an inner hop."""
@@ -200,13 +193,13 @@ class TestFailureParity:
             return graph
 
         trace = [Transaction(time=1.0, sender="a", receiver="c", amount=1.0)]
-        event = SimulationEngine(build(), fee=ConstantFee(0.5), seed=0)
-        event.schedule_transactions(trace)
-        event_metrics = event.run()
-        batched = BatchedSimulationEngine(build(), fee=ConstantFee(0.5), seed=0)
-        batched_metrics = batched.run_trace(trace)
-        assert event_metrics.failure_reasons["split-balance"] == 1
-        assert metric_fields(event_metrics) == metric_fields(batched_metrics)
+        queued = BatchedSimulationEngine(build(), fee=ConstantFee(0.5), seed=0)
+        queued.schedule_transactions(trace)
+        queued_metrics = queued.run()
+        replay = BatchedSimulationEngine(build(), fee=ConstantFee(0.5), seed=0)
+        replay_metrics = replay.run_trace(trace)
+        assert queued_metrics.failure_reasons["split-balance"] == 1
+        assert metric_fields(queued_metrics) == metric_fields(replay_metrics)
 
     def test_no_capacity_path(self):
         graph = ChannelGraph.from_edges([("a", "b")], balance=0.5)
@@ -309,7 +302,7 @@ class TestPaymentIndexStamping:
         """Default stamping after an explicit batch must not reuse its
         indices (duplicate per-payment RNG keys)."""
         graph = ChannelGraph.from_edges([("a", "b")], balance=50.0)
-        engine = SimulationEngine(graph, seed=0, route_rng="payment")
+        engine = BatchedSimulationEngine(graph, seed=0, route_rng="payment")
         txs = [
             Transaction(time=1.0, sender="a", receiver="b", amount=1.0),
             Transaction(time=2.0, sender="a", receiver="b", amount=1.0),

@@ -5,8 +5,8 @@ import pytest
 from repro.errors import SimulationError
 from repro.network.fees import ConstantFee
 from repro.network.graph import ChannelGraph
-from repro.simulation.engine import SimulationEngine
 from repro.simulation.events import PaymentEvent
+from repro.simulation.fastpath import BatchedSimulationEngine
 from repro.transactions.distributions import UniformDistribution
 from repro.transactions.workload import PoissonWorkload
 
@@ -18,7 +18,7 @@ def line3_graph() -> ChannelGraph:
 
 class TestHtlcMode:
     def test_single_payment_settles(self, line3_graph):
-        engine = SimulationEngine(line3_graph, payment_mode="htlc", seed=1)
+        engine = BatchedSimulationEngine(line3_graph, payment_mode="htlc", seed=1)
         engine.schedule(
             PaymentEvent(time=1.0, sender="a", receiver="c", amount=4.0)
         )
@@ -29,7 +29,7 @@ class TestHtlcMode:
 
     def test_balances_settle_correctly(self, line3_graph):
         total = line3_graph.total_capacity()
-        engine = SimulationEngine(line3_graph, payment_mode="htlc", seed=1)
+        engine = BatchedSimulationEngine(line3_graph, payment_mode="htlc", seed=1)
         engine.schedule(
             PaymentEvent(time=1.0, sender="a", receiver="c", amount=4.0)
         )
@@ -40,7 +40,7 @@ class TestHtlcMode:
 
     def test_contention_fails_second_payment(self, line3_graph):
         """Two overlapping payments exceed in-flight capacity: one fails."""
-        engine = SimulationEngine(
+        engine = BatchedSimulationEngine(
             line3_graph, payment_mode="htlc", seed=1, htlc_hold_mean=100.0
         )
         engine.schedule(
@@ -63,7 +63,7 @@ class TestHtlcMode:
         (the second direction refills)... here same direction, so the
         second fails in instant mode too unless balances refill — use
         opposite directions to show the contrast."""
-        engine = SimulationEngine(line3_graph, payment_mode="instant")
+        engine = BatchedSimulationEngine(line3_graph, payment_mode="instant")
         engine.schedule(
             PaymentEvent(time=1.0, sender="a", receiver="c", amount=7.0)
         )
@@ -74,7 +74,7 @@ class TestHtlcMode:
         assert metrics.succeeded == 2
 
     def test_fees_accrue_on_settle(self, line3_graph):
-        engine = SimulationEngine(
+        engine = BatchedSimulationEngine(
             line3_graph, payment_mode="htlc", fee=ConstantFee(0.5), seed=2
         )
         engine.schedule(
@@ -85,7 +85,7 @@ class TestHtlcMode:
         assert metrics.fees_paid["a"] == pytest.approx(0.5)
 
     def test_run_until_leaves_pending(self, line3_graph):
-        engine = SimulationEngine(
+        engine = BatchedSimulationEngine(
             line3_graph, payment_mode="htlc", seed=3, htlc_hold_mean=50.0
         )
         engine.schedule(
@@ -102,7 +102,7 @@ class TestHtlcMode:
         workload = PoissonWorkload(
             dist, {n: 1.0 for n in line3_graph.nodes}, seed=5
         )
-        engine = SimulationEngine(
+        engine = BatchedSimulationEngine(
             line3_graph, payment_mode="htlc", seed=5, htlc_hold_mean=0.01
         )
         engine.schedule_workload(workload, horizon=60.0)
@@ -112,11 +112,11 @@ class TestHtlcMode:
 
     def test_invalid_mode_rejected(self, line3_graph):
         with pytest.raises(SimulationError):
-            SimulationEngine(line3_graph, payment_mode="teleport")
+            BatchedSimulationEngine(line3_graph, payment_mode="teleport")
 
     def test_invalid_hold_rejected(self, line3_graph):
         with pytest.raises(SimulationError):
-            SimulationEngine(
+            BatchedSimulationEngine(
                 line3_graph, payment_mode="htlc", htlc_hold_mean=0.0
             )
 
@@ -130,7 +130,7 @@ class TestHtlcMode:
             workload = PoissonWorkload(
                 dist, {n: 2.0 for n in graph.nodes}, seed=9
             )
-            engine = SimulationEngine(
+            engine = BatchedSimulationEngine(
                 graph, payment_mode="htlc", seed=9, htlc_hold_mean=hold
             )
             engine.schedule_workload(workload, horizon=40.0)
@@ -139,3 +139,41 @@ class TestHtlcMode:
             return metrics.succeeded / resolved if resolved else 0.0
 
         assert run(5.0) < run(0.01)
+
+
+class TestSlotExhaustion:
+    """Per-direction HTLC slot caps under queued payments."""
+
+    def test_tight_cap_produces_no_slots_failures(self):
+        # Cap of 2 per direction, long holds: most payments through the
+        # hub fail on slots.
+        graph = ChannelGraph()
+        for i in range(5):
+            graph.add_channel("hub", f"leaf{i}", 50.0, 50.0, max_accepted_htlcs=2)
+        engine = BatchedSimulationEngine(
+            graph, seed=7, payment_mode="htlc", htlc_hold_mean=100.0
+        )
+        for i in range(40):
+            engine.schedule(PaymentEvent(
+                time=0.1 * (i + 1), sender=f"leaf{i % 5}",
+                receiver=f"leaf{(i + 1) % 5}", amount=1.0,
+            ))
+        metrics = engine.run()
+        assert metrics.attempted == 40
+        assert metrics.failure_reasons["no-htlc-slots"] > 0
+
+    def test_default_483_cap_reached_and_enforced(self):
+        # One channel, ample balance: payment 484 while 483 are still in
+        # flight fails on slots — the Lightning cap.
+        graph = ChannelGraph()
+        graph.add_channel("a", "b", 10_000.0, 10_000.0)
+        engine = BatchedSimulationEngine(
+            graph, seed=7, payment_mode="htlc", htlc_hold_mean=1000.0
+        )
+        for i in range(500):
+            engine.schedule(PaymentEvent(
+                time=0.001 * (i + 1), sender="a", receiver="b", amount=1.0,
+            ))
+        metrics = engine.run()
+        assert metrics.failure_reasons["no-htlc-slots"] == 500 - 483
+        assert metrics.htlc_locked_peak == pytest.approx(483.0)

@@ -1,10 +1,10 @@
 """Regression tests for the deterministic-or-loud default-seed fallback.
 
-Historically ``SimulationEngine(seed=None)`` drew *two* independent
+Historically an engine built with ``seed=None`` drew *two* independent
 entropy values (one for the router, one for the per-payment RNG base) and
-recorded neither, so an unseeded run could never be replayed. Now both
-engines resolve the seed once through :func:`repro.determinism.resolve_seed`,
-log it, and surface it as ``metrics.seed``.
+recorded neither, so an unseeded run could never be replayed. Now the
+engine resolves the seed once through :func:`repro.determinism.resolve_seed`,
+logs it, and surfaces it as ``metrics.seed``.
 """
 
 import logging
@@ -13,7 +13,6 @@ import pytest
 
 from repro.determinism import resolve_seed
 from repro.network.graph import ChannelGraph
-from repro.simulation.engine import SimulationEngine
 from repro.simulation.fastpath import BatchedSimulationEngine
 from repro.transactions.workload import Transaction
 
@@ -50,44 +49,39 @@ class TestResolveSeed:
         assert resolve_seed(None) != resolve_seed(None)
 
 
+def _run(engine, queued: bool):
+    """Run the trace as a replay or through the event queue."""
+    if not queued:
+        return engine.run_trace(_trace())
+    engine.schedule_transactions(_trace())
+    return engine.run()
+
+
 class TestEngineSeedSurfacing:
-    @pytest.mark.parametrize("engine_cls", [
-        SimulationEngine, BatchedSimulationEngine,
-    ])
-    def test_seeded_run_records_seed(self, engine_cls):
-        engine = engine_cls(_diamond_graph(), seed=13)
+    def test_seeded_run_records_seed(self):
+        engine = BatchedSimulationEngine(_diamond_graph(), seed=13)
         assert engine.seed == 13
         assert engine.metrics.seed == 13
 
-    @pytest.mark.parametrize("engine_cls", [
-        SimulationEngine, BatchedSimulationEngine,
-    ])
-    def test_unseeded_run_is_replayable(self, engine_cls, caplog):
+    @pytest.mark.parametrize("queued", [False, True], ids=["replay", "queued"])
+    def test_unseeded_run_is_replayable(self, queued, caplog):
         graph = _diamond_graph()
         with caplog.at_level(logging.WARNING, logger="repro.determinism"):
-            engine = engine_cls(graph, seed=None, route_rng="payment")
-        if engine_cls is BatchedSimulationEngine:
-            metrics = engine.run_trace(_trace())
-        else:
-            engine.schedule_transactions(_trace())
-            metrics = engine.run()
+            engine = BatchedSimulationEngine(
+                graph, seed=None, route_rng="payment"
+            )
+        metrics = _run(engine, queued)
         assert isinstance(metrics.seed, int)
         assert str(metrics.seed) in caplog.text
 
         # Replaying with the surfaced seed reproduces the run exactly,
         # including per-edge traffic (i.e. the actual route choices).
-        replay = engine_cls(
+        replay = BatchedSimulationEngine(
             _diamond_graph(), seed=metrics.seed, route_rng="payment"
         )
-        if engine_cls is BatchedSimulationEngine:
-            replay_metrics = replay.run_trace(_trace())
-        else:
-            replay.schedule_transactions(_trace())
-            replay_metrics = replay.run()
-        assert replay_metrics == metrics
+        assert _run(replay, queued) == metrics
 
     def test_explicit_seed_draws_no_entropy(self, caplog):
         with caplog.at_level(logging.WARNING, logger="repro.determinism"):
-            SimulationEngine(_diamond_graph(), seed=3)
+            BatchedSimulationEngine(_diamond_graph(), seed=3)
         assert caplog.text == ""
-

@@ -153,14 +153,6 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert "payments:" in out
 
-    def test_batched_backend_matches_event(self, capsys):
-        args = ["simulate", "--nodes", "15", "--horizon", "5", "--seed", "1"]
-        assert main(args) == 0
-        event_out = capsys.readouterr().out
-        assert main(args + ["--backend", "batched"]) == 0
-        batched_out = capsys.readouterr().out
-        assert batched_out == event_out
-
 
 def write_scenario(path, **overrides):
     doc = {
@@ -193,19 +185,16 @@ class TestRunScenario:
         assert code == 0
         assert "99" in capsys.readouterr().out
 
-    def test_backend_override(self, tmp_path, capsys):
+    def test_event_backend_scenario_still_runs(self, tmp_path, capsys):
+        # Scenario files written for the deleted event engine load as
+        # the one engine.
         scen = write_scenario(
-            tmp_path / "scen.json", algorithm=None
+            tmp_path / "scen.json", algorithm=None,
+            simulation={"horizon": 3.0, "backend": "event"},
         )
-        code = main(["run-scenario", str(scen), "--backend", "batched"])
+        code = main(["run-scenario", str(scen)])
         assert code == 0
         assert "payments:" in capsys.readouterr().out
-
-    def test_backend_override_without_simulation_errors(self, tmp_path, capsys):
-        scen = write_scenario(tmp_path / "scen.json", simulation=None)
-        code = main(["run-scenario", str(scen), "--backend", "batched"])
-        assert code == 2
-        assert "simulation" in capsys.readouterr().err
 
 
 class TestSweep:
