@@ -90,7 +90,6 @@ from .simulation import (
     BatchedSimulationEngine,
     SimulationEngine,
 )
-from .transactions import TraceArrays
 from .scenarios import (
     AlgorithmSpec,
     AttackSpec,
@@ -161,7 +160,6 @@ __all__ = [
     "SnapshotFormatError",
     "Strategy",
     "TopologySpec",
-    "TraceArrays",
     "Trajectory",
     "WorkloadSpec",
     "brute_force",

@@ -1,8 +1,9 @@
 """Payment simulation over channel graphs.
 
 :class:`SimulationEngine` holds the discrete-event queue, scheduling and
-metric booking; :class:`BatchedSimulationEngine`, the engine to build,
-subclasses it and routes over frozen view arrays. It runs instant and
+HTLC metric booking; :class:`BatchedSimulationEngine`, the engine to build,
+subclasses it, routes over frozen view arrays and runs every instant
+payment through one function there. It runs instant and
 HTLC payments and accepts injected adversarial events.
 """
 

@@ -8,23 +8,14 @@ counterparts of the model's analytic quantities (``E_rev``, ``λ_e``,
 feasibility), which bench E11 compares against Eq. 2/Eq. 3 predictions.
 
 :class:`SimulationEngine` holds the event queue, scheduling, the route
-RNG and metric booking; the engine that runs is its subclass
+RNG and HTLC metric booking; the engine that runs is its subclass
 :class:`~repro.simulation.fastpath.BatchedSimulationEngine`, which
-routes and moves balances over array state.
+routes, moves balances and books instant payments over array state.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Callable,
-    Dict,
-    Hashable,
-    Iterable,
-    Optional,
-    Sequence,
-    Type,
-    Union,
-)
+from typing import Callable, Dict, Hashable, Iterable, Optional, Sequence, Type
 
 import numpy as np
 
@@ -35,7 +26,7 @@ from ..network.graph import ChannelGraph
 from ..network.htlc import HtlcLedger, HtlcPayment, HtlcState
 from ..network.routing import PaymentRouteRng
 from ..obs import ObsSession, default_session
-from ..transactions.workload import PoissonWorkload, TraceArrays, Transaction
+from ..transactions.workload import PoissonWorkload, Transaction
 from .events import Event, EventQueue, HtlcResolveEvent, PaymentEvent
 from .metrics import SimulationMetrics
 
@@ -45,12 +36,12 @@ __all__ = ["SimulationEngine"]
 class SimulationEngine:
     """Runs payment workloads against a channel graph.
 
-    The event loop, scheduling, the per-payment route RNG, HTLC
-    lock-failure and settle booking and instant-payment booking live
-    here. The subclass
+    The event loop, scheduling, the per-payment route RNG and HTLC
+    lock-failure and settle booking live here. The subclass
     :class:`~repro.simulation.fastpath.BatchedSimulationEngine` supplies
-    how a path is found (``_find_path``) and how an instant payment moves
-    balances (``_handle_payment``); construct that class, not this one.
+    how a path is found (``_find_path``) and the instant payment
+    (``_handle_payment``), which moves balances and books its metrics
+    over array state; construct that class, not this one.
 
     Args:
         graph: the network (mutated in place as balances move).
@@ -201,59 +192,28 @@ class SimulationEngine:
         """
         return self.schedule_transactions(workload.generate(horizon))
 
-    def schedule_transactions(
-        self,
-        transactions: Iterable[Transaction],
-        indices: Optional[Iterable[int]] = None,
-    ) -> int:
+    def schedule_transactions(self, transactions: Iterable[Transaction]) -> int:
         """Schedule an explicit (pre-generated) transaction trace.
 
         Payments are stamped with consecutive trace indices (the
-        ``route_rng="payment"`` key); ``indices`` overrides them, so a
-        replayed :class:`~repro.transactions.workload.TraceArrays` keeps
-        its own positions.
+        ``route_rng="payment"`` key).
         """
         count = 0
-        index_iter = iter(indices) if indices is not None else None
         for tx in transactions:
-            if index_iter is not None:
-                index = next(index_iter)
-                # Keep later default-stamped payments from reusing an
-                # explicitly-taken index (duplicate per-payment RNGs).
-                self._payment_seq = max(self._payment_seq, index + 1)
-            else:
-                index = self._payment_seq
-                self._payment_seq += 1
             self.schedule(
                 PaymentEvent(
                     time=tx.time,
                     sender=tx.sender,
                     receiver=tx.receiver,
                     amount=tx.amount,
-                    index=index,
+                    index=self._payment_seq,
                 )
             )
+            self._payment_seq += 1
             count += 1
         return count
 
     # -- execution ----------------------------------------------------------------
-
-    def run_trace(
-        self, trace: Union[TraceArrays, Sequence[Transaction]]
-    ) -> SimulationMetrics:
-        """Schedule every payment of ``trace``, then :meth:`run` the queue.
-
-        A :class:`TraceArrays` keeps its own trace indices (the
-        ``route_rng="payment"`` key).
-        """
-        if isinstance(trace, TraceArrays):
-            self.schedule_transactions(
-                trace.to_transactions(),
-                indices=(int(i) for i in trace.indices),
-            )
-        else:
-            self.schedule_transactions(trace)
-        return self.run()
 
     def run(self, until: Optional[float] = None) -> SimulationMetrics:
         """Process events in time order until the queue drains (or ``until``).
@@ -312,41 +272,6 @@ class SimulationEngine:
         if not self.fee_forwarding:
             return [amount] * hops
         return self._htlc_router._hop_amounts(hops, amount)
-
-    def _book_instant(
-        self,
-        event: PaymentEvent,
-        path: Sequence[Hashable],
-        hop_amounts: Sequence[float],
-    ) -> None:
-        """Book one executed instant payment into the metrics."""
-        metrics = self.metrics
-        amount = event.amount
-        metrics.succeeded += 1
-        metrics.volume_delivered += amount
-        metrics.sent[event.sender] += 1
-        metrics.received[event.receiver] += 1
-        metrics.fees_paid[event.sender] += hop_amounts[0] - amount
-        fee_fn = self.fee if not self.fee_forwarding else None
-        for i in range(1, len(path) - 1):
-            fee = hop_amounts[i - 1] - hop_amounts[i]
-            if fee_fn is not None:
-                fee += fee_fn(amount)
-            metrics.revenue[path[i]] += fee
-        for src, dst in zip(path, path[1:]):
-            metrics.edge_traffic[(src, dst)] += 1
-        policy = self._htlc_router.policy
-        if policy.has_upfront:
-            # Instant mode has no lock phase, so the per-attempt side of
-            # the two-sided policy is charged on the payments that
-            # actually execute — one charge per hop, credited to the
-            # hop's receiving node.
-            total = 0.0
-            for i, node in enumerate(path[1:]):
-                charge = policy.upfront(hop_amounts[i])
-                metrics.upfront_revenue[node] += charge
-                total += charge
-            metrics.upfront_fees_paid[event.sender] += total
 
     def _handle_payment_htlc(self, event: PaymentEvent) -> None:
         """Lock now, settle after an exponential hold (HTLC semantics)."""

@@ -35,30 +35,34 @@ O(channels) python loop):
   on ``attack-htlc``;
 * ``path_selection="random"`` draws weight the shortest-path counts in
   trace order, so a seed fixes every route;
-* in trace replay, per-node metrics accumulate into arrays
-  (scatter-adds) and convert to the dict form of
-  :class:`SimulationMetrics` once, at the end; final balances are
-  written back to the channels once, at the end.
+* every instant payment, replayed by ``run_trace`` or queued for
+  ``run``, goes through one function, :meth:`_ArrayState.pay`: it
+  routes, checks, moves the balances and adds the per-node metrics into
+  arrays. The arrays fold into the dict form of
+  :class:`SimulationMetrics`, and the balances are written back to the
+  channels, once at the end of every call.
 
 The engine runs over simple graphs (no parallel channels) in both
-payment modes. ``"instant"`` replays a pre-generated trace in order.
-It is a :class:`~repro.simulation.engine.SimulationEngine` subclass:
-the event queue, the HTLC handlers, upfront-fee booking and the route
-RNG are the base class's, and this module supplies the route search
-(:meth:`BatchedSimulationEngine._find_path`) and the array balances the
-:class:`~repro.network.htlc.HtlcLedger` reserves hops on, so HTLC holds
-and attack-strategy event injection contend for one set of balances and
-slots. The array state freezes at the first ``run()`` call, after
-attack strategies opened their channels.
+payment modes. It is a
+:class:`~repro.simulation.engine.SimulationEngine` subclass: the event
+queue, the HTLC handlers, upfront-fee booking and the route RNG are the
+base class's, and this module supplies the route search
+(:meth:`BatchedSimulationEngine._find_path`), the instant payment and
+the array balances the :class:`~repro.network.htlc.HtlcLedger` reserves
+hops on, so HTLC holds and attack-strategy event injection contend for
+one set of balances and slots. The array state of ``run`` freezes at its
+first call, after attack strategies opened their channels; later calls
+re-read the channel balances first.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import SimulationError
+from ..network.channel import Channel
 from ..network.routing import (
     bidirectional_route,
     guided_bfs_structure,
@@ -66,12 +70,7 @@ from ..network.routing import (
     walk_small,
 )
 from ..network.views import SMALL_GRAPH_NODES, GraphView
-from ..transactions.workload import (
-    SELF_PAIR,
-    UNKNOWN_ENDPOINT,
-    TraceArrays,
-    Transaction,
-)
+from ..transactions.workload import Transaction
 from .engine import SimulationEngine
 from .events import PaymentEvent
 from .metrics import SimulationMetrics
@@ -91,58 +90,70 @@ class BatchedSimulationEngine(SimulationEngine):
 
     _state: Optional["_ArrayState"] = None
 
-    def run_trace(
-        self, trace: Union[TraceArrays, Sequence[Transaction]]
-    ) -> SimulationMetrics:
+    def run_trace(self, trace: Sequence[Transaction]) -> SimulationMetrics:
         """Process every payment of ``trace`` and return the metrics.
 
-        Accepts either :class:`TraceArrays` or a transaction sequence
-        (columnised internally against the graph's node order). In
-        ``"instant"`` mode, repeated calls accumulate into the same
-        metrics, like scheduling more events and calling :meth:`run`;
-        each call re-freezes the graph, so mutations between calls are
-        picked up. In ``"htlc"`` mode the trace goes through the event
-        queue, resolve events past the last payment included.
+        In ``"instant"`` mode the payments run in trace order over a
+        fresh freeze of the graph, so graph mutations between calls are
+        picked up, and repeated calls accumulate into the same metrics,
+        like scheduling more events and calling :meth:`run`. In
+        ``"htlc"`` mode the trace goes through the event queue, resolve
+        events past the last payment included.
         """
         if self.payment_mode == "htlc":
-            return super().run_trace(trace)
-        view = self.graph.view(directed=True)
-        self._check_graph(view)
-        trace = self._columnise(trace, view)
-        if len(trace) > 1 and bool((np.diff(trace.times) < 0).any()):
+            self.schedule_transactions(trace)
+            return self.run()
+        times = [tx.time for tx in trace]
+        if any(later < earlier for earlier, later in zip(times, times[1:])):
             # The event queue would reorder these; the replay loop will
             # not — refuse rather than silently diverge.
             raise SimulationError(
                 "replayed traces must be time-ordered (the event queue "
                 "sorts payments; trace replay runs them in order)"
             )
-        run = _ArrayState(self, view)
-        run.execute(trace)
-        run.finalize()
-        if len(trace):
-            self.metrics.horizon = float(trace.times[-1])
-        self._publish_obs(run)
+        state = self._freeze()
+        state.load()
+        pay = state.pay
+        first = self._payment_seq
+        for index, tx in enumerate(trace, first):
+            pay(tx.sender, tx.receiver, tx.amount, index)
+        self._payment_seq = first + len(times)
+        state.fold()
+        state.write_back()
+        if times:
+            self.metrics.horizon = float(times[-1])
+        self._publish_obs(state)
         return self.metrics
 
     def run(self, until: Optional[float] = None) -> SimulationMetrics:
         """Process queued events in time order over the array state.
 
-        The array state is frozen at the first call — graph mutations
-        after that (other than balance moves made through this engine)
-        are not picked up. Final balances are written back to the
-        channels at the end of every call.
+        The array state freezes at the first call. Later calls re-read
+        the channel balances first, so balances changed on the graph
+        between calls are picked up; other graph mutations are not. At
+        the end of every call the instant-payment totals fold into the
+        metrics and the balances are written back to the channels.
         """
-        if self._state is None:
-            view = self.graph.view(directed=True)
-            self._check_graph(view)
-            self._state = _ArrayState(self, view)
-            self._htlc_router.bind(self._state)
+        state = self._state
+        if state is None:
+            state = self._state = self._freeze()
+            self._htlc_router.bind(state)
+        else:
+            state.read_balances()
+        # HTLC settles book straight into the metrics dicts, so only
+        # instant mode round-trips them through the arrays.
+        instant = self.payment_mode == "instant"
+        if instant:
+            state.load()
         metrics = super().run(until)
-        self._state.write_back()
-        self._publish_obs(self._state)
+        if instant:
+            state.fold()
+        state.write_back()
+        self._publish_obs(state)
         return metrics
 
-    def _check_graph(self, view: GraphView) -> None:
+    def _freeze(self) -> "_ArrayState":
+        view = self.graph.view(directed=True)
         for channels in view.pair_channels:
             if len(channels) > 1:
                 channel = self.graph.channel(channels[0])
@@ -151,44 +162,20 @@ class BatchedSimulationEngine(SimulationEngine):
                     f"{channel.u!r} and {channel.v!r} share the parallel "
                     f"channels {list(channels)}"
                 )
+        return _ArrayState(self, view)
 
     def _find_path(self, event: PaymentEvent) -> Union[List[Hashable], str]:
-        # The RNG resolves before the endpoint checks, so an index is
-        # consumed even for payments that fail validation.
-        rng = self._route_rng(event.index)
-        if event.sender == event.receiver:
-            return "other"
         state = self._state
-        s = state.node_index.get(event.sender)
-        r = state.node_index.get(event.receiver)
-        if s is None or r is None:
-            return "unknown-endpoint"
-        path = state.route(s, r, float(event.amount), rng)
-        if path is None:
-            return "no-capacity-path"
+        path = state.find(
+            event.sender, event.receiver, float(event.amount), event.index
+        )
+        if isinstance(path, str):
+            return path
         nodes = state.view.nodes
         return [nodes[i] for i in path]
 
     def _handle_payment(self, event: PaymentEvent) -> None:
-        """Apply a queued payment atomically over the array balances.
-
-        Metrics are booked straight into the dicts, not the trace-mode
-        array accumulators; both add the same floats in the same order.
-        """
-        self.metrics.attempted += 1
-        path = self._find_path(event)
-        if isinstance(path, str):
-            self._fail_payment(path)
-            return
-        state = self._state
-        hop_amounts = self._hop_amounts(len(path) - 1, float(event.amount))
-        entries = [state.name_pair_entry[pair] for pair in zip(path, path[1:])]
-        for entry, hop_amount in zip(entries, hop_amounts):
-            if state.balances[entry] < hop_amount:
-                self._fail_payment("split-balance")
-                return
-        state.apply_balances(entries, hop_amounts)
-        self._book_instant(event, path, hop_amounts)
+        self._state.pay(event.sender, event.receiver, event.amount, event.index)
 
     def _publish_obs(self, state: "_ArrayState") -> None:
         """Publish the route searches since the last publish as the
@@ -205,26 +192,13 @@ class BatchedSimulationEngine(SimulationEngine):
             )
         state.route_searches = 0
 
-    def _columnise(
-        self, trace: Union[TraceArrays, Sequence[Transaction]], view: GraphView
-    ) -> TraceArrays:
-        if not isinstance(trace, TraceArrays):
-            return TraceArrays.from_transactions(list(trace), view.nodes)
-        if trace.nodes == view.nodes:
-            return trace
-        # Node orders diverge (e.g. a trace generated against another
-        # graph instance): re-columnise through the row form.
-        return TraceArrays.from_transactions(
-            trace.to_transactions(), view.nodes
-        )
-
 
 class _ArrayState:
     """Frozen-view array state: balances, slots, accumulators.
 
     One instance backs one ``run_trace`` call in ``"instant"`` mode, or
     the whole engine lifetime for queued events (frozen at the first
-    ``run()`` call). Routing and the balance array are shared by both
+    ``run()`` call). Instant payments run through :meth:`pay` on both
     paths; the engine's :class:`~repro.network.htlc.HtlcLedger` locks
     hops on these balances and slot counters.
     """
@@ -249,8 +223,8 @@ class _ArrayState:
         #: Receiver -> hop distances to it over the frozen view (small
         #: branch): the guide of :func:`guided_bfs_structure`.
         self.hops_to: Dict[int, List[int]] = {}
-        # Queued-event lookups: node name -> index, directed (src, dst)
-        # index pair -> CSR entry.
+        # Lookups: node name -> index, directed (src, dst) index pair ->
+        # CSR entry.
         self.node_index: Dict[Hashable, int] = {
             node: i for i, node in enumerate(view.nodes)
         }
@@ -309,49 +283,24 @@ class _ArrayState:
 
     # -- payment processing ---------------------------------------------------
 
-    def execute(self, trace: TraceArrays) -> None:
-        metrics = self.engine.metrics
-        senders = trace.senders
-        receivers = trace.receivers
-        amounts = trace.amounts
-        indices = trace.indices
-        for pos in range(len(trace)):
-            metrics.attempted += 1
-            s = int(senders[pos])
-            r = int(receivers[pos])
-            if s == SELF_PAIR or s == r:
-                # As in _find_path: the sender==receiver check precedes
-                # the endpoint check, and classifies as "other".
-                metrics.failed += 1
-                metrics.failure_reasons["other"] += 1
-                continue
-            if s == UNKNOWN_ENDPOINT or r == UNKNOWN_ENDPOINT:
-                metrics.failed += 1
-                metrics.failure_reasons["unknown-endpoint"] += 1
-                continue
-            self._process(s, r, float(amounts[pos]), int(indices[pos]))
-
-    def _process(self, s: int, r: int, amount: float, index: int) -> None:
-        engine = self.engine
-        metrics = engine.metrics
-        path = self.route(s, r, amount, engine._route_rng(index))
-        if path is None:
-            metrics.failed += 1
-            metrics.failure_reasons["no-capacity-path"] += 1
-            return
-        hops = len(path) - 1
-        hop_amounts = engine._hop_amounts(hops, amount)
-        entries = [
-            self.pair_entry[(path[i], path[i + 1])] for i in range(hops)
-        ]
-        for entry, hop_amount in zip(entries, hop_amounts):
-            if self.balances[entry] < hop_amount:
-                # The route was feasible at `amount` but a hop cannot
-                # carry amount+fees.
-                metrics.failed += 1
-                metrics.failure_reasons["split-balance"] += 1
-                return
-        self._apply(s, r, amount, path, entries, hop_amounts)
+    def find(
+        self, sender: Hashable, receiver: Hashable, amount: float, index: int
+    ) -> Union[List[int], str]:
+        """The route of one payment as node indices, or why it fails:
+        ``"other"`` (sender is receiver), ``"unknown-endpoint"`` or
+        ``"no-capacity-path"``. Instant payments and HTLC locks both
+        start here."""
+        # The RNG resolves before the endpoint checks, so an index is
+        # consumed even for payments that fail validation.
+        rng = self.engine._route_rng(index)
+        if sender == receiver:
+            return "other"
+        s = self.node_index.get(sender)
+        r = self.node_index.get(receiver)
+        if s is None or r is None:
+            return "unknown-endpoint"
+        path = self.route(s, r, amount, rng)
+        return "no-capacity-path" if path is None else path
 
     def route(
         self, s: int, r: int, amount: float, rng
@@ -370,8 +319,7 @@ class _ArrayState:
         returns the path the CSR search and
         :func:`~repro.network.routing.walk_csr` would, with
         the same RNG draws; there the per-receiver rows would cost what
-        the guided search saves. Trace replay and queued events both
-        route here; the caller applies the outcome.
+        the guided search saves.
         """
         self.route_searches += 1
         # One byte per entry: a python list of bools costs ~10x as much
@@ -390,35 +338,39 @@ class _ArrayState:
             self.full_adj, self.full_radj, kept, s, r, selection, rng
         )
 
-    def apply_balances(
-        self, entries: List[int], hop_amounts: List[float]
+    def pay(
+        self, sender: Hashable, receiver: Hashable, amount: float, index: int
     ) -> None:
-        """Move every hop amount across its entry (instant settlement).
-
-        Same float operations, same order as :meth:`_apply`, but metric
-        booking is left to the caller (event mode books dicts directly).
-        """
-        balances = self.balances
-        for entry, hop_amount in zip(entries, hop_amounts):
-            balances[entry] -= hop_amount
-            balances[int(self.rev_entry[entry])] += hop_amount
-
-    def _apply(
-        self,
-        s: int,
-        r: int,
-        amount: float,
-        path: List[int],
-        entries: List[int],
-        hop_amounts: List[float],
-    ) -> None:
+        """Run one instant payment: route it, check that every hop can
+        carry its amount plus downstream fees, move the balances and add
+        it to the accumulators. ``index`` keys the payment's route RNG
+        under ``route_rng="payment"``."""
         engine = self.engine
         metrics = engine.metrics
+        metrics.attempted += 1
+        amount = float(amount)
+        path = self.find(sender, receiver, amount, index)
+        if isinstance(path, str):
+            engine._fail_payment(path)
+            return
+        hops = len(path) - 1
+        hop_amounts = engine._hop_amounts(hops, amount)
+        entries = [
+            self.pair_entry[(path[i], path[i + 1])] for i in range(hops)
+        ]
         balances = self.balances
+        for entry, hop_amount in zip(entries, hop_amounts):
+            if balances[entry] < hop_amount:
+                # The route was feasible at `amount` but a hop cannot
+                # carry amount+fees.
+                engine._fail_payment("split-balance")
+                return
         for entry, hop_amount in zip(entries, hop_amounts):
             balances[entry] -= hop_amount
             balances[int(self.rev_entry[entry])] += hop_amount
             self.edge_traffic[entry] += 1
+        s = path[0]
+        r = path[-1]
         metrics.succeeded += 1
         metrics.volume_delivered += amount
         self.sent[s] += 1
@@ -435,9 +387,10 @@ class _ArrayState:
             self.revenue_touched[node] = True
         policy = engine._htlc_router.policy
         if policy.has_upfront:
-            # Instant mode has no lock phase, so the per-attempt side is
-            # charged on the payments that actually execute, hop for hop
-            # as in SimulationEngine._book_instant.
+            # Instant mode has no lock phase, so the per-attempt side of
+            # the two-sided policy is charged on the payments that
+            # actually execute: one charge per hop, credited to the
+            # hop's receiving node.
             total = 0.0
             for i in range(len(path) - 1):
                 node = path[i + 1]
@@ -448,30 +401,74 @@ class _ArrayState:
             self.upfront_paid[s] += total
             self.upfront_paid_touched[s] = True
 
-    # -- finalisation ---------------------------------------------------------
+    # -- metrics and channels -------------------------------------------------
 
-    def finalize(self) -> None:
-        """Fold the array accumulators into the metrics dicts and write
-        the final balances back to the channels."""
+    def _node_totals(self) -> Tuple[Tuple[str, np.ndarray, Optional[np.ndarray]], ...]:
+        """``(metrics attribute, per-node values, touched flags)`` of each
+        per-node accumulator; counts have no flags (nonzero is touched)."""
+        return (
+            ("revenue", self.revenue, self.revenue_touched),
+            ("fees_paid", self.fees_paid, self.fees_touched),
+            ("upfront_revenue", self.upfront_revenue, self.upfront_revenue_touched),
+            ("upfront_fees_paid", self.upfront_paid, self.upfront_paid_touched),
+            ("sent", self.sent, None),
+            ("received", self.received, None),
+        )
+
+    def load(self) -> None:
+        """Start the accumulators from the metrics' current totals.
+
+        A call then continues every running sum where the last call left
+        it, so split runs add the same floats in the same order as one
+        run, and :meth:`fold` writes the totals back.
+        """
+        metrics = self.engine.metrics
+        node_index = self.node_index
+        for name, values, touched in self._node_totals():
+            for node, value in getattr(metrics, name).items():
+                i = node_index.get(node)
+                if i is not None:
+                    values[i] = value
+                    if touched is not None:
+                        touched[i] = True
+        for pair, count in metrics.edge_traffic.items():
+            entry = self.name_pair_entry.get(pair)
+            if entry is not None:
+                self.edge_traffic[entry] = count
+
+    def fold(self) -> None:
+        """Write the accumulated totals into the metrics dicts; nodes new
+        to a dict enter it in node-index order."""
         metrics = self.engine.metrics
         nodes = self.view.nodes
-        for i in np.nonzero(self.revenue_touched)[0]:
-            metrics.revenue[nodes[i]] += float(self.revenue[i])
-        for i in np.nonzero(self.fees_touched)[0]:
-            metrics.fees_paid[nodes[i]] += float(self.fees_paid[i])
-        for i in np.nonzero(self.upfront_revenue_touched)[0]:
-            metrics.upfront_revenue[nodes[i]] += float(self.upfront_revenue[i])
-        for i in np.nonzero(self.upfront_paid_touched)[0]:
-            metrics.upfront_fees_paid[nodes[i]] += float(self.upfront_paid[i])
-        for i in np.nonzero(self.sent)[0]:
-            metrics.sent[nodes[i]] += int(self.sent[i])
-        for i in np.nonzero(self.received)[0]:
-            metrics.received[nodes[i]] += int(self.received[i])
+        for name, values, touched in self._node_totals():
+            totals = getattr(metrics, name)
+            for i in np.nonzero(values if touched is None else touched)[0]:
+                totals[nodes[i]] = values[i].item()
+        rows = self.entry_rows
         for entry in np.nonzero(self.edge_traffic)[0]:
-            src = nodes[int(self.entry_rows[entry])]
+            src = nodes[int(rows[entry])]
             dst = nodes[int(self.view.indices[entry])]
-            metrics.edge_traffic[(src, dst)] += int(self.edge_traffic[entry])
-        self.write_back()
+            metrics.edge_traffic[(src, dst)] = int(self.edge_traffic[entry])
+
+    def _channel_entries(self) -> Iterator[Tuple[Channel, int, int]]:
+        """``(channel, entry u -> v, entry v -> u)`` for every channel
+        ``u``-``v`` of the view."""
+        view = self.view
+        graph = self.engine.graph
+        rows = self.entry_rows
+        for entry in range(self.m):
+            u = int(rows[entry])
+            if u >= int(view.indices[entry]):
+                continue
+            rev = int(self.rev_entry[entry])
+            channel = graph.channel(
+                view.pair_channels[int(view.edge_ids[entry])][0]
+            )
+            if channel.u == view.nodes[u]:
+                yield channel, entry, rev
+            else:
+                yield channel, rev, entry
 
     def write_back(self) -> None:
         """Push the array balances into the channel objects.
@@ -479,20 +476,17 @@ class _ArrayState:
         Pending HTLC escrow stays excluded from both sides, so the
         channel capacity is temporarily reduced by in-flight amounts.
         """
-        view = self.view
-        graph = self.engine.graph
-        rows = self.entry_rows
-        for entry in range(self.m):
-            u = int(rows[entry])
-            v = int(view.indices[entry])
-            if u >= v:
-                continue
-            rev = int(self.rev_entry[entry])
-            channel_id = view.pair_channels[int(view.edge_ids[entry])][0]
-            channel = graph.channel(channel_id)
-            balance_u = float(self.balances[entry])
-            balance_v = float(self.balances[rev])
-            if channel.u == view.nodes[u]:
-                channel.set_balances(balance_u, balance_v)
-            else:
-                channel.set_balances(balance_v, balance_u)
+        balances = self.balances
+        for channel, forward, backward in self._channel_entries():
+            channel.set_balances(
+                float(balances[forward]), float(balances[backward])
+            )
+
+    def read_balances(self) -> None:
+        """Pull the channel balances into the array: the inverse of
+        :meth:`write_back`, so balances changed on the graph between two
+        ``run()`` calls are not overwritten."""
+        balances = self.balances
+        for channel, forward, backward in self._channel_entries():
+            balances[forward] = channel.balance(channel.u)
+            balances[backward] = channel.balance(channel.v)

@@ -20,7 +20,6 @@ from .sizes import (
 )
 from .workload import (
     PoissonWorkload,
-    TraceArrays,
     Transaction,
     build_poisson_workload,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "FixedSize",
     "ModifiedZipf",
     "PoissonWorkload",
-    "TraceArrays",
     "Transaction",
     "TransactionDistribution",
     "TransactionSizeDistribution",

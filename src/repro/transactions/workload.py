@@ -11,7 +11,7 @@ superposition/thinning equivalence means this is the same process as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterator, List, Mapping, Optional, Sequence
+from typing import Dict, Hashable, Iterator, List, Mapping, Optional
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .sizes import (
 
 __all__ = [
     "PoissonWorkload",
-    "TraceArrays",
     "Transaction",
     "build_poisson_workload",
 ]
@@ -45,97 +44,6 @@ class Transaction:
     sender: Hashable
     receiver: Hashable
     amount: float
-
-
-#: ``TraceArrays`` endpoint marker: the label was not a known node.
-UNKNOWN_ENDPOINT = -1
-#: ``TraceArrays`` endpoint marker: sender and receiver were identical.
-SELF_PAIR = -2
-
-
-@dataclass(frozen=True, eq=False)
-class TraceArrays:
-    """A payment trace in column form: the batched backend's native input.
-
-    Attributes:
-        times: ``float64`` arrival times, ascending.
-        senders / receivers: ``int64`` indices into ``nodes``;
-            :data:`UNKNOWN_ENDPOINT` (``-1``) marks a label outside
-            ``nodes`` and :data:`SELF_PAIR` (``-2``) marks
-            ``sender == receiver`` — both always fail, so the engines
-            only need the marker, not the label.
-        amounts: ``float64`` payment sizes.
-        nodes: index -> node label (the graph's node order).
-        indices: each payment's position in the trace, the key of its
-            per-payment route RNG under ``route_rng="payment"``.
-        irregular: ``(position, original transaction)`` pairs for marker
-            rows, kept so :meth:`to_transactions` is lossless.
-    """
-
-    times: np.ndarray
-    senders: np.ndarray
-    receivers: np.ndarray
-    amounts: np.ndarray
-    nodes: tuple
-    indices: np.ndarray
-    irregular: tuple = ()
-
-    def __len__(self) -> int:
-        return int(self.times.shape[0])
-
-    @classmethod
-    def from_transactions(
-        cls, transactions: Sequence[Transaction], nodes: Sequence[Hashable]
-    ) -> "TraceArrays":
-        """Columnise ``transactions`` against the node order ``nodes``."""
-        nodes = tuple(nodes)
-        node_index = {node: i for i, node in enumerate(nodes)}
-        count = len(transactions)
-        times = np.empty(count, dtype=np.float64)
-        senders = np.empty(count, dtype=np.int64)
-        receivers = np.empty(count, dtype=np.int64)
-        amounts = np.empty(count, dtype=np.float64)
-        irregular = []
-        for pos, tx in enumerate(transactions):
-            times[pos] = tx.time
-            amounts[pos] = tx.amount
-            if tx.sender == tx.receiver:
-                senders[pos] = receivers[pos] = SELF_PAIR
-                irregular.append((pos, tx))
-                continue
-            s = node_index.get(tx.sender, UNKNOWN_ENDPOINT)
-            r = node_index.get(tx.receiver, UNKNOWN_ENDPOINT)
-            senders[pos] = s
-            receivers[pos] = r
-            if s == UNKNOWN_ENDPOINT or r == UNKNOWN_ENDPOINT:
-                irregular.append((pos, tx))
-        return cls(
-            times=times,
-            senders=senders,
-            receivers=receivers,
-            amounts=amounts,
-            nodes=nodes,
-            indices=np.arange(count, dtype=np.int64),
-            irregular=tuple(irregular),
-        )
-
-    def to_transactions(self) -> List[Transaction]:
-        """The row form back (lossless, including marker rows)."""
-        originals = dict(self.irregular)
-        out: List[Transaction] = []
-        for pos in range(len(self)):
-            if pos in originals:
-                out.append(originals[pos])
-                continue
-            out.append(
-                Transaction(
-                    time=float(self.times[pos]),
-                    sender=self.nodes[int(self.senders[pos])],
-                    receiver=self.nodes[int(self.receivers[pos])],
-                    amount=float(self.amounts[pos]),
-                )
-            )
-        return out
 
 
 class PoissonWorkload:
@@ -179,20 +87,6 @@ class PoissonWorkload:
             if time >= horizon:
                 return
             yield self._draw(time)
-
-    def generate_trace(
-        self, horizon: float, nodes: Sequence[Hashable]
-    ) -> TraceArrays:
-        """The ``[0, horizon)`` trace in column form.
-
-        Draws through :meth:`generate` (identical RNG consumption, so the
-        arrays describe exactly the transactions an event-driven run
-        would see) and columnises against ``nodes`` — pass the graph's
-        node order so indices line up with its views.
-        """
-        return TraceArrays.from_transactions(
-            list(self.generate(horizon)), nodes
-        )
 
     def generate_count(self, count: int) -> List[Transaction]:
         """Exactly ``count`` transactions (times still Poisson-spaced)."""

@@ -12,8 +12,10 @@ sum the per-node revenue dict in its insertion order, which is not a
 simulation result. Every per-node value is pinned through the metrics
 documents, whose ``to_dict`` sorts them.
 
-A last test splits one queued instant run with ``run(until=...)`` and
-checks that the pieces add up to one ``run()``, bit for bit.
+Two more tests: the baseline's ``total_revenue`` is the one
+``run-scenario`` reports for the same scenario without the attack, and
+one queued instant run split with ``run(until=...)`` adds up to one
+``run()``, bit for bit.
 
 Regenerate a digest only for an intentional behaviour change, and record
 the change in CHANGES.md.
@@ -25,7 +27,7 @@ import pytest
 
 from repro.attacks.runner import AttackRunner
 from repro.scenarios.factory import build_simulation_engine
-from repro.scenarios.runner import build_topology, build_workload
+from repro.scenarios.runner import ScenarioRunner, build_topology, build_workload
 from repro.scenarios.specs import Scenario
 from repro.service.hashing import content_hash
 
@@ -117,6 +119,13 @@ def test_instant_attack(attack, n):
         ),
     }
     assert got == EXPECTED[(attack, n)]
+
+
+@pytest.mark.parametrize("attack, n", sorted(EXPECTED))
+def test_baseline_total_matches_run_scenario(attack, n):
+    report = AttackRunner().run(scenario(n, attack)).report
+    plain = ScenarioRunner().run(scenario(n))
+    assert report.baseline_total_revenue == plain.row["total_revenue"]
 
 
 def queued_engine(spec: Scenario):

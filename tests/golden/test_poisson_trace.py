@@ -1,7 +1,9 @@
 """Golden Poisson traces: pinned digests of ``PoissonWorkload`` output.
 
 Each case generates the trace of one seeded BA-200 graph and hashes its
-``(time, sender, receiver, amount)`` columns. A change to how the
+``(time, sender, receiver, amount)`` columns. Endpoints are hashed as
+indices into the graph's node order; ``-1`` marks a label outside it and
+``-2`` a payment to oneself. A change to how the
 generator consumes its RNG stream — the order of draws, the sampler, the
 float operations that build a receiver row — moves a digest. The payment
 count is pinned too, so a failure shows whether arrivals or only the
@@ -59,13 +61,28 @@ def ba200():
     return barabasi_albert_snapshot(200, seed=GRAPH_SEED)
 
 
-def trace_digest(trace) -> str:
+def endpoints(transactions, nodes):
+    """``(senders, receivers)`` as node indices, with the markers."""
+    index = {node: i for i, node in enumerate(nodes)}
+    senders, receivers = [], []
+    for tx in transactions:
+        if tx.sender == tx.receiver:
+            senders.append(-2)
+            receivers.append(-2)
+        else:
+            senders.append(index.get(tx.sender, -1))
+            receivers.append(index.get(tx.receiver, -1))
+    return senders, receivers
+
+
+def trace_digest(transactions, nodes) -> str:
+    senders, receivers = endpoints(transactions, nodes)
     digest = hashlib.sha256()
     for column, dtype in (
-        (trace.times, "<f8"),
-        (trace.senders, "<i8"),
-        (trace.receivers, "<i8"),
-        (trace.amounts, "<f8"),
+        ([tx.time for tx in transactions], "<f8"),
+        (senders, "<i8"),
+        (receivers, "<i8"),
+        ([tx.amount for tx in transactions], "<f8"),
     ):
         digest.update(np.ascontiguousarray(column, dtype=dtype).tobytes())
     return digest.hexdigest()
@@ -80,6 +97,6 @@ def test_trace_digest(ba200, distribution, sizes, count, expected):
     workload = build_poisson_workload(
         ba200, seed=WORKLOAD_SEED, distribution=distribution, sizes=sizes
     )
-    trace = workload.generate_trace(HORIZON, ba200.nodes)
+    trace = list(workload.generate(HORIZON))
     assert len(trace) == count
-    assert trace_digest(trace) == expected
+    assert trace_digest(trace, ba200.nodes) == expected

@@ -1,12 +1,14 @@
-"""The engine's two instant-mode paths agree exactly.
+"""The two entry points of the engine's one instant-payment path agree.
 
-:meth:`BatchedSimulationEngine.run_trace` replays a trace with array
-accumulators; queued events (``schedule_transactions`` + ``run``) book
-each payment into the metric dicts as it is dispatched. For the same
+:meth:`BatchedSimulationEngine.run_trace` replays a trace in order;
+queued events (``schedule_transactions`` + ``run``) are dispatched from
+the event queue. Both hand every payment to the same function, which
+routes, checks, applies and books it over the array state. For the same
 graph, trace and seed both must give the same metrics — including the
 RNG-sampled path choices of ``path_selection="random"`` — and leave the
-graph in the same final state. These tests drive both paths over the
-same pre-generated traces and compare everything.
+graph in the same final state. These tests drive both entry points over
+the same pre-generated traces and compare everything, and check that a
+balance changed on the graph between two calls is not overwritten.
 """
 
 import pytest
@@ -25,7 +27,7 @@ from repro.scenarios import (
 )
 from repro.scenarios.runner import build_topology, build_workload
 from repro.simulation.fastpath import BatchedSimulationEngine
-from repro.transactions.workload import TraceArrays, Transaction
+from repro.transactions.workload import Transaction
 
 
 def metric_fields(metrics):
@@ -262,59 +264,50 @@ class TestGuards:
             ])
 
 
-class TestTraceArrays:
-    def test_round_trip(self):
-        nodes = ("a", "b", "c")
-        txs = [
-            Transaction(time=1.0, sender="a", receiver="b", amount=2.0),
-            Transaction(time=2.0, sender="x", receiver="b", amount=1.0),
-            Transaction(time=3.0, sender="c", receiver="c", amount=1.0),
-        ]
-        trace = TraceArrays.from_transactions(txs, nodes)
-        assert len(trace) == 3
-        assert trace.to_transactions() == txs
+class TestBalancesBetweenCalls:
+    """A balance changed on the graph between two calls is kept.
 
-    def test_generate_trace_matches_generate(self):
-        scenario = scenario_for(TopologySpec("ba", {"n": 20}), horizon=10.0)
-        g1 = build_topology(scenario.topology, seed=7)
-        g2 = build_topology(scenario.topology, seed=7)
-        listed = list(build_workload(scenario, g1).generate(10.0))
-        arrays = build_workload(scenario, g2).generate_trace(10.0, g2.nodes)
-        assert arrays.to_transactions() == listed
+    One channel a: 5, b: 0 and two payments a -> b of 1, at t=1 and
+    t=3. Between the calls b sends 1 back to a on the graph, so every
+    path must end at a: 4, b: 1.
+    """
 
-    def test_run_trace_accepts_arrays(self):
-        scenario = scenario_for(TopologySpec("ba", {"n": 30}), horizon=8.0)
-        graph = build_topology(scenario.topology, seed=7)
-        trace = build_workload(scenario, graph).generate_trace(
-            8.0, graph.nodes
-        )
-        g_list = build_topology(scenario.topology, seed=7)
-        from_list = BatchedSimulationEngine(g_list, seed=7).run_trace(
-            trace.to_transactions()
-        )
-        g_arr = build_topology(scenario.topology, seed=7)
-        from_arrays = BatchedSimulationEngine(g_arr, seed=7).run_trace(trace)
-        assert metric_fields(from_list) == metric_fields(from_arrays)
+    @staticmethod
+    def payment(time):
+        return Transaction(time=time, sender="a", receiver="b", amount=1.0)
 
+    @staticmethod
+    def graph():
+        graph = ChannelGraph()
+        graph.add_channel("a", "b", 5.0, 0.0)
+        return graph
 
-class TestPaymentIndexStamping:
-    def test_explicit_indices_advance_the_sequence(self):
-        """Default stamping after an explicit batch must not reuse its
-        indices (duplicate per-payment RNG keys)."""
-        graph = ChannelGraph.from_edges([("a", "b")], balance=50.0)
-        engine = BatchedSimulationEngine(graph, seed=0, route_rng="payment")
-        txs = [
-            Transaction(time=1.0, sender="a", receiver="b", amount=1.0),
-            Transaction(time=2.0, sender="a", receiver="b", amount=1.0),
-        ]
-        engine.schedule_transactions(txs, indices=[5, 9])
-        engine.schedule_transactions(
-            [Transaction(time=3.0, sender="a", receiver="b", amount=1.0)]
+    @staticmethod
+    def balances(graph):
+        (channel,) = graph.channels
+        return channel.balance("a"), channel.balance("b")
+
+    @pytest.mark.parametrize("payment_mode", ["instant", "htlc"])
+    def test_queued_run(self, payment_mode):
+        graph = self.graph()
+        engine = BatchedSimulationEngine(
+            graph, seed=0, payment_mode=payment_mode
         )
-        indices = sorted(
-            event.index for _, _, event in engine._queue._heap
-        )
-        assert indices == [5, 9, 10]
+        engine.schedule_transactions([self.payment(1.0), self.payment(3.0)])
+        engine.run(until=2.0)
+        graph.channels[0].send("b", 1.0)
+        metrics = engine.run()
+        assert metrics.succeeded == 2
+        assert self.balances(graph) == (4.0, 1.0)
+
+    def test_trace_replay(self):
+        graph = self.graph()
+        engine = BatchedSimulationEngine(graph, seed=0)
+        engine.run_trace([self.payment(1.0)])
+        graph.channels[0].send("b", 1.0)
+        metrics = engine.run_trace([self.payment(3.0)])
+        assert metrics.succeeded == 2
+        assert self.balances(graph) == (4.0, 1.0)
 
 
 class TestStats:

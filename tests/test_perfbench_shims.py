@@ -76,9 +76,10 @@ def test_one_simulation_span_per_run(backend, payment_mode):
     assert recorder.counts["simulation.payments"] == 2 * result.metrics.attempted > 0
 
 
-def test_one_simulation_span_per_attack_run():
+@pytest.mark.parametrize("payment_mode", ["instant", "htlc"])
+def test_one_simulation_span_per_attack_run(payment_mode):
     # An attack simulates a baseline and an attacked run.
-    scenario = toy_scenario("batched", "htlc", attack=SLOW_JAMMING)
+    scenario = toy_scenario("batched", payment_mode, attack=SLOW_JAMMING)
     recorder, result = traced_runs(scenario, runs=1)
     assert len(simulation_spans(recorder)) == 2
     assert result.attack is not None
