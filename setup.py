@@ -13,7 +13,6 @@ setup(
     python_requires=">=3.9",
     install_requires=[
         "numpy",
-        "networkx",
     ],
     entry_points={
         "console_scripts": [

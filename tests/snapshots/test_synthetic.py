@@ -1,6 +1,7 @@
 """Unit tests for synthetic Lightning snapshot generators."""
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.errors import InvalidParameter
@@ -46,6 +47,36 @@ class TestBarabasiAlbert:
         with pytest.raises(InvalidParameter):
             barabasi_albert_snapshot(2, attachments=2)
 
+    @pytest.mark.parametrize("attachments", [0, -1])
+    def test_rejects_attachments_below_one(self, attachments):
+        with pytest.raises(InvalidParameter, match="attachments must be >= 1"):
+            barabasi_albert_snapshot(10, attachments=attachments)
+
+    @pytest.mark.parametrize(
+        "params",
+        [{"n": 10, "attachments": 2.5}, {"n": 10.5}, {"n": 10, "attachments": True}],
+    )
+    def test_rejects_non_integer_counts(self, params):
+        with pytest.raises(InvalidParameter, match="must be an integer"):
+            barabasi_albert_snapshot(**params)
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"balance_skew": 0}, "balance_skew must be > 0"),
+            ({"capacity_sigma": -1}, "capacity_sigma must be >= 0"),
+            ({"capacity_mu": "1.5"}, "capacity_mu must be a finite number"),
+            ({"capacity_mu": float("nan")}, "capacity_mu must be a finite number"),
+        ],
+    )
+    def test_rejects_bad_funding_parameters(self, params, message):
+        with pytest.raises(InvalidParameter, match=message):
+            barabasi_albert_snapshot(10, seed=0, **params)
+
+    def test_accepts_numpy_integers(self):
+        graph = barabasi_albert_snapshot(np.int64(12), attachments=np.int32(2), seed=0)
+        assert len(graph) == 12
+
 
 class TestCorePeriphery:
     def test_structure(self):
@@ -76,6 +107,15 @@ class TestCorePeriphery:
         with pytest.raises(InvalidParameter):
             core_periphery_snapshot(core_size=3, periphery_links=5)
 
+    def test_rejects_negative_periphery(self):
+        with pytest.raises(InvalidParameter, match="periphery_size must be >= 0"):
+            core_periphery_snapshot(periphery_size=-3)
+
+    def test_empty_periphery_is_the_core_clique(self):
+        graph = core_periphery_snapshot(core_size=4, periphery_size=0, seed=0)
+        assert len(graph) == 4
+        assert graph.num_channels() == 6
+
 
 class TestErdosRenyi:
     def test_connected_by_construction(self):
@@ -89,3 +129,12 @@ class TestErdosRenyi:
     def test_rejects_tiny_n(self):
         with pytest.raises(InvalidParameter):
             erdos_renyi_snapshot(1)
+
+    @pytest.mark.parametrize("p", ["0.5", None, True])
+    def test_rejects_non_numeric_p(self, p):
+        with pytest.raises(InvalidParameter, match="p must be a number"):
+            erdos_renyi_snapshot(10, p=p)
+
+    def test_rejects_non_integer_n(self):
+        with pytest.raises(InvalidParameter, match="n must be an integer"):
+            erdos_renyi_snapshot(10.5)

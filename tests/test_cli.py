@@ -24,9 +24,34 @@ class TestParser:
 
 HEAVY_MODULES = ("networkx", "scipy.stats")
 
-#: Entry points that must not pay for networkx or scipy.stats at import.
-#: The ``serve`` probe starts a daemon on an ephemeral port and checks
-#: once it is listening.
+#: One small scenario document per synthetic generator.
+GENERATOR_TOPOLOGIES = {
+    "ba": {"n": 12},
+    "erdos-renyi": {"n": 12, "p": 0.4},
+    "core-periphery": {"core_size": 4, "periphery_size": 8},
+}
+
+
+def _run_scenario_probe(kind: str) -> str:
+    doc = {
+        "name": f"probe-{kind}",
+        "seed": 3,
+        "topology": {"kind": kind, "params": GENERATOR_TOPOLOGIES[kind]},
+        "workload": {"kind": "poisson", "params": {"zipf_s": 1.0}},
+        "algorithm": {"kind": "greedy", "params": {"budget": 3.0, "lock": 1.0}},
+        "simulation": {"horizon": 2.0},
+    }
+    return (
+        "from repro.scenarios import Scenario, ScenarioRunner\n"
+        f"ScenarioRunner().run(Scenario.from_dict({doc!r}))\n"
+        "report()"
+    )
+
+
+#: Entry points that must not pay for networkx or scipy.stats at import,
+#: and scenario runs that build each synthetic topology: the generators
+#: draw their structure graphs in plain python. The ``serve`` probe
+#: starts a daemon on an ephemeral port and checks once it is listening.
 IMPORT_PROBES = {
     "import repro": "import repro\nreport()",
     "import repro.cli": "import repro.cli\nreport()",
@@ -39,6 +64,10 @@ IMPORT_PROBES = {
         "    os._exit(0)\n"
         "run_server(port=0, workers=1, worker='thread', ready=ready)"
     ),
+    **{
+        f"run-scenario {kind}": _run_scenario_probe(kind)
+        for kind in GENERATOR_TOPOLOGIES
+    },
 }
 
 
@@ -60,8 +89,8 @@ def run_probe(code: str) -> str:
 @pytest.mark.parametrize("code", IMPORT_PROBES.values(), ids=IMPORT_PROBES.keys())
 def test_entry_point_leaves_heavy_modules_unloaded(code):
     """networkx and ``scipy.stats`` are loaded only by the code that calls
-    into them: synthetic generators, ``to_networkx``, the exact
-    betweenness oracle and the estimation statistics."""
+    into them: ``to_networkx``, the exact betweenness oracle and the
+    estimation statistics. Building a synthetic topology loads neither."""
     assert run_probe(code) == "[]"
 
 
@@ -195,6 +224,32 @@ class TestRunScenario:
         code = main(["run-scenario", str(scen)])
         assert code == 0
         assert "payments:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "topology, message",
+        [
+            ({"kind": "ba", "params": {"n": 10, "attachments": 0}},
+             "attachments must be >= 1"),
+            ({"kind": "ba", "params": {"n": 10, "attachments": 2.5}},
+             "attachments must be an integer"),
+            ({"kind": "erdos-renyi", "params": {"n": 10.5}},
+             "n must be an integer"),
+            ({"kind": "core-periphery", "params": {"periphery_size": -3}},
+             "periphery_size must be >= 0"),
+            ({"kind": "erdos-renyi", "params": {"n": 10, "p": "0.5"}},
+             "p must be a number"),
+            ({"kind": "ba", "params": {"n": 10, "balance_skew": 0}},
+             "balance_skew must be > 0"),
+        ],
+    )
+    def test_bad_generator_parameters_exit_2(self, tmp_path, capsys,
+                                             topology, message):
+        scen = write_scenario(tmp_path / "scen.json", topology=topology)
+        assert main(["run-scenario", str(scen)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert message in err
+        assert "Traceback" not in err
 
 
 class TestSweep:
