@@ -2,18 +2,24 @@
 
 The paper routes multi-hop payments assuming "techniques, namely HTLCs, to
 ensure that the transactions on a path will be executed atomically, either
-all or none". This module implements that substrate: a payment first
-*locks* funds hop by hop from the sender toward the receiver (each hop
-reserving the forwarded amount from the upstream party's balance), then
-either *settles* (receiver reveals the preimage; funds move, fees stick)
-or *fails* (a hop cannot lock; every reservation unwinds). Between lock
-and resolution the reserved funds are unavailable to other payments —
-which is exactly the in-flight-capital effect that makes the opportunity
-cost of Section II-C real.
+all or none". This module implements that substrate, and it is the one
+place where a hop is checked and moved. :meth:`HtlcLedger.reserve` checks
+every hop of a path (balance, then a free slot) and only then reserves
+them all: each hop amount leaves the upstream balance into escrow and
+occupies one slot of that direction. :meth:`HtlcLedger.release` frees the
+slots and credits the amounts downstream (settle) or back upstream (fail).
+A failed reserve touches nothing, so all or none holds by construction.
 
-:class:`HtlcLedger` reserves hops on the simulator's array state: one
-balance per directed CSR entry and one in-flight slot count per entry,
-capped by the channel's ``max_accepted_htlcs``.
+An instant payment is a reserve followed at once by a release. A held
+payment — HTLC mode and attacker locks — goes through :meth:`lock`, then
+:meth:`settle` or :meth:`fail`, which keep an :class:`HtlcPayment` and the
+in-flight map. Between lock and resolution the reserved funds are
+unavailable to other payments — which is exactly the in-flight-capital
+effect that makes the opportunity cost of Section II-C real.
+
+The ledger reserves hops on the simulator's array state: one balance per
+directed CSR entry and one in-flight slot count per entry, capped by the
+channel's ``max_accepted_htlcs``.
 """
 
 from __future__ import annotations
@@ -34,16 +40,16 @@ class HtlcState(Enum):
 
     PENDING = "pending"      # locks placed, awaiting settle/fail
     SETTLED = "settled"      # preimage revealed, funds finalised
-    FAILED = "failed"        # unwound, balances restored
+    FAILED = "failed"        # never reserved, or handed back upstream
 
 
 @dataclass
 class HtlcPayment:
-    """A chain of per-hop HTLCs for one multi-hop payment.
+    """A chain of per-hop HTLCs for one held multi-hop payment.
 
-    ``entries`` and ``amounts`` are the CSR entries locked so far and the
-    hop amount reserved on each; they stay after settle and are cleared
-    by the unwind. ``failure_reason`` is set when a
+    ``entries`` and ``amounts`` are the CSR entries reserved and the hop
+    amount on each; they stay after settle and are cleared by a fail, and
+    are empty when the lock failed. ``failure_reason`` is set when a
     :meth:`HtlcLedger.lock` fails: ``"no-balance"`` (the hop's channel
     could not fund the amount, or there is no channel) or
     ``"no-slots"`` (a channel had the balance but every HTLC slot in the
@@ -51,8 +57,8 @@ class HtlcPayment:
 
     ``upfront_fees_per_node`` records the per-attempt side of a
     two-sided :class:`~repro.network.fees.FeePolicy`: each hop actually
-    offered credits its receiving node, settle or not, and the unwind
-    never refunds it. Empty under a success-only fee.
+    offered credits its receiving node, settle or not, and a fail never
+    refunds it. Empty under a success-only fee.
     """
 
     payment_id: int
@@ -61,7 +67,6 @@ class HtlcPayment:
     state: HtlcState = HtlcState.PENDING
     entries: List[int] = field(default_factory=list)
     amounts: List[float] = field(default_factory=list)
-    fees_per_node: Dict[Hashable, float] = field(default_factory=dict)
     failure_reason: str = ""
     upfront_fees_per_node: Dict[Hashable, float] = field(default_factory=dict)
 
@@ -78,26 +83,46 @@ class HtlcPayment:
         return sum(self.amounts)
 
     @property
+    def fees_per_node(self) -> Dict[Hashable, float]:
+        """Each intermediary's fee once settled: the difference between
+        its inbound and outbound hop amounts (empty until then)."""
+        fees: Dict[Hashable, float] = {}
+        if self.state is HtlcState.SETTLED:
+            amounts = self.amounts
+            for node, inbound, outbound in zip(
+                self.path[1:-1], amounts, amounts[1:]
+            ):
+                fees[node] = fees.get(node, 0.0) + inbound - outbound
+        return fees
+
+    @property
     def upfront_total(self) -> float:
         """All upfront fees the sender owes for this attempt."""
         return sum(self.upfront_fees_per_node.values())
 
 
 class HtlcLedger:
-    """Two-phase (lock / settle-or-fail) multi-hop payments on array state.
+    """Reserve / release of multi-hop payments on array state.
 
-    Owns the fee and its two-sided policy, the ``(hops, amount)``
-    hop-amount memo, the in-flight map with its running
-    ``locked_capital`` total and settle-time fee booking. ``lock``
-    reserves each hop on a CSR entry of the state it is bound to: the hop
-    amount leaves the upstream balance into escrow and occupies one slot
-    of that direction; settlement decides which side it lands on.
-    Constructed with the engine, so fees price routes at once, and bound
-    by :meth:`bind` when the engine freezes its array state.
+    Owns the fee, its two-sided policy and the forwarding decision, the
+    ``(hops, amount)`` hop-amount memo, and the in-flight map of held
+    payments with its running ``locked_capital`` total. Constructed with
+    the engine, so fees price routes at once, and bound by :meth:`bind`
+    when the engine freezes its array state.
+
+    Args:
+        fee: the per-hop fee function ``F`` (zero by default).
+        forwarding: with fee forwarding (the default) each hop carries
+            the delivered amount plus the fees of every intermediary
+            downstream of it; without, every hop carries the amount and
+            each intermediary earns the flat ``fee(amount)``.
     """
 
-    def __init__(self, fee: Optional[FeeFunction] = None) -> None:
+    def __init__(
+        self, fee: Optional[FeeFunction] = None, forwarding: bool = True
+    ) -> None:
         self.fee = fee if fee is not None else ConstantFee(0.0)
+        self.forwarding = forwarding
         # The two-sided view of the fee: ``policy.upfront`` prices the
         # per-attempt side (zero for plain FeeFunctions, so success-only
         # fees behave exactly as before).
@@ -116,7 +141,7 @@ class HtlcLedger:
         self._state: Any = None
 
     def bind(self, state: Any) -> None:
-        """Reserve hops on ``state`` from now on.
+        """Reserve hops on ``state`` from now on (``None`` unbinds).
 
         ``state`` carries ``balances`` and ``rev_entry`` per CSR entry,
         the per-entry ``slots_used`` and ``slot_cap`` lists and
@@ -135,7 +160,10 @@ class HtlcLedger:
 
     def _hop_amounts(self, hops: int, amount: float) -> Tuple[float, ...]:
         """With fee forwarding, hop ``i`` carries the delivered amount plus
-        all fees owed to intermediaries downstream of it."""
+        all fees owed to intermediaries downstream of it; without, every
+        hop carries ``amount``."""
+        if not self.forwarding:
+            return (amount,) * hops
         cached = self._hop_amounts_cache.get((hops, amount))
         if cached is not None:
             return cached
@@ -148,67 +176,110 @@ class HtlcLedger:
         self._hop_amounts_cache[(hops, amount)] = result
         return result
 
-    # -- the protocol -----------------------------------------------------------
+    def flat_fee(self, amount: float) -> float:
+        """What each intermediary earns on top of its inbound minus
+        outbound amount: ``fee(amount)`` without fee forwarding, else 0."""
+        return 0.0 if self.forwarding else self.fee(amount)
+
+    def upfront_fees(
+        self, path: Sequence[Hashable], amounts: Sequence[float], offered: int
+    ) -> Dict[Hashable, float]:
+        """The per-attempt fees of the first ``offered`` hops of ``path``,
+        keyed by each hop's receiving node.
+
+        The upfront side is unconditional: a hop that was offered pays
+        its receiver even if a later hop fails. The charge is ledger-only
+        (no balance moves), so liquidity and slot dynamics are
+        independent of the upfront rate.
+        """
+        fees: Dict[Hashable, float] = {}
+        upfront = self.policy.upfront
+        for dst, amount in zip(path[1:offered + 1], amounts):
+            fees[dst] = fees.get(dst, 0.0) + upfront(amount)
+        return fees
+
+    # -- the two primitives ---------------------------------------------------
+
+    def reserve(
+        self, path: Sequence[Hashable], amounts: Sequence[float]
+    ) -> Tuple[str, List[int]]:
+        """Reserve every hop of ``path`` or none.
+
+        Checks the hops sender -> receiver: the hop's balance must cover
+        its amount (else ``"no-balance"``, also when there is no channel)
+        and the direction must have a free slot (``"no-slots"``, checked
+        second). Only when every hop passes does each amount leave the
+        upstream balance into escrow and occupy one slot. Returns
+        ``("", entries)`` then; otherwise the first failing reason and
+        the entries of the hops offered before it, with nothing
+        reserved. ``path`` must not repeat a directed hop.
+        """
+        state = self._state
+        entry_of = state.name_pair_entry.get
+        balances = state.balances
+        slots_used = state.slots_used
+        slot_cap = state.slot_cap
+        entries: List[int] = []
+        src = path[0]
+        for dst, amount in zip(path[1:], amounts):
+            entry = entry_of((src, dst))
+            if entry is None or balances[entry] < amount:
+                return "no-balance", entries
+            if slots_used[entry] >= slot_cap[entry]:
+                return "no-slots", entries
+            entries.append(entry)
+            src = dst
+        for entry, amount in zip(entries, amounts):
+            balances[entry] -= amount
+            slots_used[entry] += 1
+        return "", entries
+
+    def release(
+        self, entries: Sequence[int], amounts: Sequence[float],
+        settle: bool = True,
+    ) -> None:
+        """Free the slot of each reserved hop and credit its amount to the
+        downstream party (``settle``) or back to the upstream one."""
+        state = self._state
+        balances = state.balances
+        slots_used = state.slots_used
+        rev_entry = state.rev_entry
+        for entry, amount in zip(entries, amounts):
+            balances[rev_entry[entry] if settle else entry] += amount
+            slots_used[entry] -= 1
+
+    # -- held payments ----------------------------------------------------------
 
     def lock(self, path: Sequence[Hashable], amount: float) -> HtlcPayment:
-        """Phase 1: reserve funds along ``path`` for ``amount``.
+        """Phase 1: reserve funds along ``path`` for ``amount`` and hold
+        them.
 
-        Walks sender -> receiver placing one HTLC per hop. If a hop lacks
-        balance (``"no-balance"``) or a free slot (``"no-slots"``, checked
-        second), every earlier reservation unwinds and the payment is
-        returned in the FAILED state.
+        The payment comes back PENDING and in flight, or FAILED with the
+        first hop's ``failure_reason`` and nothing reserved. The hops
+        offered before the failing one still carry their upfront fees.
         """
         if len(path) < 2:
             raise RoutingError("path needs at least one hop")
         if amount <= 0:
             raise HtlcError(f"amount must be > 0, got {amount}")
-        hop_amounts = self._hop_amounts(len(path) - 1, amount)
-        state = self._state
-        if state is None:
+        if self._state is None:
             raise HtlcError(
                 "the engine's HTLC router binds to array state at the "
                 "first run() call; lock() is only available inside a run"
             )
+        amounts = self._hop_amounts(len(path) - 1, amount)
         payment = HtlcPayment(next(self._ids), tuple(path), amount)
-        # Hot path under jamming: hoist every per-hop attribute chase.
-        pair_entry_get = state.name_pair_entry.get
-        balances = state.balances
-        slots_used = state.slots_used
-        slot_cap = state.slot_cap
-        has_upfront = self.policy.has_upfront
-        entries = payment.entries
-        amounts = payment.amounts
-        src = path[0]
-        for dst, hop_amount in zip(path[1:], hop_amounts):
-            entry = pair_entry_get((src, dst))
-            if entry is None or (before := balances[entry]) < hop_amount:
-                reason = "no-balance"
-            elif slots_used[entry] >= slot_cap[entry]:
-                reason = "no-slots"
-            else:
-                reason = ""
-            if reason:
-                self._unwind(payment)
-                payment.state = HtlcState.FAILED
-                payment.failure_reason = reason
-                return payment
-            # reserve: the hop amount leaves the upstream spendable
-            # balance into escrow and occupies one direction slot.
-            balances[entry] = before - hop_amount
-            slots_used[entry] += 1
-            if has_upfront:
-                # The upfront side is unconditional: a hop that was
-                # actually offered pays its receiver even if a later hop
-                # fails, and the unwind never refunds it. The charge is
-                # ledger-only (no balance moves), so liquidity and slot
-                # dynamics are independent of the upfront rate.
-                payment.upfront_fees_per_node[dst] = (
-                    payment.upfront_fees_per_node.get(dst, 0.0)
-                    + self.policy.upfront(hop_amount)
-                )
-            entries.append(entry)
-            amounts.append(hop_amount)
-            src = dst
+        reason, entries = self.reserve(path, amounts)
+        if self.policy.has_upfront:
+            payment.upfront_fees_per_node = self.upfront_fees(
+                path, amounts, len(entries)
+            )
+        if reason:
+            payment.state = HtlcState.FAILED
+            payment.failure_reason = reason
+            return payment
+        payment.entries = entries
+        payment.amounts = list(amounts)
         self._in_flight[payment.payment_id] = payment
         locked = payment.total_locked
         self._locked_totals[payment.payment_id] = locked
@@ -223,40 +294,20 @@ class HtlcLedger:
         the intermediary as its fee.
         """
         self._require_pending(payment)
-        state = self._state
-        balances = state.balances
-        for entry, hop_amount in zip(payment.entries, payment.amounts):
-            balances[int(state.rev_entry[entry])] += hop_amount
-            state.slots_used[entry] -= 1
-        amounts = payment.amounts
-        fees = payment.fees_per_node
-        for node, inbound, outbound in zip(
-            payment.path[1:-1], amounts, amounts[1:]
-        ):
-            fees[node] = fees.get(node, 0.0) + inbound - outbound
+        self.release(payment.entries, payment.amounts)
         payment.state = HtlcState.SETTLED
         self._drop_in_flight(payment)
 
     def fail(self, payment: HtlcPayment) -> None:
-        """Phase 2b: unwind every reservation; balances fully restored."""
+        """Phase 2b: hand every reservation back upstream."""
         self._require_pending(payment)
-        self._unwind(payment)
+        self.release(payment.entries, payment.amounts, settle=False)
+        payment.entries.clear()
+        payment.amounts.clear()
         payment.state = HtlcState.FAILED
         self._drop_in_flight(payment)
 
     # -- internals ---------------------------------------------------------------
-
-    def _unwind(self, payment: HtlcPayment) -> None:
-        """Hand every reservation back upstream, last hop first."""
-        state = self._state
-        balances = state.balances
-        for entry, hop_amount in zip(
-            reversed(payment.entries), reversed(payment.amounts)
-        ):
-            balances[entry] += hop_amount
-            state.slots_used[entry] -= 1
-        payment.entries.clear()
-        payment.amounts.clear()
 
     def _require_pending(self, payment: HtlcPayment) -> None:
         if payment.state is not HtlcState.PENDING:

@@ -8,14 +8,18 @@ counterparts of the model's analytic quantities (``E_rev``, ``λ_e``,
 feasibility), which bench E11 compares against Eq. 2/Eq. 3 predictions.
 
 :class:`SimulationEngine` holds the event queue, scheduling, the route
-RNG and HTLC metric booking; the engine that runs is its subclass
+RNG, the payment handling of both modes and the one function that books
+a settled payment. Every payment's hops are checked and moved by the
+:class:`~repro.network.htlc.HtlcLedger`: an instant payment is a reserve
+released at once, an HTLC payment a lock settled after its hold. The
+engine that runs is the subclass
 :class:`~repro.simulation.fastpath.BatchedSimulationEngine`, which
-routes, moves balances and books instant payments over array state.
+supplies the route search and the array state the ledger works on.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, Optional, Sequence, Type
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Type
 
 import numpy as np
 
@@ -23,7 +27,7 @@ from ..determinism import resolve_seed
 from ..errors import SimulationError
 from ..network.fees import ConstantFee, FeeFunction
 from ..network.graph import ChannelGraph
-from ..network.htlc import HtlcLedger, HtlcPayment, HtlcState
+from ..network.htlc import HtlcLedger, HtlcState
 from ..network.routing import PaymentRouteRng
 from ..obs import ObsSession, default_session
 from ..transactions.workload import PoissonWorkload, Transaction
@@ -36,12 +40,11 @@ __all__ = ["SimulationEngine"]
 class SimulationEngine:
     """Runs payment workloads against a channel graph.
 
-    The event loop, scheduling, the per-payment route RNG and HTLC
-    lock-failure and settle booking live here. The subclass
+    The event loop, scheduling, the per-payment route RNG, payment
+    handling and booking live here. The subclass
     :class:`~repro.simulation.fastpath.BatchedSimulationEngine` supplies
-    how a path is found (``_find_path``) and the instant payment
-    (``_handle_payment``), which moves balances and books its metrics
-    over array state; construct that class, not this one.
+    how a path is found (``_find_path``) and the array state the ledger
+    reserves hops on; construct that class, not this one.
 
     Args:
         graph: the network (mutated in place as balances move).
@@ -136,7 +139,7 @@ class SimulationEngine:
         # The sequential tie-break stream of route_rng="stream".
         self._rng = np.random.default_rng(self.seed)
         self._route_base = self.seed % (2 ** 63)
-        self._htlc_router = HtlcLedger(self.fee)
+        self._htlc_router = HtlcLedger(self.fee, fee_forwarding)
         self._pending_htlcs = {}
         self._hold_rng = np.random.default_rng(self.seed + 1)
         self.metrics = SimulationMetrics(seed=self.seed)
@@ -233,10 +236,7 @@ class SimulationEngine:
 
     def _dispatch(self, event: Event) -> None:
         if isinstance(event, PaymentEvent):
-            if self.payment_mode == "htlc":
-                self._handle_payment_htlc(event)
-            else:
-                self._handle_payment(event)
+            self._pay(event.sender, event.receiver, event.amount, event.index)
         elif isinstance(event, HtlcResolveEvent):
             self._handle_htlc_resolve(event)
         else:
@@ -265,24 +265,47 @@ class SimulationEngine:
         self.metrics.failed += 1
         self.metrics.failure_reasons[reason] += 1
 
-    def _hop_amounts(self, hops: int, amount: float) -> Sequence[float]:
-        """Amount entering each hop, sender side first: the HTLC router's
-        fee recursion, or ``amount`` on every hop without fee
-        forwarding."""
-        if not self.fee_forwarding:
-            return [amount] * hops
-        return self._htlc_router._hop_amounts(hops, amount)
+    def _pay(
+        self, sender: Hashable, receiver: Hashable, amount: float, index: int
+    ) -> None:
+        """Route one payment and reserve its hops on the ledger.
 
-    def _handle_payment_htlc(self, event: PaymentEvent) -> None:
-        """Lock now, settle after an exponential hold (HTLC semantics)."""
-        metrics = self.metrics
-        metrics.attempted += 1
-        path = self._find_path(event)
+        An instant payment releases its hops to the receiver at once and
+        books as settled; it fails with ``split-balance`` when a hop
+        cannot carry its amount plus downstream fees, or
+        ``no-htlc-slots`` when held HTLCs fill a hop's slots. An HTLC
+        payment is held until its resolve event. ``index`` keys the
+        payment's route RNG under ``route_rng="payment"``.
+        """
+        self.metrics.attempted += 1
+        amount = float(amount)
+        path = self._find_path(sender, receiver, amount, index)
         if isinstance(path, str):
             self._fail_payment(path)
             return
-        payment = self._htlc_router.lock(path, event.amount)
-        self._book_upfront_attempt(payment, event.sender)
+        if self.payment_mode == "htlc":
+            self._lock(path, amount)
+            return
+        ledger = self._htlc_router
+        amounts = ledger._hop_amounts(len(path) - 1, amount)
+        reason, entries = ledger.reserve(path, amounts)
+        if reason:
+            self._fail_payment(
+                "no-htlc-slots" if reason == "no-slots" else "split-balance"
+            )
+            return
+        if ledger.policy.has_upfront:
+            self._book_upfront(
+                sender, ledger.upfront_fees(path, amounts, len(entries))
+            )
+        ledger.release(entries, amounts)
+        self._book_settled(path, amount, amounts)
+
+    def _lock(self, path: List[Hashable], amount: float) -> None:
+        """Lock now, settle after an exponential hold (HTLC semantics)."""
+        payment = self._htlc_router.lock(path, amount)
+        if payment.upfront_fees_per_node:
+            self._book_upfront(payment.sender, payment.upfront_fees_per_node)
         obs = self._obs
         if payment.state is not HtlcState.PENDING:
             reason = (
@@ -295,32 +318,32 @@ class SimulationEngine:
                 if reason == "no-htlc-slots":
                     obs.registry.counter("htlc.slot_exhaustion").inc()
                 obs.event(
-                    "htlc.fail", t=event.time, reason=reason,
+                    "htlc.fail", t=self._now, reason=reason,
                     hops=len(path) - 1,
                 )
             return
+        metrics = self.metrics
         metrics.htlc_locked_peak = max(
             metrics.htlc_locked_peak, self._htlc_router.locked_capital()
         )
         if obs.enabled:
             obs.registry.counter("htlc.locks").inc()
             obs.event(
-                "htlc.lock", t=event.time,
+                "htlc.lock", t=self._now,
                 payment_id=payment.payment_id, hops=len(path) - 1,
             )
-        self._pending_htlcs[payment.payment_id] = (payment, event)
+        self._pending_htlcs[payment.payment_id] = payment
         hold = float(self._hold_rng.exponential(self.htlc_hold_mean))
         self.schedule(
-            HtlcResolveEvent(time=event.time + hold, payment_id=payment.payment_id)
+            HtlcResolveEvent(time=self._now + hold, payment_id=payment.payment_id)
         )
 
     def _handle_htlc_resolve(self, event: HtlcResolveEvent) -> None:
-        entry = self._pending_htlcs.pop(event.payment_id, None)
-        if entry is None:
+        payment = self._pending_htlcs.pop(event.payment_id, None)
+        if payment is None:
             raise SimulationError(
                 f"resolve for unknown HTLC payment {event.payment_id}"
             )
-        payment, origin = entry
         self._htlc_router.settle(payment)
         obs = self._obs
         if obs.enabled:
@@ -328,32 +351,46 @@ class SimulationEngine:
             obs.event(
                 "htlc.settle", t=event.time, payment_id=event.payment_id
             )
-        metrics = self.metrics
-        metrics.succeeded += 1
-        metrics.volume_delivered += origin.amount
-        metrics.sent[origin.sender] += 1
-        metrics.received[origin.receiver] += 1
-        metrics.fees_paid[origin.sender] += sum(
-            payment.fees_per_node.values()
-        )
-        for node, fee in payment.fees_per_node.items():
-            metrics.revenue[node] += fee
-        for src, dst in zip(payment.path, payment.path[1:]):
-            metrics.edge_traffic[(src, dst)] += 1
+        self._book_settled(payment.path, payment.amount, payment.amounts)
 
-    def _book_upfront_attempt(
-        self, payment: HtlcPayment, sender: Hashable
+    def _book_settled(
+        self,
+        path: Sequence[Hashable],
+        amount: float,
+        amounts: Sequence[float],
     ) -> None:
-        """Book the unconditional per-attempt fees of one lock attempt.
+        """Book one settled payment in both modes.
+
+        The sender pays ``amounts[0] - amount``; each intermediary earns
+        its inbound minus its outbound hop amount, plus the ledger's flat
+        fee when fees are not forwarded.
+        """
+        metrics = self.metrics
+        sender = path[0]
+        metrics.succeeded += 1
+        metrics.volume_delivered += amount
+        metrics.sent[sender] += 1
+        metrics.received[path[-1]] += 1
+        metrics.fees_paid[sender] += amounts[0] - amount
+        flat = self._htlc_router.flat_fee(amount)
+        revenue = metrics.revenue
+        for node, inbound, outbound in zip(path[1:-1], amounts, amounts[1:]):
+            revenue[node] += inbound - outbound + flat
+        edge_traffic = metrics.edge_traffic
+        for edge in zip(path, path[1:]):
+            edge_traffic[edge] += 1
+
+    def _book_upfront(
+        self, sender: Hashable, fees: Dict[Hashable, float]
+    ) -> None:
+        """Book the unconditional per-attempt fees of one attempt.
 
         The hops actually offered pay their receiving nodes whether or
-        not the payment later settles (and even when a later hop failed
-        the lock) — the jamming countermeasure: a failed or jamming
-        attempt is no longer free.
+        not the payment settles (and even when a later hop failed) —
+        the jamming countermeasure: a failed or jamming attempt is no
+        longer free.
         """
-        if not payment.upfront_fees_per_node:
-            return
         metrics = self.metrics
-        metrics.upfront_fees_paid[sender] += payment.upfront_total
-        for node, fee in payment.upfront_fees_per_node.items():
+        metrics.upfront_fees_paid[sender] += sum(fees.values())
+        for node, fee in fees.items():
             metrics.upfront_revenue[node] += fee

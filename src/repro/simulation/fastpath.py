@@ -35,24 +35,25 @@ O(channels) python loop):
   on ``attack-htlc``;
 * ``path_selection="random"`` draws weight the shortest-path counts in
   trace order, so a seed fixes every route;
-* every instant payment, replayed by ``run_trace`` or queued for
-  ``run``, goes through one function, :meth:`_ArrayState.pay`: it
-  routes, checks, moves the balances and adds the per-node metrics into
-  arrays. The arrays fold into the dict form of
-  :class:`SimulationMetrics`, and the balances are written back to the
-  channels, once at the end of every call.
+* every payment, replayed by ``run_trace`` or queued for ``run``, is
+  routed here and then reserved on the engine's
+  :class:`~repro.network.htlc.HtlcLedger` over this module's array
+  state: one balance and one slot count per CSR entry. An instant
+  payment releases at once and books straight into
+  :class:`SimulationMetrics`; the balances are written back to the
+  channels at the end of every call.
 
 The engine runs over simple graphs (no parallel channels) in both
 payment modes. It is a
 :class:`~repro.simulation.engine.SimulationEngine` subclass: the event
-queue, the HTLC handlers, upfront-fee booking and the route RNG are the
-base class's, and this module supplies the route search
-(:meth:`BatchedSimulationEngine._find_path`), the instant payment and
-the array balances the :class:`~repro.network.htlc.HtlcLedger` reserves
-hops on, so HTLC holds and attack-strategy event injection contend for
-one set of balances and slots. The array state of ``run`` freezes at its
-first call, after attack strategies opened their channels; later calls
-re-read the channel balances first.
+queue, the payment handling, the booking and the route RNG are the base
+class's, and this module supplies the route search
+(:meth:`BatchedSimulationEngine._find_path`) and the array balances and
+slots the ledger reserves hops on, so instant payments, HTLC holds and
+attack-strategy locks contend for one set of balances and slots. The
+array state of ``run`` freezes at its first call, after attack
+strategies opened their channels; later calls re-read the channel
+balances first.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ from ..network.routing import (
 from ..network.views import SMALL_GRAPH_NODES, GraphView
 from ..transactions.workload import Transaction
 from .engine import SimulationEngine
-from .events import PaymentEvent
 from .metrics import SimulationMetrics
 
 __all__ = ["BatchedSimulationEngine"]
@@ -82,8 +82,8 @@ class BatchedSimulationEngine(SimulationEngine):
     """Drives a payment trace over frozen view arrays.
 
     A :class:`SimulationEngine` whose routes come from the array state:
-    the event loop, scheduling, HTLC booking and the route RNG are
-    inherited. Build it directly or from a
+    the event loop, scheduling, payment handling, booking and the route
+    RNG are inherited. Build it directly or from a
     :class:`~repro.scenarios.specs.SimulationSpec` through
     :func:`~repro.scenarios.factory.build_simulation_engine`.
     """
@@ -112,13 +112,21 @@ class BatchedSimulationEngine(SimulationEngine):
                 "sorts payments; trace replay runs them in order)"
             )
         state = self._freeze()
-        state.load()
-        pay = state.pay
+        saved = self._state
+        self._state = state
+        self._htlc_router.bind(state)
+        pay = self._pay
         first = self._payment_seq
-        for index, tx in enumerate(trace, first):
-            pay(tx.sender, tx.receiver, tx.amount, index)
+        try:
+            for index, tx in enumerate(trace, first):
+                pay(tx.sender, tx.receiver, tx.amount, index)
+        finally:
+            # Rebind what run() froze: the fresh state must not stay
+            # reachable from the ledger (an engine-ledger-state cycle
+            # that outlives the call).
+            self._state = saved
+            self._htlc_router.bind(saved)
         self._payment_seq = first + len(times)
-        state.fold()
         state.write_back()
         if times:
             self.metrics.horizon = float(times[-1])
@@ -131,8 +139,8 @@ class BatchedSimulationEngine(SimulationEngine):
         The array state freezes at the first call. Later calls re-read
         the channel balances first, so balances changed on the graph
         between calls are picked up; other graph mutations are not. At
-        the end of every call the instant-payment totals fold into the
-        metrics and the balances are written back to the channels.
+        the end of every call the balances are written back to the
+        channels.
         """
         state = self._state
         if state is None:
@@ -140,14 +148,7 @@ class BatchedSimulationEngine(SimulationEngine):
             self._htlc_router.bind(state)
         else:
             state.read_balances()
-        # HTLC settles book straight into the metrics dicts, so only
-        # instant mode round-trips them through the arrays.
-        instant = self.payment_mode == "instant"
-        if instant:
-            state.load()
         metrics = super().run(until)
-        if instant:
-            state.fold()
         state.write_back()
         self._publish_obs(state)
         return metrics
@@ -164,18 +165,10 @@ class BatchedSimulationEngine(SimulationEngine):
                 )
         return _ArrayState(self, view)
 
-    def _find_path(self, event: PaymentEvent) -> Union[List[Hashable], str]:
-        state = self._state
-        path = state.find(
-            event.sender, event.receiver, float(event.amount), event.index
-        )
-        if isinstance(path, str):
-            return path
-        nodes = state.view.nodes
-        return [nodes[i] for i in path]
-
-    def _handle_payment(self, event: PaymentEvent) -> None:
-        self._state.pay(event.sender, event.receiver, event.amount, event.index)
+    def _find_path(
+        self, sender: Hashable, receiver: Hashable, amount: float, index: int
+    ) -> Union[List[Hashable], str]:
+        return self._state.find(sender, receiver, amount, index)
 
     def _publish_obs(self, state: "_ArrayState") -> None:
         """Publish the route searches since the last publish as the
@@ -194,13 +187,13 @@ class BatchedSimulationEngine(SimulationEngine):
 
 
 class _ArrayState:
-    """Frozen-view array state: balances, slots, accumulators.
+    """Frozen-view array state: balances, slots and the route search.
 
     One instance backs one ``run_trace`` call in ``"instant"`` mode, or
     the whole engine lifetime for queued events (frozen at the first
-    ``run()`` call). Instant payments run through :meth:`pay` on both
-    paths; the engine's :class:`~repro.network.htlc.HtlcLedger` locks
-    hops on these balances and slot counters.
+    ``run()`` call). The engine's :class:`~repro.network.htlc.HtlcLedger`
+    reserves and releases hops on these balances and slot counters, for
+    instant payments and held HTLCs alike.
     """
 
     def __init__(
@@ -214,7 +207,8 @@ class _ArrayState:
         # Mutable balance state, one float per directed entry.
         self.balances = view.balances.copy()
         self.entry_rows = view.entry_rows()
-        self.rev_entry = self._reverse_entries(view)
+        # A list, not an array: the ledger reads it element-wise per hop.
+        self.rev_entry: List[int] = self._reverse_entries(view).tolist()
         # Python adjacency rows for the per-payment searches: successors
         # (both branches) and predecessors sorted by index (the CSR
         # branch's search, the small branch's receiver rows).
@@ -223,28 +217,22 @@ class _ArrayState:
         #: Receiver -> hop distances to it over the frozen view (small
         #: branch): the guide of :func:`guided_bfs_structure`.
         self.hops_to: Dict[int, List[int]] = {}
-        # Lookups: node name -> index, directed (src, dst) index pair ->
-        # CSR entry.
-        self.node_index: Dict[Hashable, int] = {
-            node: i for i, node in enumerate(view.nodes)
-        }
-        rows = self.entry_rows
-        indices = view.indices
-        self.pair_entry: Dict[Tuple[int, int], int] = {
-            (int(rows[e]), int(indices[e])): e for e in range(self.m)
-        }
-        # Name-keyed twin of pair_entry for the HTLC lock hot path: one
-        # dict probe per hop instead of two node lookups plus a pair probe
-        # (jamming attacks hammer lock() tens of thousands of times).
+        # Lookups: node name -> index, directed (src, dst) name pair ->
+        # CSR entry (one dict probe per hop in the ledger's reserve).
         nodes = view.nodes
+        self.node_index: Dict[Hashable, int] = {
+            node: i for i, node in enumerate(nodes)
+        }
         self.name_pair_entry: Dict[Tuple[Hashable, Hashable], int] = {
             (nodes[i], nodes[j]): e
-            for (i, j), e in self.pair_entry.items()
+            for e, (i, j) in enumerate(
+                zip(self.entry_rows.tolist(), view.indices.tolist())
+            )
         }
         # Per-direction in-flight HTLC slot accounting, capped by each
         # channel's max_accepted_htlcs. Plain lists, not arrays: every
-        # access is element-wise on the lock hot path, where unboxed ints
-        # beat numpy scalars.
+        # access is element-wise on the reserve hot path, where unboxed
+        # ints beat numpy scalars.
         self.slots_used: List[int] = [0] * self.m
         no_cap = 2**63 - 1
         slot_cap: List[int] = []
@@ -253,19 +241,6 @@ class _ArrayState:
             cap = engine.graph.channel(channel_id).max_accepted_htlcs
             slot_cap.append(no_cap if cap is None else cap)
         self.slot_cap = slot_cap
-        # Per-node metric accumulators; *_touched tracks which nodes get a
-        # dict entry (zero-fee entries are recorded too).
-        self.revenue = np.zeros(self.n, dtype=np.float64)
-        self.revenue_touched = np.zeros(self.n, dtype=bool)
-        self.fees_paid = np.zeros(self.n, dtype=np.float64)
-        self.fees_touched = np.zeros(self.n, dtype=bool)
-        self.upfront_revenue = np.zeros(self.n, dtype=np.float64)
-        self.upfront_revenue_touched = np.zeros(self.n, dtype=bool)
-        self.upfront_paid = np.zeros(self.n, dtype=np.float64)
-        self.upfront_paid_touched = np.zeros(self.n, dtype=bool)
-        self.sent = np.zeros(self.n, dtype=np.int64)
-        self.received = np.zeros(self.n, dtype=np.int64)
-        self.edge_traffic = np.zeros(self.m, dtype=np.int64)
         #: Route searches since the engine last published them.
         self.route_searches = 0
 
@@ -281,15 +256,14 @@ class _ArrayState:
         rev_keys = view.indices * n + view.entry_rows()
         return np.searchsorted(keys, rev_keys).astype(np.int64)
 
-    # -- payment processing ---------------------------------------------------
+    # -- route search -----------------------------------------------------------
 
     def find(
         self, sender: Hashable, receiver: Hashable, amount: float, index: int
-    ) -> Union[List[int], str]:
-        """The route of one payment as node indices, or why it fails:
+    ) -> Union[List[Hashable], str]:
+        """The route of one payment as node names, or why it fails:
         ``"other"`` (sender is receiver), ``"unknown-endpoint"`` or
-        ``"no-capacity-path"``. Instant payments and HTLC locks both
-        start here."""
+        ``"no-capacity-path"``."""
         # The RNG resolves before the endpoint checks, so an index is
         # consumed even for payments that fail validation.
         rng = self.engine._route_rng(index)
@@ -300,7 +274,10 @@ class _ArrayState:
         if s is None or r is None:
             return "unknown-endpoint"
         path = self.route(s, r, amount, rng)
-        return "no-capacity-path" if path is None else path
+        if path is None:
+            return "no-capacity-path"
+        nodes = self.view.nodes
+        return [nodes[i] for i in path]
 
     def route(
         self, s: int, r: int, amount: float, rng
@@ -338,118 +315,7 @@ class _ArrayState:
             self.full_adj, self.full_radj, kept, s, r, selection, rng
         )
 
-    def pay(
-        self, sender: Hashable, receiver: Hashable, amount: float, index: int
-    ) -> None:
-        """Run one instant payment: route it, check that every hop can
-        carry its amount plus downstream fees, move the balances and add
-        it to the accumulators. ``index`` keys the payment's route RNG
-        under ``route_rng="payment"``."""
-        engine = self.engine
-        metrics = engine.metrics
-        metrics.attempted += 1
-        amount = float(amount)
-        path = self.find(sender, receiver, amount, index)
-        if isinstance(path, str):
-            engine._fail_payment(path)
-            return
-        hops = len(path) - 1
-        hop_amounts = engine._hop_amounts(hops, amount)
-        entries = [
-            self.pair_entry[(path[i], path[i + 1])] for i in range(hops)
-        ]
-        balances = self.balances
-        for entry, hop_amount in zip(entries, hop_amounts):
-            if balances[entry] < hop_amount:
-                # The route was feasible at `amount` but a hop cannot
-                # carry amount+fees.
-                engine._fail_payment("split-balance")
-                return
-        for entry, hop_amount in zip(entries, hop_amounts):
-            balances[entry] -= hop_amount
-            balances[int(self.rev_entry[entry])] += hop_amount
-            self.edge_traffic[entry] += 1
-        s = path[0]
-        r = path[-1]
-        metrics.succeeded += 1
-        metrics.volume_delivered += amount
-        self.sent[s] += 1
-        self.received[r] += 1
-        self.fees_paid[s] += hop_amounts[0] - amount
-        self.fees_touched[s] = True
-        fee_fn = engine.fee if not engine.fee_forwarding else None
-        for i in range(1, len(path) - 1):
-            node = path[i]
-            fee = hop_amounts[i - 1] - hop_amounts[i]
-            if fee_fn is not None:
-                fee += fee_fn(amount)
-            self.revenue[node] += fee
-            self.revenue_touched[node] = True
-        policy = engine._htlc_router.policy
-        if policy.has_upfront:
-            # Instant mode has no lock phase, so the per-attempt side of
-            # the two-sided policy is charged on the payments that
-            # actually execute: one charge per hop, credited to the
-            # hop's receiving node.
-            total = 0.0
-            for i in range(len(path) - 1):
-                node = path[i + 1]
-                charge = policy.upfront(hop_amounts[i])
-                self.upfront_revenue[node] += charge
-                self.upfront_revenue_touched[node] = True
-                total += charge
-            self.upfront_paid[s] += total
-            self.upfront_paid_touched[s] = True
-
-    # -- metrics and channels -------------------------------------------------
-
-    def _node_totals(self) -> Tuple[Tuple[str, np.ndarray, Optional[np.ndarray]], ...]:
-        """``(metrics attribute, per-node values, touched flags)`` of each
-        per-node accumulator; counts have no flags (nonzero is touched)."""
-        return (
-            ("revenue", self.revenue, self.revenue_touched),
-            ("fees_paid", self.fees_paid, self.fees_touched),
-            ("upfront_revenue", self.upfront_revenue, self.upfront_revenue_touched),
-            ("upfront_fees_paid", self.upfront_paid, self.upfront_paid_touched),
-            ("sent", self.sent, None),
-            ("received", self.received, None),
-        )
-
-    def load(self) -> None:
-        """Start the accumulators from the metrics' current totals.
-
-        A call then continues every running sum where the last call left
-        it, so split runs add the same floats in the same order as one
-        run, and :meth:`fold` writes the totals back.
-        """
-        metrics = self.engine.metrics
-        node_index = self.node_index
-        for name, values, touched in self._node_totals():
-            for node, value in getattr(metrics, name).items():
-                i = node_index.get(node)
-                if i is not None:
-                    values[i] = value
-                    if touched is not None:
-                        touched[i] = True
-        for pair, count in metrics.edge_traffic.items():
-            entry = self.name_pair_entry.get(pair)
-            if entry is not None:
-                self.edge_traffic[entry] = count
-
-    def fold(self) -> None:
-        """Write the accumulated totals into the metrics dicts; nodes new
-        to a dict enter it in node-index order."""
-        metrics = self.engine.metrics
-        nodes = self.view.nodes
-        for name, values, touched in self._node_totals():
-            totals = getattr(metrics, name)
-            for i in np.nonzero(values if touched is None else touched)[0]:
-                totals[nodes[i]] = values[i].item()
-        rows = self.entry_rows
-        for entry in np.nonzero(self.edge_traffic)[0]:
-            src = nodes[int(rows[entry])]
-            dst = nodes[int(self.view.indices[entry])]
-            metrics.edge_traffic[(src, dst)] = int(self.edge_traffic[entry])
+    # -- channels ---------------------------------------------------------------
 
     def _channel_entries(self) -> Iterator[Tuple[Channel, int, int]]:
         """``(channel, entry u -> v, entry v -> u)`` for every channel

@@ -68,7 +68,7 @@ EXPECTED = {
     "no-forwarding": (
         (569, 559, {"no-capacity-path": 10}),
         {
-            "batched": "0eaa01259b7e1b70de14e0131ba6af7e605aa413b3a51b5e5103174b7d11b551",
+            "batched": "e18d507b21b7f80a532e9a35f0efce928bc4f40f0f45d30cbc31405266ef265c",
         },
     ),
     "upfront-htlc": (
@@ -80,7 +80,7 @@ EXPECTED = {
     "upfront-instant": (
         (569, 556, {"no-capacity-path": 10, "split-balance": 3}),
         {
-            "batched": "2b62b9c5d8bd159acd9b7319ebc6ecc7ebf07d9b2fc0284fe3fe1f81104cb146",
+            "batched": "e17035728b1ff2a7f2d429b8ccf98e7ec25134115f4ff89a37a3026939b63a08",
         },
     ),
 }

@@ -57,22 +57,22 @@ INSTANT_BA200 = [
     (
         "stream",
         "random",
-        "0fe31de0fed869687ccd118868dcace6acd1dd24d22b3e5c8b8b84ce513f9e7c",
+        "826a5f822c53f78725e49006ba9e1cc7565a517e3f988d17efde0d7ff382a379",
     ),
     (
         "stream",
         "first",
-        "586979026d51b397eb99585abbdd360b968fcf18ced69193039b63675d3ef7a1",
+        "22ffb2e86f424e7be51db20d4d5e54fae8ca0c7b04266eb048986b962ac50ebd",
     ),
     (
         "payment",
         "random",
-        "e17b88cffb94b6ab6803309b28798d99d7da6b7a9f6d548c51444c6306be258d",
+        "b41798a749bddc4fe9de63cfe06ce5f3b8998f30cb72afef12c51e20c4b2e765",
     ),
     (
         "payment",
         "first",
-        "49ad53306cb42b8fd9ee51eac5a813e8a6bfe296173be95afebfb5877c337a9b",
+        "bb8a85bc7fb9799374e115f62885c4aad08a75ef4dbf5305dd750cc748ded1e6",
     ),
 ]
 
@@ -93,8 +93,8 @@ def test_instant_ba200(route_rng, path_selection, expected):
 #: with ``no-capacity-path``, so searches often end with no path or meet
 #: on a frontier the balance mask cuts.
 DEPLETED_BA200 = [
-    ("random", "08fdbed737bf77d5969c2c4f98206b4f9ee3538382403206fc7603be7780f3cb"),
-    ("first", "08e08b15240fd25f3b3f2974603df430cbc97709317203b3249074b4843c5c40"),
+    ("random", "4a82aaa54c2e903d0822cbacf88f00f656aba94e08b454938bd144b3ccf76100"),
+    ("first", "6197514dea75d1fe5c816d281b6bbc31e6023bff0c2dc37be5c85daf8d77636e"),
 ]
 
 
@@ -113,7 +113,7 @@ def test_instant_ba200_depleted(path_selection, expected):
 def test_instant_ba60():
     result = ScenarioRunner().run(scenario(60, 10.0))
     assert result_digest(result) == (
-        "5f49d9791a43e0a404cba053d7d3604d9640214f8da03888db765fcf9d1e764a"
+        "c56d95c2571807fe67623d38d7bb3f96e53941152df2072ec84860efc5dce44c"
     )
 
 
@@ -158,7 +158,7 @@ def test_instant_ba60_first():
     result = ScenarioRunner().run(scenario(60, 10.0, path_selection="first"))
     assert (readable(result.metrics), result_digest(result)) == (
         (569, 554, {"no-capacity-path": 11, "split-balance": 4}),
-        "4592ece2d4b498898bcb1ff919da8b26791a25bfaaef81d689b481c21d950f64",
+        "ee6b199917302bac620c0b20b3e99ba890438fa02186db4e9e5bb4a3ce99ae40",
     )
 
 
@@ -168,12 +168,12 @@ DEPLETED_BA60 = [
     (
         "random",
         (569, 120, {"no-capacity-path": 433, "split-balance": 16}),
-        "13185278c6ec92c533c2419383698e5158887dcab68252058a57cfcc6f7a2fd4",
+        "f88b725a94126801a8b82be0a733c32c11f226d0da6a1dd983a448f21dae11e2",
     ),
     (
         "first",
         (569, 119, {"no-capacity-path": 439, "split-balance": 11}),
-        "0372e0fafc90298e8479bb3b4e970cda2409d4b06d6f479e5dabf8b24069d3fc",
+        "6bd4c613d66c634a59195d682a477e6de0c4f135ff454cdc4207ec361917ef93",
     ),
 ]
 
@@ -236,5 +236,5 @@ def test_instant_circle140():
     result = ScenarioRunner().run(Scenario.from_dict(document))
     assert (readable(result.metrics), result_digest(result)) == (
         (1401, 941, {"no-capacity-path": 336, "split-balance": 124}),
-        "618d4450f5dc0192e4c482e81599b8e1df8e3ed6654989aa41593e3e7a710ebf",
+        "84abdece4c8b77783b20b244b4f00a0ee18ac4c4d437bab12eebf6225b42b0ec",
     )

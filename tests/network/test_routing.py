@@ -30,7 +30,7 @@ def payment(sender, receiver, amount, time=1.0):
 def find_route(graph, sender, receiver, amount, **engine_kwargs):
     engine = BatchedSimulationEngine(graph, **engine_kwargs)
     engine.run()  # freezes the array state routes are searched on
-    return engine._find_path(payment(sender, receiver, amount))
+    return engine._find_path(sender, receiver, amount, -1)
 
 
 def execute(graph, payments, **engine_kwargs):
@@ -73,14 +73,16 @@ class TestFindRoute:
     def test_linear_fee_compounds_toward_sender(self, line4):
         engine = BatchedSimulationEngine(line4, fee=LinearFee(0.0, 0.1))
         # c forwards 1.0 (fee 0.1); b forwards 1.1 (fee 0.11)
-        assert engine._hop_amounts(3, 1.0) == pytest.approx((1.21, 1.1, 1.0))
+        assert engine.htlc_router.hop_amounts(3, 1.0) == pytest.approx(
+            [1.21, 1.1, 1.0]
+        )
         metrics = execute(line4, [("a", "d", 1.0)], fee=LinearFee(0.0, 0.1))
         assert metrics.fees_paid["a"] == pytest.approx(0.1 + 0.11)
 
     def test_no_fee_forwarding_mode(self, line4):
         fee = LinearFee(0.0, 0.1)
         engine = BatchedSimulationEngine(line4, fee=fee, fee_forwarding=False)
-        assert engine._hop_amounts(3, 1.0) == [1.0, 1.0, 1.0]
+        assert engine.htlc_router.hop_amounts(3, 1.0) == [1.0, 1.0, 1.0]
         metrics = execute(line4, [("a", "d", 1.0)], fee=fee, fee_forwarding=False)
         assert metrics.fees_paid["a"] == pytest.approx(0.0)
         # every intermediary earns fee(amount) on top of the flat hops

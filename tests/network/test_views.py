@@ -262,9 +262,7 @@ def route_finder(graph, **engine_kwargs):
     engine.run()  # freezes the array state routes are searched on
 
     def route(sender, receiver, amount):
-        return engine._find_path(PaymentEvent(
-            time=0.0, sender=sender, receiver=receiver, amount=amount
-        ))
+        return engine._find_path(sender, receiver, amount, -1)
 
     return route
 

@@ -48,9 +48,7 @@ def htlc_engine(graph) -> BatchedSimulationEngine:
 
 def route(engine, sender, receiver, amount):
     """The engine's path over its current balances, or ``None``."""
-    path = engine._find_path(PaymentEvent(
-        time=0.0, sender=sender, receiver=receiver, amount=amount
-    ))
+    path = engine._find_path(sender, receiver, amount, -1)
     return None if isinstance(path, str) else path
 
 
