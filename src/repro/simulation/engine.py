@@ -289,15 +289,15 @@ class SimulationEngine:
         ledger = self._htlc_router
         amounts = ledger._hop_amounts(len(path) - 1, amount)
         reason, entries = ledger.reserve(path, amounts)
+        if ledger.policy.has_upfront:
+            self._book_upfront(
+                sender, ledger.upfront_fees(path, amounts, len(entries))
+            )
         if reason:
             self._fail_payment(
                 "no-htlc-slots" if reason == "no-slots" else "split-balance"
             )
             return
-        if ledger.policy.has_upfront:
-            self._book_upfront(
-                sender, ledger.upfront_fees(path, amounts, len(entries))
-            )
         ledger.release(entries, amounts)
         self._book_settled(path, amount, amounts)
 

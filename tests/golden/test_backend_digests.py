@@ -80,7 +80,7 @@ EXPECTED = {
     "upfront-instant": (
         (569, 556, {"no-capacity-path": 10, "split-balance": 3}),
         {
-            "batched": "e17035728b1ff2a7f2d429b8ccf98e7ec25134115f4ff89a37a3026939b63a08",
+            "batched": "587989892e04e271f2555d1dca8f2fcc5e84aff2d92851d72867b6973a2de22e",
         },
     ),
 }
