@@ -12,6 +12,9 @@ sum the per-node revenue dict in its insertion order, which is not a
 simulation result. Every per-node value is pinned through the metrics
 documents, whose ``to_dict`` sorts them.
 
+A slow-jamming case with ``slot_cap=2`` pins that held HTLCs block
+instant payments through their slots.
+
 Two more tests: the baseline's ``total_revenue`` is the one
 ``run-scenario`` reports for the same scenario without the attack, and
 one queued instant run split with ``run(until=...)`` adds up to one
@@ -36,7 +39,9 @@ HORIZON = 5.0
 FEE = {"kind": "linear", "params": {"base": 0.01, "rate": 0.001}}
 
 
-def scenario(n: int, attack=None, horizon: float = HORIZON) -> Scenario:
+def scenario(
+    n: int, attack=None, horizon: float = HORIZON, **attack_params
+) -> Scenario:
     document = {
         "seed": SEED,
         "topology": {"kind": "ba", "params": {"n": n, "capacity_mu": 3.0}},
@@ -45,7 +50,9 @@ def scenario(n: int, attack=None, horizon: float = HORIZON) -> Scenario:
         "simulation": {"horizon": horizon},
     }
     if attack is not None:
-        document["attack"] = {"kind": attack, "params": {"budget": 200.0}}
+        document["attack"] = {
+            "kind": attack, "params": {"budget": 200.0, **attack_params}
+        }
     return Scenario.from_dict(document)
 
 
@@ -104,7 +111,12 @@ EXPECTED = {
 )
 def test_instant_attack(attack, n):
     outcome = AttackRunner().run(scenario(n, attack))
-    got = {
+    assert digests(outcome) == EXPECTED[(attack, n)]
+
+
+def digests(outcome):
+    """``{document: (readable digest, hash)}`` of one attack outcome."""
+    return {
         "baseline": (
             readable(outcome.baseline_metrics),
             content_hash(outcome.baseline_metrics.to_dict()),
@@ -118,7 +130,34 @@ def test_instant_attack(attack, n):
             report_digest(outcome.report),
         ),
     }
-    assert got == EXPECTED[(attack, n)]
+
+
+#: Slow-jamming on BA-60 with two HTLC slots per channel. The attacker's
+#: held HTLCs fill the victim's slots, and an instant payment that needs
+#: one of those directions fails with ``no-htlc-slots``: 44 honest
+#: payments, a success-rate degradation of 0.1448.
+SLOT_CAP_2 = {
+    "baseline": (
+        (297, 295, {"split-balance": 2}),
+        "9994ba49e632adae7febf56ab7f07d8df5441cd50d3f4e57347cde15bffba530",
+    ),
+    "attacked": (
+        (297, 252, {"no-htlc-slots": 44, "split-balance": 1}),
+        "c7056321db4c12eea31d3911988ecc4a3616f7e11093af37735a682220516286",
+    ),
+    "report": (
+        (297, 252, {"no-htlc-slots": 44, "split-balance": 1}),
+        "a6b76ef916ad9c9d47e75dbfb118e35858df245b17907b239471ee4162a9019b",
+    ),
+}
+
+
+def test_instant_slow_jamming_blocks_on_slots():
+    outcome = AttackRunner().run(scenario(60, "slow-jamming", slot_cap=2))
+    assert digests(outcome) == SLOT_CAP_2
+    assert outcome.report.success_rate_degradation == pytest.approx(
+        0.1448, abs=1e-4
+    )
 
 
 @pytest.mark.parametrize("attack, n", sorted(EXPECTED))

@@ -124,6 +124,30 @@ class TestRouterSlotExhaustion:
         assert bound.balance("a", "b") == before
         assert bound.slots("a", "b") == 0
 
+    @pytest.mark.parametrize("reason", ["no-balance", "no-slots"])
+    def test_failed_reserve_leaves_state_bit_identical(
+        self, reason, bound_router
+    ):
+        # Reserving the first hop and handing it back computes
+        # (b - h) + h, which is not b for this pair: a failed lock must
+        # not touch the first hop at all.
+        b, h = 3.4028523500198804, 0.9909626251286945
+        graph = ChannelGraph()
+        graph.add_channel("a", "b", b, 0.0)
+        second = 0.5 if reason == "no-balance" else 10.0
+        graph.add_channel("b", "c", second, 0.0, max_accepted_htlcs=1)
+        bound = bound_router(graph)
+        router = bound.router
+        if reason == "no-slots":
+            assert router.lock(["b", "c"], 1.0).state is HtlcState.PENDING
+        balances = bound.state.balances.tobytes()
+        slots = list(bound.state.slots_used)
+        rejected = router.lock(["a", "b", "c"], h)
+        assert rejected.failure_reason == reason
+        assert bound.state.balances.tobytes() == balances
+        assert bound.state.slots_used == slots
+        assert bound.balance("a", "b") == b
+
 
 class TestUpfrontCharges:
     """The per-attempt side of a two-sided FeePolicy at the lock layer.

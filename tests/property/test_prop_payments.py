@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.fees import ConstantFee
+from repro.network.fees import ConstantFee, LinearFee
 from repro.network.graph import ChannelGraph
 from repro.network.htlc import HtlcState
 from repro.simulation.events import PaymentEvent
 from repro.simulation.fastpath import BatchedSimulationEngine
+from repro.snapshots.synthetic import barabasi_albert_snapshot
+from repro.transactions.workload import Transaction
 
 NODES = ["a", "b", "c", "d"]
 
@@ -99,6 +101,42 @@ class TestInstantRouting:
             for channel in graph.channels:
                 assert channel.balance(channel.u) >= -1e-9
                 assert channel.balance(channel.v) >= -1e-9
+
+
+class TestInstantRunHoldsNothing:
+    @given(
+        n=st.integers(3, 12),
+        seed=st.integers(0, 1000),
+        trace=st.lists(
+            st.tuples(
+                st.integers(0, 11),
+                st.integers(0, 11),
+                st.floats(0.01, 20.0, allow_nan=False),
+            ),
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_hop_released(self, n, seed, trace):
+        """After an instant run on a small BA graph no slot, no in-flight
+        payment and no locked capital is left, and no coin is lost."""
+        graph = barabasi_albert_snapshot(n, seed=seed, capacity_mu=1.0)
+        capacities = [channel.capacity for channel in graph.channels]
+        nodes = graph.nodes
+        engine = BatchedSimulationEngine(
+            graph, fee=LinearFee(0.01, 0.01), seed=seed
+        )
+        engine.schedule_transactions(
+            Transaction(float(i), nodes[s % n], nodes[r % n], amount)
+            for i, (s, r, amount) in enumerate(trace)
+        )
+        engine.run()
+        ledger = engine.htlc_router
+        assert engine._state.slots_used == [0] * len(engine._state.slots_used)
+        assert ledger.in_flight == ()
+        assert ledger.locked_capital() == 0.0
+        for channel, capacity in zip(graph.channels, capacities):
+            assert channel.capacity == pytest.approx(capacity, rel=1e-9)
 
 
 class TestHtlcAtomicity:

@@ -3,7 +3,8 @@
 :meth:`BatchedSimulationEngine.run_trace` replays a trace in order;
 queued events (``schedule_transactions`` + ``run``) are dispatched from
 the event queue. Both hand every payment to the same function, which
-routes, checks, applies and books it over the array state. For the same
+routes it, reserves and releases its hops on the engine's HTLC ledger
+and books it. For the same
 graph, trace and seed both must give the same metrics — including the
 RNG-sampled path choices of ``path_selection="random"`` — and leave the
 graph in the same final state. These tests drive both entry points over
@@ -360,3 +361,34 @@ class TestStats:
         assert self.routed(obs) == 1
         engine.run()
         assert self.routed(obs) == 3
+
+
+class TestInstantOnTheLedger:
+    """Instant payments reserve and release hops on the HTLC ledger."""
+
+    def test_held_htlc_blocks_an_instant_payment(self):
+        graph = ChannelGraph()
+        graph.add_channel("a", "b", 5.0, 0.0, max_accepted_htlcs=1)
+        engine = BatchedSimulationEngine(graph, seed=0)
+        engine.run()  # freezes the array state and binds the ledger
+        held = engine.htlc_router.lock(["a", "b"], 1.0)
+        engine.schedule_transactions([
+            Transaction(time=1.0, sender="a", receiver="b", amount=1.0)
+        ])
+        metrics = engine.run()
+        assert dict(metrics.failure_reasons) == {"no-htlc-slots": 1}
+        engine.htlc_router.fail(held)
+        engine.schedule_transactions([
+            Transaction(time=2.0, sender="a", receiver="b", amount=1.0)
+        ])
+        assert engine.run().succeeded == 1
+
+    def test_trace_replay_rebinds_the_ledger(self):
+        graph = ChannelGraph.from_edges([("a", "b")], balance=5.0)
+        engine = BatchedSimulationEngine(graph, seed=0)
+        trace = [Transaction(time=1.0, sender="a", receiver="b", amount=1.0)]
+        engine.run_trace(trace)
+        assert engine.htlc_router._state is None
+        engine.run()
+        engine.run_trace(trace)
+        assert engine.htlc_router._state is engine._state
