@@ -162,7 +162,7 @@ class AttackContext:
         self.attacks_launched += 1
         payment = self.engine.htlc_router.lock(path, amount)
         # The upfront side charges per hop actually offered, settle or
-        # not — partially placed (then unwound) locks still pay. Dict
+        # not — a lock that fails mid-path still pays its earlier hops. Dict
         # check first: success-only policies charge nothing, and jamming
         # hammers this path tens of thousands of times.
         if payment.upfront_fees_per_node:

@@ -15,8 +15,8 @@ numeric integration that turns a fee function plus a size distribution into
 (the Unjamming countermeasure, Naumenko–Riard 2022): the **success** part
 is a plain :class:`FeeFunction` charged on settle (today's behaviour), the
 **upfront** part is a ``base + rate * amount`` charge collected per
-*attempt* — paid for every hop an HTLC actually reserves, success or not,
-and never refunded. Because jamming attacks are all attempts and no
+*attempt* — paid for every hop an attempt offers, success or not, and
+never refunded. Because jamming attacks are all attempts and no
 settles, a non-zero upfront part taxes the attacker directly.
 """
 
