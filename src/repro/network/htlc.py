@@ -255,11 +255,16 @@ class HtlcLedger:
         them.
 
         The payment comes back PENDING and in flight, or FAILED with the
-        first hop's ``failure_reason`` and nothing reserved. The hops
-        offered before the failing one still carry their upfront fees.
+        first failing hop's ``failure_reason`` and nothing reserved. The
+        hops offered before the failing one still carry their upfront
+        fees. A path that takes one directed hop twice is refused.
         """
         if len(path) < 2:
             raise RoutingError("path needs at least one hop")
+        if len(set(zip(path, path[1:]))) < len(path) - 1:
+            # reserve checks every hop against the balance before any
+            # is reserved, so a hop taken twice could overdraw it.
+            raise RoutingError(f"path {list(path)!r} repeats a hop")
         if amount <= 0:
             raise HtlcError(f"amount must be > 0, got {amount}")
         if self._state is None:

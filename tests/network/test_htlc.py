@@ -145,6 +145,10 @@ class TestValidation:
         assert payment.state is HtlcState.SETTLED
         assert bound.balance("a", "c") == 4.0
 
+    def test_path_repeating_a_hop_rejected(self, line4, bound_router):
+        with pytest.raises(RoutingError, match="repeats a hop"):
+            bound_router(line4).router.lock(["a", "b", "a", "b"], 1.0)
+
     def test_lock_outside_a_run_rejected(self, line4):
         from repro.simulation.fastpath import BatchedSimulationEngine
 
