@@ -64,6 +64,7 @@ import numpy as np
 
 from ..errors import SimulationError
 from ..network.channel import Channel
+from ..network.graph import ChannelGraph
 from ..network.routing import (
     bidirectional_route,
     guided_bfs_structure,
@@ -121,9 +122,8 @@ class BatchedSimulationEngine(SimulationEngine):
             for index, tx in enumerate(trace, first):
                 pay(tx.sender, tx.receiver, tx.amount, index)
         finally:
-            # Rebind what run() froze: the fresh state must not stay
-            # reachable from the ledger (an engine-ledger-state cycle
-            # that outlives the call).
+            # Rebind what run() froze, where held HTLCs live; the fresh
+            # state is freed with the call.
             self._state = saved
             self._htlc_router.bind(saved)
         self._payment_seq = first + len(times)
@@ -163,12 +163,15 @@ class BatchedSimulationEngine(SimulationEngine):
                     f"{channel.u!r} and {channel.v!r} share the parallel "
                     f"channels {list(channels)}"
                 )
-        return _ArrayState(self, view)
+        return _ArrayState(self.graph, view, self.path_selection)
 
     def _find_path(
         self, sender: Hashable, receiver: Hashable, amount: float, index: int
     ) -> Union[List[Hashable], str]:
-        return self._state.find(sender, receiver, amount, index)
+        # The RNG resolves before the endpoint checks, so an index is
+        # consumed even for payments that fail validation.
+        rng = self._route_rng(index)
+        return self._state.find(sender, receiver, amount, rng)
 
     def _publish_obs(self, state: "_ArrayState") -> None:
         """Publish the route searches since the last publish as the
@@ -197,10 +200,11 @@ class _ArrayState:
     """
 
     def __init__(
-        self, engine: BatchedSimulationEngine, view: GraphView
+        self, graph: ChannelGraph, view: GraphView, path_selection: str
     ) -> None:
-        self.engine = engine
+        self.graph = graph
         self.view = view
+        self.path_selection = path_selection
         self.n = view.num_nodes
         self.m = view.num_entries
         self.small = self.n < SMALL_GRAPH_NODES
@@ -238,7 +242,7 @@ class _ArrayState:
         slot_cap: List[int] = []
         for entry in range(self.m):
             channel_id = view.pair_channels[int(view.edge_ids[entry])][0]
-            cap = engine.graph.channel(channel_id).max_accepted_htlcs
+            cap = graph.channel(channel_id).max_accepted_htlcs
             slot_cap.append(no_cap if cap is None else cap)
         self.slot_cap = slot_cap
         #: Route searches since the engine last published them.
@@ -259,14 +263,11 @@ class _ArrayState:
     # -- route search -----------------------------------------------------------
 
     def find(
-        self, sender: Hashable, receiver: Hashable, amount: float, index: int
+        self, sender: Hashable, receiver: Hashable, amount: float, rng
     ) -> Union[List[Hashable], str]:
         """The route of one payment as node names, or why it fails:
         ``"other"`` (sender is receiver), ``"unknown-endpoint"`` or
-        ``"no-capacity-path"``."""
-        # The RNG resolves before the endpoint checks, so an index is
-        # consumed even for payments that fail validation.
-        rng = self.engine._route_rng(index)
+        ``"no-capacity-path"``. ``rng`` draws the tie-breaks."""
         if sender == receiver:
             return "other"
         s = self.node_index.get(sender)
@@ -302,7 +303,7 @@ class _ArrayState:
         # One byte per entry: a python list of bools costs ~10x as much
         # to build, and most entries are never read.
         kept = (self.balances >= amount).tobytes()
-        selection = self.engine.path_selection
+        selection = self.path_selection
         if self.small:
             hops = self.hops_to.get(r)
             if hops is None:
@@ -321,7 +322,7 @@ class _ArrayState:
         """``(channel, entry u -> v, entry v -> u)`` for every channel
         ``u``-``v`` of the view."""
         view = self.view
-        graph = self.engine.graph
+        graph = self.graph
         rows = self.entry_rows
         for entry in range(self.m):
             u = int(rows[entry])
