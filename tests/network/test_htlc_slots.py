@@ -111,8 +111,8 @@ class TestRouterSlotExhaustion:
     def test_mid_path_slot_failure_releases_earlier_hops(
         self, line3, bound_router
     ):
-        # Jam only the second hop: the first hop's reservation (balance
-        # AND slot) must unwind when the lock aborts mid-path.
+        # Jam only the second hop: a lock that aborts there must leave
+        # the first hop's balance AND slot untouched.
         line3.channels_between("b", "c")[0].max_accepted_htlcs = 1
         bound = bound_router(line3)
         router = bound.router
@@ -264,7 +264,7 @@ class TestConcurrentUnwind:
         self, line3, bound_router
     ):
         # 100 coins per direction, 3.0 each: payment #34 must fail on
-        # balance while 33 remain pending; its partial reservations unwind.
+        # balance while 33 remain pending, and reserve nothing.
         bound = bound_router(line3)
         router = bound.router
         pending = []
