@@ -9,15 +9,20 @@ strategy ``S``:
 
 Following the paper's submodularity proofs ("we assume λ_xy / p_trans are
 fixed values"), the transaction distribution is *frozen* at construction:
-pair probabilities are computed once on the base graph and held constant
-while strategies vary. The equilibrium module re-derives distributions per
-deviation instead (Section IV recomputes rank factors after each change).
+pair probabilities are computed once on the base graph, as one ``(n, n)``
+array from :meth:`TransactionDistribution.pair_probabilities
+<repro.transactions.distributions.TransactionDistribution.pair_probabilities>`,
+and held constant while strategies vary; the pair weights are
+``W = N[:, None] * P``. The equilibrium module re-derives distributions
+per deviation instead (Section IV recomputes rank factors after each
+change).
 
 Strategies are scored in closed form, without building the augmented
 graph. Every shortest path through ``u`` has the shape
 ``s ⇝ p -> u -> q ⇝ r`` and both halves lie in the fixed base graph, so
 hop distances ``D`` and shortest-path counts ``Σ`` of the base graph,
-computed once, give
+computed once by :func:`~repro.network.views.all_pairs_paths` (one dense
+level-synchronous pass for every source), give
 
     d(s, u) = 1 + min_{p in P_in} D[s, p]
     σ(s, u) = sum of Σ[s, p] over the minimising p
@@ -65,14 +70,13 @@ import numpy as np
 
 from ..errors import InvalidParameter, NodeNotFound
 from ..network.graph import ChannelGraph
-from ..network.routing import small_bfs_structure
-from ..network.views import SMALL_GRAPH_NODES, GraphView, bfs_shortest_path_tree
+from ..network.views import all_pairs_paths
 from ..params import DEFAULT_PARAMS, ModelParameters
 from ..transactions.distributions import (
     TransactionDistribution,
     UniformDistribution,
 )
-from ..transactions.ranking import rank_factors
+from ..transactions.ranking import DegreeRanking
 from ..transactions.zipf import ModifiedZipf
 from .costmodels import CostModel
 from .fees_paid import HOP_CONVENTIONS
@@ -99,29 +103,6 @@ _Side = Tuple[np.ndarray, np.ndarray]
 def _batch_size(n: int) -> int:
     """Strategies per chunk on an ``n``-node base graph."""
     return max(1, BATCH_CELLS // max(1, n * n))
-
-
-def _all_pairs_paths(view: GraphView) -> Tuple[np.ndarray, np.ndarray]:
-    """``(D, Σ)``: hop distances (``inf`` = unreachable) and shortest-path
-    counts between every ordered pair of ``view``'s nodes.
-
-    One BFS per source: the python pass on small graphs, the vectorised
-    CSR BFS from :data:`SMALL_GRAPH_NODES` on. Path counts are integers,
-    held exactly in float64.
-    """
-    n = view.num_nodes
-    dist = np.empty((n, n))
-    sigma = np.empty((n, n))
-    adj = view.adjacency_lists() if n < SMALL_GRAPH_NODES else None
-    for s in range(n):
-        if adj is None:
-            tree = bfs_shortest_path_tree(view, s)
-            dist[s], sigma[s] = tree.dist, tree.sigma
-        else:
-            # Target -1 never pops, so the search covers s's whole component.
-            dist[s], sigma[s], _ = small_bfs_structure(adj, n, s, -1)
-    dist[dist < 0] = np.inf
-    return dist, sigma
 
 
 class JoiningUserModel:
@@ -221,14 +202,9 @@ class JoiningUserModel:
         self.distribution = distribution
 
         # Freeze pair probabilities among existing nodes (paper's fixed
-        # p_trans assumption for Thm 1-5). Senders the distribution does
-        # not know about simply send nothing.
-        self._pair_probs: Dict[Hashable, Dict[Hashable, float]] = {}
-        for sender in graph.nodes:
-            try:
-                self._pair_probs[sender] = distribution.receivers(sender)
-            except NodeNotFound:
-                self._pair_probs[sender] = {}
+        # p_trans assumption for Thm 1-5), in view order. Senders the
+        # distribution does not know about simply send nothing.
+        self._probs = distribution.pair_probabilities(self._view.nodes)
 
         # Freeze the joining user's own receiver distribution.
         if own_probs is not None:
@@ -242,9 +218,11 @@ class JoiningUserModel:
             n = len(graph)
             self._own_probs = {v: 1.0 / n for v in graph.nodes}
         else:
-            factors = rank_factors(graph, perspective=None, s=params.zipf_s)
-            total = sum(factors.values())
-            self._own_probs = {v: f / total for v, f in factors.items()}
+            ranking = DegreeRanking(graph)
+            order, probs = ranking.probabilities(None, params.zipf_s)
+            self._own_probs = dict(zip(
+                [ranking.nodes[i] for i in order[0].tolist()], probs[0].tolist()
+            ))
         for receiver in self._own_probs:
             if receiver not in graph:
                 raise NodeNotFound(receiver)
@@ -293,7 +271,7 @@ class JoiningUserModel:
     def _all_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(D, Σ)`` of the frozen base view (built once)."""
         if self._paths is None:
-            self._paths = _all_pairs_paths(self._view)
+            self._paths = all_pairs_paths(self._view)
         return self._paths
 
     def _reach(self) -> np.ndarray:
@@ -328,17 +306,11 @@ class JoiningUserModel:
     def _pair_weights(self) -> np.ndarray:
         """``W[s, r] = N_s * p_trans(s, r)``; zero rows for silent senders."""
         if self._weights is None:
-            view = self._view
-            weights = np.zeros((view.num_nodes, view.num_nodes))
-            for s, sender in enumerate(view.nodes):
-                rate = self._sender_rates.get(sender, 0.0)
-                if rate <= 0.0:
-                    continue
-                for receiver, prob in self._pair_probs[sender].items():
-                    r = view.node_index.get(receiver)
-                    if r is not None and r != s:
-                        weights[s, r] = rate * prob
-            self._weights = weights
+            rates = np.array([
+                max(self._sender_rates.get(sender, 0.0), 0.0)
+                for sender in self._view.nodes
+            ])
+            self._weights = rates[:, None] * self._probs
         return self._weights
 
     def _peer_sets(self, strategy: Strategy) -> Tuple[List[int], List[int]]:
@@ -498,12 +470,11 @@ class JoiningUserModel:
     # -- utility components --------------------------------------------------------
 
     def _pair_weight(self, sender: Hashable, receiver: Hashable) -> float:
-        if sender == self.new_user or receiver == self.new_user:
+        index = self._view.node_index
+        s, r = index.get(sender), index.get(receiver)
+        if s is None or r is None:
             return 0.0
-        rate = self._sender_rates.get(sender, 0.0)
-        if rate <= 0.0:
-            return 0.0
-        return rate * self._pair_probs.get(sender, {}).get(receiver, 0.0)
+        return self._pair_weights().item(s, r)
 
     def _estimate_fixed_rates(self) -> Dict[Hashable, float]:
         """``λ̂(v)``: rate on the directed edge ``u -> v`` when ``u`` is
@@ -621,4 +592,8 @@ class JoiningUserModel:
 
     def pair_probability(self, sender: Hashable, receiver: Hashable) -> float:
         """Frozen ``p_trans(sender, receiver)`` among existing nodes."""
-        return self._pair_probs.get(sender, {}).get(receiver, 0.0)
+        index = self._view.node_index
+        s, r = index.get(sender), index.get(receiver)
+        if s is None or r is None:
+            return 0.0
+        return self._probs.item(s, r)

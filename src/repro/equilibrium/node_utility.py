@@ -93,16 +93,16 @@ class NetworkGameModel:
         """
         if node not in graph:
             raise NodeNotFound(node)
-        distribution = ModifiedZipf(graph, s=self.zipf_s)
         digraph = graph.view(directed=True)
-        rows: Dict[Hashable, Dict[Hashable, float]] = {}
+        index = digraph.node_index
+        probs = ModifiedZipf(graph, s=self.zipf_s).pair_probabilities(
+            digraph.nodes
+        ).tolist()
 
         def weight(s: Hashable, r: Hashable) -> float:
             if s == node or r == node:
                 return 0.0
-            if s not in rows:
-                rows[s] = distribution.receivers(s)
-            return self.b * rows[s].get(r, 0.0)
+            return self.b * probs[index[s]][index[r]]
 
         sources = [v for v in graph.nodes if v != node]
         result = pair_weighted_betweenness(digraph, weight, sources=sources)

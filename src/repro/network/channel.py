@@ -15,7 +15,7 @@ from typing import Hashable, Iterator, Optional, Tuple
 
 from ..errors import InsufficientBalance, InvalidParameter
 
-__all__ = ["Channel", "DEFAULT_MAX_ACCEPTED_HTLCS"]
+__all__ = ["Channel", "DEFAULT_MAX_ACCEPTED_HTLCS", "MutationCounter"]
 
 #: Lightning's BOLT-2 default for ``max_accepted_htlcs``: at most 483
 #: concurrent in-flight HTLCs per channel direction. This is the finite
@@ -27,6 +27,20 @@ _channel_counter = itertools.count()
 
 def _next_channel_id() -> str:
     return f"chan-{next(_channel_counter)}"
+
+
+class MutationCounter:
+    """A graph's mutation version, shared with its channels.
+
+    A balance move bumps it through the channel, and the channel holds
+    only the counter, never the graph: a dropped graph is freed by
+    reference counting alone.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0
 
 
 class Channel:
@@ -48,7 +62,7 @@ class Channel:
 
     __slots__ = (
         "u", "v", "_balances", "channel_id",
-        "fee_base", "fee_rate", "upfront_base", "upfront_rate", "_on_mutate",
+        "fee_base", "fee_rate", "upfront_base", "upfront_rate", "_counter",
         "max_accepted_htlcs",
     )
 
@@ -94,9 +108,9 @@ class Channel:
         #: success-side fee columns.
         self.upfront_base = float(upfront_base)
         self.upfront_rate = float(upfront_rate)
-        # Balance-mutation callback installed by the owning ChannelGraph so
-        # cached views are invalidated when payments move funds.
-        self._on_mutate = None
+        # The owning ChannelGraph's counter, bumped when payments move
+        # funds so its cached views are invalidated.
+        self._counter: Optional[MutationCounter] = None
 
     # -- introspection ----------------------------------------------------
 
@@ -159,9 +173,9 @@ class Channel:
 
     def _notify(self) -> None:
         """Tell the owning graph a balance moved (view-cache invalidation)."""
-        callback = self._on_mutate
-        if callback is not None:
-            callback()
+        counter = self._counter
+        if counter is not None:
+            counter.value += 1
 
     def directed_views(self) -> Iterator[Tuple[Hashable, Hashable, float]]:
         """Yield the channel as two directed edges ``(src, dst, balance)``."""

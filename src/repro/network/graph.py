@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..errors import ChannelNotFound, DuplicateChannel, InvalidParameter, NodeNotFound
-from .channel import DEFAULT_MAX_ACCEPTED_HTLCS, Channel
+from .channel import DEFAULT_MAX_ACCEPTED_HTLCS, Channel, MutationCounter
 from .views import GraphView, build_view
 
 __all__ = ["ChannelGraph"]
@@ -43,25 +43,22 @@ class ChannelGraph:
         self._channels: Dict[str, Channel] = {}
         self._adjacency: Dict[Hashable, Set[str]] = {}
         # Bumped on every mutation — structural (add/remove) and balance
-        # (send/deposit/withdraw, via the channel callback) — so cached
-        # views are keyed on the complete observable state.
-        self._version = 0
+        # (send/deposit/withdraw, through the channels sharing it) — so
+        # cached views are keyed on the complete observable state.
+        self._counter = MutationCounter()
         self._views: Dict[Tuple[bool, float], Tuple[int, GraphView]] = {}
 
     @property
     def version(self) -> int:
         """Monotone mutation counter (structure and balances)."""
-        return self._version
-
-    def _bump_version(self) -> None:
-        self._version += 1
+        return self._counter.value
 
     # -- construction -------------------------------------------------------
 
     def add_node(self, node: Hashable) -> None:
         """Register ``node`` (no-op when it already exists)."""
         self._adjacency.setdefault(node, set())
-        self._version += 1
+        self._counter.value += 1
 
     def add_channel(
         self,
@@ -107,8 +104,8 @@ class ChannelGraph:
         self._channels[channel.channel_id] = channel
         self._adjacency[u].add(channel.channel_id)
         self._adjacency[v].add(channel.channel_id)
-        channel._on_mutate = self._bump_version
-        self._version += 1
+        channel._counter = self._counter
+        self._counter.value += 1
         return channel
 
     def remove_channel(self, channel_id: str) -> Channel:
@@ -119,8 +116,8 @@ class ChannelGraph:
             raise ChannelNotFound(None, None, channel_id) from None
         self._adjacency[channel.u].discard(channel_id)
         self._adjacency[channel.v].discard(channel_id)
-        channel._on_mutate = None
-        self._version += 1
+        channel._counter = None
+        self._counter.value += 1
         return channel
 
     def remove_node(self, node: Hashable) -> None:
@@ -130,7 +127,7 @@ class ChannelGraph:
         for channel_id in list(self._adjacency[node]):
             self.remove_channel(channel_id)
         del self._adjacency[node]
-        self._version += 1
+        self._counter.value += 1
 
     def copy(self) -> "ChannelGraph":
         """Deep copy: balances and per-channel settings are copied."""
@@ -275,11 +272,11 @@ class ChannelGraph:
             raise InvalidParameter("reduced must be >= 0")
         key = (directed, float(reduced))
         hit = self._views.get(key)
-        if hit is not None and hit[0] == self._version:
+        if hit is not None and hit[0] == self.version:
             return hit[1]
         if len(self._views) >= _VIEW_CACHE_LIMIT:
             self._views = {
-                k: v for k, v in self._views.items() if v[0] == self._version
+                k: v for k, v in self._views.items() if v[0] == self.version
             }
             # Same-version entries (distinct `reduced` amounts) can also
             # pile up, e.g. under a liquidity sweep on a static graph —
@@ -287,7 +284,7 @@ class ChannelGraph:
             while len(self._views) >= _VIEW_CACHE_LIMIT:
                 self._views.pop(next(iter(self._views)))
         snapshot = build_view(self, directed, reduced)
-        self._views[key] = (self._version, snapshot)
+        self._views[key] = (self.version, snapshot)
         return snapshot
 
     # -- convenience constructors -------------------------------------------

@@ -23,7 +23,9 @@ changes: mutate the graph and ask for a new view instead.
 
 The module also provides the vectorised BFS primitives shared by the
 algorithm ports: frontier expansion, hop distances, and Brandes'
-``(dist, sigma, tree-edges)`` bookkeeping, all as numpy array passes.
+``(dist, sigma, tree-edges)`` bookkeeping, all as numpy array passes;
+and :func:`all_pairs_paths`, the hop distances and shortest-path counts
+of every ordered pair from one dense level-synchronous pass.
 """
 
 from __future__ import annotations
@@ -53,12 +55,14 @@ SMALL_GRAPH_NODES = 150
 
 __all__ = [
     "SMALL_GRAPH_NODES",
+    "DENSE_PATHS_NODES",
     "GraphView",
     "BfsTree",
     "build_view",
     "expand_frontier",
     "bfs_distances",
     "bfs_shortest_path_tree",
+    "all_pairs_paths",
     "shortest_path_indices",
 ]
 
@@ -564,3 +568,69 @@ def bfs_shortest_path_tree(
             frontier = fresh
         level += 1
     return BfsTree(dist, sigma, levels)
+
+
+#: Largest view :func:`all_pairs_paths` runs its dense pass on; larger
+#: views take one BFS per source. On a 2-core x86_64 VM, directed BA
+#: views, the dense pass against the per-source BFS (medians): n=30
+#: 0.06 vs 2.8 ms, n=200 4.5 vs 32 ms, n=500 50 vs 109 ms, n=700 111 vs
+#: 170 ms, n=1000 278 vs 290 ms. The dense pass also holds six
+#: ``(n, n)`` float arrays at once, so it stops short of the tie.
+DENSE_PATHS_NODES = 800
+
+#: Path counts at or above this may be inexact in float64.
+_EXACT_COUNTS = float(2 ** 53)
+
+
+def all_pairs_paths(view: GraphView) -> Tuple[np.ndarray, np.ndarray]:
+    """``(D, Σ)``: hop distances (``inf`` = unreachable) and shortest-path
+    counts between every ordered pair of ``view``'s nodes, as ``(n, n)``
+    float arrays.
+
+    Up to :data:`DENSE_PATHS_NODES` nodes, one dense pass finds every
+    source's BFS level at once: ``F_k = F_{k-1} @ A``, with the cells
+    found at an earlier level zeroed, where ``A`` counts the view's
+    entries per ordered pair. The counts are integers, so they are exact
+    in float64, and equal the BFS's, until one reaches 2^53; then, and
+    on larger views, :func:`bfs_shortest_path_tree` runs per source.
+    """
+    n = view.num_nodes
+    tables = _dense_paths(view) if n <= DENSE_PATHS_NODES else None
+    if tables is None:
+        dist = np.empty((n, n))
+        sigma = np.empty((n, n))
+        for source in range(n):
+            tree = bfs_shortest_path_tree(view, source)
+            dist[source], sigma[source] = tree.dist, tree.sigma
+        dist[dist < 0] = np.inf
+        tables = dist, sigma
+    return tables
+
+
+def _dense_paths(view: GraphView) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The dense pass of :func:`all_pairs_paths`; ``None`` once a count
+    reaches 2^53."""
+    n = view.num_nodes
+    adjacency = np.zeros((n, n))
+    np.add.at(adjacency, (view.entry_rows(), view.indices), 1.0)
+    frontier = np.eye(n)
+    sigma = frontier.copy()
+    dist = np.where(frontier > 0, 0.0, np.inf)
+    unseen = 1.0 - frontier
+    remaining = n * n - n
+    level = 0
+    while remaining:
+        level += 1
+        frontier = frontier @ adjacency
+        frontier *= unseen
+        fresh = frontier > 0
+        found = int(np.count_nonzero(fresh))
+        if not found:
+            break
+        if frontier.max() >= _EXACT_COUNTS:
+            return None
+        dist[fresh] = level
+        sigma += frontier
+        unseen[fresh] = 0.0
+        remaining -= found
+    return dist, sigma

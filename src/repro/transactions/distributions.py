@@ -44,14 +44,17 @@ def choice_cdf(probs: np.ndarray) -> np.ndarray:
     return cdf
 
 
+#: A sender's sampling table: receivers, and the cumulative table
+#: :func:`choice_cdf` builds over their probabilities.
+SamplingTable = Tuple[List[Hashable], np.ndarray]
+
+
 class TransactionDistribution(abc.ABC):
     """Probability that a given sender transacts with a given receiver."""
 
     def __init__(self) -> None:
-        # sender -> (receivers, cdf) sampling table; None keeps no tables
-        self._tables: Optional[
-            Dict[Hashable, Tuple[List[Hashable], np.ndarray]]
-        ] = {}
+        # sender -> sampling table; None keeps no tables
+        self._tables: Optional[Dict[Hashable, SamplingTable]] = {}
 
     @abc.abstractmethod
     def probability(self, sender: Hashable, receiver: Hashable) -> float:
@@ -60,6 +63,24 @@ class TransactionDistribution(abc.ABC):
     @abc.abstractmethod
     def receivers(self, sender: Hashable) -> Dict[Hashable, float]:
         """Full receiver distribution of ``sender`` (sums to 1)."""
+
+    def pair_probabilities(self, nodes: Sequence[Hashable]) -> np.ndarray:
+        """``P[i, j] = p_trans(nodes[i], nodes[j])`` as an ``(n, n)``
+        array, filled from :meth:`receivers`. A sender the distribution
+        does not know gets a zero row; the diagonal and receivers outside
+        ``nodes`` are dropped."""
+        index = {node: i for i, node in enumerate(nodes)}
+        table = np.zeros((len(nodes), len(nodes)))
+        for i, sender in enumerate(nodes):
+            try:
+                row = self.receivers(sender)
+            except NodeNotFound:
+                continue
+            for receiver, prob in row.items():
+                j = index.get(receiver)
+                if j is not None and j != i:
+                    table[i, j] = prob
+        return table
 
     def sample_receiver(
         self, sender: Hashable, rng: np.random.Generator
@@ -75,22 +96,25 @@ class TransactionDistribution(abc.ABC):
         """
         table = self._tables.get(sender) if self._tables is not None else None
         if table is None:
-            table = self._sampling_table(sender)
-            if self._tables is not None:
-                self._tables[sender] = table
+            table = self._build_table(sender)
         nodes, cdf = table
         return nodes[cdf.searchsorted(rng.random(), side="right")]
 
-    def _row_arrays(self, sender: Hashable) -> Tuple[List[Hashable], np.ndarray]:
-        """:meth:`receivers`'s distribution as a node list and a float array."""
+    def _build_table(self, sender: Hashable) -> SamplingTable:
+        """``sender``'s sampling table, kept when tables are kept."""
         dist = self.receivers(sender)
         nodes = list(dist)
-        return nodes, np.fromiter(dist.values(), dtype=float, count=len(nodes))
+        probs = np.fromiter(dist.values(), dtype=float, count=len(nodes))
+        table = self._sampling_table(sender, nodes, probs)
+        if self._tables is not None:
+            self._tables[sender] = table
+        return table
 
+    @staticmethod
     def _sampling_table(
-        self, sender: Hashable
-    ) -> Tuple[List[Hashable], np.ndarray]:
-        nodes, probs = self._row_arrays(sender)
+        sender: Hashable, nodes: List[Hashable], probs: np.ndarray
+    ) -> SamplingTable:
+        """The table over ``probs``, normalised in place first."""
         total = probs.sum()
         if total <= 0:
             raise InvalidParameter(f"receiver distribution of {sender!r} is empty")

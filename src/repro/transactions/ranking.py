@@ -15,20 +15,31 @@ The paper's formula writes the last term as ``1/(r0(v)+n(v))^s``; summing
 ``n(v)`` consecutive ranks starting at ``r0`` ends at ``r0+n(v)-1``, and we
 use that reading (the off-by-one in the text would double-count one rank
 between adjacent tie blocks and break normalisation).
+
+:class:`DegreeRanking` builds the rows of a batch of senders as arrays.
+Each row is ``G - u``'s degrees, one less per channel to ``u``, sorted by
+one argsort of the keys ``(-degree, str rank, index)``. Tie blocks are
+the runs of equal degree. Each distinct ``(first rank, size)`` in the
+batch is averaged once. Sums run left to right: the block average adds
+its terms one at a time and the row totals are an ``np.cumsum``. So the
+bits do not depend on how the Python version's ``sum()`` adds floats.
 """
 
 from __future__ import annotations
 
-import bisect
-import collections
 import functools
 import operator
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import InvalidParameter, NodeNotFound
 from ..network.graph import ChannelGraph
 
 __all__ = ["DegreeRanking", "degree_ranking", "rank_factors", "rank_factors_from_degrees"]
+
+#: A key above every node's: the sender's own column sorts last.
+_LAST = np.iinfo(np.int64).max
 
 
 def check_zipf_s(s: float) -> None:
@@ -38,8 +49,9 @@ def check_zipf_s(s: float) -> None:
 
 
 class DegreeRanking:
-    """A graph's nodes ranked by ``(-degree, str(node))``, ties beyond that
-    in graph order, built once; :meth:`row` derives each ``G - u`` ranking.
+    """A graph's degrees and tie-break order, read once; :meth:`ranked`
+    and :meth:`probabilities` derive the ``G - u`` rows of a batch of
+    senders ``u``.
 
     Degrees are read at construction: build a new ranking after the
     graph's topology changes.
@@ -47,62 +59,70 @@ class DegreeRanking:
 
     def __init__(self, graph: ChannelGraph) -> None:
         self.graph = graph
-        nodes = graph.nodes
-        self.degrees = dict(zip(nodes, map(graph.degree, nodes)))
-        # unique keys: a neighbour's key at its G - u degree bisects to its slot
-        self._keys = sorted(
-            zip(map(operator.neg, self.degrees.values()), map(str, nodes), range(len(nodes)))
+        self.nodes = graph.nodes
+        n = len(self.nodes)
+        self.index: Dict[Hashable, int] = dict(zip(self.nodes, range(n)))
+        self.degrees = np.fromiter(
+            map(graph.degree, self.nodes), dtype=np.int64, count=n
         )
-        self.order = [nodes[i] for _, _, i in self._keys]
-        self._rank = dict(zip(self.order, range(len(nodes))))
-        self._counts = dict(collections.Counter(self.degrees.values()))
+        # each node's place in (str(node), graph order): the key below degree
+        names = list(map(str, self.nodes))
+        self._tiebreak = np.empty(n, dtype=np.int64)
+        self._tiebreak[sorted(range(n), key=names.__getitem__)] = np.arange(n)
 
-    def row(
-        self, perspective: Optional[Hashable] = None
-    ) -> Tuple[List[Hashable], List[int], Dict[Hashable, int]]:
-        """``G - perspective``'s nodes in rank order, its tie-block sizes
-        (highest degree first) and the new degree of each neighbour of
-        ``perspective``, one less per channel; other degrees are unchanged.
+    def position(self, node: Hashable) -> int:
+        """``node``'s index in :attr:`nodes`."""
+        try:
+            return self.index[node]
+        except KeyError:
+            raise NodeNotFound(node) from None
 
-        Only ``perspective`` and its neighbours move: no degree is re-read
-        and nothing is re-sorted.
+    def ranked(
+        self, senders: Optional[Sequence[int]] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(order, degrees)``, one row per sender index ``u``: the nodes
+        of ``G - u`` as indices in rank order, and their degrees in
+        ``G - u``. With ``senders=None``, one row ranks the whole graph.
         """
-        degrees, keys, rank = self.degrees, self._keys, self._rank
-        nodes = list(self.order)
-        counts = self._counts.copy()
-        moved: Dict[Hashable, int] = {}
-        if perspective is not None:
-            if perspective not in degrees:
-                raise NodeNotFound(perspective)
-            for channel in self.graph.channels_of(perspective):
-                node = channel.other(perspective)
-                moved[node] = moved.get(node, degrees[node]) - 1
-            counts[degrees[perspective]] -= 1
-            drops = [rank[perspective]]
-            inserts = []
-            for node, degree in moved.items():
-                counts[degrees[node]] -= 1
-                counts[degree] = counts.get(degree, 0) + 1
-                drops.append(rank[node])
-                key = (-degree,) + keys[rank[node]][1:]
-                inserts.append((bisect.bisect_left(keys, key), key, node))
-            drops.sort()
-            for position in reversed(drops):
-                del nodes[position]
-            # a slot counts positions in the full order: shift it past the
-            # drops ahead of it and the neighbours already inserted
-            for i, (slot, _, node) in enumerate(sorted(inserts)):
-                nodes.insert(slot - bisect.bisect_left(drops, slot) + i, node)
-        sizes = [counts[degree] for degree in sorted(counts, reverse=True) if counts[degree]]
-        return nodes, sizes, moved
+        n = len(self.nodes)
+        if senders is None:
+            degrees = self.degrees[None, :]
+            keys = self._tiebreak - n * degrees
+            width = n
+        else:
+            count = len(senders)
+            lost: List[int] = []
+            for row, sender in enumerate(senders):
+                label = self.nodes[sender]
+                offset = row * n
+                lost.extend(
+                    offset + self.index[channel.other(label)]
+                    for channel in self.graph.channels_of(label)
+                )
+            degrees = self.degrees - np.bincount(
+                lost, minlength=count * n
+            ).reshape(count, n)
+            keys = self._tiebreak - n * degrees
+            keys[np.arange(count), senders] = _LAST  # u sorts last
+            width = n - 1
+        order = np.argsort(keys, axis=1)[:, :width]
+        return order, degrees[np.arange(len(order))[:, None], order]
 
-    def factors(
-        self, perspective: Optional[Hashable], s: float
-    ) -> Tuple[List[Hashable], List[float]]:
-        """Nodes in rank order from ``perspective``'s view, with their rank factors."""
-        nodes, sizes, _ = self.row(perspective)
+    def probabilities(
+        self, senders: Optional[Sequence[int]], s: float
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(order, probs)``: :meth:`ranked`'s receivers of each row and
+        their ``p_trans``, each rank factor divided by its row's total."""
         check_zipf_s(s)
-        return nodes, _block_factors(sizes, s)
+        order, degrees = self.ranked(senders)
+        factors = _tie_factors(degrees, s)
+        if factors.shape[1]:
+            factors /= np.cumsum(factors, axis=1)[:, -1:]
+        return order, factors
+
+
+def _senders(ranking: DegreeRanking, perspective: Optional[Hashable]) -> Optional[List[int]]:
+    return None if perspective is None else [ranking.position(perspective)]
 
 
 def degree_ranking(
@@ -116,29 +136,46 @@ def degree_ranking(
     stable across runs; the rank *factors* are tie-invariant anyway.
     """
     ranking = DegreeRanking(graph)
-    nodes, _, moved = ranking.row(perspective)
-    return [(node, moved.get(node, ranking.degrees[node])) for node in nodes]
+    order, degrees = ranking.ranked(_senders(ranking, perspective))
+    nodes = ranking.nodes
+    return [(nodes[i], degree) for i, degree in zip(order[0].tolist(), degrees[0].tolist())]
 
 
 @functools.lru_cache(maxsize=8192, typed=True)
 def _tie_block_average(first_rank: int, block_size: int, s: float) -> float:
     """Mean of ``1/r^s`` over ranks ``first_rank .. first_rank+block_size-1``.
 
-    Memoised: every sender's row of a graph repeats nearly the same tie
-    blocks, and a block of low-degree nodes can span most of the ranks.
+    Adds the terms left to right, rank by rank. Memoised: every sender's
+    row of a graph repeats nearly the same tie blocks, and a block of
+    low-degree nodes can span most of the ranks.
     """
-    block = [
-        1.0 / float(rank) ** s for rank in range(first_rank, first_rank + block_size)
-    ]
-    return sum(block) / len(block)
+    total = 0.0
+    for rank in range(first_rank, first_rank + block_size):
+        total += 1.0 / float(rank) ** s
+    return total / block_size
 
 
-def _block_factors(sizes: Iterable[int], s: float) -> List[float]:
-    """Rank factor per position for consecutive tie blocks of ``sizes``."""
-    factors: List[float] = []
-    for size in sizes:
-        factors.extend([_tie_block_average(len(factors) + 1, size, s)] * size)
-    return factors
+def _tie_factors(degrees: np.ndarray, s: float) -> np.ndarray:
+    """Rank factor per position of rows of non-increasing degrees."""
+    count, width = degrees.shape
+    cells = count * width
+    if cells == 0:
+        return np.zeros((count, width))
+    flat = degrees.ravel()
+    starts = np.empty(cells, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=starts[1:])
+    starts[::width] = True  # every row opens a block
+    firsts = starts.nonzero()[0]
+    sizes = np.empty_like(firsts)
+    np.subtract(firsts[1:], firsts[:-1], out=sizes[:-1])
+    sizes[-1] = cells - firsts[-1]
+    blocks = list(zip((firsts % width + 1).tolist(), sizes.tolist()))
+    averages = dict.fromkeys(blocks)
+    for first_rank, size in averages:
+        averages[first_rank, size] = _tie_block_average(first_rank, size, s)
+    return np.repeat(
+        np.array([averages[block] for block in blocks]), sizes
+    ).reshape(count, width)
 
 
 def rank_factors_from_degrees(
@@ -156,8 +193,8 @@ def rank_factors_from_degrees(
     check_zipf_s(s)
     if any(map(operator.lt, degrees, degrees[1:])):
         raise InvalidParameter("degrees must be sorted in non-increasing order")
-    # sorted, so each degree's count is the size of its tie block
-    return _block_factors(collections.Counter(degrees).values(), s)
+    row = np.asarray(degrees, dtype=float).reshape(1, len(degrees))
+    return _tie_factors(row, s)[0].tolist()
 
 
 def rank_factors(
@@ -170,4 +207,10 @@ def rank_factors(
     The returned factors are *unnormalised*; divide by their sum to obtain
     transaction probabilities (see :class:`~repro.transactions.zipf.ModifiedZipf`).
     """
-    return dict(zip(*DegreeRanking(graph).factors(perspective, s)))
+    check_zipf_s(s)
+    ranking = DegreeRanking(graph)
+    order, degrees = ranking.ranked(_senders(ranking, perspective))
+    nodes = ranking.nodes
+    return dict(zip(
+        [nodes[i] for i in order[0].tolist()], _tie_factors(degrees, s)[0].tolist()
+    ))

@@ -12,19 +12,27 @@ The cases cover a BA-200 graph at three Zipf exponents, seen from its hub
 median node, and every perspective of a small multigraph with parallel
 channels and an isolated node.
 
+The rows must not depend on how the interpreter's ``sum()`` adds
+floats: Python 3.12 compensates where 3.11 adds left to right. Every
+case is also checked with ``builtins.sum`` swapped for 3.12's algorithm
+(``tests/sum312.py``).
+
 Regenerate a digest only for an intentional change to the traffic model,
 and record the change in CHANGES.md.
 """
 
 from __future__ import annotations
 
+import builtins
 import hashlib
 import struct
 
 import pytest
+from sum312 import neumaier_sum
 
 from repro.network.graph import ChannelGraph
 from repro.snapshots.synthetic import barabasi_albert_snapshot
+from repro.transactions import ranking
 from repro.transactions.zipf import ModifiedZipf
 
 GRAPH_SEED = 7
@@ -125,5 +133,31 @@ def test_ba200_row(ba200, s, sender, top, blocks, max_p, sha):
 
 @pytest.mark.parametrize("s, sender, top, blocks, max_p, sha", MULTIGRAPH_CASES)
 def test_multigraph_row(s, sender, top, blocks, max_p, sha):
+    row = ModifiedZipf(multigraph(), s=s).receivers(sender)
+    assert row_digest(row) == (top, blocks, max_p, sha)
+
+
+@pytest.fixture
+def compensated_sum(monkeypatch):
+    """``builtins.sum`` as Python 3.12 adds floats, with the memoised
+    tie-block averages recomputed under it and dropped afterwards."""
+    ranking._tie_block_average.cache_clear()
+    monkeypatch.setattr(builtins, "sum", neumaier_sum)
+    yield
+    ranking._tie_block_average.cache_clear()
+
+
+@pytest.mark.parametrize("s, sender, top, blocks, max_p, sha", BA_CASES)
+def test_ba200_row_under_compensated_sum(
+    ba200, compensated_sum, s, sender, top, blocks, max_p, sha
+):
+    row = ModifiedZipf(ba200, s=s).receivers(sender)
+    assert row_digest(row) == (top, blocks, max_p, sha)
+
+
+@pytest.mark.parametrize("s, sender, top, blocks, max_p, sha", MULTIGRAPH_CASES)
+def test_multigraph_row_under_compensated_sum(
+    compensated_sum, s, sender, top, blocks, max_p, sha
+):
     row = ModifiedZipf(multigraph(), s=s).receivers(sender)
     assert row_digest(row) == (top, blocks, max_p, sha)

@@ -1,5 +1,8 @@
 """Unit tests for :mod:`repro.network.graph`."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import ChannelNotFound, DuplicateChannel, NodeNotFound
@@ -194,3 +197,24 @@ class TestCopy:
         graph = ChannelGraph()
         graph.add_node("lonely")
         assert "lonely" in graph.copy()
+
+
+class TestLifetime:
+    def test_dropped_graph_is_freed_without_the_cycle_collector(self):
+        """Channels share the graph's version counter, not the graph, so
+        reference counting alone frees a dropped graph."""
+        graph = ChannelGraph()
+        graph.add_channel("a", "b", 10.0, 2.0)
+        graph.add_channel("b", "c", 8.0, 1.0)
+        graph.add_channel("b", "c", 3.0, 3.0)
+        graph.view(directed=True)
+        version = graph.version
+        graph.channels[1].send("b", 1.0)
+        assert graph.version == version + 1
+        ref = weakref.ref(graph)
+        gc.disable()
+        try:
+            del graph
+            assert ref() is None
+        finally:
+            gc.enable()

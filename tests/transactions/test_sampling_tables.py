@@ -4,9 +4,16 @@
 p=row)`` would draw from the same stream, one ``random()`` per call. The
 reference below is that ``choice`` call over the row :meth:`receivers`
 returns, so any drift in the table's float operations or RNG use fails.
+
+The rows themselves are checked against Section II-B worked out by brute
+force on random multigraphs (parallel channels, isolated nodes, node
+names whose ``str`` forms collide): lone ``receivers`` rows, a batch of
+one against its row of the batch of all senders, the whole-graph row
+and the all-senders table built in batches of any size.
 """
 
 import collections
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,11 +22,13 @@ from hypothesis import strategies as st
 
 from repro.network.graph import ChannelGraph
 from repro.snapshots.synthetic import barabasi_albert_snapshot
+from repro.transactions import zipf as zipf_module
 from repro.transactions.distributions import (
     EmpiricalDistribution,
+    TransactionDistribution,
     UniformDistribution,
 )
-from repro.transactions.ranking import degree_ranking
+from repro.transactions.ranking import DegreeRanking, degree_ranking, rank_factors
 from repro.transactions.zipf import ModifiedZipf
 
 
@@ -148,19 +157,33 @@ def multigraphs(draw):
     return graph
 
 
-def brute_force_row(graph, sender, s):
-    """Section II-B by definition: rank ``G - sender`` by ``(-deg, str)``,
-    average ``1/r^s`` over each tie block, normalise by the sum."""
+def brute_force_ranked(graph, perspective, s):
+    """Section II-B by definition: rank ``G - perspective`` by ``(-deg,
+    str)``, graph order breaking what is left, average ``1/r^s`` over each
+    tie block and divide by the row total, adding left to right.
+    ``[(node, degree, factor, probability)]`` in rank order."""
     ranked = sorted(
-        brute_force_degrees(graph, sender).items(), key=lambda kv: (-kv[1], str(kv[0]))
+        brute_force_degrees(graph, perspective).items(),
+        key=lambda kv: (-kv[1], str(kv[0])),
     )
     factors = []
     for size in collections.Counter(d for _, d in ranked).values():
         first = len(factors) + 1
-        block = [1.0 / float(rank) ** s for rank in range(first, first + size)]
-        factors.extend([sum(block) / len(block)] * size)
-    total = sum(factors)
-    return {node: factor / total for (node, _), factor in zip(ranked, factors)}
+        block = 0.0
+        for rank in range(first, first + size):
+            block += 1.0 / float(rank) ** s
+        factors.extend([block / size] * size)
+    total = 0.0
+    for factor in factors:
+        total += factor
+    return [
+        (node, degree, factor, factor / total)
+        for (node, degree), factor in zip(ranked, factors)
+    ]
+
+
+def brute_force_row(graph, sender, s):
+    return {node: p for node, _, _, p in brute_force_ranked(graph, sender, s)}
 
 
 class TestPerGraphRanking:
@@ -172,6 +195,45 @@ class TestPerGraphRanking:
             row = zipf.receivers(sender)
             expected = brute_force_row(graph, sender, s)
             assert list(row.items()) == list(expected.items())
+
+    @given(graph=multigraphs(), s=st.sampled_from([0.0, 1.0, 2.3]))
+    @settings(max_examples=150, deadline=None)
+    def test_batch_of_one_is_its_row_of_the_batch_of_all(self, graph, s):
+        ranking = DegreeRanking(graph)
+        order, probs = ranking.probabilities(list(range(len(graph))), s)
+        for i, sender in enumerate(graph.nodes):
+            row = [(ranking.nodes[j], p) for j, p in zip(order[i].tolist(), probs[i].tolist())]
+            assert row == list(brute_force_row(graph, sender, s).items())
+            alone_order, alone_probs = ranking.probabilities([i], s)
+            assert alone_order.tobytes() == order[i].tobytes()
+            assert alone_probs.tobytes() == probs[i].tobytes()
+
+    @given(graph=multigraphs(), s=st.sampled_from([0.0, 1.0, 2.3]))
+    @settings(max_examples=150, deadline=None)
+    def test_whole_graph_row_matches_brute_force(self, graph, s):
+        expected = brute_force_ranked(graph, None, s)
+        ranking = DegreeRanking(graph)
+        order, probs = ranking.probabilities(None, s)
+        assert [
+            (ranking.nodes[j], p) for j, p in zip(order[0].tolist(), probs[0].tolist())
+        ] == [(node, p) for node, _, _, p in expected]
+        assert list(rank_factors(graph, None, s).items()) == [
+            (node, f) for node, _, f, _ in expected
+        ]
+        assert degree_ranking(graph) == [(node, d) for node, d, _, _ in expected]
+
+    @given(graph=multigraphs(), s=st.sampled_from([0.0, 1.0, 2.3]), batch=st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_probability_table_matches_lone_rows(self, graph, s, batch):
+        """The all-senders table, built ``batch`` senders at a time, equals
+        the base class's, filled from one lone :meth:`receivers` row at a
+        time."""
+        with mock.patch.object(zipf_module, "ROW_BATCH", batch):
+            table = ModifiedZipf(graph, s=s).pair_probabilities(graph.nodes)
+        filled = TransactionDistribution.pair_probabilities(
+            ModifiedZipf(graph, s=s), graph.nodes
+        )
+        assert table.tobytes() == filled.tobytes()
 
     def test_degrees_read_once_per_node(self, monkeypatch):
         graph = barabasi_albert_snapshot(60, seed=5)
