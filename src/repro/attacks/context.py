@@ -24,6 +24,7 @@ from typing import (
 
 import numpy as np
 
+from ..determinism import ordered_sum
 from ..errors import ScenarioError
 from ..network.channel import Channel
 from ..network.graph import ChannelGraph
@@ -207,7 +208,7 @@ class AttackContext:
         )
         if settle:
             self.engine.htlc_router.settle(payment)
-            self.fees_paid += sum(payment.fees_per_node.values())
+            self.fees_paid += ordered_sum(payment.fees_per_node.values())
         else:
             self.engine.htlc_router.fail(payment)
         obs = self._obs

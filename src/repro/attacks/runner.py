@@ -2,9 +2,10 @@
 
 :class:`AttackRunner` executes a scenario's ``attack`` stage:
 
-1. build the topology and pre-generate the honest transaction trace (so
-   the attacker's presence cannot perturb the honest RNG streams — both
-   runs replay the *identical* payment intents);
+1. build the topology, choose the victim on it and pre-generate the
+   honest transaction trace (so the attacker's presence cannot perturb
+   the honest RNG streams — both runs replay the *identical* payment
+   intents);
 2. run the **baseline**: the honest trace on an untouched graph;
 3. run the **attacked** simulation: a fresh copy of the same graph, the
    same trace, plus the attack strategy's events interleaved on the
@@ -22,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, List, Optional
 
+from ..determinism import ordered_sum
 from ..errors import ScenarioError
 from ..network.betweenness import pair_weighted_betweenness
 from ..network.graph import ChannelGraph
@@ -44,6 +46,9 @@ __all__ = ["AttackOutcome", "AttackRunner", "select_victim"]
 
 def select_victim(graph: ChannelGraph, victim: Optional[str] = None) -> Hashable:
     """Resolve the attack target.
+
+    :class:`AttackRunner` chooses on the baseline graph before the
+    baseline run, whose freeze then reuses the view and its tables.
 
     An explicit ``victim`` must exist in the graph. Otherwise the node
     with the highest pair-weighted betweenness — the one earning the most
@@ -105,6 +110,7 @@ class AttackRunner:
             )
             if strategy.slot_cap is not None:
                 baseline_graph.set_htlc_slot_cap(strategy.slot_cap)
+            victim = select_victim(baseline_graph, strategy.victim)
             workload = build_workload(scenario, baseline_graph)
             trace: List[Transaction] = list(workload.generate(horizon))
 
@@ -122,7 +128,6 @@ class AttackRunner:
         attacked_graph = build_topology(scenario.topology, seed=scenario.seed)
         if strategy.slot_cap is not None:
             attacked_graph.set_htlc_slot_cap(strategy.slot_cap)
-        victim = select_victim(attacked_graph, strategy.victim)
         engine = build_simulation_engine(scenario, attacked_graph, obs=obs)
         engine.schedule_transactions(trace)
         ctx = AttackContext(
@@ -205,8 +210,8 @@ class AttackRunner:
             baseline_victim_revenue=baseline_victim,
             attacked_victim_revenue=attacked_victim,
             victim_revenue_delta=baseline_victim - attacked_victim,
-            baseline_total_revenue=sum(baseline.revenue.values()),
-            attacked_total_revenue=sum(attacked.revenue.values()),
+            baseline_total_revenue=ordered_sum(baseline.revenue.values()),
+            attacked_total_revenue=ordered_sum(attacked.revenue.values()),
             baseline_victim_upfront_revenue=baseline.upfront_revenue.get(
                 victim, 0.0
             ),

@@ -21,8 +21,8 @@ Strategies are scored in closed form, without building the augmented
 graph. Every shortest path through ``u`` has the shape
 ``s ⇝ p -> u -> q ⇝ r`` and both halves lie in the fixed base graph, so
 hop distances ``D`` and shortest-path counts ``Σ`` of the base graph,
-computed once by :func:`~repro.network.views.all_pairs_paths` (one dense
-level-synchronous pass for every source), give
+computed once per view by :func:`~repro.network.views.all_pairs_paths`
+(one dense level-synchronous pass for every source), give
 
     d(s, u) = 1 + min_{p in P_in} D[s, p]
     σ(s, u) = sum of Σ[s, p] over the minimising p
@@ -242,8 +242,8 @@ class JoiningUserModel:
             sender_rates = {v: per_node for v in graph.nodes}
         self._sender_rates = dict(sender_rates)
 
-        # Base-graph tables, built on first use.
-        self._paths: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        # Base-graph tables, built on first use (``(D, Σ)`` is cached on
+        # the view).
         self._row_tables: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         self._reach_table: Optional[np.ndarray] = None
         self._weights: Optional[np.ndarray] = None
@@ -268,18 +268,12 @@ class JoiningUserModel:
 
     # -- closed-form pieces ---------------------------------------------------------
 
-    def _all_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(D, Σ)`` of the frozen base view (built once)."""
-        if self._paths is None:
-            self._paths = all_pairs_paths(self._view)
-        return self._paths
-
     def _reach(self) -> np.ndarray:
         """``D`` with ``inf`` lowered to the largest float. A finite route
         length never exceeds it and ``inf`` always does, so ``T <= reach``
         is ``T <= D`` for finite ``T`` and false for unreachable ones."""
         if self._reach_table is None:
-            dist, _ = self._all_pairs()
+            dist, _ = all_pairs_paths(self._view)
             self._reach_table = np.where(
                 np.isinf(dist), np.finfo(float).max, dist
             )
@@ -292,7 +286,7 @@ class JoiningUserModel:
         key = "out" if outgoing else "in"
         tables = self._row_tables.get(key)
         if tables is None:
-            dist, sigma = self._all_pairs()
+            dist, sigma = all_pairs_paths(self._view)
             if not outgoing:
                 dist, sigma = dist.T, sigma.T
             n = dist.shape[0]
@@ -390,7 +384,7 @@ class JoiningUserModel:
         strategy in row-major order, so each strategy's ``np.dot`` runs
         over the entries, in the order, of a batch of one.
         """
-        _, sigma = self._all_pairs()
+        _, sigma = all_pairs_paths(self._view)
         reach = self._reach()
         to_dist, paths_in = to_user
         from_dist, paths_out = from_user

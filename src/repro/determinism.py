@@ -1,4 +1,4 @@
-"""Seed resolution: the one sanctioned entropy draw in the library.
+"""Seed resolution, and float totals that add the same on every interpreter.
 
 Every headline claim of this reproduction — event-vs-batched parity,
 byte-identical CLI runs, serial==process sweep equality — rests on all
@@ -12,16 +12,20 @@ replayable after the fact (the engines additionally surface it in
 The static linter (:mod:`repro.devtools`) enforces this contract: rule
 RPR001 flags every other entropy source in the tree; the single draw
 below carries the only sanctioned suppression.
+
+Python 3.12's ``sum()`` adds floats with compensation where 3.11 adds
+left to right, so totals that feed hashed or pinned outputs use
+:func:`ordered_sum`, which adds left to right on both.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
-__all__ = ["resolve_seed"]
+__all__ = ["ordered_sum", "resolve_seed"]
 
 logger = logging.getLogger("repro.determinism")
 
@@ -44,3 +48,13 @@ def resolve_seed(seed: Optional[int] = None) -> int:
         "this run)", drawn, drawn,
     )
     return drawn
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """``sum(values)`` as Python 3.11 adds it: left to right from the
+    int ``0``, so an empty total is ``0`` and every float total is the
+    same on every interpreter."""
+    total = 0
+    for value in values:
+        total += value
+    return total

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
+from ..determinism import ordered_sum
 from ..errors import ChannelNotFound, DuplicateChannel, InvalidParameter, NodeNotFound
 from .channel import DEFAULT_MAX_ACCEPTED_HTLCS, Channel, MutationCounter
 from .views import GraphView, build_view
@@ -241,11 +242,11 @@ class ChannelGraph:
             channel.max_accepted_htlcs = cap
 
     def total_capacity(self) -> float:
-        return sum(c.capacity for c in self._channels.values())
+        return ordered_sum(c.capacity for c in self._channels.values())
 
     def balance_of(self, node: Hashable) -> float:
         """Total coins ``node`` owns across all of its channels."""
-        return sum(c.balance(node) for c in self.channels_of(node))
+        return ordered_sum(c.balance(node) for c in self.channels_of(node))
 
     def directed_edges(self) -> Iterator[Tuple[Hashable, Hashable, float]]:
         """Yield every directed edge ``(src, dst, balance)`` once per channel."""

@@ -8,7 +8,10 @@ reduced subgraph, where every directed edge on the path holds balance
 entries whose balance can carry ``x``), and the walks pick one shortest
 path: the first predecessor at each hop, or one drawn in proportion to
 the shortest-path counts (the equal-split shares of Eq. 2). The
-simulator (:mod:`repro.simulation.fastpath`) routes every payment here.
+small-graph search is guided by hop distances to the receiver, read
+from a column of the view's cached all-pairs distance table
+(:func:`hop_guide`). The simulator (:mod:`repro.simulation.fastpath`)
+routes every payment here.
 """
 
 from __future__ import annotations
@@ -18,13 +21,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .views import BfsTree, GraphView
+from .views import BfsTree, GraphView, all_pairs_paths
 
 __all__ = [
     "PaymentRouteRng",
     "bidirectional_route",
     "guided_bfs_structure",
-    "hops_to_target",
+    "hop_guide",
     "small_bfs_structure",
     "walk_csr",
     "walk_small",
@@ -104,29 +107,12 @@ def small_bfs_structure(
     return dist, sigma, preds
 
 
-def hops_to_target(radj: List[List[Tuple[int, int]]], target: int) -> List[int]:
-    """Hop distance from every node to ``target`` over all entries.
-
-    ``radj`` holds per-node ``[(predecessor, entry)]`` lists
-    (:meth:`GraphView.reverse_adjacency_lists`); ``-1`` marks a node with
-    no path to ``target``. A python BFS, not
-    :func:`~repro.network.views.bfs_distances`: on a BA-100 view a row
-    costs ~34 µs here and ~195 µs in numpy.
-    """
-    hops = [-1] * len(radj)
-    hops[target] = 0
-    level = [target]
-    k = 0
-    while level:
-        k += 1
-        fresh: List[int] = []
-        for u in level:
-            for y, _ in radj[u]:
-                if hops[y] < 0:
-                    hops[y] = k
-                    fresh.append(y)
-        level = fresh
-    return hops
+def hop_guide(view: GraphView, target: int) -> List[int]:
+    """Hop distance from every node of ``view`` to ``target``: column
+    ``target`` of the view's cached :func:`all_pairs_paths` distances,
+    with ``-1`` for a node with no path to ``target``."""
+    column = all_pairs_paths(view)[0][:, target]
+    return np.where(column < np.inf, column, -1).astype(np.int64).tolist()
 
 
 def guided_bfs_structure(
@@ -140,7 +126,7 @@ def guided_bfs_structure(
     """:func:`small_bfs_structure` restricted to the ``source -> target``
     shortest-path DAG of the kept entries.
 
-    ``hops_to_r`` is :func:`hops_to_target` over *all* entries. A
+    ``hops_to_r`` is :func:`hop_guide` over *all* entries. A
     level-synchronous BFS over the kept entries admits node ``w`` at
     level ``k`` only if ``k + hops_to_r[w] <= bound``. Kept entries are a
     subset of all entries, so ``hops_to_r`` never exceeds the kept

@@ -25,7 +25,8 @@ The module also provides the vectorised BFS primitives shared by the
 algorithm ports: frontier expansion, hop distances, and Brandes'
 ``(dist, sigma, tree-edges)`` bookkeeping, all as numpy array passes;
 and :func:`all_pairs_paths`, the hop distances and shortest-path counts
-of every ordered pair from one dense level-synchronous pass.
+of every ordered pair from one dense level-synchronous pass, cached on
+the view as read-only arrays.
 """
 
 from __future__ import annotations
@@ -48,9 +49,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 
     from .graph import ChannelGraph
 
-#: Below this many nodes the per-node python passes beat the vectorised
-#: numpy ones (per-level array-call overhead exceeds the actual work);
-#: shared by the betweenness and routing fast-path dispatch.
+#: Below this many nodes, betweenness and the simulator's route guides
+#: read the view's cached :func:`all_pairs_paths` tables; from here up,
+#: betweenness runs one CSR pass per source and routes take the
+#: bidirectional search, which needs no per-view table.
 SMALL_GRAPH_NODES = 150
 
 __all__ = [
@@ -115,6 +117,7 @@ class GraphView:
         "_nx_cache",
         "_entry_rows",
         "_adj_lists",
+        "_all_pairs",
     )
 
     def __init__(
@@ -160,6 +163,7 @@ class GraphView:
         self._reverse: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._entry_rows: Optional[np.ndarray] = None
         self._adj_lists: Optional[List[List[Tuple[int, int]]]] = None
+        self._all_pairs: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # -- shape ----------------------------------------------------------------
 
@@ -584,8 +588,9 @@ _EXACT_COUNTS = float(2 ** 53)
 
 def all_pairs_paths(view: GraphView) -> Tuple[np.ndarray, np.ndarray]:
     """``(D, Σ)``: hop distances (``inf`` = unreachable) and shortest-path
-    counts between every ordered pair of ``view``'s nodes, as ``(n, n)``
-    float arrays.
+    counts between every ordered pair of ``view``'s nodes, as read-only
+    ``(n, n)`` float arrays, built on the first call and cached on the
+    view.
 
     Up to :data:`DENSE_PATHS_NODES` nodes, one dense pass finds every
     source's BFS level at once: ``F_k = F_{k-1} @ A``, with the cells
@@ -594,6 +599,9 @@ def all_pairs_paths(view: GraphView) -> Tuple[np.ndarray, np.ndarray]:
     in float64, and equal the BFS's, until one reaches 2^53; then, and
     on larger views, :func:`bfs_shortest_path_tree` runs per source.
     """
+    tables = view._all_pairs
+    if tables is not None:
+        return tables
     n = view.num_nodes
     tables = _dense_paths(view) if n <= DENSE_PATHS_NODES else None
     if tables is None:
@@ -604,6 +612,9 @@ def all_pairs_paths(view: GraphView) -> Tuple[np.ndarray, np.ndarray]:
             dist[source], sigma[source] = tree.dist, tree.sigma
         dist[dist < 0] = np.inf
         tables = dist, sigma
+    for table in tables:
+        table.setflags(write=False)
+    view._all_pairs = tables
     return tables
 
 
@@ -627,10 +638,11 @@ def _dense_paths(view: GraphView) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         found = int(np.count_nonzero(fresh))
         if not found:
             break
-        if frontier.max() >= _EXACT_COUNTS:
-            return None
         dist[fresh] = level
         sigma += frontier
         unseen[fresh] = 0.0
         remaining -= found
+    # Each cell's count lands in sigma once, so one check covers them all.
+    if sigma.max(initial=0.0) >= _EXACT_COUNTS:
+        return None
     return dist, sigma

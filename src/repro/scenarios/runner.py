@@ -44,6 +44,7 @@ from ..evolution import churn as _churn  # noqa: F401  (uniform, ...)
 from ..evolution import growth as _growth  # noqa: F401  (poisson, ...)
 from ..core.algorithms.common import OptimisationResult
 from ..core.utility import JoiningUserModel
+from ..determinism import ordered_sum
 from ..equilibrium import topologies  # noqa: F401  (star, path, circle, ...)
 from ..errors import ScenarioError
 from ..network.graph import ChannelGraph
@@ -326,7 +327,7 @@ class ScenarioRunner:
             failed=metrics.failed,
             success_rate=metrics.success_rate,
             volume_delivered=metrics.volume_delivered,
-            total_revenue=sum(metrics.revenue.values()),
+            total_revenue=ordered_sum(metrics.revenue.values()),
             horizon=metrics.horizon,
         )
 

@@ -23,7 +23,7 @@ from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence,
 
 import numpy as np
 
-from ..determinism import resolve_seed
+from ..determinism import ordered_sum, resolve_seed
 from ..errors import SimulationError
 from ..network.fees import ConstantFee, FeeFunction
 from ..network.graph import ChannelGraph
@@ -391,6 +391,6 @@ class SimulationEngine:
         longer free.
         """
         metrics = self.metrics
-        metrics.upfront_fees_paid[sender] += sum(fees.values())
+        metrics.upfront_fees_paid[sender] += ordered_sum(fees.values())
         for node, fee in fees.items():
             metrics.upfront_revenue[node] += fee

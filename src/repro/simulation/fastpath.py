@@ -16,11 +16,14 @@ O(channels) python loop):
   :func:`~repro.network.routing.small_bfs_structure` cut down to the
   sender-receiver shortest-path DAG: it admits a node at level ``k``
   only if ``k`` plus its hop distance to the receiver in the unmasked
-  view (one BFS per receiver, cached) stays within a bound. Masking
-  only removes entries, so that distance never overestimates the masked
-  one, and every node on a masked shortest path is admitted at its true
-  level through all its predecessors, in BFS pop order: path counts,
-  predecessor order and walk draws are those of the whole-graph search.
+  view stays within a bound: column ``r`` of the view's cached
+  all-pairs distances (:func:`~repro.network.views.all_pairs_paths`,
+  ~1 ms per view at n=100, where one python BFS per receiver cost ~34
+  µs). Masking only removes entries, so that distance never
+  overestimates the masked one, and every node on a masked shortest
+  path is admitted at its true level through all its predecessors, in
+  BFS pop order: path counts, predecessor order and walk draws are
+  those of the whole-graph search.
   At most two pruned passes run before the full BFS takes over. On
   ``attack-htlc`` (BA-100) this cuts the ~50 µs whole-graph search per
   payment to ~14 µs. On larger graphs the route is
@@ -68,7 +71,7 @@ from ..network.graph import ChannelGraph
 from ..network.routing import (
     bidirectional_route,
     guided_bfs_structure,
-    hops_to_target,
+    hop_guide,
     walk_small,
 )
 from ..network.views import SMALL_GRAPH_NODES, GraphView
@@ -214,10 +217,10 @@ class _ArrayState:
         # A list, not an array: the ledger reads it element-wise per hop.
         self.rev_entry: List[int] = self._reverse_entries(view).tolist()
         # Python adjacency rows for the per-payment searches: successors
-        # (both branches) and predecessors sorted by index (the CSR
-        # branch's search, the small branch's receiver rows).
+        # (both branches) and predecessors sorted by index (the
+        # bidirectional search only).
         self.full_adj = view.adjacency_lists()
-        self.full_radj = view.reverse_adjacency_lists()
+        self.full_radj = None if self.small else view.reverse_adjacency_lists()
         #: Receiver -> hop distances to it over the frozen view (small
         #: branch): the guide of :func:`guided_bfs_structure`.
         self.hops_to: Dict[int, List[int]] = {}
@@ -290,12 +293,13 @@ class _ArrayState:
         reduced view for ``amount``. Small graphs run
         :func:`guided_bfs_structure`, the python BFS restricted to the
         sender-receiver shortest-path DAG by the hop distances to ``r``
-        over the frozen view (built on first use per receiver, kept in
+        over the frozen view (read on first use per receiver, kept in
         :attr:`hops_to`), then :func:`walk_small`: the whole-graph
         search's path and draws at about a quarter of its cost on
-        BA-100. Larger ones run :func:`bidirectional_route`, which
-        returns the path the CSR search and
-        :func:`~repro.network.routing.walk_csr` would, with
+        BA-100; a view whose betweenness already ran (an attack's
+        victim choice) has its table built. Larger ones run
+        :func:`bidirectional_route`, which returns the path the CSR
+        search and :func:`~repro.network.routing.walk_csr` would, with
         the same RNG draws; there the per-receiver rows would cost what
         the guided search saves.
         """
@@ -307,7 +311,7 @@ class _ArrayState:
         if self.small:
             hops = self.hops_to.get(r)
             if hops is None:
-                hops = self.hops_to[r] = hops_to_target(self.full_radj, r)
+                hops = self.hops_to[r] = hop_guide(self.view, r)
             dist, sigma, preds = guided_bfs_structure(
                 self.full_adj, self.n, s, r, kept, hops
             )

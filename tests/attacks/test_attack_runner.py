@@ -5,6 +5,8 @@ import pytest
 from repro.attacks import AttackReport, AttackRunner, select_victim
 from repro.equilibrium.topologies import CENTER, circle, path, star
 from repro.errors import ScenarioError
+from repro.simulation.engine import SimulationEngine
+from repro.simulation.fastpath import BatchedSimulationEngine
 from repro.scenarios import (
     AlgorithmSpec,
     AttackSpec,
@@ -114,6 +116,18 @@ class TestAttackRunner:
             for c in outcome.graph.channels_of("v001")
         }
         assert 5 in caps
+
+    def test_unknown_victim_fails_before_the_baseline_runs(self, monkeypatch):
+        runs = []
+        for engine in (SimulationEngine, BatchedSimulationEngine):
+            monkeypatch.setattr(
+                engine, "run", lambda self, until=None: runs.append(self)
+            )
+        with pytest.raises(ScenarioError, match="not a node"):
+            AttackRunner().run(
+                attack_scenario("slow-jamming", {"victim": "nope"})
+            )
+        assert runs == []
 
     def test_unknown_strategy_raises(self):
         with pytest.raises(ScenarioError, match="unknown attack"):

@@ -20,6 +20,7 @@ from repro.network.betweenness import (
 from repro.network.graph import ChannelGraph
 from repro.network.views import (
     GraphView,
+    all_pairs_paths,
     bfs_distances,
     bfs_shortest_path_tree,
     shortest_path_indices,
@@ -384,6 +385,35 @@ class TestViewCaching:
         version = graph.version
         channel.send("a", 1.0)  # detached channel: no bump
         assert graph.version == version
+
+
+class TestAllPairsCache:
+    """``all_pairs_paths`` builds its tables once per view, read-only."""
+
+    def test_tables_are_read_only(self):
+        view = barabasi_albert_snapshot(10, seed=1).view(directed=True)
+        for table in all_pairs_paths(view):
+            with pytest.raises(ValueError):
+                table[0, 0] = 5.0
+
+    def test_second_call_returns_the_same_tables(self):
+        view = barabasi_albert_snapshot(10, seed=1).view(directed=True)
+        dist, sigma = all_pairs_paths(view)
+        again = all_pairs_paths(view)
+        assert again[0] is dist and again[1] is sigma
+
+    def test_mutated_graph_gets_new_tables(self):
+        graph = barabasi_albert_snapshot(10, seed=1)
+        before = graph.view(directed=True)
+        old_dist, old_sigma = all_pairs_paths(before)
+        graph.add_channel("n0", "n5", 1.0, 1.0)
+        after = graph.view(directed=True)
+        new_dist, new_sigma = all_pairs_paths(after)
+        assert new_dist is not old_dist and new_sigma is not old_sigma
+        index = after.node_index
+        assert new_dist[index["n0"], index["n5"]] == 1.0
+        # The old view's tables still describe the old graph.
+        assert all_pairs_paths(before)[0] is old_dist
 
 
 class TestDeprecatedWrappersRemoved:
