@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
+from ..determinism import ordered_sum
 from ..errors import HtlcError, RoutingError
 from .fees import ConstantFee, FeeFunction, FeePolicy
 
@@ -80,7 +81,7 @@ class HtlcPayment:
 
     @property
     def total_locked(self) -> float:
-        return sum(self.amounts)
+        return ordered_sum(self.amounts)
 
     @property
     def fees_per_node(self) -> Dict[Hashable, float]:
@@ -98,7 +99,7 @@ class HtlcPayment:
     @property
     def upfront_total(self) -> float:
         """All upfront fees the sender owes for this attempt."""
-        return sum(self.upfront_fees_per_node.values())
+        return ordered_sum(self.upfront_fees_per_node.values())
 
 
 class HtlcLedger:

@@ -8,14 +8,18 @@ reduced subgraph, where every directed edge on the path holds balance
 entries whose balance can carry ``x``), and the walks pick one shortest
 path: the first predecessor at each hop, or one drawn in proportion to
 the shortest-path counts (the equal-split shares of Eq. 2). The
-small-graph search is guided by hop distances to the receiver, read
-from a column of the view's cached all-pairs distance table
-(:func:`hop_guide`). The simulator (:mod:`repro.simulation.fastpath`)
-routes every payment here.
+large-graph walk draws with :func:`tie_break`: one ``rng.random()`` per
+multi-predecessor hop, found by ``bisect_right`` in a python-float CDF of
+the counts, which is the draw ``Generator.choice`` makes over them
+without its per-call cost. The small-graph search is guided by hop
+distances to the receiver, read from a column of the view's cached
+all-pairs distance table (:func:`hop_guide`). The simulator
+(:mod:`repro.simulation.fastpath`) routes every payment here.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -29,6 +33,7 @@ __all__ = [
     "guided_bfs_structure",
     "hop_guide",
     "small_bfs_structure",
+    "tie_break",
     "walk_csr",
     "walk_small",
 ]
@@ -57,9 +62,6 @@ class PaymentRouteRng:
 
     def random(self) -> float:
         return float(self._generator().random())
-
-    def choice(self, candidates, p=None):
-        return self._generator().choice(candidates, p=p)
 
 
 def small_bfs_structure(
@@ -113,6 +115,38 @@ def hop_guide(view: GraphView, target: int) -> List[int]:
     with ``-1`` for a node with no path to ``target``."""
     column = all_pairs_paths(view)[0][:, target]
     return np.where(column < np.inf, column, -1).astype(np.int64).tolist()
+
+
+#: Integer-valued weights whose left-to-right total stays below this add
+#: up exactly, in any order.
+_EXACT_TOTAL = float(2 ** 53)
+
+
+def tie_break(candidates: Sequence[int], weights: Sequence[float], rng) -> int:
+    """One of ``candidates``, drawn with one ``rng.random()`` in
+    proportion to the integer-valued ``weights`` (shortest-path counts).
+
+    Returns what ``rng.choice(np.array(candidates), p=w / w.sum())``
+    returns for ``w = np.array(weights)``, from the same draw, without
+    numpy's ~13 µs per call. ``choice`` divides each weight by the total,
+    adds the shares left to right, divides by the last partial sum and
+    takes ``searchsorted(draw, side="right")``; the same float operations
+    run here. Only the total could come out other bits, since numpy adds
+    pairwise: integers whose left-to-right total stays below 2**53 add up
+    exactly in any order, so only a larger total is taken from numpy.
+    """
+    total = 0.0
+    for weight in weights:
+        total += weight
+    if not total < _EXACT_TOTAL:
+        total = float(np.array(weights).sum())
+    shares = []
+    cumulative = 0.0
+    for weight in weights:
+        cumulative += weight / total
+        shares.append(cumulative)
+    draw = rng.random()
+    return candidates[bisect_right([share / cumulative for share in shares], draw)]
 
 
 def guided_bfs_structure(
@@ -244,7 +278,9 @@ def walk_csr(
     from ``source`` over ``view``. Predecessor rows are sorted by source
     index, so ``"first"`` takes the smallest-index predecessor and
     ``"random"`` draws one ``rng.choice`` weighted by ``sigma`` per
-    multi-predecessor hop.
+    multi-predecessor hop. That numpy call stays on purpose: this walk is
+    the oracle :func:`bidirectional_route` and its :func:`tie_break` are
+    checked against (``tests/property/test_prop_route_oracle.py``).
     """
     if tree.dist[target] < 0:
         return None
@@ -293,8 +329,10 @@ def bidirectional_route(
     successor lists the backward search recorded, labelling only DAG
     nodes with their distance from ``source``. Every shortest path from
     ``source`` to a DAG node stays inside the DAG, so the counts —
-    integers, exact in float64 — equal a full BFS's, and so do the walk's
-    draws.
+    integers, exact in float64 — equal a full BFS's. The walk back from
+    ``target`` draws each multi-predecessor hop with :func:`tie_break`
+    over those counts: the pick and the draw of :func:`walk_csr`'s
+    ``rng.choice``, in python floats.
     """
     n = len(adj)
     # df: hop distance from the source; after the search, the DAG label.
@@ -372,10 +410,7 @@ def bidirectional_route(
             p for p, entry in radj[current] if df[p] == want and kept[entry]
         ]
         if path_selection == "random" and len(preds) > 1:
-            weights = np.array([sigma[p] for p in preds])
-            current = int(rng.choice(
-                np.array(preds, dtype=np.int64), p=weights / weights.sum()
-            ))
+            current = tie_break(preds, [sigma[p] for p in preds], rng)
         else:
             current = preds[0]
         path.append(current)

@@ -37,7 +37,11 @@ O(channels) python loop):
   ~50 µs each, and the bidirectional search at 100 nodes gained only 9%
   on ``attack-htlc``;
 * ``path_selection="random"`` draws weight the shortest-path counts in
-  trace order, so a seed fixes every route;
+  trace order, so a seed fixes every route. The walks draw one
+  ``rng.random()`` per multi-predecessor hop and search a python-float
+  CDF of the counts (:func:`~repro.network.routing.tie_break` on large
+  graphs, the same draw as ``walk_csr``'s ``Generator.choice`` without
+  its ~13 µs per call);
 * every payment, replayed by ``run_trace`` or queued for ``run``, is
   routed here and then reserved on the engine's
   :class:`~repro.network.htlc.HtlcLedger` over this module's array
@@ -300,7 +304,9 @@ class _ArrayState:
         victim choice) has its table built. Larger ones run
         :func:`bidirectional_route`, which returns the path the CSR
         search and :func:`~repro.network.routing.walk_csr` would, with
-        the same RNG draws; there the per-receiver rows would cost what
+        the same RNG draws: each tie-break is one ``rng.random()`` and a
+        ``bisect_right`` in python floats where ``walk_csr`` calls
+        ``Generator.choice``. There the per-receiver rows would cost what
         the guided search saves.
         """
         self.route_searches += 1

@@ -9,7 +9,7 @@ the assumption and measure its effect (bench E12's ablations rely on this).
 from __future__ import annotations
 
 import abc
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,25 +28,32 @@ _SUM_TOLERANCE = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 def choice_cdf(probs: np.ndarray) -> np.ndarray:
-    """The cumulative table ``Generator.choice(len(probs), p=probs)`` builds.
+    """The cumulative table ``Generator.choice(len(row), p=row)`` builds,
+    for the 1-D ``probs`` or for every row of a 2-D ``probs``.
 
-    Applies ``choice``'s checks on ``probs`` (finite, non-negative, sums to
-    1) and its float operations, so ``cdf.searchsorted(rng.random(),
-    side="right")`` is the index ``choice`` would draw from the same stream.
+    Applies ``choice``'s checks on each row (finite, non-negative, sums to
+    1) and its float operations, so ``row.searchsorted(rng.random(),
+    side="right")`` is the index ``choice`` would draw from the same
+    stream. A row's sum and ``cumsum`` take the same bits in a 2-D array
+    as alone.
     """
     # a NaN entry fails both comparisons, an infinite one makes the sum infinite
-    if not ((probs >= 0).all() and abs(probs.sum() - 1.0) <= _SUM_TOLERANCE):
+    if not (
+        (probs >= 0).all()
+        and (abs(probs.sum(axis=-1) - 1.0) <= _SUM_TOLERANCE).all()
+    ):
         raise InvalidParameter(
             "probabilities must be finite, non-negative and sum to 1"
         )
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
+    cdf = probs.cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
     return cdf
 
 
-#: A sender's sampling table: receivers, and the cumulative table
-#: :func:`choice_cdf` builds over their probabilities.
-SamplingTable = Tuple[List[Hashable], np.ndarray]
+#: A sender's sampling table: labels, the receivers as indices into them
+#: in row order, and the cumulative table :func:`choice_cdf` builds over
+#: their probabilities.
+SamplingTable = Tuple[Sequence[Hashable], Sequence[int], np.ndarray]
 
 
 class TransactionDistribution(abc.ABC):
@@ -97,29 +104,32 @@ class TransactionDistribution(abc.ABC):
         table = self._tables.get(sender) if self._tables is not None else None
         if table is None:
             table = self._build_table(sender)
-        nodes, cdf = table
-        return nodes[cdf.searchsorted(rng.random(), side="right")]
+        labels, receivers, cdf = table
+        return labels[receivers[cdf.searchsorted(rng.random(), side="right")]]
 
     def _build_table(self, sender: Hashable) -> SamplingTable:
         """``sender``'s sampling table, kept when tables are kept."""
         dist = self.receivers(sender)
         nodes = list(dist)
         probs = np.fromiter(dist.values(), dtype=float, count=len(nodes))
-        table = self._sampling_table(sender, nodes, probs)
+        (cdf,) = self._cdf_rows([sender], probs[None, :])
+        table = nodes, range(len(nodes)), cdf
         if self._tables is not None:
             self._tables[sender] = table
         return table
 
     @staticmethod
-    def _sampling_table(
-        sender: Hashable, nodes: List[Hashable], probs: np.ndarray
-    ) -> SamplingTable:
-        """The table over ``probs``, normalised in place first."""
-        total = probs.sum()
-        if total <= 0:
-            raise InvalidParameter(f"receiver distribution of {sender!r} is empty")
-        probs /= total
-        return nodes, choice_cdf(probs)
+    def _cdf_rows(senders: Sequence[Hashable], probs: np.ndarray) -> np.ndarray:
+        """:func:`choice_cdf` of each row of ``probs``, the receiver
+        weights of one of ``senders``, normalised in place first."""
+        totals = probs.sum(axis=1, keepdims=True)
+        empty = np.flatnonzero(totals <= 0)
+        if empty.size:
+            raise InvalidParameter(
+                f"receiver distribution of {senders[empty[0]]!r} is empty"
+            )
+        probs /= totals
+        return choice_cdf(probs)
 
 
 class UniformDistribution(TransactionDistribution):

@@ -17,8 +17,10 @@ use that reading (the off-by-one in the text would double-count one rank
 between adjacent tie blocks and break normalisation).
 
 :class:`DegreeRanking` builds the rows of a batch of senders as arrays.
-Each row is ``G - u``'s degrees, one less per channel to ``u``, sorted by
-one argsort of the keys ``(-degree, str rank, index)``. Tie blocks are
+Each row is ``G - u``'s degrees, one less per channel to ``u`` (one
+``bincount`` per batch over a kept array of every node's channel peers,
+so the loss takes ``batch x n`` cells), sorted by one argsort of the
+keys ``(-degree, str rank, index)``. Tie blocks are
 the runs of equal degree. Each distinct ``(first rank, size)`` in the
 batch is averaged once. Sums run left to right: the block average adds
 its terms one at a time and the row totals are an ``np.cumsum``. So the
@@ -53,8 +55,9 @@ class DegreeRanking:
     and :meth:`probabilities` derive the ``G - u`` rows of a batch of
     senders ``u``.
 
-    Degrees are read at construction: build a new ranking after the
-    graph's topology changes.
+    Degrees are read at construction, and the channel peers at the first
+    batch of senders: build a new ranking after the graph's topology
+    changes.
     """
 
     def __init__(self, graph: ChannelGraph) -> None:
@@ -69,6 +72,7 @@ class DegreeRanking:
         names = list(map(str, self.nodes))
         self._tiebreak = np.empty(n, dtype=np.int64)
         self._tiebreak[sorted(range(n), key=names.__getitem__)] = np.arange(n)
+        self._peer_table: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def position(self, node: Hashable) -> int:
         """``node``'s index in :attr:`nodes`."""
@@ -76,6 +80,24 @@ class DegreeRanking:
             return self.index[node]
         except KeyError:
             raise NodeNotFound(node) from None
+
+    def _peers(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(peers, bounds)``: the other end of every channel of node
+        ``i``, one per channel, at ``peers[bounds[i]:bounds[i + 1]]``.
+        Read from the graph on first use and kept."""
+        if self._peer_table is None:
+            n = len(self.nodes)
+            channels = self.graph.channels
+            position = self.index.__getitem__
+            ends = np.array(
+                [list(map(position, map(operator.attrgetter(end), channels))) for end in "uv"],
+                dtype=np.int64,
+            )
+            owners, others = ends.ravel(), ends[::-1].ravel()
+            bounds = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(owners, minlength=n), out=bounds[1:])
+            self._peer_table = others[np.argsort(owners)], bounds
+        return self._peer_table
 
     def ranked(
         self, senders: Optional[Sequence[int]] = None
@@ -91,14 +113,14 @@ class DegreeRanking:
             width = n
         else:
             count = len(senders)
-            lost: List[int] = []
-            for row, sender in enumerate(senders):
-                label = self.nodes[sender]
-                offset = row * n
-                lost.extend(
-                    offset + self.index[channel.other(label)]
-                    for channel in self.graph.channels_of(label)
-                )
+            peers, bounds = self._peers()
+            rows = np.asarray(senders, dtype=np.int64)
+            starts = bounds[rows]
+            sizes = bounds[rows + 1] - starts
+            # each sender's run of peers, laid end to end
+            runs = np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+            # one flat (row, peer) cell of the (count, n) loss per channel
+            lost = np.repeat(np.arange(count) * n, sizes) + peers[runs]
             degrees = self.degrees - np.bincount(
                 lost, minlength=count * n
             ).reshape(count, n)

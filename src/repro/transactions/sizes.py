@@ -40,6 +40,10 @@ class TransactionSizeDistribution(abc.ABC):
     def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         """Draw ``n`` sizes."""
 
+    def draw(self, rng: np.random.Generator) -> float:
+        """One size as a ``float``, from the draws of ``sample(rng, 1)``."""
+        return float(self.sample(rng, 1)[0])
+
     def mean(self, grid_points: int = 2001) -> float:
         """Expected size via trapezoidal integration of ``t * pdf(t)``."""
         lo, hi = self.support()
@@ -125,6 +129,9 @@ class FixedSize(TransactionSizeDistribution):
 
     def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         return np.full(n, self.size)
+
+    def draw(self, rng: np.random.Generator) -> float:
+        return float(self.size)
 
     def mean(self, grid_points: int = 2001) -> float:
         return self.size

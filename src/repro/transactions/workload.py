@@ -10,6 +10,7 @@ superposition/thinning equivalence means this is the same process as
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterator, List, Mapping, Optional
 
@@ -73,7 +74,7 @@ class PoissonWorkload:
             (sender_rates[node] for node in self._senders), dtype=float
         )
         self.total_rate = float(rates.sum())
-        self._sender_cdf = choice_cdf(rates / self.total_rate)
+        self._sender_cdf = choice_cdf(rates / self.total_rate).tolist()
         self.sizes = sizes if sizes is not None else FixedSize(1.0)
         self._rng = np.random.default_rng(seed)
 
@@ -101,10 +102,9 @@ class PoissonWorkload:
 
     def _draw(self, time: float) -> Transaction:
         # one random() per sender, as rng.choice(p=...) would consume
-        index = self._sender_cdf.searchsorted(self._rng.random(), side="right")
-        sender = self._senders[index]
+        sender = self._senders[bisect_right(self._sender_cdf, self._rng.random())]
         receiver = self.distribution.sample_receiver(sender, self._rng)
-        amount = float(self.sizes.sample(self._rng, 1)[0])
+        amount = self.sizes.draw(self._rng)
         return Transaction(time=time, sender=sender, receiver=receiver, amount=amount)
 
     def empirical_pair_counts(

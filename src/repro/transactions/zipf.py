@@ -21,7 +21,7 @@ at a time.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,10 +32,11 @@ from .ranking import DegreeRanking, check_zipf_s
 
 __all__ = ["ModifiedZipf", "ROW_BATCH"]
 
-#: Senders per batch of rows. On a 2-core VM a batch of 32 holds ~1 MB
-#: of temporaries at n=200 (all 200 rows at once: 3.4 MB) and still
-#: builds every row faster than one sender at a time (n=200: 9.2 vs
-#: 10.7 ms; n=100: 3.0 vs 4.5 ms).
+#: Senders per batch of rows. Building one batch of 32 sampling tables
+#: at n=200 peaks at ~0.3 MB of traced memory (all 200 at once: 1.4 MB).
+#: Every sender's table then takes as long as in one batch of all (on a
+#: 2-core VM, n=200: 5.3-5.8 vs 6.1-7.1 ms) and a fifth of one sender at
+#: a time (27-31 ms; n=100: 2.3-2.5 vs 8.8-9.9 ms).
 ROW_BATCH = 32
 
 
@@ -82,9 +83,11 @@ class ModifiedZipf(TransactionDistribution):
 
     def _batch(
         self, senders: Sequence[Hashable]
-    ) -> Tuple[List[List[Hashable]], np.ndarray]:
-        """The rows of ``senders``: receivers in rank order, and a
-        ``(len(senders), n - 1)`` array of their probabilities."""
+    ) -> Tuple[Tuple[Hashable, ...], np.ndarray, np.ndarray]:
+        """``(nodes, order, probs)``: the ranked graph's nodes, and one
+        row per sender of its receivers as indices into ``nodes`` in rank
+        order, with a ``(len(senders), n - 1)`` array of their
+        probabilities."""
         ranking = self._degree_ranking()
         positions = []
         for sender in senders:
@@ -92,14 +95,15 @@ class ModifiedZipf(TransactionDistribution):
                 raise NodeNotFound(sender)
             positions.append(ranking.position(sender))
         order, probs = ranking.probabilities(positions, self.s)
-        nodes = ranking.nodes
-        return [[nodes[i] for i in row] for row in order.tolist()], probs
+        return ranking.nodes, order, probs
 
     def _row(self, sender: Hashable) -> Dict[Hashable, float]:
         row = self._rows.get(sender)
         if row is None:
-            (nodes,), probs = self._batch([sender])
-            row = dict(zip(nodes, probs[0].tolist()))
+            nodes, order, probs = self._batch([sender])
+            row = dict(zip(
+                [nodes[i] for i in order[0].tolist()], probs[0].tolist()
+            ))
             if self._cache_enabled:
                 self._rows[sender] = row
         return row
@@ -109,20 +113,27 @@ class ModifiedZipf(TransactionDistribution):
 
     def _build_table(self, sender: Hashable) -> SamplingTable:
         """Build the tables of the :data:`ROW_BATCH` block of graph order
-        holding ``sender`` in one batch, and keep them (with
-        ``cache=False``, ``sender``'s alone, kept nowhere)."""
+        holding ``sender`` as one 2-D cumulative table over the rows of
+        receiver indices, and keep them (with ``cache=False``,
+        ``sender``'s alone, kept nowhere)."""
         if self._tables is None:
-            (nodes,), probs = self._batch([sender])
-            return self._sampling_table(sender, nodes, probs[0])
-        ranking = self._degree_ranking()
-        start = ranking.position(sender) // ROW_BATCH * ROW_BATCH
-        senders = [
-            node for node in ranking.nodes[start:start + ROW_BATCH]
-            if node == sender or (node not in self._tables and node in self.graph)
+            senders = [sender]
+        else:
+            ranking = self._degree_ranking()
+            start = ranking.position(sender) // ROW_BATCH * ROW_BATCH
+            senders = [
+                node for node in ranking.nodes[start:start + ROW_BATCH]
+                if node == sender
+                or (node not in self._tables and node in self.graph)
+            ]
+        nodes, order, probs = self._batch(senders)
+        tables = [
+            (nodes, row, cdf)
+            for row, cdf in zip(order, self._cdf_rows(senders, probs))
         ]
-        rows, probs = self._batch(senders)
-        for node, nodes, row in zip(senders, rows, probs):
-            self._tables[node] = self._sampling_table(node, nodes, row)
+        if self._tables is None:
+            return tables[0]
+        self._tables.update(zip(senders, tables))
         return self._tables[sender]
 
     def pair_probabilities(self, nodes: Sequence[Hashable]) -> np.ndarray:

@@ -2,12 +2,18 @@
 
 The router under test is an HTLC-mode engine's ``htlc_router``, bound to
 the engine's array state (the ``bound_router`` fixture).
+
+``TestTotals`` also runs under ``-p sum312`` (``tests/sum312.py``):
+its totals feed hashed attack and simulation outputs, so they must add
+left to right under Python 3.12's compensated ``sum()`` too.
 """
+
+import math
 
 import pytest
 
 from repro.errors import RoutingError
-from repro.network.fees import ConstantFee, LinearFee
+from repro.network.fees import ConstantFee, FeePolicy, LinearFee
 from repro.network.graph import ChannelGraph
 from repro.network.htlc import HtlcError, HtlcState
 
@@ -155,3 +161,26 @@ class TestValidation:
         engine = BatchedSimulationEngine(line4, payment_mode="htlc")
         with pytest.raises(HtlcError, match="first run"):
             engine.htlc_router.lock(["a", "b"], 1.0)
+
+
+class TestTotals:
+    """Hop amounts and upfront fees whose left-to-right total differs from
+    the correctly rounded one, which Python 3.12's ``sum()`` returns."""
+
+    @pytest.fixture
+    def locked(self, line4, bound_router):
+        fee = FeePolicy(success=LinearFee(0.01, 0.001), upfront_rate=0.5)
+        payment = bound_router(line4, fee=fee).router.lock(["a", "b", "c", "d"], 0.1)
+        assert payment.state is HtlcState.PENDING
+        return payment
+
+    def test_total_locked_adds_left_to_right(self, locked):
+        assert locked.amounts == [0.1202101, 0.1101, 0.1]
+        assert math.fsum(locked.amounts) == 0.3303101
+        assert locked.total_locked == 0.33031010000000005
+
+    def test_upfront_total_adds_left_to_right(self, locked):
+        fees = list(locked.upfront_fees_per_node.values())
+        assert fees == [0.06010505, 0.05505, 0.05]
+        assert math.fsum(fees) == 0.16515505
+        assert locked.upfront_total == 0.16515505000000003

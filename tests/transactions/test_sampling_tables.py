@@ -9,7 +9,9 @@ The rows themselves are checked against Section II-B worked out by brute
 force on random multigraphs (parallel channels, isolated nodes, node
 names whose ``str`` forms collide): lone ``receivers`` rows, a batch of
 one against its row of the batch of all senders, the whole-graph row
-and the all-senders table built in batches of any size.
+and the all-senders table built in batches of any size. A block of
+senders' tables, built as one 2-D cumulative table, must equal bit for
+bit the table each sender's lone row gives.
 """
 
 import collections
@@ -20,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import InvalidParameter
 from repro.network.graph import ChannelGraph
 from repro.snapshots.synthetic import barabasi_albert_snapshot
 from repro.transactions import zipf as zipf_module
@@ -27,7 +30,10 @@ from repro.transactions.distributions import (
     EmpiricalDistribution,
     TransactionDistribution,
     UniformDistribution,
+    choice_cdf,
 )
+from repro.transactions.sizes import FixedSize
+from repro.transactions.workload import PoissonWorkload
 from repro.transactions.ranking import DegreeRanking, degree_ranking, rank_factors
 from repro.transactions.zipf import ModifiedZipf
 
@@ -289,3 +295,76 @@ class TestInvalidation:
         draws, state = sampled_draws(zipf, "leaf0", 4, 2000)
         assert (draws, state) == choice_draws(zipf, "leaf0", 4, 2000)
         assert "newcomer" in draws
+
+
+def lone_table(distribution, sender):
+    """``sender``'s table from its own row alone: the receivers of
+    :meth:`receivers`, and :func:`choice_cdf` over their probabilities
+    normalised by their own sum."""
+    row = distribution.receivers(sender)
+    probs = np.fromiter(row.values(), dtype=float, count=len(row))
+    probs /= probs.sum()
+    return list(row), choice_cdf(probs)
+
+
+def parallel_ties() -> ChannelGraph:
+    """A 70-cycle (every degree 2) with parallel channels and chords."""
+    edges = [(i, (i + 1) % 70) for i in range(70)]
+    edges += [(0, 1), (0, 1), (10, 20), (10, 20), (30, 31), (40, 50), (41, 51)]
+    return ChannelGraph.from_edges(edges)
+
+
+TABLE_GRAPHS = {
+    "ba200": lambda: barabasi_albert_snapshot(200, seed=5),
+    "star": lambda: ChannelGraph.from_edges([("hub", f"leaf{i}") for i in range(40)]),
+    "path": lambda: ChannelGraph.from_edges([(f"p{i}", f"p{i + 1}") for i in range(69)]),
+    "parallel-ties": parallel_ties,
+}
+
+
+class TestBatchedTables:
+    @pytest.mark.parametrize("cache", [True, False])
+    @pytest.mark.parametrize("s", [0.0, 1.0, 2.5])
+    @pytest.mark.parametrize("name", sorted(TABLE_GRAPHS))
+    def test_every_sender_matches_its_lone_table(self, name, s, cache):
+        graph = TABLE_GRAPHS[name]()
+        zipf = ModifiedZipf(graph, s=s, cache=cache)
+        rng = np.random.default_rng(0)
+        for position, sender in enumerate(graph.nodes):
+            if cache:
+                # the first sender of each block builds the whole block
+                zipf.sample_receiver(sender, rng)
+                assert len(zipf._tables) == min(
+                    len(graph), (position // zipf_module.ROW_BATCH + 1) * zipf_module.ROW_BATCH
+                )
+                labels, receivers, cdf = zipf._tables[sender]
+            else:
+                labels, receivers, cdf = zipf._build_table(sender)
+            nodes, expected = lone_table(zipf, sender)
+            assert [labels[i] for i in receivers] == nodes
+            assert cdf.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_empty_row_raises(self, cache):
+        graph = ChannelGraph()
+        graph.add_node("solo")
+        zipf = ModifiedZipf(graph, s=1.0, cache=cache)
+        with pytest.raises(InvalidParameter, match="'solo' is empty"):
+            zipf.sample_receiver("solo", np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "bad_row", [[1.25, -0.25], [np.nan, 1.0], [np.inf, 0.0], [0.5, 0.25]]
+    )
+    def test_one_bad_row_fails_choice_checks(self, bad_row):
+        with pytest.raises(InvalidParameter, match="sum to 1"):
+            choice_cdf(np.array([[0.25, 0.75], bad_row]))
+
+
+def test_fixed_int_size_yields_float_amounts():
+    workload = PoissonWorkload(
+        UniformDistribution(["a", "b", "c"]), {"a": 1.0, "b": 2.0},
+        sizes=FixedSize(1), seed=3,
+    )
+    amounts = [tx.amount for tx in workload.generate_count(20)]
+    assert amounts == [1.0] * 20
+    assert {type(amount) for amount in amounts} == {float}
