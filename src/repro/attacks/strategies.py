@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Hashable, List, Optional, Protocol, runtime_checkable
 
+from ..determinism import ordered_sum
 from ..errors import ScenarioError
 from .context import AttackContext, AttackResolveEvent, AttackTickEvent
 from ..scenarios.registry import register_attack
@@ -328,7 +329,7 @@ class LiquidityDepletion(CircuitAttack):
         # balances, so provision a multiple of the initial balance — as
         # much of the budget as a 6x re-drain factor can use.
         ratio = entry_amount / self.amount
-        base_need = sum(outbound[n] for n in exits) * (1.0 + ratio)
+        base_need = ordered_sum(outbound[n] for n in exits) * (1.0 + ratio)
         spendable = max(0.0, ctx.budget_remaining - entry_amount)
         factor = min(6.0, spendable / base_need) if base_need > 0 else 0.0
         entry_funding = entry_amount  # one in-flight HTLC of slack
@@ -336,7 +337,7 @@ class LiquidityDepletion(CircuitAttack):
         for n in exits:
             drain = outbound[n] * factor
             cost = drain * (1.0 + ratio)
-            remaining = ctx.budget_remaining - entry_funding - sum(
+            remaining = ctx.budget_remaining - entry_funding - ordered_sum(
                 d * (1.0 + ratio) for d in selected.values()
             )
             if remaining <= 0:
@@ -348,7 +349,7 @@ class LiquidityDepletion(CircuitAttack):
             selected[n] = drain
         if not selected:
             return
-        entry_funding += sum(selected.values()) * ratio
+        entry_funding += ordered_sum(selected.values()) * ratio
         entry = ctx.open_channel(ATTACKER_SRC, ctx.victim, funding=entry_funding)
         if entry is None:
             return

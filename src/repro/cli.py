@@ -47,6 +47,10 @@ Subcommands:
   (:mod:`repro.devtools`), over the tree: determinism, GraphView
   immutability, frozen artifacts, registry discipline, store/artifact
   serialisation hygiene (RPR001–RPR008).
+
+Import-order note: this module imports only the spec layer and the table
+helper; each handler imports the layers it runs, so ``repro --help`` and
+``repro serve`` load no compute layer and no numpy.
 """
 
 from __future__ import annotations
@@ -57,29 +61,19 @@ import sys
 from typing import Any, Dict, List, Optional
 
 from . import __version__
-from .analysis import format_table
-from .devtools.cli import add_lint_arguments, run_lint
+from .analysis.tables import format_table
 from .errors import ReproError, ScenarioError
-from .equilibrium import (
-    NetworkGameModel,
-    check_nash,
-    star_ne_closed_form,
-)
-from .scenarios import (
+from .scenarios.specs import (
     AlgorithmSpec,
     ChurnSpec,
     EvolutionSpec,
     FeeSpec,
     GrowthSpec,
     Scenario,
-    ScenarioRunner,
     SimulationSpec,
     TopologySpec,
     WorkloadSpec,
-    build_topology,
 )
-from .snapshots import save_snapshot
-from .transactions import ModifiedZipf, PoissonWorkload
 
 __all__ = ["main", "build_parser"]
 
@@ -98,6 +92,9 @@ def _topology_spec(args: argparse.Namespace) -> TopologySpec:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .scenarios.runner import ScenarioRunner
+    from .snapshots import save_snapshot
+
     scenario = Scenario(
         topology=_topology_spec(args), name="generate", seed=args.seed
     )
@@ -111,6 +108,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_join(args: argparse.Namespace) -> int:
+    from .scenarios.runner import ScenarioRunner
+
     params: Dict[str, Any] = {"budget": args.budget}
     if args.algorithm in ("greedy", "bruteforce"):
         params["lock"] = args.lock
@@ -139,6 +138,9 @@ def _cmd_join(args: argparse.Namespace) -> int:
 
 
 def _cmd_stability(args: argparse.Namespace) -> int:
+    from .equilibrium import NetworkGameModel, check_nash, star_ne_closed_form
+    from .scenarios.factory import build_topology
+
     size_param = "leaves" if args.topology_name == "star" else "n"
     graph = build_topology(
         TopologySpec(args.topology_name, {size_param: args.size})
@@ -163,6 +165,8 @@ def _cmd_stability(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .scenarios.runner import ScenarioRunner
+
     scenario = Scenario(
         topology=_topology_spec(args),
         workload=WorkloadSpec(
@@ -210,6 +214,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_estimate(args: argparse.Namespace) -> int:
     """Simulate traffic with known parameters, then recover them."""
     from .analysis.estimation import estimate_sender_rates, estimate_zipf_s
+    from .scenarios.factory import build_topology
+    from .transactions import ModifiedZipf, PoissonWorkload
 
     graph = build_topology(_topology_spec(args), seed=args.seed)
     workload = PoissonWorkload(
@@ -260,6 +266,8 @@ def _apply_scenario_overrides(
 
 
 def _cmd_run_scenario(args: argparse.Namespace) -> int:
+    from .scenarios.runner import ScenarioRunner
+
     scenario = _apply_scenario_overrides(_load_scenario(args.scenario), args)
     obs = None
     if args.profile:
@@ -282,6 +290,7 @@ def _cmd_run_scenario(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     """Run a scenario fully instrumented and print the hot-spot report."""
     from .obs import ObsSession, TraceWriter, hotspot_table, telemetry_of
+    from .scenarios.runner import ScenarioRunner
 
     scenario = _apply_scenario_overrides(_load_scenario(args.scenario), args)
     tracer = TraceWriter(args.trace_out) if args.trace_out else None
@@ -340,6 +349,8 @@ def _parse_grid_setting(setting: str) -> Dict[str, List[Any]]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .scenarios.runner import ScenarioRunner
+
     scenario = _load_scenario(args.scenario)
     grid: Dict[str, List[Any]] = {}
     for setting in args.set or []:
@@ -375,6 +386,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         default_attack_scenario,
         resilience_table,
     )
+    from .scenarios.runner import ScenarioRunner
 
     attack_params: Dict[str, Any] = {"budget": args.budget}
     if args.victim is not None:
@@ -466,6 +478,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
     from .analysis.emergence import EMERGENCE_COLUMNS, emergence_table
+    from .scenarios.runner import ScenarioRunner
 
     if args.emergence:
         rows = emergence_table(
@@ -549,6 +562,12 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    """Run the daemon until shutdown.
+
+    The daemon reaches its ready line with the service and spec layers
+    alone (no numpy); its workers import the compute layers on their
+    first job, so the first cold submit pays those imports once.
+    """
     from .service.daemon import run_server
 
     def announce(host: str, port: int) -> None:
@@ -627,6 +646,44 @@ def _cmd_store(args: argparse.Namespace) -> int:
         f"({stats.total_bytes} bytes)"
     )
     return 0
+
+
+def _cmd_lint(args: argparse.Namespace) -> int:
+    from .devtools.cli import run_lint
+
+    return run_lint(args)
+
+
+def _add_lint_arguments(parser: argparse.ArgumentParser) -> None:
+    """The ``repro lint`` flags (:mod:`repro.devtools.cli` runs them)."""
+    parser.add_argument(
+        "paths", nargs="*", default=["src"],
+        help="files/directories to lint (default: src)",
+    )
+    parser.add_argument(
+        "--format", choices=["human", "json"], default="human",
+        help="output format (default: human)",
+    )
+    parser.add_argument(
+        "--select", default=None, metavar="RPR001,RPR002",
+        help="comma-separated rule ids to run (default: all)",
+    )
+    parser.add_argument(
+        "--baseline", default=None, metavar="PATH",
+        help="baseline file (default: .reprolint-baseline.json if present)",
+    )
+    parser.add_argument(
+        "--no-baseline", action="store_true",
+        help="ignore any baseline file",
+    )
+    parser.add_argument(
+        "--write-baseline", action="store_true",
+        help="write the current findings as the new baseline and exit 0",
+    )
+    parser.add_argument(
+        "--list-rules", action="store_true",
+        help="print the rule catalogue and exit",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1009,8 +1066,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run reprolint, the AST-based invariant linter "
         "(determinism, GraphView immutability, frozen artifacts, ...)",
     )
-    add_lint_arguments(p_lint)
-    p_lint.set_defaults(func=run_lint)
+    _add_lint_arguments(p_lint)
+    p_lint.set_defaults(func=_cmd_lint)
     return parser
 
 

@@ -1,5 +1,8 @@
 """``python -m repro lint`` — the reprolint command.
 
+:mod:`repro.cli` defines the flags (so building the parser imports no
+linter code) and calls :func:`run_lint` with the parsed arguments.
+
 Exit contract (matching the repo CLI): 0 = clean tree, 2 = findings or
 usage/library error (errors print one ``error: ...`` line on stderr).
 """
@@ -8,51 +11,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Optional
 
-from ..errors import ReproError
 from .baseline import DEFAULT_BASELINE_PATH, Baseline
 from .engine import LintResult, lint_paths
 from .rules import RULES
 
-__all__ = ["add_lint_arguments", "run_lint"]
+__all__ = ["run_lint"]
 
 #: Version stamp of the ``--format json`` document layout.
 JSON_OUTPUT_VERSION = 1
-
-
-def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the lint flags to ``parser`` (shared with `repro lint`)."""
-    parser.add_argument(
-        "paths", nargs="*", default=["src"],
-        help="files/directories to lint (default: src)",
-    )
-    parser.add_argument(
-        "--format", choices=["human", "json"], default="human",
-        help="output format (default: human)",
-    )
-    parser.add_argument(
-        "--select", default=None, metavar="RPR001,RPR002",
-        help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help=f"baseline file (default: {DEFAULT_BASELINE_PATH} if present)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write the current findings as the new baseline and exit 0",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalogue and exit",
-    )
 
 
 def _resolve_rules(select: Optional[str]):
@@ -125,22 +94,3 @@ def run_lint(args: argparse.Namespace) -> int:
     else:
         _print_human(result)
     return 0 if result.clean else 2
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Standalone entry point (``python -m repro.devtools.cli``)."""
-    parser = argparse.ArgumentParser(
-        prog="reprolint",
-        description="AST-based invariant linter for the repro tree",
-    )
-    add_lint_arguments(parser)
-    args = parser.parse_args(argv)
-    try:
-        return run_lint(args)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

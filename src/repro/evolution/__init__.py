@@ -8,13 +8,16 @@ measures it (batched traffic epochs), and lets incumbents adapt
 :class:`Trajectory` of topology statistics, welfare, revenue
 concentration, and distance to Nash equilibrium.
 
-Importing this package registers the builtin growth/churn plugins (and
-the ``"random-attach"`` join algorithm) into the scenario registries.
+Importing this package registers the builtin growth/churn plugins into
+the scenario registries; ``random_attach`` (the ``"random-attach"`` join
+algorithm) lives with the other join algorithms in
+:mod:`repro.core.algorithms` and is re-exported here.
 """
 
+from ..core.algorithms.random_attach import random_attach
 from .churn import ChurnProcess, DegreeBiasedChurn, UniformChurn
 from .engine import EvolutionEngine
-from .growth import ArrivalProcess, FixedGrowth, PoissonGrowth, random_attach
+from .growth import ArrivalProcess, FixedGrowth, PoissonGrowth
 from .runner import EvolutionOutcome, EvolutionRunner
 from .trajectory import EpochRecord, Trajectory, classify_topology, gini
 from .utility import (

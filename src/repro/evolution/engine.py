@@ -34,6 +34,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..determinism import ordered_sum
 from ..equilibrium.deviations import (
     Deviation,
     apply_deviation,
@@ -300,7 +301,7 @@ class EvolutionEngine:
                 )
                 attempted, succeeded = metrics.attempted, metrics.succeeded
                 success_rate = metrics.success_rate
-                total_revenue = sum(metrics.revenue.values())
+                total_revenue = ordered_sum(metrics.revenue.values())
             else:
                 revenue_gini = 0.0
                 attempted = succeeded = 0

@@ -9,11 +9,11 @@ optimisers the ``algorithm`` scenario stage uses (``"greedy"``,
 channels exactly like the joining-user experiments do.
 
 For large-scale runs the Section III optimisers are overkill per
-arrival; the :func:`random_attach` algorithm registered here
-(``"random-attach"``) joins by opening ``k`` channels to uniformly
-sampled peers without any utility evaluation — the classic
-random-attachment null model, and the cheap default of the evolution
-benchmark.
+arrival; the ``"random-attach"`` algorithm
+(:func:`~repro.core.algorithms.random_attach.random_attach`) joins by
+opening ``k`` channels to uniformly sampled peers without any utility
+evaluation — the classic random-attachment null model, and the cheap
+default of the evolution benchmark.
 """
 
 from __future__ import annotations
@@ -23,55 +23,17 @@ from typing import Any, Dict, Hashable, Mapping, Optional
 import numpy as np
 
 from ..core.algorithms.common import OptimisationResult
-from ..core.strategy import Action, Strategy
 from ..core.utility import JoiningUserModel
 from ..errors import InvalidParameter, ScenarioError
 from ..network.graph import ChannelGraph
 from ..params import ModelParameters
-from ..scenarios.registry import ALGORITHMS, register_algorithm, register_growth
+from ..scenarios.registry import ALGORITHMS, register_growth
 
 __all__ = [
     "ArrivalProcess",
     "FixedGrowth",
     "PoissonGrowth",
-    "random_attach",
 ]
-
-
-@register_algorithm("random-attach")
-def random_attach(
-    model: JoiningUserModel,
-    k: int = 2,
-    lock: float = 1.0,
-    seed: Optional[int] = None,
-) -> OptimisationResult:
-    """Join by attaching to ``k`` uniformly random peers (no optimisation).
-
-    Satisfies the :class:`JoinAlgorithm` protocol so it is usable from
-    any ``AlgorithmSpec``/``GrowthSpec``; the reported utility is still
-    the model's true utility of the sampled strategy, so random
-    attachment stays comparable to the optimisers in sweep tables.
-    """
-    if k < 1:
-        raise InvalidParameter(f"k must be >= 1, got {k}")
-    if lock < 0:
-        raise InvalidParameter(f"lock must be >= 0, got {lock}")
-    rng = np.random.default_rng(seed)
-    peers = sorted(model.base_graph.nodes, key=str)
-    count = min(k, len(peers))
-    chosen = rng.choice(len(peers), size=count, replace=False)
-    strategy = Strategy(
-        [Action(peers[i], lock) for i in sorted(chosen)]
-    )
-    utility = model.utility(strategy)
-    return OptimisationResult(
-        algorithm="random-attach",
-        strategy=strategy,
-        objective_value=utility,
-        utility=utility,
-        evaluations=1,
-        details={"k": count, "lock": lock},
-    )
 
 
 class ArrivalProcess:

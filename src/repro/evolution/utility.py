@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Hashable, List, Optional, Protocol, Sequence, runtime_checkable
 
+from ..determinism import ordered_sum
 from ..equilibrium.node_utility import NetworkGameModel
 from ..equilibrium.welfare import social_welfare
 from ..errors import SimulationError
@@ -191,7 +192,7 @@ class EmpiricalUtilityProvider:
             len(graph.neighbors(node)) for node in graph.nodes
         ) * self.edge_cost
         return (
-            sum(metrics.revenue.values())
-            - sum(metrics.fees_paid.values())
+            ordered_sum(metrics.revenue.values())
+            - ordered_sum(metrics.fees_paid.values())
             - total_cost
         )

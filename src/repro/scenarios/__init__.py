@@ -31,8 +31,8 @@ New topologies/algorithms/fees/workloads plug in via the
 Import-order note: this ``__init__`` eagerly exposes only the dependency
 leaves (specs, registries, grid machinery) so provider modules can import
 ``repro.scenarios.registry`` at their own import time without a cycle; the
-runner — which imports every builtin provider — loads lazily on first
-attribute access (PEP 562).
+runner and factories load lazily on first attribute access (PEP 562), and
+the registries import their providers on first read.
 """
 
 from typing import TYPE_CHECKING

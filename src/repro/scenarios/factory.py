@@ -7,22 +7,26 @@ This module is the single place that resolution (including seed
 handling) happens, so the two paths cannot drift apart: an attack
 baseline is built by exactly the factory a plain simulation stage uses.
 
-It lives below :mod:`repro.scenarios.runner` in the import graph (no
-provider imports at module level — they load lazily on first build), so
-:mod:`repro.attacks.runner` can import it directly without a cycle.
+It lives below :mod:`repro.scenarios.runner` in the import graph: the
+registries import their provider modules on first read, and the
+simulation engine loads inside :func:`build_simulation_engine`, so
+:mod:`repro.attacks.runner` can import this module without a cycle and a
+join-only scenario never loads the simulator.
 """
 
 from __future__ import annotations
 
 import inspect
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..errors import ScenarioError
-from ..network.graph import ChannelGraph
-from ..obs import ObsSession
-from ..simulation.fastpath import BatchedSimulationEngine
-from .registry import CHURN, FEES, GROWTH, TOPOLOGIES, WORKLOADS
+from .registry import CHURN, FEES, GROWTH, IMPORT_LOCK, TOPOLOGIES, WORKLOADS
 from .specs import ChurnSpec, GrowthSpec, Scenario, TopologySpec, WorkloadSpec
+
+if TYPE_CHECKING:  # pragma: no cover - type hints only, loaded on use
+    from ..network.graph import ChannelGraph
+    from ..obs import ObsSession
+    from ..simulation.fastpath import BatchedSimulationEngine
 
 __all__ = [
     "build_churn",
@@ -32,32 +36,6 @@ __all__ = [
     "build_topology",
     "build_workload",
 ]
-
-_providers_loaded = False
-
-
-def _ensure_providers() -> None:
-    """Import the builtin provider modules (idempotent, lazy).
-
-    Providers self-register into the plugin registries at import time;
-    deferring the imports to first use keeps this module a dependency
-    leaf, breaking the ``attacks.runner -> factory -> attacks.strategies``
-    cycle that a module-level import would create.
-    """
-    global _providers_loaded
-    if _providers_loaded:
-        return
-    _providers_loaded = True
-    from ..attacks import strategies  # noqa: F401  (jamming, ...)
-    from ..core import algorithms  # noqa: F401  (greedy, ...)
-    from ..equilibrium import topologies  # noqa: F401  (star, path, ...)
-    from ..evolution import churn  # noqa: F401  (uniform, degree-biased)
-    from ..evolution import growth  # noqa: F401  (poisson, fixed, random-attach)
-    from ..network import fees  # noqa: F401  (constant, linear, ...)
-    from ..snapshots import io  # noqa: F401  (topology: file)
-    from ..snapshots import synthetic  # noqa: F401  (ba, ...)
-    from ..transactions import workload  # noqa: F401  (poisson)
-
 
 def _accepts_keyword(fn: Callable[..., Any], name: str) -> bool:
     try:
@@ -83,7 +61,6 @@ def build_topology(spec: TopologySpec, seed: Optional[int] = None) -> ChannelGra
     already pin one; deterministic builders (star, path, file, ...) are
     called without it.
     """
-    _ensure_providers()
     builder = TOPOLOGIES.get(spec.kind)
     params = dict(spec.params)
     if seed is not None and "seed" not in params and _accepts_keyword(builder, "seed"):
@@ -97,7 +74,6 @@ def build_workload(scenario: Scenario, graph: ChannelGraph) -> Any:
     The scenario seed is injected unless the params pin one, so a given
     (scenario, graph) pair always produces the same transaction stream.
     """
-    _ensure_providers()
     workload_spec = scenario.workload or WorkloadSpec("poisson")
     workload_builder = WORKLOADS.get(workload_spec.kind)
     workload_params = dict(workload_spec.params)
@@ -121,7 +97,6 @@ def build_fee(scenario: Scenario) -> Optional[Any]:
     """
     if scenario.fee is None:
         return None
-    _ensure_providers()
     fee_builder = FEES.get(scenario.fee.kind)
     try:
         success = fee_builder(**scenario.fee.params)
@@ -131,7 +106,8 @@ def build_fee(scenario: Scenario) -> Optional[Any]:
             f"{scenario.fee.params!r}: {exc}"
         ) from exc
     if scenario.fee.has_upfront:
-        from ..network.fees import FeePolicy
+        with IMPORT_LOCK:
+            from ..network.fees import FeePolicy
 
         return FeePolicy(
             success=success,
@@ -143,7 +119,6 @@ def build_fee(scenario: Scenario) -> Optional[Any]:
 
 def build_growth(spec: GrowthSpec) -> Any:
     """Resolve and invoke a growth (arrival-process) builder."""
-    _ensure_providers()
     builder = GROWTH.get(spec.kind)
     try:
         return builder(**spec.params)
@@ -155,7 +130,6 @@ def build_growth(spec: GrowthSpec) -> Any:
 
 def build_churn(spec: ChurnSpec) -> Any:
     """Resolve and invoke a churn (departure-process) builder."""
-    _ensure_providers()
     builder = CHURN.get(spec.kind)
     try:
         return builder(**spec.params)
@@ -176,6 +150,9 @@ def build_simulation_engine(
     perturb content hashes): the caller's instrumentation session is
     threaded through to the engine here.
     """
+    with IMPORT_LOCK:
+        from ..simulation.fastpath import BatchedSimulationEngine
+
     sim = scenario.simulation
     if sim is None:
         raise ScenarioError("scenario has no simulation section")

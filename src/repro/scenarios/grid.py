@@ -12,7 +12,6 @@ anything in the library can import it without cycles.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
 from itertools import product
 from typing import (
     Any,
@@ -95,6 +94,10 @@ def evaluate_grid(
                 progress(index, point)
             results.append(evaluate(index, point))
     else:
+        # Imported here: multiprocessing is a slow import that serial
+        # runs, the CLI and the daemon never use.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             futures = pool.map(evaluate, range(len(points)), points)
             results = []

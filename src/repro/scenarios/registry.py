@@ -13,9 +13,12 @@ them. Provider modules self-register at import time::
 
 This module is a dependency leaf (it imports nothing from the library but
 :mod:`repro.errors`), so any provider module may import it without creating
-an import cycle. :mod:`repro.scenarios.runner` imports the provider
-packages, which guarantees the builtin plugins are registered before a
-scenario is resolved.
+an import cycle. Each registry below names the modules that provide its
+builtin plugins and imports them on its first read (``get``, ``in``,
+iteration, ``len``): a greedy join loads the topology, algorithm and
+workload providers, never the attack or evolution ones. A registration
+from outside those modules loads them first, so a plugin that reuses a
+builtin key still collides.
 
 Plugin calling conventions:
 
@@ -30,6 +33,8 @@ Plugin calling conventions:
 
 from __future__ import annotations
 
+import threading
+from importlib import import_module
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -37,6 +42,8 @@ from typing import (
     Dict,
     Iterator,
     Protocol,
+    Sequence,
+    Tuple,
     TypeVar,
     runtime_checkable,
 )
@@ -68,6 +75,13 @@ __all__ = [
 
 F = TypeVar("F", bound=Callable[..., Any])
 
+#: Held while a registry imports its providers, and around the imports a
+#: scenario stage makes when it first runs (:mod:`repro.scenarios.runner`,
+#: :mod:`repro.scenarios.factory`). Two threads that import a package and
+#: one of its submodules at the same moment can deadlock, so these imports
+#: run one thread at a time.
+IMPORT_LOCK = threading.RLock()
+
 
 @runtime_checkable
 class JoinAlgorithm(Protocol):
@@ -90,11 +104,35 @@ class Registry:
     Args:
         name: human-readable registry name, used in error messages
             (``"topology"``, ``"algorithm"``, ...).
+        providers: dotted names of the modules (or packages) whose import
+            registers the builtin plugins; they load on the first read.
     """
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, providers: Sequence[str] = ()) -> None:
         self.name = name
         self._plugins: Dict[str, Callable[..., Any]] = {}
+        self._providers: Tuple[str, ...] = tuple(providers)
+
+    def _load_providers(self) -> None:
+        """Import the provider modules once.
+
+        ``_providers`` empties only after every import returned, so a
+        thread that reads meanwhile waits on :data:`IMPORT_LOCK` until
+        the registry is complete.
+        """
+        if self._providers:
+            with IMPORT_LOCK:
+                for module in self._providers:
+                    import_module(module)
+                self._providers = ()
+
+    def _is_builtin(self, fn: Callable[..., Any]) -> bool:
+        """Whether ``fn`` comes from a provider module still to load."""
+        module = getattr(fn, "__module__", None) or ""
+        return any(
+            module == provider or module.startswith(provider + ".")
+            for provider in self._providers
+        )
 
     def register(self, key: str, *aliases: str) -> Callable[[F], F]:
         """Decorator: register the wrapped callable under ``key``.
@@ -105,6 +143,8 @@ class Registry:
         """
 
         def decorator(fn: F) -> F:
+            if not self._is_builtin(fn):
+                self._load_providers()
             for k in (key, *aliases):
                 existing = self._plugins.get(k)
                 if existing is not None and existing is not fn:
@@ -119,43 +159,51 @@ class Registry:
 
     def get(self, key: str) -> Callable[..., Any]:
         """Resolve ``key``, raising :class:`UnknownPluginError` if absent."""
+        self._load_providers()
         try:
             return self._plugins[key]
         except KeyError:
             raise UnknownPluginError(self.name, key, self._plugins) from None
 
     def __contains__(self, key: str) -> bool:
+        self._load_providers()
         return key in self._plugins
 
     def __iter__(self) -> Iterator[str]:
+        self._load_providers()
         return iter(sorted(self._plugins))
 
     def __len__(self) -> int:
+        self._load_providers()
         return len(self._plugins)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Registry({self.name!r}, keys={sorted(self._plugins)})"
+        return f"Registry({self.name!r}, keys={list(self)})"
 
 
 #: Topology builders: key -> ``(**params) -> ChannelGraph``.
-TOPOLOGIES = Registry("topology")
+TOPOLOGIES = Registry("topology", (
+    "repro.snapshots.synthetic",  # ba, erdos-renyi, core-periphery
+    "repro.snapshots.io",  # file
+    "repro.equilibrium.topologies",  # star, path, circle, complete
+))
 #: Joining-strategy optimisers satisfying :class:`JoinAlgorithm`.
-ALGORITHMS = Registry("algorithm")
+ALGORITHMS = Registry("algorithm", ("repro.core.algorithms",))
 #: Fee-function builders: key -> ``(**params) -> FeeFunction``.
-FEES = Registry("fee")
+FEES = Registry("fee", ("repro.network.fees",))
 #: Workload builders: key -> ``(graph, seed=..., **params) -> workload``.
-WORKLOADS = Registry("workload")
+WORKLOADS = Registry("workload", ("repro.transactions.workload",))
 #: Attack-strategy builders: key -> ``(**params) -> AttackStrategy``
 #: (see :mod:`repro.attacks.strategies` for the protocol and builtins).
-ATTACKS = Registry("attack")
+ATTACKS = Registry("attack", ("repro.attacks.strategies",))
 #: Arrival-process builders for network evolution:
 #: key -> ``(**params) -> ArrivalProcess``
 #: (see :mod:`repro.evolution.growth` for the protocol and builtins).
-GROWTH = Registry("growth")
+GROWTH = Registry("growth", ("repro.evolution.growth",))
 #: Departure-process builders for network evolution:
 #: key -> ``(**params) -> ChurnProcess``
 #: (see :mod:`repro.evolution.churn`).
-CHURN = Registry("churn")
+CHURN = Registry("churn", ("repro.evolution.churn",))
 
 register_topology = TOPOLOGIES.register
 register_algorithm = ALGORITHMS.register

@@ -15,8 +15,12 @@ driving the existing library layers in the canonical order:
 scenario overrides — serially or on a ``ProcessPoolExecutor`` — with
 deterministic per-point seeds, so both executors produce identical rows.
 
-Importing this module imports the builtin provider modules, which
-self-register their plugins (see :mod:`repro.scenarios.registry`).
+Importing this module loads no provider and no compute layer: each
+registry imports its builtin providers on first read (see
+:mod:`repro.scenarios.registry`), and each stage imports its layer when it
+runs, so a greedy join never loads the simulator, attacks or evolution.
+Those imports hold :data:`~repro.scenarios.registry.IMPORT_LOCK`, so runs
+in several threads of one process import each layer one at a time.
 """
 
 from __future__ import annotations
@@ -37,31 +41,19 @@ from typing import (
     Union,
 )
 
-# Imported for the side effect of registering the builtin plugins.
-from ..attacks import strategies as _attack_strategies  # noqa: F401  (jamming, ...)
-from ..core import algorithms as _algorithms  # noqa: F401  (greedy, ...)
-from ..evolution import churn as _churn  # noqa: F401  (uniform, ...)
-from ..evolution import growth as _growth  # noqa: F401  (poisson, ...)
-from ..core.algorithms.common import OptimisationResult
-from ..core.utility import JoiningUserModel
-from ..determinism import ordered_sum
-from ..equilibrium import topologies  # noqa: F401  (star, path, circle, ...)
 from ..errors import ScenarioError
-from ..network.graph import ChannelGraph
-from ..network.views import GraphView
 from ..obs import ObsSession, attach_telemetry, default_session
-from ..params import ModelParameters
-from ..simulation.metrics import SimulationMetrics
-from ..snapshots import io as _snapshot_io  # noqa: F401  (topology: file)
-from ..snapshots import synthetic  # noqa: F401  (topologies: ba, ...)
-from ..transactions import workload as _workloads  # noqa: F401  (poisson)
 from .factory import build_simulation_engine, build_topology, build_workload
 from .grid import derive_seed, evaluate_grid
-from .registry import ALGORITHMS
+from .registry import ALGORITHMS, IMPORT_LOCK
 from .specs import Scenario, SimulationSpec
 
-if TYPE_CHECKING:  # pragma: no cover - type hints only, avoids cycles
+if TYPE_CHECKING:  # pragma: no cover - type hints only, loaded on use
     from ..attacks.report import AttackReport
+    from ..core.algorithms.common import OptimisationResult
+    from ..network.graph import ChannelGraph
+    from ..network.views import GraphView
+    from ..simulation.metrics import SimulationMetrics
     from ..evolution.trajectory import Trajectory
     from ..service.store import ResultStore
 
@@ -131,6 +123,9 @@ class ScenarioResult:
         ``to_dict(from_dict(doc)) == doc`` holds for every stored doc,
         which is what the byte-identical cache-hit guarantee rests on.
         """
+        with IMPORT_LOCK:
+            from ..snapshots.io import to_describegraph
+
         metrics = self.metrics.to_dict() if self.metrics is not None else None
         baseline = (
             self.baseline_metrics.to_dict()
@@ -141,7 +136,7 @@ class ScenarioResult:
             "scenario": self.scenario.to_dict(),
             "row": _plain(self.row),
             "graph": (
-                _snapshot_io.to_describegraph(self.graph)
+                to_describegraph(self.graph)
                 if self.graph is not None else None
             ),
             "optimisation": (
@@ -159,8 +154,12 @@ class ScenarioResult:
     @classmethod
     def from_dict(cls, document: Mapping[str, Any]) -> "ScenarioResult":
         """Rebuild a result from a :meth:`to_dict` document."""
-        from ..attacks.report import AttackReport
-        from ..evolution.trajectory import Trajectory
+        with IMPORT_LOCK:
+            from ..attacks.report import AttackReport
+            from ..core.algorithms.common import OptimisationResult
+            from ..evolution.trajectory import Trajectory
+            from ..simulation.metrics import SimulationMetrics
+            from ..snapshots.io import from_describegraph
 
         if not isinstance(document, Mapping):
             raise ScenarioError(
@@ -180,7 +179,7 @@ class ScenarioResult:
         return cls(
             scenario=Scenario.from_dict(document["scenario"]),
             row=dict(document.get("row", {})),
-            graph=section("graph", _snapshot_io.from_describegraph),
+            graph=section("graph", from_describegraph),
             optimisation=section("optimisation", OptimisationResult.from_dict),
             metrics=section("metrics", SimulationMetrics.from_dict),
             attack=section("attack", AttackReport.from_dict),
@@ -248,7 +247,8 @@ class ScenarioRunner:
             # The attack stage subsumes the simulation stage — and builds
             # its own baseline/attacked graph pair, so don't build a
             # third topology here that would only be thrown away.
-            from ..attacks.runner import AttackRunner
+            with IMPORT_LOCK:
+                from ..attacks.runner import AttackRunner
 
             outcome = AttackRunner(obs=obs).run(scenario)
             result = ScenarioResult(
@@ -268,7 +268,8 @@ class ScenarioRunner:
             # The evolution stage owns topology construction too: its
             # engine mutates the graph across epochs, so the result's
             # graph is the *evolved* network, not the spec's topology.
-            from ..evolution.runner import EvolutionRunner
+            with IMPORT_LOCK:
+                from ..evolution.runner import EvolutionRunner
 
             outcome = EvolutionRunner(obs=obs).run(scenario)
             result = ScenarioResult(
@@ -321,6 +322,9 @@ class ScenarioRunner:
 
     @staticmethod
     def _simulation_columns(row: Dict[str, Any], metrics: SimulationMetrics) -> None:
+        with IMPORT_LOCK:
+            from ..determinism import ordered_sum
+
         row.update(
             attempted=metrics.attempted,
             succeeded=metrics.succeeded,
@@ -334,6 +338,10 @@ class ScenarioRunner:
     def _run_algorithm(
         self, scenario: Scenario, graph: ChannelGraph
     ) -> OptimisationResult:
+        with IMPORT_LOCK:
+            from ..core.utility import JoiningUserModel
+            from ..params import ModelParameters
+
         spec = scenario.algorithm
         assert spec is not None
         algorithm = ALGORITHMS.get(spec.kind)

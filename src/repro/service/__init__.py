@@ -14,8 +14,9 @@ canonical JSON, version-salted) and uses it to memoise execution:
   synchronous client.
 
 Import-order note: hashing and store are dependency leaves and load
-eagerly; the queue and daemon (which pull in the runner, hence every
-builtin provider) load lazily on first attribute access (PEP 562).
+eagerly; the queue and daemon (asyncio and the worker pools) load lazily
+on first attribute access (PEP 562). No module here imports a compute
+layer at import time: a job's worker imports the runner when it runs.
 """
 
 from typing import TYPE_CHECKING

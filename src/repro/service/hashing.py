@@ -27,7 +27,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from typing import Any, Mapping
+from collections import abc
+from typing import Any, List, Mapping
 
 from ..errors import ScenarioError
 from ..scenarios.specs import SCHEMA_VERSION as SPEC_SCHEMA_VERSION
@@ -53,9 +54,22 @@ _HASH_SALT = (
 )
 
 
-def _normalise(
-    value: Any, where: str = "document", allow_non_finite: bool = False
-) -> Any:
+class _NotCanonical(Exception):
+    """A value outside the canonical JSON space.
+
+    The message is ``before + location + after``; ``path`` gathers the
+    keys and indices above the value (innermost first) as the exception
+    propagates, so the location string is built only for a failure.
+    """
+
+    def __init__(self, before: str, after: str = "") -> None:
+        super().__init__(before)
+        self.before = before
+        self.after = after
+        self.path: List[str] = []
+
+
+def _normalise(value: Any, allow_non_finite: bool = False) -> Any:
     """Reduce ``value`` to the canonical JSON value space.
 
     ``allow_non_finite`` admits ``inf``/``-inf``/``nan`` floats (the
@@ -66,40 +80,55 @@ def _normalise(
 
     Raises:
         ScenarioError: on non-JSON types, and (unless allowed) on
-            non-finite floats.
+            non-finite floats, naming the value's location
+            (``document.graph.nodes[3]``).
     """
+    try:
+        return _canonical(value, allow_non_finite)
+    except _NotCanonical as exc:
+        where = "document" + "".join(reversed(exc.path))
+        raise ScenarioError(exc.before + where + exc.after) from None
+
+
+def _canonical(value: Any, allow_non_finite: bool) -> Any:
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, float):
         if not math.isfinite(value):
             if allow_non_finite:
                 return value
-            raise ScenarioError(
-                f"non-finite float {value!r} at {where} has no canonical "
-                "JSON form"
+            raise _NotCanonical(
+                f"non-finite float {value!r} at ", " has no canonical JSON form"
             )
         # Collapse integral floats (and -0.0) to ints so the hash agrees
         # with numeric equality; 2**53 bounds exact float integrality.
         if value.is_integer() and abs(value) <= 2.0**53:
             return int(value)
         return value
-    if isinstance(value, Mapping):
+    # abc.Mapping, not typing.Mapping: isinstance against the typing alias
+    # is ~3x slower, and results hold thousands of mappings and lists.
+    if isinstance(value, abc.Mapping):
         out = {}
         for key, item in value.items():
             if not isinstance(key, str):
-                raise ScenarioError(
-                    f"non-string mapping key {key!r} at {where}"
-                )
-            out[key] = _normalise(item, f"{where}.{key}", allow_non_finite)
+                raise _NotCanonical(f"non-string mapping key {key!r} at ")
+            try:
+                out[key] = _canonical(item, allow_non_finite)
+            except _NotCanonical as exc:
+                exc.path.append(f".{key}")
+                raise
         return out
     if isinstance(value, (list, tuple)):
-        return [
-            _normalise(item, f"{where}[{index}]", allow_non_finite)
-            for index, item in enumerate(value)
-        ]
-    raise ScenarioError(
-        f"value of type {type(value).__name__} at {where} is not "
-        "JSON-serialisable"
+        out_list = []
+        for index, item in enumerate(value):
+            try:
+                out_list.append(_canonical(item, allow_non_finite))
+            except _NotCanonical as exc:
+                exc.path.append(f"[{index}]")
+                raise
+        return out_list
+    raise _NotCanonical(
+        f"value of type {type(value).__name__} at ", " is not JSON-serialisable"
     )
 
 

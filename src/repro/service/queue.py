@@ -35,6 +35,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 from ..errors import ServiceError
 from ..obs.clock import monotonic
 from ..obs.registry import MetricsRegistry
+from ..scenarios.registry import IMPORT_LOCK
 from .hashing import canonical_json, scenario_content_hash
 from .store import ResultStore
 
@@ -51,10 +52,13 @@ def _execute_scenario_document(document: Dict[str, Any]) -> Dict[str, Any]:
     """Run one scenario document to its result document.
 
     Top level (hence picklable) so process workers can execute it; the
-    imports stay local so a fresh worker process pays them once.
+    imports stay local so a fresh worker process pays them once (thread
+    workers share the lock that keeps two of them from importing one
+    layer at once).
     """
-    from ..scenarios.runner import ScenarioRunner
-    from ..scenarios.specs import Scenario
+    with IMPORT_LOCK:
+        from ..scenarios.runner import ScenarioRunner
+        from ..scenarios.specs import Scenario
 
     result = ScenarioRunner().run(Scenario.from_dict(document))
     return result.to_dict()

@@ -1,9 +1,12 @@
 """Unit tests for the adversarial strategies and their context plumbing."""
 
+import math
+
 import pytest
 
 from repro.equilibrium.topologies import CENTER, star
 from repro.errors import ScenarioError
+from repro.network.graph import ChannelGraph
 from repro.network.htlc import HtlcState
 from repro.scenarios.registry import ATTACKS
 from repro.simulation.fastpath import BatchedSimulationEngine
@@ -165,3 +168,56 @@ class TestPreparation:
         strategy.start(ctx)
         assert strategy._remaining
         assert all(v > 0 for v in strategy._remaining.values())
+
+
+class TestDepletionTotals:
+    """``LiquidityDepletion`` sizing whose float totals differ between a
+    left-to-right sum and the compensated one Python 3.12's ``sum()``
+    returns. The victim ``v`` holds ``balances[i]`` toward neighbor
+    ``n{i}``; without fees ``ratio`` is 1, so each cost is twice its drain.
+    """
+
+    @staticmethod
+    def prepare(balances, budget):
+        graph = ChannelGraph()
+        for index, balance in enumerate(balances):
+            graph.add_channel("v", f"n{index}", balance, 1.0)
+        engine = BatchedSimulationEngine(graph, seed=0, payment_mode="htlc")
+        ctx = AttackContext(
+            graph=graph, engine=engine, victim="v",
+            horizon=10.0, budget=budget, seed=1,
+        )
+        strategy = LiquidityDepletion(budget=budget, amount=0.01)
+        strategy.start(ctx)
+        (entry,) = ctx.graph.channels_of(ATTACKER_SRC)
+        return strategy._remaining, entry.balance(ATTACKER_SRC)
+
+    def test_base_need_adds_left_to_right(self):
+        # Exits richest first: 2.9 + 2.8 + 1.9 + 1.3 + 0.97.
+        assert math.fsum([2.9, 2.8, 1.9, 1.3, 0.97]) == 9.87
+        drains, _ = self.prepare([1.9, 2.8, 2.9, 0.97, 1.3], 8.7)
+        assert drains == {
+            "n2": 1.2766464032421476,
+            "n1": 1.232624113475177,
+            "n0": 0.8364235055724416,
+            "n4": 0.572289766970618,
+            "n3": 0.42701621073961493,
+        }
+
+    def test_remaining_budget_adds_left_to_right(self):
+        # The last exit's drain is clipped to what the four before it
+        # left of the budget, a total of their costs.
+        drains, _ = self.prepare([0.84, 2.4, 2.5, 2.0, 0.43], 26.2)
+        costs = [2.0 * drain for drain in list(drains.values())[:4]]
+        assert math.fsum(costs) == 24.81157894736842
+        assert drains["n4"] == 0.6892105263157895
+
+    def test_entry_funding_adds_left_to_right(self):
+        drains, entry = self.prepare([1.7, 0.1, 1.3, 2.76], 5.6)
+        assert list(drains.values()) == [
+            1.3164163822525599, 0.8108361774744028,
+            0.6200511945392492, 0.04769624573378772,
+        ]
+        assert math.fsum(drains.values()) == 2.7949999999999995
+        # One HTLC of slack plus the drained total.
+        assert entry == 2.8049999999999997

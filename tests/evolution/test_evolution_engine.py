@@ -13,6 +13,7 @@ from repro.evolution import (
     gini,
 )
 from repro.network.graph import ChannelGraph
+from repro.simulation.metrics import SimulationMetrics
 from repro.scenarios import (
     ChurnSpec,
     EvolutionSpec,
@@ -247,3 +248,35 @@ class TestPhases:
                 "max_gain", "welfare", "topology", "move_log",
             }
             assert not math.isnan(record["welfare"])
+
+
+class TestTotals:
+    """Revenue and fee totals whose left-to-right sum differs from the
+    compensated one Python 3.12's ``sum()`` returns: 0.1 + 0.2 + 0.3."""
+
+    TERMS = {"a": 0.1, "b": 0.2, "c": 0.3}
+
+    def test_terms_round_differently(self):
+        assert math.fsum(self.TERMS.values()) == 0.6
+
+    @staticmethod
+    def welfare(metrics: SimulationMetrics) -> float:
+        graph = ChannelGraph()
+        provider = EmpiricalUtilityProvider(edge_cost=0.0)
+        provider.prepare(graph, metrics, [], seed=0)
+        return provider.welfare(graph)
+
+    def test_empirical_welfare_revenue_adds_left_to_right(self):
+        metrics = SimulationMetrics(revenue=dict(self.TERMS))
+        assert self.welfare(metrics) == 0.6000000000000001
+
+    def test_empirical_welfare_fees_add_left_to_right(self):
+        metrics = SimulationMetrics(fees_paid=dict(self.TERMS))
+        assert self.welfare(metrics) == -0.6000000000000001
+
+    def test_epoch_total_revenue_adds_left_to_right(self):
+        engine = EvolutionEngine(path(3), stable_star_spec(epochs=1))
+        traffic = SimulationMetrics(revenue=dict(self.TERMS))
+        engine._traffic_phase = lambda epoch_seed: (traffic, [])
+        (record,) = engine.run().records
+        assert record.total_revenue == 0.6000000000000001

@@ -1,7 +1,13 @@
 """Plugin registries: builtin coverage, lookup errors, collision rules."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.errors import ScenarioError, UnknownPluginError
 from repro.scenarios import (
     ALGORITHMS,
@@ -11,8 +17,6 @@ from repro.scenarios import (
     TOPOLOGIES,
     WORKLOADS,
 )
-# Importing the runner guarantees the builtin providers are registered.
-from repro.scenarios.runner import ScenarioRunner  # noqa: F401
 
 
 class TestBuiltins:
@@ -88,3 +92,97 @@ class TestRegistration:
         registry.register("x")(lambda: 1)
         with pytest.raises(ScenarioError):
             registry.register("x")(lambda: 2)
+
+
+def run_fresh(code: str) -> str:
+    """Run ``code`` in a new interpreter, whose registries are unread."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    return result.stdout.strip().splitlines()[-1]
+
+
+class TestLazyProviders:
+    """Each registry imports its provider modules on its first read."""
+
+    #: Every builtin key, as registered when the scenario runner imported
+    #: every provider module up front.
+    BUILTIN_KEYS = {
+        "TOPOLOGIES": [
+            "ba", "barabasi-albert", "circle", "complete", "core-periphery",
+            "er", "erdos-renyi", "file", "path", "star",
+        ],
+        "ALGORITHMS": [
+            "bruteforce", "continuous", "exhaustive", "greedy",
+            "random-attach",
+        ],
+        "FEES": ["constant", "linear", "piecewise"],
+        "WORKLOADS": ["poisson"],
+        "ATTACKS": [
+            "depletion", "fee-griefing", "griefing", "jamming",
+            "liquidity-depletion", "slow-jamming",
+        ],
+        "GROWTH": ["fixed", "poisson"],
+        "CHURN": ["degree-biased", "uniform"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_KEYS))
+    def test_first_read_lists_every_builtin_key(self, name):
+        code = (
+            "import json\n"
+            "from repro.scenarios import registry\n"
+            f"plugins = registry.{name}\n"
+            "print(json.dumps([len(plugins), list(plugins)]))"
+        )
+        keys = self.BUILTIN_KEYS[name]
+        assert json.loads(run_fresh(code)) == [len(keys), keys]
+
+    def test_join_registries_leave_attacks_and_evolution_unloaded(self):
+        code = (
+            "import sys\n"
+            "from repro.scenarios.registry import ALGORITHMS, TOPOLOGIES\n"
+            "assert 'repro.snapshots.synthetic' not in sys.modules\n"
+            "TOPOLOGIES.get('ba'), ALGORITHMS.get('greedy')\n"
+            "print(sorted(m for m in ('repro.attacks', 'repro.evolution',\n"
+            "    'repro.simulation', 'repro.snapshots.synthetic') if m in sys.modules))"
+        )
+        assert run_fresh(code) == "['repro.snapshots.synthetic']"
+
+    def test_plugin_under_builtin_key_collides_before_any_read(self):
+        code = (
+            "from repro.errors import ScenarioError\n"
+            "from repro.scenarios import register_topology\n"
+            "try:\n"
+            "    register_topology('ba')(lambda n: None)\n"
+            "except ScenarioError as exc:\n"
+            "    print(exc)\n"
+        )
+        assert run_fresh(code).startswith("topology key 'ba' already registered")
+
+    def test_concurrent_first_reads_all_resolve(self):
+        # More threads than cores, each reading a different registry
+        # first, with a short switch interval: no read may see a registry
+        # whose providers another thread is still importing.
+        code = (
+            "import sys, threading\n"
+            "from repro.scenarios import registry\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "reads = [(registry.TOPOLOGIES, 'circle'), (registry.ALGORITHMS, 'greedy'),\n"
+            "         (registry.FEES, 'linear'), (registry.ATTACKS, 'jamming'),\n"
+            "         (registry.GROWTH, 'fixed'), (registry.TOPOLOGIES, 'ba')] * 2\n"
+            "errors = []\n"
+            "def read(plugins, key):\n"
+            "    try:\n"
+            "        plugins.get(key)\n"
+            "    except Exception as exc:\n"
+            "        errors.append(repr(exc))\n"
+            "threads = [threading.Thread(target=read, args=r) for r in reads]\n"
+            "for t in threads: t.start()\n"
+            "for t in threads: t.join(timeout=60)\n"
+            "assert not any(t.is_alive() for t in threads)\n"
+            "print(errors)"
+        )
+        assert run_fresh(code) == "[]"

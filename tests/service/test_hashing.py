@@ -71,6 +71,27 @@ class TestCanonicalJson:
         with pytest.raises(ScenarioError):
             canonical_json({1: "x"})
 
+    @pytest.mark.parametrize("document, message", [
+        (
+            {"graph": {"nodes": [{"id": "a"}, {"id": ("b", {"w": {2}})}]}},
+            "value of type set at document.graph.nodes[1].id[1].w "
+            "is not JSON-serialisable",
+        ),
+        (
+            {"rows": [[0.5, {"x": float("nan")}]]},
+            "non-finite float nan at document.rows[0][1].x "
+            "has no canonical JSON form",
+        ),
+        (
+            {"a": [{"b": {3: "c"}}]},
+            "non-string mapping key 3 at document.a[0].b",
+        ),
+    ])
+    def test_error_names_nested_location(self, document, message):
+        with pytest.raises(ScenarioError) as excinfo:
+            canonical_json(document)
+        assert str(excinfo.value) == message
+
 
 class TestScenarioContentHash:
     def test_hash_is_sha256_hex(self):

@@ -7,10 +7,14 @@ injected, so scenarios never actually run here.
 """
 
 import asyncio
+import os
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import repro
 from repro.errors import ServiceError
 from repro.scenarios.specs import Scenario, TopologySpec
 from repro.service.hashing import scenario_content_hash
@@ -254,3 +258,57 @@ class TestValidation:
             await mgr.close()
 
         asyncio.run(main())
+
+
+#: One small document per stage kind: each first imports other layers.
+STAGE_DOCS = {
+    "join": {
+        "topology": {"kind": "ba", "params": {"n": 10}},
+        "algorithm": {"kind": "greedy", "params": {"budget": 2.0, "lock": 1.0}},
+    },
+    "simulate": {
+        "topology": {"kind": "erdos-renyi", "params": {"n": 10, "p": 0.5}},
+        "simulation": {"horizon": 1.0},
+    },
+    "attack": {
+        "topology": {"kind": "star", "params": {"leaves": 4, "balance": 5.0}},
+        "simulation": {"horizon": 2.0, "payment_mode": "htlc"},
+        "attack": {"kind": "jamming", "params": {"budget": 50.0}},
+    },
+    "evolve": {
+        "topology": {"kind": "path", "params": {"n": 4}},
+        "evolution": {"epochs": 1, "traffic_horizon": 0.0},
+    },
+}
+
+
+def test_thread_workers_import_layers_one_at_a_time(tmp_path):
+    """A fresh daemon's thread workers run their first jobs at once: more
+    workers than cores, a short switch interval, and every stage kind, so
+    each job would first import its own layers. None may fail."""
+    code = (
+        "import asyncio, sys\n"
+        "from repro.service.queue import JobManager\n"
+        "sys.setswitchinterval(1e-6)\n"
+        f"docs = {STAGE_DOCS!r}\n"
+        "async def main():\n"
+        f"    mgr = JobManager(store={str(tmp_path / 'store')!r}, max_workers=4,\n"
+        "                     worker='thread')\n"
+        "    jobs = [mgr.submit(dict(doc, name=name, seed=1))\n"
+        "            for name, doc in sorted(docs.items())]\n"
+        "    try:\n"
+        "        await asyncio.wait_for(asyncio.gather(\n"
+        "            *(job.result_text() for job in jobs)), 120)\n"
+        "    finally:\n"
+        "        await mgr.close()\n"
+        "    print([job.state for job in jobs])\n"
+        "asyncio.run(main())\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=180,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["['done',", "'done',", "'done',", "'done']"]

@@ -24,6 +24,11 @@ class TestParser:
 
 HEAVY_MODULES = ("networkx", "scipy.stats")
 
+#: Layers that building the CLI, importing the package and starting the
+#: daemon do not run, so they must not import them either.
+COMPUTE_LAYERS = ("repro.simulation", "repro.attacks", "repro.evolution")
+UNUSED_LAYERS = COMPUTE_LAYERS + ("repro.service", "repro.devtools")
+
 #: One small scenario document per synthetic generator.
 GENERATOR_TOPOLOGIES = {
     "ba": {"n": 12},
@@ -48,36 +53,80 @@ def _run_scenario_probe(kind: str) -> str:
     )
 
 
-#: Entry points that must not pay for networkx or scipy.stats at import,
-#: and scenario runs that build each synthetic topology: the generators
-#: draw their structure graphs in plain python. The ``serve`` probe
-#: starts a daemon on an ephemeral port and checks once it is listening.
+#: A greedy join, the paper's Section III solve, run as
+#: ``repro run-scenario`` would run it.
+GREEDY_JOIN_PROBE = (
+    "import json, os, tempfile\n"
+    "from repro.cli import main\n"
+    "doc = {'name': 'probe-join', 'seed': 3,\n"
+    "       'topology': {'kind': 'ba', 'params': {'n': 12}},\n"
+    "       'algorithm': {'kind': 'greedy',\n"
+    "                     'params': {'budget': 3.0, 'lock': 1.0}}}\n"
+    "with tempfile.TemporaryDirectory() as tmp:\n"
+    "    path = os.path.join(tmp, 'join.json')\n"
+    "    with open(path, 'w') as handle:\n"
+    "        json.dump(doc, handle)\n"
+    "    assert main(['run-scenario', path]) == 0\n"
+    "report()"
+)
+
+#: Entry point -> (probe code, modules it must leave unloaded). No entry
+#: point pays for networkx or scipy.stats: the generators draw their
+#: structure graphs in plain python. The package, the CLI and its help
+#: load no numpy and no layer they do not run. The ``serve`` probe starts
+#: a daemon as ``python -m repro serve`` does, on an ephemeral port, and
+#: checks once it is listening: its workers import the compute layers.
 IMPORT_PROBES = {
-    "import repro": "import repro\nreport()",
-    "import repro.cli": "import repro.cli\nreport()",
-    "ServiceClient": "from repro.service import ServiceClient\nreport()",
+    "import repro": (
+        "import repro\nreport()",
+        HEAVY_MODULES + UNUSED_LAYERS + ("numpy",),
+    ),
+    "import repro.cli": (
+        "import repro.cli\nreport()",
+        HEAVY_MODULES + UNUSED_LAYERS + ("numpy",),
+    ),
+    "repro --help": (
+        "from repro.cli import main\n"
+        "try:\n"
+        "    main(['--help'])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "report()",
+        HEAVY_MODULES + UNUSED_LAYERS + ("numpy",),
+    ),
+    "ServiceClient": (
+        "from repro.service import ServiceClient\nreport()", HEAVY_MODULES,
+    ),
     "serve": (
         "import os\n"
+        "import repro.cli\n"
         "from repro.service.daemon import run_server\n"
         "def ready(host, port):\n"
         "    report()\n"
         "    os._exit(0)\n"
-        "run_server(port=0, workers=1, worker='thread', ready=ready)"
+        "run_server(port=0, workers=1, worker='process', ready=ready)",
+        HEAVY_MODULES + COMPUTE_LAYERS + ("repro.devtools", "numpy"),
+    ),
+    "run-scenario greedy join": (
+        GREEDY_JOIN_PROBE, HEAVY_MODULES + UNUSED_LAYERS,
     ),
     **{
-        f"run-scenario {kind}": _run_scenario_probe(kind)
+        f"run-scenario {kind}": (_run_scenario_probe(kind), HEAVY_MODULES)
         for kind in GENERATOR_TOPOLOGIES
     },
 }
 
 
-def run_probe(code: str) -> str:
+def run_probe(code: str, unloaded=HEAVY_MODULES) -> str:
+    """Run ``code`` in a fresh interpreter; its ``report()`` prints which
+    of the ``unloaded`` modules were imported (a package is imported with
+    any of its submodules)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
     prelude = (
         "import sys\n"
         "def report():\n"
-        f"    print([m for m in {HEAVY_MODULES!r} if m in sys.modules], flush=True)\n"
+        f"    print([m for m in {tuple(unloaded)!r} if m in sys.modules], flush=True)\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", prelude + code],
@@ -86,12 +135,16 @@ def run_probe(code: str) -> str:
     return result.stdout.strip().splitlines()[-1]
 
 
-@pytest.mark.parametrize("code", IMPORT_PROBES.values(), ids=IMPORT_PROBES.keys())
-def test_entry_point_leaves_heavy_modules_unloaded(code):
+@pytest.mark.parametrize(
+    "code, unloaded", IMPORT_PROBES.values(), ids=IMPORT_PROBES.keys()
+)
+def test_entry_point_leaves_heavy_modules_unloaded(code, unloaded):
     """networkx and ``scipy.stats`` are loaded only by the code that calls
     into them: ``to_networkx``, the exact betweenness oracle and the
-    estimation statistics. Building a synthetic topology loads neither."""
-    assert run_probe(code) == "[]"
+    estimation statistics. Each entry point imports only the layers it
+    runs: a registry loads its providers on first read, and the CLI
+    imports a layer inside the handler that runs it."""
+    assert run_probe(code, unloaded) == "[]"
 
 
 def test_networkx_loads_when_materialising_a_view():
