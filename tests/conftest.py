@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.network.graph import ChannelGraph
 from repro.params import ModelParameters
 from repro.simulation.fastpath import BatchedSimulationEngine
@@ -21,6 +26,25 @@ def isolated_result_store(tmp_path, monkeypatch):
     store_dir = tmp_path / "repro-store"
     monkeypatch.setenv("REPRO_STORE", str(store_dir))
     return store_dir
+
+
+@pytest.fixture
+def fresh_python():
+    """Run code in a new interpreter on this checkout; returns the last
+    line it printed. A new interpreter has imported nothing yet, so what
+    an entry point imports, and first imports, are tested there."""
+
+    def run(code: str, timeout: float = 120.0) -> str:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=timeout,
+        )
+        assert result.returncode == 0, result.stderr
+        return result.stdout.strip().splitlines()[-1]
+
+    return run
 
 
 @pytest.fixture

@@ -1,13 +1,9 @@
 """Plugin registries: builtin coverage, lookup errors, collision rules."""
 
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
-import repro
 from repro.errors import ScenarioError, UnknownPluginError
 from repro.scenarios import (
     ALGORITHMS,
@@ -94,17 +90,6 @@ class TestRegistration:
             registry.register("x")(lambda: 2)
 
 
-def run_fresh(code: str) -> str:
-    """Run ``code`` in a new interpreter, whose registries are unread."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env, capture_output=True, text=True, check=True, timeout=60,
-    )
-    return result.stdout.strip().splitlines()[-1]
-
-
 class TestLazyProviders:
     """Each registry imports its provider modules on its first read."""
 
@@ -130,7 +115,7 @@ class TestLazyProviders:
     }
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_KEYS))
-    def test_first_read_lists_every_builtin_key(self, name):
+    def test_first_read_lists_every_builtin_key(self, fresh_python, name):
         code = (
             "import json\n"
             "from repro.scenarios import registry\n"
@@ -138,9 +123,9 @@ class TestLazyProviders:
             "print(json.dumps([len(plugins), list(plugins)]))"
         )
         keys = self.BUILTIN_KEYS[name]
-        assert json.loads(run_fresh(code)) == [len(keys), keys]
+        assert json.loads(fresh_python(code)) == [len(keys), keys]
 
-    def test_join_registries_leave_attacks_and_evolution_unloaded(self):
+    def test_join_registries_leave_attacks_and_evolution_unloaded(self, fresh_python):
         code = (
             "import sys\n"
             "from repro.scenarios.registry import ALGORITHMS, TOPOLOGIES\n"
@@ -149,9 +134,9 @@ class TestLazyProviders:
             "print(sorted(m for m in ('repro.attacks', 'repro.evolution',\n"
             "    'repro.simulation', 'repro.snapshots.synthetic') if m in sys.modules))"
         )
-        assert run_fresh(code) == "['repro.snapshots.synthetic']"
+        assert fresh_python(code) == "['repro.snapshots.synthetic']"
 
-    def test_plugin_under_builtin_key_collides_before_any_read(self):
+    def test_plugin_under_builtin_key_collides_before_any_read(self, fresh_python):
         code = (
             "from repro.errors import ScenarioError\n"
             "from repro.scenarios import register_topology\n"
@@ -160,9 +145,9 @@ class TestLazyProviders:
             "except ScenarioError as exc:\n"
             "    print(exc)\n"
         )
-        assert run_fresh(code).startswith("topology key 'ba' already registered")
+        assert fresh_python(code).startswith("topology key 'ba' already registered")
 
-    def test_concurrent_first_reads_all_resolve(self):
+    def test_concurrent_first_reads_all_resolve(self, fresh_python):
         # More threads than cores, each reading a different registry
         # first, with a short switch interval: no read may see a registry
         # whose providers another thread is still importing.
@@ -185,4 +170,4 @@ class TestLazyProviders:
             "assert not any(t.is_alive() for t in threads)\n"
             "print(errors)"
         )
-        assert run_fresh(code) == "[]"
+        assert fresh_python(code) == "[]"

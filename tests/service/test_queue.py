@@ -7,14 +7,10 @@ injected, so scenarios never actually run here.
 """
 
 import asyncio
-import os
-import subprocess
-import sys
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-import repro
 from repro.errors import ServiceError
 from repro.scenarios.specs import Scenario, TopologySpec
 from repro.service.hashing import scenario_content_hash
@@ -282,7 +278,7 @@ STAGE_DOCS = {
 }
 
 
-def test_thread_workers_import_layers_one_at_a_time(tmp_path):
+def test_thread_workers_import_layers_one_at_a_time(fresh_python, tmp_path):
     """A fresh daemon's thread workers run their first jobs at once: more
     workers than cores, a short switch interval, and every stage kind, so
     each job would first import its own layers. None may fail."""
@@ -304,11 +300,4 @@ def test_thread_workers_import_layers_one_at_a_time(tmp_path):
         "    print([job.state for job in jobs])\n"
         "asyncio.run(main())\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env, capture_output=True, text=True, timeout=180,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["['done',", "'done',", "'done',", "'done']"]
+    assert fresh_python(code, timeout=180) == "['done', 'done', 'done', 'done']"

@@ -1,13 +1,9 @@
 """End-to-end tests of the CLI."""
 
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
-import repro
 from repro.cli import build_parser, main
 
 
@@ -117,44 +113,37 @@ IMPORT_PROBES = {
 }
 
 
-def run_probe(code: str, unloaded=HEAVY_MODULES) -> str:
-    """Run ``code`` in a fresh interpreter; its ``report()`` prints which
-    of the ``unloaded`` modules were imported (a package is imported with
-    any of its submodules)."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
-    prelude = (
+def probe_code(code: str, unloaded) -> str:
+    """``code`` whose ``report()`` prints which of the ``unloaded`` modules
+    were imported (a package is imported with any of its submodules)."""
+    return (
         "import sys\n"
         "def report():\n"
         f"    print([m for m in {tuple(unloaded)!r} if m in sys.modules], flush=True)\n"
+        + code
     )
-    result = subprocess.run(
-        [sys.executable, "-c", prelude + code],
-        env=env, capture_output=True, text=True, check=True, timeout=60,
-    )
-    return result.stdout.strip().splitlines()[-1]
 
 
 @pytest.mark.parametrize(
     "code, unloaded", IMPORT_PROBES.values(), ids=IMPORT_PROBES.keys()
 )
-def test_entry_point_leaves_heavy_modules_unloaded(code, unloaded):
+def test_entry_point_leaves_heavy_modules_unloaded(fresh_python, code, unloaded):
     """networkx and ``scipy.stats`` are loaded only by the code that calls
     into them: ``to_networkx``, the exact betweenness oracle and the
     estimation statistics. Each entry point imports only the layers it
     runs: a registry loads its providers on first read, and the CLI
     imports a layer inside the handler that runs it."""
-    assert run_probe(code, unloaded) == "[]"
+    assert fresh_python(probe_code(code, unloaded)) == "[]"
 
 
-def test_networkx_loads_when_materialising_a_view():
+def test_networkx_loads_when_materialising_a_view(fresh_python):
     code = (
         "from repro.snapshots import barabasi_albert_snapshot\n"
         "graph = barabasi_albert_snapshot(10, seed=1).view().to_networkx()\n"
         "assert graph.number_of_nodes() == 10\n"
         "report()"
     )
-    assert run_probe(code) == "['networkx']"
+    assert fresh_python(probe_code(code, HEAVY_MODULES)) == "['networkx']"
 
 
 class TestGenerate:
