@@ -17,9 +17,7 @@ if TYPE_CHECKING:  # pragma: no cover - lazy at runtime, eager for typing
     from .estimation import (
         RateEstimate,
         ZipfEstimate,
-        estimate_average_fee,
         estimate_sender_rates,
-        estimate_total_rate,
         estimate_zipf_s,
     )
     from .resilience import equilibrium_topology_docs, resilience_table
@@ -31,10 +29,8 @@ __all__ = [
     "countermeasure_table",
     "emergence_table",
     "fee_policy_docs",
-    "estimate_average_fee",
     "estimate_sender_rates",
     "equilibrium_topology_docs",
-    "estimate_total_rate",
     "estimate_zipf_s",
     "format_table",
     "resilience_table",
@@ -50,9 +46,7 @@ _LAZY_EXPORTS = {
     "countermeasure_table": "countermeasures",
     "emergence_table": "emergence",
     "equilibrium_topology_docs": "resilience",
-    "estimate_average_fee": "estimation",
     "estimate_sender_rates": "estimation",
-    "estimate_total_rate": "estimation",
     "estimate_zipf_s": "estimation",
     "fee_policy_docs": "countermeasures",
     "resilience_table": "resilience",

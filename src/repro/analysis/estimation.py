@@ -10,8 +10,7 @@ recovers:
 
 * per-sender Poisson rates with exact chi-square confidence intervals;
 * the Zipf scale parameter ``s`` by maximum likelihood under the
-  modified-Zipf receiver model (grid + golden-section refinement);
-* the average fee ``f_avg`` from observed (amount, fee) samples.
+  modified-Zipf receiver model (grid + golden-section refinement).
 """
 
 from __future__ import annotations
@@ -30,10 +29,8 @@ from ..transactions.zipf import ModifiedZipf
 __all__ = [
     "RateEstimate",
     "estimate_sender_rates",
-    "estimate_total_rate",
     "ZipfEstimate",
     "estimate_zipf_s",
-    "estimate_average_fee",
 ]
 
 
@@ -93,22 +90,6 @@ def estimate_sender_rates(
     return out
 
 
-def estimate_total_rate(
-    transactions: Sequence[Transaction],
-    horizon: float,
-    confidence: float = 0.95,
-) -> RateEstimate:
-    """Network-wide arrival rate ``N`` with confidence interval."""
-    if horizon <= 0:
-        raise InvalidParameter("horizon must be > 0")
-    count = len(transactions)
-    low, high = _poisson_rate_ci(count, horizon, confidence)
-    return RateEstimate(
-        rate=count / horizon, count=count, horizon=horizon,
-        ci_low=low, ci_high=high,
-    )
-
-
 @dataclass(frozen=True)
 class ZipfEstimate:
     """MLE of the Zipf scale parameter."""
@@ -123,7 +104,7 @@ def _trace_log_likelihood(
     pairs: Sequence[Tuple[Hashable, Hashable]],
     s: float,
 ) -> float:
-    zipf = ModifiedZipf(graph, s=s, cache=True)
+    zipf = ModifiedZipf(graph, s=s)
     rows: Dict[Hashable, Dict[Hashable, float]] = {}
     total = 0.0
     for sender, receiver in pairs:
@@ -181,19 +162,3 @@ def estimate_zipf_s(
         samples=len(pairs),
     )
 
-
-def estimate_average_fee(
-    fee_samples: Sequence[float], confidence: float = 0.95
-) -> Tuple[float, float, float]:
-    """``f_avg`` from observed per-hop fees: mean and normal-theory CI."""
-    if not fee_samples:
-        raise InvalidParameter("need at least one fee sample")
-    samples = np.asarray(fee_samples, dtype=float)
-    mean = float(samples.mean())
-    if len(samples) == 1:
-        return mean, mean, mean
-    sem = float(samples.std(ddof=1)) / math.sqrt(len(samples))
-    from scipy import stats  # local: scipy.stats dominates `import repro.cli`
-
-    z = stats.norm.ppf(0.5 + confidence / 2.0)
-    return mean, mean - z * sem, mean + z * sem

@@ -187,14 +187,14 @@ class CircuitAttack:
         # outbound balance in that direction (or its slot cap, if smaller).
         quotas: Dict[Hashable, int] = {}
         for n in exits:
-            slots = sum(
+            slots = ordered_sum(
                 c.max_accepted_htlcs if c.max_accepted_htlcs is not None
                 else 1 << 30
                 for c in ctx.graph.channels_between(ctx.victim, n)
             )
             quota = math.ceil(outbound[n] * self.headroom / self.amount)
             quotas[n] = max(1, min(quota, slots))
-        desired = sum(quotas.values())
+        desired = ordered_sum(quotas.values())
         if self.max_concurrent is not None:
             desired = min(desired, self.max_concurrent)
         # One concurrent HTLC costs entry capital + pushed exit capital;
@@ -204,10 +204,10 @@ class CircuitAttack:
         concurrent = min(desired, affordable)
         if concurrent < 1:
             return
-        scale = concurrent / sum(quotas.values())
+        scale = concurrent / ordered_sum(quotas.values())
         scaled = {n: int(quotas[n] * scale) for n in exits}
         # floor() lost some slots; hand them back richest-exit first.
-        shortfall = concurrent - sum(scaled.values())
+        shortfall = concurrent - ordered_sum(scaled.values())
         for n in exits:
             if shortfall <= 0:
                 break
@@ -225,7 +225,7 @@ class CircuitAttack:
                 ATTACKER_DST, n, funding=0.0, push=scaled[n] * self.amount
             ) is None:
                 scaled[n] = 0
-        self._concurrent = sum(scaled.values())
+        self._concurrent = ordered_sum(scaled.values())
         # Interleave exits so concurrent HTLCs spread evenly from the start.
         for layer in range(max(scaled.values(), default=0)):
             for n in exits:

@@ -214,6 +214,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_estimate(args: argparse.Namespace) -> int:
     """Simulate traffic with known parameters, then recover them."""
     from .analysis.estimation import estimate_sender_rates, estimate_zipf_s
+    from .determinism import ordered_sum
     from .scenarios.factory import build_topology
     from .transactions import ModifiedZipf, PoissonWorkload
 
@@ -229,7 +230,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
           f"({zipf.samples} samples)")
     horizon = trace[-1].time
     rates = estimate_sender_rates(trace, horizon)
-    covered = sum(e.contains(args.sender_rate) for e in rates.values())
+    covered = ordered_sum(e.contains(args.sender_rate) for e in rates.values())
     print(
         f"per-sender rate CIs covering the true rate {args.sender_rate:g}: "
         f"{covered}/{len(rates)}"

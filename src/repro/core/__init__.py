@@ -11,18 +11,8 @@ from .algorithms import (
     greedy_over_actions,
     lock_grid,
 )
-from .costmodels import (
-    AmortisedOnchainCost,
-    CostModel,
-    DiscountedOpportunityCost,
-    LinearOpportunityCost,
-)
-from .costs import (
-    benefit_positivity_condition,
-    channel_cost,
-    onchain_alternative_cost,
-    strategy_cost,
-)
+from .costmodels import CostModel, DiscountedOpportunityCost
+from .costs import benefit_positivity_condition
 from .fees_paid import HOP_CONVENTIONS, expected_fees, single_source_hops
 from .objective import ObjectiveEvaluator
 from .properties import (
@@ -38,10 +28,8 @@ from .utility import JoiningUserModel
 __all__ = [
     "Action",
     "ActionSpace",
-    "AmortisedOnchainCost",
     "CostModel",
     "DiscountedOpportunityCost",
-    "LinearOpportunityCost",
     "HOP_CONVENTIONS",
     "JoiningUserModel",
     "ObjectiveEvaluator",
@@ -50,7 +38,6 @@ __all__ = [
     "SubmodularityReport",
     "benefit_positivity_condition",
     "brute_force",
-    "channel_cost",
     "check_monotonicity",
     "check_submodularity",
     "continuous_local_search",
@@ -63,8 +50,6 @@ __all__ = [
     "greedy_fixed_funds",
     "greedy_over_actions",
     "lock_grid",
-    "onchain_alternative_cost",
     "revenue_profile",
     "single_source_hops",
-    "strategy_cost",
 ]

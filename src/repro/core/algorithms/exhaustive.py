@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, List, Optional, Sequence, Tuple
 
+from ...determinism import ordered_sum
 from ...errors import InvalidParameter
 from ..objective import ObjectiveEvaluator
 from ..strategy import BUDGET_SLACK, Action, Strategy
@@ -84,7 +85,7 @@ def count_divisions(units: int, parts: int, unique_multisets: bool = True) -> in
         key = (remaining, slots, min(cap, remaining))
         if key in seen:
             return seen[key]
-        total = sum(
+        total = ordered_sum(
             _count(remaining - head, slots - 1, head)
             for head in range(min(remaining, cap), -1, -1)
         )

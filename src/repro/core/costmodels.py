@@ -7,19 +7,14 @@ interest rates as in [17] (Guasoni et al.)" as future work, and Section
 II-C notes the computational results survive such an extension — which
 holds because any per-channel cost remains *modular* in the strategy.
 
-This module provides that extension point:
-
-* :class:`LinearOpportunityCost` — the paper's ``C + r*l``;
-* :class:`DiscountedOpportunityCost` — Guasoni-style: locking ``l`` for a
-  channel lifetime ``T`` at continuously-compounded rate ``ρ`` forgoes
-  ``l * (e^{ρT} - 1)`` of interest, discounted back to present value
-  ``l * (1 - e^{-ρT})``;
-* :class:`AmortisedOnchainCost` — spreads the on-chain fee over expected
-  channel lifetime against a per-period horizon, for utilities expressed
-  per unit time.
-
-All models expose ``channel_cost(locked)``; the joining-user model accepts
-any of them via its ``cost_model`` argument.
+This module provides that extension point: :class:`CostModel`, whose
+models expose ``channel_cost(locked)``, and one model,
+:class:`DiscountedOpportunityCost` — Guasoni-style: locking ``l`` for a
+channel lifetime ``T`` at continuously-compounded rate ``ρ`` forgoes
+``l * (e^{ρT} - 1)`` of interest, discounted back to present value
+``l * (1 - e^{-ρT})``. The joining-user model takes a model through its
+``cost_model`` argument; without one it charges the paper's ``C + r*l``
+(:meth:`ModelParameters.channel_cost <repro.params.ModelParameters.channel_cost>`).
 """
 
 from __future__ import annotations
@@ -27,15 +22,10 @@ from __future__ import annotations
 import abc
 import math
 
+from ..determinism import ordered_sum
 from ..errors import InvalidParameter
-from ..params import ModelParameters
 
-__all__ = [
-    "CostModel",
-    "LinearOpportunityCost",
-    "DiscountedOpportunityCost",
-    "AmortisedOnchainCost",
-]
+__all__ = ["CostModel", "DiscountedOpportunityCost"]
 
 
 class CostModel(abc.ABC):
@@ -47,26 +37,7 @@ class CostModel(abc.ABC):
 
     def strategy_cost(self, locked_amounts) -> float:
         """Sum of channel costs — modular by construction."""
-        return sum(self.channel_cost(l) for l in locked_amounts)
-
-
-class LinearOpportunityCost(CostModel):
-    """The paper's baseline: ``C + r * l``."""
-
-    def __init__(self, onchain_cost: float, opportunity_rate: float) -> None:
-        if onchain_cost < 0 or opportunity_rate < 0:
-            raise InvalidParameter("costs must be >= 0")
-        self.onchain_cost = onchain_cost
-        self.opportunity_rate = opportunity_rate
-
-    @classmethod
-    def from_parameters(cls, params: ModelParameters) -> "LinearOpportunityCost":
-        return cls(params.onchain_cost, params.opportunity_rate)
-
-    def channel_cost(self, locked: float) -> float:
-        if locked < 0:
-            raise InvalidParameter("locked must be >= 0")
-        return self.onchain_cost + self.opportunity_rate * locked
+        return ordered_sum(self.channel_cost(l) for l in locked_amounts)
 
 
 class DiscountedOpportunityCost(CostModel):
@@ -101,31 +72,3 @@ class DiscountedOpportunityCost(CostModel):
         """The ``r`` of the linear model this is equivalent to at l -> 0."""
         return 1.0 - math.exp(-self.interest_rate * self.lifetime)
 
-
-class AmortisedOnchainCost(CostModel):
-    """On-chain fee amortised per unit time over the channel lifetime.
-
-    Useful when the utility is a *rate* (per unit time, as Eq. 3's revenue
-    is) and costs should be comparable: a channel living ``lifetime``
-    periods costs ``C / lifetime`` per period plus the linear opportunity
-    rate on locked funds.
-    """
-
-    def __init__(
-        self, onchain_cost: float, opportunity_rate: float, lifetime: float
-    ) -> None:
-        if onchain_cost < 0 or opportunity_rate < 0:
-            raise InvalidParameter("costs must be >= 0")
-        if lifetime <= 0:
-            raise InvalidParameter("lifetime must be > 0")
-        self.onchain_cost = onchain_cost
-        self.opportunity_rate = opportunity_rate
-        self.lifetime = lifetime
-
-    def channel_cost(self, locked: float) -> float:
-        if locked < 0:
-            raise InvalidParameter("locked must be >= 0")
-        return (
-            self.onchain_cost / self.lifetime
-            + self.opportunity_rate * locked
-        )

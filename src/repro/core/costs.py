@@ -1,48 +1,21 @@
-"""Channel cost model (Section II-C) and the on-chain alternative cost.
+"""The benefit function's positivity condition (Section III-D).
 
-For one party, a channel costs:
-
-* ``C/2`` — its share of the opening transaction's miner fee;
-* ``C/2`` — its *expected* share of the closing fee (the channel closes
-  unilaterally-by-u, unilaterally-by-v, or collaboratively with equal
-  probability, so each party expects to pay half on average);
-* ``r * l`` — opportunity cost of the ``l`` coins locked for the channel
-  lifetime (linear rate, the paper's standard economic assumption).
-
-Total: ``L_u(v, l) = C + r*l``.
-
-Section III-D additionally uses ``C_u = N_u * C / 2`` — the expected
-on-chain cost if the user transacted purely on the blockchain — to shift
-the utility into the non-negative *benefit function* ``U^b = C_u + U``.
+For one party a channel costs ``L_u(v, l) = C + r*l``
+(:meth:`ModelParameters.channel_cost <repro.params.ModelParameters.channel_cost>`):
+``C/2`` of the opening fee, an expected ``C/2`` of the closing fee, and
+the opportunity cost ``r * l`` of the locked coins (Section II-C).
+Section III-D adds ``C_u = N_u * C / 2``
+(:meth:`ModelParameters.onchain_alternative_cost
+<repro.params.ModelParameters.onchain_alternative_cost>`), the expected
+on-chain cost of transacting purely on the blockchain, to shift the
+utility into the non-negative *benefit function* ``U^b = C_u + U``.
 """
 
 from __future__ import annotations
 
-
 from ..params import ModelParameters
-from .strategy import Strategy
 
-__all__ = [
-    "channel_cost",
-    "strategy_cost",
-    "onchain_alternative_cost",
-    "benefit_positivity_condition",
-]
-
-
-def channel_cost(params: ModelParameters, locked: float) -> float:
-    """``L_u(v, l) = C + r*l`` for one channel, one party."""
-    return params.channel_cost(locked)
-
-
-def strategy_cost(params: ModelParameters, strategy: Strategy) -> float:
-    """``Σ_{(v,l) in S} L_u(v, l)``."""
-    return strategy.utility_cost(params)
-
-
-def onchain_alternative_cost(params: ModelParameters) -> float:
-    """``C_u = N_u * C / 2`` (Section III-D)."""
-    return params.onchain_alternative_cost()
+__all__ = ["benefit_positivity_condition"]
 
 
 def benefit_positivity_condition(

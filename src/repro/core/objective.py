@@ -1,4 +1,4 @@
-"""Memoised objective evaluation and marginal gains.
+"""Memoised objective evaluation.
 
 The optimisation algorithms of Section III repeatedly evaluate the same
 strategies (greedy prefixes, exhaustive-search restarts). This wrapper
@@ -24,7 +24,7 @@ import math
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import InvalidParameter
-from .strategy import Action, Strategy
+from .strategy import Strategy
 from .utility import OBJECTIVE_KINDS, JoiningUserModel
 
 __all__ = ["ObjectiveEvaluator"]
@@ -104,14 +104,3 @@ class ObjectiveEvaluator:
             values[position] = scored[index]
         return values
 
-    def marginal(self, strategy: Strategy, action: Action) -> float:
-        """``f(S ∪ {X}) - f(S)`` for this objective."""
-        return self(strategy.with_action(action)) - self(strategy)
-
-    def reset_counters(self) -> None:
-        self.evaluations = 0
-        self.cache_hits = 0
-
-    def clear(self) -> None:
-        self._cache.clear()
-        self.reset_counters()

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, List, Tuple
 
+from ..determinism import ordered_sum
 from ..errors import BudgetExceeded, InvalidParameter
 from ..network.graph import ChannelGraph
 from ..params import ModelParameters
@@ -89,21 +90,16 @@ class Strategy:
     def actions(self) -> Tuple[Action, ...]:
         return self._actions
 
-    @property
-    def peers(self) -> Tuple[Hashable, ...]:
-        """Peers with multiplicity, in canonical order."""
-        return tuple(action.peer for action in self._actions)
-
     def total_locked(self) -> float:
-        return sum(action.locked for action in self._actions)
+        return ordered_sum(action.locked for action in self._actions)
 
     def budget_cost(self, params: ModelParameters) -> float:
         """``Σ (C + l_j)`` — what the strategy draws from the budget."""
-        return sum(action.budget_cost(params) for action in self._actions)
+        return ordered_sum(action.budget_cost(params) for action in self._actions)
 
     def utility_cost(self, params: ModelParameters) -> float:
         """``Σ L_u(v, l)`` — the cost term of the utility function."""
-        return sum(action.utility_cost(params) for action in self._actions)
+        return ordered_sum(action.utility_cost(params) for action in self._actions)
 
     def check_budget(self, params: ModelParameters, budget: float) -> None:
         """Raise :class:`BudgetExceeded` when over budget."""
@@ -125,9 +121,6 @@ class Strategy:
         remaining = list(self._actions)
         remaining.remove(action)
         return Strategy(remaining)
-
-    def replacing(self, old: Action, new: Action) -> "Strategy":
-        return self.without_action(old).with_action(new)
 
 
 class ActionSpace:

@@ -68,6 +68,7 @@ from typing import (
 
 import numpy as np
 
+from ..determinism import ordered_sum
 from ..errors import InvalidParameter, NodeNotFound
 from ..network.graph import ChannelGraph
 from ..network.views import all_pairs_paths
@@ -208,7 +209,7 @@ class JoiningUserModel:
 
         # Freeze the joining user's own receiver distribution.
         if own_probs is not None:
-            total = sum(p for p in own_probs.values() if p > 0)
+            total = ordered_sum(p for p in own_probs.values() if p > 0)
             if total <= 0:
                 raise InvalidParameter("own_probs must have positive mass")
             self._own_probs = {
@@ -419,7 +420,7 @@ class JoiningUserModel:
             if self.routing_amount > 0 and action.locked < self.routing_amount:
                 continue  # channel too thin to route the amount
             peers.add(action.peer)
-        return self.params.fee_avg * sum(rates.get(p, 0.0) for p in peers)
+        return self.params.fee_avg * ordered_sum(rates.get(p, 0.0) for p in peers)
 
     def _score(
         self,
@@ -561,14 +562,6 @@ class JoiningUserModel:
         """Full utility ``U(S)``; ``-inf`` when disconnected (Section II-C)."""
         return self.objectives([strategy], "utility")[0]
 
-    def simplified_utility(self, strategy: Strategy) -> float:
-        """``U'(S) = E_rev - E_fees`` — the monotone submodular objective."""
-        return self.objectives([strategy], "simplified")[0]
-
-    def benefit(self, strategy: Strategy) -> float:
-        """``U^b(S) = C_u + U(S)`` (Section III-D)."""
-        return self.objectives([strategy], "benefit")[0]
-
     def objective(self, strategy: Strategy, kind: str = "simplified") -> float:
         """The ``kind`` objective of one strategy (a batch of one)."""
         return self.objectives([strategy], kind)[0]
@@ -584,10 +577,3 @@ class JoiningUserModel:
     def sender_rates(self) -> Dict[Hashable, float]:
         return dict(self._sender_rates)
 
-    def pair_probability(self, sender: Hashable, receiver: Hashable) -> float:
-        """Frozen ``p_trans(sender, receiver)`` among existing nodes."""
-        index = self._view.node_index
-        s, r = index.get(sender), index.get(receiver)
-        if s is None or r is None:
-            return 0.0
-        return self._probs.item(s, r)

@@ -14,20 +14,18 @@ RPR001 flags every other entropy source in the tree; the single draw
 below carries the only sanctioned suppression.
 
 Python 3.12's ``sum()`` adds floats with compensation where 3.11 adds
-left to right, so totals that feed hashed or pinned outputs use
-:func:`ordered_sum`, which adds left to right on both.
+left to right, so every total under ``src/`` uses :func:`ordered_sum`,
+which adds left to right on both; reprolint rule RPR010 reports a
+builtin ``sum()``. This module imports neither numpy nor logging at
+load time, so any module can use it without slowing an entry point's
+start.
 """
 
 from __future__ import annotations
 
-import logging
 from typing import Iterable, Optional
 
-import numpy as np
-
 __all__ = ["ordered_sum", "resolve_seed"]
-
-logger = logging.getLogger("repro.determinism")
 
 
 def resolve_seed(seed: Optional[int] = None) -> int:
@@ -40,10 +38,15 @@ def resolve_seed(seed: Optional[int] = None) -> int:
     """
     if seed is not None:
         return int(seed)
+    # local: ordered_sum's importers load neither numpy nor logging
+    import logging
+
+    import numpy as np
+
     drawn = int(
         np.random.SeedSequence().entropy % (2 ** 63)  # reprolint: disable=RPR001
     )
-    logger.warning(
+    logging.getLogger("repro.determinism").warning(
         "no seed supplied; drew entropy seed %d (pass seed=%d to replay "
         "this run)", drawn, drawn,
     )

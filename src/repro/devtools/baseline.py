@@ -15,6 +15,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Dict, Iterable, List, Tuple
 
+from ..determinism import ordered_sum
 from ..errors import ReproError
 from .findings import Finding
 
@@ -33,7 +34,7 @@ class Baseline:
         self._counts = dict(counts)
 
     def __len__(self) -> int:
-        return sum(self._counts.values())
+        return ordered_sum(self._counts.values())
 
     @staticmethod
     def _key(finding: Finding) -> _Key:

@@ -1,4 +1,4 @@
-"""The reprolint rule catalogue: RPR001–RPR009.
+"""The reprolint rule catalogue: RPR001–RPR010.
 
 Each rule encodes one structural invariant the reproduction's headline
 claims rest on (bit-identical seeded simulation runs, byte-identical CLI runs,
@@ -16,15 +16,17 @@ RPR008    store writes are atomic (service/store.py only) and artifact
           ``to_dict`` documents carry a ``schema_version``
 RPR009    timer reads (monotonic/perf_counter) go through
           ``repro.obs.clock`` (benchmarks and obs/clock.py exempt)
+RPR010    no builtin ``sum()``: totals go through
+          ``repro.determinism.ordered_sum``
 ========  ==============================================================
 
 Rules register into :data:`RULES` — the same string-keyed
 :class:`~repro.scenarios.registry.Registry` idiom the scenario plugins
 use — so a new rule is a subclass plus a decorator::
 
-    @register_rule("RPR010")
+    @register_rule("RPR011")
     class NoPrintRule(Rule):
-        rule_id = "RPR010"
+        rule_id = "RPR011"
         ...
 
 The deprecation list of RPR004 is itself a tiny registry: call
@@ -46,6 +48,7 @@ __all__ = [
     "register_rule",
     "register_deprecation",
     "UnseededRandomnessRule",
+    "BuiltinSumRule",
     "GraphViewWriteRule",
     "FrozenArtifactRule",
     "DeprecatedCallRule",
@@ -122,6 +125,36 @@ class UnseededRandomnessRule(Rule):
                 node,
                 f"`np.random.{attr}` call uses numpy's global RNG state; "
                 "use a seeded `np.random.Generator`",
+            )
+
+
+# ---------------------------------------------------------------------------
+# RPR010 — totals add in one order on every interpreter
+# ---------------------------------------------------------------------------
+
+
+@register_rule("RPR010")
+class BuiltinSumRule(Rule):
+    rule_id = "RPR010"
+    title = "builtin-sum"
+    description = (
+        "Totals go through `repro.determinism.ordered_sum`: the builtin "
+        "`sum()` adds floats left to right on Python 3.11 and with "
+        "compensation on 3.12, so a total that feeds a result or a hash "
+        "would take other bits on another interpreter."
+    )
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        if (
+            isinstance(func, ast.Name)
+            and func.id == "sum"
+            and "sum" not in self.ctx.imports
+        ):
+            self.report(
+                node,
+                "builtin `sum()` adds floats in an interpreter-dependent "
+                "order; use `repro.determinism.ordered_sum`",
             )
 
 

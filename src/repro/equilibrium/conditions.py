@@ -64,14 +64,6 @@ class StarNEConditions:
         margins += [m for _, m in self.condition3_margins]
         return all(m >= -1e-12 for m in margins)
 
-    @property
-    def binding_condition(self) -> str:
-        """Which inequality has the smallest margin (diagnostics)."""
-        entries = [("1", self.condition1_margin)]
-        entries += [(f"2(i={i})", m) for i, m in self.condition2_margins]
-        entries += [(f"3(i={i})", m) for i, m in self.condition3_margins]
-        return min(entries, key=lambda e: e[1])[0]
-
 
 def star_ne_conditions(
     n: int, s: float, a: float, b: float, l: float

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
+from ..determinism import ordered_sum
 from ..errors import InvalidParameter
 from ..network.graph import ChannelGraph
 from .deviations import (
@@ -184,7 +185,7 @@ class DynamicsOutcome:
 
     @property
     def total_moves(self) -> int:
-        return sum(len(round_moves) for round_moves in self.moves)
+        return ordered_sum(len(round_moves) for round_moves in self.moves)
 
     def __iter__(self) -> Iterator:
         return iter((self.graph, self.rounds, self.converged))

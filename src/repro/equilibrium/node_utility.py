@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable
+from typing import Hashable
 
 from ..errors import InvalidParameter, NodeNotFound
 from ..network.betweenness import pair_weighted_betweenness
 from ..network.graph import ChannelGraph
 from ..transactions.zipf import ModifiedZipf
-from .. import params as _params
 
 __all__ = ["NetworkGameModel", "NodeUtilityBreakdown"]
 
@@ -67,22 +66,6 @@ class NetworkGameModel:
         self.b = b
         self.edge_cost = edge_cost
         self.zipf_s = zipf_s
-
-    @classmethod
-    def from_parameters(
-        cls, parameters: "_params.ModelParameters", edge_cost: float
-    ) -> "NetworkGameModel":
-        """Derive (a, b) from a :class:`ModelParameters` instance.
-
-        ``b`` uses the per-node share of the total rate, matching the
-        paper's "N_{v1} constant for all v1" assumption.
-        """
-        return cls(
-            a=parameters.user_tx_rate * parameters.fee_out_avg,
-            b=parameters.total_tx_rate * parameters.fee_avg,
-            edge_cost=edge_cost,
-            zipf_s=parameters.zipf_s,
-        )
 
     # -- components -----------------------------------------------------------
 
@@ -148,6 +131,3 @@ class NetworkGameModel:
         """``U = E_rev - E_fees - l*deg``; ``-inf`` when disconnected."""
         return self.breakdown(graph, node).utility
 
-    def all_utilities(self, graph: ChannelGraph) -> Dict[Hashable, float]:
-        """Utility of every node (one distribution recomputation per node)."""
-        return {node: self.node_utility(graph, node) for node in graph.nodes}

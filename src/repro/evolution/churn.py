@@ -19,6 +19,7 @@ from typing import Hashable, List
 
 import numpy as np
 
+from ..determinism import ordered_sum
 from ..errors import InvalidParameter
 from ..network.graph import ChannelGraph
 from ..scenarios.registry import register_churn
@@ -118,7 +119,7 @@ class DegreeBiasedChurn(ChurnProcess):
     def _prepare(self, graph: ChannelGraph) -> None:
         degrees = [graph.degree(v) for v in graph.nodes]
         self._average_degree = (
-            sum(degrees) / len(degrees) if degrees else 0.0
+            ordered_sum(degrees) / len(degrees) if degrees else 0.0
         )
 
     def _probability(self, graph: ChannelGraph, node: Hashable) -> float:

@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
+from ..determinism import ordered_sum
 from ..network.graph import ChannelGraph
 
 __all__ = ["EpochRecord", "Trajectory", "classify_topology", "gini"]
@@ -32,10 +33,10 @@ def gini(values: Iterable[float]) -> float:
     """
     ordered = sorted(float(v) for v in values)
     n = len(ordered)
-    total = sum(ordered)
+    total = ordered_sum(ordered)
     if n == 0 or total <= 0:
         return 0.0
-    weighted = sum((2 * (i + 1) - n - 1) * x for i, x in enumerate(ordered))
+    weighted = ordered_sum((2 * (i + 1) - n - 1) * x for i, x in enumerate(ordered))
     return weighted / (n * total)
 
 
@@ -51,7 +52,7 @@ def classify_topology(graph: ChannelGraph) -> str:
     if n <= 1:
         return "degenerate"
     degrees = sorted(len(graph.neighbors(node)) for node in graph.nodes)
-    edges = sum(degrees) // 2
+    edges = ordered_sum(degrees) // 2
     if degrees[0] == 0:
         return "other"
     if n >= 2 and degrees == [1] * (n - 1) + [n - 1]:

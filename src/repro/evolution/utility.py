@@ -188,7 +188,7 @@ class EmpiricalUtilityProvider:
         this reduces to net value routed minus total channel costs.
         """
         metrics = self._metrics_for(graph)
-        total_cost = sum(
+        total_cost = ordered_sum(
             len(graph.neighbors(node)) for node in graph.nodes
         ) * self.edge_cost
         return (

@@ -28,7 +28,6 @@ from .fees import (
     FeeFunction,
     LinearFee,
     PiecewiseLinearFee,
-    average_fee,
 )
 from .graph import ChannelGraph
 
@@ -53,7 +52,6 @@ __all__ = [
     "HtlcState",
     "LinearFee",
     "PiecewiseLinearFee",
-    "average_fee",
     "pair_weighted_betweenness",
     "pair_weighted_betweenness_exact",
     "uniform_pair_weight",

@@ -11,7 +11,7 @@ can be sent in that direction. A successful payment of size ``x`` from
 from __future__ import annotations
 
 import itertools
-from typing import Hashable, Iterator, Optional, Tuple
+from typing import Hashable, Optional, Tuple
 
 from ..errors import InsufficientBalance, InvalidParameter
 
@@ -176,11 +176,6 @@ class Channel:
         counter = self._counter
         if counter is not None:
             counter.value += 1
-
-    def directed_views(self) -> Iterator[Tuple[Hashable, Hashable, float]]:
-        """Yield the channel as two directed edges ``(src, dst, balance)``."""
-        yield (self.u, self.v, self._balances[self.u])
-        yield (self.v, self.u, self._balances[self.v])
 
     def _check_endpoint(self, node: Hashable) -> None:
         if node not in self._balances:

@@ -1,15 +1,10 @@
-"""Routing fee functions, two-sided fee policies, and ``f_avg``.
+"""Routing fee functions and two-sided fee policies.
 
 The paper abstracts all intermediaries' fee policies into one global fee
-function ``F : [0, T] -> R+`` and works with its average
-
-    f_avg = integral_0^T  p(t) * F(t) dt,
-
-where ``p`` is the probability density of transaction sizes (Section II-A).
-This module provides the standard fee-function shapes (constant, the
-Lightning ``base + proportional`` linear form, and piecewise-linear) and the
-numeric integration that turns a fee function plus a size distribution into
-``f_avg``.
+function ``F : [0, T] -> R+`` (Section II-A); the joining-user model takes
+its average ``f_avg`` as a parameter. This module provides the standard
+fee-function shapes the simulator charges per hop: constant, the Lightning
+``base + proportional`` linear form, and piecewise-linear.
 
 :class:`FeePolicy` generalises a fee function into a *two-sided* policy
 (the Unjamming countermeasure, Naumenko–Riard 2022): the **success** part
@@ -23,17 +18,12 @@ settles, a non-zero upfront part taxes the attacker directly.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-_trapz = getattr(np, "trapezoid", getattr(np, "trapz", None))
-
 from ..errors import InvalidParameter
 from ..scenarios.registry import register_fee
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from ..transactions.sizes import TransactionSizeDistribution
 
 __all__ = [
     "FeeFunction",
@@ -41,7 +31,6 @@ __all__ = [
     "ConstantFee",
     "LinearFee",
     "PiecewiseLinearFee",
-    "average_fee",
 ]
 
 
@@ -51,10 +40,6 @@ class FeeFunction(abc.ABC):
     @abc.abstractmethod
     def __call__(self, amount: float) -> float:
         """Fee charged for forwarding ``amount`` coins through one hop."""
-
-    def vectorised(self, amounts: np.ndarray) -> np.ndarray:
-        """Evaluate on an array of amounts (default: python loop)."""
-        return np.array([self(float(a)) for a in amounts], dtype=float)
 
 
 @register_fee("constant")
@@ -68,9 +53,6 @@ class ConstantFee(FeeFunction):
 
     def __call__(self, amount: float) -> float:
         return self.fee
-
-    def vectorised(self, amounts: np.ndarray) -> np.ndarray:
-        return np.full_like(np.asarray(amounts, dtype=float), self.fee)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ConstantFee({self.fee})"
@@ -94,9 +76,6 @@ class LinearFee(FeeFunction):
         if amount < 0:
             raise InvalidParameter(f"amount must be >= 0, got {amount}")
         return self.base + self.rate * amount
-
-    def vectorised(self, amounts: np.ndarray) -> np.ndarray:
-        return self.base + self.rate * np.asarray(amounts, dtype=float)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"LinearFee(base={self.base}, rate={self.rate})"
@@ -125,9 +104,6 @@ class PiecewiseLinearFee(FeeFunction):
     def __call__(self, amount: float) -> float:
         return float(np.interp(amount, self._xs, self._ys))
 
-    def vectorised(self, amounts: np.ndarray) -> np.ndarray:
-        return np.interp(np.asarray(amounts, dtype=float), self._xs, self._ys)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         knots = list(zip(self._xs.tolist(), self._ys.tolist()))
         return f"PiecewiseLinearFee({knots})"
@@ -138,7 +114,7 @@ class FeePolicy(FeeFunction):
 
     The policy *is* a :class:`FeeFunction` — calling it evaluates the
     success part (0 when ``success`` is None) — so every consumer typed
-    against ``FeeFunction`` (routers, engines, ``average_fee``) accepts a
+    against ``FeeFunction`` (routers, engines) accepts a
     policy unchanged. The upfront side is only consulted by HTLC
     accounting: each hop a lock attempt actually places charges the
     receiving node ``upfront(hop_amount)`` from the sender, settle or not.
@@ -191,11 +167,6 @@ class FeePolicy(FeeFunction):
             return 0.0
         return self.success(amount)
 
-    def vectorised(self, amounts: np.ndarray) -> np.ndarray:
-        if self.success is None:
-            return np.zeros_like(np.asarray(amounts, dtype=float))
-        return self.success.vectorised(amounts)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"FeePolicy(success={self.success!r}, "
@@ -203,21 +174,3 @@ class FeePolicy(FeeFunction):
             f"upfront_rate={self.upfront_rate})"
         )
 
-
-def average_fee(
-    fee: FeeFunction,
-    sizes: "TransactionSizeDistribution",
-    grid_points: int = 2001,
-) -> float:
-    """Compute ``f_avg = E[F(t)]`` for transaction sizes ``t ~ sizes``.
-
-    Uses trapezoidal integration of ``pdf(t) * F(t)`` over the size support;
-    ``grid_points`` controls accuracy (the default is ample for the smooth
-    fee shapes above).
-    """
-    lo, hi = sizes.support()
-    if not hi > lo:
-        raise InvalidParameter("size distribution support must be non-degenerate")
-    grid = np.linspace(lo, hi, grid_points)
-    integrand = sizes.pdf(grid) * fee.vectorised(grid)
-    return float(_trapz(integrand, grid))

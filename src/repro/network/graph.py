@@ -19,7 +19,7 @@ a networkx materialisation call ``view(...).to_networkx()``.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from ..determinism import ordered_sum
 from ..errors import ChannelNotFound, DuplicateChannel, InvalidParameter, NodeNotFound
@@ -169,9 +169,6 @@ class ChannelGraph:
     def num_channels(self) -> int:
         return len(self._channels)
 
-    def has_node(self, node: Hashable) -> bool:
-        return node in self._adjacency
-
     def channel(self, channel_id: str) -> Channel:
         try:
             return self._channels[channel_id]
@@ -215,16 +212,6 @@ class ChannelGraph:
             raise NodeNotFound(node)
         return len(self._adjacency[node])
 
-    def in_degree(self, node: Hashable) -> int:
-        """In-degree in the two-directed-edges-per-channel view.
-
-        Every bidirectional channel contributes exactly one incoming edge to
-        each endpoint, so this equals :meth:`degree`. Kept as a separate
-        method because the paper's ranking (Section II-B) is phrased in
-        terms of in-degree.
-        """
-        return self.degree(node)
-
     def set_htlc_slot_cap(self, cap: Optional[int]) -> None:
         """Set ``max_accepted_htlcs`` on every existing channel.
 
@@ -247,11 +234,6 @@ class ChannelGraph:
     def balance_of(self, node: Hashable) -> float:
         """Total coins ``node`` owns across all of its channels."""
         return ordered_sum(c.balance(node) for c in self.channels_of(node))
-
-    def directed_edges(self) -> Iterator[Tuple[Hashable, Hashable, float]]:
-        """Yield every directed edge ``(src, dst, balance)`` once per channel."""
-        for channel in self._channels.values():
-            yield from channel.directed_views()
 
     # -- views --------------------------------------------------------------
 

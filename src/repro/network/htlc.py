@@ -76,10 +76,6 @@ class HtlcPayment:
         return self.path[0]
 
     @property
-    def receiver(self) -> Hashable:
-        return self.path[-1]
-
-    @property
     def total_locked(self) -> float:
         return ordered_sum(self.amounts)
 
@@ -330,10 +326,6 @@ class HtlcLedger:
             # Re-anchor: with nothing in flight the total is exactly zero;
             # shed any rounding the incremental +/- accumulated.
             self._locked_total = 0.0
-
-    @property
-    def in_flight(self) -> Tuple[HtlcPayment, ...]:
-        return tuple(self._in_flight.values())
 
     def locked_capital(self) -> float:
         """Total coins currently reserved by pending payments."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -93,18 +93,3 @@ class ChannelLifecycle:
             close_cost_v=close_v,
             close_mode=mode,
         )
-
-    def expected_cost_per_party(self) -> float:
-        """The paper's closed form: ``C/2 + C/2 = C`` per party."""
-        return self.onchain_fee
-
-    def empirical_mean_cost(self, samples: int = 10_000) -> Tuple[float, float]:
-        """Monte-Carlo mean (u, v) lifecycle costs — converges to (C, C)."""
-        if samples <= 0:
-            raise InvalidParameter("samples must be > 0")
-        total_u = total_v = 0.0
-        for _ in range(samples):
-            costs = self.realise()
-            total_u += costs.total("u")
-            total_v += costs.total("v")
-        return total_u / samples, total_v / samples

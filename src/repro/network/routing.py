@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..determinism import ordered_sum
 from .views import BfsTree, GraphView, all_pairs_paths
 
 __all__ = [
@@ -249,7 +250,7 @@ def walk_small(
     while current != source:
         options = preds[current]
         if path_selection == "random" and len(options) > 1:
-            total = sum(sigma[v] for v in options)
+            total = ordered_sum(sigma[v] for v in options)
             draw = float(rng.random()) * total
             chosen = options[-1]
             for v in options:

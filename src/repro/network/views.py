@@ -183,9 +183,6 @@ class GraphView:
     def __contains__(self, node: Hashable) -> bool:
         return node in self.node_index
 
-    def has_node(self, node: Hashable) -> bool:
-        return node in self.node_index
-
     def index_of(self, node: Hashable) -> int:
         try:
             return self.node_index[node]
@@ -197,10 +194,6 @@ class GraphView:
     def successors(self, index: int) -> np.ndarray:
         """Target indices adjacent to node ``index`` (read-only slice)."""
         return self.indices[self.indptr[index]:self.indptr[index + 1]]
-
-    def entries_of(self, index: int) -> np.ndarray:
-        """CSR entry positions of node ``index``'s adjacency row."""
-        return np.arange(self.indptr[index], self.indptr[index + 1])
 
     def entry_rows(self) -> np.ndarray:
         """``int64[m]`` source node index of every CSR entry (cached)."""
@@ -263,10 +256,6 @@ class GraphView:
                      rev_entries[rev_indptr[i]:rev_indptr[i + 1]]))
             for i in range(self.num_nodes)
         ]
-
-    def channels_for_entry(self, entry: int) -> Tuple[str, ...]:
-        """Channel ids that make up CSR entry ``entry``."""
-        return self.pair_channels[int(self.edge_ids[entry])]
 
     # -- conversion -----------------------------------------------------------
 

@@ -15,6 +15,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
+from ..determinism import ordered_sum
+
 __all__ = [
     "RunTelemetry",
     "TELEMETRY_SCHEMA_VERSION",
@@ -120,7 +122,7 @@ def hotspot_table(telemetry: RunTelemetry) -> str:
 
     if not telemetry.phase_seconds:
         return "no telemetry recorded (was the run instrumented?)"
-    total = sum(telemetry.phase_seconds.values())
+    total = ordered_sum(telemetry.phase_seconds.values())
     rows = [
         {
             "phase": name,

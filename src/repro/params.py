@@ -100,10 +100,6 @@ class ModelParameters:
         """
         return self.user_tx_rate * self.onchain_cost / 2.0
 
-    def as_dict(self) -> dict:
-        """Plain-dict view, convenient for logging and sweep tables."""
-        return dataclasses.asdict(self)
-
 
 #: Shared default parameter set used by examples and tests.
 DEFAULT_PARAMS = ModelParameters()

@@ -76,6 +76,18 @@ def _execute_to_text(
     return canonical_json(execute(document), allow_non_finite=True)
 
 
+def _fail(future: "asyncio.Future[str]", exc: ServiceError) -> None:
+    """Fail ``future`` unless it is done, and mark the exception retrieved.
+
+    Clients that await the job still get ``exc``; a job nobody awaits (a
+    ``submit`` without ``--wait``) no longer makes asyncio log "Future
+    exception was never retrieved" when it is dropped.
+    """
+    if not future.done():
+        future.set_exception(exc)
+        future.exception()
+
+
 class Job:
     """One submitted scenario and its lifecycle.
 
@@ -293,19 +305,16 @@ class JobManager:
             self._counts["done"] += 1
         except asyncio.CancelledError:
             job._event("cancelled")
-            if not job.future.done():
-                job.future.set_exception(
-                    ServiceError(f"job {job.spec_hash[:12]} cancelled")
-                )
+            _fail(job.future, ServiceError(f"job {job.spec_hash[:12]} cancelled"))
             self._counts["cancelled"] += 1
             raise
         except Exception as exc:
             job.error = f"{type(exc).__name__}: {exc}"
             job._event("failed", job.error)
-            if not job.future.done():
-                job.future.set_exception(
-                    ServiceError(f"job {job.spec_hash[:12]} failed: {job.error}")
-                )
+            _fail(
+                job.future,
+                ServiceError(f"job {job.spec_hash[:12]} failed: {job.error}"),
+            )
             self._counts["failed"] += 1
 
     async def _attempt(self, job: Job) -> str:

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Union
 
+from ..determinism import ordered_sum
 from ..errors import ServiceError
 from .hashing import canonical_json
 
@@ -140,7 +141,7 @@ class ResultStore:
             yield path.stem
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.keys())
+        return ordered_sum(1 for _ in self.keys())
 
     # -- write path ----------------------------------------------------------
 
@@ -270,7 +271,7 @@ class ResultStore:
             except OSError:  # pragma: no cover - raced with eviction
                 continue
             entries += 1
-        quarantined = sum(1 for _ in self._quarantine.iterdir())
+        quarantined = ordered_sum(1 for _ in self._quarantine.iterdir())
         return StoreStats(
             root=str(self.root),
             entries=entries,
@@ -302,7 +303,7 @@ class ResultStore:
         # Oldest first; name breaks mtime ties deterministically.
         records.sort()
         entries = len(records)
-        total = sum(record[3] for record in records)
+        total = ordered_sum(record[3] for record in records)
         evicted: List[str] = []
         for _, _, path, size in records:
             over_entries = max_entries is not None and entries > max_entries

@@ -6,6 +6,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Mapping, Optional, Tuple
 
+from ..determinism import ordered_sum
+
 __all__ = ["SimulationMetrics"]
 
 Edge = Tuple[Hashable, Hashable]
@@ -72,23 +74,12 @@ class SimulationMetrics:
     def success_rate(self) -> float:
         return self.succeeded / self.attempted if self.attempted else 0.0
 
-    @property
-    def pending(self) -> int:
-        """Payments locked but not yet resolved (HTLC mode, run(until=...))."""
-        return self.attempted - self.succeeded - self.failed
-
     def revenue_rate(self, node: Hashable) -> float:
         """Observed revenue per unit time — the empirical counterpart of
         ``E_rev`` (Eq. 3); compared against the analytic value in E11."""
         if self.horizon <= 0:
             return 0.0
         return self.revenue.get(node, 0.0) / self.horizon
-
-    def edge_rate(self, src: Hashable, dst: Hashable) -> float:
-        """Observed traversals per unit time — the empirical ``λ_e``."""
-        if self.horizon <= 0:
-            return 0.0
-        return self.edge_traffic.get((src, dst), 0) / self.horizon
 
     def to_dict(self) -> Dict[str, Any]:
         """A plain-JSON document (see :meth:`from_dict` for the inverse).
@@ -159,7 +150,7 @@ class SimulationMetrics:
         return (
             f"payments: {self.succeeded}/{self.attempted} ok "
             f"({self.success_rate:.1%}), volume={self.volume_delivered:.4g}, "
-            f"total revenue={sum(self.revenue.values()):.4g} "
+            f"total revenue={ordered_sum(self.revenue.values()):.4g} "
             f"over t={self.horizon:.4g}"
         )
 

@@ -5,7 +5,6 @@ from .distributions import (
     TransactionDistribution,
     UniformDistribution,
 )
-from .ranking import degree_ranking, rank_factors, rank_factors_from_degrees
 from .rates import (
     edge_probabilities,
     edge_rates,
@@ -37,11 +36,8 @@ __all__ = [
     "UniformDistribution",
     "UniformSizes",
     "build_poisson_workload",
-    "degree_ranking",
     "edge_probabilities",
     "edge_rates",
     "intermediary_traffic",
-    "rank_factors",
-    "rank_factors_from_degrees",
     "traffic_profile",
 ]

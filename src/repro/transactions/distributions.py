@@ -9,10 +9,11 @@ the assumption and measure its effect (bench E12's ablations rely on this).
 from __future__ import annotations
 
 import abc
-from typing import Dict, Hashable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from ..determinism import ordered_sum
 from ..errors import InvalidParameter, NodeNotFound
 from ..network.graph import ChannelGraph
 
@@ -60,8 +61,8 @@ class TransactionDistribution(abc.ABC):
     """Probability that a given sender transacts with a given receiver."""
 
     def __init__(self) -> None:
-        # sender -> sampling table; None keeps no tables
-        self._tables: Optional[Dict[Hashable, SamplingTable]] = {}
+        # sender -> sampling table
+        self._tables: Dict[Hashable, SamplingTable] = {}
 
     @abc.abstractmethod
     def probability(self, sender: Hashable, receiver: Hashable) -> float:
@@ -98,24 +99,21 @@ class TransactionDistribution(abc.ABC):
         returns the receiver ``rng.choice(len(row), p=row)`` would return
         from the same stream, ``row`` being :meth:`receivers`'s
         distribution in its order. The sender's cumulative table is built
-        on its first draw and kept (a ``ModifiedZipf(cache=False)`` keeps
-        none), so later draws are one ``searchsorted``.
+        on its first draw and kept, so later draws are one ``searchsorted``.
         """
-        table = self._tables.get(sender) if self._tables is not None else None
+        table = self._tables.get(sender)
         if table is None:
             table = self._build_table(sender)
         labels, receivers, cdf = table
         return labels[receivers[cdf.searchsorted(rng.random(), side="right")]]
 
     def _build_table(self, sender: Hashable) -> SamplingTable:
-        """``sender``'s sampling table, kept when tables are kept."""
+        """``sender``'s sampling table, built and kept."""
         dist = self.receivers(sender)
         nodes = list(dist)
         probs = np.fromiter(dist.values(), dtype=float, count=len(nodes))
         (cdf,) = self._cdf_rows([sender], probs[None, :])
-        table = nodes, range(len(nodes)), cdf
-        if self._tables is not None:
-            self._tables[sender] = table
+        table = self._tables[sender] = nodes, range(len(nodes)), cdf
         return table
 
     @staticmethod
@@ -179,7 +177,7 @@ class EmpiricalDistribution(TransactionDistribution):
                 for receiver, weight in row.items()
                 if receiver != sender and weight > 0
             }
-            total = sum(cleaned.values())
+            total = ordered_sum(cleaned.values())
             if total <= 0:
                 raise InvalidParameter(
                     f"sender {sender!r} has no positive receiver weight"

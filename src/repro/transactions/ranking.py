@@ -31,14 +31,14 @@ from __future__ import annotations
 
 import functools
 import operator
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import InvalidParameter, NodeNotFound
 from ..network.graph import ChannelGraph
 
-__all__ = ["DegreeRanking", "degree_ranking", "rank_factors", "rank_factors_from_degrees"]
+__all__ = ["DegreeRanking"]
 
 #: A key above every node's: the sender's own column sorts last.
 _LAST = np.iinfo(np.int64).max
@@ -143,26 +143,6 @@ class DegreeRanking:
         return order, factors
 
 
-def _senders(ranking: DegreeRanking, perspective: Optional[Hashable]) -> Optional[List[int]]:
-    return None if perspective is None else [ranking.position(perspective)]
-
-
-def degree_ranking(
-    graph: ChannelGraph, perspective: Optional[Hashable] = None
-) -> List[Tuple[Hashable, int]]:
-    """Nodes (excluding ``perspective``) with in-degrees, highest first.
-
-    When ``perspective`` is given, its incident channels are ignored when
-    counting degrees, matching the subgraph ``G' = G - u`` of Section II-B.
-    Ties are broken deterministically by node representation so results are
-    stable across runs; the rank *factors* are tie-invariant anyway.
-    """
-    ranking = DegreeRanking(graph)
-    order, degrees = ranking.ranked(_senders(ranking, perspective))
-    nodes = ranking.nodes
-    return [(nodes[i], degree) for i, degree in zip(order[0].tolist(), degrees[0].tolist())]
-
-
 @functools.lru_cache(maxsize=8192, typed=True)
 def _tie_block_average(first_rank: int, block_size: int, s: float) -> float:
     """Mean of ``1/r^s`` over ranks ``first_rank .. first_rank+block_size-1``.
@@ -198,41 +178,3 @@ def _tie_factors(degrees: np.ndarray, s: float) -> np.ndarray:
     return np.repeat(
         np.array([averages[block] for block in blocks]), sizes
     ).reshape(count, width)
-
-
-def rank_factors_from_degrees(
-    degrees: Sequence[int], s: float
-) -> List[float]:
-    """Rank factors for a degree sequence sorted in non-increasing order.
-
-    Args:
-        degrees: in-degrees sorted highest first (rank 1 first).
-        s: Zipf scale parameter (>= 0).
-
-    Returns:
-        rank factor per position, same order as ``degrees``.
-    """
-    check_zipf_s(s)
-    if any(map(operator.lt, degrees, degrees[1:])):
-        raise InvalidParameter("degrees must be sorted in non-increasing order")
-    row = np.asarray(degrees, dtype=float).reshape(1, len(degrees))
-    return _tie_factors(row, s)[0].tolist()
-
-
-def rank_factors(
-    graph: ChannelGraph,
-    perspective: Optional[Hashable] = None,
-    s: float = 1.0,
-) -> Dict[Hashable, float]:
-    """Rank factor ``rf(v)`` of every node from ``perspective``'s view.
-
-    The returned factors are *unnormalised*; divide by their sum to obtain
-    transaction probabilities (see :class:`~repro.transactions.zipf.ModifiedZipf`).
-    """
-    check_zipf_s(s)
-    ranking = DegreeRanking(graph)
-    order, degrees = ranking.ranked(_senders(ranking, perspective))
-    nodes = ranking.nodes
-    return dict(zip(
-        [nodes[i] for i in order[0].tolist()], _tie_factors(degrees, s)[0].tolist()
-    ))

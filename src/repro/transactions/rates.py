@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Mapping, Optional, Tuple
 
+from ..determinism import ordered_sum
 from ..network.betweenness import (
     BetweennessResult,
     pair_weighted_betweenness,
@@ -91,7 +92,7 @@ def edge_probabilities(
         share = 1.0 / len(nodes)
         weights = {v: share for v in nodes}
     else:
-        total = sum(w for w in sender_weights.values() if w > 0)
+        total = ordered_sum(w for w in sender_weights.values() if w > 0)
         if total <= 0:
             raise ValueError("sender_weights must have positive mass")
         weights = {v: max(w, 0.0) / total for v, w in sender_weights.items()}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterator, List, Mapping, Optional
+from typing import Hashable, Iterator, List, Mapping, Optional
 
 import numpy as np
 
@@ -107,18 +107,6 @@ class PoissonWorkload:
         amount = self.sizes.draw(self._rng)
         return Transaction(time=time, sender=sender, receiver=receiver, amount=amount)
 
-    def empirical_pair_counts(
-        self, count: int
-    ) -> Dict[Hashable, Dict[Hashable, int]]:
-        """Sample ``count`` transactions and tabulate (sender, receiver) counts.
-
-        Used by tests to verify the generator matches ``p_trans``.
-        """
-        table: Dict[Hashable, Dict[Hashable, int]] = {}
-        for tx in self.generate_count(count):
-            row = table.setdefault(tx.sender, {})
-            row[tx.receiver] = row.get(tx.receiver, 0) + 1
-        return table
 
 
 def _build_sizes(document: Optional[Mapping]) -> Optional[TransactionSizeDistribution]:

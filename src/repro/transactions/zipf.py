@@ -43,43 +43,29 @@ ROW_BATCH = 32
 class ModifiedZipf(TransactionDistribution):
     """Degree-ranked Zipf pairing with tie averaging.
 
+    The graph's :class:`~repro.transactions.ranking.DegreeRanking`, which
+    every sender's row is derived from, the per-sender rows and the
+    sampling tables :meth:`sample_receiver` builds are kept. Ranks depend
+    on degrees, so build a new instance after changing the graph's
+    topology; balance moves leave them valid.
+
     Args:
         graph: the PCN whose degrees define the ranking.
         s: Zipf scale parameter (>= 0).
-        cache: memoise the graph's :class:`~repro.transactions.ranking.DegreeRanking`,
-            which every sender's row is derived from, the per-sender rows and
-            the sampling tables :meth:`sample_receiver` builds. The cache must
-            be dropped whenever the graph's topology changes, since ranks
-            depend on degrees: create a new instance, or call
-            :meth:`invalidate`, which drops the ranking, rows and tables
-            together. Balance moves leave them valid. With ``cache=False``
-            none of them is kept.
     """
 
-    def __init__(self, graph: ChannelGraph, s: float = 1.0, cache: bool = True) -> None:
+    def __init__(self, graph: ChannelGraph, s: float = 1.0) -> None:
         check_zipf_s(s)
         super().__init__()
         self.graph = graph
         self.s = s
-        self._cache_enabled = cache
         self._ranking: Optional[DegreeRanking] = None
         self._rows: Dict[Hashable, Dict[Hashable, float]] = {}
-        if not cache:
-            self._tables = None
-
-    def invalidate(self) -> None:
-        """Drop the degree ranking, rows and sampling tables (call after
-        changing the graph's topology)."""
-        self._ranking = None
-        self._rows.clear()
-        if self._tables is not None:
-            self._tables.clear()
 
     def _degree_ranking(self) -> DegreeRanking:
-        ranking = self._ranking or DegreeRanking(self.graph)
-        if self._cache_enabled:
-            self._ranking = ranking
-        return ranking
+        if self._ranking is None:
+            self._ranking = DegreeRanking(self.graph)
+        return self._ranking
 
     def _batch(
         self, senders: Sequence[Hashable]
@@ -101,11 +87,9 @@ class ModifiedZipf(TransactionDistribution):
         row = self._rows.get(sender)
         if row is None:
             nodes, order, probs = self._batch([sender])
-            row = dict(zip(
+            row = self._rows[sender] = dict(zip(
                 [nodes[i] for i in order[0].tolist()], probs[0].tolist()
             ))
-            if self._cache_enabled:
-                self._rows[sender] = row
         return row
 
     def receivers(self, sender: Hashable) -> Dict[Hashable, float]:
@@ -114,26 +98,19 @@ class ModifiedZipf(TransactionDistribution):
     def _build_table(self, sender: Hashable) -> SamplingTable:
         """Build the tables of the :data:`ROW_BATCH` block of graph order
         holding ``sender`` as one 2-D cumulative table over the rows of
-        receiver indices, and keep them (with ``cache=False``,
-        ``sender``'s alone, kept nowhere)."""
-        if self._tables is None:
-            senders = [sender]
-        else:
-            ranking = self._degree_ranking()
-            start = ranking.position(sender) // ROW_BATCH * ROW_BATCH
-            senders = [
-                node for node in ranking.nodes[start:start + ROW_BATCH]
-                if node == sender
-                or (node not in self._tables and node in self.graph)
-            ]
+        receiver indices, and keep them."""
+        ranking = self._degree_ranking()
+        start = ranking.position(sender) // ROW_BATCH * ROW_BATCH
+        senders = [
+            node for node in ranking.nodes[start:start + ROW_BATCH]
+            if node == sender
+            or (node not in self._tables and node in self.graph)
+        ]
         nodes, order, probs = self._batch(senders)
-        tables = [
+        self._tables.update(zip(senders, (
             (nodes, row, cdf)
             for row, cdf in zip(order, self._cdf_rows(senders, probs))
-        ]
-        if self._tables is None:
-            return tables[0]
-        self._tables.update(zip(senders, tables))
+        )))
         return self._tables[sender]
 
     def pair_probabilities(self, nodes: Sequence[Hashable]) -> np.ndarray:

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.analysis.estimation import (
-    estimate_average_fee,
-    estimate_sender_rates,
-    estimate_total_rate,
-    estimate_zipf_s,
-)
+from repro.analysis.estimation import estimate_sender_rates, estimate_zipf_s
 from repro.errors import InvalidParameter
 from repro.snapshots.synthetic import barabasi_albert_snapshot
 from repro.transactions.workload import PoissonWorkload, Transaction
@@ -35,17 +30,17 @@ class TestRateEstimation:
             Transaction(time=t, sender="a", receiver="b", amount=1.0)
             for t in range(50)
         ]
-        estimate = estimate_total_rate(trace, horizon=50.0)
+        estimate = estimate_sender_rates(trace, horizon=50.0)["a"]
         assert estimate.rate == pytest.approx(1.0)
         assert estimate.ci_low < 1.0 < estimate.ci_high
 
     def test_ci_narrow_with_more_data(self):
-        small = estimate_total_rate(
+        small = estimate_sender_rates(
             [Transaction(t, "a", "b", 1.0) for t in range(10)], 10.0
-        )
-        large = estimate_total_rate(
+        )["a"]
+        large = estimate_sender_rates(
             [Transaction(t, "a", "b", 1.0) for t in range(1000)], 1000.0
-        )
+        )["a"]
         assert (large.ci_high - large.ci_low) < (small.ci_high - small.ci_low)
 
     def test_validation(self):
@@ -83,18 +78,3 @@ class TestZipfEstimation:
         with pytest.raises(InvalidParameter):
             estimate_zipf_s(graph, [])
 
-
-class TestFeeEstimation:
-    def test_mean_and_ci(self):
-        samples = [0.1, 0.2, 0.3, 0.2, 0.2]
-        mean, low, high = estimate_average_fee(samples)
-        assert mean == pytest.approx(0.2)
-        assert low < mean < high
-
-    def test_single_sample(self):
-        mean, low, high = estimate_average_fee([0.5])
-        assert mean == low == high == 0.5
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidParameter):
-            estimate_average_fee([])

@@ -33,7 +33,7 @@ class TestBruteForce:
         for size in range(1, 4):
             for subset in combinations(["a", "b", "c"], size):
                 strategy = Strategy([Action(p, 1.0) for p in subset])
-                best = max(best, model.simplified_utility(strategy))
+                best = max(best, model.objective(strategy))
         assert result.objective_value == pytest.approx(best)
 
     def test_respects_budget(self, model):

@@ -4,39 +4,11 @@ import math
 
 import pytest
 
-from repro.core.costmodels import (
-    AmortisedOnchainCost,
-    DiscountedOpportunityCost,
-    LinearOpportunityCost,
-)
+from repro.core.costmodels import DiscountedOpportunityCost
 from repro.core.strategy import Action, Strategy
 from repro.core.utility import JoiningUserModel
-from repro.errors import InvalidParameter
 from repro.network.graph import ChannelGraph
 from repro.params import ModelParameters
-
-
-class TestLinearOpportunityCost:
-    def test_matches_paper_formula(self):
-        model = LinearOpportunityCost(onchain_cost=1.0, opportunity_rate=0.1)
-        assert model.channel_cost(10.0) == pytest.approx(2.0)
-
-    def test_from_parameters(self):
-        params = ModelParameters(onchain_cost=2.0, opportunity_rate=0.25)
-        model = LinearOpportunityCost.from_parameters(params)
-        assert model.channel_cost(4.0) == pytest.approx(3.0)
-
-    def test_strategy_cost_modular(self):
-        model = LinearOpportunityCost(1.0, 0.1)
-        assert model.strategy_cost([2.0, 3.0]) == pytest.approx(
-            model.channel_cost(2.0) + model.channel_cost(3.0)
-        )
-
-    def test_validation(self):
-        with pytest.raises(InvalidParameter):
-            LinearOpportunityCost(-1.0, 0.1)
-        with pytest.raises(InvalidParameter):
-            LinearOpportunityCost(1.0, 0.1).channel_cost(-1.0)
 
 
 class TestDiscountedOpportunityCost:
@@ -44,9 +16,15 @@ class TestDiscountedOpportunityCost:
         """For small ρT the Guasoni model reduces to the paper's r = ρT."""
         rho, lifetime = 0.001, 1.0
         discounted = DiscountedOpportunityCost(1.0, rho, lifetime)
-        linear = LinearOpportunityCost(1.0, rho * lifetime)
+        linear = ModelParameters(onchain_cost=1.0, opportunity_rate=rho * lifetime)
         assert discounted.channel_cost(100.0) == pytest.approx(
             linear.channel_cost(100.0), rel=1e-3
+        )
+
+    def test_strategy_cost_modular(self):
+        model = DiscountedOpportunityCost(1.0, 0.05, 2.0)
+        assert model.strategy_cost([2.0, 3.0]) == pytest.approx(
+            model.channel_cost(2.0) + model.channel_cost(3.0)
         )
 
     def test_saturates_at_principal(self):
@@ -65,16 +43,6 @@ class TestDiscountedOpportunityCost:
         assert model.effective_linear_rate() == pytest.approx(
             1.0 - math.exp(-0.1)
         )
-
-
-class TestAmortisedOnchainCost:
-    def test_spreads_onchain_fee(self):
-        model = AmortisedOnchainCost(10.0, 0.0, lifetime=5.0)
-        assert model.channel_cost(0.0) == pytest.approx(2.0)
-
-    def test_lifetime_must_be_positive(self):
-        with pytest.raises(InvalidParameter):
-            AmortisedOnchainCost(1.0, 0.1, lifetime=0.0)
 
 
 class TestIntegrationWithUtilityModel:

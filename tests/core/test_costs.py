@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.core.costs import (
-    benefit_positivity_condition,
-    channel_cost,
-    onchain_alternative_cost,
-    strategy_cost,
-)
+from repro.core.costs import benefit_positivity_condition
 from repro.core.strategy import Action, Strategy
 from repro.params import ModelParameters
 
@@ -15,18 +10,18 @@ from repro.params import ModelParameters
 class TestChannelCost:
     def test_c_plus_rl(self):
         params = ModelParameters(onchain_cost=2.0, opportunity_rate=0.25)
-        assert channel_cost(params, 8.0) == pytest.approx(4.0)
+        assert params.channel_cost(8.0) == pytest.approx(4.0)
 
     def test_strategy_cost_sums(self):
         params = ModelParameters(onchain_cost=1.0, opportunity_rate=0.1)
         strategy = Strategy([Action("a", 10.0), Action("b", 20.0)])
-        assert strategy_cost(params, strategy) == pytest.approx(
+        assert strategy.utility_cost(params) == pytest.approx(
             (1 + 1.0) + (1 + 2.0)
         )
 
     def test_onchain_alternative(self):
         params = ModelParameters(user_tx_rate=6.0, onchain_cost=2.0)
-        assert onchain_alternative_cost(params) == pytest.approx(6.0)
+        assert params.onchain_alternative_cost() == pytest.approx(6.0)
 
 
 class TestPositivityCondition:

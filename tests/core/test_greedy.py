@@ -66,7 +66,7 @@ class TestGreedyBasics:
 
     def test_picks_unique_peers(self, small_model):
         result = greedy_fixed_funds(small_model, budget=20.0, lock=1.0)
-        peers = result.strategy.peers
+        peers = tuple(action.peer for action in result.strategy)
         assert len(peers) == len(set(peers))
 
 

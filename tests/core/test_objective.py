@@ -35,25 +35,6 @@ class TestCaching:
         evaluator(s2)
         assert evaluator.evaluations == 1
 
-    def test_marginal(self, evaluator):
-        base = Strategy([Action("b", 1.0)])
-        gain = evaluator.marginal(base, Action("a", 1.0))
-        expected = evaluator(base.with_action(Action("a", 1.0))) - evaluator(base)
-        assert gain == pytest.approx(expected)
-
-    def test_reset_counters(self, evaluator):
-        evaluator(Strategy([Action("a", 1.0)]))
-        evaluator.reset_counters()
-        assert evaluator.evaluations == 0
-        assert evaluator.cache_hits == 0
-
-    def test_clear_forces_recompute(self, evaluator):
-        strategy = Strategy([Action("a", 1.0)])
-        evaluator(strategy)
-        evaluator.clear()
-        evaluator(strategy)
-        assert evaluator.evaluations == 1
-
     def test_max_cache_evicts(self):
         graph = ChannelGraph.from_edges([("a", "b"), ("b", "c")])
         model = JoiningUserModel(graph, "u", ModelParameters(zipf_s=0.0))
@@ -95,7 +76,7 @@ class TestMany:
         strategies = [C, A, AB, B]
         values = evaluator.many(strategies)
         model = chain_model()
-        assert values == [model.simplified_utility(s) for s in strategies]
+        assert values == [model.objective(s) for s in strategies]
         assert evaluator.evaluations == 4
         assert evaluator.cache_hits == 0
 
@@ -146,4 +127,4 @@ class TestMany:
     def test_failed_batch_leaves_no_placeholders(self, evaluator):
         with pytest.raises(NodeNotFound):
             evaluator.many([A, Strategy([Action("nobody", 1.0)])])
-        assert evaluator.many([A]) == [chain_model().simplified_utility(A)]
+        assert evaluator.many([A]) == [chain_model().objective(A)]

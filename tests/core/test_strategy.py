@@ -35,7 +35,7 @@ class TestStrategyMultiset:
     def test_duplicates_allowed(self):
         strategy = Strategy([Action("a", 1.0), Action("a", 1.0)])
         assert len(strategy) == 2
-        assert strategy.peers == ("a", "a")
+        assert [action.peer for action in strategy] == ["a", "a"]
 
     def test_contains(self):
         strategy = Strategy([Action("a", 1.0)])
@@ -57,12 +57,6 @@ class TestStrategyMultiset:
     def test_without_missing_action(self):
         with pytest.raises(InvalidParameter):
             Strategy().without_action(Action("a", 1.0))
-
-    def test_replacing(self):
-        strategy = Strategy([Action("a", 1.0)])
-        swapped = strategy.replacing(Action("a", 1.0), Action("b", 3.0))
-        assert Action("b", 3.0) in swapped
-        assert Action("a", 1.0) not in swapped
 
 
 class TestBudget:

@@ -24,6 +24,7 @@ RULE_FIXTURES = [
     ("RPR007", "rpr007_mutable.py", 3),
     ("RPR008", "rpr008_store_write.py", 3),
     ("RPR009", "rpr009_clock.py", 3),
+    ("RPR010", "rpr010_builtin_sum.py", 3),
 ]
 
 
@@ -87,3 +88,14 @@ def test_rule_registry_is_extensible():
     assert rule_ids[:1] == ["RPR001"]
     cls = RULES.get("RPR001")
     assert RULES.register("RPR001")(cls) is cls
+
+
+def test_rpr010_skips_a_sum_bound_by_an_import(tmp_path):
+    source = tmp_path / "imported_sum.py"
+    source.write_text(
+        "from repro.determinism import ordered_sum as sum\n\n"
+        "total = sum([0.1, 0.2])\n",
+        encoding="utf-8",
+    )
+    findings, _ = lint_file(source, [RULES.get("RPR010")])
+    assert findings == []

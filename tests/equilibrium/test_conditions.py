@@ -50,7 +50,6 @@ class TestTheorem8Conditions:
         conditions = star_ne_conditions(n=6, s=1.0, a=0.5, b=0.5, l=1.0)
         assert len(conditions.condition2_margins) == 4  # i = 2..5
         assert len(conditions.condition3_margins) == 4
-        assert conditions.binding_condition  # non-empty label
 
     def test_rejects_tiny_star(self):
         with pytest.raises(InvalidParameter):

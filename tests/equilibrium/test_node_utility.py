@@ -9,7 +9,6 @@ from repro.equilibrium.node_utility import NetworkGameModel
 from repro.equilibrium.topologies import CENTER, circle, path, star
 from repro.errors import InvalidParameter, NodeNotFound
 from repro.network.graph import ChannelGraph
-from repro.params import ModelParameters
 
 
 class TestComponents:
@@ -99,18 +98,3 @@ class TestValidationAndFactories:
             NetworkGameModel(a=-1.0)
         with pytest.raises(InvalidParameter):
             NetworkGameModel(zipf_s=-0.1)
-
-    def test_from_parameters(self):
-        params = ModelParameters(
-            user_tx_rate=4.0, fee_out_avg=0.5, total_tx_rate=10.0, fee_avg=0.2
-        )
-        model = NetworkGameModel.from_parameters(params, edge_cost=0.9)
-        assert model.a == pytest.approx(2.0)
-        assert model.b == pytest.approx(2.0)
-        assert model.edge_cost == 0.9
-
-    def test_all_utilities(self):
-        model = NetworkGameModel(a=0.2, b=0.2, edge_cost=0.1, zipf_s=1.0)
-        graph = star(4)
-        utilities = model.all_utilities(graph)
-        assert set(utilities) == set(graph.nodes)

@@ -7,7 +7,7 @@ strategy, and run the network under HTLC semantics.
 
 import pytest
 
-from repro.analysis.estimation import estimate_total_rate, estimate_zipf_s
+from repro.analysis.estimation import estimate_zipf_s
 from repro.core.algorithms.greedy import greedy_fixed_funds
 from repro.core.utility import JoiningUserModel
 from repro.network.fees import ConstantFee
@@ -34,7 +34,7 @@ def pipeline_result():
     )
     trace = observed.generate_count(1200)
     s_hat = estimate_zipf_s(graph, trace).s
-    rate_hat = estimate_total_rate(trace, trace[-1].time).rate
+    rate_hat = len(trace) / trace[-1].time
 
     # 3. choose a joining strategy with the *estimated* parameters
     params = ModelParameters(

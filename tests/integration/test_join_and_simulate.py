@@ -37,12 +37,12 @@ class TestJoinPipeline:
         # exact (betweenness) revenue: the first, highest-gain pick is a hub
         model = JoiningUserModel(graph, "me", params)
         result = greedy_fixed_funds(model, budget=3.0, lock=1.0)
-        assert result.strategy.peers
-        assert result.strategy.peers[0] in core or result.strategy.peers[-1] in core
+        assert result.strategy.actions
+        assert result.strategy.actions[0].peer in core or result.strategy.actions[-1].peer in core
         # fixed-rate mode concentrates entirely on the core
         fixed = JoiningUserModel(graph, "me2", params, revenue_mode="fixed-rate")
         fixed_result = greedy_fixed_funds(fixed, budget=3.0, lock=1.0)
-        assert all(peer in core for peer in fixed_result.strategy.peers)
+        assert all(peer in core for peer in (a.peer for a in fixed_result.strategy.actions))
 
     def test_greedy_strategy_utility_reported_consistently(self):
         graph = barabasi_albert_snapshot(20, seed=8)
@@ -75,7 +75,7 @@ class TestAnalyticVsSimulated:
         # compare the busiest predicted edges
         busiest = sorted(predicted, key=predicted.get, reverse=True)[:5]
         for edge in busiest:
-            observed = metrics.edge_rate(*edge)
+            observed = metrics.edge_traffic.get(edge, 0) / metrics.horizon
             assert observed == pytest.approx(predicted[edge], rel=0.35), edge
 
     def test_intermediary_revenue_matches_simulation(self):

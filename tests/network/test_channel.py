@@ -82,12 +82,6 @@ class TestPaymentsFigure1:
 
 
 class TestHistoryAndViews:
-    def test_directed_views(self):
-        channel = Channel("u", "v", 10.0, 7.0)
-        views = list(channel.directed_views())
-        assert ("u", "v", 10.0) in views
-        assert ("v", "u", 7.0) in views
-
     def test_other(self):
         channel = Channel("u", "v", 1.0)
         assert channel.other("u") == "v"

@@ -1,16 +1,9 @@
 """Unit tests for :mod:`repro.network.fees`."""
 
-import numpy as np
 import pytest
 
 from repro.errors import InvalidParameter
-from repro.network.fees import (
-    ConstantFee,
-    LinearFee,
-    PiecewiseLinearFee,
-    average_fee,
-)
-from repro.transactions.sizes import FixedSize, UniformSizes
+from repro.network.fees import ConstantFee, LinearFee, PiecewiseLinearFee
 
 
 class TestConstantFee:
@@ -20,10 +13,6 @@ class TestConstantFee:
     def test_rejects_negative(self):
         with pytest.raises(InvalidParameter):
             ConstantFee(-0.1)
-
-    def test_vectorised(self):
-        fees = ConstantFee(0.5).vectorised(np.array([1.0, 2.0, 3.0]))
-        assert fees.tolist() == [0.5, 0.5, 0.5]
 
 
 class TestLinearFee:
@@ -41,13 +30,6 @@ class TestLinearFee:
     def test_rejects_negative_params(self):
         with pytest.raises(InvalidParameter):
             LinearFee(-0.1, 0.1)
-
-    def test_vectorised_matches_scalar(self):
-        fee = LinearFee(0.2, 0.05)
-        amounts = np.array([0.0, 1.0, 7.5])
-        assert fee.vectorised(amounts) == pytest.approx(
-            [fee(a) for a in amounts]
-        )
 
 
 class TestPiecewiseLinearFee:
@@ -72,17 +54,3 @@ class TestPiecewiseLinearFee:
         with pytest.raises(InvalidParameter):
             PiecewiseLinearFee([(0.0, -0.1), (1.0, 0.2)])
 
-
-class TestAverageFee:
-    def test_constant_fee_average_is_fee(self):
-        favg = average_fee(ConstantFee(0.25), UniformSizes(high=10.0))
-        assert favg == pytest.approx(0.25, rel=1e-3)
-
-    def test_linear_fee_uniform_sizes(self):
-        # E[base + rate*t] for t ~ U[0, T] is base + rate*T/2
-        favg = average_fee(LinearFee(0.1, 0.02), UniformSizes(high=10.0))
-        assert favg == pytest.approx(0.1 + 0.02 * 5.0, rel=1e-3)
-
-    def test_fixed_size_average(self):
-        favg = average_fee(LinearFee(0.0, 1.0), FixedSize(3.0))
-        assert favg == pytest.approx(3.0, rel=1e-2)

@@ -95,7 +95,6 @@ class TestQueries:
         graph.add_channel("a", "b", 1.0)
         graph.add_channel("a", "b", 2.0)
         assert graph.degree("a") == 2
-        assert graph.in_degree("a") == 2
 
     def test_degree_missing_node(self, diamond):
         with pytest.raises(NodeNotFound):
@@ -111,12 +110,6 @@ class TestQueries:
 
     def test_balance_of(self, line3):
         assert line3.balance_of("b") == pytest.approx(2.0 + 8.0)
-
-    def test_directed_edges_cover_both_directions(self, line3):
-        edges = set(line3.directed_edges())
-        assert ("a", "b", 10.0) in edges
-        assert ("b", "a", 2.0) in edges
-        assert len(edges) == 4
 
     def test_channels_between_missing_node(self, diamond):
         with pytest.raises(NodeNotFound):

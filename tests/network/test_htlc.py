@@ -134,10 +134,10 @@ class TestValidation:
         router = bound_router(line4).router
         p1 = router.lock(["a", "b"], 1.0)
         p2 = router.lock(["c", "d"], 1.0)
-        assert len(router.in_flight) == 2
+        assert len(router._in_flight) == 2
         router.settle(p1)
         router.fail(p2)
-        assert router.in_flight == ()
+        assert router._in_flight == {}
 
     def test_circular_self_payment_supported(self, bound_router):
         """A circular self-payment (as liquidity depletion sends) settles

@@ -257,7 +257,7 @@ class TestConcurrentUnwind:
             else:
                 router.fail(payment)
         assert bound.write_back().total_capacity() == pytest.approx(total)
-        assert router.in_flight == ()
+        assert router._in_flight == {}
         assert bound.state.slots_used == [0] * len(bound.state.slots_used)
 
     def test_partial_balance_contention_fails_cleanly(

@@ -43,14 +43,12 @@ class TestRealise:
 class TestExpectation:
     """The Section II-C claim: expected lifecycle cost is C per party."""
 
-    def test_closed_form(self):
-        lifecycle = ChannelLifecycle(onchain_fee=3.0, seed=0)
-        assert lifecycle.expected_cost_per_party() == 3.0
-
     def test_monte_carlo_converges_to_c(self):
-        fee = 2.0
+        fee, samples = 2.0, 6000
         lifecycle = ChannelLifecycle(onchain_fee=fee, seed=42)
-        mean_u, mean_v = lifecycle.empirical_mean_cost(samples=6000)
+        realised = [lifecycle.realise() for _ in range(samples)]
+        mean_u = sum(costs.total("u") for costs in realised) / samples
+        mean_v = sum(costs.total("v") for costs in realised) / samples
         assert mean_u == pytest.approx(fee, rel=0.05)
         assert mean_v == pytest.approx(fee, rel=0.05)
 
@@ -62,7 +60,3 @@ class TestExpectation:
             counts[sample_close_mode(rng)] += 1
         for mode in CloseMode:
             assert counts[mode] / n == pytest.approx(1 / 3, abs=0.05)
-
-    def test_bad_sample_count(self):
-        with pytest.raises(InvalidParameter):
-            ChannelLifecycle(1.0, seed=0).empirical_mean_cost(samples=0)

@@ -93,7 +93,7 @@ class TestViewStructure:
         entry = int(view.indptr[view.index_of("a")])
         assert view.balances[entry] == pytest.approx(5.0)
         assert view.capacities[entry] == pytest.approx(11.0)
-        assert set(view.channels_for_entry(entry)) == {
+        assert set(view.pair_channels[int(view.edge_ids[entry])]) == {
             c.channel_id for c in graph.channels
         }
 

@@ -104,7 +104,7 @@ def oracle_weight(model):
         rate = rates.get(sender, 0.0)
         if rate <= 0.0 or receiver == model.new_user:
             return 0.0
-        return rate * model.pair_probability(sender, receiver)
+        return rate * model.distribution.probability(sender, receiver)
 
     return weight
 
@@ -158,8 +158,8 @@ def test_model_matches_free_function_oracle(instance):
 def test_evaluation_order_does_not_matter(instance):
     model, strategy = instance
     unused = fresh(model)
-    model.simplified_utility(Strategy())
-    model.simplified_utility(Strategy([Action(0, 1.0)]))
+    model.objective(Strategy())
+    model.objective(Strategy([Action(0, 1.0)]))
     assert model.expected_fees(strategy) == unused.expected_fees(strategy)
     assert model.expected_revenue(strategy) == unused.expected_revenue(strategy)
 

@@ -133,7 +133,7 @@ class TestInstantRunHoldsNothing:
         engine.run()
         ledger = engine.htlc_router
         assert engine._state.slots_used == [0] * len(engine._state.slots_used)
-        assert ledger.in_flight == ()
+        assert ledger._in_flight == {}
         assert ledger.locked_capital() == 0.0
         for channel, capacity in zip(graph.channels, capacities):
             assert channel.capacity == pytest.approx(capacity, rel=1e-9)

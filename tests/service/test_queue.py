@@ -7,6 +7,9 @@ injected, so scenarios never actually run here.
 """
 
 import asyncio
+import gc
+import logging
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -177,6 +180,67 @@ class TestFailureAndRetry:
             job = mgr.submit(doc())  # not deduped onto the failed job
             assert await job.result() is not None
             assert job.state == "done"
+            await mgr.close()
+
+        asyncio.run(main())
+
+
+def _never_retrieved(caplog):
+    return [
+        record for record in caplog.records
+        if "never retrieved" in record.getMessage()
+    ]
+
+
+class TestUnawaitedOutcomes:
+    """A failed or cancelled job that no client awaits logs nothing when
+    it is dropped (a resubmission replaces it, or the daemon exits)."""
+
+    def test_failed_job_nobody_awaits(self, tmp_path, caplog):
+        async def main():
+            def boom(document):
+                raise ValueError("simulated blow-up")
+
+            mgr = manager(tmp_path, execute=boom, worker="thread")
+            job = mgr.submit(doc())
+            while not job.finished:
+                await asyncio.sleep(0.005)
+            await mgr.close()
+            assert job.state == "failed"
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            asyncio.run(main())
+            gc.collect()
+        assert _never_retrieved(caplog) == []
+
+    def test_job_cancelled_at_close_nobody_awaits(self, tmp_path, caplog):
+        async def main():
+            def slow(document):
+                time.sleep(0.2)
+                return fake_execute(document)
+
+            mgr = manager(tmp_path, execute=slow, worker="thread")
+            job = mgr.submit(doc())
+            await asyncio.sleep(0.02)
+            await mgr.close()
+            assert job.state == "cancelled"
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            asyncio.run(main())
+            gc.collect()
+        assert _never_retrieved(caplog) == []
+
+    def test_awaiting_client_still_sees_the_failure(self, tmp_path):
+        async def main():
+            def boom(document):
+                raise ValueError("simulated blow-up")
+
+            mgr = manager(tmp_path, execute=boom)
+            job = mgr.submit(doc())
+            while not job.finished:
+                await asyncio.sleep(0)
+            with pytest.raises(ServiceError, match="simulated blow-up"):
+                await job.result()
             await mgr.close()
 
         asyncio.run(main())

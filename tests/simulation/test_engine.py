@@ -126,7 +126,7 @@ class TestWorkloadIntegration:
         )
         metrics = engine.run(until=10.0)
         assert metrics.revenue_rate("b") == pytest.approx(0.1)
-        assert metrics.edge_rate("a", "b") == pytest.approx(0.1)
+        assert metrics.edge_traffic[("a", "b")] / metrics.horizon == pytest.approx(0.1)
 
     def test_empirical_matches_predicted_intermediary_rate(self):
         """Long-run simulated revenue rate ≈ analytic E_rev (E11 in small)."""

@@ -75,5 +75,5 @@ class TestDerivedQuantities:
 
     def test_as_dict_round_trip(self):
         params = ModelParameters(zipf_s=1.5)
-        rebuilt = ModelParameters(**params.as_dict())
+        rebuilt = ModelParameters(**dataclasses.asdict(params))
         assert rebuilt == params

@@ -1,14 +1,38 @@
 """Unit tests for degree ranking and rank factors (Section II-B)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import InvalidParameter, NodeNotFound
 from repro.network.graph import ChannelGraph
-from repro.transactions.ranking import (
-    degree_ranking,
-    rank_factors,
-    rank_factors_from_degrees,
-)
+from repro.transactions.ranking import DegreeRanking, _tie_factors, check_zipf_s
+
+
+def ranked_row(graph, perspective):
+    """``(nodes, order, degrees)``: the graph's nodes and one
+    :meth:`DegreeRanking.ranked` row, from ``perspective``'s view."""
+    ranking = DegreeRanking(graph)
+    senders = None if perspective is None else [ranking.position(perspective)]
+    order, degrees = ranking.ranked(senders)
+    return ranking.nodes, order[:1], degrees[:1]
+
+
+def degree_ranking(graph, perspective=None):
+    """``(node, degree in G - perspective)`` pairs in rank order."""
+    nodes, order, degrees = ranked_row(graph, perspective)
+    return [(nodes[i], d) for i, d in zip(order[0].tolist(), degrees[0].tolist())]
+
+
+def rank_factors(graph, perspective=None, s=1.0):
+    """Unnormalised rank factor of every node from ``perspective``'s view."""
+    nodes, order, degrees = ranked_row(graph, perspective)
+    factors = _tie_factors(degrees, s)[0].tolist()
+    return dict(zip([nodes[i] for i in order[0].tolist()], factors))
+
+
+def rank_factors_from_degrees(degrees, s):
+    """Rank factors of one non-increasing degree row."""
+    return _tie_factors(np.asarray(degrees, dtype=float).reshape(1, -1), s)[0].tolist()
 
 
 @pytest.fixture
@@ -72,13 +96,9 @@ class TestRankFactorsFromDegrees:
         )
         assert factors[0] > factors[2] > factors[5] > factors[6]
 
-    def test_rejects_unsorted(self):
-        with pytest.raises(InvalidParameter):
-            rank_factors_from_degrees([1, 2], s=1.0)
-
     def test_rejects_negative_s(self):
         with pytest.raises(InvalidParameter):
-            rank_factors_from_degrees([2, 1], s=-0.5)
+            check_zipf_s(-0.5)
 
     def test_empty(self):
         assert rank_factors_from_degrees([], s=1.0) == []

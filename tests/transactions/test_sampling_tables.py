@@ -34,7 +34,7 @@ from repro.transactions.distributions import (
 )
 from repro.transactions.sizes import FixedSize
 from repro.transactions.workload import PoissonWorkload
-from repro.transactions.ranking import DegreeRanking, degree_ranking, rank_factors
+from repro.transactions.ranking import DegreeRanking, _tie_factors
 from repro.transactions.zipf import ModifiedZipf
 
 
@@ -110,6 +110,17 @@ def brute_force_degrees(graph, perspective):
         for node in graph.nodes
         if node != perspective
     }
+
+
+def degree_ranking(graph, perspective=None):
+    """``(node, degree in G - perspective)`` pairs in rank order, from one
+    :meth:`DegreeRanking.ranked` row."""
+    ranking = DegreeRanking(graph)
+    senders = None if perspective is None else [ranking.position(perspective)]
+    order, degrees = ranking.ranked(senders)
+    return [
+        (ranking.nodes[i], d) for i, d in zip(order[0].tolist(), degrees[0].tolist())
+    ]
 
 
 class TestDegreeRanking:
@@ -223,9 +234,11 @@ class TestPerGraphRanking:
         assert [
             (ranking.nodes[j], p) for j, p in zip(order[0].tolist(), probs[0].tolist())
         ] == [(node, p) for node, _, _, p in expected]
-        assert list(rank_factors(graph, None, s).items()) == [
-            (node, f) for node, _, f, _ in expected
-        ]
+        ranked, degrees = ranking.ranked(None)
+        assert list(zip(
+            [ranking.nodes[j] for j in ranked[0].tolist()],
+            _tie_factors(degrees, s)[0].tolist(),
+        )) == [(node, f) for node, _, f, _ in expected]
         assert degree_ranking(graph) == [(node, d) for node, d, _, _ in expected]
 
     @given(graph=multigraphs(), s=st.sampled_from([0.0, 1.0, 2.3]), batch=st.integers(1, 5))
@@ -266,14 +279,14 @@ class TestPerGraphRanking:
         assert max(calls.values()) == 1
 
 
-class TestInvalidation:
-    def test_invalidate_rebuilds_rows_and_table(self, star5):
+class TestTopologyChanges:
+    def test_new_instance_rebuilds_rows_and_table(self, star5):
         zipf = ModifiedZipf(star5, s=1.0)
         sampled_draws(zipf, "leaf0", 1, 50)  # builds the cached table
         old_row = zipf.receivers("leaf0")
         star5.add_channel("leaf0", "newcomer", 1.0, 1.0)
         star5.add_channel("leaf1", "leaf2", 1.0, 1.0)
-        zipf.invalidate()
+        zipf = ModifiedZipf(star5, s=1.0)
         new_row = zipf.receivers("leaf0")
         assert "newcomer" in new_row and "newcomer" not in old_row
         assert new_row["leaf1"] > old_row["leaf1"]
@@ -281,20 +294,11 @@ class TestInvalidation:
         assert (draws, state) == choice_draws(zipf, "leaf0", 4, 2000)
         assert "newcomer" in draws
 
-    def test_cached_table_is_kept_until_invalidate(self, star5):
+    def test_cached_table_is_kept(self, star5):
         zipf = ModifiedZipf(star5, s=1.0)
         before = sampled_draws(zipf, "leaf0", 4, 500)
         star5.add_channel("leaf0", "newcomer", 1.0, 1.0)
         assert sampled_draws(zipf, "leaf0", 4, 500) == before
-
-    def test_cache_off_keeps_no_table(self, star5):
-        zipf = ModifiedZipf(star5, s=1.0, cache=False)
-        sampled_draws(zipf, "leaf0", 1, 50)
-        assert zipf._tables is None
-        star5.add_channel("leaf0", "newcomer", 1.0, 1.0)
-        draws, state = sampled_draws(zipf, "leaf0", 4, 2000)
-        assert (draws, state) == choice_draws(zipf, "leaf0", 4, 2000)
-        assert "newcomer" in draws
 
 
 def lone_table(distribution, sender):
@@ -323,32 +327,27 @@ TABLE_GRAPHS = {
 
 
 class TestBatchedTables:
-    @pytest.mark.parametrize("cache", [True, False])
     @pytest.mark.parametrize("s", [0.0, 1.0, 2.5])
     @pytest.mark.parametrize("name", sorted(TABLE_GRAPHS))
-    def test_every_sender_matches_its_lone_table(self, name, s, cache):
+    def test_every_sender_matches_its_lone_table(self, name, s):
         graph = TABLE_GRAPHS[name]()
-        zipf = ModifiedZipf(graph, s=s, cache=cache)
+        zipf = ModifiedZipf(graph, s=s)
         rng = np.random.default_rng(0)
         for position, sender in enumerate(graph.nodes):
-            if cache:
-                # the first sender of each block builds the whole block
-                zipf.sample_receiver(sender, rng)
-                assert len(zipf._tables) == min(
-                    len(graph), (position // zipf_module.ROW_BATCH + 1) * zipf_module.ROW_BATCH
-                )
-                labels, receivers, cdf = zipf._tables[sender]
-            else:
-                labels, receivers, cdf = zipf._build_table(sender)
+            # the first sender of each block builds the whole block
+            zipf.sample_receiver(sender, rng)
+            assert len(zipf._tables) == min(
+                len(graph), (position // zipf_module.ROW_BATCH + 1) * zipf_module.ROW_BATCH
+            )
+            labels, receivers, cdf = zipf._tables[sender]
             nodes, expected = lone_table(zipf, sender)
             assert [labels[i] for i in receivers] == nodes
             assert cdf.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("cache", [True, False])
-    def test_empty_row_raises(self, cache):
+    def test_empty_row_raises(self):
         graph = ChannelGraph()
         graph.add_node("solo")
-        zipf = ModifiedZipf(graph, s=1.0, cache=cache)
+        zipf = ModifiedZipf(graph, s=1.0)
         with pytest.raises(InvalidParameter, match="'solo' is empty"):
             zipf.sample_receiver("solo", np.random.default_rng(0))
 
