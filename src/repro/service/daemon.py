@@ -17,7 +17,8 @@ Commands:
     job snapshot (state, events, waiters) — or every job when ``hash``
     is omitted.
 ``{"cmd": "result", "hash": ...}``
-    the stored result document for a finished hash.
+    the stored result document for a finished hash, served like a
+    cached ``submit`` (:meth:`JobManager.stored_text`).
 ``{"cmd": "sweep", "scenario": {...}, "grid": {...}}``
     enqueue every grid point (seeds derived exactly as
     :meth:`ScenarioRunner.run_sweep` derives them) and answer with the
@@ -29,7 +30,9 @@ Commands:
     ``events_seq`` for restart detection).
 ``{"cmd": "metrics"}``
     Prometheus text exposition of the queue's instruments — job-state
-    gauges, store hit rate, the queued->running latency histogram, and
+    gauges, store hit rate, the queued->running latency histogram, the
+    verified store reads and fsync'd writes
+    (``repro_service_store_read_seconds`` / ``_write_seconds``), and
     one request-latency histogram per verb
     (``repro_service_request_<verb>_seconds``; ``submit`` splits into
     ``submit_cached`` and ``submit_executed``).
@@ -39,7 +42,11 @@ Commands:
 Responses that carry a result (``submit`` with ``wait``, ``result``) end
 in ``"result": <text>}``, where ``<text>`` is the store's canonical
 payload text spliced in verbatim: it is never parsed or re-encoded, so
-cold and cached responses carry the same bytes.
+cold and cached responses carry the same bytes. A repeat hit sends the
+text this daemon already wrote or verified, without reading the entry
+again, as long as the entry file keeps the ``os.stat`` identity the
+daemon recorded; an entry evicted, replaced or rewritten since is read
+and verified again (see :mod:`repro.service.queue`).
 
 :class:`ServiceClient` is the synchronous counterpart used by the
 ``repro submit`` / ``repro status`` CLI: one TCP connection per request,
@@ -55,7 +62,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..errors import ServiceError
 from ..obs.clock import monotonic
-from .queue import JobManager
+from .queue import LATENCY_BUCKETS, JobManager
 from .store import ResultStore
 
 __all__ = ["ServiceServer", "ServiceClient", "DEFAULT_HOST", "DEFAULT_PORT"]
@@ -66,13 +73,6 @@ DEFAULT_PORT = 8923
 #: Cap on one request line (a scenario document is small; a line this
 #: long is a protocol violation, not a workload).
 MAX_LINE_BYTES = 8 * 1024 * 1024
-
-#: Request-latency histogram bounds (seconds): cache hits take well
-#: under a millisecond, executions up to minutes.
-REQUEST_BUCKETS = (
-    0.0001, 0.0002, 0.0005, 0.001, 0.002, 0.005, 0.01, 0.05, 0.1, 0.5,
-    1.0, 5.0, 30.0, 120.0,
-)
 
 
 class ServiceServer:
@@ -210,7 +210,7 @@ class ServiceServer:
             command = "submit_cached" if cached else "submit_executed"
         assert self.manager is not None
         self.manager.registry.histogram(
-            f"service.request_{command}_seconds", REQUEST_BUCKETS
+            f"service.request_{command}_seconds", LATENCY_BUCKETS
         ).observe(monotonic() - started)
         return response
 
@@ -249,7 +249,7 @@ class ServiceServer:
         job = self.manager.get(spec_hash)
         if job is not None and not job.finished:
             return {"ok": False, "error": f"job {spec_hash[:12]} still {job.state}"}
-        text = self.manager.store.get_text(spec_hash)
+        text = self.manager.stored_text(spec_hash)
         if text is None:
             return {"ok": False, "error": f"no result for {spec_hash[:12]}"}
         return {"ok": True, "hash": spec_hash, "_result": text}

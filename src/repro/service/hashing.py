@@ -141,8 +141,16 @@ def canonical_json(document: Any, allow_non_finite: bool = False) -> str:
     serialise as Python's ``Infinity``/``-Infinity``/``NaN`` tokens
     (deterministic, and ``json.loads`` parses them back).
     """
-    return json.dumps(
+    return _dumps(
         _normalise(document, allow_non_finite=allow_non_finite),
+        allow_non_finite,
+    )
+
+
+def _dumps(normalised: Any, allow_non_finite: bool = False) -> str:
+    """The canonical text of an already-normalised value."""
+    return json.dumps(
+        normalised,
         sort_keys=True,
         separators=(",", ":"),
         ensure_ascii=True,
@@ -150,12 +158,17 @@ def canonical_json(document: Any, allow_non_finite: bool = False) -> str:
     )
 
 
-def content_hash(document: Any) -> str:
-    """Version-salted sha256 hex digest of ``document``'s canonical JSON."""
+def _salted_digest(normalised: Any) -> str:
+    """Version-salted sha256 hex digest of an already-normalised value."""
     digest = hashlib.sha256()
     digest.update(_HASH_SALT.encode("ascii"))
-    digest.update(canonical_json(document).encode("utf-8"))
+    digest.update(_dumps(normalised).encode("utf-8"))
     return digest.hexdigest()
+
+
+def content_hash(document: Any) -> str:
+    """Version-salted sha256 hex digest of ``document``'s canonical JSON."""
+    return _salted_digest(_normalise(document))
 
 
 def scenario_content_hash(scenario_document: Mapping[str, Any]) -> str:
@@ -170,7 +183,9 @@ def scenario_content_hash(scenario_document: Mapping[str, Any]) -> str:
             "scenario_content_hash expects a Scenario.to_dict() mapping, "
             f"got {type(scenario_document).__name__}"
         )
-    return content_hash({"scenario": _normalise(dict(scenario_document))})
+    # Normalised once: the wrapper adds one string key, which is
+    # canonical already, and errors name locations inside the document.
+    return _salted_digest({"scenario": _normalise(dict(scenario_document))})
 
 
 def point_hash(namespace: str, point: Mapping[str, Any]) -> str:
@@ -182,4 +197,4 @@ def point_hash(namespace: str, point: Mapping[str, Any]) -> str:
     """
     if not isinstance(namespace, str) or not namespace:
         raise ScenarioError("point_hash namespace must be a non-empty string")
-    return content_hash({"namespace": namespace, "point": _normalise(dict(point))})
+    return _salted_digest({"namespace": namespace, "point": _normalise(dict(point))})

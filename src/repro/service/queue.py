@@ -15,8 +15,15 @@ it through three tiers:
    loop) before the job completes.
 
 A job's future holds the canonical payload *text*, never a parsed
-document: a cache hit is one verified :meth:`ResultStore.get_text`, and
-the daemon splices :meth:`Job.result_text` into its response verbatim.
+document, and the daemon splices :meth:`Job.result_text` into its
+response verbatim. A store hit for a hash whose last job finished
+``done`` or ``cached`` serves that job's text again, with no read and
+no sha256, while the entry's :data:`~repro.service.store.Stamp` is the
+one this manager recorded when it last wrote, verified or freshened it.
+Any other hit is one verified :meth:`ResultStore.get_stamped`: the
+first after a daemon start, and every hit after the entry was evicted,
+replaced or rewritten (by ``repro store gc``, another process or a
+tamperer), which quarantines a bad entry and recomputes.
 
 Workers that die mid-job (a crashed worker process) are retried on a
 rebuilt pool up to ``retries`` times before the job fails. Progress is
@@ -30,22 +37,30 @@ import asyncio
 import json
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, List, Mapping, Optional, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..errors import ServiceError
 from ..obs.clock import monotonic
 from ..obs.registry import MetricsRegistry
 from ..scenarios.registry import IMPORT_LOCK
 from .hashing import canonical_json, scenario_content_hash
-from .store import ResultStore
+from .store import ResultStore, Stamp
 
-__all__ = ["Job", "JobManager", "JOB_STATES"]
+__all__ = ["Job", "JobManager", "JOB_STATES", "LATENCY_BUCKETS"]
 
 #: Every state a job can report.
 JOB_STATES = ("queued", "running", "done", "failed", "cached", "cancelled")
 
 #: Terminal states — the job's future is resolved.
 _TERMINAL = ("done", "failed", "cached", "cancelled")
+
+#: Latency histogram bounds (seconds) of the manager's registry: cache
+#: hits and store reads take well under a millisecond, executions up to
+#: minutes.
+LATENCY_BUCKETS = (
+    0.0001, 0.0002, 0.0005, 0.001, 0.002, 0.005, 0.01, 0.05, 0.1, 0.5,
+    1.0, 5.0, 30.0, 120.0,
+)
 
 
 def _execute_scenario_document(document: Dict[str, Any]) -> Dict[str, Any]:
@@ -103,6 +118,9 @@ class Job:
         error: failure description once ``state == "failed"``.
         created_at_monotonic: obs-clock submission time (the queue-latency
             histogram measures from here to the first ``running``).
+        stamp: once ``done`` or ``cached``, the store entry's stamp as
+            the manager last wrote, verified or freshened it; while the
+            entry still has it, hits serve this job's text.
     """
 
     def __init__(
@@ -120,6 +138,7 @@ class Job:
         self.error: Optional[str] = None
         self.created_at_monotonic = monotonic()
         self.first_running_at: Optional[float] = None
+        self.stamp: Optional[Stamp] = None
         self._on_event = on_event
         #: Resolves to the canonical payload text of the result.
         self.future: "asyncio.Future[str]" = (
@@ -207,6 +226,14 @@ class JobManager:
         #: anyway, so the determinism contract of the simulation layers
         #: does not apply here).
         self.registry = MetricsRegistry()
+        #: Verified store reads (hit or miss) and fsync'd writes; a hit
+        #: served from a finished job's text records neither.
+        self._store_reads = self.registry.histogram(
+            "service.store_read_seconds", LATENCY_BUCKETS
+        )
+        self._store_writes = self.registry.histogram(
+            "service.store_write_seconds", LATENCY_BUCKETS
+        )
 
     def _on_job_event(
         self, job: Job, state: str, detail: Optional[str]
@@ -268,18 +295,16 @@ class JobManager:
             existing._event(existing.state, "deduplicated submission")
             return existing
 
+        stored = self._stored(spec_hash)
         job = Job(spec_hash, document, on_event=self._on_job_event)
         # Keyed by hash: resubmitting a finished hash replaces its job
         # (the fresh one carries the fresh lifecycle) without duplicating
         # the listing; dict order keeps first-submission order.
         self._jobs[spec_hash] = job
-
-        # Read on the loop: a verified hit is one file read and one
-        # sha256, cheaper than a hop to a worker thread.
-        cached = self.store.get_text(spec_hash)
-        if cached is not None:
+        if stored is not None:
+            job.stamp = stored[1]
             job._event("cached", "served from result store")
-            job.future.set_result(cached)
+            job.future.set_result(stored[0])
             self._counts["cached"] += 1
             return job
 
@@ -297,9 +322,11 @@ class JobManager:
                 text = await self._attempt(job)
             # The fsync'd write runs off the loop, so cached readers
             # are not stalled behind a cold job's disk flush.
-            await asyncio.get_running_loop().run_in_executor(
+            started = monotonic()
+            job.stamp = await asyncio.get_running_loop().run_in_executor(
                 None, self.store.put_text, job.spec_hash, text
             )
+            self._store_writes.observe(monotonic() - started)
             job._event("done")
             job.future.set_result(text)
             self._counts["done"] += 1
@@ -341,6 +368,34 @@ class JobManager:
             f"worker crashed {self.retries + 1} times running "
             f"{job.spec_hash[:12]}"
         ) from last
+
+    # -- stored results --------------------------------------------------
+
+    def _stored(self, spec_hash: str) -> Optional[Tuple[str, Stamp]]:
+        """The stored text for ``spec_hash`` and its entry's stamp, or
+        ``None`` (absent, or quarantined by the verified read).
+
+        Runs on the loop. A finished job whose entry still has the job's
+        stamp serves its own text (one ``stat``, one ``utime``); otherwise
+        a verified read, one file read and one sha256, still cheaper
+        than a hop to a worker thread.
+        """
+        job = self._jobs.get(spec_hash)
+        if job is not None and job.stamp is not None:
+            stamp = self.store.freshen(spec_hash, job.stamp)
+            if stamp is not None:
+                job.stamp = stamp
+                return job.future.result(), stamp
+        started = monotonic()
+        found = self.store.get_stamped(spec_hash)
+        self._store_reads.observe(monotonic() - started)
+        return found
+
+    def stored_text(self, spec_hash: str) -> Optional[str]:
+        """The stored result text for ``spec_hash`` (the ``result`` verb),
+        served like a cache hit of :meth:`submit`; ``None`` if absent."""
+        found = self._stored(spec_hash)
+        return None if found is None else found[0]
 
     # -- inspection ------------------------------------------------------
 

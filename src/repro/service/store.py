@@ -30,6 +30,17 @@ Design invariants:
   with no header line, included) moves to ``quarantine/`` and reads as
   ``None``, so a corrupted cache degrades to a recompute, never a crash
   and never a wrong result.
+* **Stamps** — :meth:`ResultStore.put_text`,
+  :meth:`ResultStore.get_stamped` and :meth:`ResultStore.freshen` return
+  the entry's :data:`Stamp`, its ``os.stat`` identity ``(st_ino,
+  st_size, st_mtime_ns)`` right after this process set its mtime to an
+  explicit nanosecond. A caller that keeps a verified text
+  in memory may serve it again while :meth:`ResultStore.freshen` finds
+  the same stamp; an entry evicted, replaced or rewritten since then
+  (a new inode, size or mtime) reads ``None`` there, and the caller
+  falls back to :meth:`ResultStore.get_text`, which re-verifies and
+  quarantines. On a filesystem whose mtimes are coarser than the clock
+  every stamp mismatches, so every read re-verifies.
 * **LRU eviction** — reads freshen the entry's mtime (best-effort);
   :meth:`ResultStore.gc` drops least-recently-used entries until the
   configured entry/byte bounds hold.
@@ -41,9 +52,10 @@ import hashlib
 import itertools
 import json
 import os
+import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..determinism import ordered_sum
 from ..errors import ServiceError
@@ -52,6 +64,7 @@ from .hashing import canonical_json
 __all__ = [
     "DEFAULT_STORE_ENV",
     "ResultStore",
+    "Stamp",
     "StoreStats",
     "default_store_path",
 ]
@@ -66,6 +79,10 @@ STORE_SCHEMA_VERSION = 2
 
 _HEX_DIGITS = frozenset("0123456789abcdef")
 
+#: ``(st_ino, st_size, st_mtime_ns)`` of one entry file, as this process
+#: last wrote, verified or freshened it.
+Stamp = Tuple[int, int, int]
+
 
 def default_store_path() -> Path:
     """``$REPRO_STORE`` when set, else ``~/.cache/repro``."""
@@ -73,6 +90,23 @@ def default_store_path() -> Path:
     if override:
         return Path(override)
     return Path.home() / ".cache" / "repro"
+
+
+def _freshen_mtime(path: Path, stat: os.stat_result) -> Stamp:
+    """Set ``path``'s times to now, to the nanosecond, and return its stamp.
+
+    ``stat`` is the file's stat from before. An explicit time (not the
+    kernel's coarse clock) makes a later same-size rewrite show as a new
+    mtime. Best-effort: on failure the old stamp comes back.
+    """
+    # A file time is calendar time by nature: gc orders these mtimes
+    # with the ones the kernel writes. No result depends on it.
+    now = time.time_ns()  # reprolint: disable=RPR005
+    try:
+        os.utime(path, ns=(now, now))
+    except OSError:  # raced with gc/quarantine, or not the file's owner
+        return (stat.st_ino, stat.st_size, stat.st_mtime_ns)
+    return (stat.st_ino, stat.st_size, now)
 
 
 def _check_key(key: str) -> str:
@@ -164,11 +198,12 @@ class ResultStore:
 
     def put_text(
         self, key: str, text: str, kind: str = "scenario-result"
-    ) -> None:
+    ) -> Stamp:
         """Atomically store the canonical payload ``text`` under ``key``.
 
         ``text`` must be :func:`canonical_json` output; it is written
         verbatim and later served byte for byte by :meth:`get_text`.
+        Returns the published entry's stamp (see :meth:`freshen`).
         """
         path = self.path_for(key)
         payload = text.encode("utf-8")
@@ -181,11 +216,15 @@ class ResultStore:
                 handle.write(json.dumps(header, sort_keys=True).encode() + b"\n")
                 handle.write(payload)
                 handle.flush()
+                # os.replace keeps the inode and times, so the temp
+                # file's stamp is the published entry's.
+                stamp = _freshen_mtime(tmp, os.fstat(handle.fileno()))
                 os.fsync(handle.fileno())
             os.replace(tmp, path)
         finally:
             if tmp.exists():  # pragma: no cover - only on write failure
                 tmp.unlink()
+        return stamp
 
     # -- read path -----------------------------------------------------------
 
@@ -201,9 +240,18 @@ class ResultStore:
     def get_text(self, key: str) -> Optional[str]:
         """The canonical payload text for ``key``, every byte of it
         checked against the header's sha256; or ``None`` (see :meth:`get`)."""
+        found = self.get_stamped(key)
+        return None if found is None else found[0]
+
+    def get_stamped(self, key: str) -> Optional[Tuple[str, Stamp]]:
+        """:meth:`get_text` plus the stamp of the entry it verified."""
         path = self.path_for(key)
         try:
-            raw = path.read_bytes()
+            with path.open("rb") as handle:
+                raw = handle.read()
+                # fstat the file that was read: a stamp never describes
+                # an entry published after the read.
+                stat = os.fstat(handle.fileno())
         except FileNotFoundError:
             return None
         except OSError:
@@ -224,16 +272,24 @@ class ResultStore:
         if header.get("checksum") != hashlib.sha256(payload).hexdigest():
             self._quarantine_entry(path, "checksum-mismatch")
             return None
-        self._touch(path)
-        return payload.decode("utf-8")
+        return payload.decode("utf-8"), _freshen_mtime(path, stat)
 
-    @staticmethod
-    def _touch(path: Path) -> None:
-        """Freshen mtime for LRU ordering; best-effort under concurrency."""
+    def freshen(self, key: str, stamp: Stamp) -> Optional[Stamp]:
+        """Freshen ``key``'s entry if it still has ``stamp``.
+
+        Returns the new stamp (the mtime moved to now, for LRU order), or
+        ``None`` when the entry is gone or is no longer the file that
+        ``stamp`` describes. One ``stat`` and one ``utime``: the entry is
+        neither read nor hashed.
+        """
+        path = self.path_for(key)
         try:
-            os.utime(path, None)
-        except OSError:  # pragma: no cover - raced with gc/quarantine
-            pass
+            stat = os.stat(path)
+        except OSError:
+            return None
+        if (stat.st_ino, stat.st_size, stat.st_mtime_ns) != stamp:
+            return None
+        return _freshen_mtime(path, stat)
 
     def _quarantine_entry(self, path: Path, reason: str) -> None:
         """Move a bad entry aside (never delete evidence, never raise)."""

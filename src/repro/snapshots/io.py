@@ -95,9 +95,20 @@ def save_snapshot(graph: ChannelGraph, path: Union[str, Path]) -> None:
 
 @register_topology("file")
 def load_snapshot(path: Union[str, Path]) -> ChannelGraph:
-    """Load a describegraph JSON snapshot from ``path``."""
+    """Load a describegraph JSON snapshot from ``path``.
+
+    Raises:
+        SnapshotFormatError: when the file cannot be read or is not JSON;
+            the message names ``path``.
+    """
     try:
-        document = json.loads(Path(path).read_text())
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise SnapshotFormatError(
+            f"cannot read snapshot {path}: {exc.strerror or exc}"
+        ) from exc
+    try:
+        document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SnapshotFormatError(f"invalid JSON in {path}") from exc
     return from_describegraph(document)

@@ -211,6 +211,46 @@ class TestResultBytes:
         assert 'repro_service_request_submit_cached_seconds_bucket{le="0.0001"}' in text
 
 
+def _count(metrics, name):
+    """The ``_count`` sample of histogram ``name`` in a Prometheus text."""
+    prefix = f"repro_{name}_count "
+    line = next(line for line in metrics.splitlines() if line.startswith(prefix))
+    return int(line[len(prefix):])
+
+
+class TestMemoryHits:
+    def test_repeat_hits_need_no_store_read(self, server):
+        submit = {"cmd": "submit", "scenario": scenario().to_dict(), "wait": True}
+        cold = _raw_request(server, submit)
+        spec_hash = json.loads(cold)["hash"]
+        metrics = server.metrics()
+        assert _count(metrics, "service_store_read_seconds") == 1  # the miss
+        assert _count(metrics, "service_store_write_seconds") == 1
+        for _ in range(3):
+            cached = _raw_request(server, submit)
+            assert json.loads(cached)["state"] == "cached"
+            assert _result_member(cached) == _result_member(cold)
+        fetched = _raw_request(server, {"cmd": "result", "hash": spec_hash})
+        assert _result_member(fetched) == _result_member(cold)
+        metrics = server.metrics()
+        assert _count(metrics, "service_store_read_seconds") == 1
+        assert _count(metrics, "service_store_write_seconds") == 1
+        assert _count(metrics, "service_request_submit_cached_seconds") == 3
+
+    def test_evicted_entry_is_no_result_then_runs_again(self, server, tmp_path):
+        document = scenario().to_dict()
+        cold = server.submit(document, wait=True)
+        store = store_module.ResultStore(tmp_path / "store")
+        assert store.gc(max_entries=0) == [cold["hash"]]
+        with pytest.raises(ServiceError, match="no result"):
+            server.result(cold["hash"])
+        again = server.submit(document, wait=True)
+        assert again["state"] == "done"
+        assert _comparable(again["result"]) == _comparable(cold["result"])
+        assert cold["hash"] in store
+        assert server.submit(document, wait=True)["state"] == "cached"
+
+
 class TestSweep:
     def test_sweep_rows_match_local_run_sweep(self, server):
         s = scenario()

@@ -6,7 +6,15 @@ import math
 import pytest
 
 from repro.errors import ScenarioError
-from repro.scenarios.specs import Scenario, SimulationSpec, TopologySpec
+from repro.scenarios.specs import (
+    AlgorithmSpec,
+    AttackSpec,
+    FeeSpec,
+    Scenario,
+    SimulationSpec,
+    TopologySpec,
+    WorkloadSpec,
+)
 from repro.service.hashing import (
     canonical_json,
     content_hash,
@@ -120,6 +128,85 @@ class TestScenarioContentHash:
     def test_module_function_matches_method(self):
         s = scenario()
         assert scenario_content_hash(s.to_dict()) == s.content_hash()
+
+
+#: Digests pinned before ``scenario_content_hash`` and ``point_hash``
+#: stopped normalising their input twice: a changed digest orphans every
+#: stored result, so the single pass must reproduce them exactly.
+PINNED_SCENARIOS = [
+    (
+        scenario(),
+        "87a743716095a388e9e5e7bba32d63e4334dd8025288ac6012c72038190d718f",
+    ),
+    (
+        Scenario(
+            name="pinned-ba",
+            seed=11,
+            topology=TopologySpec("ba", {"n": 20}),
+            workload=WorkloadSpec("poisson", {"zipf_s": 1.0}),
+            fee=FeeSpec("linear", {"base": 0.01, "rate": 0.001}),
+            algorithm=AlgorithmSpec("greedy", {"budget": 5.0, "lock": 1.0}),
+            simulation=SimulationSpec(horizon=10.0),
+        ),
+        "d2972efa4d94a758eee216f9aac1efe52307cde30b55f95eed67c2bef88b38d8",
+    ),
+    (
+        Scenario(
+            name="pinned-attack",
+            seed=3,
+            topology=TopologySpec("ba", {"n": 30}),
+            attack=AttackSpec("slow-jamming", {"budget": 50.0, "victim": "hub"}),
+            simulation=SimulationSpec(
+                horizon=5.0, payment_mode="htlc", htlc_hold_mean=0.25
+            ),
+        ),
+        "5940a96c17dd80ef6dde3870c43af63bd337260a6a0282dd4768d22c8ca1c26b",
+    ),
+]
+
+
+class TestPinnedDigests:
+    @pytest.mark.parametrize(
+        "spec, digest", PINNED_SCENARIOS,
+        ids=[spec.name for spec, _ in PINNED_SCENARIOS],
+    )
+    def test_scenario_digest(self, spec, digest):
+        assert scenario_content_hash(spec.to_dict()) == digest
+
+    @pytest.mark.parametrize("namespace, point, digest", [
+        (
+            "e",
+            {"n": 10, "m": 2.0},
+            "e76a3b0f5bf93d287bd92e2d6a377fd1ae0e44dd624f459c844218e031f97f18",
+        ),
+        (
+            "countermeasures/v1",
+            {"rate": 0.25, "policy": "upfront", "seeds": [1, 2]},
+            "c5ea7f54ce7a35c0c26e306c330d5e688c19337e6606bf35f45145222d79f403",
+        ),
+    ], ids=["numeric-point", "list-point"])
+    def test_point_digest(self, namespace, point, digest):
+        assert point_hash(namespace, point) == digest
+
+    def test_nested_non_finite_error_text(self):
+        document = {
+            "name": "x",
+            "topology": {"kind": "ba", "params": {"w": [1.0, float("inf")]}},
+        }
+        with pytest.raises(ScenarioError) as excinfo:
+            scenario_content_hash(document)
+        assert str(excinfo.value) == (
+            "non-finite float inf at document.topology.params.w[1] "
+            "has no canonical JSON form"
+        )
+
+    def test_point_error_text_names_the_point(self):
+        with pytest.raises(ScenarioError) as excinfo:
+            point_hash("e", {"grid": {"x": [float("nan")]}})
+        assert str(excinfo.value) == (
+            "non-finite float nan at document.grid.x[0] "
+            "has no canonical JSON form"
+        )
 
 
 class TestVersionSalting:

@@ -9,11 +9,15 @@ injected, so scenarios never actually run here.
 import asyncio
 import gc
 import logging
+import os
+import pathlib
 import time
 from concurrent.futures.process import BrokenProcessPool
+from types import SimpleNamespace
 
 import pytest
 
+import repro.service.store as store_module
 from repro.errors import ServiceError
 from repro.scenarios.specs import Scenario, TopologySpec
 from repro.service.hashing import scenario_content_hash
@@ -180,6 +184,144 @@ class TestFailureAndRetry:
             job = mgr.submit(doc())  # not deduped onto the failed job
             assert await job.result() is not None
             assert job.state == "done"
+            await mgr.close()
+
+        asyncio.run(main())
+
+
+def store_counts(mgr):
+    """(verified store reads, store writes) the manager has timed."""
+    registry = mgr.registry
+    return (
+        registry.histogram("service.store_read_seconds").count,
+        registry.histogram("service.store_write_seconds").count,
+    )
+
+
+class TestMemoryHits:
+    """A hash whose last job finished serves that job's text while the
+    store entry keeps the stamp the manager recorded; any other entry is
+    read and verified again."""
+
+    def test_repeat_hits_serve_the_cold_text_without_store_reads(
+        self, tmp_path
+    ):
+        async def main():
+            mgr = manager(tmp_path)
+            cold = mgr.submit(doc())
+            cold_text = await cold.result_text()
+            assert cold.state == "done"
+            assert store_counts(mgr) == (1, 1)  # the miss, then the write
+            for _ in range(3):
+                job = mgr.submit(doc())
+                assert job.state == "cached"
+                assert await job.result_text() == cold_text
+            assert mgr.stored_text(cold.spec_hash) == cold_text
+            assert mgr.store.get_text(cold.spec_hash) == cold_text
+            assert store_counts(mgr) == (1, 1)
+            await mgr.close()
+
+        asyncio.run(main())
+
+    def test_memory_hit_neither_reads_nor_hashes_the_entry(
+        self, tmp_path, monkeypatch
+    ):
+        async def main():
+            mgr = manager(tmp_path)
+            cold_text = await mgr.submit(doc()).result_text()
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("a memory hit touched the payload")
+
+            monkeypatch.setattr(pathlib.Path, "read_bytes", refuse)
+            monkeypatch.setattr(pathlib.Path, "open", refuse)
+            monkeypatch.setattr(
+                store_module, "hashlib", SimpleNamespace(sha256=refuse)
+            )
+            job = mgr.submit(doc())
+            assert job.state == "cached"
+            assert await job.result_text() == cold_text
+            monkeypatch.undo()
+            await mgr.close()
+
+        asyncio.run(main())
+
+    def test_memory_hit_freshens_the_lru_rank(self, tmp_path):
+        async def main():
+            mgr = manager(tmp_path)
+            old = mgr.submit(doc(seed=1))
+            await old.result()
+            new = mgr.submit(doc(seed=2))
+            await new.result()
+            assert mgr.submit(doc(seed=1)).state == "cached"
+            assert store_counts(mgr) == (2, 2)  # a memory hit
+            # The hit moved the older entry's mtime past the newer one's.
+            assert mgr.store.gc(max_entries=1) == [new.spec_hash]
+            assert mgr.submit(doc(seed=1)).state == "cached"
+            assert store_counts(mgr) == (2, 2)
+            await mgr.close()
+
+        asyncio.run(main())
+
+    def _recomputed_after(self, tmp_path, tamper):
+        """Cold submit, ``tamper(path)``, resubmit: the resubmission must
+        run again to ``done`` and leave one quarantined entry."""
+        calls = []
+
+        def execute(document):
+            calls.append(document["seed"])
+            return fake_execute(document)
+
+        async def main():
+            mgr = manager(tmp_path, execute=execute)
+            cold = mgr.submit(doc())
+            cold_text = await cold.result_text()
+            tamper(mgr.store.path_for(cold.spec_hash))
+            job = mgr.submit(doc())
+            assert job.state != "cached"
+            assert await job.result_text() == cold_text
+            assert job.state == "done"
+            assert mgr.store.stats().quarantined == 1
+            assert mgr.store.get_text(cold.spec_hash) == cold_text
+            await mgr.close()
+
+        asyncio.run(main())
+        assert calls == [7, 7]
+
+    def test_entry_replaced_by_os_replace_is_recomputed(self, tmp_path):
+        def replace(path):
+            forged = path.with_name("forged.tmp")
+            forged.write_bytes(path.read_bytes().replace(b'"seed":7', b'"seed":8'))
+            os.replace(forged, path)
+
+        self._recomputed_after(tmp_path, replace)
+
+    def test_same_size_rewrite_in_place_is_recomputed(self, tmp_path):
+        def rewrite(path):
+            before = path.stat()
+            raw = path.read_bytes()
+            with path.open("r+b") as handle:
+                handle.write(raw.replace(b'"seed":7', b'"seed":8'))
+            # Set a distinct mtime: a rewrite within one tick of the
+            # kernel's coarse clock could otherwise keep the old one.
+            os.utime(path, ns=(before.st_mtime_ns + 1, before.st_mtime_ns + 1))
+            after = path.stat()
+            assert (after.st_ino, after.st_size) == (before.st_ino, before.st_size)
+
+        self._recomputed_after(tmp_path, rewrite)
+
+    def test_evicted_entry_reads_none_then_runs_again(self, tmp_path):
+        async def main():
+            mgr = manager(tmp_path)
+            cold = mgr.submit(doc())
+            cold_text = await cold.result_text()
+            assert mgr.store.gc(max_entries=0) == [cold.spec_hash]
+            assert mgr.stored_text(cold.spec_hash) is None
+            job = mgr.submit(doc())
+            assert await job.result_text() == cold_text
+            assert job.state == "done"
+            assert mgr.store.get_text(cold.spec_hash) == cold_text
+            assert mgr.submit(doc()).state == "cached"
             await mgr.close()
 
         asyncio.run(main())

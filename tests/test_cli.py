@@ -177,6 +177,21 @@ class TestJoin:
         assert code == 0
         assert "[greedy]" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", [
+        ["join", "--budget", "3"],
+        ["simulate", "--horizon", "2"],
+        ["estimate", "--samples", "50"],
+    ])
+    def test_missing_snapshot_is_one_error_line(self, tmp_path, capsys,
+                                                 command):
+        missing = tmp_path / "missing.json"
+        assert main(command + ["--snapshot", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert str(missing) in err
+        assert "Traceback" not in err
+
     def test_continuous_join(self, capsys):
         code = main(
             ["join", "--nodes", "8", "--budget", "3",
