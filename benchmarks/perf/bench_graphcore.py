@@ -33,16 +33,14 @@ import time
 from collections import deque
 from typing import Callable, Dict, Hashable, List
 
+import numpy as np
+
 from repro import __version__
 from repro.core.algorithms.greedy import greedy_fixed_funds
 from repro.core.fees_paid import expected_fees
 from repro.core.revenue import expected_revenue
 from repro.core.utility import JoiningUserModel
-from repro.network.betweenness import (
-    BetweennessResult,
-    pair_weighted_betweenness,
-    uniform_pair_weight,
-)
+from repro.network.betweenness import BetweennessResult, pair_weighted_betweenness
 from repro.params import ModelParameters
 from repro.snapshots import barabasi_albert_snapshot
 
@@ -80,10 +78,22 @@ class ReferenceModel(JoiningUserModel):
     def expected_revenue(self, strategy):
         if self.revenue_mode == "fixed-rate":
             return super().expected_revenue(strategy)
+        view = self._augmented(strategy)
         return expected_revenue(
-            self._augmented(strategy), self.new_user,
-            self._pair_weight, self.params.fee_avg,
+            view, self.new_user, self._weights_on(view), self.params.fee_avg
         )
+
+    def _weights_on(self, view):
+        """``N_s * p_trans(s, r)`` on ``view``'s node order; the joining
+        user sends and receives nothing."""
+        index, table = self._view.node_index, self._pair_weights()
+        return np.array([
+            [
+                table[index[s], index[r]] if s in index and r in index else 0.0
+                for r in view.nodes
+            ]
+            for s in view.nodes
+        ])
 
     def expected_fees(self, strategy):
         return expected_fees(
@@ -119,11 +129,9 @@ def _bfs_shortest_paths(graph, source):
     return order, preds, sigma, dist
 
 
-def dict_brandes(
-    graph, pair_weight=uniform_pair_weight, sources=None
-) -> BetweennessResult:
-    """The original dict-of-dict pair-weighted Brandes pass over an
-    ``nx.DiGraph``: the "old" side of the betweenness rows."""
+def dict_brandes(graph, sources=None) -> BetweennessResult:
+    """The original dict-of-dict Brandes pass over an ``nx.DiGraph``,
+    every pair weighted 1: the "old" side of the betweenness rows."""
     node_acc: Dict[Hashable, float] = {v: 0.0 for v in graph.nodes}
     edge_acc: Dict[tuple, float] = {}
     if sources is None:
@@ -132,13 +140,12 @@ def dict_brandes(
         if s not in graph:
             continue
         order, preds, sigma, _dist = _bfs_shortest_paths(graph, s)
-        # Brandes' accumulation, with the classic "+1" per reached target
-        # replaced by "+w(s, target)".
+        # Brandes' accumulation with the classic "+1" per reached target.
         delta: Dict[Hashable, float] = {v: 0.0 for v in order}
         for w in reversed(order):
             if w == s:
                 continue
-            coeff = (pair_weight(s, w) + delta[w]) / sigma[w]
+            coeff = (1.0 + delta[w]) / sigma[w]
             for v in preds[w]:
                 contribution = sigma[v] * coeff
                 if contribution != 0.0:

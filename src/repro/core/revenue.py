@@ -15,7 +15,9 @@ and is tested against them.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, Optional
+from typing import Dict, Hashable, Iterable, Optional
+
+import numpy as np
 
 from ..network.betweenness import pair_weighted_betweenness
 from ..network.views import GraphView
@@ -25,31 +27,32 @@ __all__ = ["expected_revenue", "revenue_profile"]
 
 def revenue_profile(
     view: GraphView,
-    pair_weight: Callable[[Hashable, Hashable], float],
+    weights: np.ndarray,
     fee_avg: float,
     sources: Optional[Iterable[Hashable]] = None,
 ) -> Dict[Hashable, float]:
-    """Expected revenue of *every* node under ``pair_weight`` traffic.
+    """Expected revenue of *every* node under ``weights`` traffic.
 
     ``view`` is the (possibly reduced) directed
     :class:`~repro.network.views.GraphView` the Brandes pass runs on.
-    ``pair_weight(s, r)`` should already fold in the sender rate, e.g.
+    ``weights[i, j]`` weighs the pair ``(view.nodes[i], view.nodes[j])``
+    and should already fold in the sender rate, e.g.
     ``N_s * p_trans(s, r)``.
     """
-    result = pair_weighted_betweenness(view, pair_weight, sources=sources)
+    result = pair_weighted_betweenness(view, weights, sources=sources)
     return {node: fee_avg * value for node, value in result.node.items()}
 
 
 def expected_revenue(
     view: GraphView,
     user: Hashable,
-    pair_weight: Callable[[Hashable, Hashable], float],
+    weights: np.ndarray,
     fee_avg: float,
     sources: Optional[Iterable[Hashable]] = None,
 ) -> float:
     """``E_rev(user)``; see :func:`revenue_profile`."""
     if user not in view:
         return 0.0
-    return revenue_profile(view, pair_weight, fee_avg, sources=sources).get(
+    return revenue_profile(view, weights, fee_avg, sources=sources).get(
         user, 0.0
     )

@@ -464,13 +464,6 @@ class JoiningUserModel:
 
     # -- utility components --------------------------------------------------------
 
-    def _pair_weight(self, sender: Hashable, receiver: Hashable) -> float:
-        index = self._view.node_index
-        s, r = index.get(sender), index.get(receiver)
-        if s is None or r is None:
-            return 0.0
-        return self._pair_weights().item(s, r)
-
     def _estimate_fixed_rates(self) -> Dict[Hashable, float]:
         """``λ̂(v)``: rate on the directed edge ``u -> v`` when ``u`` is
         connected to every existing node (the fixed-λ estimate)."""
@@ -485,11 +478,14 @@ class JoiningUserModel:
         sources = [
             v for v in self.base_graph.nodes if self._sender_rates.get(v, 0) > 0
         ]
+        # W on the augmented view's node order; the new user (padding
+        # index n) sends and receives nothing.
+        n = self._view.num_nodes
+        order = [self._view.node_index.get(v, n) for v in view.nodes]
+        weights = np.pad(self._pair_weights(), (0, 1))[np.ix_(order, order)]
         from ..network.betweenness import pair_weighted_betweenness
 
-        profile = pair_weighted_betweenness(
-            view, self._pair_weight, sources=sources
-        )
+        profile = pair_weighted_betweenness(view, weights, sources=sources)
         self._fixed_rates = {
             peer: profile.edge_value(self.new_user, peer)
             for peer in self.base_graph.nodes

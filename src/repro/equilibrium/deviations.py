@@ -20,6 +20,7 @@ from typing import FrozenSet, Hashable, Iterator, List, Optional
 
 import numpy as np
 
+from ..determinism import resolve_seed
 from ..errors import InvalidParameter, NodeNotFound
 from ..network.graph import ChannelGraph
 
@@ -94,7 +95,7 @@ def structured_deviations(
     max_add_enumerated: int = 2,
     max_remove_enumerated: int = 2,
     samples_per_size: int = 2,
-    seed: Optional[int] = None,
+    seed: Optional[int] = 0,
 ) -> List[Deviation]:
     """The deviation family used by the Section IV proofs.
 
@@ -107,10 +108,12 @@ def structured_deviations(
       subset — exact for vertex-transitive positions like star leaves;
     * the cross products "remove X and add Y" for the enumerated cores,
       covering the rewire classes (e.g. drop the hub, connect to leaves).
+
+    ``seed=None`` draws a logged seed (:func:`~repro.determinism.resolve_seed`).
     """
     if node not in graph:
         raise NodeNotFound(node)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(resolve_seed(seed))
     neighbors = sorted(graph.neighbors(node), key=str)
     non_neighbors = sorted(
         (v for v in graph.nodes if v != node and not graph.has_channel(node, v)),
@@ -146,7 +149,7 @@ def sampled_deviations(
     graph: ChannelGraph,
     node: Hashable,
     moves: int = 8,
-    seed: Optional[int] = None,
+    seed: Optional[int] = 0,
 ) -> List[Deviation]:
     """A bounded random family of single-channel moves for large graphs.
 
@@ -156,14 +159,14 @@ def sampled_deviations(
     family instead draws at most ``moves`` deviations from the three
     one-channel move classes (add one, remove one, swap one for one),
     split as evenly as the candidate pools allow. Deterministic for a
-    given ``seed``; deduplicated; may return fewer than ``moves`` when
-    the pools are small.
+    given ``seed`` (``None`` draws a logged one); deduplicated; may
+    return fewer than ``moves`` when the pools are small.
     """
     if node not in graph:
         raise NodeNotFound(node)
     if moves < 1:
         raise InvalidParameter(f"moves must be >= 1, got {moves}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(resolve_seed(seed))
     neighbors = sorted(graph.neighbors(node), key=str)
     non_neighbors = sorted(
         (v for v in graph.nodes if v != node and not graph.has_channel(node, v)),

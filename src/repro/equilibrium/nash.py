@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
-from ..determinism import ordered_sum
+from ..determinism import ordered_sum, resolve_seed
 from ..errors import InvalidParameter
 from ..network.graph import ChannelGraph
 from .deviations import (
@@ -78,7 +78,7 @@ def _deviation_family(
     graph: ChannelGraph,
     node: Hashable,
     mode: str,
-    seed: Optional[int],
+    seed: int,
 ) -> Sequence[Deviation]:
     if mode == "structured":
         return structured_deviations(graph, node, seed=seed)
@@ -98,7 +98,7 @@ def best_response(
     mode: str = "structured",
     tolerance: float = 1e-9,
     balance: float = 1.0,
-    seed: Optional[int] = None,
+    seed: Optional[int] = 0,
     deviations: Optional[Sequence[Deviation]] = None,
 ) -> NodeBestResponse:
     """Best deviation for ``node`` within the chosen family.
@@ -109,13 +109,14 @@ def best_response(
     method — the analytic :class:`NetworkGameModel` or an empirical
     provider from :mod:`repro.evolution.utility`. An explicit
     ``deviations`` sequence overrides the ``mode`` family (used by the
-    evolution engine to enforce per-node move budgets).
+    evolution engine to enforce per-node move budgets). ``seed=None``
+    draws a logged seed (:func:`~repro.determinism.resolve_seed`).
     """
     base = model.node_utility(graph, node)
     best_utility = base
     best_deviation: Optional[Deviation] = None
     if deviations is None:
-        deviations = _deviation_family(graph, node, mode, seed)
+        deviations = _deviation_family(graph, node, mode, resolve_seed(seed))
     for deviation in deviations:
         deviated = apply_deviation(graph, node, deviation, balance=balance)
         utility = model.node_utility(deviated, node)
@@ -136,14 +137,16 @@ def check_nash(
     mode: str = "structured",
     tolerance: float = 1e-9,
     balance: float = 1.0,
-    seed: Optional[int] = None,
+    seed: Optional[int] = 0,
     nodes: Optional[Sequence[Hashable]] = None,
 ) -> NashReport:
     """Check stability of ``graph`` against the deviation family.
 
     ``nodes`` restricts the check (e.g. one leaf + the center exploits the
-    star's symmetry); default checks every node.
+    star's symmetry); default checks every node. ``seed=None`` draws one
+    logged seed for every node's family.
     """
+    seed = resolve_seed(seed)
     responses = {
         node: best_response(
             graph, node, model, mode=mode, tolerance=tolerance,
@@ -198,7 +201,7 @@ def best_response_dynamics(
     mode: str = "structured",
     tolerance: float = 1e-9,
     balance: float = 1.0,
-    seed: Optional[int] = None,
+    seed: Optional[int] = 0,
 ) -> DynamicsOutcome:
     """Iterate best responses until no node improves (or ``max_rounds``).
 
@@ -207,7 +210,9 @@ def best_response_dynamics(
     nodes in canonical order and applies the first strictly improving best
     response found; NP-hardness of exact dynamics (Thm 2 of [19]) means
     this is a heuristic exploration tool, not a decision procedure.
+    ``seed`` is resolved as in :func:`check_nash`.
     """
+    seed = resolve_seed(seed)
     current = graph.copy()
     rounds: List[Tuple[DynamicsMove, ...]] = []
     for round_index in range(max_rounds):

@@ -77,18 +77,14 @@ class NetworkGameModel:
         if node not in graph:
             raise NodeNotFound(node)
         digraph = graph.view(directed=True)
-        index = digraph.node_index
-        probs = ModifiedZipf(graph, s=self.zipf_s).pair_probabilities(
+        weights = self.b * ModifiedZipf(graph, s=self.zipf_s).pair_probabilities(
             digraph.nodes
-        ).tolist()
-
-        def weight(s: Hashable, r: Hashable) -> float:
-            if s == node or r == node:
-                return 0.0
-            return self.b * probs[index[s]][index[r]]
-
+        )
+        i = digraph.node_index[node]
+        weights[i, :] = 0.0
+        weights[:, i] = 0.0
         sources = [v for v in graph.nodes if v != node]
-        result = pair_weighted_betweenness(digraph, weight, sources=sources)
+        result = pair_weighted_betweenness(digraph, weights, sources=sources)
         return result.node_value(node)
 
     def fees(self, graph: ChannelGraph, node: Hashable) -> float:

@@ -7,7 +7,6 @@ from .betweenness import (
     betweenness_arrays,
     pair_weighted_betweenness,
     pair_weighted_betweenness_exact,
-    uniform_pair_weight,
 )
 from .views import (
     GraphView,
@@ -54,5 +53,4 @@ __all__ = [
     "PiecewiseLinearFee",
     "pair_weighted_betweenness",
     "pair_weighted_betweenness_exact",
-    "uniform_pair_weight",
 ]

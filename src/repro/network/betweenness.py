@@ -16,7 +16,7 @@ Classic betweenness weights every pair equally, so we implement:
 
 * :func:`pair_weighted_betweenness` — a generalisation of Brandes'
   accumulation in which the dependency seeded at each target ``r`` is an
-  arbitrary weight ``w(s, r)`` rather than 1. One BFS per source, i.e.
+  arbitrary weight ``W[s, r]`` rather than 1. One BFS per source, i.e.
   ``O(n * m)`` for unweighted graphs — the paper's "efficient O(n^2)
   estimation" for sparse graphs — or, on small graphs, one dense pass
   over all sources at once.
@@ -24,7 +24,10 @@ Classic betweenness weights every pair equally, so we implement:
   shortest paths per pair. Exponentially slower; used as the ground-truth
   cross-check in tests and bench E11.
 
-Both take a :class:`~repro.network.views.GraphView` CSR snapshot. Below
+Both take a :class:`~repro.network.views.GraphView` CSR snapshot and one
+``float[n, n]`` array: ``weights[i, j]`` weighs the pair ``(view.nodes[i],
+view.nodes[j])``, and ``None`` weighs every pair 1. No pass calls back
+into python per pair. Below
 ``SMALL_GRAPH_NODES`` nodes, :func:`betweenness_arrays` sweeps every
 source at once, level by level, on the view's cached hop-distance and
 path-count tables (:func:`~repro.network.views.all_pairs_paths`): ~3 ms
@@ -40,10 +43,11 @@ tables, see :mod:`repro.core.utility`).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..errors import InvalidParameter
 from .views import (
     SMALL_GRAPH_NODES,
     GraphView,
@@ -57,16 +61,24 @@ __all__ = [
     "betweenness_arrays",
     "pair_weighted_betweenness",
     "pair_weighted_betweenness_exact",
-    "uniform_pair_weight",
 ]
 
-PairWeight = Callable[[Hashable, Hashable], float]
 Edge = Tuple[Hashable, Hashable]
 
 
-def uniform_pair_weight(_s: Hashable, _r: Hashable) -> float:
-    """Weight function that reduces everything to classic betweenness."""
-    return 1.0
+def _checked_weights(view: GraphView, weights: Optional[np.ndarray]) -> np.ndarray:
+    """``weights`` checked against ``view``; read-only ones for ``None``."""
+    n = view.num_nodes
+    if weights is None:
+        return np.broadcast_to(1.0, (n, n))
+    shape = getattr(weights, "shape", None)
+    if shape != (n, n) or weights.dtype.kind != "f":
+        got = getattr(weights, "dtype", type(weights).__name__)
+        raise InvalidParameter(
+            f"weights must be a float array of shape ({n}, {n}), "
+            f"got {got} of shape {shape}"
+        )
+    return weights
 
 
 class BetweennessResult:
@@ -74,7 +86,7 @@ class BetweennessResult:
 
     Attributes:
         node: ``node -> sum over pairs (s, r) with s, r != node of
-        m_node(s,r)/m(s,r) * w(s, r)`` (intermediary traffic through node).
+        m_node(s,r)/m(s,r) * W[s, r]`` (intermediary traffic through node).
         edge: ``(src, dst) -> p_e`` as in Eq. 2 (endpoint hops included).
     """
 
@@ -125,28 +137,27 @@ class BetweennessArrays:
 
 def betweenness_arrays(
     view: GraphView,
-    pair_weight: PairWeight = uniform_pair_weight,
+    weights: Optional[np.ndarray] = None,
     sources: Optional[Iterable[Hashable]] = None,
 ) -> BetweennessArrays:
     """Brandes' accumulation with per-pair weights: the dense pass below
-    ``SMALL_GRAPH_NODES`` nodes, one CSR pass per source from there up."""
+    ``SMALL_GRAPH_NODES`` nodes, one CSR pass per source from there up.
+    Raises :class:`~repro.errors.InvalidParameter` for ``weights`` that
+    are not a float ``(n, n)`` array."""
+    weights = _checked_weights(view, weights)
     if sources is None:
         source_indices: Sequence[int] = range(view.num_nodes)
     else:
         source_indices = [
             view.node_index[s] for s in sources if s in view.node_index
         ]
-    uniform = pair_weight is uniform_pair_weight
     if view.num_nodes < SMALL_GRAPH_NODES:
-        return _dense_betweenness(view, pair_weight, source_indices, uniform)
-    return _csr_betweenness(view, pair_weight, source_indices, uniform)
+        return _dense_betweenness(view, weights, source_indices)
+    return _csr_betweenness(view, weights, source_indices)
 
 
 def _dense_betweenness(
-    view: GraphView,
-    pair_weight: PairWeight,
-    source_indices: Sequence[int],
-    uniform: bool,
+    view: GraphView, weights: np.ndarray, source_indices: Sequence[int]
 ) -> BetweennessArrays:
     """Every source's backward sweep at once, on ``(D, Σ)`` of
     :func:`~repro.network.views.all_pairs_paths`.
@@ -158,8 +169,8 @@ def _dense_betweenness(
     and ``S += [D=k−1]·(c_k Aᵀ)`` hands it to the parents one level up.
     Entry ``v -> w`` then carries ``Σ[s, v]·c[s, w]`` from every source
     for which it is a DAG edge (``D[s, w] = D[s, v] + 1``). ``W`` is
-    ``w(s, t)`` on the reached pairs (one call each, in row order) and
-    zero elsewhere.
+    the source's row of ``weights`` on the reached pairs and zero
+    elsewhere.
     """
     n = view.num_nodes
     rows = np.asarray(source_indices, dtype=np.int64)
@@ -168,23 +179,14 @@ def _dense_betweenness(
     sources = np.arange(rows.size)
     reached = dist < np.inf
     reached[sources, rows] = False
-    if uniform:
-        weights = reached.astype(np.float64)
-    else:
-        weights = np.zeros(dist.shape)
-        nodes = view.nodes
-        cells = np.nonzero(reached)
-        weights[cells] = [
-            pair_weight(nodes[s], nodes[t])
-            for s, t in zip(rows[cells[0]].tolist(), cells[1].tolist())
-        ]
+    pair = np.where(reached, weights[rows], 0.0)
     entry_rows, targets = view.entry_rows(), view.indices
     # flow[w, v] = 1 for each entry v -> w, so (c @ flow)[s, v] adds up
     # c over v's successors.
     flow = np.zeros((n, n))
     flow[targets, entry_rows] = 1.0
     # Unreached cells have no weight; dividing them by one keeps them 0.
-    seed = weights / np.where(sigma > 0, sigma, 1.0)
+    seed = pair / np.where(sigma > 0, sigma, 1.0)
     below = np.zeros(dist.shape)
     depth = int(dist[reached].max()) if reached.any() else 0
     at_level = dist == depth
@@ -202,36 +204,26 @@ def _dense_betweenness(
 
 
 def _csr_betweenness(
-    view: GraphView,
-    pair_weight: PairWeight,
-    source_indices: Sequence[int],
-    uniform: bool,
+    view: GraphView, weights: np.ndarray, source_indices: Sequence[int]
 ) -> BetweennessArrays:
     """One source at a time over the CSR arrays: for each BFS level
-    (deepest first), ``(w(s, t) + delta[t]) / sigma[t]`` for every tree
+    (deepest first), ``(W[s, t] + delta[t]) / sigma[t]`` for every tree
     edge at once, scattered into the per-entry and per-node sums."""
     n = view.num_nodes
     node_acc = np.zeros(n, dtype=np.float64)
     edge_acc = np.zeros(view.num_entries, dtype=np.float64)
     delta = np.zeros(n, dtype=np.float64)
-    weights = np.ones(n, dtype=np.float64) if uniform else np.zeros(n)
     for s in source_indices:
         tree = bfs_shortest_path_tree(view, s)
         if not tree.levels:
             continue
-        if not uniform:
-            s_label = view.nodes[s]
-            # Weights are only consumed at reached targets; unreached
-            # entries may stay zero.
-            weights[:] = 0.0
-            for t in np.nonzero(tree.dist >= 0)[0]:
-                if t != s:
-                    weights[t] = pair_weight(s_label, view.nodes[t])
+        # Only reached targets other than s are read from the row.
+        pair = weights[s]
         delta[:] = 0.0
         sigma = tree.sigma
         for entries, srcs, targets in reversed(tree.levels):
             contrib = (
-                sigma[srcs] * (weights[targets] + delta[targets]) / sigma[targets]
+                sigma[srcs] * (pair[targets] + delta[targets]) / sigma[targets]
             )
             # A CSR entry is a tree edge of exactly one level and appears
             # once in it, so plain fancy-index += is a safe scatter here;
@@ -245,7 +237,7 @@ def _csr_betweenness(
 
 def pair_weighted_betweenness(
     view: GraphView,
-    pair_weight: PairWeight = uniform_pair_weight,
+    weights: Optional[np.ndarray] = None,
     sources: Optional[Iterable[Hashable]] = None,
 ) -> BetweennessResult:
     """Brandes' algorithm with per-pair dependency weights.
@@ -254,8 +246,10 @@ def pair_weighted_betweenness(
         view: the CSR snapshot to accumulate over (typically
             ``graph.view(directed=True)`` or a reduced view); shortest
             paths are hop counts.
-        pair_weight: ``w(s, r)`` — the weight each ordered pair contributes
-            (e.g. ``N_s * p_trans(s, r)`` for transaction rates).
+        weights: ``float[n, n]``; ``weights[i, j]`` is the weight the
+            ordered pair ``(view.nodes[i], view.nodes[j])`` contributes
+            (e.g. ``N_s * p_trans(s, r)`` for transaction rates). ``None``
+            weighs every pair 1.
         sources: restrict the outer loop to these sources (defaults to all
             nodes). Restricting is how callers compute "traffic sent by a
             single node" cheaply.
@@ -264,23 +258,26 @@ def pair_weighted_betweenness(
         :class:`BetweennessResult` with node (intermediary-only) and edge
         accumulations: :func:`betweenness_arrays` keyed by node labels.
     """
-    return betweenness_arrays(view, pair_weight, sources=sources).to_result()
+    return betweenness_arrays(view, weights, sources=sources).to_result()
 
 
 def pair_weighted_betweenness_exact(
     view: GraphView,
-    pair_weight: PairWeight = uniform_pair_weight,
+    weights: Optional[np.ndarray] = None,
 ) -> BetweennessResult:
     """Ground-truth Eq. 2 by explicit shortest-path enumeration.
 
     Enumerates every shortest path of every ordered pair with
     ``networkx.all_shortest_paths`` on ``view.to_networkx()`` and
-    accumulates fractional traffic. Exponential in the worst case; only
+    accumulates fractional traffic; ``weights`` is read as in
+    :func:`pair_weighted_betweenness`. Exponential in the worst case; only
     for small graphs (tests, cross-validation benches). Imports networkx
     when called.
     """
     import networkx as nx
 
+    weights = _checked_weights(view, weights)
+    index = view.node_index
     graph = view.to_networkx()
     node_acc: Dict[Hashable, float] = {v: 0.0 for v in graph.nodes}
     edge_acc: Dict[Edge, float] = {}
@@ -292,7 +289,7 @@ def pair_weighted_betweenness_exact(
                 paths = list(nx.all_shortest_paths(graph, s, r))
             except nx.NetworkXNoPath:
                 continue
-            weight = pair_weight(s, r)
+            weight = weights.item(index[s], index[r])
             if weight == 0.0 or not paths:
                 continue
             share = weight / len(paths)

@@ -20,10 +20,12 @@ Design invariants:
 
 * **Atomic writes** — every entry is written to a same-directory temp
   file and published with ``os.replace``, so readers never observe a
-  partial entry and concurrent writers of the same key are safe (the
-  results are deterministic, so last-writer-wins is also
-  content-identical). This file is the *only* module allowed to open
-  store paths for writing — reprolint rule RPR008 enforces it.
+  partial entry and concurrent writers of the same key are safe: the
+  last writer wins with a checksummed, self-consistent entry. Its bytes
+  may differ from an earlier writer's (results embed process-global
+  ``chan-N`` ids), e.g. on a recompute after ``gc``. This file is the
+  *only* module allowed to open store paths for writing — reprolint rule
+  RPR008 enforces it.
 * **Verified reads** — :meth:`ResultStore.get_text` hashes exactly the
   payload bytes it serves and never parses or re-encodes them; an entry
   that fails the header or checksum check (v1 entries, one JSON object

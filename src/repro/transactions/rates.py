@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Mapping, Optional, Tuple
 
+import numpy as np
+
 from ..determinism import ordered_sum
 from ..network.betweenness import (
     BetweennessResult,
@@ -36,15 +38,6 @@ __all__ = [
 ]
 
 Edge = Tuple[Hashable, Hashable]
-
-
-def _pair_weight(
-    distribution: TransactionDistribution,
-    per_sender_rates: Optional[Mapping[Hashable, float]],
-):
-    if per_sender_rates is None:
-        return lambda s, r: distribution.probability(s, r)
-    return lambda s, r: per_sender_rates.get(s, 0.0) * distribution.probability(s, r)
 
 
 def traffic_profile(
@@ -65,10 +58,13 @@ def traffic_profile(
             weighted-Brandes pass (slow; for cross-checking).
     """
     view = graph.view(directed=True, reduced=amount)
-    weight = _pair_weight(distribution, per_sender_rates)
+    weights = distribution.pair_probabilities(view.nodes)
+    if per_sender_rates is not None:
+        rates = [per_sender_rates.get(s, 0.0) for s in view.nodes]
+        weights *= np.array(rates)[:, None]
     if exact:
-        return pair_weighted_betweenness_exact(view, weight)
-    return pair_weighted_betweenness(view, weight)
+        return pair_weighted_betweenness_exact(view, weights)
+    return pair_weighted_betweenness(view, weights)
 
 
 def edge_probabilities(

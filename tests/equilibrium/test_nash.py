@@ -1,8 +1,11 @@
 """Tests for NE checking — reproduces Theorems 7, 9, 10, 11 in miniature."""
 
+import logging
+
 import pytest
 
 from repro.equilibrium.conditions import harmonic
+from repro.equilibrium.deviations import sampled_deviations, structured_deviations
 from repro.equilibrium.nash import (
     best_response,
     best_response_dynamics,
@@ -139,3 +142,67 @@ class TestReportsAndDynamics:
         }
         final_edges = {frozenset(c.endpoints) for c in final.channels}
         assert final_edges != original_edges
+
+
+def drawn_seeds(caplog):
+    """Seeds :func:`~repro.determinism.resolve_seed` drew and logged."""
+    return [
+        record.args[0] for record in caplog.records
+        if record.name == "repro.determinism"
+        and "no seed supplied" in record.getMessage()
+    ]
+
+
+class TestSeeding:
+    """Deviation families come from ``seed=0`` by default; an explicit
+    ``None`` draws one logged entropy seed per public call, and passing
+    that seed back replays the run."""
+
+    MODEL = NetworkGameModel(a=1.0, b=1.0, edge_cost=0.5, zipf_s=1.0)
+
+    @pytest.mark.parametrize("mode", ["structured", "sampled"])
+    def test_default_is_seed_zero_and_draws_nothing(self, mode, caplog):
+        with caplog.at_level(logging.WARNING, logger="repro.determinism"):
+            report = check_nash(path(6), self.MODEL, mode=mode)
+        assert drawn_seeds(caplog) == []
+        assert report == check_nash(path(6), self.MODEL, mode=mode, seed=0)
+
+    @pytest.mark.parametrize("mode", ["structured", "sampled"])
+    def test_check_nash_none_logs_one_seed_that_replays(self, mode, caplog):
+        with caplog.at_level(logging.WARNING, logger="repro.determinism"):
+            report = check_nash(path(6), self.MODEL, mode=mode, seed=None)
+        seeds = drawn_seeds(caplog)
+        assert len(seeds) == 1
+        replay = check_nash(path(6), self.MODEL, mode=mode, seed=seeds[0])
+        assert replay == report
+
+    def test_dynamics_none_logs_one_seed_that_replays(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="repro.determinism"):
+            outcome = best_response_dynamics(
+                path(5), self.MODEL, max_rounds=2, seed=None
+            )
+        seeds = drawn_seeds(caplog)
+        assert len(seeds) == 1
+        replay = best_response_dynamics(
+            path(5), self.MODEL, max_rounds=2, seed=seeds[0]
+        )
+        assert replay.moves == outcome.moves
+
+    def test_best_response_none_logs_one_seed(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="repro.determinism"):
+            response = best_response(path(6), "v000", self.MODEL, seed=None)
+        seeds = drawn_seeds(caplog)
+        assert len(seeds) == 1
+        assert best_response(
+            path(6), "v000", self.MODEL, seed=seeds[0]
+        ) == response
+
+    @pytest.mark.parametrize(
+        "family", [structured_deviations, sampled_deviations]
+    )
+    def test_families_default_to_seed_zero(self, family, caplog):
+        graph = path(8)
+        with caplog.at_level(logging.WARNING, logger="repro.determinism"):
+            drawn = family(graph, "v000")
+        assert drawn_seeds(caplog) == []
+        assert drawn == family(graph, "v000", seed=0)

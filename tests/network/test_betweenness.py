@@ -8,15 +8,17 @@ same edges.
 """
 
 import networkx as nx
+import numpy as np
 import pytest
 
+from repro.errors import InvalidParameter
 from repro.network.betweenness import (
+    betweenness_arrays,
     pair_weighted_betweenness,
     pair_weighted_betweenness_exact,
-    uniform_pair_weight,
 )
 from repro.network.graph import ChannelGraph
-from repro.network.views import GraphView
+from repro.network.views import SMALL_GRAPH_NODES, GraphView
 
 
 def directed_view(structure: nx.DiGraph) -> GraphView:
@@ -55,7 +57,7 @@ class TestAgainstNetworkx:
     )
     def test_node_betweenness_matches(self, maker):
         graph = maker()
-        ours = pair_weighted_betweenness(directed_view(graph), uniform_pair_weight)
+        ours = pair_weighted_betweenness(directed_view(graph))
         reference = nx.betweenness_centrality(graph, normalized=False)
         for node in graph.nodes:
             assert ours.node_value(node) == pytest.approx(
@@ -71,7 +73,7 @@ class TestAgainstNetworkx:
     )
     def test_edge_betweenness_matches(self, maker):
         graph = maker()
-        ours = pair_weighted_betweenness(directed_view(graph), uniform_pair_weight)
+        ours = pair_weighted_betweenness(directed_view(graph))
         reference = nx.edge_betweenness_centrality(graph, normalized=False)
         for edge, value in reference.items():
             assert ours.edge_value(*edge) == pytest.approx(value, abs=1e-9)
@@ -86,10 +88,12 @@ class TestExactCrossCheck:
             for r in graph.nodes
             if s != r
         }
-        weight_fn = lambda s, r: weights[(s, r)]
         view = directed_view(graph)
-        fast = pair_weighted_betweenness(view, weight_fn)
-        slow = pair_weighted_betweenness_exact(view, weight_fn)
+        table = np.array([
+            [weights.get((s, r), 0.0) for r in view.nodes] for s in view.nodes
+        ])
+        fast = pair_weighted_betweenness(view, table)
+        slow = pair_weighted_betweenness_exact(view, table)
         for node in graph.nodes:
             assert fast.node_value(node) == pytest.approx(
                 slow.node_value(node), abs=1e-9
@@ -103,7 +107,7 @@ class TestExactCrossCheck:
         for u, v in [(0, 1), (0, 2), (1, 3), (2, 3)]:
             graph.add_edge(u, v)
             graph.add_edge(v, u)
-        result = pair_weighted_betweenness(directed_view(graph), uniform_pair_weight)
+        result = pair_weighted_betweenness(directed_view(graph))
         # each middle node carries half of 0->3 and half of 3->0
         assert result.node_value(1) == pytest.approx(1.0)
         assert result.node_value(2) == pytest.approx(1.0)
@@ -112,29 +116,27 @@ class TestExactCrossCheck:
 class TestStructure:
     def test_endpoints_not_counted_as_intermediaries(self):
         view = directed_view(_line_digraph(3))  # 0-1-2
-        result = pair_weighted_betweenness(view, uniform_pair_weight)
+        result = pair_weighted_betweenness(view)
         assert result.node_value(0) == 0.0
         assert result.node_value(2) == 0.0
         assert result.node_value(1) == pytest.approx(2.0)  # 0->2 and 2->0
 
     def test_edge_values_include_endpoint_hops(self):
         view = directed_view(_line_digraph(2))  # single edge both ways
-        result = pair_weighted_betweenness(view, uniform_pair_weight)
+        result = pair_weighted_betweenness(view)
         assert result.edge_value(0, 1) == pytest.approx(1.0)
         assert result.edge_value(1, 0) == pytest.approx(1.0)
 
     def test_sources_restriction(self):
         view = directed_view(_line_digraph(4))
-        only_zero = pair_weighted_betweenness(
-            view, uniform_pair_weight, sources=[0]
-        )
+        only_zero = pair_weighted_betweenness(view, sources=[0])
         # only paths from 0: 0->2 passes 1; 0->3 passes 1,2
         assert only_zero.node_value(1) == pytest.approx(2.0)
         assert only_zero.node_value(2) == pytest.approx(1.0)
 
     def test_zero_weight_pairs_contribute_nothing(self):
         view = directed_view(_line_digraph(4))
-        result = pair_weighted_betweenness(view, lambda s, r: 0.0)
+        result = pair_weighted_betweenness(view, np.zeros((4, 4)))
         assert all(v == 0.0 for v in result.node.values())
         assert all(v == 0.0 for v in result.edge.values())
 
@@ -143,12 +145,48 @@ class TestStructure:
         graph.add_edge(0, 1)
         graph.add_edge(1, 0)
         graph.add_node(2)
-        result = pair_weighted_betweenness(directed_view(graph), uniform_pair_weight)
+        result = pair_weighted_betweenness(directed_view(graph))
         assert result.node_value(2) == 0.0
 
     def test_unknown_source_ignored(self):
         view = directed_view(_line_digraph(3))
-        result = pair_weighted_betweenness(
-            view, uniform_pair_weight, sources=["ghost", 0]
-        )
+        result = pair_weighted_betweenness(view, sources=["ghost", 0])
         assert result.node_value(1) == pytest.approx(1.0)
+
+
+class TestWeightsCheck:
+    """``weights`` must be a float ``(n, n)`` array on both passes."""
+
+    @pytest.fixture(params=["dense", "csr"])
+    def view(self, request):
+        n = 6 if request.param == "dense" else SMALL_GRAPH_NODES
+        return directed_view(_line_digraph(n))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: np.ones((n, 1)),
+            lambda n: np.ones((1, n)),
+            lambda n: np.ones(n),
+            lambda n: np.ones((n + 1, n + 1)),
+            lambda n: np.ones((n, n), dtype=np.int64),
+            lambda n: [[1.0] * n] * n,
+        ],
+        ids=["column", "row", "vector", "too-big", "int", "list"],
+    )
+    def test_bad_weights_raise_naming_the_shape(self, view, make):
+        n = view.num_nodes
+        with pytest.raises(InvalidParameter, match=rf"shape \({n}, {n}\)"):
+            betweenness_arrays(view, make(n))
+
+    def test_exact_oracle_checks_too(self):
+        view = directed_view(_line_digraph(4))
+        with pytest.raises(InvalidParameter, match=r"shape \(4, 4\)"):
+            pair_weighted_betweenness_exact(view, np.ones((4, 1)))
+
+    def test_ones_equal_no_weights(self, view):
+        n = view.num_nodes
+        weighted = betweenness_arrays(view, np.ones((n, n)))
+        uniform = betweenness_arrays(view)
+        assert np.array_equal(weighted.node_values, uniform.node_values)
+        assert np.array_equal(weighted.edge_values, uniform.edge_values)

@@ -9,6 +9,7 @@ or the shortest-path enumeration oracle, within 1e-9.
 import math
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.errors import InvalidParameter, ScenarioError
@@ -146,14 +147,14 @@ class TestBetweennessParity:
     def test_zipf_weights(self):
         for graph in random_graphs()[:4]:
             distribution = ModifiedZipf(graph, s=1.0)
-
-            def weight(s, r):
-                return distribution.probability(s, r)
-
             view = graph.view(directed=True)
+            weights = np.array([
+                [distribution.probability(s, r) for r in view.nodes]
+                for s in view.nodes
+            ])
             assert_results_match(
-                pair_weighted_betweenness(view, weight),
-                pair_weighted_betweenness_exact(view, weight),
+                pair_weighted_betweenness(view, weights),
+                pair_weighted_betweenness_exact(view, weights),
             )
 
     def test_restricted_sources(self):
@@ -163,7 +164,8 @@ class TestBetweennessParity:
         assert_results_match(
             pair_weighted_betweenness(view, sources=sources),
             pair_weighted_betweenness_exact(
-                view, lambda s, _r: 1.0 if s in sources else 0.0
+                view,
+                np.array([[float(s in sources)] * view.num_nodes for s in view.nodes]),
             ),
         )
 
@@ -488,10 +490,23 @@ class TestModelOracleParity:
                 return values
 
             def expected_revenue(self, strategy):
+                view = self._augmented(strategy)
                 return expected_revenue(
-                    self._augmented(strategy), self.new_user,
-                    self._pair_weight, self.params.fee_avg,
+                    view, self.new_user, self._weights_on(view),
+                    self.params.fee_avg,
                 )
+
+            def _weights_on(self, view):
+                # N_s * p_trans(s, r) by label; the joiner sends nothing.
+                index, table = self._view.node_index, self._pair_weights()
+                return np.array([
+                    [
+                        table[index[s], index[r]]
+                        if s in index and r in index else 0.0
+                        for r in view.nodes
+                    ]
+                    for s in view.nodes
+                ])
 
             def expected_fees(self, strategy):
                 return expected_fees(

@@ -7,6 +7,7 @@ one side, seen through the directed view reduced at 0.5.
 """
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 from repro.network.betweenness import (
     pair_weighted_betweenness,
     pair_weighted_betweenness_exact,
-    uniform_pair_weight,
 )
 from repro.network.graph import ChannelGraph
 
@@ -44,20 +44,20 @@ def weighted_instances(draw):
         )
     )
     weight_of = dict(zip(graph.nodes, multipliers))
-
-    def weight(s, r):
-        return weight_of[s] * (1.0 + 0.1 * weight_of[r])
-
-    return graph, weight
+    weights = np.array([
+        [weight_of[s] * (1.0 + 0.1 * weight_of[r]) for r in graph.nodes]
+        for s in graph.nodes
+    ])
+    return graph, weights
 
 
 class TestBrandesEqualsEnumeration:
     @given(instance=weighted_instances())
     @settings(max_examples=60, deadline=None)
     def test_node_values_match(self, instance):
-        graph, weight = instance
-        fast = pair_weighted_betweenness(graph, weight)
-        slow = pair_weighted_betweenness_exact(graph, weight)
+        graph, weights = instance
+        fast = pair_weighted_betweenness(graph, weights)
+        slow = pair_weighted_betweenness_exact(graph, weights)
         for node in graph.nodes:
             assert fast.node_value(node) == pytest.approx(
                 slow.node_value(node), abs=1e-8
@@ -66,9 +66,9 @@ class TestBrandesEqualsEnumeration:
     @given(instance=weighted_instances())
     @settings(max_examples=60, deadline=None)
     def test_edge_values_match(self, instance):
-        graph, weight = instance
-        fast = pair_weighted_betweenness(graph, weight)
-        slow = pair_weighted_betweenness_exact(graph, weight)
+        graph, weights = instance
+        fast = pair_weighted_betweenness(graph, weights)
+        slow = pair_weighted_betweenness_exact(graph, weights)
         keys = set(fast.edge) | set(slow.edge)
         for key in keys:
             assert fast.edge.get(key, 0.0) == pytest.approx(
@@ -86,7 +86,7 @@ class TestConservationLaws:
             out_mass = sum(
                 value
                 for (src, _dst), value in pair_weighted_betweenness(
-                    graph, uniform_pair_weight, sources=[s]
+                    graph, sources=[s]
                 ).edge.items()
                 if src == s
             )
@@ -97,6 +97,6 @@ class TestConservationLaws:
     @settings(max_examples=40, deadline=None)
     def test_node_value_bounded_by_total_pairs(self, graph):
         n = graph.num_nodes
-        result = pair_weighted_betweenness(graph, uniform_pair_weight)
+        result = pair_weighted_betweenness(graph)
         for value in result.node.values():
             assert value <= n * (n - 1) + 1e-9

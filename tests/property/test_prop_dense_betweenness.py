@@ -27,9 +27,9 @@ from repro.equilibrium.topologies import circle
 from repro.network.betweenness import (
     _csr_betweenness,
     _dense_betweenness,
+    _checked_weights,
     betweenness_arrays,
     pair_weighted_betweenness_exact,
-    uniform_pair_weight,
 )
 from repro.network.graph import ChannelGraph
 from repro.network.views import SMALL_GRAPH_NODES, _dense_paths
@@ -43,9 +43,9 @@ def assert_close(actual, expected):
 
 @st.composite
 def instances(draw):
-    """``(view, pair_weight, source indices)``: a view of a random
-    multigraph, uniform or drawn weights (zeros included) and all
-    sources or a drawn subset."""
+    """``(view, weights, source indices)``: a view of a random
+    multigraph, uniform (``None``) or drawn weights (zeros included) and
+    all sources or a drawn subset."""
     n = draw(st.integers(min_value=1, max_value=14))
     graph = ChannelGraph()
     for node in range(n):
@@ -60,35 +60,34 @@ def instances(draw):
         view = graph.view(directed=False)
     else:
         view = graph.view(directed=True, reduced=draw(st.sampled_from(AMOUNTS)))
-    if draw(st.booleans()):
-        pair_weight = uniform_pair_weight
-    else:
+    weights = None
+    if not draw(st.booleans()):
         table = draw(st.lists(
             st.sampled_from([0.0, 0.25, 1.0, 3.5]), min_size=n * n, max_size=n * n
         ))
-
-        def pair_weight(s, r):
-            return table[s * n + r]
+        # table[s * n + r] weighs the pair of labels (s, r).
+        labels = list(view.nodes)
+        weights = np.array(table).reshape(n, n)[np.ix_(labels, labels)]
     if draw(st.booleans()):
         sources = list(range(n))
     else:
         sources = sorted(draw(st.sets(st.integers(0, n - 1))))
-    return view, pair_weight, sources
+    return view, weights, sources
 
 
 @given(instance=instances())
 @settings(max_examples=300, deadline=None)
 def test_dense_pass_matches_csr_pass_and_enumeration(instance):
-    view, pair_weight, sources = instance
-    uniform = pair_weight is uniform_pair_weight
-    dense = _dense_betweenness(view, pair_weight, sources, uniform)
-    csr = _csr_betweenness(view, pair_weight, sources, uniform)
+    view, weights, sources = instance
+    table = _checked_weights(view, weights)
+    dense = _dense_betweenness(view, table, sources)
+    csr = _csr_betweenness(view, table, sources)
     assert_close(dense.node_values, csr.node_values)
     assert_close(dense.edge_values, csr.edge_values)
 
-    chosen = set(sources)
+    chosen = np.isin(np.arange(view.num_nodes), sources)
     exact = pair_weighted_betweenness_exact(
-        view, lambda s, r: pair_weight(s, r) if s in chosen else 0.0
+        view, np.where(chosen[:, None], table, 0.0)
     )
     nodes = view.nodes
     assert_close(
@@ -118,13 +117,12 @@ def test_dense_pass_on_tables_from_the_bfs_fallback(weighted):
     assert 3.0 ** 34 > 2.0 ** 53
     # The counts pass 2^53, so the all-pairs tables come from the BFS.
     assert _dense_paths(view) is None
-    pair_weight = (
-        (lambda s, r: float(len(s) + len(r) % 3)) if weighted
-        else uniform_pair_weight
-    )
-    dense = betweenness_arrays(view, pair_weight)
+    weights = np.array([
+        [float(len(s) + len(r) % 3) for r in view.nodes] for s in view.nodes
+    ]) if weighted else None
+    dense = betweenness_arrays(view, weights)
     csr = _csr_betweenness(
-        view, pair_weight, range(view.num_nodes), not weighted
+        view, _checked_weights(view, weights), range(view.num_nodes)
     )
     assert_close(dense.node_values, csr.node_values)
     assert_close(dense.edge_values, csr.edge_values)

@@ -22,6 +22,7 @@ size, and agrees with the free-function oracle.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,7 +98,9 @@ def batches(draw):
     return model, [strategies[i] for i in order]
 
 
-def oracle_weight(model):
+def oracle_weights(model, view):
+    """``N_s * p_trans(s, r)`` on ``view``'s node order, built pair by
+    pair from the distribution rather than from the model's tables."""
     rates = model.sender_rates
 
     def weight(sender, receiver):
@@ -106,7 +109,7 @@ def oracle_weight(model):
             return 0.0
         return rate * model.distribution.probability(sender, receiver)
 
-    return weight
+    return np.array([[weight(s, r) for r in view.nodes] for s in view.nodes])
 
 
 def fresh(model):
@@ -133,7 +136,7 @@ def test_model_matches_free_function_oracle(instance):
     view = augmented_view(model, strategy)
     params = model.params
     revenue = expected_revenue(
-        view, model.new_user, oracle_weight(model), params.fee_avg
+        view, model.new_user, oracle_weights(model, view), params.fee_avg
     )
     fees = expected_fees(
         view,
@@ -147,7 +150,7 @@ def test_model_matches_free_function_oracle(instance):
     assert model.expected_fees(strategy) == fees
     assert (model.utility(strategy) == -math.inf) == math.isinf(fees)
     if len(view) <= 7:  # six base nodes plus the joining user
-        exact = pair_weighted_betweenness_exact(view, oracle_weight(model))
+        exact = pair_weighted_betweenness_exact(view, oracle_weights(model, view))
         assert model.expected_revenue(strategy) == pytest.approx(
             params.fee_avg * exact.node_value(model.new_user), rel=1e-12
         )
@@ -207,6 +210,6 @@ def test_batch_kernel_matches_free_function_oracle(batch):
             assert value == -math.inf
             continue
         revenue = expected_revenue(
-            view, model.new_user, oracle_weight(model), params.fee_avg
+            view, model.new_user, oracle_weights(model, view), params.fee_avg
         )
         assert value == pytest.approx(revenue - fees, rel=1e-12, abs=1e-12)
