@@ -57,8 +57,10 @@ def bench_case(strategy: str, leaves: int, horizon: float) -> Dict[str, object]:
     outcome = AttackRunner().run(scenario)
     seconds = time.perf_counter() - start
     report = outcome.report
-    # Every launch is one lock walk; every held HTLC also costs one
-    # resolution event through the engine queue.
+    # A launch is one lock attempt: a walk through the ledger, or a
+    # retry at an exit refused earlier in the same tick, which is booked
+    # as rejected without one. Every held HTLC also costs one resolution
+    # event through the engine queue.
     attacker_events = report.attacks_launched + report.attacks_held
     honest_events = outcome.attacked_metrics.attempted
     return {

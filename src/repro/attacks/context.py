@@ -158,9 +158,9 @@ class AttackContext:
         """Place an adversarial HTLC chain along ``path``.
 
         Returns the pending payment, or ``None`` when some hop rejected the
-        lock (no balance / no free slot) — the rejection is counted.
+        lock (no balance / no free slot) — the rejection is booked by
+        :meth:`reject`.
         """
-        self.attacks_launched += 1
         payment = self.engine.htlc_router.lock(path, amount)
         # The upfront side charges per hop actually offered, settle or
         # not — a lock that fails mid-path still pays its earlier hops. Dict
@@ -168,17 +168,12 @@ class AttackContext:
         # hammers this path tens of thousands of times.
         if payment.upfront_fees_per_node:
             self.upfront_paid += payment.upfront_total
-        obs = self._obs
         if payment.state is not HtlcState.PENDING:
-            self.attacks_rejected += 1
-            if obs.enabled:
-                obs.registry.counter("attack.locks_rejected").inc()
-                obs.event(
-                    "attack.lock_rejected",
-                    t=self.now, hops=len(path) - 1, amount=amount,
-                )
+            self.reject(path, amount)
             return None
+        self.attacks_launched += 1
         self.attacks_held += 1
+        obs = self._obs
         if obs.enabled:
             obs.registry.counter("attack.locks_held").inc()
             obs.event(
@@ -188,6 +183,23 @@ class AttackContext:
             )
         self._active[payment.payment_id] = (payment, self.now)
         return payment
+
+    def reject(self, path: Sequence[Hashable], amount: float) -> None:
+        """Book one launch along ``path`` that was refused.
+
+        :meth:`lock` calls this when the ledger refuses a hop. A strategy
+        calls it directly for a retry it knows the ledger would refuse,
+        without placing the lock.
+        """
+        self.attacks_launched += 1
+        self.attacks_rejected += 1
+        obs = self._obs
+        if obs.enabled:
+            obs.registry.counter("attack.locks_rejected").inc()
+            obs.event(
+                "attack.lock_rejected",
+                t=self.now, hops=len(path) - 1, amount=amount,
+            )
 
     def resolve(self, payment_id: int, settle: bool) -> Optional[HtlcPayment]:
         """Settle or fail a held adversarial HTLC, booking its damage.

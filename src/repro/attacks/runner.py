@@ -7,7 +7,9 @@
    the honest RNG streams — both runs replay the *identical* payment
    intents);
 2. run the **baseline**: the honest trace on an untouched graph;
-3. run the **attacked** simulation: a fresh copy of the same graph, the
+3. run the **attacked** simulation: a copy of the same graph, taken in
+   step 1 before the baseline run writes its balances back (so it starts
+   from the topology's initial balances and keeps its channel ids), the
    same trace, plus the attack strategy's events interleaved on the
    engine's shared queue (attacker HTLCs contend with honest ones for the
    same balances and ``max_accepted_htlcs`` slots);
@@ -113,6 +115,8 @@ class AttackRunner:
             victim = select_victim(baseline_graph, strategy.victim)
             workload = build_workload(scenario, baseline_graph)
             trace: List[Transaction] = list(workload.generate(horizon))
+            # Copied before the baseline run writes its balances back.
+            attacked_graph = baseline_graph.copy()
 
         # run() drains resolve events scheduled past the horizon — same
         # contract as the plain simulation stage, so attack and non-attack
@@ -125,9 +129,6 @@ class AttackRunner:
             baseline_metrics = baseline.run()
         baseline_metrics.horizon = horizon
 
-        attacked_graph = build_topology(scenario.topology, seed=scenario.seed)
-        if strategy.slot_cap is not None:
-            attacked_graph.set_htlc_slot_cap(strategy.slot_cap)
         engine = build_simulation_engine(scenario, attacked_graph, obs=obs)
         engine.schedule_transactions(trace)
         ctx = AttackContext(

@@ -24,6 +24,16 @@ between strategies is the resolution policy:
   receiver and are **failed immediately** (the classic fail-at-the-last-hop
   probe), churning short-lived locks through every hop at high rate.
 
+A tick launches up to the free concurrency at once. Nothing but the
+tick's own locks runs between those launches, and a lock only takes
+balance and slots, so an exit refused once stays refused until the tick
+returns: a retry there is booked as a rejection
+(:meth:`~repro.attacks.context.AttackContext.reject`) without asking the
+ledger. Under a two-sided fee policy every retry still goes to the
+ledger, since it pays upfront fees for the hops it was offered, and that
+count can shrink within the tick as other exits' locks drain the entry
+channel.
+
 Strategies are registered in the ``attack`` plugin registry
 (:data:`~repro.scenarios.registry.ATTACKS`), so scenarios name them by
 string: ``AttackSpec("slow-jamming", {"budget": 1000.0})``.
@@ -32,7 +42,15 @@ string: ``AttackSpec("slow-jamming", {"budget": 1000.0})``.
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, List, Optional, Protocol, runtime_checkable
+from typing import (
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Protocol,
+    Set,
+    runtime_checkable,
+)
 
 from ..determinism import ordered_sum
 from ..errors import ScenarioError
@@ -250,14 +268,28 @@ class CircuitAttack:
         if self._concurrent >= 1:
             ctx.schedule(AttackTickEvent(time=max(self.start_time, ctx.now)))
 
-    def _launch(self, ctx: AttackContext) -> bool:
+    def _launch(
+        self, ctx: AttackContext, refused: Optional[Set[Hashable]] = None
+    ) -> bool:
+        """Launch one HTLC toward the next target.
+
+        ``refused`` holds the exits refused earlier in the same tick: a
+        target in it is booked as rejected without a ledger call, and a
+        newly refused target is added. ``None`` sends every launch to the
+        ledger.
+        """
         target = self.next_target(ctx)
         if target is None:
             return False
-        payment = ctx.lock(
-            (ATTACKER_SRC, ctx.victim, target, ATTACKER_DST), self.amount
-        )
+        path = (ATTACKER_SRC, ctx.victim, target, ATTACKER_DST)
+        if refused is not None and target in refused:
+            ctx.reject(path, self.amount)
+            self.on_lock_rejected(ctx, target)
+            return False
+        payment = ctx.lock(path, self.amount)
         if payment is None:
+            if refused is not None:
+                refused.add(target)
             self.on_lock_rejected(ctx, target)
             return False
         # Jitter (from the attacker's own deterministic RNG stream)
@@ -272,8 +304,17 @@ class CircuitAttack:
         return True
 
     def on_tick(self, ctx: AttackContext, event: AttackTickEvent) -> None:
+        """Fill the free concurrency, then schedule the next tick.
+
+        An exit refused during this call stays refused until it returns
+        (see the module docstring), so its retries skip the ledger —
+        except under an upfront fee, where each retry's charge depends on
+        how far it got.
+        """
+        upfront = ctx.engine.htlc_router.policy.has_upfront
+        refused: Optional[Set[Hashable]] = None if upfront else set()
         for _ in range(max(0, self._concurrent - ctx.active_locks)):
-            self._launch(ctx)
+            self._launch(ctx, refused)
         ctx.schedule(AttackTickEvent(time=ctx.now + 1.0 / self.rate))
 
     def on_resolve(self, ctx: AttackContext, event: AttackResolveEvent) -> None:

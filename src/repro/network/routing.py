@@ -12,8 +12,9 @@ large-graph walk draws with :func:`tie_break`: one ``rng.random()`` per
 multi-predecessor hop, found by ``bisect_right`` in a python-float CDF of
 the counts, which is the draw ``Generator.choice`` makes over them
 without its per-call cost. The small-graph search is guided by hop
-distances to the receiver, read from a column of the view's cached
-all-pairs distance table (:func:`hop_guide`). The simulator
+distances to the receiver: :func:`hop_guide` turns the view's cached
+all-pairs distance table into one python row per receiver, once per
+view, and a search reads its receiver's row. The simulator
 (:mod:`repro.simulation.fastpath`) routes every payment here.
 """
 
@@ -110,12 +111,17 @@ def small_bfs_structure(
     return dist, sigma, preds
 
 
-def hop_guide(view: GraphView, target: int) -> List[int]:
-    """Hop distance from every node of ``view`` to ``target``: column
-    ``target`` of the view's cached :func:`all_pairs_paths` distances,
-    with ``-1`` for a node with no path to ``target``."""
-    column = all_pairs_paths(view)[0][:, target]
-    return np.where(column < np.inf, column, -1).astype(np.int64).tolist()
+def hop_guide(view: GraphView) -> List[List[int]]:
+    """Every node's hop distance to every target, as python rows.
+
+    Row ``target`` is column ``target`` of the view's cached
+    :func:`all_pairs_paths` distances, with ``-1`` for a node with no
+    path to ``target``. One numpy round trip builds every row: on
+    BA-100 it costs what ~20 one-column round trips do, and a run
+    routes to ~80 receivers.
+    """
+    dist = all_pairs_paths(view)[0]
+    return np.where(dist < np.inf, dist, -1).astype(np.int64).T.tolist()
 
 
 #: Integer-valued weights whose left-to-right total stays below this add
@@ -161,7 +167,8 @@ def guided_bfs_structure(
     """:func:`small_bfs_structure` restricted to the ``source -> target``
     shortest-path DAG of the kept entries.
 
-    ``hops_to_r`` is :func:`hop_guide` over *all* entries. A
+    ``hops_to_r`` is row ``target`` of :func:`hop_guide`, the hop
+    distances to ``target`` over *all* entries. A
     level-synchronous BFS over the kept entries admits node ``w`` at
     level ``k`` only if ``k + hops_to_r[w] <= bound``. Kept entries are a
     subset of all entries, so ``hops_to_r`` never exceeds the kept

@@ -245,8 +245,8 @@ class ScenarioRunner:
         }
         if scenario.attack is not None:
             # The attack stage subsumes the simulation stage — and builds
-            # its own baseline/attacked graph pair, so don't build a
-            # third topology here that would only be thrown away.
+            # its own topology (the baseline graph, copied for the attacked
+            # run), so don't build another here that would be thrown away.
             with IMPORT_LOCK:
                 from ..attacks.runner import AttackRunner
 

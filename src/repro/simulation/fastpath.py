@@ -16,10 +16,12 @@ O(channels) python loop):
   :func:`~repro.network.routing.small_bfs_structure` cut down to the
   sender-receiver shortest-path DAG: it admits a node at level ``k``
   only if ``k`` plus its hop distance to the receiver in the unmasked
-  view stays within a bound: column ``r`` of the view's cached
-  all-pairs distances (:func:`~repro.network.views.all_pairs_paths`,
-  ~1 ms per view at n=100, where one python BFS per receiver cost ~34
-  µs). Masking only removes entries, so that distance never
+  view stays within a bound: row ``r`` of the guide table
+  :func:`~repro.network.routing.hop_guide` converts from the view's
+  cached all-pairs distances
+  (:func:`~repro.network.views.all_pairs_paths`, ~1 ms per view at
+  n=100, where one python BFS per receiver cost ~34 µs), once per array
+  state. Masking only removes entries, so that distance never
   overestimates the masked one, and every node on a masked shortest
   path is admitted at its true level through all its predecessors, in
   BFS pop order: path counts, predecessor order and walk draws are
@@ -225,9 +227,10 @@ class _ArrayState:
         # bidirectional search only).
         self.full_adj = view.adjacency_lists()
         self.full_radj = None if self.small else view.reverse_adjacency_lists()
-        #: Receiver -> hop distances to it over the frozen view (small
-        #: branch): the guide of :func:`guided_bfs_structure`.
-        self.hops_to: Dict[int, List[int]] = {}
+        #: Row ``r``: every node's hop distance to receiver ``r`` over
+        #: the frozen view, the guide of :func:`guided_bfs_structure`
+        #: (small branch; converted at the first route).
+        self.guides: Optional[List[List[int]]] = None
         # Lookups: node name -> index, directed (src, dst) name pair ->
         # CSR entry (one dict probe per hop in the ledger's reserve).
         nodes = view.nodes
@@ -297,8 +300,9 @@ class _ArrayState:
         reduced view for ``amount``. Small graphs run
         :func:`guided_bfs_structure`, the python BFS restricted to the
         sender-receiver shortest-path DAG by the hop distances to ``r``
-        over the frozen view (read on first use per receiver, kept in
-        :attr:`hops_to`), then :func:`walk_small`: the whole-graph
+        over the frozen view (row ``r`` of :attr:`guides`, the
+        :func:`hop_guide` table converted once at the first route), then
+        :func:`walk_small`: the whole-graph
         search's path and draws at about a quarter of its cost on
         BA-100; a view whose betweenness already ran (an attack's
         victim choice) has its table built. Larger ones run
@@ -315,11 +319,11 @@ class _ArrayState:
         kept = (self.balances >= amount).tobytes()
         selection = self.path_selection
         if self.small:
-            hops = self.hops_to.get(r)
-            if hops is None:
-                hops = self.hops_to[r] = hop_guide(self.view, r)
+            guides = self.guides
+            if guides is None:
+                guides = self.guides = hop_guide(self.view)
             dist, sigma, preds = guided_bfs_structure(
-                self.full_adj, self.n, s, r, kept, hops
+                self.full_adj, self.n, s, r, kept, guides[r]
             )
             return walk_small(dist, sigma, preds, s, r, selection, rng)
         return bidirectional_route(

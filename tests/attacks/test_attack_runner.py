@@ -7,6 +7,7 @@ from repro.equilibrium.topologies import CENTER, circle, path, star
 from repro.errors import ScenarioError
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.fastpath import BatchedSimulationEngine
+from repro.scenarios.factory import build_topology
 from repro.scenarios import (
     AlgorithmSpec,
     AttackSpec,
@@ -116,6 +117,42 @@ class TestAttackRunner:
             for c in outcome.graph.channels_of("v001")
         }
         assert 5 in caps
+
+    def test_attacked_run_starts_from_initial_balances(self, monkeypatch):
+        """The attacked graph is copied before the baseline run writes its
+        balances back, and keeps the baseline's channel ids."""
+        starts = []
+        run = BatchedSimulationEngine.run
+
+        def recording(self, until=None):
+            starts.append((self.graph, {
+                (str(c.u), str(c.v)): (c.balance(c.u), c.balance(c.v))
+                for c in self.graph.channels
+                if not str(c.u).startswith("attacker:")
+            }))
+            return run(self, until)
+
+        monkeypatch.setattr(BatchedSimulationEngine, "run", recording)
+        scenario = attack_scenario(
+            "slow-jamming", topology=TopologySpec("ba", {"n": 30})
+        )
+        outcome = AttackRunner().run(scenario)
+        initial = {
+            (str(c.u), str(c.v)): (c.balance(c.u), c.balance(c.v))
+            for c in build_topology(scenario.topology, seed=scenario.seed).channels
+        }
+        (baseline_graph, baseline_start), (attacked_graph, attacked_start) = starts
+        assert attacked_graph is outcome.graph
+        assert baseline_start == attacked_start == initial
+        # The baseline moved balances, so a copy taken after it would differ.
+        assert {
+            (str(c.u), str(c.v)): (c.balance(c.u), c.balance(c.v))
+            for c in baseline_graph.channels
+        } != initial
+        assert {
+            c.channel_id for c in attacked_graph.channels
+            if not str(c.u).startswith("attacker:")
+        } == {c.channel_id for c in baseline_graph.channels}
 
     def test_unknown_victim_fails_before_the_baseline_runs(self, monkeypatch):
         runs = []

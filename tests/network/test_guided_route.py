@@ -5,7 +5,8 @@ on the first pass, found on the second, found only by the
 :func:`small_bfs_structure` fallback, or no path (in the full view, or
 only under the balance flags). Every case must walk to the same path,
 with the same draws, as :func:`small_bfs_structure` does. The guides
-are columns of the view's all-pairs distance table (:func:`hop_guide`).
+are rows of :func:`hop_guide`, the view's all-pairs distance table
+turned into one python row per receiver.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def route(view, adj, s, r, kept):
     """Guided and plain walks under both selections; asserts they agree
     and returns the guided structure's ``dist`` and path."""
     n = len(adj)
-    hops = hop_guide(view, r)
+    hops = hop_guide(view)[r]
     guided = guided_bfs_structure(adj, n, s, r, kept, hops)
     plain = small_bfs_structure(adj, n, s, r, kept)
     if plain[0][r] >= 0:
@@ -84,9 +85,17 @@ def route(view, adj, s, r, kept):
 
 def test_hop_guide():
     view, _, _ = lists(5, [(0, 1), (1, 2), (2, 3)], one_way=[(4, 0)])
-    # Node 4 reaches 3 through its one-way entry; nothing reaches 4.
-    assert hop_guide(view, 3) == [3, 2, 1, 0, 4]
-    assert hop_guide(view, 4) == [-1, -1, -1, -1, 0]
+    # Row r holds every node's distance to r. Node 4 reaches 3 through
+    # its one-way entry; nothing reaches 4.
+    table = hop_guide(view)
+    assert table == [
+        [0, 1, 2, 3, 1],
+        [1, 0, 1, 2, 2],
+        [2, 1, 0, 1, 3],
+        [3, 2, 1, 0, 4],
+        [-1, -1, -1, -1, 0],
+    ]
+    assert all(type(hops) is int for row in table for hops in row)
 
 
 def test_found_on_first_pass(fallback_calls):
@@ -95,7 +104,7 @@ def test_found_on_first_pass(fallback_calls):
     pairs = [(0, 1), (0, 2), (1, 3), (2, 3), (0, 4), (4, 5), (5, 3), (0, 6), (6, 3)]
     view, adj, arcs = lists(7, pairs)
     dist, path = route(view, adj, 0, 3, flags(arcs))
-    assert dist[3] == hop_guide(view, 3)[0] == 2
+    assert dist[3] == hop_guide(view)[3][0] == 2
     assert path in ([0, 1, 3], [0, 2, 3], [0, 6, 3])
     # The detour is pruned: it cannot lie on a 2-hop path.
     assert dist[4] == dist[5] == -1
@@ -107,7 +116,7 @@ def test_found_on_second_pass(fallback_calls):
     # longer, exactly the smallest value the first pass prunes.
     view, adj, arcs = lists(5, [(0, 1), (1, 2), (0, 3), (3, 4), (4, 2)])
     dist, path = route(view, adj, 0, 2, flags(arcs, blocked=[(1, 2)]))
-    assert hop_guide(view, 2)[0] == 2
+    assert hop_guide(view)[2][0] == 2
     assert dist[2] == 3 and path == [0, 3, 4, 2]
     assert fallback_calls == []
 
@@ -129,7 +138,7 @@ def test_unreachable_in_full_view(fallback_calls):
             raise AssertionError("a flag was read")
 
     dist, sigma, preds = guided_bfs_structure(
-        adj, 4, 0, 3, Untouched(), hop_guide(view, 3)
+        adj, 4, 0, 3, Untouched(), hop_guide(view)[3]
     )
     assert walk_small(dist, sigma, preds, 0, 3, "first", None) is None
     assert route(view, adj, 0, 3, flags(arcs))[1] is None

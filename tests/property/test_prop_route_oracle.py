@@ -8,8 +8,8 @@ The event engine's ``Router`` routes a payment of size ``x`` with
 batched backend routes over the unreduced view with per-entry flags
 ``(balances >= x).tobytes()``: :func:`bidirectional_route` from 150
 nodes on, :func:`guided_bfs_structure` plus :func:`walk_small` below
-that, guided by :func:`hop_guide` (a column of the unreduced view's
-all-pairs distance table). Each batched search must give the same path,
+that, guided by a row of :func:`hop_guide` (the unreduced view's all-pairs
+distance table as one python row per receiver). Each batched search must give the same path,
 the same ``None`` verdict and the same RNG draws as its event-engine
 counterpart on any graph, so the functions are called directly here, on
 small graphs too.
@@ -142,7 +142,7 @@ def test_guided_search_matches_small_bfs(payment, selection, seed):
     kept = (full.balances >= amount).tobytes()
     adj = full.adjacency_lists()
     n = full.num_nodes
-    hops = hop_guide(full, receiver)
+    hops = hop_guide(full)[receiver]
     expected_rng = np.random.default_rng(seed)
     actual_rng = np.random.default_rng(seed)
     expected = walk_small(
@@ -164,12 +164,13 @@ def test_guided_search_matches_small_bfs_on_ba60():
     full = graph.view(directed=True)
     assert full.nodes[:3] == ("n0", "n1", "n2")
     adj, n = full.adjacency_lists(), 60
+    guides = hop_guide(full)
     rng = np.random.default_rng(5)
     lengths = set()
     for _ in range(300):
         sender, receiver = (int(i) for i in rng.choice(n, 2, replace=False))
         kept = (full.balances >= float(rng.choice([0.5, 2.0, 6.0]))).tobytes()
-        hops = hop_guide(full, receiver)
+        hops = guides[receiver]
         guided = guided_bfs_structure(adj, n, sender, receiver, kept, hops)
         plain = small_bfs_structure(adj, n, sender, receiver, kept)
         assert guided[0][receiver] == plain[0][receiver]
