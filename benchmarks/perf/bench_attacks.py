@@ -7,7 +7,9 @@ report — for each builtin strategy on star topologies of growing size.
 The headline number is **attacker actions per wall-clock second**
 (lock attempts + resolutions processed by the engine), with the honest
 payment throughput of the same run alongside, so regressions in either
-the strategies or the slot-tracking substrate show up directly. The
+the strategies or the slot-tracking substrate show up directly. Each
+case runs :data:`REPEATS` times and reports the median wall time, as a
+single timing swings by a fifth on a shared host. The
 reports themselves are pinned by the attack cases of
 ``tests/golden/test_batched_digests.py``. Each row records the spec's
 ``backend`` (always ``"batched"``), which ``gate.py`` matches on.
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import statistics
 import time
 from typing import Dict
 
@@ -38,6 +41,8 @@ FULL_CASES = ((16, 40.0), (64, 40.0))  # (leaves, horizon)
 # rows against the committed BENCH_attacks.json baseline.
 SMOKE_CASES = ((16, 40.0),)
 SEED = 7
+#: Timed runs per case; the reported wall time is their median.
+REPEATS = 3
 
 
 def attack_scenario(strategy: str, leaves: int, horizon: float) -> Scenario:
@@ -53,9 +58,12 @@ def attack_scenario(strategy: str, leaves: int, horizon: float) -> Scenario:
 
 def bench_case(strategy: str, leaves: int, horizon: float) -> Dict[str, object]:
     scenario = attack_scenario(strategy, leaves, horizon)
-    start = time.perf_counter()
-    outcome = AttackRunner().run(scenario)
-    seconds = time.perf_counter() - start
+    timings = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        outcome = AttackRunner().run(scenario)
+        timings.append(time.perf_counter() - start)
+    seconds = statistics.median(timings)
     report = outcome.report
     # A launch is one lock attempt: a walk through the ledger, or a
     # retry at an exit refused earlier in the same tick, which is booked

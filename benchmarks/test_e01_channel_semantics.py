@@ -11,7 +11,7 @@ from repro.network.channel import Channel
 
 
 def _figure1_rows():
-    channel = Channel("u", "v", 10.0, 7.0)
+    channel = Channel("u", "v", 10.0, 7.0, channel_id="c")
     rows = [
         {
             "step": "initial",
@@ -48,7 +48,7 @@ def test_e01_figure1_sequence(benchmark, emit_table):
     assert channel.balance("u") == 0.0
 
     def throughput():
-        c = Channel("a", "b", 1e9, 1e9)
+        c = Channel("a", "b", 1e9, 1e9, channel_id="c")
         for _ in range(1000):
             c.send("a", 1.0)
             c.send("b", 1.0)

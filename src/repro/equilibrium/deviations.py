@@ -59,7 +59,8 @@ def apply_deviation(
     """A fresh graph with ``deviation`` applied on behalf of ``node``.
 
     Removing drops *all* parallel channels to the removed neighbor; adding
-    opens one channel funded ``balance``/``balance``.
+    opens one channel funded ``balance``/``balance`` per peer, in ``str``
+    order, so the new channels' ids do not depend on set iteration order.
     """
     if node not in graph:
         raise NodeNotFound(node)
@@ -72,7 +73,7 @@ def apply_deviation(
             )
         for channel in channels:
             out.remove_channel(channel.channel_id)
-    for peer in deviation.add:
+    for peer in sorted(deviation.add, key=str):
         if peer == node:
             raise InvalidParameter("cannot open a channel to oneself")
         if graph.has_channel(node, peer):

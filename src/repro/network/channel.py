@@ -6,11 +6,13 @@ directed edges, one per direction, whose *balances* bound the amount that
 can be sent in that direction. A successful payment of size ``x`` from
 ``u`` to ``v`` moves ``x`` coins from ``u``'s balance to ``v``'s balance
 (Figure 1 of the paper).
+
+The :class:`~repro.network.graph.ChannelGraph` that opens a channel
+assigns its ``channel_id``; a channel never draws an id itself.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Hashable, Optional, Tuple
 
 from ..errors import InsufficientBalance, InvalidParameter
@@ -21,13 +23,6 @@ __all__ = ["Channel", "DEFAULT_MAX_ACCEPTED_HTLCS", "MutationCounter"]
 #: concurrent in-flight HTLCs per channel direction. This is the finite
 #: resource that slot-jamming attacks exhaust.
 DEFAULT_MAX_ACCEPTED_HTLCS = 483
-
-_channel_counter = itertools.count()
-
-
-def _next_channel_id() -> str:
-    return f"chan-{next(_channel_counter)}"
-
 
 class MutationCounter:
     """A graph's mutation version, shared with its channels.
@@ -54,7 +49,7 @@ class Channel:
         v: second endpoint.
         balance_u: coins initially owned by ``u`` in the channel.
         balance_v: coins initially owned by ``v`` in the channel.
-        channel_id: optional stable identifier; auto-generated when omitted.
+        channel_id: the identifier the owning graph assigned.
         max_accepted_htlcs: per-direction cap on concurrent in-flight HTLCs
             (:data:`DEFAULT_MAX_ACCEPTED_HTLCS`, Lightning's 483). ``None``
             disables the cap.
@@ -72,7 +67,8 @@ class Channel:
         v: Hashable,
         balance_u: float,
         balance_v: float = 0.0,
-        channel_id: Optional[str] = None,
+        *,
+        channel_id: str,
         fee_base: float = 0.0,
         fee_rate: float = 0.0,
         upfront_base: float = 0.0,
@@ -98,7 +94,7 @@ class Channel:
         self.v = v
         self._balances = {u: float(balance_u), v: float(balance_v)}
         self.max_accepted_htlcs = max_accepted_htlcs
-        self.channel_id = channel_id if channel_id is not None else _next_channel_id()
+        self.channel_id = channel_id
         #: Per-channel fee policy (Lightning base/proportional form);
         #: surfaced in GraphView's fee arrays. Zero = policy-free channel.
         self.fee_base = float(fee_base)

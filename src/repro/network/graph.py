@@ -15,6 +15,9 @@ produced by :meth:`ChannelGraph.view` and cached keyed on the graph's
 mutation version — every structural change *and* every balance movement
 bumps the version, so algorithms can never observe a stale snapshot. For
 a networkx materialisation call ``view(...).to_networkx()``.
+
+The graph assigns channel ids (:meth:`ChannelGraph.add_channel`), so one
+construction yields the same ids in any process, at any point in its life.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ class ChannelGraph:
         # cached views are keyed on the complete observable state.
         self._counter = MutationCounter()
         self._views: Dict[Tuple[bool, float], Tuple[int, GraphView]] = {}
+        # N of the next auto id ``chan-N``; ids already present are skipped.
+        self._next_id = 0
 
     @property
     def version(self) -> int:
@@ -77,34 +82,29 @@ class ChannelGraph:
         """Open a channel between ``u`` and ``v`` and return it.
 
         Endpoints are created implicitly. ``balance_u``/``balance_v`` are the
-        coins each side locks at creation.
+        coins each side locks at creation. Without ``channel_id`` the
+        channel takes the graph's next ``chan-N`` not already present; an
+        explicit id already present raises :class:`DuplicateChannel`.
         """
+        if channel_id is None:
+            channel_id = f"chan-{self._next_id}"
+            while channel_id in self._channels:
+                self._next_id += 1
+                channel_id = f"chan-{self._next_id}"
+            self._next_id += 1
+        elif channel_id in self._channels:
+            raise DuplicateChannel(f"channel id {channel_id!r} already present")
         channel = Channel(
             u, v, balance_u, balance_v, channel_id=channel_id,
             fee_base=fee_base, fee_rate=fee_rate,
             upfront_base=upfront_base, upfront_rate=upfront_rate,
             max_accepted_htlcs=max_accepted_htlcs,
         )
-        if channel.channel_id in self._channels:
-            if channel_id is not None:
-                raise DuplicateChannel(
-                    f"channel id {channel.channel_id!r} already present"
-                )
-            # Auto-generated id collided with an explicit id (e.g. a graph
-            # loaded from a snapshot written by another process, whose ids
-            # restarted the per-process counter). Draw until free.
-            while channel.channel_id in self._channels:
-                channel = Channel(
-                    u, v, balance_u, balance_v,
-                    fee_base=fee_base, fee_rate=fee_rate,
-                    upfront_base=upfront_base, upfront_rate=upfront_rate,
-                    max_accepted_htlcs=max_accepted_htlcs,
-                )
         self.add_node(u)
         self.add_node(v)
-        self._channels[channel.channel_id] = channel
-        self._adjacency[u].add(channel.channel_id)
-        self._adjacency[v].add(channel.channel_id)
+        self._channels[channel_id] = channel
+        self._adjacency[u].add(channel_id)
+        self._adjacency[v].add(channel_id)
         channel._counter = self._counter
         self._counter.value += 1
         return channel
@@ -131,8 +131,10 @@ class ChannelGraph:
         self._counter.value += 1
 
     def copy(self) -> "ChannelGraph":
-        """Deep copy: balances and per-channel settings are copied."""
+        """Deep copy: balances, per-channel settings and channel ids are
+        copied, and the copy's next auto id is the original's."""
         clone = ChannelGraph()
+        clone._next_id = self._next_id
         for node in self._adjacency:
             clone.add_node(node)
         for channel in self._channels.values():

@@ -333,10 +333,10 @@ def build_view(
         slot = pair_slot.get((lo, hi))
         balance_lo = channel.balance(nodes[lo])
         balance_hi = channel.balance(nodes[hi])
-        fee_base = getattr(channel, "fee_base", 0.0)
-        fee_rate = getattr(channel, "fee_rate", 0.0)
-        upfront_base = getattr(channel, "upfront_base", 0.0)
-        upfront_rate = getattr(channel, "upfront_rate", 0.0)
+        fee_base = channel.fee_base
+        fee_rate = channel.fee_rate
+        upfront_base = channel.upfront_base
+        upfront_rate = channel.upfront_rate
         if slot is None:
             pair_slot[(lo, hi)] = len(pair_ids)
             pair_ids.append([channel.channel_id])

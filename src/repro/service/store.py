@@ -20,10 +20,10 @@ Design invariants:
 
 * **Atomic writes** — every entry is written to a same-directory temp
   file and published with ``os.replace``, so readers never observe a
-  partial entry and concurrent writers of the same key are safe: the
-  last writer wins with a checksummed, self-consistent entry. Its bytes
-  may differ from an earlier writer's (results embed process-global
-  ``chan-N`` ids), e.g. on a recompute after ``gc``. This file is the
+  partial entry and concurrent writers of the same key are safe: a
+  scenario's result is the same bytes whichever process computes it,
+  so every writer of one key, a recompute after ``gc`` included,
+  publishes identical bytes. This file is the
   *only* module allowed to open store paths for writing — reprolint rule
   RPR008 enforces it.
 * **Verified reads** — :meth:`ResultStore.get_text` hashes exactly the

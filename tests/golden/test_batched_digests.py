@@ -12,9 +12,9 @@ after the first ten also pin a readable digest next to the hash:
 attempted and succeeded payments and the failure-reason counts, so a
 failure shows what changed.
 
-Channel ids come from a process-wide counter, so the graph section is
-hashed without them; everything else in the result document is pinned
-as is. Regenerate a digest only for an intentional behaviour change, and
+The whole result document is hashed, channel ids included: the graph
+numbers its own channels, so the ids do not depend on what else the
+process ran. Regenerate a digest only for an intentional behaviour change, and
 record the change in CHANGES.md.
 """
 
@@ -46,33 +46,26 @@ def scenario(
     return Scenario.from_dict(document)
 
 
-def result_digest(result) -> str:
-    document = result.to_dict()
-    for edge in document["graph"]["edges"]:
-        del edge["channel_id"]
-    return content_hash(document)
-
-
 INSTANT_BA200 = [
     (
         "stream",
         "random",
-        "826a5f822c53f78725e49006ba9e1cc7565a517e3f988d17efde0d7ff382a379",
+        "0fa57bf0e4c150398182b937fef4d8a1cc012fcc24e226eed277217e203edfda",
     ),
     (
         "stream",
         "first",
-        "22ffb2e86f424e7be51db20d4d5e54fae8ca0c7b04266eb048986b962ac50ebd",
+        "d43e7951243602f8ebff3e856a78284972f4c5a3a4ab51cc468dbf132f25e543",
     ),
     (
         "payment",
         "random",
-        "b41798a749bddc4fe9de63cfe06ce5f3b8998f30cb72afef12c51e20c4b2e765",
+        "5f16f7b0cbe5398acfa713ae2342cb9cb739b46a625d3802ab3c367347ed0283",
     ),
     (
         "payment",
         "first",
-        "bb8a85bc7fb9799374e115f62885c4aad08a75ef4dbf5305dd750cc748ded1e6",
+        "80d93333ad8b09f71b38797fba5adce791d5b7b82c459a69e9c2a32c6150aeb2",
     ),
 ]
 
@@ -86,15 +79,15 @@ def test_instant_ba200(route_rng, path_selection, expected):
     result = ScenarioRunner().run(
         scenario(200, 6.0, route_rng=route_rng, path_selection=path_selection)
     )
-    assert result_digest(result) == expected
+    assert content_hash(result.to_dict()) == expected
 
 
 #: Depleted BA-200 (capacity_mu=1.0): about 60% of payments fail, most
 #: with ``no-capacity-path``, so searches often end with no path or meet
 #: on a frontier the balance mask cuts.
 DEPLETED_BA200 = [
-    ("random", "4a82aaa54c2e903d0822cbacf88f00f656aba94e08b454938bd144b3ccf76100"),
-    ("first", "6197514dea75d1fe5c816d281b6bbc31e6023bff0c2dc37be5c85daf8d77636e"),
+    ("random", "5e467ba8a009bee9ea4ed0075041c186a3df279762b72caa29f37afbad1eb5ef"),
+    ("first", "c20a34bb3d7b1d20220cd26e6bd199b3c60463367c7deb60509a24f6fe1fcb74"),
 ]
 
 
@@ -107,13 +100,13 @@ def test_instant_ba200_depleted(path_selection, expected):
     result = ScenarioRunner().run(
         scenario(200, 6.0, capacity_mu=1.0, path_selection=path_selection)
     )
-    assert result_digest(result) == expected
+    assert content_hash(result.to_dict()) == expected
 
 
 def test_instant_ba60():
     result = ScenarioRunner().run(scenario(60, 10.0))
-    assert result_digest(result) == (
-        "c56d95c2571807fe67623d38d7bb3f96e53941152df2072ec84860efc5dce44c"
+    assert content_hash(result.to_dict()) == (
+        "e04de791e224b49124802c8bf00d538a2795dfd50ca8900a22f9d7e482c59fbe"
     )
 
 
@@ -121,8 +114,8 @@ def test_htlc_ba60():
     result = ScenarioRunner().run(
         scenario(60, 10.0, payment_mode="htlc", htlc_hold_mean=0.5)
     )
-    assert result_digest(result) == (
-        "8c9d625c0fbb0a65c8035314c75b5bc8ee4bb59219f6beafaae0f30365afe0eb"
+    assert content_hash(result.to_dict()) == (
+        "448e69069f471f06f9b5467372b842aca122a29b1bf872f1b44a77bb5d018c71"
     )
 
 
@@ -130,8 +123,8 @@ def test_htlc_ba200():
     result = ScenarioRunner().run(
         scenario(200, 3.0, payment_mode="htlc", htlc_hold_mean=0.5)
     )
-    assert result_digest(result) == (
-        "6f2127d672d4a65026663c783579030060d8032ee7225195acc2ff4f8143c4ef"
+    assert content_hash(result.to_dict()) == (
+        "f2bf3754b9a1a5f24aaaa882db73bafc451de2c8e226b0fdfa7bc845a8d79411"
     )
 
 
@@ -156,9 +149,9 @@ def readable(metrics):
 
 def test_instant_ba60_first():
     result = ScenarioRunner().run(scenario(60, 10.0, path_selection="first"))
-    assert (readable(result.metrics), result_digest(result)) == (
+    assert (readable(result.metrics), content_hash(result.to_dict())) == (
         (569, 554, {"no-capacity-path": 11, "split-balance": 4}),
-        "ee6b199917302bac620c0b20b3e99ba890438fa02186db4e9e5bb4a3ce99ae40",
+        "c974c64b2f2033a6f6b29e8948663b8bab44d1f0a159ac31006fb800591d7ac0",
     )
 
 
@@ -168,12 +161,12 @@ DEPLETED_BA60 = [
     (
         "random",
         (569, 120, {"no-capacity-path": 433, "split-balance": 16}),
-        "f88b725a94126801a8b82be0a733c32c11f226d0da6a1dd983a448f21dae11e2",
+        "82dabfc49842c03ed67fa274c5d3ee1a40fdc22ba1b2cdef20a3779934e66c88",
     ),
     (
         "first",
         (569, 119, {"no-capacity-path": 439, "split-balance": 11}),
-        "6bd4c613d66c634a59195d682a477e6de0c4f135ff454cdc4207ec361917ef93",
+        "7500b07cecb1efec8d74ed2fc36e21ce9c53e2d72be4d0533d9af4a131fbc4b3",
     ),
 ]
 
@@ -187,7 +180,7 @@ def test_instant_ba60_depleted(path_selection, counts, expected):
     result = ScenarioRunner().run(
         scenario(60, 10.0, capacity_mu=1.0, path_selection=path_selection)
     )
-    assert (readable(result.metrics), result_digest(result)) == (
+    assert (readable(result.metrics), content_hash(result.to_dict())) == (
         counts, expected
     )
 
@@ -234,7 +227,7 @@ def test_instant_circle140():
         "simulation": {"horizon": 10.0, "backend": "batched"},
     }
     result = ScenarioRunner().run(Scenario.from_dict(document))
-    assert (readable(result.metrics), result_digest(result)) == (
+    assert (readable(result.metrics), content_hash(result.to_dict())) == (
         (1401, 941, {"no-capacity-path": 336, "split-balance": 124}),
-        "84abdece4c8b77783b20b244b4f00a0ee18ac4c4d437bab12eebf6225b42b0ec",
+        "fa44449ae5ba832d7dba220757a3cef49d6610a1bfa1c63a34cf76369eb8e6cf",
     )

@@ -2,9 +2,10 @@
 
 Each case builds one seeded snapshot and hashes it: node labels in graph
 order, then every channel in iteration order as its two endpoints and
-both balances, with each balance's exact bits. Channel ids come from a
-process-wide counter, so they are left out. Beside the hash sits a
-readable digest: node count, channel count and total capacity.
+both balances, with each balance's exact bits. Channel ids are left
+out: they number the channels, and the iteration order already pins
+that. Beside the hash sits a readable digest: node count, channel count
+and total capacity.
 
 The cases cover ``ba``, ``erdos-renyi`` and ``core-periphery``, each at
 seeds 1 and 2 with default parameters and at seeds 3 and 4 with one

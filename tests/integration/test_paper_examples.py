@@ -29,7 +29,7 @@ class TestFigure1:
     """Channel between u (b_u = 10) and v (b_v = 7)."""
 
     def test_full_sequence(self):
-        channel = Channel("u", "v", 10.0, 7.0)
+        channel = Channel("u", "v", 10.0, 7.0, channel_id="c")
         # v pays u 10: wait — the figure shows (10,7) -> (5,12) -> (0,17)
         # via two u->v payments of 5, then a failed u->v payment of 6.
         channel.send("u", 5.0)
@@ -40,7 +40,7 @@ class TestFigure1:
 
     def test_documented_failure_point(self):
         """At b_u = 5, a payment of size 6 from u is unsuccessful."""
-        channel = Channel("u", "v", 5.0, 12.0)
+        channel = Channel("u", "v", 5.0, 12.0, channel_id="c")
         assert not channel.can_send("u", 6.0)
         assert channel.can_send("v", 6.0)  # the other direction is fine
 

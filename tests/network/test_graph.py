@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ChannelNotFound, DuplicateChannel, NodeNotFound
 from repro.network.graph import ChannelGraph
+from repro.snapshots.io import from_describegraph
 
 
 class TestConstruction:
@@ -31,20 +32,35 @@ class TestConstruction:
         graph.add_channel("a", "b", 1.0, channel_id="x")
         with pytest.raises(DuplicateChannel):
             graph.add_channel("a", "c", 1.0, channel_id="x")
+        auto = graph.add_channel("a", "c", 1.0)
+        with pytest.raises(DuplicateChannel):
+            graph.add_channel("b", "c", 1.0, channel_id=auto.channel_id)
+
+    def test_same_construction_same_ids(self):
+        def build():
+            graph = ChannelGraph.from_edges([("a", "b"), ("b", "c"), ("a", "b")])
+            graph.remove_channel("chan-1")
+            graph.add_channel("c", "d", 1.0)
+            return [channel.channel_id for channel in graph.channels]
+
+        ids = build()
+        ChannelGraph.from_edges([("x", "y")] * 5)
+        assert build() == ids == ["chan-0", "chan-2", "chan-3"]
 
     def test_auto_ids_skip_past_explicit_ids(self):
-        # A snapshot written by another process carries explicit chan-N ids
-        # that a fresh process's auto-id counter would mint again; auto
-        # generation must skip over them instead of raising.
-        probe = ChannelGraph().add_channel("x", "y", 1.0)
-        next_auto = int(probe.channel_id.split("-")[1]) + 1
-        graph = ChannelGraph()
-        taken = {f"chan-{i}" for i in range(next_auto, next_auto + 3)}
-        for i, channel_id in enumerate(sorted(taken)):
-            graph.add_channel("a", f"b{i}", 1.0, channel_id=channel_id)
+        # A snapshot carries the ids of the graph that wrote it; the
+        # loaded graph's own auto ids must not mint them again.
+        taken = [f"chan-{i}" for i in range(4)]
+        graph = from_describegraph({
+            "edges": [
+                {"channel_id": channel_id, "node1_pub": "a",
+                 "node2_pub": f"b{i}", "capacity": "2"}
+                for i, channel_id in enumerate(taken)
+            ]
+        })
         fresh = graph.add_channel("a", "c", 1.0)
-        assert fresh.channel_id not in taken
-        assert graph.num_channels() == 4
+        assert fresh.channel_id == "chan-4"
+        assert graph.num_channels() == 5
 
     def test_parallel_channels_allowed(self):
         graph = ChannelGraph()
@@ -185,6 +201,19 @@ class TestCopy:
         channel = clone.channels_between("a", "b")[0]
         assert channel.balance("a") == 10.0
         assert channel.balance("b") == 2.0
+
+    def test_copy_keeps_ids_and_next_auto_id(self, diamond):
+        # With its newest channel closed, the next id is past every id
+        # the graph still holds.
+        diamond.remove_channel(diamond.channels[-1].channel_id)
+        clone = diamond.copy()
+        assert [c.channel_id for c in clone.channels] == [
+            c.channel_id for c in diamond.channels
+        ]
+        assert (
+            clone.add_channel("a", "d", 1.0).channel_id
+            == diamond.add_channel("a", "d", 1.0).channel_id
+        )
 
     def test_copy_preserves_isolated_nodes(self):
         graph = ChannelGraph()

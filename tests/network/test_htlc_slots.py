@@ -28,7 +28,7 @@ def line3() -> ChannelGraph:
 
 class TestChannelSlots:
     def test_default_cap_is_lightning_483(self):
-        channel = Channel("u", "v", 1.0)
+        channel = Channel("u", "v", 1.0, channel_id="c")
         assert DEFAULT_MAX_ACCEPTED_HTLCS == 483
         assert channel.max_accepted_htlcs == 483
 
@@ -60,7 +60,7 @@ class TestChannelSlots:
 
     def test_invalid_cap_rejected(self):
         with pytest.raises(InvalidParameter):
-            Channel("u", "v", 1.0, max_accepted_htlcs=0)
+            Channel("u", "v", 1.0, max_accepted_htlcs=0, channel_id="c")
 
     def test_graph_passthrough_and_bulk_cap(self):
         graph = ChannelGraph()

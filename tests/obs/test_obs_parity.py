@@ -67,25 +67,11 @@ def evolution_scenario(seed):
     )
 
 
-def comparable(document):
-    """Mask process-local ``chan-N`` ids (a process-global counter makes
-    them differ between *any* two runs in one process); everything else
-    must match exactly."""
-    if isinstance(document, dict):
-        return {
-            key: ("chan" if key == "channel_id" else comparable(value))
-            for key, value in document.items()
-        }
-    if isinstance(document, list):
-        return [comparable(item) for item in document]
-    return document
-
-
 def run_both(scenario):
     """(obs-off document, obs-on document, obs-on result) for one scenario."""
     off = ScenarioRunner(obs=NULL_SESSION).run(scenario)
     on = ScenarioRunner(obs=instrumented_session()).run(scenario)
-    return comparable(off.to_dict()), comparable(on.to_dict()), on
+    return off.to_dict(), on.to_dict(), on
 
 
 class TestSimulationParity:

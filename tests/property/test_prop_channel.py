@@ -22,7 +22,7 @@ def test_capacity_conserved_and_balances_nonnegative(
     balance_u, balance_v, payments
 ):
     """No sequence of payments changes capacity or drives balances < 0."""
-    channel = Channel("u", "v", balance_u, balance_v)
+    channel = Channel("u", "v", balance_u, balance_v, channel_id="c")
     capacity = channel.capacity
     for sender, amount in payments:
         try:
@@ -38,7 +38,7 @@ def test_capacity_conserved_and_balances_nonnegative(
 @settings(max_examples=200)
 def test_send_is_exactly_reversible(balance_u, balance_v, amount):
     """A payment followed by the exact refund restores both balances."""
-    channel = Channel("u", "v", balance_u, balance_v)
+    channel = Channel("u", "v", balance_u, balance_v, channel_id="c")
     if not channel.can_send("u", amount):
         return
     channel.send("u", amount)
@@ -56,7 +56,7 @@ def pytest_approx(value):
 @given(balance_u=balances, amount=amounts)
 @settings(max_examples=100)
 def test_can_send_iff_send_succeeds(balance_u, amount):
-    channel = Channel("u", "v", balance_u, 0.0)
+    channel = Channel("u", "v", balance_u, 0.0, channel_id="c")
     can = channel.can_send("u", amount)
     try:
         channel.send("u", amount)

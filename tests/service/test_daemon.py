@@ -18,6 +18,7 @@ from repro.errors import ServiceError
 from repro.scenarios.runner import ScenarioRunner
 from repro.scenarios.specs import Scenario, SimulationSpec, TopologySpec
 from repro.service.daemon import ServiceClient, ServiceServer
+from repro.service.hashing import canonical_json
 
 
 def scenario():
@@ -86,28 +87,12 @@ class TestProtocol:
             server.status("f" * 64)
 
 
-def _comparable(document):
-    """The result document with process-local channel ids masked out.
-
-    ``chan-N`` ids come from a process-global counter, so two runs in
-    one process differ only there; everything else must match exactly.
-    """
-    document = json.loads(json.dumps(document))
-    for edge in (document.get("graph") or {}).get("edges", []):
-        edge["channel_id"] = "chan"
-    return document
-
-
 class TestSubmitAndCache:
     def test_submitted_result_matches_direct_run(self, server):
         s = scenario()
         response = server.submit(s.to_dict(), wait=True)
         direct = ScenarioRunner().run(s).to_dict()
-        from repro.service.hashing import canonical_json
-
-        assert canonical_json(_comparable(response["result"])) == (
-            canonical_json(_comparable(direct))
-        )
+        assert canonical_json(response["result"]) == canonical_json(direct)
         assert response["hash"] == s.content_hash()
 
     def test_resubmission_is_served_from_store(self, server):
@@ -246,7 +231,7 @@ class TestMemoryHits:
             server.result(cold["hash"])
         again = server.submit(document, wait=True)
         assert again["state"] == "done"
-        assert _comparable(again["result"]) == _comparable(cold["result"])
+        assert canonical_json(again["result"]) == canonical_json(cold["result"])
         assert cold["hash"] in store
         assert server.submit(document, wait=True)["state"] == "cached"
 
