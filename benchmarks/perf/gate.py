@@ -2,8 +2,8 @@
 """Shared perf-regression gate: smoke results vs committed baselines.
 
 Every perf benchmark writes a JSON document of result rows
-(``BENCH_graphcore.json``, ``BENCH_attacks.json``,
-``BENCH_simulation.json``). CI re-runs each benchmark in smoke mode and
+(``BENCH_graphcore.json``, ``BENCH_attacks.json``, ``BENCH_evolution.json``,
+``BENCH_obs.json``). CI re-runs each benchmark in smoke mode and
 this gate fails the job if a row's headline metric drops below a floor
 derived from the committed baseline — so the floors track what the code
 actually achieves instead of hand-maintained ``--min-*`` constants.
@@ -21,7 +21,7 @@ heterogeneous CI hardware:
 
 Run:
     python benchmarks/perf/gate.py --results smoke.json \
-        --baseline BENCH_simulation.json
+        --baseline BENCH_attacks.json
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ BENCHMARKS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[str, ...]]] 
         (),
         ("attacker_events_per_sec",),
     ),
-    "simulation": (("n",), (), ("batched_payments_per_sec",)),
     "evolution": (("n",), (), ("epochs_per_sec",)),
     # throughput_ratio = obs-on / obs-off payments per second on the same
     # machine and run — relative by construction, so it gates tight; the

@@ -77,9 +77,7 @@ def test_e05_granularity_tradeoff(benchmark, emit_table, profitable_params):
                 "granularity_m": granularity,
                 "units": units,
                 "divisions": result.details["divisions_tried"],
-                "T_compositions": count_divisions(
-                    units, parts, unique_multisets=False
-                ),
+                "T_compositions": count_divisions(units, parts),
                 "evaluations": result.evaluations,
                 "U'": result.objective_value,
             }

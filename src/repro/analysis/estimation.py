@@ -33,6 +33,9 @@ __all__ = [
     "estimate_zipf_s",
 ]
 
+#: Upper end of the ``s`` grid :func:`estimate_zipf_s` searches.
+ZIPF_S_MAX = 6.0
+
 
 @dataclass(frozen=True)
 class RateEstimate:
@@ -120,20 +123,19 @@ def _trace_log_likelihood(
 def estimate_zipf_s(
     graph: ChannelGraph,
     transactions: Iterable[Transaction],
-    s_max: float = 6.0,
     coarse_points: int = 25,
     refine_iterations: int = 40,
 ) -> ZipfEstimate:
     """Maximum-likelihood ``s`` under the modified-Zipf receiver model.
 
-    Coarse grid over ``[0, s_max]`` followed by golden-section refinement
+    Coarse grid over ``[0, ZIPF_S_MAX]`` followed by golden-section refinement
     around the best grid point (the log-likelihood is smooth and, in
     practice, unimodal in ``s``).
     """
     pairs = [(tx.sender, tx.receiver) for tx in transactions]
     if not pairs:
         raise InvalidParameter("need at least one transaction")
-    grid = np.linspace(0.0, s_max, coarse_points)
+    grid = np.linspace(0.0, ZIPF_S_MAX, coarse_points)
     values = [_trace_log_likelihood(graph, pairs, float(s)) for s in grid]
     best = int(np.argmax(values))
     lo = grid[max(best - 1, 0)]

@@ -19,9 +19,8 @@ events interleaved — and quantifies what the attack destroyed:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict
 
 __all__ = ["AttackReport"]
 
@@ -110,44 +109,11 @@ class AttackReport:
         return self.victim_revenue_delta / cost
 
     def to_dict(self) -> Dict[str, Any]:
-        """Lossless plain-JSON document (every field, schema-versioned)."""
+        """Plain-JSON document (every field, schema-versioned)."""
         doc: Dict[str, Any] = {"schema_version": REPORT_SCHEMA_VERSION}
         for spec_field in fields(self):
             doc[spec_field.name] = getattr(self, spec_field.name)
         return doc
-
-    @classmethod
-    def from_dict(cls, document: Mapping[str, Any]) -> "AttackReport":
-        """Rebuild a report from a :meth:`to_dict` document."""
-        if not isinstance(document, Mapping):
-            raise ValueError(
-                f"AttackReport document must be a mapping, "
-                f"got {type(document).__name__}"
-            )
-        version = document.get("schema_version", REPORT_SCHEMA_VERSION)
-        if version != REPORT_SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported AttackReport schema_version {version!r}"
-            )
-        known = {f.name for f in fields(cls)}
-        unknown = set(document) - known - {"schema_version"}
-        if unknown:
-            raise ValueError(
-                f"unknown AttackReport fields: {sorted(unknown)}"
-            )
-        missing = known - set(document)
-        if missing:
-            raise ValueError(
-                f"AttackReport document missing fields: {sorted(missing)}"
-            )
-        return cls(**{name: document[name] for name in known})
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AttackReport":
-        return cls.from_dict(json.loads(text))
 
     def to_row(self) -> Dict[str, Any]:
         """Flat sweep-table columns (prefixed to avoid clashing with the

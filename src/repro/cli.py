@@ -23,7 +23,7 @@ Subcommands:
 * ``profile`` — run a scenario fully instrumented (:mod:`repro.obs`)
   and print the hot-spot report, wall time per phase; ``--output``
   writes the schema-versioned ``RunTelemetry`` JSON, ``--trace-out``
-  the span/event JSONL trace;
+  the event JSONL trace;
 * ``sweep`` — evaluate a scenario JSON over a grid of dotted-path
   overrides (``--set topology.params.n=10,20,50``), serially or across
   worker processes (``--executor process``);
@@ -741,8 +741,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--tx-scale", type=float, default=0.5)
     p_sim.add_argument("--tx-max", type=float, default=5.0)
     p_sim.add_argument(
-        "--trace-out", default=None, metavar="SPANS_JSONL",
-        help="stream the instrumentation trace (spans/events, one JSON "
+        "--trace-out", default=None, metavar="TRACE_JSONL",
+        help="stream the instrumentation trace (events, one JSON "
         "record per line) to this file",
     )
     p_sim.set_defaults(func=_cmd_simulate)
@@ -778,8 +778,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=None, help="override the scenario's seed"
     )
     p_prof.add_argument(
-        "--trace-out", default=None, metavar="SPANS_JSONL",
-        help="also stream the span/event trace to this JSONL file",
+        "--trace-out", default=None, metavar="TRACE_JSONL",
+        help="also stream the event trace to this JSONL file",
     )
     p_prof.add_argument(
         "--output", default=None, metavar="TELEMETRY_JSON",

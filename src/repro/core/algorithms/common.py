@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping
+from typing import Any, Dict
 
-from ..strategy import Action, Strategy
+from ..strategy import Strategy
 
 __all__ = ["OptimisationResult"]
 
@@ -39,7 +39,7 @@ class OptimisationResult:
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-JSON document; the strategy flattens to ``[peer, locked]``
-        pairs (JSON-scalar peers round-trip losslessly)."""
+        pairs."""
         details = json.loads(json.dumps(self.details, default=str))
         return {
             "schema_version": RESULT_SCHEMA_VERSION,
@@ -52,26 +52,6 @@ class OptimisationResult:
             "evaluations": self.evaluations,
             "details": details,
         }
-
-    @classmethod
-    def from_dict(cls, document: Mapping[str, Any]) -> "OptimisationResult":
-        """Rebuild a result from a :meth:`to_dict` document."""
-        version = document.get("schema_version", RESULT_SCHEMA_VERSION)
-        if version != RESULT_SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported OptimisationResult schema_version {version!r}"
-            )
-        return cls(
-            algorithm=document["algorithm"],
-            strategy=Strategy(
-                Action(peer, locked)
-                for peer, locked in document.get("strategy", [])
-            ),
-            objective_value=document["objective_value"],
-            utility=document["utility"],
-            evaluations=document.get("evaluations", 0),
-            details=dict(document.get("details", {})),
-        )
 
     def summary(self) -> str:
         """One-line human-readable description."""

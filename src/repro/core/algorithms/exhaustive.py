@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from ...determinism import ordered_sum
 from ...errors import InvalidParameter
 from ..objective import ObjectiveEvaluator
 from ..strategy import BUDGET_SLACK, Action, Strategy
@@ -69,30 +68,11 @@ def fund_divisions(
             yield tuple(division)
 
 
-def count_divisions(units: int, parts: int, unique_multisets: bool = True) -> int:
-    """Number of divisions :func:`fund_divisions` would yield.
-
-    Compositions: ``C(units + parts - 1, parts - 1)`` (the paper's ``T``
-    up to its binomial convention); partitions are counted by recursion.
-    """
-    if not unique_multisets:
-        return math.comb(units + parts - 1, parts - 1)
-    seen = {}
-
-    def _count(remaining: int, slots: int, cap: int) -> int:
-        if slots == 1:
-            return 1 if remaining <= cap else 0
-        key = (remaining, slots, min(cap, remaining))
-        if key in seen:
-            return seen[key]
-        total = ordered_sum(
-            _count(remaining - head, slots - 1, head)
-            for head in range(min(remaining, cap), -1, -1)
-        )
-        seen[key] = total
-        return total
-
-    return _count(units, parts, units)
+def count_divisions(units: int, parts: int) -> int:
+    """Number of weak compositions :func:`fund_divisions` yields with
+    ``unique_multisets=False``: ``C(units + parts - 1, parts - 1)``, the
+    paper's ``T`` up to its binomial convention."""
+    return math.comb(units + parts - 1, parts - 1)
 
 
 def _greedy_with_lock_schedule(

@@ -50,8 +50,11 @@ def greedy_over_actions(
         raise InvalidParameter("max_channels must be >= 0")
     available: List[Action] = list(omega)
     strategy = Strategy()
-    prefix_strategies: List[Strategy] = [strategy]
-    prefix_values: List[float] = [evaluator(strategy)]
+    best, best_objective = strategy, evaluator(strategy)
+    # Only non-empty prefixes are recorded: the empty strategy of an
+    # unreachable new user scores -inf, which a result document cannot hold.
+    prefix_values: List[float] = []
+    prefix_sizes: List[int] = []
     while len(strategy) < max_channels and available:
         best_action = None
         best_value = -math.inf
@@ -67,19 +70,19 @@ def greedy_over_actions(
         strategy = strategy.with_action(best_action)
         if not allow_reuse:
             available.remove(best_action)
-        prefix_strategies.append(strategy)
         prefix_values.append(best_value)
-    best_index = max(range(len(prefix_values)), key=lambda i: prefix_values[i])
-    best = prefix_strategies[best_index]
+        prefix_sizes.append(len(strategy))
+        if best_value > best_objective:
+            best, best_objective = strategy, best_value
     return OptimisationResult(
         algorithm="greedy",
         strategy=best,
-        objective_value=prefix_values[best_index],
+        objective_value=best_objective,
         utility=evaluator.model.utility(best),
         evaluations=evaluator.evaluations,
         details={
             "prefix_values": prefix_values,
-            "prefix_sizes": [len(s) for s in prefix_strategies],
+            "prefix_sizes": prefix_sizes,
         },
     )
 

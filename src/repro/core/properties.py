@@ -24,6 +24,9 @@ __all__ = [
     "find_negative_utility_example",
 ]
 
+#: Violating ``(S1, S2, X)`` triples a :class:`SubmodularityReport` keeps.
+MAX_WITNESSES = 5
+
 
 @dataclass(frozen=True)
 class SubmodularityReport:
@@ -33,10 +36,6 @@ class SubmodularityReport:
     violations: int
     worst_gap: float = 0.0
     witnesses: Tuple[Tuple[Strategy, Strategy, Action], ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return self.violations == 0
 
 
 def _random_nested_pair(
@@ -59,7 +58,6 @@ def check_submodularity(
     trials: int = 100,
     seed: Optional[int] = None,
     tolerance: float = 1e-9,
-    keep_witnesses: int = 5,
 ) -> SubmodularityReport:
     """Test ``f(S2 + X) - f(S2) <= f(S1 + X) - f(S1)`` on random nestings.
 
@@ -88,7 +86,7 @@ def check_submodularity(
         if gap > tolerance:
             violations += 1
             worst_gap = max(worst_gap, gap)
-            if len(witnesses) < keep_witnesses:
+            if len(witnesses) < MAX_WITNESSES:
                 witnesses.append((s1, s2, x))
     return SubmodularityReport(
         trials=trials, violations=violations, worst_gap=worst_gap,

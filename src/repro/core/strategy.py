@@ -90,9 +90,6 @@ class Strategy:
     def actions(self) -> Tuple[Action, ...]:
         return self._actions
 
-    def total_locked(self) -> float:
-        return ordered_sum(action.locked for action in self._actions)
-
     def budget_cost(self, params: ModelParameters) -> float:
         """``Σ (C + l_j)`` — what the strategy draws from the budget."""
         return ordered_sum(action.budget_cost(params) for action in self._actions)

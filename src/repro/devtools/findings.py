@@ -1,9 +1,9 @@
-"""The lint finding artifact: frozen, JSON-round-trippable, sortable."""
+"""The lint finding artifact: frozen, JSON-serialisable, sortable."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Tuple
+from typing import Any, Dict, Tuple
 
 __all__ = ["Finding"]
 
@@ -46,14 +46,3 @@ class Finding:
             "message": self.message,
             "content": self.content,
         }
-
-    @classmethod
-    def from_dict(cls, document: Mapping[str, Any]) -> "Finding":
-        return cls(
-            rule=str(document["rule"]),
-            path=str(document["path"]),
-            line=int(document["line"]),
-            col=int(document["col"]),
-            message=str(document["message"]),
-            content=str(document.get("content", "")),
-        )

@@ -17,7 +17,6 @@ if TYPE_CHECKING:  # pragma: no cover - lazy at runtime, eager for typing
         hub_diameter_bound,
         star_ne_closed_form,
         star_ne_conditions,
-        star_ne_large_s_thm7,
         star_ne_sufficient_thm9,
     )
     from .deviations import (
@@ -82,7 +81,6 @@ __all__ = [
     "star",
     "star_ne_closed_form",
     "star_ne_conditions",
-    "star_ne_large_s_thm7",
     "star_ne_sufficient_thm9",
     "structured_deviations",
 ]
@@ -119,7 +117,6 @@ _LAZY_EXPORTS = {
     "star": "topologies",
     "star_ne_closed_form": "conditions",
     "star_ne_conditions": "conditions",
-    "star_ne_large_s_thm7": "conditions",
     "star_ne_sufficient_thm9": "conditions",
     "structured_deviations": "deviations",
 }

@@ -1,4 +1,4 @@
-"""Closed-form Nash-equilibrium conditions of Theorems 7, 8 and 9.
+"""Closed-form Nash-equilibrium conditions of Theorems 8 and 9.
 
 These are the exact inequalities stated by the paper for the star graph,
 implemented symbolically (generalised harmonic numbers) so that benches
@@ -21,7 +21,6 @@ __all__ = [
     "star_ne_conditions",
     "star_ne_closed_form",
     "star_ne_sufficient_thm9",
-    "star_ne_large_s_thm7",
     "hub_diameter_bound",
 ]
 
@@ -119,13 +118,6 @@ def star_ne_sufficient_thm9(
         return False
     hn = harmonic(n, s)
     return a / hn <= l + 1e-12 and b / hn <= l + 1e-12
-
-
-def star_ne_large_s_thm7(
-    n: int, s: float, negligible: float = 1e-9
-) -> bool:
-    """Thm 7's asymptotic regime: ``>= 4`` leaves and ``2^{-s}`` negligible."""
-    return n >= 4 and 2.0 ** (-s) <= negligible
 
 
 def hub_diameter_bound(

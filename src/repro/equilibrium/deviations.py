@@ -32,6 +32,13 @@ __all__ = [
     "sampled_deviations",
 ]
 
+#: Sizes up to which :func:`structured_deviations` enumerates every
+#: addition / removal subset, and the random subsets it draws for each
+#: larger addition size.
+MAX_ADD_ENUMERATED = 2
+MAX_REMOVE_ENUMERATED = 2
+SAMPLES_PER_SIZE = 2
+
 
 @dataclass(frozen=True)
 class Deviation:
@@ -93,19 +100,17 @@ def _subsets(items: List[Hashable], max_size: int) -> Iterator[FrozenSet[Hashabl
 def structured_deviations(
     graph: ChannelGraph,
     node: Hashable,
-    max_add_enumerated: int = 2,
-    max_remove_enumerated: int = 2,
-    samples_per_size: int = 2,
     seed: Optional[int] = 0,
 ) -> List[Deviation]:
     """The deviation family used by the Section IV proofs.
 
     Includes:
 
-    * all removal subsets up to ``max_remove_enumerated`` plus "remove all";
-    * all addition subsets up to ``max_add_enumerated`` plus "add all"
+    * all removal subsets up to :data:`MAX_REMOVE_ENUMERATED` plus
+      "remove all";
+    * all addition subsets up to :data:`MAX_ADD_ENUMERATED` plus "add all"
       (the leaf-connects-to-all-leaves class) and, for each larger size,
-      ``samples_per_size`` random subsets plus one canonical (sorted-order)
+      :data:`SAMPLES_PER_SIZE` random subsets plus one canonical (sorted-order)
       subset — exact for vertex-transitive positions like star leaves;
     * the cross products "remove X and add Y" for the enumerated cores,
       covering the rewire classes (e.g. drop the hub, connect to leaves).
@@ -121,15 +126,15 @@ def structured_deviations(
         key=str,
     )
 
-    removal_sets = list(_subsets(neighbors, max_remove_enumerated))
+    removal_sets = list(_subsets(neighbors, MAX_REMOVE_ENUMERATED))
     full_removal = frozenset(neighbors)
     if full_removal not in removal_sets:
         removal_sets.append(full_removal)
 
-    addition_sets = list(_subsets(non_neighbors, max_add_enumerated))
-    for size in range(max_add_enumerated + 1, len(non_neighbors) + 1):
+    addition_sets = list(_subsets(non_neighbors, MAX_ADD_ENUMERATED))
+    for size in range(MAX_ADD_ENUMERATED + 1, len(non_neighbors) + 1):
         addition_sets.append(frozenset(non_neighbors[:size]))  # canonical
-        for _ in range(samples_per_size):
+        for _ in range(SAMPLES_PER_SIZE):
             picked = rng.choice(len(non_neighbors), size=size, replace=False)
             addition_sets.append(frozenset(non_neighbors[i] for i in picked))
 

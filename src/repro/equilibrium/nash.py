@@ -79,13 +79,16 @@ def _deviation_family(
     node: Hashable,
     mode: str,
     seed: int,
+    moves: int = 8,
 ) -> Sequence[Deviation]:
+    """The ``mode`` deviation family of ``node``; ``moves`` sizes the
+    ``"sampled"`` one."""
     if mode == "structured":
         return structured_deviations(graph, node, seed=seed)
     if mode == "exhaustive":
         return exhaustive_deviations(graph, node)
     if mode == "sampled":
-        return sampled_deviations(graph, node, seed=seed)
+        return sampled_deviations(graph, node, moves=moves, seed=seed)
     raise InvalidParameter(
         f"mode must be structured/exhaustive/sampled, got {mode!r}"
     )

@@ -35,14 +35,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..determinism import ordered_sum
-from ..equilibrium.deviations import (
-    Deviation,
-    apply_deviation,
-    exhaustive_deviations,
-    sampled_deviations,
-    structured_deviations,
-)
-from ..equilibrium.nash import best_response, check_nash
+from ..equilibrium.deviations import Deviation, apply_deviation
+from ..equilibrium.nash import _deviation_family, best_response, check_nash
 from ..equilibrium.node_utility import NetworkGameModel
 from ..network.fees import FeeFunction
 from ..network.graph import ChannelGraph
@@ -83,7 +77,6 @@ class EvolutionEngine:
             a unit-rate modified-Zipf workload at the spec's ``zipf_s``.
         fee: fee function for the traffic epochs and the empirical
             provider's replays.
-        utility_provider: override the provider the spec would build.
         seed: master seed; every stochastic phase derives from it.
         obs: instrumentation session — per-phase wall time, per-epoch
             trace events, traffic-engine counters. Never touches the
@@ -100,7 +93,6 @@ class EvolutionEngine:
             Callable[[ChannelGraph, int], PoissonWorkload]
         ] = None,
         fee: Optional[FeeFunction] = None,
-        utility_provider: Optional[UtilityProvider] = None,
         seed: int = 0,
         obs: Optional[ObsSession] = None,
     ) -> None:
@@ -117,10 +109,8 @@ class EvolutionEngine:
         self.model = NetworkGameModel(
             a=spec.a, b=spec.b, edge_cost=spec.edge_cost, zipf_s=spec.zipf_s
         )
-        if utility_provider is not None:
-            self.provider: UtilityProvider = utility_provider
-        elif spec.utility == "analytic":
-            self.provider = AnalyticUtilityProvider(self.model)
+        if spec.utility == "analytic":
+            self.provider: UtilityProvider = AnalyticUtilityProvider(self.model)
         else:
             self.provider = EmpiricalUtilityProvider(
                 edge_cost=spec.edge_cost, fee=fee
@@ -196,16 +186,9 @@ class EvolutionEngine:
         self, node: Any, epoch_seed: int
     ) -> Sequence[Deviation]:
         spec = self.spec
-        if spec.mode == "structured":
-            family: Sequence[Deviation] = structured_deviations(
-                self.graph, node, seed=epoch_seed
-            )
-        elif spec.mode == "exhaustive":
-            family = exhaustive_deviations(self.graph, node)
-        else:
-            family = sampled_deviations(
-                self.graph, node, moves=spec.moves_per_node, seed=epoch_seed
-            )
+        family = _deviation_family(
+            self.graph, node, spec.mode, epoch_seed, moves=spec.moves_per_node
+        )
         if spec.add_budget is not None:
             family = [d for d in family if len(d.add) <= spec.add_budget]
         return family

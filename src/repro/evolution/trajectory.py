@@ -12,8 +12,8 @@ shapes (star / path / circle / complete) so emergence tables can ask
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from ..determinism import ordered_sum
 from ..network.graph import ChannelGraph
@@ -132,24 +132,6 @@ class EpochRecord:
         }
         return doc
 
-    @classmethod
-    def from_dict(cls, document: Mapping[str, Any]) -> "EpochRecord":
-        """Rebuild one epoch record from a :meth:`to_dict` document."""
-        if not isinstance(document, Mapping):
-            raise ValueError(
-                f"EpochRecord document must be a mapping, "
-                f"got {type(document).__name__}"
-            )
-        known = {f.name for f in fields(cls)}
-        unknown = set(document) - known
-        if unknown:
-            raise ValueError(f"unknown EpochRecord fields: {sorted(unknown)}")
-        kwargs = dict(document)
-        kwargs["move_log"] = tuple(
-            dict(move) for move in kwargs.get("move_log", ())
-        )
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -203,45 +185,6 @@ class Trajectory:
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, document: Mapping[str, Any]) -> "Trajectory":
-        """Rebuild a trajectory from a :meth:`to_dict` document."""
-        if not isinstance(document, Mapping):
-            raise ValueError(
-                f"Trajectory document must be a mapping, "
-                f"got {type(document).__name__}"
-            )
-        version = document.get("schema_version", TRAJECTORY_SCHEMA_VERSION)
-        if version != TRAJECTORY_SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported Trajectory schema_version {version!r}"
-            )
-        known = {
-            "schema_version", "converged", "epochs_run", "seed",
-            "final_topology", "nash_stable", "final_max_gain", "totals",
-            "epochs",
-        }
-        unknown = set(document) - known
-        if unknown:
-            raise ValueError(f"unknown Trajectory fields: {sorted(unknown)}")
-        return cls(
-            records=tuple(
-                EpochRecord.from_dict(record)
-                for record in document.get("epochs", [])
-            ),
-            converged=document["converged"],
-            epochs_run=document["epochs_run"],
-            seed=document["seed"],
-            final_topology=document["final_topology"],
-            nash_stable=document.get("nash_stable"),
-            final_max_gain=document.get("final_max_gain"),
-            totals=dict(document.get("totals", {})),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Trajectory":
-        return cls.from_dict(json.loads(text))
 
     def row(self) -> Dict[str, Any]:
         """Flat headline columns for sweep tables (scalars only)."""

@@ -31,9 +31,7 @@ from .registry import (
     Histogram,
     MetricsRegistry,
     NullRegistry,
-    Timer,
     obs_enabled_from_env,
-    registry_for,
 )
 from .report import (
     TELEMETRY_SCHEMA_VERSION,
@@ -59,7 +57,6 @@ __all__ = [
     "RunTelemetry",
     "TELEMETRY_SCHEMA_VERSION",
     "TRACE_SCHEMA_VERSION",
-    "Timer",
     "TraceWriter",
     "attach_telemetry",
     "default_session",
@@ -67,7 +64,6 @@ __all__ = [
     "hotspot_table",
     "monotonic",
     "obs_enabled_from_env",
-    "registry_for",
     "set_clock",
     "telemetry_of",
 ]
@@ -79,8 +75,8 @@ class ObsSession:
     Args:
         enabled: force on/off; ``None`` resolves to "on if a tracer was
             given, else the ``REPRO_OBS`` env flag".
-        tracer: optional :class:`TraceWriter` receiving span/event
-            records (implies enabled).
+        tracer: optional :class:`TraceWriter` receiving event records
+            (implies enabled).
     """
 
     __slots__ = ("enabled", "registry", "tracer", "phase_seconds")

@@ -1,20 +1,20 @@
-"""Counter / Gauge / Histogram / Timer behind a process-local registry.
+"""Counter / Gauge / Histogram behind a process-local registry.
 
 Zero overhead when disabled: :data:`NULL_REGISTRY` is a shared no-op
 singleton whose instruments swallow every update, so an uninstrumented
 hot loop pays one attribute lookup and a falsy check — never a dict
-probe, never a clock read. Enabled registries are plain dict-backed
-accumulators with a Prometheus text rendering for the service daemon's
-``metrics`` verb.
+probe. The registry reads no clock: a caller that times something reads
+:func:`~repro.obs.clock.monotonic` itself and observes the difference
+into a histogram. Enabled registries are plain dict-backed accumulators
+with a Prometheus text rendering for the service daemon's ``metrics``
+verb.
 """
 
 from __future__ import annotations
 
 import bisect
 import os
-from typing import Any, Dict, Optional, Sequence, Tuple
-
-from .clock import monotonic
+from typing import Any, Dict, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -24,9 +24,7 @@ __all__ = [
     "MetricsRegistry",
     "NULL_REGISTRY",
     "NullRegistry",
-    "Timer",
     "obs_enabled_from_env",
-    "registry_for",
 ]
 
 #: Default histogram bucket upper bounds, tuned for latencies in seconds.
@@ -97,23 +95,6 @@ class Histogram:
         }
 
 
-class Timer:
-    """Context manager observing elapsed obs-clock seconds into a histogram."""
-
-    __slots__ = ("histogram", "_started")
-
-    def __init__(self, histogram: Histogram) -> None:
-        self.histogram = histogram
-        self._started = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._started = monotonic()
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.histogram.observe(monotonic() - self._started)
-
-
 class MetricsRegistry:
     """Get-or-create home of every instrument in one run/process."""
 
@@ -143,11 +124,6 @@ class MetricsRegistry:
         if instrument is None:
             instrument = self._histograms[name] = Histogram(name, bounds)
         return instrument
-
-    def timer(
-        self, name: str, bounds: Sequence[float] = DEFAULT_BUCKETS
-    ) -> Timer:
-        return Timer(self.histogram(name, bounds))
 
     def snapshot(self) -> Dict[str, Any]:
         """Plain-JSON dump of every instrument (names sorted)."""
@@ -228,18 +204,6 @@ class _NullHistogram(Histogram):
         pass
 
 
-class _NullTimer(Timer):
-    """No clock reads, no recording — disabled timing costs nothing."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "Timer":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        pass
-
-
 class NullRegistry(MetricsRegistry):
     """The disabled registry: every instrument is a shared no-op."""
 
@@ -250,7 +214,6 @@ class NullRegistry(MetricsRegistry):
         self._null_counter = _NullCounter("null")
         self._null_gauge = _NullGauge("null")
         self._null_histogram = _NullHistogram("null", DEFAULT_BUCKETS)
-        self._null_timer = _NullTimer(self._null_histogram)
 
     def counter(self, name: str) -> Counter:
         return self._null_counter
@@ -263,21 +226,7 @@ class NullRegistry(MetricsRegistry):
     ) -> Histogram:
         return self._null_histogram
 
-    def timer(
-        self, name: str, bounds: Sequence[float] = DEFAULT_BUCKETS
-    ) -> Timer:
-        return self._null_timer
-
 
 #: Shared disabled registry — what every engine sees unless obs is on.
 NULL_REGISTRY = NullRegistry()
 
-
-def registry_for(enabled: Optional[bool] = None) -> MetricsRegistry:
-    """A fresh enabled registry, or the shared null one.
-
-    ``enabled=None`` resolves from the ``REPRO_OBS`` environment flag.
-    """
-    if enabled is None:
-        enabled = obs_enabled_from_env()
-    return MetricsRegistry() if enabled else NULL_REGISTRY

@@ -4,16 +4,15 @@
 instrumented run: counters, gauges, per-phase wall time and histograms.
 It rides *alongside* the result artifacts — :func:`attach_telemetry` pins
 it onto a ``SimulationMetrics`` / ``AttackReport`` / ``Trajectory``
-without entering their ``to_dict`` documents, so result hashing, the
-content-addressed store, and every existing round-trip contract are
-untouched by instrumentation.
+without entering their ``to_dict`` documents, so result hashing and the
+content-addressed store are untouched by instrumentation.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Optional
 
 from ..determinism import ordered_sum
 
@@ -62,49 +61,15 @@ class RunTelemetry:
                            for name in sorted(self.histograms)},
         }
 
-    @classmethod
-    def from_dict(cls, document: Mapping[str, Any]) -> "RunTelemetry":
-        """Rebuild telemetry from a :meth:`to_dict` document (strict)."""
-        if not isinstance(document, Mapping):
-            raise ValueError(
-                f"RunTelemetry document must be a mapping, "
-                f"got {type(document).__name__}"
-            )
-        version = document.get("schema_version", TELEMETRY_SCHEMA_VERSION)
-        if version != TELEMETRY_SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported RunTelemetry schema_version {version!r}"
-            )
-        known = {
-            "schema_version", "counters", "gauges", "phase_seconds",
-            "histograms",
-        }
-        unknown = set(document) - known
-        if unknown:
-            raise ValueError(f"unknown RunTelemetry fields: {sorted(unknown)}")
-        return cls(
-            counters=dict(document.get("counters", {})),
-            gauges=dict(document.get("gauges", {})),
-            phase_seconds=dict(document.get("phase_seconds", {})),
-            histograms={
-                name: dict(histogram)
-                for name, histogram in document.get("histograms", {}).items()
-            },
-        )
-
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunTelemetry":
-        return cls.from_dict(json.loads(text))
 
 
 def attach_telemetry(artifact: Any, telemetry: RunTelemetry) -> Any:
     """Pin ``telemetry`` onto ``artifact`` (frozen dataclasses included).
 
     The attribute is a side channel: it never appears in the artifact's
-    ``to_dict`` document, so content hashes and store round-trips are
+    ``to_dict`` document, so content hashes and stored documents are
     byte-identical with and without it.
     """
     object.__setattr__(artifact, _TELEMETRY_ATTR, telemetry)

@@ -1,12 +1,11 @@
-"""Span/event trace export as JSON lines.
+"""Event trace export as JSON lines.
 
 One :class:`TraceWriter` per run appends one JSON object per line:
 
 * a ``meta`` header (``schema_version``, the clock origin),
 * ``event`` records — point-in-time marks (``ts`` seconds since the
   writer opened, on the obs clock) plus caller fields such as the
-  simulated time or a payment id,
-* ``span`` records — ``ts`` start plus ``dur`` elapsed seconds.
+  simulated time, a payment id, or a finished phase and its seconds.
 
 Timestamps come from :mod:`repro.obs.clock` only, so tracing perturbs
 neither simulation RNG nor results; a traced run's metrics are
@@ -16,8 +15,7 @@ bit-identical to an untraced one (the parity suite asserts it).
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
-from typing import IO, Any, Iterator, Optional, Union
+from typing import IO, Any, Optional, Union
 
 from .clock import monotonic
 
@@ -54,23 +52,6 @@ class TraceWriter:
         }
         record.update(fields)
         self._write(record)
-
-    @contextmanager
-    def span(self, name: str, **fields: Any) -> Iterator[None]:
-        """Wrap a block; writes one record with ``ts`` + ``dur`` on exit."""
-        started = monotonic()
-        try:
-            yield
-        finally:
-            ended = monotonic()
-            record = {
-                "type": "span",
-                "name": name,
-                "ts": round(started - self._origin, 9),
-                "dur": round(ended - started, 9),
-            }
-            record.update(fields)
-            self._write(record)
 
     def close(self) -> None:
         self._handle.flush()

@@ -32,7 +32,6 @@ attribute       paper symbol / meaning
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from .errors import InvalidParameter
@@ -79,10 +78,6 @@ class ModelParameters:
         for name, value in non_negatives.items():
             if value < 0:
                 raise InvalidParameter(f"{name} must be >= 0, got {value}")
-
-    def replace(self, **changes: float) -> "ModelParameters":
-        """Return a copy with ``changes`` applied (validated)."""
-        return dataclasses.replace(self, **changes)
 
     def channel_cost(self, locked: float) -> float:
         """Total cost ``L_u(v, l) = C + r*l`` of one channel for one party.

@@ -25,7 +25,6 @@ in several threads of one process import each layer one at a time.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -119,9 +118,9 @@ class ScenarioResult:
         The graph serialises as a describegraph snapshot (node ids
         coerced to strings, the snapshot layer's convention), metrics and
         reports through their own schema-versioned ``to_dict`` forms.
-        The document is the store payload of the scenario service:
-        ``to_dict(from_dict(doc)) == doc`` holds for every stored doc,
-        which is what the byte-identical cache-hit guarantee rests on.
+        The document is the store payload of the scenario service, which
+        stores its canonical JSON text and serves a cache hit as that
+        stored text, byte for byte.
         """
         with IMPORT_LOCK:
             from ..snapshots.io import to_describegraph
@@ -150,55 +149,6 @@ class ScenarioResult:
                 self.evolution.to_dict() if self.evolution is not None else None
             ),
         }
-
-    @classmethod
-    def from_dict(cls, document: Mapping[str, Any]) -> "ScenarioResult":
-        """Rebuild a result from a :meth:`to_dict` document."""
-        with IMPORT_LOCK:
-            from ..attacks.report import AttackReport
-            from ..core.algorithms.common import OptimisationResult
-            from ..evolution.trajectory import Trajectory
-            from ..simulation.metrics import SimulationMetrics
-            from ..snapshots.io import from_describegraph
-
-        if not isinstance(document, Mapping):
-            raise ScenarioError(
-                f"ScenarioResult document must be a mapping, "
-                f"got {type(document).__name__}"
-            )
-        version = document.get("schema_version", RESULT_SCHEMA_VERSION)
-        if version != RESULT_SCHEMA_VERSION:
-            raise ScenarioError(
-                f"unsupported ScenarioResult schema_version {version!r}"
-            )
-
-        def section(key: str, parse: Callable[[Any], Any]) -> Any:
-            raw = document.get(key)
-            return None if raw is None else parse(raw)
-
-        return cls(
-            scenario=Scenario.from_dict(document["scenario"]),
-            row=dict(document.get("row", {})),
-            graph=section("graph", from_describegraph),
-            optimisation=section("optimisation", OptimisationResult.from_dict),
-            metrics=section("metrics", SimulationMetrics.from_dict),
-            attack=section("attack", AttackReport.from_dict),
-            baseline_metrics=section(
-                "baseline_metrics", SimulationMetrics.from_dict
-            ),
-            evolution=section("evolution", Trajectory.from_dict),
-        )
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioResult":
-        try:
-            document = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"invalid result JSON: {exc}") from exc
-        return cls.from_dict(document)
 
     def summary(self) -> str:
         """One-line human-readable description of the headline numbers."""

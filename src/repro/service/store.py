@@ -312,14 +312,6 @@ class ResultStore:
 
     # -- maintenance ---------------------------------------------------------
 
-    def delete(self, key: str) -> bool:
-        """Remove ``key``; returns whether an entry existed."""
-        try:
-            self.path_for(key).unlink()
-            return True
-        except FileNotFoundError:
-            return False
-
     def stats(self) -> StoreStats:
         entries = 0
         total = 0

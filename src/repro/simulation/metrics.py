@@ -82,12 +82,11 @@ class SimulationMetrics:
         return self.revenue.get(node, 0.0) / self.horizon
 
     def to_dict(self) -> Dict[str, Any]:
-        """A plain-JSON document (see :meth:`from_dict` for the inverse).
+        """A plain-JSON document.
 
         Per-node tallies serialise as ``[node, value]`` pair lists and
         per-edge tallies as ``[src, dst, count]`` triples — JSON objects
-        only take string keys, and node ids may be ints. Node ids that
-        are themselves JSON scalars round-trip losslessly.
+        only take string keys, and node ids may be ints.
         """
         return {
             "schema_version": METRICS_SCHEMA_VERSION,
@@ -115,36 +114,6 @@ class SimulationMetrics:
             "htlc_locked_peak": self.htlc_locked_peak,
             "seed": self.seed,
         }
-
-    @classmethod
-    def from_dict(cls, document: Mapping[str, Any]) -> "SimulationMetrics":
-        """Rebuild metrics from a :meth:`to_dict` document."""
-        version = document.get("schema_version", METRICS_SCHEMA_VERSION)
-        if version != METRICS_SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported SimulationMetrics schema_version {version!r}"
-            )
-        metrics = cls(
-            attempted=document.get("attempted", 0),
-            succeeded=document.get("succeeded", 0),
-            failed=document.get("failed", 0),
-            volume_delivered=document.get("volume_delivered", 0.0),
-            horizon=document.get("horizon", 0.0),
-            htlc_locked_peak=document.get("htlc_locked_peak", 0.0),
-            seed=document.get("seed"),
-        )
-        for name in (
-            "revenue", "fees_paid", "upfront_revenue", "upfront_fees_paid",
-            "sent", "received",
-        ):
-            table = getattr(metrics, name)
-            for node, value in document.get(name, []):
-                table[node] = value
-        for src, dst, count in document.get("edge_traffic", []):
-            metrics.edge_traffic[(src, dst)] = count
-        for reason, count in document.get("failure_reasons", {}).items():
-            metrics.failure_reasons[reason] = count
-        return metrics
 
     def summary(self) -> str:
         return (

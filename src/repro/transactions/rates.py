@@ -22,11 +22,7 @@ from typing import Dict, Hashable, Mapping, Optional, Tuple
 import numpy as np
 
 from ..determinism import ordered_sum
-from ..network.betweenness import (
-    BetweennessResult,
-    pair_weighted_betweenness,
-    pair_weighted_betweenness_exact,
-)
+from ..network.betweenness import BetweennessResult, pair_weighted_betweenness
 from ..network.graph import ChannelGraph
 from .distributions import TransactionDistribution
 
@@ -45,7 +41,6 @@ def traffic_profile(
     distribution: TransactionDistribution,
     amount: float = 0.0,
     per_sender_rates: Optional[Mapping[Hashable, float]] = None,
-    exact: bool = False,
 ) -> BetweennessResult:
     """Node and edge traffic shares under ``distribution``.
 
@@ -54,16 +49,12 @@ def traffic_profile(
         distribution: ``p_trans``.
         amount: restrict to the reduced subgraph able to carry ``amount``.
         per_sender_rates: optional ``N_s`` per sender (see module docs).
-        exact: use literal shortest-path enumeration instead of the
-            weighted-Brandes pass (slow; for cross-checking).
     """
     view = graph.view(directed=True, reduced=amount)
     weights = distribution.pair_probabilities(view.nodes)
     if per_sender_rates is not None:
         rates = [per_sender_rates.get(s, 0.0) for s in view.nodes]
         weights *= np.array(rates)[:, None]
-    if exact:
-        return pair_weighted_betweenness_exact(view, weights)
     return pair_weighted_betweenness(view, weights)
 
 
@@ -71,7 +62,6 @@ def edge_probabilities(
     graph: ChannelGraph,
     distribution: TransactionDistribution,
     amount: float = 0.0,
-    exact: bool = False,
     sender_weights: Optional[Mapping[Hashable, float]] = None,
 ) -> Dict[Edge, float]:
     """``p_e`` of Eq. 2: probability edge ``e`` is used by *one* transaction.
@@ -93,8 +83,7 @@ def edge_probabilities(
             raise ValueError("sender_weights must have positive mass")
         weights = {v: max(w, 0.0) / total for v, w in sender_weights.items()}
     profile = traffic_profile(
-        graph, distribution, amount=amount, exact=exact,
-        per_sender_rates=weights,
+        graph, distribution, amount=amount, per_sender_rates=weights,
     )
     return profile.edge
 
@@ -104,7 +93,6 @@ def edge_rates(
     distribution: TransactionDistribution,
     total_tx_rate: float,
     amount: float = 0.0,
-    exact: bool = False,
     sender_weights: Optional[Mapping[Hashable, float]] = None,
 ) -> Dict[Edge, float]:
     """``λ_e = N * p_e`` for every directed edge (Eq. 2 scaled by ``N``).
@@ -113,8 +101,7 @@ def edge_rates(
     split follows :func:`edge_probabilities`.
     """
     probs = edge_probabilities(
-        graph, distribution, amount=amount, exact=exact,
-        sender_weights=sender_weights,
+        graph, distribution, amount=amount, sender_weights=sender_weights,
     )
     return {edge: total_tx_rate * p for edge, p in probs.items()}
 
@@ -124,7 +111,6 @@ def intermediary_traffic(
     distribution: TransactionDistribution,
     per_sender_rates: Optional[Mapping[Hashable, float]] = None,
     amount: float = 0.0,
-    exact: bool = False,
 ) -> Dict[Hashable, float]:
     """Expected forwarding traffic through each node as an intermediary.
 
@@ -136,6 +122,5 @@ def intermediary_traffic(
         distribution,
         amount=amount,
         per_sender_rates=per_sender_rates,
-        exact=exact,
     )
     return profile.node

@@ -57,6 +57,27 @@ class TestGreedyBasics:
         assert len(values) == len(result.details["prefix_sizes"])
         assert result.objective_value == max(values)
 
+    def test_result_document_hashes(self):
+        """The empty prefix of an unreachable new user scores ``-inf``;
+        only non-empty prefixes reach the document, which stays finite."""
+        from repro.obs import NULL_SESSION
+        from repro.scenarios import Scenario, ScenarioRunner
+        from repro.service.hashing import content_hash
+
+        scenario = Scenario.from_dict({
+            "name": "greedy-ba15",
+            "seed": 3,
+            "topology": {"kind": "ba", "params": {"n": 15}},
+            "algorithm": {
+                "kind": "greedy", "params": {"budget": 5.0, "lock": 1.0},
+            },
+        })
+        document = ScenarioRunner(obs=NULL_SESSION).run(scenario).to_dict()
+        details = document["optimisation"]["details"]
+        assert details["prefix_sizes"] == [1, 2]
+        assert all(math.isfinite(value) for value in details["prefix_values"])
+        assert content_hash(document)
+
     def test_deterministic(self, small_model):
         r1 = greedy_fixed_funds(small_model, budget=6.0, lock=1.0)
         graph = small_model.base_graph

@@ -84,10 +84,6 @@ class TestBudget:
         assert Strategy([Action("a", 1.0)]).fits_budget(params, 2.0)
         assert not Strategy([Action("a", 1.5)]).fits_budget(params, 2.0)
 
-    def test_total_locked(self):
-        strategy = Strategy([Action("a", 1.5), Action("b", 2.5)])
-        assert strategy.total_locked() == pytest.approx(4.0)
-
 
 class TestActionSpace:
     @pytest.fixture

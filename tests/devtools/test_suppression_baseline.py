@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools import Baseline, Finding, lint_file, lint_paths
+from repro.devtools import Baseline, lint_file, lint_paths
 from repro.devtools.rules import RULES
 from repro.errors import ReproError
 
@@ -108,10 +108,3 @@ class TestBaseline:
         target.write_text("not json", encoding="utf-8")
         with pytest.raises(ReproError):
             Baseline.load(target)
-
-    def test_finding_round_trips_through_dict(self):
-        finding = Finding(
-            rule="RPR001", path="a/b.py", line=3, col=4,
-            message="m", content="x = 1",
-        )
-        assert Finding.from_dict(finding.to_dict()) == finding

@@ -1,4 +1,4 @@
-"""Unit tests for the closed-form Thm 7/8/9 conditions."""
+"""Unit tests for the closed-form Thm 8/9 conditions."""
 
 
 import pytest
@@ -8,7 +8,6 @@ from repro.equilibrium.conditions import (
     hub_diameter_bound,
     star_ne_closed_form,
     star_ne_conditions,
-    star_ne_large_s_thm7,
     star_ne_sufficient_thm9,
 )
 from repro.errors import InvalidParameter
@@ -82,16 +81,6 @@ class TestTheorem9Sufficiency:
     def test_requires_bounded_traffic(self):
         h = harmonic(5, 2.0)
         assert not star_ne_sufficient_thm9(5, 2.0, 2.0 * h, 0.1, 1.0)
-
-
-class TestTheorem7LargeS:
-    def test_needs_four_leaves(self):
-        assert not star_ne_large_s_thm7(3, 100.0)
-        assert star_ne_large_s_thm7(4, 100.0)
-
-    def test_needs_negligible_two_pow_minus_s(self):
-        assert not star_ne_large_s_thm7(5, 2.0)
-        assert star_ne_large_s_thm7(5, 40.0)
 
 
 class TestTheorem6Bound:

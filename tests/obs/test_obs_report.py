@@ -1,4 +1,4 @@
-"""RunTelemetry round-trip, side-channel attachment, hot-spot report."""
+"""RunTelemetry JSON text, side-channel attachment, hot-spot report."""
 
 import dataclasses
 import json
@@ -26,13 +26,9 @@ def sample_telemetry():
 
 
 class TestRoundTrip:
-    def test_to_dict_from_dict_round_trip(self):
+    def test_to_json_writes_the_document(self):
         telemetry = sample_telemetry()
-        assert RunTelemetry.from_dict(telemetry.to_dict()) == telemetry
-
-    def test_to_json_from_json_round_trip(self):
-        telemetry = sample_telemetry()
-        assert RunTelemetry.from_json(telemetry.to_json()) == telemetry
+        assert json.loads(telemetry.to_json()) == telemetry.to_dict()
 
     def test_document_is_schema_versioned_and_sorted(self):
         document = sample_telemetry().to_dict()
@@ -45,39 +41,6 @@ class TestStrictness:
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             sample_telemetry().counters = {}
-
-    def test_unsupported_version_rejected(self):
-        document = sample_telemetry().to_dict()
-        document["schema_version"] = 999
-        with pytest.raises(ValueError, match="schema_version"):
-            RunTelemetry.from_dict(document)
-
-    def test_v1_document_refused(self):
-        # v1 carried the batched backend's tree-cache sections.
-        document = {
-            "schema_version": 1,
-            "counters": {"fastpath.payments": 10.0},
-            "top_conflicting_edges": [["a", "b", 3]],
-            "cache": {"conflict_rate": 0.3},
-        }
-        with pytest.raises(ValueError, match="schema_version 1"):
-            RunTelemetry.from_dict(document)
-
-    def test_unknown_fields_rejected(self):
-        document = sample_telemetry().to_dict()
-        document["surprise"] = 1
-        with pytest.raises(ValueError, match="unknown RunTelemetry fields"):
-            RunTelemetry.from_dict(document)
-
-    def test_non_mapping_rejected(self):
-        with pytest.raises(ValueError, match="must be a mapping"):
-            RunTelemetry.from_dict([1, 2, 3])
-
-    def test_missing_sections_default_empty(self):
-        telemetry = RunTelemetry.from_dict(
-            {"schema_version": TELEMETRY_SCHEMA_VERSION}
-        )
-        assert telemetry == RunTelemetry()
 
 
 class TestAttachment:

@@ -55,38 +55,6 @@ class TestEvents:
         assert records_of(buffer)[1]["ts"] == 0.25
 
 
-class TestSpans:
-    def test_span_records_start_and_duration(self):
-        fake = FakeClock()
-        previous = set_clock(fake)
-        try:
-            buffer = io.StringIO()
-            writer = TraceWriter(buffer)
-            fake.advance(1.0)
-            with writer.span("simulate", phase="main"):
-                fake.advance(2.5)
-            writer.close()
-        finally:
-            set_clock(previous)
-        record = records_of(buffer)[1]
-        assert record["type"] == "span"
-        assert record["name"] == "simulate"
-        assert record["ts"] == 1.0
-        assert record["dur"] == 2.5
-        assert record["phase"] == "main"
-
-    def test_span_written_even_when_body_raises(self):
-        buffer = io.StringIO()
-        writer = TraceWriter(buffer)
-        try:
-            with writer.span("boom"):
-                raise RuntimeError("inside the span")
-        except RuntimeError:
-            pass
-        writer.close()
-        assert records_of(buffer)[1]["name"] == "boom"
-
-
 class TestSinks:
     def test_file_path_sink_owns_and_closes_handle(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -110,8 +78,7 @@ class TestSinks:
         buffer = io.StringIO()
         writer = TraceWriter(buffer)
         writer.event("a")
-        with writer.span("b"):
-            pass
+        writer.event("b")
         writer.close()
         assert writer.records_written == 3
         assert len(records_of(buffer)) == 3

@@ -65,12 +65,6 @@ class TestRoundTrip:
         assert len(store) == 2
         assert list(store.keys()) == sorted([KEY, OTHER])
 
-    def test_delete(self, store):
-        store.put(KEY, {"x": 1})
-        assert store.delete(KEY) is True
-        assert store.delete(KEY) is False
-        assert store.get(KEY) is None
-
     def test_overwrite_same_key_wins_last(self, store):
         store.put(KEY, {"x": 1})
         store.put(KEY, {"x": 2})

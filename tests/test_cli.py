@@ -508,8 +508,6 @@ class TestObservability:
     def test_profile_command_emits_report_telemetry_and_trace(
         self, tmp_path, capsys
     ):
-        from repro.obs import RunTelemetry
-
         scen = write_scenario(
             tmp_path / "scen.json",
             algorithm=None,
@@ -525,8 +523,8 @@ class TestObservability:
         captured = capsys.readouterr()
         assert "per-phase wall time" in captured.out
         assert "trace records" in captured.err
-        telemetry = RunTelemetry.from_json(telemetry_path.read_text())
-        assert telemetry.counters["fastpath.payments"] > 0
+        telemetry = json.loads(telemetry_path.read_text())
+        assert telemetry["counters"]["fastpath.payments"] > 0
         assert trace_path.exists()
 
     def test_profile_matches_plain_run_results(self, tmp_path, capsys):

@@ -64,15 +64,6 @@ class TestDerivedQuantities:
         params = ModelParameters(user_tx_rate=10.0, onchain_cost=3.0)
         assert params.onchain_alternative_cost() == pytest.approx(15.0)
 
-    def test_replace_creates_validated_copy(self):
-        params = ModelParameters().replace(fee_avg=0.7)
-        assert params.fee_avg == 0.7
-        assert DEFAULT_PARAMS.fee_avg != 0.7
-
-    def test_replace_rejects_invalid(self):
-        with pytest.raises(InvalidParameter):
-            ModelParameters().replace(fee_avg=-1.0)
-
     def test_as_dict_round_trip(self):
         params = ModelParameters(zipf_s=1.5)
         rebuilt = ModelParameters(**dataclasses.asdict(params))

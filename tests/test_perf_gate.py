@@ -20,14 +20,19 @@ def doc(benchmark, rows):
     return {"benchmark": benchmark, "results": rows}
 
 
+def obs_row(payments_per_sec_off):
+    """An ``obs`` row at n=200 whose on/off ratio holds at 1.0."""
+    return {
+        "n": 200,
+        "throughput_ratio": 1.0,
+        "payments_per_sec_off": payments_per_sec_off,
+    }
+
+
 class TestCheckFloors:
     def test_passes_within_floor(self):
-        baseline = doc("simulation", [
-            {"n": 200, "batched_payments_per_sec": 2000.0},
-        ])
-        results = doc("simulation", [
-            {"n": 200, "batched_payments_per_sec": 500.0},
-        ])
+        baseline = doc("obs", [obs_row(2000.0)])
+        results = doc("obs", [obs_row(500.0)])
         assert gate.check_floors(results, baseline, 0.7, 0.1) == []
 
     def test_fails_below_relative_floor(self):
@@ -43,10 +48,10 @@ class TestCheckFloors:
 
     def test_missing_metric_fails_loudly(self):
         """A renamed/dropped metric must not silently disable its floor."""
-        baseline = doc("simulation", [
-            {"n": 200, "batched_payments_per_sec": 2000.0},
+        baseline = doc("obs", [obs_row(2000.0)])
+        results = doc("obs", [
+            {"n": 200, "throughput_ratio": 1.0, "payments": 2945},
         ])
-        results = doc("simulation", [{"n": 200, "payments": 2945}])
         failures = gate.check_floors(results, baseline, 0.7, 0.1)
         assert len(failures) == 1
         assert "missing" in failures[0]
@@ -90,7 +95,7 @@ class TestCheckFloors:
 
     def test_benchmark_mismatch(self):
         failures = gate.check_floors(
-            doc("simulation", []), doc("attacks", []), 0.7, 0.1
+            doc("obs", []), doc("attacks", []), 0.7, 0.1
         )
         assert "mismatch" in failures[0]
 
@@ -108,23 +113,15 @@ class TestCli:
         )
 
     def test_cli_pass(self, tmp_path):
-        baseline = doc("simulation", [
-            {"n": 200, "batched_payments_per_sec": 2000.0},
-        ])
-        results = doc("simulation", [
-            {"n": 200, "batched_payments_per_sec": 1900.0},
-        ])
+        baseline = doc("obs", [obs_row(2000.0)])
+        results = doc("obs", [obs_row(1900.0)])
         proc = self.run_gate(tmp_path, results, baseline)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "gate passed" in proc.stdout
 
     def test_cli_fail(self, tmp_path):
-        baseline = doc("simulation", [
-            {"n": 200, "batched_payments_per_sec": 2000.0},
-        ])
-        results = doc("simulation", [
-            {"n": 200, "batched_payments_per_sec": 100.0},
-        ])
+        baseline = doc("obs", [obs_row(2000.0)])
+        results = doc("obs", [obs_row(100.0)])
         proc = self.run_gate(tmp_path, results, baseline)
         assert proc.returncode == 1
         assert "FAIL" in proc.stdout
@@ -143,7 +140,7 @@ class TestCli:
 
     def test_gate_accepts_committed_baselines(self):
         """The committed BENCH files gate cleanly against themselves."""
-        for name in ("graphcore", "attacks", "simulation", "obs"):
+        for name in ("graphcore", "attacks", "evolution", "obs"):
             path = REPO / f"BENCH_{name}.json"
             if not path.exists():
                 pytest.skip(f"{path.name} not committed yet")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.network.betweenness import pair_weighted_betweenness_exact
 from repro.network.graph import ChannelGraph
 from repro.transactions.distributions import UniformDistribution
 from repro.transactions.rates import (
@@ -47,8 +48,11 @@ class TestEdgeProbabilities:
 
     def test_exact_matches_brandes(self, line3_graph):
         dist = ModifiedZipf(line3_graph, s=1.2)
-        fast = edge_probabilities(line3_graph, dist, exact=False)
-        slow = edge_probabilities(line3_graph, dist, exact=True)
+        fast = edge_probabilities(line3_graph, dist)
+        view = line3_graph.view(directed=True)
+        # edge_probabilities weighs every sender 1/n
+        weights = dist.pair_probabilities(view.nodes) / len(view.nodes)
+        slow = pair_weighted_betweenness_exact(view, weights).edge
         assert set(fast) == set(slow)
         for edge in fast:
             assert fast[edge] == pytest.approx(slow[edge], abs=1e-9)
